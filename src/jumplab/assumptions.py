@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .discretize import DiscreteForm, Grid
-from .kernels import Kernel, TimeKernel
+from .kernels import Kernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
 INF = float("inf")
@@ -103,18 +103,15 @@ def _lp_norm(values: np.ndarray, p: float, weight: float) -> float:
 
 def _pair_form_matrix(kern_eval, pts: np.ndarray, h: float) -> np.ndarray:
     """L with v^T L v = sum_{i != j} (v_i - v_j)^2 k(x_i, x_j) h^{2d}."""
-    x = pts[:, None, :]
-    y = pts[None, :, :]
-    n = pts.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    vals = np.zeros((n, n))
-    xs = np.broadcast_to(x, (n, n, pts.shape[1]))[mask]
-    ys = np.broadcast_to(y, (n, n, pts.shape[1]))[mask]
-    vals[mask] = kern_eval(xs, ys)
-    vals = 0.5 * (vals + vals.T)
-    d = pts.shape[1]
-    h2d = h ** (2 * d)
-    return 2.0 * h2d * (np.diag(np.sum(vals, axis=1)) - vals)
+    (vals,) = pair_values(pts, kern_eval)
+    vals += vals.T
+    vals *= 0.5
+    return _graph_laplacian(vals, h ** (2 * pts.shape[1]))
+
+
+def _graph_laplacian(K: np.ndarray, h2d: float) -> np.ndarray:
+    """2 h^{2d} (diag(row sums of K) - K) for a symmetric pair matrix K."""
+    return 2.0 * h2d * (np.diag(np.sum(K, axis=1)) - K)
 
 
 def _mean_zero_basis(n: int) -> np.ndarray:
@@ -281,15 +278,7 @@ def good_set_fraction(kernel: Kernel, ball: BallSpec, D: float,
         raise ValueError("D must lie in (0, 1)")
     pts, h = _lattice(ball, ball.r, grid, spacing, max_points=300)
     n = pts.shape[0]
-    x = pts[:, None, :]
-    y = pts[None, :, :]
-    mask = ~np.eye(n, dtype=bool)
-    xs = np.broadcast_to(x, (n, n, ball.d))[mask]
-    ys = np.broadcast_to(y, (n, n, ball.d))[mask]
-    ks = np.zeros((n, n))
-    ka = np.zeros((n, n))
-    ks[mask] = kernel.sym(xs, ys)
-    ka[mask] = kernel.anti(xs, ys)
+    ks, ka = pair_values(pts, kernel.sym, kernel.anti)
     good = np.abs(ka) <= D * ks + 1e-300
     good[np.eye(n, dtype=bool)] = True
     fractions = np.sum(good, axis=1) / n
@@ -379,9 +368,7 @@ def _ball_submatrices(form: DiscreteForm, ball: BallSpec, radius: float):
     if int(m.sum()) < 3:
         raise ValueError("ball contains too few grid nodes")
     Ks = form.ks_matrix()[np.ix_(m, m)]
-    h2d = grid.cell_volume ** 2
-    L = 2.0 * h2d * (np.diag(np.sum(Ks, axis=1)) - Ks)
-    return m, L
+    return m, _graph_laplacian(Ks, grid.cell_volume ** 2)
 
 
 def poincare_constant(form: DiscreteForm, ball: BallSpec) -> dict:
@@ -436,9 +423,8 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
     rng = rng or np.random.Generator(np.random.Philox(key=0))
     inner = grid.ball_mask(np.asarray(ball.center), ball.r)
     outer = grid.ball_mask(np.asarray(ball.center), ball.r + rho)
-    Ks = form.ks_matrix()[np.ix_(outer, outer)]
-    h2d = grid.cell_volume ** 2
-    L = 2.0 * h2d * (np.diag(np.sum(Ks, axis=1)) - Ks)
+    L = _graph_laplacian(form.ks_matrix()[np.ix_(outer, outer)],
+                         grid.cell_volume ** 2)
     pts = grid.nodes[outer]
     in_sub = inner[outer]
     hd = grid.cell_volume

@@ -150,8 +150,10 @@ def _validate(config: dict) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 
@@ -163,19 +165,22 @@ def write_csv(path: Path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if obj == INF:
-        return "inf"
-    raise TypeError(f"not serializable: {type(obj)}")
+def _json_safe(obj):
+    """Plain-Python copy; non-finite floats become "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_safe(v) for v in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 def write_json(path: Path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -298,7 +303,8 @@ def _run_assemble(config, out_dir):
     form = assemble(kernel, grid)
     dump = config["harness"].get("dump_form")
     if dump:
-        write_csv(Path(dump), [f"c{i}" for i in range(grid.n_nodes)], form.A)
+        write_csv(Path(dump), [f"c{i}" for i in range(grid.n_nodes)],
+                  form.A.tolist())
     one = np.ones(grid.n_nodes)
     defect = float(np.max(np.abs(form.A @ one - form.tail)))
     report = {"n_nodes": grid.n_nodes, "h": grid.h,
@@ -333,10 +339,10 @@ def _run_solve(config, out_dir):
     form = assemble(kernel, grid)
     problem = _problem_from_config(config, form)
     sol = solve_parabolic(problem)
-    rows = []
-    for ti, t in enumerate(sol.times):
-        for ni in range(grid.n_nodes):
-            rows.append((t, ni, sol.snapshots[ti, ni]))
+    n_times, n_nodes = sol.snapshots.shape
+    rows = zip(np.repeat(sol.times, n_nodes).tolist(),
+               np.tile(np.arange(n_nodes), n_times).tolist(),
+               sol.snapshots.ravel().tolist())
     write_csv(out_dir / "snapshots.csv", ["t", "node", "value"], rows)
     report = {"steps": len(sol.times) - 1, "dt": problem.dt,
               "max_residual": float(np.max(sol.residuals)),
@@ -509,6 +515,9 @@ def _default_config(kind: str) -> dict:
                 "caccioppoli"):
         cfg["kernel"] = dict(DEFAULT_KERNEL)
         cfg["grid"] = dict(DEFAULT_GRID)
+    if kind == "hoelder":
+        # the smallest fit scale R / 8 must hold holder_fit's 8 nodes
+        cfg["grid"]["h"] = 1 / 64
     if kind == "caccioppoli":
         cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.0}
         cfg["grid"] = {"d": 1, "X": 2.0, "h": 1 / 16,

@@ -11,9 +11,10 @@ extended by the constant u_ext beyond the box.  The self cell j = i is
 excluded; its omitted principal-value contribution is O(h^{2-alpha}) on C^2
 fields and is documented rather than corrected.
 
-The split stores the drift intensity on the diagonal of A_s (a diagonal
-shift preserves symmetry), which keeps A = A_s + A_a, the exact symmetry of
-A_s and the exact antisymmetry of A_a all true simultaneously:
+A form stores only the split and the tail weights T_s, T_a of K_s and K_a;
+A = A_s + A_a, T = T_s + T_a and T-hat = T_s - T_a are derived, so the split
+is exact bit for bit.  The drift intensity sits on the diagonal of A_s (a
+diagonal shift preserves symmetry):
 
     A_a := pure off-diagonal coupling of K_a (zero diagonal),
     A_s := off-diagonal coupling of K_s, diagonal = full-K row completion.
@@ -21,10 +22,11 @@ A_s and the exact antisymmetry of A_a all true simultaneously:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .kernels import Kernel, TimeKernel
+from .kernels import Kernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, exterior_tail, ray_exit_box
 
 NODE_CAP = 4096
@@ -101,40 +103,66 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None,
 class DiscreteForm:
     """Dense collocation matrices of a kernel on a grid, plus tail weights.
 
-    tail / tail_dual are the exterior weights of K(x_i, .) and K(., x_i);
-    drift_load = A^T 1 - tail_dual is the exact constant-drift load used by
-    the extended dual equation (zero for symmetric kernels).
+    A = A_s + A_a is computed on first use and kept.  tail / tail_dual are
+    the exterior weights of K(x_i, .) and K(., x_i); drift_load = A^T 1 -
+    tail_dual is the exact constant-drift load used by the extended dual
+    equation (zero for symmetric kernels).
     """
 
     grid: Grid
-    A: np.ndarray
     A_s: np.ndarray
     A_a: np.ndarray
-    tail: np.ndarray
-    tail_dual: np.ndarray
     tail_sym: np.ndarray
     tail_anti: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self.A_s + self.A_a
+
+    @property
+    def tail(self) -> np.ndarray:
+        return self.tail_sym + self.tail_anti
+
+    @property
+    def tail_dual(self) -> np.ndarray:
+        return self.tail_sym - self.tail_anti
 
     @property
     def drift_load(self) -> np.ndarray:
         return self.A.T @ np.ones(self.grid.n_nodes) - self.tail_dual
 
-    def ks_matrix(self) -> np.ndarray:
-        """Pairwise K_s(x_i, x_j) values (zero diagonal)."""
-        scale = -0.5 / self.grid.cell_volume
-        M = scale * self.A_s
+    def _pair_matrix(self, coupling: np.ndarray) -> np.ndarray:
+        M = (-0.5 / self.grid.cell_volume) * coupling
         np.fill_diagonal(M, 0.0)
         return M
 
+    def ks_matrix(self) -> np.ndarray:
+        """Pairwise K_s(x_i, x_j) values (zero diagonal)."""
+        return self._pair_matrix(self.A_s)
+
     def ka_matrix(self) -> np.ndarray:
-        scale = -0.5 / self.grid.cell_volume
-        M = scale * self.A_a
-        np.fill_diagonal(M, 0.0)
-        return M
+        return self._pair_matrix(self.A_a)
 
     def k_matrix(self) -> np.ndarray:
         return self.ks_matrix() + self.ka_matrix()
+
+
+def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
+                    meta: dict, scale_s: float, scale_a: float) -> DiscreteForm:
+    """Form from zero-diagonal pair matrices S, W, built in place: A_s is
+    scale_s * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
+    A_a is scale_a * anti(W)."""
+    S += S.T
+    S *= 0.5
+    W -= W.T
+    W *= 0.5
+    row_s = -scale_s * np.sum(S, axis=1)
+    row_a = -scale_a * np.sum(W, axis=1)
+    S *= scale_s
+    W *= scale_a
+    np.fill_diagonal(S, row_s + T_s + row_a + T_a)
+    return DiscreteForm(grid, S, W, T_s, T_a, meta)
 
 
 def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None,
@@ -143,41 +171,17 @@ def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None,
         raise ValueError("kernel/grid dimension mismatch")
     quad = quad or QuadSpec()
     P = grid.nodes
-    N = grid.n_nodes
-    hd = grid.cell_volume
-    Ks = np.zeros((N, N))
-    Ka = np.zeros((N, N))
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        x = P[lo:hi, None, :]
-        y = P[None, :, :]
-        mask = np.ones((hi - lo, N), dtype=bool)
-        mask[np.arange(hi - lo), np.arange(lo, hi)] = False
-        xs = np.broadcast_to(x, (hi - lo, N, grid.d))[mask]
-        ys = np.broadcast_to(y, (hi - lo, N, grid.d))[mask]
-        try:
-            ks_blk = kernel.sym(xs, ys)
-            ka_blk = kernel.anti(xs, ys)
-        except ValueError as exc:
-            raise RuntimeError(f"kernel evaluation failed in rows {lo}:{hi}: {exc}")
-        Ks[lo:hi][mask] = ks_blk
-        Ka[lo:hi][mask] = ka_blk
-    Ks = 0.5 * (Ks + Ks.T)
-    Ka = 0.5 * (Ka - Ka.T)
-
+    try:
+        Ks, Ka = pair_values(P, kernel.sym, kernel.anti, chunk=chunk)
+    except ValueError as exc:
+        raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
     exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
     T_s = _tail_vector(kernel, "sym", P, exit_fn, grid.d, quad)
     T_a = _tail_vector(kernel, "anti", P, exit_fn, grid.d, quad)
-
-    A_a = -2.0 * hd * Ka
-    A_s = -2.0 * hd * Ks
-    row_s = 2.0 * hd * np.sum(Ks, axis=1)
-    row_a = 2.0 * hd * np.sum(Ka, axis=1)
-    np.fill_diagonal(A_s, row_s + T_s + row_a + T_a)
-    A = A_s + A_a
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
-    return DiscreteForm(grid, A, A_s, A_a, T_s + T_a, T_s - T_a, T_s, T_a, meta)
+    scale = -2.0 * grid.cell_volume
+    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, scale, scale)
 
 
 def _tail_vector(kernel: Kernel, part: str, points, exit_fn, d, quad,
@@ -191,19 +195,18 @@ def _tail_vector(kernel: Kernel, part: str, points, exit_fn, d, quad,
 
 
 def transpose_form(form: DiscreteForm) -> DiscreteForm:
-    """Dual form: transposed matrix, same symmetric part, negated drift coupling,
-    tail weights swapped for the reversed-argument kernel."""
+    """Dual form: same symmetric part, negated drift coupling and drift tail
+    (the weights of the reversed-argument kernel)."""
     meta = dict(form.meta)
     meta["dual_of"] = meta.get("kernel_hash")
-    return DiscreteForm(form.grid, form.A.T.copy(), form.A_s, -form.A_a,
-                        form.tail_dual, form.tail, form.tail_sym,
+    return DiscreteForm(form.grid, form.A_s, -form.A_a, form.tail_sym,
                         -form.tail_anti, meta)
 
 
 def assemble_time(time_kernel: TimeKernel, grid: Grid, t: float,
                   quad: QuadSpec | None = None,
                   _cache: dict | None = None) -> DiscreteForm:
-    """Per-time-slice assembly; separable modulations reuse the base assembly."""
+    """Per-time-slice assembly; separable modulations rescale the base split."""
     if time_kernel.separable:
         cache = _cache if _cache is not None else {}
         if "base" not in cache:
@@ -211,19 +214,12 @@ def assemble_time(time_kernel: TimeKernel, grid: Grid, t: float,
         base = cache["base"]
         a = float(time_kernel.a(t))
         s = float(time_kernel.ka_scale(t))
-        hd = grid.cell_volume
-        Ks = base.ks_matrix()
-        Ka = base.ka_matrix()
-        A_s = -2.0 * hd * a * Ks
-        A_a = -2.0 * hd * s * Ka
-        T_s = a * base.tail_sym
-        T_a = s * base.tail_anti
-        row = 2.0 * hd * (a * np.sum(Ks, axis=1) + s * np.sum(Ka, axis=1))
-        np.fill_diagonal(A_s, row + T_s + T_a)
+        S = base.A_s.copy()
+        np.fill_diagonal(S, 0.0)
         meta = dict(base.meta)
         meta["t"] = t
-        return DiscreteForm(grid, A_s + A_a, A_s, A_a, T_s + T_a, T_s - T_a,
-                            T_s, T_a, meta)
+        return _completed_form(grid, S, base.A_a.copy(), a * base.tail_sym,
+                               s * base.tail_anti, meta, a, s)
     frozen = time_kernel.at(t)
     form = assemble(frozen, grid, quad=quad)
     form.meta["t"] = t

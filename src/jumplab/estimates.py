@@ -175,6 +175,19 @@ def _global_pairing(form: DiscreteForm, variant: str, u: np.ndarray,
     return val
 
 
+def _audit_shift(variant: str, eps: float, r: float, alpha: float, d: int,
+                 f_inf: float, d_const: float, theta: float) -> float:
+    """Positivity shift of the audited field: eps, plus r^alpha |f| for the
+    dual variants, plus r^{(alpha - d/theta)/2} |d| for the extended dual."""
+    shift = eps
+    if variant in ("dual", "dual_ext"):
+        shift = shift + r ** alpha * f_inf
+    if variant == "dual_ext":
+        exponent = 0.5 * (alpha - (d / theta if theta != math.inf else 0.0))
+        shift = shift + r ** exponent * abs(d_const)
+    return shift
+
+
 def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
                       rho: float, p: float, eps: float,
                       variant: str = "primal", d_const: float = 0.0,
@@ -196,12 +209,7 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     grid = form.grid
     alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
     u = np.asarray(u, dtype=float)
-    shift = eps
-    if variant in ("dual", "dual_ext"):
-        shift = shift + r ** alpha * f_inf
-    if variant == "dual_ext":
-        exponent = 0.5 * (alpha - (grid.d / theta if theta != math.inf else 0.0))
-        shift = shift + r ** exponent * abs(d_const)
+    shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
     u_t = u + shift
     if np.any(u_t <= 0):
         raise ValueError("shifted field must be strictly positive")
@@ -238,12 +246,7 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     grid = form.grid
     alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
     u = np.asarray(u, dtype=float)
-    shift = eps
-    if variant in ("dual", "dual_ext"):
-        shift = shift + r ** alpha * f_inf
-    if variant == "dual_ext":
-        exponent = 0.5 * (alpha - (grid.d / theta if theta != math.inf else 0.0))
-        shift = shift + r ** exponent * abs(d_const)
+    shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
     u_t = u + shift
     if np.any(u_t <= 0):
         raise ValueError("shifted field must be strictly positive")

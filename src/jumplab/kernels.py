@@ -289,23 +289,33 @@ class SplitKernel(Kernel):
         return self._anti_supp
 
 
-def _validation_pairs(d: int, extent: float = 2.0, n: int = 6, min_sep: float = 1e-3):
+def pair_values(points, *fns, chunk: int = 256):
+    """One N x N array per ``fn(x, y)`` over all off-diagonal node pairs
+    (zero diagonal); one gather per block of ``chunk`` rows feeds every fn."""
+    P = np.asarray(points, dtype=float)
+    n, d = P.shape
+    out = [np.zeros((n, n)) for _ in fns]
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        off = np.ones((hi - lo, n), dtype=bool)
+        off[np.arange(hi - lo), np.arange(lo, hi)] = False
+        xs = np.broadcast_to(P[lo:hi, None, :], (hi - lo, n, d))[off]
+        ys = np.broadcast_to(P[None, :, :], (hi - lo, n, d))[off]
+        for M, fn in zip(out, fns):
+            M[lo:hi][off] = fn(xs, ys)
+    return out
+
+
+def _lattice_pair_values(d: int, *fns, n: int = 6, extent: float = 2.0):
+    """Values of each ``fn`` on the off-diagonal pairs of an n^d validation lattice."""
     axes = [np.linspace(-extent, extent, n)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    x = pts[:, None, :]
-    y = pts[None, :, :]
-    r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    keep = r > min_sep
-    xs = np.broadcast_to(x, (pts.shape[0], pts.shape[0], d))[keep]
-    ys = np.broadcast_to(y, (pts.shape[0], pts.shape[0], d))[keep]
-    return xs, ys
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    off = ~np.eye(pts.shape[0], dtype=bool)
+    return [M[off] for M in pair_values(pts, *fns)]
 
 
 def _validate_split(kernel: Kernel, d: int):
-    xs, ys = _validation_pairs(d)
-    ks = kernel.sym(xs, ys)
-    ka = kernel.anti(xs, ys)
+    ks, ka = _lattice_pair_values(d, kernel.sym, kernel.anti)
     scale = np.maximum(np.abs(ks), 1e-300)
     if np.any(ks + ka < -1e-12 * scale):
         raise ValueError("kernel is negative on the validation lattice")
@@ -334,8 +344,7 @@ class CoefficientKernel(Kernel):
         self.Lam = float(Lam)
         self.g_smoothness = float(g_smoothness)
         self.spec = KernelSpec("coefficient", d, alpha, lam=lam, Lam=Lam)
-        xs, ys = _validation_pairs(d)
-        gv = np.asarray(g(xs, ys), dtype=float)
+        (gv,) = _lattice_pair_values(d, g)
         if np.any(gv < lam - 1e-12) or np.any(gv > Lam + 1e-12):
             raise ValueError("coefficient g leaves [lam, Lam] on the validation lattice")
 
@@ -388,11 +397,10 @@ class DriftKernel(Kernel):
         self.c_norm = c_alpha_norm(d, alpha)
         self.v_holder = float(v_holder)
         self.spec = KernelSpec("drift", d, alpha, lam=lam, Lam=Lam, trunc=L)
-        xs, ys = _validation_pairs(d)
-        r = np.sqrt(np.sum((xs - ys) ** 2, axis=-1))
-        dv = np.abs(np.asarray(V(xs)) - np.asarray(V(ys)))
-        bad = (r <= self.L) & (dv > lam + 1e-12)
-        if np.any(bad):
+        (dv,) = _lattice_pair_values(d, lambda x, y: np.abs(
+            np.asarray(V(x)) - np.asarray(V(y))) * (
+            np.sqrt(np.sum((x - y) ** 2, axis=-1)) <= self.L))
+        if np.any(dv > lam + 1e-12):
             raise ValueError(
                 "potential increment exceeds lam inside the truncation radius; "
                 "kernel would go negative (shrink L or rescale V)")
@@ -540,9 +548,8 @@ class TimeKernel:
         n_args = len(inspect.signature(a).parameters)
         self.separable = n_args == 1
         self.a = a
-        xs, ys = _validation_pairs(base.d, n=4)
         for t in validate_times:
-            av = np.asarray(self._a_vals(t, xs, ys), dtype=float)
+            (av,) = _lattice_pair_values(base.d, lambda x, y: self._a_vals(t, x, y), n=4)
             if np.any(av < lam - 1e-12) or np.any(av > Lam + 1e-12):
                 raise ValueError(f"modulation leaves [lam, Lam] at t={t}")
             sv = float(self.ka_scale(t))

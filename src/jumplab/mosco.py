@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import DiscreteForm, Grid, assemble
+from .discretize import DiscreteForm, Grid, _completed_form, assemble
 from .kernels import Kernel, c_alpha_norm, make_drift_kernel, make_stable_kernel
 from .quadrature import QuadSpec, ball_integral
 from .solve import resolvent_solve
@@ -347,10 +347,17 @@ def _cell_moments(kernel: Kernel, pts: np.ndarray, h: float, d: int,
     return C, b
 
 
-def _grid_neighbors(grid: Grid):
+def _axis_stencil(grid: Grid, k: int):
+    """Nodes with both lattice neighbours along axis k, and those neighbours."""
     n_axis = int(round(2 * grid.X / grid.h))
     idx = np.arange(grid.n_nodes).reshape((n_axis,) * grid.d)
-    return idx
+    inner = np.ones(idx.shape, dtype=bool)
+    edge = [slice(None)] * grid.d
+    for end in (0, -1):
+        edge[k] = end
+        inner[tuple(edge)] = False
+    return (idx[inner], np.roll(idx, -1, axis=k)[inner],
+            np.roll(idx, 1, axis=k)[inner])
 
 
 def assemble_corrected(kernel: Kernel, grid: Grid,
@@ -359,42 +366,32 @@ def assemble_corrected(kernel: Kernel, grid: Grid,
 
     The correction adds C_kk(x) times the second-difference stencil and the
     sub-cell drift times the central first difference, restoring consistency
-    of the collocated operator uniformly as alpha -> 2 at fixed h.
+    of the collocated operator uniformly as alpha -> 2 at fixed h.  The
+    stencil rows sum to zero, so only its off-diagonal entries are added (the
+    symmetric part to A_s, the antisymmetric part to A_a) and the diagonal is
+    completed again.
     """
     quad = quad or QuadSpec(n_ang=32, n_panels=24)
     form = assemble(kernel, grid, quad=quad)
     C, b_cell = _cell_moments(kernel, grid.nodes, grid.h, grid.d, quad)
-    idx = _grid_neighbors(grid)
     N = grid.n_nodes
     corr = np.zeros((N, N))
     h = grid.h
     for k in range(grid.d):
-        fwd = np.roll(idx, -1, axis=k)
-        bwd = np.roll(idx, 1, axis=k)
-        interior_axis = np.ones(idx.shape, dtype=bool)
-        sl_lo = [slice(None)] * grid.d
-        sl_lo[k] = 0
-        sl_hi = [slice(None)] * grid.d
-        sl_hi[k] = -1
-        interior_axis[tuple(sl_lo)] = False
-        interior_axis[tuple(sl_hi)] = False
-        rows = idx[interior_axis].ravel()
-        plus = fwd[interior_axis].ravel()
-        minus = bwd[interior_axis].ravel()
-        corr[rows, rows] += 2.0 * C[rows, k] / h ** 2
+        rows, plus, minus = _axis_stencil(grid, k)
         corr[rows, plus] += -C[rows, k] / h ** 2 + 2.0 * b_cell[rows, k] / (2 * h)
         corr[rows, minus] += -C[rows, k] / h ** 2 - 2.0 * b_cell[rows, k] / (2 * h)
-    A = form.A + corr
-    out = DiscreteForm(grid, A, 0.5 * (A + A.T), 0.5 * (A - A.T), form.tail,
-                       form.tail_dual, form.tail_sym, form.tail_anti,
-                       dict(form.meta, corrected=True))
-    return out
+    S, W = form.A_s, form.A_a
+    np.fill_diagonal(S, 0.0)
+    S += corr
+    W += corr
+    return _completed_form(grid, S, W, form.tail_sym, form.tail_anti,
+                           dict(form.meta, corrected=True), 1.0, 1.0)
 
 
 def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order divergence-form collocation -d_k(a_kk d_k u) + 2 b . grad u
     with centered differences on the same grid (zero Dirichlet outside)."""
-    idx = _grid_neighbors(grid)
     N = grid.n_nodes
     h = grid.h
     A = np.zeros((N, N))
@@ -403,18 +400,7 @@ def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarr
     b_field = b_vec if b_vec.ndim == 2 else np.broadcast_to(
         b_vec, (N, grid.d)).copy()
     for k in range(grid.d):
-        fwd = np.roll(idx, -1, axis=k)
-        bwd = np.roll(idx, 1, axis=k)
-        inner = np.ones(idx.shape, dtype=bool)
-        sl = [slice(None)] * grid.d
-        sl[k] = 0
-        inner[tuple(sl)] = False
-        sl = [slice(None)] * grid.d
-        sl[k] = -1
-        inner[tuple(sl)] = False
-        rows = idx[inner].ravel()
-        plus = fwd[inner].ravel()
-        minus = bwd[inner].ravel()
+        rows, plus, minus = _axis_stencil(grid, k)
         a_here = a_field[rows, k, k]
         a_plus = 0.5 * (a_here + a_field[plus, k, k])
         a_minus = 0.5 * (a_here + a_field[minus, k, k])
