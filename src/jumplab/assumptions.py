@@ -367,7 +367,7 @@ def _ball_submatrices(form: DiscreteForm, ball: BallSpec, radius: float):
     m = grid.ball_mask(np.asarray(ball.center), radius)
     if int(m.sum()) < 3:
         raise ValueError("ball contains too few grid nodes")
-    Ks = form.ks_matrix()[np.ix_(m, m)]
+    Ks = form.ks_matrix(m)
     return m, _graph_laplacian(Ks, grid.cell_volume ** 2)
 
 
@@ -423,8 +423,7 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
     rng = rng or np.random.Generator(np.random.Philox(key=0))
     inner = grid.ball_mask(np.asarray(ball.center), ball.r)
     outer = grid.ball_mask(np.asarray(ball.center), ball.r + rho)
-    L = _graph_laplacian(form.ks_matrix()[np.ix_(outer, outer)],
-                         grid.cell_volume ** 2)
+    L = _graph_laplacian(form.ks_matrix(outer), grid.cell_volume ** 2)
     pts = grid.nodes[outer]
     in_sub = inner[outer]
     hd = grid.cell_volume

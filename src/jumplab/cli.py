@@ -327,7 +327,7 @@ def _problem_from_config(config, form):
     horizon = float(pc.get("horizon", 8 * dt))
     return ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
-        collar=lambda t, pts: g_field(pts),
+        collar=g_field(grid.nodes[grid.collar]),
         exterior=float(pc.get("exterior", 0.0)),
         theta=float(pc.get("theta", 1.0)),
         variant=pc.get("variant", "primal"),
@@ -344,7 +344,7 @@ def _run_solve(config, out_dir):
                np.tile(np.arange(n_nodes), n_times).tolist(),
                sol.snapshots.ravel().tolist())
     write_csv(out_dir / "snapshots.csv", ["t", "node", "value"], rows)
-    report = {"steps": len(sol.times) - 1, "dt": problem.dt,
+    report = {"steps": len(sol.times) - 1, "dt": problem.dt, "t_end": sol.meta["t_end"],
               "max_residual": float(np.max(sol.residuals)),
               "final_min": float(np.min(sol.snapshots[-1])),
               "final_max": float(np.max(sol.snapshots[-1]))}

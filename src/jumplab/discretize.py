@@ -137,9 +137,10 @@ class DiscreteForm:
         np.fill_diagonal(M, 0.0)
         return M
 
-    def ks_matrix(self) -> np.ndarray:
-        """Pairwise K_s(x_i, x_j) values (zero diagonal)."""
-        return self._pair_matrix(self.A_s)
+    def ks_matrix(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Pairwise K_s(x_i, x_j) values (zero diagonal); with a node mask m
+        only the (m, m) block, without building the N x N matrix."""
+        return self._pair_matrix(self.A_s if mask is None else self.A_s[np.ix_(mask, mask)])
 
     def ka_matrix(self) -> np.ndarray:
         return self._pair_matrix(self.A_a)

@@ -132,7 +132,9 @@ def holder_fit(solution: Solution, t_center: float, center, R0: float,
     """
     if n_scales < 4:
         raise ValueError("need at least four scales for a fit")
-    alpha = solution.meta.get("alpha", 1.0)
+    if "alpha" not in solution.meta:
+        raise ValueError("holder_fit needs the order alpha in solution.meta['alpha']")
+    alpha = solution.meta["alpha"]
     scales, oscs = [], []
     for k in range(n_scales):
         s = R0 * nu ** (-k)
@@ -352,7 +354,7 @@ def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
     t_start = cyl.t0 - cyl.ralpha
     problem = ParabolicProblem(
         form, u0_field(grid.nodes), t_start, cyl.t0 + cyl.ralpha, dt,
-        collar=lambda t, pts: g_field(pts), exterior=ext, theta=1.0)
+        collar=g_field(grid.nodes[grid.collar]), exterior=ext, theta=1.0)
     sol = solve_parabolic(problem)
     sol.meta["alpha"] = cyl.alpha
     return sol

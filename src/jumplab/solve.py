@@ -11,10 +11,17 @@ only rescale time.  Dual variants use the transposed coupling and the dual
 tail weights; the extended dual adds the exact constant-drift load, which
 makes the shift identity (dual solution minus a constant solves the extended
 dual) hold at the level of the discrete recursion.
+
+One ``_InteriorSystem`` per (form, variant) holds A_II, A_IC, T_I and the
+drift load; the stepper factors I + theta dt A_II from it, the resolvent
+lam I + A_II.  For a fixed ``DiscreteForm`` whose collar datum and source are
+not callable, the load r is built once per solve and A_IC is then dropped; a
+callable collar is evaluated once per step, at the new time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -77,47 +84,11 @@ class Solution:
         return self.snapshots[sel]
 
 
-def _operator(problem: ParabolicProblem, form: DiscreteForm):
-    """System matrix, exterior tail weights and drift load for the variant."""
-    if problem.variant == "primal":
-        return form.A, form.tail, None
-    load = form.drift_load if problem.variant == "dual_ext" else None
-    return form.A.T, form.tail_dual, load
-
-
-def _collar_values(problem: ParabolicProblem, grid: Grid, t: float) -> np.ndarray:
-    pts = grid.nodes[grid.collar]
-    g = problem.collar
-    if g is None:
-        return np.zeros(pts.shape[0])
-    if callable(g):
-        return np.asarray(g(t, pts), dtype=float) * np.ones(pts.shape[0])
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 0:
-        return np.full(pts.shape[0], float(g))
-    return g
-
-
-def _source(problem: ParabolicProblem, grid: Grid, t: float) -> np.ndarray:
-    if problem.f is None:
-        return np.zeros(int(np.sum(grid.interior)))
-    return np.asarray(problem.f(t, grid.nodes[grid.interior]), dtype=float) * np.ones(
-        int(np.sum(grid.interior)))
-
-
-def _rhs_load(problem, form, t):
-    """r(t) = M f - A_IC g + T_I u_ext (+ d * load_I) on interior nodes."""
-    grid = form.grid
-    I = grid.interior
-    A, tail, load = _operator(problem, form)
-    r = _source(problem, grid, t)
-    g = _collar_values(problem, grid, t)
-    if np.any(~I):
-        r = r - A[np.ix_(I, ~I)] @ g
-    r = r + tail[I] * problem.exterior
-    if load is not None:
-        r = r + problem.d_const * load[I]
-    return r
+def _datum(value, t: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Collar datum or source on the masked nodes: callable (t, points), array,
+    scalar or None (zero)."""
+    value = value(t, grid.nodes[mask]) if callable(value) else value
+    return np.asarray(0.0 if value is None else value, dtype=float) * np.ones(int(mask.sum()))
 
 
 def _solve_refined(lu_piv, Mmat, x_rhs):
@@ -134,56 +105,89 @@ def _solve_refined(lu_piv, Mmat, x_rhs):
     return x, nres / max(scale, 1e-300)
 
 
+class _InteriorSystem:
+    """A_II, A_IC, tail_I and drift_load_I of one (form, variant).
+
+    ``factor(a, b)`` builds M = a I + b A_II and its LU factors: the stepper
+    uses a = 1, b = theta dt, the resolvent a = lam, b = 1.  M takes the
+    memory of A_II unless ``keep`` asks for A_II to stay (explicit part).
+    """
+
+    def __init__(self, form: DiscreteForm, variant: str):
+        A, tail = (form.A, form.tail) if variant == "primal" else (form.A.T, form.tail_dual)
+        load = form.drift_load if variant == "dual_ext" else None
+        self.form, self.I, self._A = form, form.grid.interior, A
+        self.A_II = A[np.ix_(self.I, self.I)]
+        self.tail_I = tail[self.I]
+        self.drift_load_I = None if load is None else load[self.I]
+
+    @cached_property
+    def A_IC(self) -> np.ndarray:
+        return self._A[np.ix_(self.I, ~self.I)]
+
+    def load(self, p: ParabolicProblem, t: float, g: np.ndarray | None = None):
+        """r(t) = f - A_IC g + T_I u_ext (+ d * drift_load_I) on interior nodes,
+        with the collar datum g evaluated at t unless given."""
+        grid = self.form.grid
+        g = _datum(p.collar, t, grid, grid.collar) if g is None else g
+        r = _datum(p.f, t, grid, self.I) - self.A_IC @ g
+        r = r + self.tail_I * p.exterior
+        if self.drift_load_I is not None:
+            r = r + p.d_const * self.drift_load_I
+        return r
+
+    def factor(self, a: float, b: float, keep: bool = False):
+        self.M = np.multiply(self.A_II, b, out=None if keep else self.A_II)
+        self.A_II = self.A_II if keep else None      # else its memory now holds M
+        self.M[np.diag_indices_from(self.M)] += a
+        self.lu = sla.lu_factor(self.M)
+
+
 class _Stepper:
-    """Caches the LU factorization for time-independent operators."""
+    """The factored interior system, cached per time for time-dependent forms."""
 
     def __init__(self, problem: ParabolicProblem):
         self.problem = problem
-        self._cache = {}
+        self._key = self._system = None
+        self._static = not (problem.time_dependent or callable(problem.collar)
+                            or callable(problem.f))
+        self._r = self._g = None      # load and collar entries when _static
 
-    def matrices(self, t_new: float):
+    def matrices(self, t_new: float) -> _InteriorSystem:
         p = self.problem
-        key = None if not p.time_dependent else round(t_new, 12)
-        if key in self._cache:
-            return self._cache[key]
-        form = p.form_at(t_new)
-        grid = form.grid
-        I = grid.interior
-        A, _, _ = _operator(p, form)
-        A_II = A[np.ix_(I, I)]
-        M_impl = np.eye(A_II.shape[0]) + p.theta * p.dt * A_II
-        try:
-            lu_piv = sla.lu_factor(M_impl)
-        except sla.LinAlgError as exc:
-            cond = np.linalg.cond(M_impl)
-            raise RuntimeError(f"linear solve failed (cond ~ {cond:.2e}): {exc}")
-        entry = (form, A_II, M_impl, lu_piv)
-        if key is None:
-            self._cache[None] = entry
-        else:
-            self._cache.clear()
-            self._cache[key] = entry
-        return entry
+        key = round(t_new, 12) if p.time_dependent else None
+        if self._system is not None and key == self._key:
+            return self._system
+        system = _InteriorSystem(p.form_at(t_new), p.variant)
+        if self._static:
+            self._g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
+            self._r = system.load(p, t_new, self._g)
+            del system.A_IC           # the N_I x N_C block is not needed again
+        system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
+        self._key, self._system = key, system
+        return system
 
     def step(self, u_full: np.ndarray, t: float):
         p = self.problem
-        form_new, A_II, M_impl, lu_piv = self.matrices(t + p.dt)
-        form_old = p.form_at(t) if p.time_dependent and p.theta < 1.0 else form_new
-        grid = form_new.grid
-        I = grid.interior
+        t_new = t + p.dt
+        system = self.matrices(t_new)
+        I = system.I
+        g_new = self._g if self._static else _datum(p.collar, t_new, system.form.grid, ~I)
         u_I = u_full[I]
         b = u_I.copy()
         if p.theta < 1.0:
-            A_old, _, _ = _operator(p, form_old)
-            b = b - (1.0 - p.theta) * p.dt * (A_old[np.ix_(I, I)] @ u_I)
-            b = b + p.dt * (1.0 - p.theta) * _rhs_load(p, form_old, t)
-        b = b + p.dt * p.theta * _rhs_load(p, form_new, t + p.dt)
-        u_new_I, rel_res = _solve_refined(lu_piv, M_impl, b)
-        if not np.all(np.isfinite(u_new_I)):
-            raise RuntimeError(f"non-finite state at t={t + p.dt}")
+            old = _InteriorSystem(p.form_at(t), p.variant) if p.time_dependent else system
+            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I)
+            b = b + p.dt * (1.0 - p.theta) * (self._r if self._static else old.load(p, t))
+        b = b + p.dt * p.theta * (self._r if self._static else system.load(p, t_new, g_new))
+        u_new_I, rel_res = _solve_refined(system.lu, system.M, b)
+        if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
+            k = int(round((t - p.t_start) / p.dt))
+            raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
+                               f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
         out = np.empty_like(u_full)
         out[I] = u_new_I
-        out[~I] = _collar_values(p, grid, t + p.dt)
+        out[~I] = g_new
         return out, rel_res
 
 
@@ -196,7 +200,9 @@ def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float,
 
 
 def solve_parabolic(problem: ParabolicProblem) -> Solution:
-    grid = problem.form_at(problem.t_start).grid
+    """Snapshots at t_start + k dt, k <= round((t_end - t_start) / dt) = meta["n_steps"]."""
+    form = problem.form_at(problem.t_start)
+    grid = form.grid
     u0 = problem.u0(grid.nodes) if callable(problem.u0) else np.asarray(
         problem.u0, dtype=float)
     if u0.shape != (grid.n_nodes,):
@@ -204,9 +210,8 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial state contains non-finite values")
     u = u0.copy()
-    u[grid.collar] = _collar_values(problem, grid, problem.t_start)
-    n_steps = int(round((problem.t_end - problem.t_start) / problem.dt))
-    n_steps = max(n_steps, 1)
+    u[grid.collar] = _datum(problem.collar, problem.t_start, grid, grid.collar)
+    n_steps = max(int(round((problem.t_end - problem.t_start) / problem.dt)), 1)
     times = problem.t_start + problem.dt * np.arange(n_steps + 1)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
     snaps[0] = u
@@ -217,8 +222,11 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         snaps[k + 1] = u
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,
             "h": grid.h, "exterior": problem.exterior,
-            "d_const": problem.d_const,
-            "kernel_hash": problem.form_at(problem.t_start).meta.get("kernel_hash")}
+            "d_const": problem.d_const, "kernel_hash": form.meta.get("kernel_hash"),
+            "n_steps": n_steps, "t_end_requested": problem.t_end,
+            "t_end": float(times[-1])}
+    if "alpha" in form.meta.get("kernel", {}):
+        meta["alpha"] = form.meta["kernel"]["alpha"]
     return Solution(times, snaps, grid, meta, residuals)
 
 
@@ -239,26 +247,18 @@ def resolvent_solve(form: DiscreteForm, lam: float, f: np.ndarray,
     """Solve (lam I + A) u = f with zero collar and exterior datum.
 
     Returns the full-box vector (collar entries zero).  lam must sit above the
-    coercivity threshold of the form; singular systems are reported with a
-    smallest-singular-value estimate.
+    coercivity threshold of the form; a solve whose refined residual stays
+    above 1e-6 is reported with a smallest-singular-value estimate.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    grid = form.grid
-    I = grid.interior
-    A = form.A if variant == "primal" else form.A.T
-    A_II = A[np.ix_(I, I)]
-    Mmat = lam * np.eye(A_II.shape[0]) + A_II
-    rhs = np.asarray(f, dtype=float)[I]
-    try:
-        lu_piv = sla.lu_factor(Mmat)
-        x, rel = _solve_refined(lu_piv, Mmat, rhs)
-    except sla.LinAlgError:
-        smin = np.linalg.svd(Mmat, compute_uv=False)[-1]
-        raise RuntimeError(f"resolvent system singular (s_min ~ {smin:.3e})")
+    system = _InteriorSystem(form, variant)
+    rhs = np.asarray(f, dtype=float)[system.I]
+    system.factor(lam, 1.0)
+    x, rel = _solve_refined(system.lu, system.M, rhs)
     if rel > 1e-6:
-        smin = np.linalg.svd(Mmat, compute_uv=False)[-1]
+        smin = np.linalg.svd(system.M, compute_uv=False)[-1]
         raise RuntimeError(f"resolvent solve unstable (s_min ~ {smin:.3e})")
-    out = np.zeros(grid.n_nodes)
-    out[I] = x
+    out = np.zeros(form.grid.n_nodes)
+    out[system.I] = x
     return out

@@ -98,6 +98,17 @@ class TestRunners:
         assert lines[0] == "t,node,value"
         assert len(lines) == 1 + 5 * 32
 
+    def test_solve_reports_effective_horizon(self, tmp_path):
+        cfg = _default_config("solve")
+        cfg["grid"]["h"] = 1 / 8
+        cfg["problem"] = {"horizon": 0.2, "dt": 0.03}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", path, "--out", tmp_path]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["steps"] == 7
+        assert rep["t_end"] == pytest.approx(0.21)
+
     def test_assemble_with_dump(self, tmp_path):
         cfg = _default_config("assemble")
         cfg["grid"]["h"] = 1 / 8

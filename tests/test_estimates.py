@@ -111,6 +111,12 @@ class TestHolderFit:
         with pytest.raises(ValueError):
             holder_fit(sol, cyl.t0, cyl.center, 0.02)
 
+    def test_requires_alpha(self, grid, cyl):
+        sol = synthetic_solution(grid, cyl, lambda t, x: x[:, 0] + 5.0)
+        bare = Solution(sol.times, sol.snapshots, grid, {})
+        with pytest.raises(ValueError, match="alpha"):
+            holder_fit(bare, cyl.t0, cyl.center, 0.5)
+
 
 class TestOscillation:
     def test_constant_field(self, grid, cyl):

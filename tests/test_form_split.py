@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from jumplab import assemble, assemble_time, build_grid, time_modulate, transpose_form
+from jumplab.assumptions import BallSpec, poincare_constant, sobolev_ratio
+from jumplab.discretize import DiscreteForm
 from jumplab.kernels import pair_values
 from jumplab.mosco import assemble_corrected, make_drift_family
 
@@ -71,3 +73,21 @@ def test_pair_values_matches_direct_evaluation(cone_kernel_2d):
     np.testing.assert_allclose(Ks[i, j], cone_kernel_2d.sym(pts[i], pts[j]), rtol=1e-15)
     np.testing.assert_allclose(Ka[i, j], cone_kernel_2d.anti(pts[i], pts[j]), rtol=1e-15)
     assert not np.any(np.diag(Ks)) and not np.any(np.diag(Ka))
+
+
+@pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d"])
+def test_ks_matrix_ball_block(forms, name):
+    F = forms[name]
+    m = F.grid.ball_mask(np.zeros(F.grid.d), 0.3)
+    assert 3 <= m.sum() < F.grid.n_nodes
+    assert np.array_equal(F.ks_matrix(m), F.ks_matrix()[np.ix_(m, m)])
+
+
+def test_ball_audits_unchanged_by_block_extraction(forms, monkeypatch):
+    F = forms["assemble-2d"]
+    ball = BallSpec((0.0, 0.0), 0.25, 0.125)
+    block = (poincare_constant(F, ball), sobolev_ratio(F, ball, 0.125))
+    full = DiscreteForm.ks_matrix
+    monkeypatch.setattr(DiscreteForm, "ks_matrix",
+                        lambda self, mask=None: full(self)[np.ix_(mask, mask)])
+    assert (poincare_constant(F, ball), sobolev_ratio(F, ball, 0.125)) == block

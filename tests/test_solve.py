@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from _oracles import old_resolvent_solve, old_solve_parabolic
 
+import jumplab.solve as solve_module
 from jumplab import (
     ParabolicProblem,
     assemble,
+    assemble_time,
     build_grid,
     c_alpha_norm,
     default_dt,
@@ -12,8 +15,10 @@ from jumplab import (
     solve_dual_ext,
     solve_parabolic,
     theta_step,
+    time_modulate,
     transpose_form,
 )
+from jumplab.solve import RESIDUAL_TOL
 
 
 def small_form(n=32, alpha=1.0):
@@ -264,3 +269,71 @@ def test_order_one_semigroup_matches_poisson_kernel():
     inner = g.interior & (np.abs(x) < 3.0)
     err = np.max(np.abs(sol.snapshots[-1][inner] - target[inner]))
     assert err < 0.03 * np.max(target[inner])
+
+
+def _collar(kind, grid):
+    """An array collar datum, or a callable one that moves in time."""
+    if kind == "array":
+        return 0.5 + 0.25 * np.cos(3.0 * grid.nodes[grid.collar][:, 0])
+    return lambda t, x: 0.5 + 0.25 * np.cos(3.0 * x[..., 0] + t)
+
+
+def _assert_matches_frozen_loop(problem):
+    sol = solve_parabolic(problem)
+    times, snaps, residuals = old_solve_parabolic(problem)
+    assert np.array_equal(sol.times, times)
+    assert np.array_equal(sol.snapshots, snaps)
+    assert np.array_equal(sol.residuals, residuals)
+    assert np.all(sol.residuals <= RESIDUAL_TOL)
+    return sol
+
+
+class TestAgainstFrozenLoop:
+    """The shared interior system and the precomputed load change no bit."""
+
+    @pytest.mark.parametrize("collar", ["array", "callable"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["primal", "dual", "dual_ext"])
+    def test_fixed_form(self, coeff_form_1d, rng, variant, theta, collar):
+        g = coeff_form_1d.grid
+        source = (lambda t, x: np.sin(2.0 * x[..., 0]) * (1.0 + t)) if collar == "callable" else None
+        p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+                             f=source, collar=_collar(collar, g), exterior=0.4, theta=theta,
+                             variant=variant, d_const=0.7)
+        sol = _assert_matches_frozen_loop(p)
+        assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_time_dependent_form(self, grid_1d, sin_coefficient_kernel, rng, theta):
+        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
+                           0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
+        cache = {}
+        form_fn = lambda t: assemble_time(tk, grid_1d, t, _cache=cache)
+        p = ParabolicProblem(form_fn, rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
+                             collar=_collar("array", grid_1d), exterior=0.3, theta=theta,
+                             variant="dual_ext", d_const=0.5)
+        _assert_matches_frozen_loop(p)
+
+    @pytest.mark.parametrize("variant", ["primal", "dual"])
+    def test_resolvent(self, coeff_form_1d, rng, variant):
+        f = rng.normal(size=coeff_form_1d.grid.n_nodes)
+        assert np.array_equal(resolvent_solve(coeff_form_1d, 2.0, f, variant),
+                              old_resolvent_solve(coeff_form_1d, 2.0, f, variant))
+
+
+def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
+    monkeypatch.setattr(solve_module, "RESIDUAL_TOL", -1.0)
+    p = problem_with(stable_form_1d, collar=lambda t, x: 0.5)
+    with pytest.raises(RuntimeError, match=r"step 0 to t=0\.01: relative residual"):
+        solve_parabolic(p)
+    with pytest.raises(RuntimeError, match=r"step 2 to t=0\.03: relative residual"):
+        theta_step(p, np.zeros(stable_form_1d.grid.n_nodes), 0.02)
+
+
+def test_meta_records_horizon_and_alpha(stable_form_1d):
+    sol = solve_parabolic(problem_with(stable_form_1d, dt=0.03, t_end=0.1))
+    assert sol.meta["n_steps"] == 3 and len(sol.times) == 4
+    assert sol.meta["t_end_requested"] == 0.1
+    assert sol.meta["t_end"] == sol.times[-1] == pytest.approx(0.09)
+    assert sol.meta["alpha"] == 1.0
+
