@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import DiscreteForm, Grid
+from .discretize import DiscreteForm, Grid, kernel_alpha
 from .kernels import Kernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
@@ -378,6 +378,7 @@ def poincare_constant(form: DiscreteForm, ball: BallSpec) -> dict:
     the restricted symmetric form against the mean-zero mass form.
     """
     grid = form.grid
+    alpha = kernel_alpha(form)
     m, L = _ball_submatrices(form, ball, ball.r)
     n = int(m.sum())
     Q = _mean_zero_basis(n)
@@ -386,7 +387,6 @@ def poincare_constant(form: DiscreteForm, ball: BallSpec) -> dict:
     lam2 = float(w[0])
     if lam2 <= 0:
         raise ValueError("restricted form is singular on mean-zero functions")
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
     return {"constant": ball.r ** (-alpha) / lam2, "lambda2": lam2,
             "n_points": n, "alpha": alpha}
 
@@ -395,7 +395,7 @@ def coercivity_ratio(form: DiscreteForm, ball: BallSpec) -> dict:
     """Smallest eigenvalue of E^{K_s}_{B_r} against the reference seminorm
     built from the unit kernel |x - y|^{-d-alpha}."""
     grid = form.grid
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
+    alpha = kernel_alpha(form)
     m, L = _ball_submatrices(form, ball, ball.r)
     pts = grid.nodes[m]
 
@@ -416,7 +416,7 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
     few fixed-point sweeps toward the quotient's extremizer.
     """
     grid = form.grid
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
+    alpha = kernel_alpha(form)
     if alpha >= grid.d:
         raise ValueError("exponent d/(d-alpha) needs alpha < d")
     p_s = grid.d / (grid.d - alpha)

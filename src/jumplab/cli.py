@@ -206,14 +206,14 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     harness = config["harness"]
     kind = harness["type"]
     runner = _RUNNERS[kind]
-    summary = runner(config, out_dir)
+    kernel, grid = _build_kernel_grid(config)
+    summary = runner(config, out_dir, kernel, grid)
     manifest = {
         "version": __version__,
         "config": config,
         "harness": kind,
     }
-    if "kernel" in config:
-        kernel = kernel_from_config(config["kernel"])
+    if kernel is not None:
         manifest["kernel_hash"] = kernel.spec.digest()
     write_json(out_dir / "manifest.json", manifest)
     lines = [f"{kind}: {summary.get('headline', 'done')}"]
@@ -228,9 +228,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 # --- harness runners -------------------------------------------------------
 
 
-def _run_check_kernel(config, out_dir):
+def _run_check_kernel(config, out_dir, kernel, grid):
     harness = config["harness"]
-    kernel, grid = _build_kernel_grid(config)
     if kernel is None:
         raise ConfigError("$['kernel']: required for check-kernel")
     d = kernel.d
@@ -296,8 +295,7 @@ def _run_check_kernel(config, out_dir):
         k: v for k, v in rep.items() if isinstance(v, (int, float, str, bool))}}
 
 
-def _run_assemble(config, out_dir):
-    kernel, grid = _build_kernel_grid(config)
+def _run_assemble(config, out_dir, kernel, grid):
     if kernel is None or grid is None:
         raise ConfigError("$['kernel'] and $['grid'] are required for assemble")
     form = assemble(kernel, grid)
@@ -334,8 +332,7 @@ def _problem_from_config(config, form):
         d_const=float(pc.get("d_const", 0.0)))
 
 
-def _run_solve(config, out_dir):
-    kernel, grid = _build_kernel_grid(config)
+def _run_solve(config, out_dir, kernel, grid):
     form = assemble(kernel, grid)
     problem = _problem_from_config(config, form)
     sol = solve_parabolic(problem)
@@ -361,8 +358,7 @@ def _cylinder_from(config):
                     tuple(harness.get("center", [0.0] * d)))
 
 
-def _run_harnack(config, out_dir):
-    kernel, grid = _build_kernel_grid(config)
+def _run_harnack(config, out_dir, kernel, grid):
     form = assemble(kernel, grid)
     cyl = _cylinder_from(config)
     harness = config["harness"]
@@ -375,8 +371,7 @@ def _run_harnack(config, out_dir):
     return {"headline": f"min c_emp = {out['min']:.4g}", **summary}
 
 
-def _run_hoelder(config, out_dir):
-    kernel, grid = _build_kernel_grid(config)
+def _run_hoelder(config, out_dir, kernel, grid):
     form = assemble(kernel, grid)
     cyl = _cylinder_from(config)
     harness = config["harness"]
@@ -391,8 +386,7 @@ def _run_hoelder(config, out_dir):
             **summary}
 
 
-def _run_caccioppoli(config, out_dir):
-    kernel, grid = _build_kernel_grid(config)
+def _run_caccioppoli(config, out_dir, kernel, grid):
     form = assemble(kernel, grid)
     harness = config["harness"]
     d = kernel.d
@@ -411,7 +405,7 @@ def _run_caccioppoli(config, out_dir):
     return {"headline": "empirical constants recorded", **flat}
 
 
-def _run_algebra(config, out_dir):
+def _run_algebra(config, out_dir, kernel, grid):
     harness = config["harness"]
     n = int(harness.get("samples", 10000))
     seed = int(harness.get("seed", 0))
@@ -443,7 +437,7 @@ def _run_algebra(config, out_dir):
     return {"headline": f"worst margin {worst:.3e}", "worst_margin": worst}
 
 
-def _run_mosco(config, out_dir):
+def _run_mosco(config, out_dir, kernel, grid):
     harness = config["harness"]
     d = int(config.get("kernel", {}).get("d", 1))
     alphas = tuple(harness.get("alphas", [1.5, 1.8, 1.9, 1.95]))
@@ -461,10 +455,8 @@ def _run_mosco(config, out_dir):
         family = make_coefficient_family(
             d, alphas, g, float(config.get("kernel", {}).get("lam", 1.0)),
             float(config.get("kernel", {}).get("Lam", 3.0)))
-    gc = config.get("grid", {"d": d, "X": 1.0, "h": 1 / 32,
-                             "omega": {"type": "box", "halfwidth": 0.75}})
-    grid = build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]),
-                      gc.get("omega"))
+    if grid is None:
+        grid = build_grid(d, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     delta = float(harness.get("delta", 0.5))
     probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 10)]
     coeffs = local_coefficients(family, probe, delta=delta)

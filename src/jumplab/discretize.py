@@ -149,6 +149,16 @@ class DiscreteForm:
         return self.ks_matrix() + self.ka_matrix()
 
 
+def kernel_alpha(form: DiscreteForm) -> float:
+    """The kernel order alpha that assembly records in form.meta; the audits
+    scale with it, so a form without it is refused rather than read as 1."""
+    try:
+        return form.meta["kernel"]["alpha"]
+    except KeyError:
+        raise ValueError("the audit needs the kernel order in "
+                         "form.meta['kernel']['alpha']") from None
+
+
 def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
                     meta: dict, scale_s: float, scale_a: float) -> DiscreteForm:
     """Form from zero-diagonal pair matrices S, W, built in place: A_s is
@@ -302,6 +312,7 @@ def carre_du_champ(form: DiscreteForm, tau: CutoffProfile) -> dict:
     over the support annulus against the rho^{-alpha} reference scaling.
     """
     grid = form.grid
+    alpha = kernel_alpha(form)
     tv = tau.values_on(grid)
     Ks = form.ks_matrix()
     diffs = tv[:, None] - tv[None, :]
@@ -309,7 +320,6 @@ def carre_du_champ(form: DiscreteForm, tau: CutoffProfile) -> dict:
     gamma = gamma + tv * tv * 0.5 * form.tail_sym
     support = grid.ball_mask(tau.center, tau.r + tau.rho)
     sup = float(np.max(gamma[support])) if np.any(support) else 0.0
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
     return {"gamma": gamma, "sup": sup, "rho": tau.rho,
             "c_fit": sup * tau.rho ** alpha}
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import CutoffProfile, DiscreteForm, pair_mask_ball
+from .discretize import CutoffProfile, DiscreteForm, kernel_alpha, pair_mask_ball
 from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic
 
 
@@ -209,7 +209,7 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     if p <= 0 or p == 1.0:
         raise ValueError("need p > 0 with p != 1 (the log audit is separate)")
     grid = form.grid
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
+    alpha = kernel_alpha(form)
     u = np.asarray(u, dtype=float)
     shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
     u_t = u + shift
@@ -246,7 +246,7 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     vanishes and the shifted logarithm is undefined there).
     """
     grid = form.grid
-    alpha = form.meta.get("kernel", {}).get("alpha", 1.0)
+    alpha = kernel_alpha(form)
     u = np.asarray(u, dtype=float)
     shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
     u_t = u + shift

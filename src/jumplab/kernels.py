@@ -163,10 +163,6 @@ class Kernel:
         """Radius beyond which K_a vanishes (None = unbounded support)."""
         return None
 
-    def anti_tail_order(self) -> float:
-        """Decay order of |K_a| at infinity (when its support is unbounded)."""
-        return self.anti_diag_order()
-
     def decay_orders(self, part: str, dirs: np.ndarray) -> np.ndarray:
         """Per-direction decay exponent gamma(e): part ~ s^{-d-gamma} for large s."""
         return np.full(dirs.shape[0], self.spec.alpha)
@@ -216,9 +212,6 @@ class _DualKernel(Kernel):
     def anti_support(self):
         return self.base.anti_support()
 
-    def anti_tail_order(self):
-        return self.base.anti_tail_order()
-
     def decay_orders(self, part, dirs):
         return self.base.decay_orders(part, dirs)
 
@@ -253,9 +246,6 @@ class StableKernel(Kernel):
         return np.zeros_like(r)
 
     def anti_diag_order(self):
-        return -math.inf
-
-    def anti_tail_order(self):
         return -math.inf
 
     def decay_orders(self, part, dirs):
@@ -484,9 +474,6 @@ class ConeKernel(Kernel):
         return self.alpha if self.double_cone is not None else self.beta
 
     def anti_diag_order(self):
-        return self.beta
-
-    def anti_tail_order(self):
         return self.beta
 
     def decay_orders(self, part, dirs):

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .discretize import DiscreteForm, Grid, _completed_form, assemble
-from .kernels import Kernel, c_alpha_norm, make_drift_kernel, make_stable_kernel
+from .kernels import (Kernel, c_alpha_norm, make_coefficient_kernel, make_drift_kernel,
+                      make_stable_kernel)
 from .quadrature import QuadSpec, ball_integral
 from .solve import resolvent_solve
 
@@ -78,8 +80,6 @@ def make_drift_family(d: int, alphas, V, L: float, lam: float = 1.0,
 
 def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float,
                             g_smoothness: float = 1.0) -> AlphaFamily:
-    from .kernels import make_coefficient_kernel
-
     def factory(a):
         base = make_stable_kernel(d, a, c_alpha_norm(d, a))
         return make_coefficient_kernel(g, a, lam, Lam, d, base=base,
@@ -89,76 +89,73 @@ def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float,
                        name="coefficient")
 
 
-def _moment_eval(kernel: Kernel, i: int, j: int | None):
-    if j is None:
-        def ev(x, y):
-            return (x[..., i] - y[..., i]) * kernel.anti(x, y)
-    else:
-        def ev(x, y):
-            return (y[..., i] - x[..., i]) * (y[..., j] - x[..., j]) * kernel.sym(x, y)
-    return ev
+def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray, center,
+                 radius: float, quad: QuadSpec) -> np.ndarray:
+    """int_{B_radius(center)} weight(x, y) K_part(x, y) dy for each x.
+
+    The weights of this module vanish at y = x to second order against K_s
+    and to first order against K_a, which sets the singular order of the
+    analytic sub-cutoff remainder; panel edges sit on the kernel's jumps.
+    """
+    d = kernel.d
+    K, order, degree = ((kernel.sym, kernel.sym_diag_order(), 2) if part == "sym"
+                        else (kernel.anti, kernel.anti_diag_order(), 1))
+    return ball_integral(lambda xb, y: weight(xb, y) * K(xb, y), x, center, radius,
+                         d, quad, singular_order=max(d + order - degree, 0.0),
+                         breaks=kernel.radial_breaks())
 
 
-def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Linear fit in eps = 2 - alpha over the smallest entries; returns
-    (intercept, rms residual)."""
+def _moments(kernel: Kernel, x: np.ndarray, radius: float,
+             quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
+    """a_ij = int_{B_radius} h_i h_j K_s(x, x+h) dh (n, d, d) and
+    b_i = int_{B_radius} (-h_i) K_a(x, x+h) dh (n, d) at the rows of x."""
+    d = kernel.d
+    a = np.empty((x.shape[0], d, d))
+    b = np.empty((x.shape[0], d))
+    for i in range(d):
+        for j in range(i, d):
+            a[:, i, j] = a[:, j, i] = _ball_moment(
+                lambda xb, y, i=i, j=j: (y[..., i] - xb[..., i]) * (y[..., j] - xb[..., j]),
+                kernel, "sym", x, None, radius, quad)
+        b[:, i] = _ball_moment(lambda xb, y, i=i: xb[..., i] - y[..., i],
+                               kernel, "anti", x, None, radius, quad)
+    return a, b
+
+
+def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear fit in eps = 2 - alpha over the (at most three) smallest eps, one
+    per column of vals (n_eps, m); returns (intercepts, rms residuals)."""
     if len(eps) == 1:
-        return float(vals[0]), float("nan")
-    order = np.argsort(eps)
-    take = order[: max(2, min(3, len(eps)))]
+        return vals[0], np.zeros(vals.shape[1])
+    take = np.argsort(eps)[:3]
     coeff = np.polyfit(eps[take], vals[take], 1)
-    fit = np.polyval(coeff, eps[take])
-    resid = float(np.sqrt(np.mean((fit - vals[take]) ** 2)))
-    return float(coeff[1]), resid
+    fit = np.polyval(coeff, eps[take][:, None])
+    return coeff[1], np.sqrt(np.mean((fit - vals[take]) ** 2, axis=0))
 
 
 def local_coefficients(family: AlphaFamily, x, delta: float,
                        alphas=None, quad: QuadSpec | None = None,
-                       delta_check: float | None = None,
                        verify_quadrature: bool = False) -> dict:
     """Finite-alpha moment matrices/vectors and their extrapolated limits.
 
     a_ij(x; alpha) = int_{B_delta} h_i h_j K_s(x, x+h) dh,
     b_i(x; alpha)  = int_{B_delta} (-h_i) K_a(x, x+h) dh,
     extrapolated linearly in (2 - alpha); the limit is checked for
-    delta-independence at delta_check (default delta/2).  With
-    verify_quadrature=True the sharpest-alpha moments are recomputed at a
-    refined rule and a drift beyond 1% raises with both levels reported.
+    delta-independence at delta/2.  With verify_quadrature=True the
+    sharpest-alpha moments are recomputed at a refined rule and a drift beyond
+    1% raises with both levels reported.
     """
     alphas = tuple(alphas) if alphas is not None else family.alphas
     quad = quad or QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = family.d
-    out = {"alphas": list(alphas), "a": {}, "b": {}}
-
-    def moments(alpha, dlt, q=quad):
-        k = family.kernel(alpha)
-        a_mat = np.empty((x.shape[0], d, d))
-        for i in range(d):
-            for j in range(i, d):
-                sing = d + alpha - 2
-                vals = ball_integral(_moment_eval(k, i, j), x, None, dlt, d,
-                                     q, singular_order=max(sing, 0.0),
-                                     breaks=k.radial_breaks())
-                a_mat[:, i, j] = vals
-                a_mat[:, j, i] = vals
-        b_vec = np.empty((x.shape[0], d))
-        for i in range(d):
-            sing = d + k.anti_diag_order() - 1
-            b_vec[:, i] = ball_integral(_moment_eval(k, i, None), x, None, dlt,
-                                        d, q, singular_order=max(sing, 0.0),
-                                        breaks=k.radial_breaks())
-        return a_mat, b_vec
-
+    n, d, m = x.shape[0], family.d, len(alphas)
     eps = 2.0 - np.asarray(alphas)
-    a_all = np.empty((len(alphas), x.shape[0], d, d))
-    b_all = np.empty((len(alphas), x.shape[0], d))
-    for idx, a in enumerate(alphas):
-        a_all[idx], b_all[idx] = moments(a, delta)
-        out["a"][a] = a_all[idx]
-        out["b"][a] = b_all[idx]
+    a_all, b_all = map(np.array, zip(*(_moments(family.kernel(a), x, delta, quad)
+                                       for a in alphas)))
+    out = {"alphas": list(alphas), "a": dict(zip(alphas, a_all)),
+           "b": dict(zip(alphas, b_all))}
     if verify_quadrature:
-        a_ref, _ = moments(alphas[-1], delta, q=quad.refined())
+        a_ref, _ = _moments(family.kernel(alphas[-1]), x, delta, quad.refined())
         scale = max(float(np.max(np.abs(a_ref))), 1e-300)
         drift = float(np.max(np.abs(a_ref - a_all[-1])) / scale)
         out["quadrature_drift"] = drift
@@ -167,30 +164,15 @@ def local_coefficients(family: AlphaFamily, x, delta: float,
                 f"moment quadrature has not converged: levels differ by "
                 f"{drift:.2%} (coarse {a_all[-1].tolist()}, "
                 f"refined {a_ref.tolist()})")
-    a_lim = np.empty((x.shape[0], d, d))
-    b_lim = np.empty((x.shape[0], d))
-    resid = 0.0
-    for n in range(x.shape[0]):
-        for i in range(d):
-            for j in range(d):
-                a_lim[n, i, j], r = _extrapolate(eps, a_all[:, n, i, j])
-                resid = max(resid, r)
-            b_lim[n, i], r = _extrapolate(eps, b_all[:, n, i])
-            resid = max(resid, r)
-    out["a_limit"] = a_lim
-    out["b_limit"] = b_lim
-    out["fit_residual"] = resid
+    lim, resid = _extrapolate(eps, np.hstack([a_all.reshape(m, -1), b_all.reshape(m, -1)]))
+    a_lim, b_lim = lim[:n * d * d], lim[n * d * d:]
+    out["a_limit"] = a_lim.reshape(n, d, d)
+    out["b_limit"] = b_lim.reshape(n, d)
+    out["fit_residual"] = float(np.max(resid))
     # the extrapolated limit must not depend on the moment window
-    dlt2 = delta_check if delta_check is not None else delta / 2.0
-    if len(alphas) > 1:
-        a2 = np.empty_like(a_all)
-        for idx, a in enumerate(alphas):
-            a2[idx], _ = moments(a, dlt2)
-        a_lim2 = np.empty_like(a_lim)
-        for n in range(x.shape[0]):
-            for i in range(d):
-                for j in range(d):
-                    a_lim2[n, i, j], _ = _extrapolate(eps, a2[:, n, i, j])
+    if m > 1:
+        a2 = np.array([_moments(family.kernel(a), x, delta / 2.0, quad)[0] for a in alphas])
+        a_lim2, _ = _extrapolate(eps, a2.reshape(m, -1))
         scale = max(float(np.max(np.abs(a_lim))), 1e-300)
         out["delta_sensitivity"] = float(np.max(np.abs(a_lim2 - a_lim)) / scale)
     else:
@@ -235,18 +217,10 @@ def form_convergence(family: AlphaFamily, u, v, grid: Grid,
     for a in alphas:
         k = family.kernel(a)
 
-        def sym_eval(xb, y):
-            return (u(xb) - u(y)) * (v(xb) - v(y)) * k.sym(xb, y)
-
-        def anti_eval(xb, y):
-            return (u(xb) - u(y)) * (v(xb) + v(y)) * k.anti(xb, y)
-
-        sing_s = max(family.d + a - 2, 0.0)
-        es = ball_integral(sym_eval, pts, z, ball_radius, family.d, quad,
-                           singular_order=sing_s, breaks=k.radial_breaks())
-        sing_a = max(family.d + k.anti_diag_order() - 1, 0.0)
-        ea = ball_integral(anti_eval, pts, z, ball_radius, family.d, quad,
-                           singular_order=sing_a, breaks=k.radial_breaks())
+        es = _ball_moment(lambda xb, y: (u(xb) - u(y)) * (v(xb) - v(y)),
+                          k, "sym", pts, z, ball_radius, quad)
+        ea = _ball_moment(lambda xb, y: (u(xb) - u(y)) * (v(xb) + v(y)),
+                          k, "anti", pts, z, ball_radius, quad)
         rows.append({"alpha": a, "E_sym": float(np.sum(es) * hd),
                      "E_anti": float(np.sum(ea) * hd)})
 
@@ -320,31 +294,17 @@ def garding_sector_check(form: DiscreteForm, lam_G: float, rng=None,
             "sector_margin": sector_margin, "n_probes": len(probes)}
 
 
-def _cell_moments(kernel: Kernel, pts: np.ndarray, h: float, d: int,
-                  quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-cell moments over the inscribed ball B_{h/2}(x_i).
-
-    C_kk = int z_k^2 K_s(x, x+z) dz and b_k = int (-z_k) K_a(x, x+z) dz:
-    exactly the operator mass the lattice sum cannot see.  Near alpha = 2 the
-    integrals converge only barely, so the analytic sub-cutoff remainder in
-    ball_integral is essential here.
-    """
-    alpha = kernel.alpha
-    C = np.empty((pts.shape[0], d))
-    b = np.empty((pts.shape[0], d))
-    for k in range(d):
-        def c_eval(x, y, _k=k):
-            return (y[..., _k] - x[..., _k]) ** 2 * kernel.sym(x, y)
-
-        def b_eval(x, y, _k=k):
-            return (x[..., _k] - y[..., _k]) * kernel.anti(x, y)
-
-        C[:, k] = ball_integral(c_eval, pts, None, h / 2.0, d, quad,
-                                singular_order=max(d + alpha - 2, 0.0))
-        b[:, k] = ball_integral(b_eval, pts, None, h / 2.0, d, quad,
-                                singular_order=max(d + kernel.anti_diag_order()
-                                                   - 1, 0.0))
-    return C, b
+def _diffusion_diagonal(a: np.ndarray) -> np.ndarray:
+    """The diagonal a_kk of diffusion matrices a (..., d, d).  The lattice
+    stencils have no mixed second difference, so a mixed term a_ij (i != j)
+    above 1e-10 max |a_kk| raises instead of being dropped."""
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    mixed = np.abs(a[..., ~np.eye(a.shape[-1], dtype=bool)])
+    if mixed.size and np.max(mixed) > 1e-10 * np.max(np.abs(diag)):
+        raise ValueError(f"mixed diffusion term |a_ij| = {np.max(mixed):.3e} (i != j) "
+                         f"against max |a_kk| = {np.max(np.abs(diag)):.3e}: the lattice "
+                         f"stencil carries only the diagonal of a")
+    return diag
 
 
 def _axis_stencil(grid: Grid, k: int):
@@ -373,7 +333,10 @@ def assemble_corrected(kernel: Kernel, grid: Grid,
     """
     quad = quad or QuadSpec(n_ang=32, n_panels=24)
     form = assemble(kernel, grid, quad=quad)
-    C, b_cell = _cell_moments(kernel, grid.nodes, grid.h, grid.d, quad)
+    # sub-cell moments over the inscribed ball B_{h/2}(x_i): exactly the operator
+    # mass the lattice sum cannot see
+    a_cell, b_cell = _moments(kernel, grid.nodes, grid.h / 2.0, quad)
+    C = _diffusion_diagonal(a_cell)
     N = grid.n_nodes
     corr = np.zeros((N, N))
     h = grid.h
@@ -395,15 +358,13 @@ def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarr
     N = grid.n_nodes
     h = grid.h
     A = np.zeros((N, N))
-    a_field = a_mat if a_mat.ndim == 3 else np.broadcast_to(
-        a_mat, (N,) + a_mat.shape).copy()
-    b_field = b_vec if b_vec.ndim == 2 else np.broadcast_to(
-        b_vec, (N, grid.d)).copy()
+    a_field = np.broadcast_to(_diffusion_diagonal(a_mat), (N, grid.d))
+    b_field = np.broadcast_to(b_vec, (N, grid.d))
     for k in range(grid.d):
         rows, plus, minus = _axis_stencil(grid, k)
-        a_here = a_field[rows, k, k]
-        a_plus = 0.5 * (a_here + a_field[plus, k, k])
-        a_minus = 0.5 * (a_here + a_field[minus, k, k])
+        a_here = a_field[rows, k]
+        a_plus = 0.5 * (a_here + a_field[plus, k])
+        a_minus = 0.5 * (a_here + a_field[minus, k])
         A[rows, rows] += (a_plus + a_minus) / h ** 2
         A[rows, plus] += -a_plus / h ** 2 + 2.0 * b_field[rows, k] / (2 * h)
         A[rows, minus] += -a_minus / h ** 2 - 2.0 * b_field[rows, k] / (2 * h)
@@ -428,10 +389,12 @@ def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
     b_lim = np.mean(coeffs["b_limit"], axis=0)
     A_loc = local_operator(a_lim, b_lim, grid)
     I = grid.interior
-    import scipy.linalg as sla
     M = lam * np.eye(int(I.sum())) + A_loc[np.ix_(I, I)]
     u_loc = np.zeros(grid.n_nodes)
     u_loc[I] = sla.solve(M, f_vals[I])
+    rel = np.linalg.norm(f_vals[I] - M @ u_loc[I]) / max(np.linalg.norm(f_vals[I]), 1e-300)
+    if not rel <= 1e-6:
+        raise RuntimeError(f"local resolvent solve unstable (relative residual {rel:.3e})")
     hd = grid.cell_volume
     gaps = []
     for a in alphas:

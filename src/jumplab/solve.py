@@ -20,6 +20,7 @@ callable collar is evaluated once per step, at the new time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,16 +74,6 @@ class Solution:
     meta: dict = field(default_factory=dict)
     residuals: np.ndarray | None = None
 
-    def at_time(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.snapshots[i]
-
-    def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        sel = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
-        if not np.any(sel):
-            raise ValueError("no snapshots inside the requested time window")
-        return self.snapshots[sel]
-
 
 def _datum(value, t: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Collar datum or source on the masked nodes: callable (t, points), array,
@@ -92,17 +83,19 @@ def _datum(value, t: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
 
 
 def _solve_refined(lu_piv, Mmat, x_rhs):
+    """LU solve with up to three refinement sweeps; returns (x, relative
+    residual), the residual infinite once it is not finite (singular M)."""
     x = sla.lu_solve(lu_piv, x_rhs)
     res = x_rhs - Mmat @ x
     scale = np.linalg.norm(x_rhs)
     nres = np.linalg.norm(res)
     for _ in range(3):
-        if nres <= RESIDUAL_TOL * max(scale, 1e-300):
+        if not math.isfinite(nres) or nres <= RESIDUAL_TOL * max(scale, 1e-300):
             break
         x = x + sla.lu_solve(lu_piv, res)
         res = x_rhs - Mmat @ x
         nres = np.linalg.norm(res)
-    return x, nres / max(scale, 1e-300)
+    return x, nres / max(scale, 1e-300) if math.isfinite(nres) else math.inf
 
 
 class _InteriorSystem:

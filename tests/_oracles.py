@@ -157,3 +157,214 @@ def old_resolvent_solve(form, lam, f, variant="primal"):
     out = np.zeros(grid.n_nodes)
     out[I] = x
     return out
+
+
+# --- frozen moment integrals of the nonlocal-to-local layer -----------------
+# local_coefficients, the sub-cell moments and the corrected assembly as they
+# were before one moment helper and one column-stacked extrapolation replaced
+# the per-entry loops.  Like the loop above, these are a bit-for-bit reference
+# and must not be tidied.
+
+def _old_moment_eval(kernel, i, j):
+    if j is None:
+        def ev(x, y):
+            return (x[..., i] - y[..., i]) * kernel.anti(x, y)
+    else:
+        def ev(x, y):
+            return (y[..., i] - x[..., i]) * (y[..., j] - x[..., j]) * kernel.sym(x, y)
+    return ev
+
+
+def _old_extrapolate(eps, vals):
+    if len(eps) == 1:
+        return float(vals[0]), float("nan")
+    order = np.argsort(eps)
+    take = order[: max(2, min(3, len(eps)))]
+    coeff = np.polyfit(eps[take], vals[take], 1)
+    fit = np.polyval(coeff, eps[take])
+    resid = float(np.sqrt(np.mean((fit - vals[take]) ** 2)))
+    return float(coeff[1]), resid
+
+
+def old_local_coefficients(family, x, delta, alphas=None, quad=None,
+                           delta_check=None, verify_quadrature=False):
+    from jumplab.quadrature import QuadSpec, ball_integral
+
+    alphas = tuple(alphas) if alphas is not None else family.alphas
+    quad = quad or QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = family.d
+    out = {"alphas": list(alphas), "a": {}, "b": {}}
+
+    def moments(alpha, dlt, q=quad):
+        k = family.kernel(alpha)
+        a_mat = np.empty((x.shape[0], d, d))
+        for i in range(d):
+            for j in range(i, d):
+                sing = d + alpha - 2
+                vals = ball_integral(_old_moment_eval(k, i, j), x, None, dlt, d,
+                                     q, singular_order=max(sing, 0.0),
+                                     breaks=k.radial_breaks())
+                a_mat[:, i, j] = vals
+                a_mat[:, j, i] = vals
+        b_vec = np.empty((x.shape[0], d))
+        for i in range(d):
+            sing = d + k.anti_diag_order() - 1
+            b_vec[:, i] = ball_integral(_old_moment_eval(k, i, None), x, None, dlt,
+                                        d, q, singular_order=max(sing, 0.0),
+                                        breaks=k.radial_breaks())
+        return a_mat, b_vec
+
+    eps = 2.0 - np.asarray(alphas)
+    a_all = np.empty((len(alphas), x.shape[0], d, d))
+    b_all = np.empty((len(alphas), x.shape[0], d))
+    for idx, a in enumerate(alphas):
+        a_all[idx], b_all[idx] = moments(a, delta)
+        out["a"][a] = a_all[idx]
+        out["b"][a] = b_all[idx]
+    if verify_quadrature:
+        a_ref, _ = moments(alphas[-1], delta, q=quad.refined())
+        scale = max(float(np.max(np.abs(a_ref))), 1e-300)
+        out["quadrature_drift"] = float(np.max(np.abs(a_ref - a_all[-1])) / scale)
+    a_lim = np.empty((x.shape[0], d, d))
+    b_lim = np.empty((x.shape[0], d))
+    resid = 0.0
+    for n in range(x.shape[0]):
+        for i in range(d):
+            for j in range(d):
+                a_lim[n, i, j], r = _old_extrapolate(eps, a_all[:, n, i, j])
+                resid = max(resid, r)
+            b_lim[n, i], r = _old_extrapolate(eps, b_all[:, n, i])
+            resid = max(resid, r)
+    out["a_limit"] = a_lim
+    out["b_limit"] = b_lim
+    out["fit_residual"] = resid
+    dlt2 = delta_check if delta_check is not None else delta / 2.0
+    if len(alphas) > 1:
+        a2 = np.empty_like(a_all)
+        for idx, a in enumerate(alphas):
+            a2[idx], _ = moments(a, dlt2)
+        a_lim2 = np.empty_like(a_lim)
+        for n in range(x.shape[0]):
+            for i in range(d):
+                for j in range(d):
+                    a_lim2[n, i, j], _ = _old_extrapolate(eps, a2[:, n, i, j])
+        scale = max(float(np.max(np.abs(a_lim))), 1e-300)
+        out["delta_sensitivity"] = float(np.max(np.abs(a_lim2 - a_lim)) / scale)
+    else:
+        out["delta_sensitivity"] = float("nan")
+    out["quad"] = quad.to_dict()
+    return out
+
+
+def old_cell_moments(kernel, pts, h, d, quad):
+    from jumplab.quadrature import ball_integral
+
+    alpha = kernel.alpha
+    C = np.empty((pts.shape[0], d))
+    b = np.empty((pts.shape[0], d))
+    for k in range(d):
+        def c_eval(x, y, _k=k):
+            return (y[..., _k] - x[..., _k]) ** 2 * kernel.sym(x, y)
+
+        def b_eval(x, y, _k=k):
+            return (x[..., _k] - y[..., _k]) * kernel.anti(x, y)
+
+        C[:, k] = ball_integral(c_eval, pts, None, h / 2.0, d, quad,
+                                singular_order=max(d + alpha - 2, 0.0))
+        b[:, k] = ball_integral(b_eval, pts, None, h / 2.0, d, quad,
+                                singular_order=max(d + kernel.anti_diag_order()
+                                                   - 1, 0.0))
+    return C, b
+
+
+def old_assemble_corrected(kernel, grid, quad=None):
+    from jumplab.discretize import _completed_form, assemble
+    from jumplab.mosco import _axis_stencil
+    from jumplab.quadrature import QuadSpec
+
+    quad = quad or QuadSpec(n_ang=32, n_panels=24)
+    form = assemble(kernel, grid, quad=quad)
+    C, b_cell = old_cell_moments(kernel, grid.nodes, grid.h, grid.d, quad)
+    N = grid.n_nodes
+    corr = np.zeros((N, N))
+    h = grid.h
+    for k in range(grid.d):
+        rows, plus, minus = _axis_stencil(grid, k)
+        corr[rows, plus] += -C[rows, k] / h ** 2 + 2.0 * b_cell[rows, k] / (2 * h)
+        corr[rows, minus] += -C[rows, k] / h ** 2 - 2.0 * b_cell[rows, k] / (2 * h)
+    S, W = form.A_s, form.A_a
+    np.fill_diagonal(S, 0.0)
+    S += corr
+    W += corr
+    return _completed_form(grid, S, W, form.tail_sym, form.tail_anti,
+                           dict(form.meta, corrected=True), 1.0, 1.0)
+
+
+def old_form_table(family, u, v, grid, ball_center, ball_radius, alphas, quad=None):
+    """Per-alpha rows {alpha, E_sym, E_anti} of the old form_convergence."""
+    from jumplab.quadrature import QuadSpec, ball_integral
+
+    quad = quad or QuadSpec(n_ang=64, n_panels=32)
+    z = np.asarray(ball_center, dtype=float)
+    pts = grid.nodes[grid.ball_mask(z, ball_radius)]
+    rows = []
+    for a in alphas:
+        k = family.kernel(a)
+
+        def sym_eval(xb, y):
+            return (u(xb) - u(y)) * (v(xb) - v(y)) * k.sym(xb, y)
+
+        def anti_eval(xb, y):
+            return (u(xb) - u(y)) * (v(xb) + v(y)) * k.anti(xb, y)
+
+        es = ball_integral(sym_eval, pts, z, ball_radius, family.d, quad,
+                           singular_order=max(family.d + a - 2, 0.0),
+                           breaks=k.radial_breaks())
+        ea = ball_integral(anti_eval, pts, z, ball_radius, family.d, quad,
+                           singular_order=max(family.d + k.anti_diag_order() - 1, 0.0),
+                           breaks=k.radial_breaks())
+        rows.append({"alpha": a, "E_sym": float(np.sum(es) * grid.cell_volume),
+                     "E_anti": float(np.sum(ea) * grid.cell_volume)})
+    return rows
+
+
+def old_local_operator(a_mat, b_vec, grid):
+    from jumplab.mosco import _axis_stencil
+
+    N = grid.n_nodes
+    h = grid.h
+    A = np.zeros((N, N))
+    a_field = a_mat if a_mat.ndim == 3 else np.broadcast_to(
+        a_mat, (N,) + a_mat.shape).copy()
+    b_field = b_vec if b_vec.ndim == 2 else np.broadcast_to(
+        b_vec, (N, grid.d)).copy()
+    for k in range(grid.d):
+        rows, plus, minus = _axis_stencil(grid, k)
+        a_here = a_field[rows, k, k]
+        a_plus = 0.5 * (a_here + a_field[plus, k, k])
+        a_minus = 0.5 * (a_here + a_field[minus, k, k])
+        A[rows, rows] += (a_plus + a_minus) / h ** 2
+        A[rows, plus] += -a_plus / h ** 2 + 2.0 * b_field[rows, k] / (2 * h)
+        A[rows, minus] += -a_minus / h ** 2 - 2.0 * b_field[rows, k] / (2 * h)
+    return A
+
+
+def old_resolvent_gaps(family, grid, f, lam, alphas=None, quad=None):
+    from jumplab.solve import resolvent_solve
+
+    alphas = tuple(alphas) if alphas is not None else family.alphas
+    f_vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
+    probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 20)]
+    coeffs = old_local_coefficients(family, probe, delta=0.5, alphas=alphas)
+    A_loc = old_local_operator(np.mean(coeffs["a_limit"], axis=0),
+                               np.mean(coeffs["b_limit"], axis=0), grid)
+    I = grid.interior
+    M = lam * np.eye(int(I.sum())) + A_loc[np.ix_(I, I)]
+    u_loc = np.zeros(grid.n_nodes)
+    u_loc[I] = sla.solve(M, f_vals[I])
+    gaps = []
+    for a in alphas:
+        u_a = resolvent_solve(old_assemble_corrected(family.kernel(a), grid, quad), lam, f_vals)
+        gaps.append(float(np.sqrt(np.sum((u_a - u_loc) ** 2) * grid.cell_volume)))
+    return gaps

@@ -419,3 +419,29 @@ class TestTimeProfile:
                                 quad=QuadSpec(n_ang=2))
         assert timed.constants["norm"] == pytest.approx(
             0.25 * static.constants["norm"], rel=1e-10)
+
+
+def test_audits_refuse_a_form_without_its_kernel_order(grid_1d):
+    from jumplab import DiscreteForm
+    from jumplab.discretize import CutoffProfile, carre_du_champ
+    from jumplab.estimates import caccioppoli_audit, log_caccioppoli_audit
+
+    F = assemble(make_stable_kernel(1, 1.5, c_alpha_norm(1, 1.5)), grid_1d)
+    bare = DiscreteForm(F.grid, F.A_s, F.A_a, F.tail_sym, F.tail_anti)
+    ball = BallSpec((0.0,), 0.5, 0.25)
+    u = 1.0 + 0.1 * np.cos(grid_1d.nodes[:, 0])
+    audits = {
+        "poincare": lambda G: poincare_constant(G, ball)["alpha"],
+        "coercivity": lambda G: coercivity_ratio(G, ball)["alpha"],
+        "sobolev": lambda G: sobolev_ratio(G, ball, 0.25)["ratio"],
+        "caccioppoli": lambda G: caccioppoli_audit(u, G, (0.0,), 0.4, 0.3, 2.0, 0.1)["t2"],
+        "log_caccioppoli": lambda G: log_caccioppoli_audit(u, G, (0.0,), 0.4, 0.3, 0.1)["t2"],
+        "carre_du_champ": lambda G: carre_du_champ(G, CutoffProfile((0.0,), 0.4, 0.3))["c_fit"],
+    }
+    for name, audit in audits.items():
+        with pytest.raises(ValueError, match=r"form\.meta\['kernel'\]\['alpha'\]"):
+            audit(bare)
+    assert audits["poincare"](F) == audits["coercivity"](F) == 1.5
+    rho = 0.3
+    gamma = carre_du_champ(F, CutoffProfile((0.0,), 0.4, rho))
+    assert gamma["c_fit"] == gamma["sup"] * rho ** 1.5

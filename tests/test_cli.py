@@ -134,3 +134,23 @@ def test_run_scenario_runs_hoelder(tmp_path):
     cfg["harness"].update({"ensemble": 3, "seed": 4})
     out = run_scenario(_validate(cfg), tmp_path)
     assert 0 <= out["fraction_in_range"] <= 1
+
+
+@pytest.mark.parametrize("kind", ["assemble", "harnack"])
+def test_run_scenario_builds_the_kernel_once(kind, tmp_path, monkeypatch):
+    import jumplab.cli as cli
+    from jumplab.kernels import kernel_from_config
+
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return kernel_from_config(cfg)
+
+    monkeypatch.setattr(cli, "kernel_from_config", counting)
+    cfg = _default_config(kind)
+    cfg["harness"].update({"ensemble": 1, "seed": 3})
+    run_scenario(_validate(cfg), tmp_path)
+    assert len(calls) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["kernel_hash"] == kernel_from_config(cfg["kernel"]).spec.digest()

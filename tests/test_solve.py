@@ -4,6 +4,7 @@ from _oracles import old_resolvent_solve, old_solve_parabolic
 
 import jumplab.solve as solve_module
 from jumplab import (
+    DiscreteForm,
     ParabolicProblem,
     assemble,
     assemble_time,
@@ -337,3 +338,25 @@ def test_meta_records_horizon_and_alpha(stable_form_1d):
     assert sol.meta["t_end"] == sol.times[-1] == pytest.approx(0.09)
     assert sol.meta["alpha"] == 1.0
 
+
+
+def _singular_form(grid, diag):
+    """A form whose A_s is diag * I, so lam = -diag makes lam I + A_II singular."""
+    n = grid.n_nodes
+    return DiscreteForm(grid, diag * np.eye(n), np.zeros((n, n)), np.zeros(n), np.zeros(n))
+
+
+@pytest.mark.filterwarnings("ignore")     # lu_factor warns on the exact zero pivot
+def test_singular_resolvent_reports_smallest_singular_value(grid_1d):
+    f = np.ones(grid_1d.n_nodes)
+    with pytest.raises(RuntimeError, match=r"resolvent solve unstable \(s_min ~ 0\.000e\+00\)"):
+        resolvent_solve(_singular_form(grid_1d, -2.0), 2.0, f)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_singular_step_raises_its_residual_error(grid_1d):
+    dt = 0.01
+    p = ParabolicProblem(_singular_form(grid_1d, -1.0 / dt), np.ones(grid_1d.n_nodes),
+                         0.0, 2 * dt, dt)
+    with pytest.raises(RuntimeError, match=r"step 0 to t=0\.01: relative residual inf"):
+        solve_parabolic(p)
