@@ -168,25 +168,7 @@ def k1_profile(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     graded polar quadrature and the form-domination ratio sup E^J / E^{K_s}
     by a generalized eigenvalue computation on the ball lattice.
     """
-    quad = quad or QuadSpec(n_ang=256, n_panels=32)
-    d = ball.d
-    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
-    resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
-    if sing >= d:
-        return AssumptionReport(
-            "K1", {"norm": INF}, {"theta": theta}, resolution, "divergent",
-            "inner integrand fails the integrability pre-test at the diagonal")
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
-    W = ball_integral(lambda x, y: _safe_ratio(kernel, J, x, y), pts,
-                      np.asarray(ball.center), 2 * ball.r, d, quad,
-                      singular_order=max(sing, 0.0))
-    norm = _lp_norm(W, theta, h ** d)
-    ratio = _domination_ratio(kernel, J, ball, grid, spacing)
-    resolution["n_points"] = int(pts.shape[0])
-    verdict = "finite" if np.isfinite(norm) and np.isfinite(ratio) else "divergent"
-    return AssumptionReport("K1", {"norm": norm, "W_max": float(np.max(W)),
-                                   "domination_ratio": ratio},
-                            {"theta": theta}, resolution, verdict)
+    return _k1_report(kernel, J, ball, theta, grid, quad, spacing, glob=False)
 
 
 def k1_glob_profile(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
@@ -194,45 +176,49 @@ def k1_glob_profile(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
                     spacing: float | None = None) -> AssumptionReport:
     """Global variant: the inner integral runs over all of R^d.
 
-    Computed as a near-field polar integral plus the analytic annulus tail
-    from the family's radial envelope; the decay pre-test flags divergence
-    when the far-field exponent of K_a^2 / J is not integrable.
+    Computed as a near-field polar integral plus the exterior tail beyond it,
+    with the far-field exponent 2 gamma(K_a) - gamma(J) as the tail's decay;
+    the decay pre-test flags divergence when that exponent is not integrable.
     """
+    return _k1_report(kernel, J, ball, theta, grid, quad, spacing, glob=True)
+
+
+def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
+               grid: Grid | None, quad: QuadSpec | None, spacing: float | None,
+               glob: bool) -> AssumptionReport:
+    """K1 (inner integral over B_2r(z)) or K1glob (over R^d) with one verdict
+    rule: finite exactly when the norm and the domination ratio are."""
+    name = "K1glob" if glob else "K1"
     quad = quad or QuadSpec(n_ang=256, n_panels=32)
     d = ball.d
     sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
     resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
+
+    def divergent(notes):
+        return AssumptionReport(name, {"norm": INF}, {"theta": theta}, resolution,
+                                "divergent", notes)
+
     if sing >= d:
-        return AssumptionReport(
-            "K1glob", {"norm": INF}, {"theta": theta}, resolution, "divergent",
-            "inner integrand fails the integrability pre-test at the diagonal")
-    if kernel.anti_support() is None:
-        dirs, _ = directions(d, quad.n_ang)
-        ka_dec = kernel.decay_orders("anti", dirs)
-        j_dec = J.decay_orders("sym", dirs)
-        exponent = 2 * ka_dec - j_dec
-        probe = np.asarray(ball.center) + 10.0 * dirs
-        active = np.abs(kernel.anti(np.asarray(ball.center)[None, :], probe)) > 0
-        if np.any(active & (exponent <= 0)):
-            return AssumptionReport(
-                "K1glob", {"norm": INF}, {"theta": theta}, resolution, "divergent",
-                "far-field exponent of K_a^2/J is not integrable")
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
-    near_radius = max(4 * ball.r, 1.0)
-    W = ball_integral(lambda a, b: _safe_ratio(kernel, J, a, b), pts, None,
-                      near_radius, d, quad, singular_order=max(sing, 0.0))
+        return divergent("inner integrand fails the integrability pre-test at the diagonal")
+    ratio_fn = lambda x, y: _safe_ratio(kernel, J, x, y)
     decay = lambda dd: 2 * kernel.decay_orders("anti", dd) - J.decay_orders("sym", dd)
-    pieces = [(lambda a, b: _safe_ratio(kernel, J, a, b),
-               kernel.anti_support(), decay)]
-    W = W + exterior_tail(pieces, pts,
-                          lambda x, dd: np.full((x.shape[0], dd.shape[0]),
-                                                near_radius), d, quad)
+    if glob and kernel.anti_support() is None and _far_field_divergent(
+            kernel.anti, decay, ball, quad.n_ang):
+        return divergent("far-field exponent of K_a^2/J is not integrable")
+    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    # K1glob: the near field B_radius(x) around each point, then the tail beyond
+    center, radius = (None, max(4 * ball.r, 1.0)) if glob else (np.asarray(ball.center),
+                                                                2 * ball.r)
+    W = ball_integral(ratio_fn, pts, center, radius, d, quad, singular_order=max(sing, 0.0))
+    if glob:
+        W = W + _tail_beyond([(ratio_fn, kernel.anti_support(), decay)], pts, radius, d, quad)
     norm = _lp_norm(W, theta, h ** d)
     ratio = _domination_ratio(kernel, J, ball, grid, spacing)
     resolution["n_points"] = int(pts.shape[0])
-    return AssumptionReport("K1glob", {"norm": norm, "W_max": float(np.max(W)),
-                                       "domination_ratio": ratio},
-                            {"theta": theta}, resolution, "finite")
+    verdict = "finite" if np.isfinite(norm) and np.isfinite(ratio) else "divergent"
+    return AssumptionReport(name, {"norm": norm, "W_max": float(np.max(W)),
+                                   "domination_ratio": ratio},
+                            {"theta": theta}, resolution, verdict)
 
 
 def k1_time_profile(time_kernel: TimeKernel, J: Kernel, ball: BallSpec,
@@ -304,34 +290,39 @@ def tail_sup(kernel: Kernel, ball: BallSpec, A: float, dual: bool = False,
         return {"sup": INF, "sigma_fit": 0.0, "A": A, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
     pieces = k.radial_pieces("full")
-
-    def tail_at(radius):
-        exit_fn = lambda x, dd: np.full((x.shape[0], dd.shape[0]), radius)
-        return exterior_tail(pieces, pts, exit_fn, ball.d, quad)
-
-    t1 = tail_at(A * ball.r)
-    t2 = tail_at(2 * A * ball.r)
-    sup1 = float(np.max(t1))
-    sup2 = float(np.max(t2))
+    sup1, sup2 = (float(np.max(_tail_beyond(pieces, pts, radius, ball.d, quad)))
+                  for radius in (A * ball.r, 2 * A * ball.r))
     sigma = math.log(sup1 / sup2) / math.log(2.0) if sup2 > 0 else INF
     return {"sup": sup1, "sup_2A": sup2, "sigma_fit": sigma, "A": A,
             "radius": A * ball.r, "divergent": False,
             "n_points": pts.shape[0], "quad": quad.to_dict()}
 
 
+def _tail_beyond(pieces, pts: np.ndarray, radius: float, d: int,
+                 quad: QuadSpec) -> np.ndarray:
+    """Exterior tail of the pieces beyond B_radius(x) around each point x."""
+    exit_fn = lambda x, dd: np.full((x.shape[0], dd.shape[0]), radius)
+    return exterior_tail(pieces, pts, exit_fn, d, quad)
+
+
+def _far_field_divergent(ev, decay_fn, ball: BallSpec, n_ang: int) -> bool:
+    """Exponent pre-test: is ev active 10 units out from the centre along a
+    direction whose decay exponent decay_fn(e) is not positive?"""
+    dirs, _ = directions(ball.d, n_ang)
+    z = np.asarray(ball.center)[None, :]
+    active = np.abs(np.asarray(ev(z, z + 10.0 * dirs))) > 0
+    return bool(np.any(active & (decay_fn(dirs) <= 0)))
+
+
 def _tail_divergent(kernel: Kernel, parts, ball: BallSpec,
                     quad: QuadSpec) -> bool:
     """Exponent pre-test: is some compactly unsupported part non-integrable?"""
-    dirs, _ = directions(ball.d, min(quad.n_ang, 64))
-    probe = np.asarray(ball.center)[None, :] + 10.0 * dirs
     for part in parts:
         if part == "anti" and kernel.anti_support() is not None:
             continue
         ev = kernel.sym if part == "sym" else kernel.anti
-        active = np.abs(np.asarray(ev(np.asarray(ball.center)[None, :],
-                                      probe))) > 0
-        decay = kernel.decay_orders(part, dirs)
-        if np.any(active & (decay <= 0)):
+        if _far_field_divergent(ev, lambda dd: kernel.decay_orders(part, dd), ball,
+                                min(quad.n_ang, 64)):
             return True
     return False
 
@@ -349,13 +340,9 @@ def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
         return {"sup": INF, "zeta": zeta, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
     pieces = kernel.radial_pieces("sym")
-
-    def sup_at(z):
-        exit_fn = lambda x, dd: np.full((x.shape[0], dd.shape[0]), z)
-        return float(np.max(exterior_tail(pieces, pts, exit_fn, ball.d, quad)))
-
     zetas = zeta * 0.5 ** np.arange(n_sweep)
-    sups = np.array([sup_at(z) for z in zetas])
+    sups = np.array([float(np.max(_tail_beyond(pieces, pts, z, ball.d, quad)))
+                     for z in zetas])
     slope, intercept = np.polyfit(np.log(zetas), np.log(sups), 1)
     return {"sup": sups[0], "zeta": zeta, "exponent_fit": float(-slope),
             "prefactor_fit": float(np.exp(intercept)), "sweep": list(zetas),

@@ -517,6 +517,23 @@ def _default_config(kind: str) -> dict:
     return cfg
 
 
+def _float_list(text: str) -> list:
+    return [float(a) for a in text.split(",")]
+
+
+# harness overrides: (flag, argparse keywords, the subcommands whose runner
+# reads it); a subcommand refuses the flags it would ignore
+_HARNESS_FLAGS = (
+    ("--seed", {"type": int}, {"check-kernel", "solve", "harnack", "hoelder",
+                               "caccioppoli", "algebra-tests"}),
+    ("--ensemble", {"type": int}, {"harnack", "hoelder", "caccioppoli"}),
+    ("--assumption", {"type": str}, {"check-kernel"}),
+    ("--alphas", {"type": _float_list,
+                  "help": "comma-separated list for the mosco harness"}, {"mosco"}),
+    ("--dump-form", {"type": lambda text: str(Path(text))}, {"assemble"}),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jumplab",
@@ -527,12 +544,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=Path, default=None,
                        help="scenario JSON (defaults to a builtin preset)")
         p.add_argument("--out", type=Path, default=Path("runs") / kind)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--ensemble", type=int, default=None)
-        p.add_argument("--assumption", type=str, default=None)
-        p.add_argument("--alphas", type=str, default=None,
-                       help="comma-separated list for the mosco harness")
-        p.add_argument("--dump-form", type=Path, default=None)
+        for flag, kwargs, kinds in _HARNESS_FLAGS:
+            if kind in kinds:
+                p.add_argument(flag, **kwargs)
     args = parser.parse_args(argv)
 
     try:
@@ -541,17 +555,10 @@ def main(argv=None) -> int:
         else:
             config = _default_config(args.command)
         config.setdefault("harness", {})["type"] = args.command
-        if args.seed is not None:
-            config["harness"]["seed"] = args.seed
-        if args.ensemble is not None:
-            config["harness"]["ensemble"] = args.ensemble
-        if args.assumption is not None:
-            config["harness"]["assumption"] = args.assumption
-        if args.alphas is not None:
-            config["harness"]["alphas"] = [float(a)
-                                           for a in args.alphas.split(",")]
-        if args.dump_form is not None:
-            config["harness"]["dump_form"] = str(args.dump_form)
+        for flag, _, _ in _HARNESS_FLAGS:
+            key = flag[2:].replace("-", "_")
+            if getattr(args, key, None) is not None:
+                config["harness"][key] = getattr(args, key)
         config = _validate(config)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -176,33 +176,22 @@ def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
     return DiscreteForm(grid, S, W, T_s, T_a, meta)
 
 
-def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None,
-             chunk: int = 256) -> DiscreteForm:
+def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> DiscreteForm:
     if kernel.d != grid.d:
         raise ValueError("kernel/grid dimension mismatch")
     quad = quad or QuadSpec()
     P = grid.nodes
     try:
-        Ks, Ka = pair_values(P, kernel.sym, kernel.anti, chunk=chunk)
+        Ks, Ka = pair_values(P, kernel.sym, kernel.anti)
     except ValueError as exc:
         raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
     exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
-    T_s = _tail_vector(kernel, "sym", P, exit_fn, grid.d, quad)
-    T_a = _tail_vector(kernel, "anti", P, exit_fn, grid.d, quad)
+    T_s, T_a = (2.0 * exterior_tail(kernel.radial_pieces(part), P, exit_fn, grid.d, quad)
+                for part in ("sym", "anti"))
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
     scale = -2.0 * grid.cell_volume
     return _completed_form(grid, Ks, Ka, T_s, T_a, meta, scale, scale)
-
-
-def _tail_vector(kernel: Kernel, part: str, points, exit_fn, d, quad,
-                 block: int = 128) -> np.ndarray:
-    pieces = kernel.radial_pieces(part)
-    out = np.zeros(points.shape[0])
-    for lo in range(0, points.shape[0], block):
-        hi = min(lo + block, points.shape[0])
-        out[lo:hi] = 2.0 * exterior_tail(pieces, points[lo:hi], exit_fn, d, quad)
-    return out
 
 
 def transpose_form(form: DiscreteForm) -> DiscreteForm:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import CutoffProfile, DiscreteForm, kernel_alpha, pair_mask_ball
+from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
 from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic
 
 
@@ -194,8 +194,7 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
                       rho: float, p: float, eps: float,
                       variant: str = "primal", d_const: float = 0.0,
                       f_inf: float = 0.0, weight_gamma: float = 1.0,
-                      theta: float = math.inf, u_ext: float = 0.0,
-                      dual_ext_exponent: str = "space") -> dict:
+                      theta: float = math.inf, u_ext: float = 0.0) -> dict:
     """Energy-of-power audit: measures the empirical constant of the bound
 
         E^{K_s}_{B_{r+rho}}(tau u~^{(1-p)/2}, .) <=
@@ -217,16 +216,12 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
         raise ValueError("shifted field must be strictly positive")
     tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
     tv = tau.values_on(grid)
-    w = tv * u_t ** ((1.0 - p) / 2.0)
-    ball = pair_mask_ball(grid, center, r + rho)
-    Ks = form.ks_matrix()
-    Kb = np.where(ball, Ks, 0.0)
-    h2d = grid.cell_volume ** 2
+    mask = grid.ball_mask(tau.center, r + rho)
+    w = (tv * u_t ** ((1.0 - p) / 2.0))[mask]
     dw = w[:, None] - w[None, :]
-    lhs = float(np.sum(dw * dw * Kb) * h2d)
+    lhs = float(np.sum(dw * dw * form.ks_matrix(mask)) * grid.cell_volume ** 2)
     phi = -(tv * tv) * u_t ** (-p)
     t1 = _global_pairing(form, variant, u, phi, d_const, u_ext)
-    mask = grid.ball_mask(np.asarray(center, dtype=float), r + rho)
     t2 = rho ** (-alpha) * float(np.sum(u_t[mask] ** (1.0 - p)) * grid.cell_volume)
     denom = abs(p - 1.0) * max(t1, 0.0) + max(1.0, p ** weight_gamma) * t2
     c_hat = lhs / denom if denom > 0 else math.inf
@@ -254,18 +249,15 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
         raise ValueError("shifted field must be strictly positive")
     tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
     tv = tau.values_on(grid)
-    pos = tv > 0
-    ball = pair_mask_ball(grid, center, r + rho)
-    pairs = ball & pos[:, None] & pos[None, :]
-    Ks = np.where(pairs, form.ks_matrix(), 0.0)
-    logs = np.where(pos, np.log(np.where(pos, u_t / np.where(pos, tv, 1.0), 1.0)), 0.0)
+    mask = grid.ball_mask(tau.center, r + rho)
+    tb, pos = tv[mask], tv[mask] > 0
+    Ks = np.where(pos[:, None] & pos[None, :], form.ks_matrix(mask), 0.0)
+    logs = np.where(pos, np.log(np.where(pos, u_t[mask] / np.where(pos, tb, 1.0), 1.0)), 0.0)
     dlog = logs[:, None] - logs[None, :]
-    wmin = np.minimum(tv[:, None] ** 2, tv[None, :] ** 2)
-    h2d = grid.cell_volume ** 2
-    lhs = float(np.sum(wmin * dlog * dlog * Ks) * h2d)
+    wmin = np.minimum(tb[:, None] ** 2, tb[None, :] ** 2)
+    lhs = float(np.sum(wmin * dlog * dlog * Ks) * grid.cell_volume ** 2)
     phi = -(tv * tv) / u_t
     t1 = _global_pairing(form, variant, u, phi, d_const, u_ext)
-    mask = grid.ball_mask(np.asarray(center, dtype=float), r + rho)
     t2 = rho ** (-alpha) * float(np.sum(mask) * grid.cell_volume)
     denom = max(t1, 0.0) + t2
     return {"c_hat": lhs / denom if denom > 0 else math.inf,

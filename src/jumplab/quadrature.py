@@ -1,8 +1,19 @@
 """Radial/angular quadrature helpers shared by assembly and assumption checkers.
 
-All radial rules work in log coordinates s = s_ref * exp(+-tau), which turns
-power-law integrands into smooth exponentials; Gauss panels then converge
-fast regardless of how close the singular endpoint is approached.
+One ray rule computes every tail and ball integral.  Along each direction e
+it takes int_lo^hi F(x, x + s e) s^{d-1} ds on Gauss panels in log
+coordinates s = lo * exp(tau) (``_ray_sum``), which turn power-law integrands
+into smooth exponentials, so the panels converge fast however close the
+singular endpoint is approached; the angular weights then sum the rays.  Two
+end terms close the rule, both built from F(x, x + s e) s^d at the cut radius
+(``_ray_end``):
+
+- inner: a ball integral starts at s_min = s_min_rel * cap; assuming
+  F ~ s^{-p} below it (p < d), the missing [0, s_min] adds
+  F(s_min) s_min^d / (d - p);
+- outer: an infinite tail stops at s_max = s0 * 2**growth_octaves; assuming
+  F ~ s^{-d-gamma(e)} beyond it, the missing [s_max, inf) adds
+  F(s_max) s_max^d / gamma(e).
 """
 from __future__ import annotations
 
@@ -11,6 +22,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_BALL_BLOCK = 32    # points per ball_integral block
+_TAIL_BLOCK = 128   # points per exterior_tail block
 
 
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,14 +91,6 @@ def _log_nodes(lo: np.ndarray, hi: np.ndarray, spec: QuadSpec):
     return s, w
 
 
-def infinite_tail_nodes(s0, spec: QuadSpec):
-    """Nodes/weights for [s0, s0 * 2**growth_octaves], plus the outer radius."""
-    s0 = np.asarray(s0, dtype=float)
-    s_max = s0 * (2.0 ** spec.growth_octaves)
-    s, w = _log_nodes(s0, s_max, spec)
-    return s, w, s_max
-
-
 def ray_exit_box(x: np.ndarray, dirs: np.ndarray, halfwidth: float) -> np.ndarray:
     """Distance from x (inside the box) to the boundary of [-X, X]^d along dirs.
 
@@ -111,9 +116,23 @@ def ray_exit_ball(x: np.ndarray, dirs: np.ndarray, center: np.ndarray,
     return -b + np.sqrt(disc)
 
 
+def _ray_sum(eval2, x, dirs, lo, hi, d, spec):
+    """(N, m) integrals int_lo^hi F(x, x + s e) s^{d-1} ds along each direction."""
+    s, w = _log_nodes(lo, hi, spec)                          # (N, m, K)
+    y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
+    vals = eval2(x[:, None, None, :], y)
+    return np.sum(vals * np.power(s, d - 1) * w, axis=-1)
+
+
+def _ray_end(eval2, x, dirs, s, d):
+    """(N, m) end terms F(x, x + s e) s^d at the per-direction radii s."""
+    y = x[:, None, None, :] + s[:, :, None, None] * dirs[None, :, None, :]
+    return eval2(x[:, None, None, :], y)[..., 0] * np.power(s, d)
+
+
 def ball_integral(eval2, x: np.ndarray, center, radius: float,
                   d: int, spec: QuadSpec, *, singular_order: float | None = None,
-                  breaks: tuple[float, ...] = (), block: int = 32) -> np.ndarray:
+                  breaks: tuple[float, ...] = ()) -> np.ndarray:
     """Compute int_{B_radius(center)} F(x, y) dy for each x by polar quadrature.
 
     ``center=None`` integrates over the ball B_radius(x) around each x itself.
@@ -123,33 +142,20 @@ def ball_integral(eval2, x: np.ndarray, center, radius: float,
     [0, s_min] piece is added assuming that local power law.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], block):
-        out[lo:lo + block] = _ball_integral_block(
-            eval2, x[lo:lo + block], center, radius, d, spec, singular_order, breaks)
-    return out
-
-
-def _ball_integral_block(eval2, x, center, radius, d, spec, singular_order, breaks):
     dirs, ang_w = directions(d, spec.n_ang)
-    if center is None:
-        caps = np.full((x.shape[0], dirs.shape[0]), float(radius))
-    else:
-        caps = ray_exit_ball(x, dirs, center, radius)       # (N, m)
-    total = np.zeros(x.shape[0])
-    for seg_lo, seg_hi in _segments(caps, breaks, spec):
-        s, w = _log_nodes(seg_lo, seg_hi, spec)             # (N,m,K)
-        y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
-        vals = eval2(x[:, None, None, :], y)
-        contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)  # (N,m)
-        total += contrib @ ang_w
-    if singular_order is not None and singular_order < d:
-        s_min = spec.s_min_rel * caps
-        y = x[:, None, None, :] + s_min[:, :, None, None] * dirs[None, :, None, :]
-        f0 = eval2(x[:, None, None, :], y)[..., 0]
-        rem = f0 * np.power(s_min, d) / (d - singular_order)
-        total += rem @ ang_w
-    return total
+    out = np.zeros(x.shape[0])
+    for lo in range(0, x.shape[0], _BALL_BLOCK):
+        xb, total = x[lo:lo + _BALL_BLOCK], out[lo:lo + _BALL_BLOCK]
+        if center is None:
+            caps = np.full((xb.shape[0], dirs.shape[0]), float(radius))
+        else:
+            caps = ray_exit_ball(xb, dirs, center, radius)  # (N, m)
+        for seg_lo, seg_hi in _segments(caps, breaks, spec):
+            total += _ray_sum(eval2, xb, dirs, seg_lo, seg_hi, d, spec) @ ang_w
+        if singular_order is not None and singular_order < d:
+            rem = _ray_end(eval2, xb, dirs, spec.s_min_rel * caps, d) / (d - singular_order)
+            total += rem @ ang_w
+    return out
 
 
 def _segments(caps: np.ndarray, breaks: tuple[float, ...], spec: QuadSpec):
@@ -169,7 +175,7 @@ def exterior_tail(pieces, x: np.ndarray, exit_fn, d: int,
                   spec: QuadSpec) -> np.ndarray:
     """Integrate kernel pieces over the exterior region along each direction.
 
-    ``pieces`` is an iterable of (eval2, upper, decay_fn); see Kernel.radial_pieces.
+    ``pieces`` is a sequence of (eval2, upper, decay_fn); see Kernel.radial_pieces.
     ``exit_fn(x, dirs)`` gives the per-direction start radius (region boundary).
     Finite-upper pieces are integrated on [s0, upper]; infinite pieces get a
     truncated log-space rule plus a power-law remainder with the per-direction
@@ -177,29 +183,23 @@ def exterior_tail(pieces, x: np.ndarray, exit_fn, d: int,
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dirs, ang_w = directions(d, spec.n_ang)
-    s0 = exit_fn(x, dirs)                                    # (N, m)
-    total = np.zeros(x.shape[0])
-    for eval2, upper, decay_fn in pieces:
-        if upper is not None:
-            hi = np.broadcast_to(float(upper), s0.shape)
-            mask = s0 < hi
-            if not np.any(mask):
-                continue
-            s, w = _log_nodes(np.where(mask, s0, 1.0), np.where(mask, hi, 1.0), spec)
-            y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
-            vals = eval2(x[:, None, None, :], y)
-            contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)
-            contrib = np.where(mask, contrib, 0.0)
-            total += contrib @ ang_w
-        else:
-            s, w, s_max = infinite_tail_nodes(s0, spec)
-            y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
-            vals = eval2(x[:, None, None, :], y)
-            contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)
-            gam = np.asarray(decay_fn(dirs), dtype=float)    # (m,)
-            y_out = x[:, None, None, :] + s_max[..., None, None] * np.broadcast_to(
-                dirs[None, :, None, :], (x.shape[0],) + dirs.shape[:1] + (1, d))
-            f_out = eval2(x[:, None, None, :], y_out)[..., 0]
-            rem = f_out * np.power(s_max, d) / np.maximum(gam[None, :], 1e-12)
-            total += (contrib + rem) @ ang_w
-    return total
+    out = np.zeros(x.shape[0])
+    for lo in range(0, x.shape[0], _TAIL_BLOCK):
+        xb, total = x[lo:lo + _TAIL_BLOCK], out[lo:lo + _TAIL_BLOCK]
+        s0 = exit_fn(xb, dirs)                               # (N, m)
+        for eval2, upper, decay_fn in pieces:
+            if upper is not None:
+                hi = np.broadcast_to(float(upper), s0.shape)
+                mask = s0 < hi
+                if not np.any(mask):
+                    continue
+                contrib = _ray_sum(eval2, xb, dirs, np.where(mask, s0, 1.0),
+                                   np.where(mask, hi, 1.0), d, spec)
+                total += np.where(mask, contrib, 0.0) @ ang_w
+            else:
+                s_max = s0 * (2.0 ** spec.growth_octaves)
+                contrib = _ray_sum(eval2, xb, dirs, s0, s_max, d, spec)
+                gam = np.asarray(decay_fn(dirs), dtype=float)  # (m,)
+                rem = _ray_end(eval2, xb, dirs, s_max, d) / np.maximum(gam[None, :], 1e-12)
+                total += (contrib + rem) @ ang_w
+    return out

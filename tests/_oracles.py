@@ -368,3 +368,267 @@ def old_resolvent_gaps(family, grid, f, lam, alphas=None, quad=None):
         u_a = resolvent_solve(old_assemble_corrected(family.kernel(a), grid, quad), lam, f_vals)
         gaps.append(float(np.sqrt(np.sum((u_a - u_loc) ** 2) * grid.cell_volume)))
     return gaps
+
+
+# --- frozen radial quadratures and assumption checkers ----------------------
+# ball_integral, exterior_tail, the assembly's blocked tail vector and the K1,
+# K1glob, Tail and Cutoff checkers as they were before one ray rule served
+# every tail and ball integral: three copies of the points -> kernel ->
+# Jacobian sum, two end terms, two K1 bodies.  A bit-for-bit reference; the
+# order of the floating-point operations is the point, so do not tidy.
+
+def _old_ball_integral_block(eval2, x, center, radius, d, spec, singular_order, breaks):
+    from jumplab.quadrature import _log_nodes, _segments, directions, ray_exit_ball
+
+    dirs, ang_w = directions(d, spec.n_ang)
+    if center is None:
+        caps = np.full((x.shape[0], dirs.shape[0]), float(radius))
+    else:
+        caps = ray_exit_ball(x, dirs, center, radius)
+    total = np.zeros(x.shape[0])
+    for seg_lo, seg_hi in _segments(caps, breaks, spec):
+        s, w = _log_nodes(seg_lo, seg_hi, spec)
+        y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
+        vals = eval2(x[:, None, None, :], y)
+        contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)
+        total += contrib @ ang_w
+    if singular_order is not None and singular_order < d:
+        s_min = spec.s_min_rel * caps
+        y = x[:, None, None, :] + s_min[:, :, None, None] * dirs[None, :, None, :]
+        f0 = eval2(x[:, None, None, :], y)[..., 0]
+        rem = f0 * np.power(s_min, d) / (d - singular_order)
+        total += rem @ ang_w
+    return total
+
+
+def old_ball_integral(eval2, x, center, radius, d, spec, *, singular_order=None,
+                      breaks=(), block=32):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], block):
+        out[lo:lo + block] = _old_ball_integral_block(
+            eval2, x[lo:lo + block], center, radius, d, spec, singular_order, breaks)
+    return out
+
+
+def old_exterior_tail(pieces, x, exit_fn, d, spec):
+    from jumplab.quadrature import _log_nodes, directions
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dirs, ang_w = directions(d, spec.n_ang)
+    s0 = exit_fn(x, dirs)
+    total = np.zeros(x.shape[0])
+    for eval2, upper, decay_fn in pieces:
+        if upper is not None:
+            hi = np.broadcast_to(float(upper), s0.shape)
+            mask = s0 < hi
+            if not np.any(mask):
+                continue
+            s, w = _log_nodes(np.where(mask, s0, 1.0), np.where(mask, hi, 1.0), spec)
+            y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
+            vals = eval2(x[:, None, None, :], y)
+            contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)
+            contrib = np.where(mask, contrib, 0.0)
+            total += contrib @ ang_w
+        else:
+            s0f = np.asarray(s0, dtype=float)
+            s_max = s0f * (2.0 ** spec.growth_octaves)
+            s, w = _log_nodes(s0f, s_max, spec)
+            y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
+            vals = eval2(x[:, None, None, :], y)
+            contrib = np.sum(vals * np.power(s, d - 1) * w, axis=-1)
+            gam = np.asarray(decay_fn(dirs), dtype=float)
+            y_out = x[:, None, None, :] + s_max[..., None, None] * np.broadcast_to(
+                dirs[None, :, None, :], (x.shape[0],) + dirs.shape[:1] + (1, d))
+            f_out = eval2(x[:, None, None, :], y_out)[..., 0]
+            rem = f_out * np.power(s_max, d) / np.maximum(gam[None, :], 1e-12)
+            total += (contrib + rem) @ ang_w
+    return total
+
+
+def old_tail_vector(kernel, part, points, exit_fn, d, quad, block=128):
+    pieces = kernel.radial_pieces(part)
+    out = np.zeros(points.shape[0])
+    for lo in range(0, points.shape[0], block):
+        hi = min(lo + block, points.shape[0])
+        out[lo:hi] = 2.0 * old_exterior_tail(pieces, points[lo:hi], exit_fn, d, quad)
+    return out
+
+
+def old_assembly_tails(kernel, grid, quad=None):
+    """(T_s, T_a) of ``assemble(kernel, grid, quad)`` by the blocked tail vector."""
+    from jumplab.quadrature import QuadSpec, ray_exit_box
+
+    quad = quad or QuadSpec()
+    exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
+    return tuple(old_tail_vector(kernel, part, grid.nodes, exit_fn, grid.d, quad)
+                 for part in ("sym", "anti"))
+
+
+def old_k1_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=None):
+    from jumplab.assumptions import (INF, AssumptionReport, _domination_ratio,
+                                     _lattice, _lp_norm, _safe_ratio)
+    from jumplab.quadrature import QuadSpec
+
+    quad = quad or QuadSpec(n_ang=256, n_panels=32)
+    d = ball.d
+    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
+    resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
+    if sing >= d:
+        return AssumptionReport(
+            "K1", {"norm": INF}, {"theta": theta}, resolution, "divergent",
+            "inner integrand fails the integrability pre-test at the diagonal")
+    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    W = old_ball_integral(lambda x, y: _safe_ratio(kernel, J, x, y), pts,
+                          np.asarray(ball.center), 2 * ball.r, d, quad,
+                          singular_order=max(sing, 0.0))
+    norm = _lp_norm(W, theta, h ** d)
+    ratio = _domination_ratio(kernel, J, ball, grid, spacing)
+    resolution["n_points"] = int(pts.shape[0])
+    verdict = "finite" if np.isfinite(norm) and np.isfinite(ratio) else "divergent"
+    return AssumptionReport("K1", {"norm": norm, "W_max": float(np.max(W)),
+                                   "domination_ratio": ratio},
+                            {"theta": theta}, resolution, verdict)
+
+
+def old_k1_glob_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=None):
+    from jumplab.assumptions import (INF, AssumptionReport, _domination_ratio,
+                                     _lattice, _lp_norm, _safe_ratio)
+    from jumplab.quadrature import QuadSpec, directions
+
+    quad = quad or QuadSpec(n_ang=256, n_panels=32)
+    d = ball.d
+    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
+    resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
+    if sing >= d:
+        return AssumptionReport(
+            "K1glob", {"norm": INF}, {"theta": theta}, resolution, "divergent",
+            "inner integrand fails the integrability pre-test at the diagonal")
+    if kernel.anti_support() is None:
+        dirs, _ = directions(d, quad.n_ang)
+        ka_dec = kernel.decay_orders("anti", dirs)
+        j_dec = J.decay_orders("sym", dirs)
+        exponent = 2 * ka_dec - j_dec
+        probe = np.asarray(ball.center) + 10.0 * dirs
+        active = np.abs(kernel.anti(np.asarray(ball.center)[None, :], probe)) > 0
+        if np.any(active & (exponent <= 0)):
+            return AssumptionReport(
+                "K1glob", {"norm": INF}, {"theta": theta}, resolution, "divergent",
+                "far-field exponent of K_a^2/J is not integrable")
+    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    near_radius = max(4 * ball.r, 1.0)
+    W = old_ball_integral(lambda a, b: _safe_ratio(kernel, J, a, b), pts, None,
+                          near_radius, d, quad, singular_order=max(sing, 0.0))
+    decay = lambda dd: 2 * kernel.decay_orders("anti", dd) - J.decay_orders("sym", dd)
+    pieces = [(lambda a, b: _safe_ratio(kernel, J, a, b),
+               kernel.anti_support(), decay)]
+    W = W + old_exterior_tail(pieces, pts,
+                              lambda x, dd: np.full((x.shape[0], dd.shape[0]),
+                                                    near_radius), d, quad)
+    norm = _lp_norm(W, theta, h ** d)
+    ratio = _domination_ratio(kernel, J, ball, grid, spacing)
+    resolution["n_points"] = int(pts.shape[0])
+    return AssumptionReport("K1glob", {"norm": norm, "W_max": float(np.max(W)),
+                                       "domination_ratio": ratio},
+                            {"theta": theta}, resolution, "finite")
+
+
+def _old_tail_divergent(kernel, parts, ball, quad):
+    from jumplab.quadrature import directions
+
+    dirs, _ = directions(ball.d, min(quad.n_ang, 64))
+    probe = np.asarray(ball.center)[None, :] + 10.0 * dirs
+    for part in parts:
+        if part == "anti" and kernel.anti_support() is not None:
+            continue
+        ev = kernel.sym if part == "sym" else kernel.anti
+        active = np.abs(np.asarray(ev(np.asarray(ball.center)[None, :],
+                                      probe))) > 0
+        decay = kernel.decay_orders(part, dirs)
+        if np.any(active & (decay <= 0)):
+            return True
+    return False
+
+
+def old_tail_sup(kernel, ball, A, dual=False, grid=None, quad=None, spacing=None):
+    import math
+
+    from jumplab.assumptions import INF, _lattice
+    from jumplab.quadrature import QuadSpec
+
+    quad = quad or QuadSpec()
+    k = kernel.dual() if dual else kernel
+    pts, h = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
+    if _old_tail_divergent(k, ("sym", "anti"), ball, quad):
+        return {"sup": INF, "sigma_fit": 0.0, "A": A, "divergent": True,
+                "n_points": pts.shape[0], "quad": quad.to_dict()}
+    pieces = k.radial_pieces("full")
+
+    def tail_at(radius):
+        exit_fn = lambda x, dd: np.full((x.shape[0], dd.shape[0]), radius)
+        return old_exterior_tail(pieces, pts, exit_fn, ball.d, quad)
+
+    sup1 = float(np.max(tail_at(A * ball.r)))
+    sup2 = float(np.max(tail_at(2 * A * ball.r)))
+    sigma = math.log(sup1 / sup2) / math.log(2.0) if sup2 > 0 else INF
+    return {"sup": sup1, "sup_2A": sup2, "sigma_fit": sigma, "A": A,
+            "radius": A * ball.r, "divergent": False,
+            "n_points": pts.shape[0], "quad": quad.to_dict()}
+
+
+def old_cutoff_sup(kernel, zeta, ball, grid=None, quad=None, spacing=None, n_sweep=4):
+    from jumplab.assumptions import INF, _lattice
+    from jumplab.quadrature import QuadSpec
+
+    quad = quad or QuadSpec()
+    pts, h = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
+                      max_points=60)
+    if _old_tail_divergent(kernel, ("sym",), ball, quad):
+        return {"sup": INF, "zeta": zeta, "divergent": True,
+                "n_points": pts.shape[0], "quad": quad.to_dict()}
+    pieces = kernel.radial_pieces("sym")
+
+    def sup_at(z):
+        exit_fn = lambda x, dd: np.full((x.shape[0], dd.shape[0]), z)
+        return float(np.max(old_exterior_tail(pieces, pts, exit_fn, ball.d, quad)))
+
+    zetas = zeta * 0.5 ** np.arange(n_sweep)
+    sups = np.array([sup_at(z) for z in zetas])
+    slope, intercept = np.polyfit(np.log(zetas), np.log(sups), 1)
+    return {"sup": sups[0], "zeta": zeta, "exponent_fit": float(-slope),
+            "prefactor_fit": float(np.exp(intercept)), "sweep": list(zetas),
+            "n_points": pts.shape[0], "quad": quad.to_dict()}
+
+
+# --- Caccioppoli left-hand sides on the full pair matrix ---------------------
+# Both audits before they took only the ball block of K_s: the full N x N
+# matrix masked to the pairs inside B_{r+rho}.  Same terms, other summation
+# order, so the production audits agree to rounding, not bit for bit.
+
+def old_caccioppoli_lhs(u, form, center, r, rho, p, shift):
+    from jumplab.discretize import CutoffProfile, pair_mask_ball
+
+    grid = form.grid
+    u_t = np.asarray(u, dtype=float) + shift
+    tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
+    tv = tau.values_on(grid)
+    w = tv * u_t ** ((1.0 - p) / 2.0)
+    Kb = np.where(pair_mask_ball(grid, center, r + rho), form.ks_matrix(), 0.0)
+    dw = w[:, None] - w[None, :]
+    return float(np.sum(dw * dw * Kb) * grid.cell_volume ** 2)
+
+
+def old_log_caccioppoli_lhs(u, form, center, r, rho, shift):
+    from jumplab.discretize import CutoffProfile, pair_mask_ball
+
+    grid = form.grid
+    u_t = np.asarray(u, dtype=float) + shift
+    tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
+    tv = tau.values_on(grid)
+    pos = tv > 0
+    pairs = pair_mask_ball(grid, center, r + rho) & pos[:, None] & pos[None, :]
+    Ks = np.where(pairs, form.ks_matrix(), 0.0)
+    logs = np.where(pos, np.log(np.where(pos, u_t / np.where(pos, tv, 1.0), 1.0)), 0.0)
+    dlog = logs[:, None] - logs[None, :]
+    wmin = np.minimum(tv[:, None] ** 2, tv[None, :] ** 2)
+    return float(np.sum(wmin * dlog * dlog * Ks) * grid.cell_volume ** 2)
