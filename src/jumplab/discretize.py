@@ -11,6 +11,22 @@ extended by the constant u_ext beyond the box.  The self cell j = i is
 excluded; its omitted principal-value contribution is O(h^{2-alpha}) on C^2
 fields and is documented rather than corrected.
 
+Power-law kernels.  A kernel with a ray profile (``Kernel.ray_profile``: the
+stable and cone families and their duals) is translation invariant and equals
+c(e) s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
+
+- pairs: K_s and K_a run once per node offset on the (2n-1)^d difference
+  stencil, and the N x N pair arrays are filled as (block-)Toeplitz copies of
+  it.  This path is taken only when along every axis the node difference
+  a_j - a_i depends on j - i alone, bit for bit (a dyadic h such as 1/32 on
+  X = 1); the arrays are then those of ``pair_values`` bit for bit.  Any
+  other grid (h = 4/48 on X = 2, say) and any other kernel runs
+  ``pair_values`` on all node pairs;
+- tails: T_i = 2 sum_e w_e c(e) s0(x_i, e)^{-gamma(e)} / gamma(e), on the
+  directions, weights and box exit radii s0 of the ray rule, whose radial
+  quadrature it replaces.  Kernels without a profile keep the ray rule
+  (``quadrature.exterior_tail``).
+
 A form stores only the split and the tail weights T_s, T_a of K_s and K_a;
 A = A_s + A_a, T = T_s + T_a and T-hat = T_s - T_a are derived, so the split
 is exact bit for bit.  The drift intensity sits on the diagonal of A_s (a
@@ -27,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import Kernel, TimeKernel, pair_values
-from .quadrature import QuadSpec, exterior_tail, ray_exit_box
+from .quadrature import QuadSpec, directions, exterior_tail, ray_exit_box
 
 NODE_CAP = 4096
 
@@ -132,21 +148,28 @@ class DiscreteForm:
     def drift_load(self) -> np.ndarray:
         return self.A.T @ np.ones(self.grid.n_nodes) - self.tail_dual
 
-    def _pair_matrix(self, coupling: np.ndarray) -> np.ndarray:
-        M = (-0.5 / self.grid.cell_volume) * coupling
+    def _pair_matrix(self, coupling: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Pair values of a coupling (zero diagonal); with a node mask m only
+        the (m, m) block, without building the N x N matrix."""
+        block = coupling if mask is None else coupling[np.ix_(mask, mask)]
+        M = (-0.5 / self.grid.cell_volume) * block
         np.fill_diagonal(M, 0.0)
         return M
 
     def ks_matrix(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Pairwise K_s(x_i, x_j) values (zero diagonal); with a node mask m
-        only the (m, m) block, without building the N x N matrix."""
-        return self._pair_matrix(self.A_s if mask is None else self.A_s[np.ix_(mask, mask)])
+        """Pairwise K_s(x_i, x_j) values (zero diagonal)."""
+        return self._pair_matrix(self.A_s, mask)
 
-    def ka_matrix(self) -> np.ndarray:
-        return self._pair_matrix(self.A_a)
+    def ka_matrix(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Pairwise K_a(x_i, x_j) values (zero diagonal)."""
+        return self._pair_matrix(self.A_a, mask)
 
-    def k_matrix(self) -> np.ndarray:
-        return self.ks_matrix() + self.ka_matrix()
+    def k_matrix(self, mask: np.ndarray | None = None) -> np.ndarray:
+        return self.ks_matrix(mask) + self.ka_matrix(mask)
+
+    def part_matrix(self, part: str, mask: np.ndarray | None = None) -> np.ndarray:
+        """``k_matrix``, ``ks_matrix`` or ``ka_matrix`` for part full, sym, anti."""
+        return {"full": self.k_matrix, "sym": self.ks_matrix, "anti": self.ka_matrix}[part](mask)
 
 
 def kernel_alpha(form: DiscreteForm) -> float:
@@ -159,15 +182,32 @@ def kernel_alpha(form: DiscreteForm) -> float:
                          "form.meta['kernel']['alpha']") from None
 
 
+_TILE = 256   # tile edge of the in-place symmetrisation
+
+
+def _symmetrise(M: np.ndarray, op) -> None:
+    """M := op(M, M.T) / 2 in place, one pair of 256 x 256 tiles at a time
+    (``M += M.T`` would copy all of M first).  Each tile is computed from the
+    old values with the same operation in the same order, so the result is
+    that of ``M = op(M, M.T) * 0.5`` bit for bit, signed zeros included."""
+    n = M.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            a, c = M[i:i + _TILE, j:j + _TILE], M[j:j + _TILE, i:i + _TILE]
+            s, t = op(a, c.T), op(c, a.T)
+            s *= 0.5
+            t *= 0.5
+            a[...] = s
+            c[...] = t
+
+
 def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
                     meta: dict, scale_s: float, scale_a: float) -> DiscreteForm:
     """Form from zero-diagonal pair matrices S, W, built in place: A_s is
     scale_s * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
     A_a is scale_a * anti(W)."""
-    S += S.T
-    S *= 0.5
-    W -= W.T
-    W *= 0.5
+    _symmetrise(S, np.add)
+    _symmetrise(W, np.subtract)
     row_s = -scale_s * np.sum(S, axis=1)
     row_a = -scale_a * np.sum(W, axis=1)
     S *= scale_s
@@ -176,18 +216,82 @@ def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
     return DiscreteForm(grid, S, W, T_s, T_a, meta)
 
 
+def _toeplitz_axes(grid: Grid) -> list[np.ndarray] | None:
+    """The per-axis node coordinates when the nodes are their tensor lattice
+    and every difference a[j] - a[i] along an axis depends on j - i alone,
+    bit for bit; None otherwise.  Checked on the axes, in O(n^2) per axis."""
+    P, d = grid.nodes, grid.d
+    n = round(P.shape[0] ** (1.0 / d))
+    if n ** d != P.shape[0]:
+        return None
+    lattice = P.reshape((n,) * d + (d,))
+    axes = [lattice[(0,) * k + (slice(None),) + (0,) * (d - 1 - k) + (k,)] for k in range(d)]
+    if not np.array_equal(lattice, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)):
+        return None
+    if not all(np.all(a[m:] - a[:-m] == a[m] - a[0]) for a in axes for m in range(1, n)):
+        return None
+    return axes
+
+
+def _stencil_pair_values(axes: list[np.ndarray], *fns) -> list[np.ndarray]:
+    """``pair_values`` of translation-invariant fns from the (2n-1)^d
+    difference stencil: each fn runs once per node offset, on a node pair with
+    that offset, and the N x N arrays are filled as (block-)Toeplitz copies of
+    the stencil through a strided view, with no N x N temporary."""
+    n, d = axes[0].size, len(axes)
+    off = np.arange(-(n - 1), n)
+    # per axis, offset k = j - i is the node pair x = a[max(-k, 0)], y = a[max(k, 0)]
+    ends = [np.meshgrid(*(a[np.maximum(sgn * off, 0)] for a in axes), indexing="ij")
+            for sgn in (-1, 1)]
+    xs, ys = (np.stack(e, axis=-1).reshape(-1, d) for e in ends)
+    live = np.ones(xs.shape[0], dtype=bool)
+    live[xs.shape[0] // 2] = False               # offset zero: the diagonal
+    out = []
+    for fn in fns:
+        stencil = np.zeros(xs.shape[0])
+        stencil[live] = fn(xs[live], ys[live])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            stencil.reshape((2 * n - 1,) * d), (n,) * d)
+        M = np.empty((n ** d, n ** d))
+        # M[i, j] = stencil[j - i]: row i reads the window starting at n-1-i
+        M.reshape((n,) * (2 * d))[...] = windows[(slice(None, None, -1),) * d]
+        out.append(M)
+    return out
+
+
+def _pair_arrays(kernel: Kernel, grid: Grid, profiled: bool) -> list[np.ndarray]:
+    """K_s and K_a on all off-diagonal node pairs, zero diagonal."""
+    axes = _toeplitz_axes(grid) if profiled else None
+    try:
+        if axes is not None:
+            return _stencil_pair_values(axes, kernel.sym, kernel.anti)
+        return pair_values(grid.nodes, kernel.sym, kernel.anti)
+    except ValueError as exc:
+        raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
+
+
+def _tail_weights(kernel: Kernel, grid: Grid, quad: QuadSpec,
+                  part: str, profile) -> np.ndarray:
+    """int_{R^d \\ box} K_part(x_i, y) dy at every node.  On a power-law ray
+    the radial integral from the exit radius s0 is c s0^{-gamma} / gamma,
+    summed with the angular weights; other kernels take the ray rule."""
+    exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
+    if profile is None:
+        return exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
+    dirs, ang_w = directions(grid.d, quad.n_ang)
+    c, gamma = profile
+    return (c / gamma * exit_fn(grid.nodes, dirs) ** -gamma) @ ang_w
+
+
 def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> DiscreteForm:
     if kernel.d != grid.d:
         raise ValueError("kernel/grid dimension mismatch")
     quad = quad or QuadSpec()
-    P = grid.nodes
-    try:
-        Ks, Ka = pair_values(P, kernel.sym, kernel.anti)
-    except ValueError as exc:
-        raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
-    exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
-    T_s, T_a = (2.0 * exterior_tail(kernel.radial_pieces(part), P, exit_fn, grid.d, quad)
-                for part in ("sym", "anti"))
+    dirs, _ = directions(grid.d, quad.n_ang)
+    profiles = {part: kernel.ray_profile(part, dirs) for part in ("sym", "anti")}
+    Ks, Ka = _pair_arrays(kernel, grid, profiles["sym"] is not None)
+    T_s, T_a = (2.0 * _tail_weights(kernel, grid, quad, part, prof)
+                for part, prof in profiles.items())
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
     scale = -2.0 * grid.cell_volume
@@ -268,13 +372,17 @@ def form_value(form: DiscreteForm, mask: np.ndarray | None, u, v,
     weight="sum":        sum (u_i - u_j)(v_i + v_j) K_ij h^{2d}
 
     ``mask`` is a dense boolean pair matrix (None = all off-diagonal pairs);
-    ``part`` selects the kernel matrix: full, sym or anti.
+    ``part`` selects the kernel matrix: full, sym or anti.  With a mask the
+    sums run over the block of the nodes that the mask touches.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    K = {"full": form.k_matrix, "sym": form.ks_matrix, "anti": form.ka_matrix}[part]()
-    if mask is not None:
-        K = np.where(mask, K, 0.0)
+    if mask is None:
+        K = form.part_matrix(part)
+    else:
+        nodes = np.any(mask, axis=1) | np.any(mask, axis=0)
+        K = np.where(mask[np.ix_(nodes, nodes)], form.part_matrix(part, nodes), 0.0)
+        u, v = u[nodes], v[nodes]
     h2d = form.grid.cell_volume ** 2
     Ku = K @ u
     row = np.sum(K, axis=1)
@@ -320,14 +428,16 @@ def layer_cake_weighted_form(form: DiscreteForm, tau: CutoffProfile, u,
     value = sum (u_i-u_j)^2 min(tau_i^2, tau_j^2) K_ij h^{2d}; the identity
     rewrites min(tau_i^2, tau_j^2) = int 1{tau_i^2 >= v} 1{tau_j^2 >= v} dv and
     is exact on the lattice (finitely many levels), which the return value
-    reports for cross-checking.
+    reports for cross-checking.  Both sums run over the block of the nodes
+    where tau is positive, the only pairs with a nonzero weight.
     """
     grid = form.grid
     tv = tau.values_on(grid)
     _check_radial_decreasing(grid, tau, tv)
-    K = {"full": form.k_matrix, "sym": form.ks_matrix, "anti": form.ka_matrix}[part]()
-    u = np.asarray(u, dtype=float)
-    t2 = tv * tv
+    support = tv > 0
+    K = form.part_matrix(part, support)
+    u = np.asarray(u, dtype=float)[support]
+    t2 = tv[support] * tv[support]
     w = np.minimum(t2[:, None], t2[None, :])
     du = u[:, None] - u[None, :]
     h2d = grid.cell_volume ** 2

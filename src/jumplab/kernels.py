@@ -183,6 +183,16 @@ class Kernel:
         """Radii where the kernel jumps (quadrature panel edges are pinned there)."""
         return ()
 
+    def ray_profile(self, part: str, dirs: np.ndarray):
+        """(c, gamma) with part(x, x + s e) = c(e) s^{-d-gamma(e)} for every x,
+        every s > 0 and every direction e in dirs (m, d), or None.
+
+        A kernel that returns a profile is translation invariant and computes
+        K_s, K_a from y - x alone, so equal node differences give equal values
+        bit for bit; assembly relies on both.  The base class makes no claim.
+        """
+        return None
+
     def dual(self) -> "Kernel":
         return _DualKernel(self)
 
@@ -218,6 +228,13 @@ class _DualKernel(Kernel):
     def radial_breaks(self):
         return self.base.radial_breaks()
 
+    def ray_profile(self, part, dirs):
+        prof = self.base.ray_profile(part, dirs)
+        if prof is None or part == "sym":
+            return prof
+        c, gamma = prof
+        return -c, gamma
+
     def dual(self):
         return self.base
 
@@ -250,6 +267,12 @@ class StableKernel(Kernel):
 
     def decay_orders(self, part, dirs):
         return np.full(dirs.shape[0], self.order)
+
+    def ray_profile(self, part, dirs):
+        if part not in ("sym", "anti"):
+            raise ValueError(f"unknown part {part!r}")
+        c = self.coeff if part == "sym" else 0.0
+        return np.full(dirs.shape[0], c), self.decay_orders(part, dirs)
 
 
 class SplitKernel(Kernel):
@@ -482,6 +505,19 @@ class ConeKernel(Kernel):
         if part in ("sym", "full", "anti"):
             out = np.where(in_C, self.beta, self.alpha)
         return out
+
+    def ray_profile(self, part, dirs):
+        # the jump x - y = -s e; C and D are disjoint, so one power per ray
+        ind_C, ind_Cm = self.cone.indicator(-dirs), self.cone.indicator(dirs)
+        if part == "sym":
+            c = 0.5 * (ind_C + ind_Cm)
+            if self.double_cone is not None:
+                c = c + self.double_cone.indicator(dirs)
+        elif part == "anti":
+            c = 0.5 * (ind_C - ind_Cm)
+        else:
+            raise ValueError(f"unknown part {part!r}")
+        return c, self.decay_orders(part, dirs)
 
 
 # --- operations ---------------------------------------------------------------

@@ -14,6 +14,12 @@ end terms close the rule, both built from F(x, x + s e) s^d at the cut radius
 - outer: an infinite tail stops at s_max = s0 * 2**growth_octaves; assuming
   F ~ s^{-d-gamma(e)} beyond it, the missing [s_max, inf) adds
   F(s_max) s_max^d / gamma(e).
+
+Assembly takes its tail weights from this rule only for kernels without a ray
+profile: coefficient, drift, custom (``SplitKernel``) and time-frozen
+kernels; stable and cone kernels get closed-form tails in ``discretize``.
+The assumption checkers (K1, K1glob, Tail, Cutoff) and ``mosco`` use the rule
+for every kernel.
 """
 from __future__ import annotations
 
@@ -117,10 +123,13 @@ def ray_exit_ball(x: np.ndarray, dirs: np.ndarray, center: np.ndarray,
 
 
 def _ray_sum(eval2, x, dirs, lo, hi, d, spec):
-    """(N, m) integrals int_lo^hi F(x, x + s e) s^{d-1} ds along each direction."""
-    s, w = _log_nodes(lo, hi, spec)                          # (N, m, K)
-    y = x[:, None, None, :] + s[..., None] * dirs[None, :, None, :]
-    vals = eval2(x[:, None, None, :], y)
+    """Integrals int_lo^hi F(x, x + s e) s^{d-1} ds, one per ray: the origins
+    x (..., d) and directions dirs (..., d) broadcast against lo and hi, as
+    x[:, None, :] with dirs (m, d) for every (point, direction) pair."""
+    s, w = _log_nodes(lo, hi, spec)                          # (..., K)
+    x = x[..., None, :]
+    y = x + s[..., None] * dirs[..., None, :]
+    vals = eval2(x, y)
     return np.sum(vals * np.power(s, d - 1) * w, axis=-1)
 
 
@@ -151,7 +160,7 @@ def ball_integral(eval2, x: np.ndarray, center, radius: float,
         else:
             caps = ray_exit_ball(xb, dirs, center, radius)  # (N, m)
         for seg_lo, seg_hi in _segments(caps, breaks, spec):
-            total += _ray_sum(eval2, xb, dirs, seg_lo, seg_hi, d, spec) @ ang_w
+            total += _ray_sum(eval2, xb[:, None, :], dirs, seg_lo, seg_hi, d, spec) @ ang_w
         if singular_order is not None and singular_order < d:
             rem = _ray_end(eval2, xb, dirs, spec.s_min_rel * caps, d) / (d - singular_order)
             total += rem @ ang_w
@@ -177,9 +186,9 @@ def exterior_tail(pieces, x: np.ndarray, exit_fn, d: int,
 
     ``pieces`` is a sequence of (eval2, upper, decay_fn); see Kernel.radial_pieces.
     ``exit_fn(x, dirs)`` gives the per-direction start radius (region boundary).
-    Finite-upper pieces are integrated on [s0, upper]; infinite pieces get a
-    truncated log-space rule plus a power-law remainder with the per-direction
-    decay exponent.
+    Finite-upper pieces are integrated on [s0, upper], on the rays with
+    s0 < upper only; infinite pieces get a truncated log-space rule plus a
+    power-law remainder with the per-direction decay exponent.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dirs, ang_w = directions(d, spec.n_ang)
@@ -189,16 +198,16 @@ def exterior_tail(pieces, x: np.ndarray, exit_fn, d: int,
         s0 = exit_fn(xb, dirs)                               # (N, m)
         for eval2, upper, decay_fn in pieces:
             if upper is not None:
-                hi = np.broadcast_to(float(upper), s0.shape)
-                mask = s0 < hi
-                if not np.any(mask):
+                rows, cols = np.nonzero(s0 < upper)
+                if rows.size == 0:
                     continue
-                contrib = _ray_sum(eval2, xb, dirs, np.where(mask, s0, 1.0),
-                                   np.where(mask, hi, 1.0), d, spec)
-                total += np.where(mask, contrib, 0.0) @ ang_w
+                contrib = np.zeros(s0.shape)
+                contrib[rows, cols] = _ray_sum(eval2, xb[rows], dirs[cols], s0[rows, cols],
+                                               float(upper), d, spec)
+                total += contrib @ ang_w
             else:
                 s_max = s0 * (2.0 ** spec.growth_octaves)
-                contrib = _ray_sum(eval2, xb, dirs, s0, s_max, d, spec)
+                contrib = _ray_sum(eval2, xb[:, None, :], dirs, s0, s_max, d, spec)
                 gam = np.asarray(decay_fn(dirs), dtype=float)  # (m,)
                 rem = _ray_end(eval2, xb, dirs, s_max, d) / np.maximum(gam[None, :], 1e-12)
                 total += (contrib + rem) @ ang_w

@@ -632,3 +632,57 @@ def old_log_caccioppoli_lhs(u, form, center, r, rho, shift):
     dlog = logs[:, None] - logs[None, :]
     wmin = np.minimum(tv[:, None] ** 2, tv[None, :] ** 2)
     return float(np.sum(wmin * dlog * dlog * Ks) * grid.cell_volume ** 2)
+
+
+# --- frozen full-matrix restricted form sums --------------------------------
+# form_value and layer_cake_weighted_form as they were before each sum ran over
+# the block of the nodes its pair mask or cutoff support touches: the full
+# N x N pair matrix, masked.  Same terms, other summation order.
+
+def _old_part_matrix(form, part):
+    return {"full": form.k_matrix, "sym": form.ks_matrix, "anti": form.ka_matrix}[part]()
+
+
+def old_form_value(form, mask, u, v, part="full", weight="onesided"):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    K = _old_part_matrix(form, part)
+    if mask is not None:
+        K = np.where(mask, K, 0.0)
+    h2d = form.grid.cell_volume ** 2
+    Ku = K @ u
+    row = np.sum(K, axis=1)
+    if weight == "onesided":
+        val = np.sum(v * (u * row - Ku))
+    elif weight == "difference":
+        Kv = K @ v
+        Kuv = K @ (u * v)
+        val = np.sum(u * v * row - v * Ku - u * Kv + Kuv)
+    else:
+        Kv = K @ v
+        Kuv = K @ (u * v)
+        val = np.sum(u * v * row - v * Ku + u * Kv - Kuv)
+    return float(h2d * val)
+
+
+def old_layer_cake_weighted_form(form, tau, u, part="full"):
+    grid = form.grid
+    tv = tau.values_on(grid)
+    K = _old_part_matrix(form, part)
+    u = np.asarray(u, dtype=float)
+    t2 = tv * tv
+    w = np.minimum(t2[:, None], t2[None, :])
+    du = u[:, None] - u[None, :]
+    h2d = grid.cell_volume ** 2
+    direct = float(np.sum(du * du * w * K) * h2d)
+    levels = np.unique(t2[t2 > 0])[::-1]
+    levels = np.append(levels, 0.0)
+    cake = 0.0
+    for k in range(len(levels) - 1):
+        v_hi, v_lo = levels[k], levels[k + 1]
+        m = t2 >= v_hi
+        sub = K[np.ix_(m, m)]
+        dusub = u[m][:, None] - u[m][None, :]
+        cake += (v_hi - v_lo) * float(np.sum(dusub * dusub * sub) * h2d)
+    return {"value": direct, "layer_cake": cake,
+            "gap": abs(direct - cake) / max(abs(direct), 1e-300)}
