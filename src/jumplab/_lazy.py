@@ -1,0 +1,27 @@
+"""Deferred imports for the heavy numerical back ends.
+
+``lazy_module("scipy.linalg")`` returns a module whose code runs on its first
+attribute access (the ``importlib.util.LazyLoader`` recipe), so a command
+that never factors a matrix never pays for importing scipy.linalg.  Once
+loaded it is an ordinary module: an attribute lookup costs what it always
+does, and ``setattr`` on it patches the real module.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+
+
+def lazy_module(name: str):
+    """The module ``name``, loaded on first use unless it is imported already."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module

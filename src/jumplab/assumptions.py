@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid, kernel_alpha
 from .kernels import Kernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
+
+sla = lazy_module("scipy.linalg")
 
 INF = float("inf")
 

@@ -5,6 +5,10 @@ kernel hash, resolution metadata), per-harness CSV/JSON reports and a short
 human-readable summary into the output directory.  Fixed seed and config give
 byte-identical CSVs. Exit codes: 2 for config errors (with a field path),
 3 for numerical failures.
+
+Start-up imports numpy and the package only: configs are checked by
+``_check``, a walker over the JSON Schema keywords ``SCHEMA`` uses, and scipy
+loads on the first factorisation or stable-kernel normalisation.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -138,14 +143,58 @@ class ConfigError(Exception):
     pass
 
 
-def _validate(config: dict) -> dict:
-    import jsonschema
+# (keyword, failing comparison, message) of the numeric bounds, as JSON Schema words them
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"),
+)
+_TYPES = {"object": dict, "array": list, "string": str, "null": type(None)}
 
-    try:
-        jsonschema.validate(config, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise ConfigError(f"{path}: {exc.message}") from None
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema types: a bool is no number, and 1.0 is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _check(value, schema: dict, path: tuple = ()):
+    """Raise a ConfigError at the first place where value breaks schema.
+
+    Covers the keywords SCHEMA uses: type, enum, the four numeric bounds,
+    required, properties and items.
+    """
+    where = "$" + "".join(f"[{p!r}]" for p in path)
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(value, t) for t in types):
+        raise ConfigError(f"{where}: {value!r} is not of type {', '.join(map(repr, types))}")
+    enum = schema.get("enum")
+    if enum is not None and not any(value == e and isinstance(value, bool) == isinstance(e, bool)
+                                    for e in enum):
+        raise ConfigError(f"{where}: {value!r} is not one of {enum!r}")
+    if _is_type(value, "number"):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                raise ConfigError(f"{where}: {value!r} is {words} {schema[key]!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{where}: {key!r} is a required property")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, path + (key,))
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], path + (i,))
+
+
+def _validate(config: dict) -> dict:
+    _check(config, SCHEMA)
     return config
 
 

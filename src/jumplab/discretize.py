@@ -182,7 +182,7 @@ def kernel_alpha(form: DiscreteForm) -> float:
                          "form.meta['kernel']['alpha']") from None
 
 
-_TILE = 256   # tile edge of the in-place symmetrisation
+_TILE = 256   # tile edge of the in-place symmetrisation, row block of form_value
 
 
 def _symmetrise(M: np.ndarray, op) -> None:
@@ -384,21 +384,18 @@ def form_value(form: DiscreteForm, mask: np.ndarray | None, u, v,
         K = np.where(mask[np.ix_(nodes, nodes)], form.part_matrix(part, nodes), 0.0)
         u, v = u[nodes], v[nodes]
     h2d = form.grid.cell_volume ** 2
-    Ku = K @ u
-    row = np.sum(K, axis=1)
     if weight == "onesided":
-        val = np.sum(v * (u * row - Ku))
-    elif weight == "difference":
-        Kv = K @ v
-        Kuv = K @ (u * v)
-        val = np.sum(u * v * row - v * Ku - u * Kv + Kuv)
-    elif weight == "sum":
-        Kv = K @ v
-        Kuv = K @ (u * v)
-        val = np.sum(u * v * row - v * Ku + u * Kv - Kuv)
-    else:
+        return float(h2d * np.sum(v * (u * np.sum(K, axis=1) - K @ u)))
+    if weight not in ("difference", "sum"):
         raise ValueError(f"unknown weight {weight!r}")
-    return float(h2d * val)
+    # the pair terms themselves, in row blocks: the matvec expansion
+    # u v row - v Ku -/+ u Kv +/- K(uv) of this sum cancels
+    pair = np.subtract if weight == "difference" else np.add
+    val = 0.0
+    for lo in range(0, len(u), _TILE):
+        rows = slice(lo, lo + _TILE)
+        val += float(np.sum(K[rows] * np.subtract.outer(u[rows], u) * pair.outer(v[rows], v)))
+    return h2d * val
 
 
 def carre_du_champ(form: DiscreteForm, tau: CutoffProfile) -> dict:

@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
+
+from ._lazy import lazy_module
+
+_special = lazy_module("scipy.special")
 
 MIN_SEPARATION = 1e-14
 
@@ -35,8 +38,9 @@ def c_alpha_norm(d: int, alpha: float) -> float:
         raise ValueError(f"order alpha must lie in (0, 2), got {alpha}")
     if d < 1 or int(d) != d:
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    return (2.0 ** alpha) * _gamma((d + alpha) / 2.0) / (
-        math.pi ** (d / 2.0) * abs(_gamma(-alpha / 2.0)))
+    gamma = _special.gamma
+    return (2.0 ** alpha) * gamma((d + alpha) / 2.0) / (
+        math.pi ** (d / 2.0) * abs(gamma(-alpha / 2.0)))
 
 
 def _check_separation(x, y):

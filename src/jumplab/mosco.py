@@ -15,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid, _completed_form, assemble
 from .kernels import (Kernel, c_alpha_norm, make_coefficient_kernel, make_drift_kernel,
                       make_stable_kernel)
 from .quadrature import QuadSpec, ball_integral
 from .solve import resolvent_solve
+
+sla = lazy_module("scipy.linalg")
 
 
 @dataclass

@@ -16,7 +16,12 @@ One ``_InteriorSystem`` per (form, variant) holds A_II, A_IC, T_I and the
 drift load; the stepper factors I + theta dt A_II from it, the resolvent
 lam I + A_II.  For a fixed ``DiscreteForm`` whose collar datum and source are
 not callable, the load r is built once per solve and A_IC is then dropped; a
-callable collar is evaluated once per step, at the new time.
+callable collar is evaluated once per step, at the new time.  A time-dependent
+form is assembled once per time slice, also under theta < 1.
+
+``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``); it
+is a module global read at call time, so replacing ``solve.sla`` reroutes
+every ``lu_factor`` and ``lu_solve``.
 """
 from __future__ import annotations
 
@@ -25,9 +30,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid
+
+sla = lazy_module("scipy.linalg")
 
 RESIDUAL_TOL = 1e-10
 
@@ -137,18 +144,26 @@ class _InteriorSystem:
 
 
 class _Stepper:
-    """The factored interior system, cached per time for time-dependent forms."""
+    """The factored interior system, cached per time for time-dependent forms.
 
-    def __init__(self, problem: ParabolicProblem):
+    Under theta < 1 the explicit part of a step at t reuses the implicit
+    system of the previous step (its A_II is kept) when that step ended at t
+    bit for bit, or ``form0`` when t is ``form0_t``; only a step that starts
+    elsewhere assembles its explicit slice anew.
+    """
+
+    def __init__(self, problem: ParabolicProblem, form0: DiscreteForm | None = None,
+                 form0_t: float | None = None):
         self.problem = problem
         self._key = self._system = None
+        self._form0, self._form0_t = form0, form0_t
         self._static = not (problem.time_dependent or callable(problem.collar)
                             or callable(problem.f))
         self._r = self._g = None      # load and collar entries when _static
 
     def matrices(self, t_new: float) -> _InteriorSystem:
         p = self.problem
-        key = round(t_new, 12) if p.time_dependent else None
+        key = t_new if p.time_dependent else None
         if self._system is not None and key == self._key:
             return self._system
         system = _InteriorSystem(p.form_at(t_new), p.variant)
@@ -160,16 +175,25 @@ class _Stepper:
         self._key, self._system = key, system
         return system
 
+    def _explicit(self, t: float) -> _InteriorSystem:
+        """The system at t for the explicit part of a time-dependent step."""
+        if self._system is not None and t == self._key:
+            return self._system
+        form = self._form0 if t == self._form0_t else self.problem.form_at(t)
+        return _InteriorSystem(form, self.problem.variant)
+
     def step(self, u_full: np.ndarray, t: float):
         p = self.problem
         t_new = t + p.dt
+        # the explicit slice first: matrices() replaces the previous step's system
+        old = self._explicit(t) if p.theta < 1.0 and p.time_dependent else None
         system = self.matrices(t_new)
+        old = system if old is None else old
         I = system.I
         g_new = self._g if self._static else _datum(p.collar, t_new, system.form.grid, ~I)
         u_I = u_full[I]
         b = u_I.copy()
         if p.theta < 1.0:
-            old = _InteriorSystem(p.form_at(t), p.variant) if p.time_dependent else system
             b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I)
             b = b + p.dt * (1.0 - p.theta) * (self._r if self._static else old.load(p, t))
         b = b + p.dt * p.theta * (self._r if self._static else system.load(p, t_new, g_new))
@@ -209,7 +233,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     snaps = np.empty((n_steps + 1, grid.n_nodes))
     snaps[0] = u
     residuals = np.empty(n_steps)
-    stepper = _Stepper(problem)
+    stepper = _Stepper(problem, form, problem.t_start)
     for k in range(n_steps):
         u, residuals[k] = stepper.step(u, times[k])
         snaps[k + 1] = u

@@ -1,0 +1,108 @@
+"""form_value sums its pair terms directly; a theta < 1 run assembles each
+time slice once."""
+import numpy as np
+import pytest
+
+from _oracles import old_solve_parabolic
+from jumplab import (
+    ParabolicProblem,
+    QuadSpec,
+    assemble,
+    assemble_time,
+    build_grid,
+    form_value,
+    solve_parabolic,
+    time_modulate,
+)
+from jumplab.discretize import pair_mask_ball, pair_mask_level
+
+
+@pytest.fixture(scope="module")
+def cone_form_2d(cone_kernel_2d):
+    grid = build_grid(2, 1.0, 1 / 16, {"type": "ball", "radius": 0.75})
+    assert grid.n_nodes == 1024
+    return assemble(cone_kernel_2d, grid, quad=QuadSpec(n_ang=32, n_panels=20))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float here")
+def test_difference_and_sum_weights_match_a_longdouble_pair_sum(cone_form_2d):
+    F = cone_form_2d
+    x = F.grid.nodes
+    u = 1.0 + 0.5 * np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1])
+    v = np.cos(x[:, 0] - 0.5 * x[:, 1])
+    ball = pair_mask_ball(F.grid, (0.1, -0.05), 0.4)
+    wide = pair_mask_ball(F.grid, (0.1, -0.05), 0.6)     # touches > 256 nodes: 2 row blocks
+    assert np.sum(np.any(wide, axis=0)) > 256
+    ul, vl = u.astype(np.longdouble), v.astype(np.longdouble)
+    h2d = np.longdouble(F.grid.cell_volume) ** 2
+    checked = 0
+    for mask in (ball, ball & pair_mask_level(u), wide):
+        for part in ("full", "sym", "anti"):
+            K = np.where(mask, F.part_matrix(part), 0.0).astype(np.longdouble)
+            for weight, pair in (("difference", np.subtract), ("sum", np.add)):
+                terms = K * np.subtract.outer(ul, ul) * pair.outer(vl, vl)
+                exact, size = np.sum(terms) * h2d, np.sum(np.abs(terms)) * h2d
+                value = form_value(F, mask, u, v, part=part, weight=weight)
+                if size <= 4 * abs(exact):       # a well-conditioned pair sum
+                    assert abs(value - exact) <= 1e-14 * abs(exact), (part, weight)
+                    checked += 1
+                else:                            # zero by symmetry up to rounding
+                    assert abs(value - exact) <= 1e-15 * size, (part, weight)
+    assert checked >= 12
+
+
+def test_form_value_rejects_an_unknown_weight(cone_form_2d):
+    u = np.ones(cone_form_2d.grid.n_nodes)
+    with pytest.raises(ValueError, match="unknown weight"):
+        form_value(cone_form_2d, None, u, u, weight="max")
+
+
+def _counted_problem(grid, tk, t_start, dt, theta):
+    calls, cache = [], {}
+
+    def form_fn(t):
+        calls.append(t)
+        return assemble_time(tk, grid, t, _cache=cache)
+
+    u0 = 1.0 + 0.3 * np.cos(2.0 * grid.nodes[:, 0])
+    return ParabolicProblem(form_fn, u0, t_start, t_start + 5 * dt, dt, collar=0.5,
+                            exterior=0.2, theta=theta), calls
+
+
+@pytest.fixture
+def modulated(sin_coefficient_kernel):
+    return time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
+                         0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
+
+
+def test_crank_nicolson_assembles_each_slice_once(grid_1d, modulated):
+    p, calls = _counted_problem(grid_1d, modulated, 0.0, 1 / 8, 0.5)
+    sol = solve_parabolic(p)
+    assert sol.meta["n_steps"] == 5
+    assert calls == [k / 8 for k in range(6)]
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("t_start", [0.0, 0.7])
+def test_slice_reuse_is_exact_and_keyed_on_the_float(grid_1d, modulated, t_start, theta):
+    p, calls = _counted_problem(grid_1d, modulated, t_start, 0.1, theta)
+    sol = solve_parabolic(p)
+    times = sol.times
+    # a step starts at times[k]; the previous one ended at times[k - 1] + dt,
+    # which for t_start = 0.7 differs from times[k] in the last bit at k = 3
+    misses = [k for k in range(1, len(times) - 1) if times[k] != times[k - 1] + p.dt]
+    assert bool(misses) == (t_start == 0.7)
+    expected = [times[0]]
+    for k in range(len(times) - 1):
+        if theta < 1.0 and k in misses:
+            expected.append(times[k])          # explicit slice, assembled anew
+        expected.append(times[k] + p.dt)       # implicit slice
+    assert calls == expected
+    cache = {}
+    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, t, _cache=cache),
+                              p.u0, p.t_start, p.t_end, p.dt, collar=p.collar,
+                              exterior=p.exterior, theta=theta)
+    old_times, old_snaps, _ = old_solve_parabolic(frozen)
+    assert np.array_equal(sol.times, old_times)
+    assert np.array_equal(sol.snapshots, old_snaps)

@@ -1,0 +1,181 @@
+"""Start-up cost: scipy loads on a command's first factorisation, and configs
+are checked without jsonschema (which serves here as the oracle of the check)."""
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import jumplab
+from jumplab import ParabolicProblem, resolvent_solve, solve_parabolic
+from jumplab import solve as solve_module
+from jumplab._lazy import lazy_module
+from jumplab.cli import _RUNNERS, SCHEMA, ConfigError, _check, _default_config, _validate
+
+jsonschema = pytest.importorskip("jsonschema")
+
+SRC = Path(jumplab.__file__).resolve().parent.parent
+HEAVY = ("scipy.linalg._basic", "scipy._lib._array_api", "scipy.special._ufuncs")
+
+_PROBE = """
+import json, sys, types
+import jumplab, jumplab.cli
+from jumplab import solve
+from jumplab.cli import main
+
+heavy = {heavy!r}
+seen = {{}}
+for cmd in ("assemble", "algebra-tests"):
+    assert main([cmd, "--out", sys.argv[1] + "/" + cmd]) == 0
+seen["presets"] = [m for m in heavy + ("jsonschema",) if m in sys.modules]
+seen["sla_loaded"] = type(solve.sla) is types.ModuleType
+assert main(["harnack", "--ensemble", "1", "--out", sys.argv[1] + "/harnack"]) == 0
+seen["harnack"] = [m for m in heavy + ("jsonschema",) if m in sys.modules]
+seen["sla_is_module"] = solve.sla is sys.modules["scipy.linalg"]
+seen["sla_loaded_after"] = type(solve.sla) is types.ModuleType
+print(json.dumps(seen))
+"""
+
+
+def test_presets_run_without_scipy_linalg_special_or_jsonschema(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(heavy=HEAVY), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert seen["presets"] == [] and not seen["sla_loaded"]
+    # harnack factors a matrix: scipy.linalg loads on that first use
+    assert "scipy.linalg._basic" in seen["harnack"]
+    assert "jsonschema" not in seen["harnack"]
+    assert seen["sla_is_module"] and seen["sla_loaded_after"]
+
+
+def test_lazy_module_returns_an_imported_module_itself():
+    assert lazy_module("json") is json
+    assert lazy_module("scipy.linalg") is sys.modules["scipy.linalg"] is solve_module.sla
+
+
+class _CountingLinalg:
+    def __init__(self, real):
+        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def lu_factor(self, *args, **kwargs):
+        self.calls["lu_factor"] += 1
+        return self.real.lu_factor(*args, **kwargs)
+
+    def lu_solve(self, *args, **kwargs):
+        self.calls["lu_solve"] += 1
+        return self.real.lu_solve(*args, **kwargs)
+
+
+def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypatch):
+    counting = _CountingLinalg(solve_module.sla)
+    monkeypatch.setattr(solve_module, "sla", counting)
+    n = stable_form_1d.grid.n_nodes
+    sol = solve_parabolic(ParabolicProblem(stable_form_1d, np.ones(n), 0.0, 0.05, 0.01,
+                                           collar=0.5))
+    assert counting.calls["lu_factor"] == 1
+    assert counting.calls["lu_solve"] >= sol.meta["n_steps"] == 5
+    resolvent_solve(stable_form_1d, 2.0, np.ones(n))
+    assert counting.calls["lu_factor"] == 2
+
+
+# --- the config check against jsonschema --------------------------------------
+
+def _schema_nodes(schema, path=()):
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_nodes(sub, path + (key,))
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"], path + (0,))
+
+
+SCHEMA_PATHS = [p for p, _ in _schema_nodes(SCHEMA) if p]
+ENUM_WORDS = sorted({e for _, s in _schema_nodes(SCHEMA) for e in s.get("enum", ())}
+                    | {"inf", "", "Stable"})
+EDGES = [0, 0.0, -0.0, 0.5, 0.4999999999999999, 1, 1.0, 1.5, 2, 2.0, 1.9999999999999998,
+         3, -1, 1e-300, math.inf, -math.inf, math.nan, True, False, None, [], {},
+         [1.0, 2], [True], ["a"], {"axis": [1.0]}]
+VALUES = st.one_of(st.sampled_from(EDGES), st.sampled_from(ENUM_WORDS),
+                   st.integers(-3, 6), st.floats(-3.0, 3.0),
+                   st.lists(st.one_of(st.floats(-2, 2), st.booleans(), st.text(max_size=2)),
+                            max_size=3))
+MUTATIONS = st.lists(st.tuples(st.sampled_from(SCHEMA_PATHS),
+                               st.one_of(st.just("delete"), VALUES.map(lambda v: ("set", v)))),
+                     max_size=3)
+
+
+def _mutate(config, path, action):
+    node = config
+    for key in path[:-1]:
+        if isinstance(node, dict):
+            node = node.setdefault(key, {})
+        elif isinstance(node, list) and node:
+            node = node[0]
+        else:
+            return
+    last = path[-1]
+    if isinstance(node, list):
+        if node and action != "delete":
+            node[0] = action[1]
+    elif isinstance(node, dict):
+        if action == "delete":
+            node.pop(last, None)
+        else:
+            node[last] = action[1]
+
+
+def _errors(config):
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    return {"$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
+            for e in validator.iter_errors(config)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(_RUNNERS)), mutations=MUTATIONS)
+def test_config_check_agrees_with_jsonschema(kind, mutations):
+    config = json.loads(json.dumps(_default_config(kind)))
+    for path, action in mutations:
+        _mutate(config, path, action)
+    errors = _errors(config)
+    try:
+        _validate(config)
+    except ConfigError as exc:
+        assert str(exc) in errors          # a real error, worded and placed as jsonschema does
+    else:
+        assert not errors
+
+
+@pytest.mark.parametrize("value", [True, False, 1, 1.0, 2, 0, "a", None, [1]])
+@pytest.mark.parametrize("schema", [
+    {"enum": [1, "a"]},
+    {"enum": [True]},
+    {"type": "integer", "minimum": 1, "exclusiveMaximum": 2},
+    {"type": ["number", "null"], "exclusiveMinimum": 0},
+    {"type": "array", "items": {"type": "integer"}},
+])
+def test_json_schema_rules_for_bools_and_integers(schema, value):
+    try:
+        _check(value, schema)
+        ours = True
+    except ConfigError:
+        ours = False
+    assert ours == jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
+def test_error_keeps_the_field_path():
+    config = _default_config("harnack")
+    config["kernel"]["alpha"] = 2
+    with pytest.raises(ConfigError, match=r"^\$\['kernel'\]\['alpha'\]: 2 is greater than or "
+                                          r"equal to the maximum of 2$"):
+        _validate(config)
+    del config["kernel"]["alpha"]
+    with pytest.raises(ConfigError, match=r"^\$\['kernel'\]: 'alpha' is a required property$"):
+        _validate(config)
