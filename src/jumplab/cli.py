@@ -239,7 +239,26 @@ def _exp(value):
     return float(value)
 
 
+# the runners, and the check-kernel assumptions, that assemble a form of the
+# configured kernel on the configured grid
+_FORM_RUNNERS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli"}
+_FORM_ASSUMPTIONS = {"Poinc", "Sob", "coercivity"}
+
+
 def _build_kernel_grid(config):
+    harness = config["harness"]
+    kind = harness["type"]
+    if kind in _FORM_RUNNERS or (kind == "check-kernel"
+                                 and harness.get("assumption", "K1") in _FORM_ASSUMPTIONS):
+        required = ("kernel", "grid")
+    else:
+        required = ("kernel",) if kind == "check-kernel" else ()
+    for key in required:
+        if key not in config:
+            raise ConfigError(f"$['{key}']: required for {kind}")
+    if "kernel" in config and "grid" in config and config["kernel"]["d"] != config["grid"]["d"]:
+        raise ConfigError(f"$['grid']['d']: {config['grid']['d']} does not match "
+                          f"$['kernel']['d'] = {config['kernel']['d']}")
     kernel = kernel_from_config(config["kernel"]) if "kernel" in config else None
     grid = None
     if "grid" in config:
@@ -279,8 +298,6 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 def _run_check_kernel(config, out_dir, kernel, grid):
     harness = config["harness"]
-    if kernel is None:
-        raise ConfigError("$['kernel']: required for check-kernel")
     d = kernel.d
     center = tuple(harness.get("center", [0.0] * d))
     R = float(harness.get("R", 0.5))
@@ -345,8 +362,6 @@ def _run_check_kernel(config, out_dir, kernel, grid):
 
 
 def _run_assemble(config, out_dir, kernel, grid):
-    if kernel is None or grid is None:
-        raise ConfigError("$['kernel'] and $['grid'] are required for assemble")
     form = assemble(kernel, grid)
     dump = config["harness"].get("dump_form")
     if dump:
@@ -552,8 +567,7 @@ DEFAULT_GRID = {"d": 1, "X": 2.0, "h": 1 / 32,
 
 def _default_config(kind: str) -> dict:
     cfg = {"harness": {"type": kind}}
-    if kind in ("check-kernel", "assemble", "solve", "harnack", "hoelder",
-                "caccioppoli"):
+    if kind in _FORM_RUNNERS | {"check-kernel"}:
         cfg["kernel"] = dict(DEFAULT_KERNEL)
         cfg["grid"] = dict(DEFAULT_GRID)
     if kind == "hoelder":

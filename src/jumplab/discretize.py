@@ -12,8 +12,9 @@ excluded; its omitted principal-value contribution is O(h^{2-alpha}) on C^2
 fields and is documented rather than corrected.
 
 Power-law kernels.  A kernel with a ray profile (``Kernel.ray_profile``: the
-stable and cone families and their duals) is translation invariant and equals
-c(e) s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
+stable and cone families, their duals and their time slices under a
+separable modulation) is translation invariant and equals c(e)
+s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
 
 - pairs: K_s and K_a run once per node offset on the (2n-1)^d difference
   stencil, and the N x N pair arrays are filled as (block-)Toeplitz copies of
@@ -80,8 +81,7 @@ class Grid:
         return np.sqrt(np.sum((self.nodes - c) ** 2, axis=-1))
 
 
-def build_grid(d: int, X: float, h: float, omega: dict | None = None,
-               node_cap: int = NODE_CAP) -> Grid:
+def build_grid(d: int, X: float, h: float, omega: dict | None = None) -> Grid:
     """Cell-centered grid; omega is {"type": "box", "halfwidth": w} or
     {"type": "ball", "radius": r} (optionally with "center")."""
     if d not in (1, 2):
@@ -90,8 +90,8 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None,
     if abs(n_axis - round(n_axis)) > 1e-9 * max(1.0, n_axis):
         raise ValueError(f"h={h} does not divide the box width 2X={2 * X}")
     n_axis = int(round(n_axis))
-    if n_axis ** d > node_cap:
-        raise ValueError(f"node count {n_axis ** d} exceeds the dense cap {node_cap}")
+    if n_axis ** d > NODE_CAP:
+        raise ValueError(f"node count {n_axis ** d} exceeds the dense cap {NODE_CAP}")
     axis = -X + (np.arange(n_axis) + 0.5) * h
     if d == 1:
         nodes = axis[:, None]
@@ -202,16 +202,16 @@ def _symmetrise(M: np.ndarray, op) -> None:
 
 
 def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
-                    meta: dict, scale_s: float, scale_a: float) -> DiscreteForm:
+                    meta: dict, scale: float) -> DiscreteForm:
     """Form from zero-diagonal pair matrices S, W, built in place: A_s is
-    scale_s * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
-    A_a is scale_a * anti(W)."""
+    scale * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
+    A_a is scale * anti(W)."""
     _symmetrise(S, np.add)
     _symmetrise(W, np.subtract)
-    row_s = -scale_s * np.sum(S, axis=1)
-    row_a = -scale_a * np.sum(W, axis=1)
-    S *= scale_s
-    W *= scale_a
+    row_s = -scale * np.sum(S, axis=1)
+    row_a = -scale * np.sum(W, axis=1)
+    S *= scale
+    W *= scale
     np.fill_diagonal(S, row_s + T_s + row_a + T_a)
     return DiscreteForm(grid, S, W, T_s, T_a, meta)
 
@@ -294,8 +294,7 @@ def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> Discre
                 for part, prof in profiles.items())
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
-    scale = -2.0 * grid.cell_volume
-    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, scale, scale)
+    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, -2.0 * grid.cell_volume)
 
 
 def transpose_form(form: DiscreteForm) -> DiscreteForm:
@@ -308,24 +307,9 @@ def transpose_form(form: DiscreteForm) -> DiscreteForm:
 
 
 def assemble_time(time_kernel: TimeKernel, grid: Grid, t: float,
-                  quad: QuadSpec | None = None,
-                  _cache: dict | None = None) -> DiscreteForm:
-    """Per-time-slice assembly; separable modulations rescale the base split."""
-    if time_kernel.separable:
-        cache = _cache if _cache is not None else {}
-        if "base" not in cache:
-            cache["base"] = assemble(time_kernel.base, grid, quad=quad)
-        base = cache["base"]
-        a = float(time_kernel.a(t))
-        s = float(time_kernel.ka_scale(t))
-        S = base.A_s.copy()
-        np.fill_diagonal(S, 0.0)
-        meta = dict(base.meta)
-        meta["t"] = t
-        return _completed_form(grid, S, base.A_a.copy(), a * base.tail_sym,
-                               s * base.tail_anti, meta, a, s)
-    frozen = time_kernel.at(t)
-    form = assemble(frozen, grid, quad=quad)
+                  quad: QuadSpec | None = None) -> DiscreteForm:
+    """Form of the time slice ``time_kernel.at(t)``; meta["t"] records t."""
+    form = assemble(time_kernel.at(t), grid, quad=quad)
     form.meta["t"] = t
     return form
 

@@ -198,24 +198,29 @@ class Kernel:
         return None
 
     def dual(self) -> "Kernel":
-        return _DualKernel(self)
+        """K(y, x): the same symmetric part and the drift negated."""
+        return _ScaledKernel(self, 1.0, -1.0)
 
 
-class _DualKernel(Kernel):
-    """View of K with swapped arguments: same symmetric part, negated drift."""
+class _ScaledKernel(Kernel):
+    """View of a base kernel with K_s = sym_scale * base.sym and K_a =
+    anti_scale * base.anti: the dual is (1, -1), a time slice (a(t),
+    ka_scale(t)).  ``sym_scale`` is a number or a symmetric field (x, y) ->
+    array; orders, support, breaks and decay are the base's, and the ray
+    profile is the base's with c scaled (None under a field)."""
 
-    def __init__(self, base: Kernel):
+    def __init__(self, base: Kernel, sym_scale, anti_scale: float):
         self.base = base
+        self.sym_scale = sym_scale
+        self.anti_scale = anti_scale
         self.spec = base.spec
 
-    def __call__(self, x, y):
-        return self.base(y, x)
-
     def sym(self, x, y):
-        return self.base.sym(x, y)
+        scale = self.sym_scale(x, y) if callable(self.sym_scale) else self.sym_scale
+        return scale * self.base.sym(x, y)
 
     def anti(self, x, y):
-        return -self.base.anti(x, y)
+        return self.anti_scale * self.base.anti(x, y)
 
     def sym_diag_order(self):
         return self.base.sym_diag_order()
@@ -234,13 +239,15 @@ class _DualKernel(Kernel):
 
     def ray_profile(self, part, dirs):
         prof = self.base.ray_profile(part, dirs)
-        if prof is None or part == "sym":
-            return prof
+        if prof is None or callable(self.sym_scale):
+            return None
         c, gamma = prof
-        return -c, gamma
+        return (self.sym_scale if part == "sym" else self.anti_scale) * c, gamma
 
     def dual(self):
-        return self.base
+        if (self.sym_scale, self.anti_scale) == (1.0, -1.0):
+            return self.base
+        return super().dual()
 
 
 class StableKernel(Kernel):
@@ -505,10 +512,7 @@ class ConeKernel(Kernel):
 
     def decay_orders(self, part, dirs):
         in_C = (self.cone.indicator(dirs) + self.cone.indicator(-dirs)) > 0
-        out = np.full(dirs.shape[0], self.alpha)
-        if part in ("sym", "full", "anti"):
-            out = np.where(in_C, self.beta, self.alpha)
-        return out
+        return np.where(in_C, self.beta, self.alpha)
 
     def ray_profile(self, part, dirs):
         # the jump x - y = -s e; C and D are disjoint, so one power per ray
@@ -556,64 +560,56 @@ def decompose(kernel: Kernel, x, y):
     return 0.5 * (kxy + kyx), 0.5 * (kxy - kyx)
 
 
+_VALIDATION_TIMES = (0.0, 0.5, 1.0)   # where TimeKernel checks a and ka_scale
+
+
 class TimeKernel:
     """k(t;x,y) = a(t;x,y) K_s(x,y) + s(t) K_a(x,y) with a in [lam, Lam].
 
-    ``a`` may be a scalar-valued function of t alone (separable modulation,
-    fast assembly path) or a full a(t, x, y) field; ``ka_scale`` modulates the
-    drift part, |s| <= 1 keeps the kernel admissible.
+    ``a`` may be a scalar-valued function of t alone (separable modulation)
+    or a full a(t, x, y) field; ``ka_scale`` modulates the drift part, |s| <= 1
+    keeps the kernel admissible.  Under a separable modulation a time slice
+    keeps the base's ray profile (see ``at``).
     """
 
-    def __init__(self, base: Kernel, a, lam: float, Lam: float,
-                 ka_scale=None, *, validate_times=(0.0, 0.5, 1.0)):
+    def __init__(self, base: Kernel, a, lam: float, Lam: float, ka_scale=None):
         if not (0.0 < lam <= Lam < math.inf):
             raise ValueError("need 0 < lam <= Lam < inf")
         self.base = base
         self.lam = float(lam)
         self.Lam = float(Lam)
         self.ka_scale = ka_scale if ka_scale is not None else (lambda t: 1.0)
-        n_args = len(inspect.signature(a).parameters)
-        self.separable = n_args == 1
+        self.separable = len(inspect.signature(a).parameters) == 1
         self.a = a
-        for t in validate_times:
-            (av,) = _lattice_pair_values(base.d, lambda x, y: self._a_vals(t, x, y), n=4)
+        for t in _VALIDATION_TIMES:
+            k = self.at(t)
+            av = k.sym_scale
+            if callable(av):
+                (av,) = _lattice_pair_values(base.d, av, n=4)
             if np.any(av < lam - 1e-12) or np.any(av > Lam + 1e-12):
                 raise ValueError(f"modulation leaves [lam, Lam] at t={t}")
-            sv = float(self.ka_scale(t))
-            if abs(sv) > 1.0 + 1e-12:
+            if abs(k.anti_scale) > 1.0 + 1e-12:
                 raise ValueError(f"|ka_scale(t)| > 1 at t={t}")
 
-    def _a_vals(self, t, x, y):
-        if self.separable:
-            return np.full(np.broadcast_shapes(np.asarray(x).shape[:-1],
-                                               np.asarray(y).shape[:-1]),
-                           float(self.a(t)))
-        va = np.asarray(self.a(t, x, y), dtype=float)
-        return 0.5 * (va + np.asarray(self.a(t, y, x), dtype=float))
-
-    def at(self, t: float):
-        """Freeze time: returns a SplitKernel evaluating k(t; x, y)."""
-        s = float(self.ka_scale(t))
+    def at(self, t: float) -> Kernel:
+        """Freeze time: the base kernel with K_s scaled by a(t) (by the
+        symmetrised field a(t; x, y) when a is not separable) and K_a by
+        ka_scale(t)."""
         if self.separable:
             a = float(self.a(t))
-            sym_fn = lambda x, y: a * self.base.sym(x, y)
         else:
-            sym_fn = lambda x, y: self._a_vals(t, x, y) * self.base.sym(x, y)
-        anti_fn = lambda x, y: s * self.base.anti(x, y)
-        k = SplitKernel(self.base.d, self.base.alpha, sym_fn, anti_fn,
-                        anti_diag_order=self.base.anti_diag_order(),
-                        anti_support=self.base.anti_support(), validate=False)
-        return k
+            a = lambda x, y: 0.5 * (np.asarray(self.a(t, x, y), dtype=float)
+                                    + np.asarray(self.a(t, y, x), dtype=float))
+        return _ScaledKernel(self.base, a, float(self.ka_scale(t)))
 
     def __call__(self, t, x, y):
-        return (self._a_vals(t, x, y) * self.base.sym(x, y)
-                + float(self.ka_scale(t)) * self.base.anti(x, y))
+        return self.at(t)(x, y)
 
     def sym_at(self, t, x, y):
-        return self._a_vals(t, x, y) * self.base.sym(x, y)
+        return self.at(t).sym(x, y)
 
     def anti_at(self, t, x, y):
-        return float(self.ka_scale(t)) * self.base.anti(x, y)
+        return self.at(t).anti(x, y)
 
 
 def time_modulate(base: Kernel, a, lam: float, Lam: float,

@@ -351,7 +351,7 @@ def assemble_corrected(kernel: Kernel, grid: Grid,
     S += corr
     W += corr
     return _completed_form(grid, S, W, form.tail_sym, form.tail_anti,
-                           dict(form.meta, corrected=True), 1.0, 1.0)
+                           dict(form.meta, corrected=True), 1.0)
 
 
 def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarray:

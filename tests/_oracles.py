@@ -298,7 +298,7 @@ def old_assemble_corrected(kernel, grid, quad=None):
     S += corr
     W += corr
     return _completed_form(grid, S, W, form.tail_sym, form.tail_anti,
-                           dict(form.meta, corrected=True), 1.0, 1.0)
+                           dict(form.meta, corrected=True), 1.0)
 
 
 def old_form_table(family, u, v, grid, ball_center, ball_radius, alphas, quad=None):

@@ -30,6 +30,25 @@ class TestValidation:
                                               "alpha": 5.0}}))
         assert run(["harnack", "--config", bad, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("command, drop, grid_d, path", [
+        ("solve", "kernel", 1, "$['kernel']"),
+        ("harnack", "grid", 1, "$['grid']"),
+        ("assemble", None, 2, "$['grid']['d']"),
+        ("check-kernel", "grid", 1, "$['grid']"),
+        ("check-kernel", "kernel", 1, "$['kernel']"),
+    ])
+    def test_missing_or_mismatched_kernel_grid_exits_2(self, tmp_path, capsys,
+                                                       command, drop, grid_d, path):
+        cfg = _default_config(command)
+        cfg["grid"]["d"] = grid_d
+        cfg.pop(drop, None)
+        if command == "check-kernel":
+            cfg["harness"]["assumption"] = "Poinc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run([command, "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
+
     def test_unparsable_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

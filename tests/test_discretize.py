@@ -270,15 +270,19 @@ class TestTimeAssembly:
         timed = assemble_time(tk, grid_1d, 0.3)
         np.testing.assert_allclose(timed.A, static.A, rtol=1e-12, atol=1e-14)
 
-    def test_separable_fast_path_matches_full_reassembly(self, grid_1d,
-                                                         sin_coefficient_kernel):
+    def test_separable_slice_is_the_scaled_base_form(self, grid_1d,
+                                                     sin_coefficient_kernel):
         a = lambda t: 1.0 + 0.5 * np.sin(t)
-        tk = time_modulate(sin_coefficient_kernel, a, 0.5, 1.5)
+        s = lambda t: 0.5 * np.cos(t)
+        tk = time_modulate(sin_coefficient_kernel, a, 0.5, 1.5, ka_scale=s)
         t = 0.9
-        fast = assemble_time(tk, grid_1d, t)
-        slow = assemble(tk.at(t), grid_1d)
-        np.testing.assert_allclose(fast.A, slow.A, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(fast.tail, slow.tail, rtol=1e-12)
+        timed = assemble_time(tk, grid_1d, t)
+        base = assemble(sin_coefficient_kernel, grid_1d)
+        off = ~np.eye(grid_1d.n_nodes, dtype=bool)
+        np.testing.assert_allclose(timed.A_s[off], a(t) * base.A_s[off], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(timed.A_a, s(t) * base.A_a, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(timed.tail_sym, a(t) * base.tail_sym, rtol=1e-12)
+        np.testing.assert_allclose(timed.tail_anti, s(t) * base.tail_anti, rtol=1e-12)
 
     def test_entries_stay_within_modulation_bounds(self, grid_1d,
                                                    sin_coefficient_kernel):

@@ -59,11 +59,11 @@ def test_form_value_rejects_an_unknown_weight(cone_form_2d):
 
 
 def _counted_problem(grid, tk, t_start, dt, theta):
-    calls, cache = [], {}
+    calls = []
 
     def form_fn(t):
         calls.append(t)
-        return assemble_time(tk, grid, t, _cache=cache)
+        return assemble_time(tk, grid, t)
 
     u0 = 1.0 + 0.3 * np.cos(2.0 * grid.nodes[:, 0])
     return ParabolicProblem(form_fn, u0, t_start, t_start + 5 * dt, dt, collar=0.5,
@@ -99,8 +99,7 @@ def test_slice_reuse_is_exact_and_keyed_on_the_float(grid_1d, modulated, t_start
             expected.append(times[k])          # explicit slice, assembled anew
         expected.append(times[k] + p.dt)       # implicit slice
     assert calls == expected
-    cache = {}
-    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, t, _cache=cache),
+    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, t),
                               p.u0, p.t_start, p.t_end, p.dt, collar=p.collar,
                               exterior=p.exterior, theta=theta)
     old_times, old_snaps, _ = old_solve_parabolic(frozen)

@@ -178,8 +178,7 @@ class TestTimeDependentOperator:
                                                 sin_coefficient_kernel, rng):
         from jumplab import assemble_time, time_modulate
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0, 1.0, 1.0)
-        cache = {}
-        form_fn = lambda t: assemble_time(tk, grid_1d, t, _cache=cache)
+        form_fn = lambda t: assemble_time(tk, grid_1d, t)
         static = assemble(sin_coefficient_kernel, grid_1d)
         u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
         kw = dict(u0=u0, t_start=0.0, t_end=0.1, dt=0.02,
@@ -193,8 +192,7 @@ class TestTimeDependentOperator:
         from jumplab import assemble_time, time_modulate
         tk = time_modulate(sin_coefficient_kernel,
                            lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
-        cache = {}
-        form_fn = lambda t: assemble_time(tk, grid_1d, t, _cache=cache)
+        form_fn = lambda t: assemble_time(tk, grid_1d, t)
         u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
         p = ParabolicProblem(form_fn, u0, 0.0, 0.1, 0.02, theta=0.5,
                              collar=lambda t, x: 0.5, exterior=0.3)
@@ -308,8 +306,7 @@ class TestAgainstFrozenLoop:
     def test_time_dependent_form(self, grid_1d, sin_coefficient_kernel, rng, theta):
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
                            0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
-        cache = {}
-        form_fn = lambda t: assemble_time(tk, grid_1d, t, _cache=cache)
+        form_fn = lambda t: assemble_time(tk, grid_1d, t)
         p = ParabolicProblem(form_fn, rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
                              collar=_collar("array", grid_1d), exterior=0.3, theta=theta,
                              variant="dual_ext", d_const=0.5)

@@ -77,15 +77,24 @@ def test_profile_of_the_dual_negates_only_the_drift(cone_kernel_2d):
     assert np.any(cone_kernel_2d.ray_profile("anti", dirs)[0] != 0)
 
 
-def test_unprofiled_kernels(sin_coefficient_kernel, linear_drift_kernel, cone_kernel_1d):
+def test_unprofiled_kernels(sin_coefficient_kernel, linear_drift_kernel):
     J = make_stable_kernel(1, 1.0)
     split = SplitKernel(1, 1.0, J.sym, lambda x, y: 0.0 * J.sym(x, y))
-    frozen = time_modulate(cone_kernel_1d, lambda t: 1.0 + t, 1.0, 2.0).at(0.5)
     dirs, _ = directions(1, 2)
-    for kernel in (sin_coefficient_kernel, linear_drift_kernel, split, frozen,
+    for kernel in (sin_coefficient_kernel, linear_drift_kernel, split,
                    linear_drift_kernel.dual()):
         for part in ("sym", "anti"):
             assert kernel.ray_profile(part, dirs) is None, type(kernel).__name__
+
+
+def test_profile_of_a_time_slice_scales_the_base(cone_kernel_1d):
+    frozen = time_modulate(cone_kernel_1d, lambda t: 1.0 + t, 1.0, 2.0,
+                           ka_scale=lambda t: -0.5).at(0.5)
+    dirs, _ = directions(1, 2)
+    for part, scale in (("sym", 1.5), ("anti", -0.5)):
+        c, gamma = cone_kernel_1d.ray_profile(part, dirs)
+        c_t, gamma_t = frozen.ray_profile(part, dirs)
+        assert np.array_equal(c_t, scale * c) and np.array_equal(gamma_t, gamma)
 
 
 # --- stencil pairs -----------------------------------------------------------
@@ -205,7 +214,7 @@ def test_completed_form_adds_no_n_by_n_temporary():
     S, W = np.ones((n, n)), np.ones((n, n))
     grid = build_grid(2, 1.0, 1 / 16)
     tracemalloc.start()
-    _completed_form(grid, S, W, np.zeros(n), np.zeros(n), {}, 1.0, 1.0)
+    _completed_form(grid, S, W, np.zeros(n), np.zeros(n), {}, 1.0)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 8 * n * n / 2       # a hidden copy of S or W would be 8 n^2
