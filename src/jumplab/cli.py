@@ -1,10 +1,13 @@
 """Scenario runner: declarative JSON configs in, reproducible artifacts out.
 
 Every run writes manifest.json (fully resolved config, package version,
-kernel hash, resolution metadata), per-harness CSV/JSON reports and a short
-human-readable summary into the output directory.  Fixed seed and config give
-byte-identical CSVs. Exit codes: 2 for config errors (with a field path),
-3 for numerical failures.
+harness, kernel hash), report.json, per-harness CSV tables and a short
+human-readable summary into the output directory.  ``run_scenario`` is the
+one place that builds the inputs and writes the output: it builds the kernel
+and grid, assembles the form once for the runners that need one, and writes
+every artifact.  A runner computes only: it returns (summary, report, tables)
+and opens no file.  Fixed seed and config give byte-identical artifacts.
+Exit codes: 2 for config errors (with a field path), 3 for numerical failures.
 
 Start-up imports numpy and the package only: configs are checked by
 ``_check``, a walker over the JSON Schema keywords ``SCHEMA`` uses, and scipy
@@ -47,7 +50,7 @@ from .estimates import (
     philox_stream,
     random_smooth_positive_field,
 )
-from .kernels import get_field, kernel_from_config, make_stable_kernel
+from .kernels import get_field, get_pair_field, kernel_from_config, make_stable_kernel
 from .mosco import (
     local_coefficients,
     make_coefficient_family,
@@ -245,11 +248,15 @@ _FORM_RUNNERS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli"}
 _FORM_ASSUMPTIONS = {"Poinc", "Sob", "coercivity"}
 
 
-def _build_kernel_grid(config):
-    harness = config["harness"]
+def _needs_form(harness) -> bool:
     kind = harness["type"]
-    if kind in _FORM_RUNNERS or (kind == "check-kernel"
-                                 and harness.get("assumption", "K1") in _FORM_ASSUMPTIONS):
+    return kind in _FORM_RUNNERS or (kind == "check-kernel"
+                                     and harness.get("assumption", "K1") in _FORM_ASSUMPTIONS)
+
+
+def _build_kernel_grid(config):
+    kind = config["harness"]["type"]
+    if _needs_form(config["harness"]):
         required = ("kernel", "grid")
     else:
         required = ("kernel",) if kind == "check-kernel" else ()
@@ -269,13 +276,21 @@ def _build_kernel_grid(config):
 
 
 def run_scenario(config: dict, out_dir: Path) -> dict:
-    """Execute one validated scenario; returns the summary dictionary."""
+    """Execute one validated scenario and write all of its artifacts.
+
+    The form is assembled here, once, for the runners that need one. A runner
+    returns (summary, report, tables) and opens no file; each table is
+    (csv path, header, rows), its path taken relative to out_dir. Returns the
+    summary dictionary.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    harness = config["harness"]
-    kind = harness["type"]
-    runner = _RUNNERS[kind]
+    kind = config["harness"]["type"]
     kernel, grid = _build_kernel_grid(config)
-    summary = runner(config, out_dir, kernel, grid)
+    form = assemble(kernel, grid) if _needs_form(config["harness"]) else None
+    summary, report, tables = _RUNNERS[kind](config, kernel, grid, form)
+    for path, header, rows in tables:
+        write_csv(out_dir / path, header, rows)
+    write_json(out_dir / "report.json", report)
     manifest = {
         "version": __version__,
         "config": config,
@@ -294,9 +309,10 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 
 # --- harness runners -------------------------------------------------------
+# Each takes (config, kernel, grid, form) and returns (summary, report, tables).
 
 
-def _run_check_kernel(config, out_dir, kernel, grid):
+def _run_check_kernel(config, kernel, grid, form):
     harness = config["harness"]
     d = kernel.d
     center = tuple(harness.get("center", [0.0] * d))
@@ -313,9 +329,8 @@ def _run_check_kernel(config, out_dir, kernel, grid):
         ts = tail_sup(kernel, ball, float(harness.get("A", 2.0)), grid=grid)
         rep = {"assumption": "summary", "K1": k1.to_dict(),
                "good_set": gs, "tail": ts}
-        write_json(out_dir / "report.json", rep)
         return {"headline": f"K1 {k1.verdict}, good-set {gs['fraction']:.3f}, "
-                            f"tail sigma {ts['sigma_fit']:.3f}"}
+                            f"tail sigma {ts['sigma_fit']:.3f}"}, rep, []
     if which == "K1":
         rep = k1_profile(kernel, J, ball, theta, grid=grid).to_dict()
     elif which == "K1glob":
@@ -336,15 +351,12 @@ def _run_check_kernel(config, out_dir, kernel, grid):
                **cutoff_sup(kernel, float(harness.get("zeta", R / 2)), ball,
                             grid=grid)}
     elif which == "Poinc":
-        form = assemble(kernel, grid)
         rep = {"assumption": "Poinc", **poincare_constant(form, ball)}
     elif which == "Sob":
-        form = assemble(kernel, grid)
         rep = {"assumption": "Sob",
                **sobolev_ratio(form, ball, float(harness.get("rho", R / 2)),
                                rng=philox_stream(int(harness.get("seed", 0)), 0))}
     elif which == "coercivity":
-        form = assemble(kernel, grid)
         rep = {"assumption": "coercivity", **coercivity_ratio(form, ball)}
     elif which == "CP":
         rep = {"assumption": "CP",
@@ -355,25 +367,22 @@ def _run_check_kernel(config, out_dir, kernel, grid):
                            kernel.alpha, grid=grid).to_dict()
     else:
         raise ConfigError(f"$['harness']['assumption']: unknown {which!r}")
-    write_json(out_dir / "report.json", rep)
     headline = rep.get("verdict", rep.get("assumption", "report"))
     return {"headline": f"assumption {which}: {headline}", **{
-        k: v for k, v in rep.items() if isinstance(v, (int, float, str, bool))}}
+        k: v for k, v in rep.items() if isinstance(v, (int, float, str, bool))}}, rep, []
 
 
-def _run_assemble(config, out_dir, kernel, grid):
-    form = assemble(kernel, grid)
-    dump = config["harness"].get("dump_form")
-    if dump:
-        write_csv(Path(dump), [f"c{i}" for i in range(grid.n_nodes)],
-                  form.A.tolist())
+def _run_assemble(config, kernel, grid, form):
     one = np.ones(grid.n_nodes)
     defect = float(np.max(np.abs(form.A @ one - form.tail)))
     report = {"n_nodes": grid.n_nodes, "h": grid.h,
               "constants_null_defect": defect,
               "kernel_hash": form.meta["kernel_hash"]}
-    write_json(out_dir / "report.json", report)
-    return {"headline": f"assembled {grid.n_nodes} nodes", **report}
+    dump = config["harness"].get("dump_form")
+    # the dump goes where the user named it, relative to the working directory
+    tables = [(Path(dump).absolute(), [f"c{i}" for i in range(grid.n_nodes)],
+               form.A.tolist())] if dump else []
+    return {"headline": f"assembled {grid.n_nodes} nodes", **report}, report, tables
 
 
 def _problem_from_config(config, form):
@@ -396,21 +405,19 @@ def _problem_from_config(config, form):
         d_const=float(pc.get("d_const", 0.0)))
 
 
-def _run_solve(config, out_dir, kernel, grid):
-    form = assemble(kernel, grid)
+def _run_solve(config, kernel, grid, form):
     problem = _problem_from_config(config, form)
     sol = solve_parabolic(problem)
     n_times, n_nodes = sol.snapshots.shape
     rows = zip(np.repeat(sol.times, n_nodes).tolist(),
                np.tile(np.arange(n_nodes), n_times).tolist(),
                sol.snapshots.ravel().tolist())
-    write_csv(out_dir / "snapshots.csv", ["t", "node", "value"], rows)
     report = {"steps": len(sol.times) - 1, "dt": problem.dt, "t_end": sol.meta["t_end"],
               "max_residual": float(np.max(sol.residuals)),
               "final_min": float(np.min(sol.snapshots[-1])),
               "final_max": float(np.max(sol.snapshots[-1]))}
-    write_json(out_dir / "report.json", report)
-    return {"headline": f"{report['steps']} steps", **report}
+    return ({"headline": f"{report['steps']} steps", **report}, report,
+            [("snapshots.csv", ["t", "node", "value"], rows)])
 
 
 def _cylinder_from(config):
@@ -422,54 +429,41 @@ def _cylinder_from(config):
                     tuple(harness.get("center", [0.0] * d)))
 
 
-def _run_harnack(config, out_dir, kernel, grid):
-    form = assemble(kernel, grid)
-    cyl = _cylinder_from(config)
+def _run_harnack(config, kernel, grid, form):
     harness = config["harness"]
-    out = harnack_ensemble(form, cyl, int(harness.get("ensemble", 50)),
+    out = harnack_ensemble(form, _cylinder_from(config), int(harness.get("ensemble", 50)),
                            int(harness.get("seed", 0)))
-    write_csv(out_dir / "harnack.csv", ["run", "c_emp"],
-              list(enumerate(out["c_emp"])))
-    summary = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
-    write_json(out_dir / "report.json", summary)
-    return {"headline": f"min c_emp = {out['min']:.4g}", **summary}
+    report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
+    return ({"headline": f"min c_emp = {out['min']:.4g}", **report}, report,
+            [("harnack.csv", ["run", "c_emp"], list(enumerate(out["c_emp"])))])
 
 
-def _run_hoelder(config, out_dir, kernel, grid):
-    form = assemble(kernel, grid)
-    cyl = _cylinder_from(config)
+def _run_hoelder(config, kernel, grid, form):
     harness = config["harness"]
-    out = holder_ensemble(form, cyl, int(harness.get("ensemble", 50)),
+    out = holder_ensemble(form, _cylinder_from(config), int(harness.get("ensemble", 50)),
                           int(harness.get("seed", 0)))
-    write_csv(out_dir / "hoelder.csv", ["run", "gamma_fit", "flat"],
-              [(i, g if g is not None else "", f)
-               for i, (g, f) in enumerate(zip(out["gamma_fit"], out["flat"]))])
-    summary = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
-    write_json(out_dir / "report.json", summary)
-    return {"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]",
-            **summary}
+    report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
+    rows = [(i, g if g is not None else "", f)
+            for i, (g, f) in enumerate(zip(out["gamma_fit"], out["flat"]))]
+    return ({"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]", **report},
+            report, [("hoelder.csv", ["run", "gamma_fit", "flat"], rows)])
 
 
-def _run_caccioppoli(config, out_dir, kernel, grid):
-    form = assemble(kernel, grid)
+def _run_caccioppoli(config, kernel, grid, form):
     harness = config["harness"]
-    d = kernel.d
     out = caccioppoli_ensemble(
-        form, tuple(harness.get("center", [0.0] * d)),
+        form, tuple(harness.get("center", [0.0] * kernel.d)),
         float(harness.get("R", 0.4)), float(harness.get("rho", 0.3)),
         harness.get("p_list", [0.5, 2.0]), int(harness.get("ensemble", 100)),
         int(harness.get("seed", 0)), eps=float(harness.get("eps", 0.1)),
         variant=config.get("problem", {}).get("variant", "primal"))
-    rows = []
-    for p, vals in out["c_hat"].items():
-        rows.extend((i, p, v) for i, v in enumerate(vals))
-    write_csv(out_dir / "caccioppoli.csv", ["run", "p", "c_hat"], rows)
-    write_json(out_dir / "report.json", out["summary"])
+    rows = [(i, p, v) for p, vals in out["c_hat"].items() for i, v in enumerate(vals)]
     flat = {f"p={p}": s["max"] for p, s in out["summary"].items()}
-    return {"headline": "empirical constants recorded", **flat}
+    return ({"headline": "empirical constants recorded", **flat}, out["summary"],
+            [("caccioppoli.csv", ["run", "p", "c_hat"], rows)])
 
 
-def _run_algebra(config, out_dir, kernel, grid):
+def _run_algebra(config, kernel, grid, form):
     harness = config["harness"]
     n = int(harness.get("samples", 10000))
     seed = int(harness.get("seed", 0))
@@ -480,7 +474,6 @@ def _run_algebra(config, out_dir, kernel, grid):
     tau1 = rng.uniform(0, 3, n)
     tau2 = rng.uniform(0, 3, n)
     delta = rng.uniform(1e-3, 1 - 1e-3, n)
-    reports = []
     margins = {}
     for pk in np.unique(np.round(p, 2))[:50]:
         out = check_chain_rule_bounds(ChainRulePair(float(pk)), s[:200], t[:200])
@@ -491,34 +484,29 @@ def _run_algebra(config, out_dir, kernel, grid):
         margins.setdefault(name, []).append(float(np.min(vals)))
     logm = check_log_weight(tau1, tau2, t, s)
     margins["log_lower"] = [float(np.min(logm["log_lower"]))]
-    for name, vals in margins.items():
-        reports.append({"lemma": name, "samples": n,
-                        "min_margin": float(np.min(vals))})
-    write_json(out_dir / "report.json", {"lemmas": reports})
-    write_csv(out_dir / "algebra.csv", ["lemma", "samples", "min_margin"],
-              [(r["lemma"], r["samples"], r["min_margin"]) for r in reports])
+    reports = [{"lemma": name, "samples": n, "min_margin": float(np.min(vals))}
+               for name, vals in margins.items()]
+    rows = [(r["lemma"], r["samples"], r["min_margin"]) for r in reports]
     worst = min(r["min_margin"] for r in reports)
-    return {"headline": f"worst margin {worst:.3e}", "worst_margin": worst}
+    return ({"headline": f"worst margin {worst:.3e}", "worst_margin": worst},
+            {"lemmas": reports}, [("algebra.csv", ["lemma", "samples", "min_margin"], rows)])
 
 
-def _run_mosco(config, out_dir, kernel, grid):
+def _run_mosco(config, kernel, grid, form):
     harness = config["harness"]
-    d = int(config.get("kernel", {}).get("d", 1))
+    kc = config.get("kernel", {})
+    d = int(kc.get("d", 1))
     alphas = tuple(harness.get("alphas", [1.5, 1.8, 1.9, 1.95]))
     fam_name = harness.get("family", "isotropic")
     if fam_name == "isotropic":
         family = make_isotropic_family(d, alphas)
     elif fam_name == "drift":
-        V = get_field(config.get("kernel", {}).get(
-            "V", {"preset": "linear-V", "b": [0.4] * d}))
-        family = make_drift_family(d, alphas, V,
-                                   L=float(config.get("kernel", {}).get("L", 2.0)))
+        V = get_field(kc.get("V", {"preset": "linear-V", "b": [0.4] * d}))
+        family = make_drift_family(d, alphas, V, L=float(kc.get("L", 2.0)))
     else:
-        from .kernels import get_pair_field
-        g = get_pair_field(config.get("kernel", {}).get("g", "sin-coefficient"))
-        family = make_coefficient_family(
-            d, alphas, g, float(config.get("kernel", {}).get("lam", 1.0)),
-            float(config.get("kernel", {}).get("Lam", 3.0)))
+        g = get_pair_field(kc.get("g", "sin-coefficient"))
+        family = make_coefficient_family(d, alphas, g, float(kc.get("lam", 1.0)),
+                                         float(kc.get("Lam", 3.0)))
     if grid is None:
         grid = build_grid(d, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     delta = float(harness.get("delta", 0.5))
@@ -528,23 +516,18 @@ def _run_mosco(config, out_dir, kernel, grid):
     res = resolvent_convergence(family, grid, f,
                                 float(harness.get("lam_resolvent", 5.0)),
                                 coeffs=coeffs)
-    rows = []
-    for i, a in enumerate(res["alphas"]):
-        a_mat = np.mean(coeffs["a"][a], axis=0)
-        b_vec = np.mean(coeffs["b"][a], axis=0)
-        rows.append((a, a_mat[0, 0], b_vec[0], res["gaps"][i]))
-    write_csv(out_dir / "mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"],
-              rows)
-    summary = {
+    rows = [(a, np.mean(coeffs["a"][a], axis=0)[0, 0], np.mean(coeffs["b"][a], axis=0)[0], gap)
+            for a, gap in zip(res["alphas"], res["gaps"])]
+    report = {
         "a_limit": np.mean(coeffs["a_limit"], axis=0).tolist(),
         "b_limit": np.mean(coeffs["b_limit"], axis=0).tolist(),
         "delta_sensitivity": coeffs["delta_sensitivity"],
         "gap_first": res["gaps"][0], "gap_last": res["gaps"][-1],
     }
-    write_json(out_dir / "report.json", summary)
-    return {"headline": f"resolvent gap {res['gaps'][0]:.3g} -> "
-                        f"{res['gaps'][-1]:.3g}", **{
-        k: v for k, v in summary.items() if not isinstance(v, list)}}
+    headline = f"resolvent gap {res['gaps'][0]:.3g} -> {res['gaps'][-1]:.3g}"
+    return ({"headline": headline,
+             **{k: v for k, v in report.items() if not isinstance(v, list)}}, report,
+            [("mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"], rows)])
 
 
 _RUNNERS = {

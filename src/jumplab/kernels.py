@@ -43,6 +43,12 @@ def c_alpha_norm(d: int, alpha: float) -> float:
         math.pi ** (d / 2.0) * abs(gamma(-alpha / 2.0)))
 
 
+def _project(h, v) -> np.ndarray:
+    """h . v over the last axis; elementwise, so one row of a batch gets the
+    same bits as the same row alone (a BLAS dot may not)."""
+    return np.sum(np.asarray(h, dtype=float) * np.asarray(v, dtype=float), axis=-1)
+
+
 def _check_separation(x, y):
     h = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     r = np.sqrt(np.sum(h * h, axis=-1))
@@ -76,7 +82,7 @@ class Cone:
     def indicator(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
         r = np.sqrt(np.sum(h * h, axis=-1))
-        proj = np.tensordot(h, np.asarray(self.axis), axes=([-1], [0]))
+        proj = _project(h, self.axis)
         if self.double:
             proj = np.abs(proj)
         return ((proj >= r * math.cos(self.half_angle)) & (r > 0)).astype(float)
@@ -567,9 +573,11 @@ class TimeKernel:
     """k(t;x,y) = a(t;x,y) K_s(x,y) + s(t) K_a(x,y) with a in [lam, Lam].
 
     ``a`` may be a scalar-valued function of t alone (separable modulation)
-    or a full a(t, x, y) field; ``ka_scale`` modulates the drift part, |s| <= 1
-    keeps the kernel admissible.  Under a separable modulation a time slice
-    keeps the base's ray profile (see ``at``).
+    or a full a(t, x, y) field; it is a field exactly when it can be called
+    with three positional arguments, so ``np.cos`` and ``lambda t, c=1.0: c``
+    are separable.  ``ka_scale`` modulates the drift part, |s| <= 1 keeps the
+    kernel admissible.  Under a separable modulation a time slice keeps the
+    base's ray profile (see ``at``).
     """
 
     def __init__(self, base: Kernel, a, lam: float, Lam: float, ka_scale=None):
@@ -579,7 +587,11 @@ class TimeKernel:
         self.lam = float(lam)
         self.Lam = float(Lam)
         self.ka_scale = ka_scale if ka_scale is not None else (lambda t: 1.0)
-        self.separable = len(inspect.signature(a).parameters) == 1
+        try:
+            inspect.signature(a).bind(0.0, 0.0, 0.0)
+            self.separable = False
+        except TypeError:
+            self.separable = True
         self.a = a
         for t in _VALIDATION_TIMES:
             k = self.at(t)
@@ -621,7 +633,7 @@ def time_modulate(base: Kernel, a, lam: float, Lam: float,
 
 def _field_linear(b):
     b = np.asarray(b, dtype=float)
-    return lambda x: np.tensordot(np.asarray(x, dtype=float), b, axes=([-1], [0]))
+    return lambda x: _project(x, b)
 
 
 def _field_sin1(scale=1.0):
@@ -655,41 +667,34 @@ PAIR_FIELD_PRESETS = {
 }
 
 
-def _resolve_field(name_or_fn, **kw):
-    if callable(name_or_fn):
-        return name_or_fn
-    return FIELD_PRESETS[name_or_fn](**kw)
-
-
 def _pair_sum(V1, V2, offset):
-    f1, f2 = _resolve_field(V1), _resolve_field(V2)
+    f1, f2 = get_field(V1), get_field(V2)
     return lambda x, y: offset + f1(x) + f2(y)
 
 
 def _pair_prod(V1, V2, offset):
-    f1, f2 = _resolve_field(V1), _resolve_field(V2)
+    f1, f2 = get_field(V1), get_field(V2)
     return lambda x, y: offset + f1(x) * f2(y)
 
 
-def get_field(descriptor):
-    """Resolve a scalar-field descriptor: callable, preset name, or config dict."""
+def _from_presets(presets, descriptor):
+    """Resolve a field descriptor: callable, preset name, or config dict."""
     if callable(descriptor):
         return descriptor
     if isinstance(descriptor, str):
-        return FIELD_PRESETS[descriptor]()
+        return presets[descriptor]()
     d = dict(descriptor)
-    name = d.pop("preset")
-    return FIELD_PRESETS[name](**d)
+    return presets[d.pop("preset")](**d)
+
+
+def get_field(descriptor):
+    """A scalar field V(x) from ``FIELD_PRESETS`` (see ``_from_presets``)."""
+    return _from_presets(FIELD_PRESETS, descriptor)
 
 
 def get_pair_field(descriptor):
-    if callable(descriptor):
-        return descriptor
-    if isinstance(descriptor, str):
-        return PAIR_FIELD_PRESETS[descriptor]()
-    d = dict(descriptor)
-    name = d.pop("preset")
-    return PAIR_FIELD_PRESETS[name](**d)
+    """A pair field g(x, y) from ``PAIR_FIELD_PRESETS`` (see ``_from_presets``)."""
+    return _from_presets(PAIR_FIELD_PRESETS, descriptor)
 
 
 class SampledField:

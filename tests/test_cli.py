@@ -140,6 +140,17 @@ class TestRunners:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["constants_null_defect"] < 1e-6
 
+    def test_relative_dump_path_is_taken_from_the_working_directory(self, tmp_path,
+                                                                    monkeypatch):
+        cfg = _default_config("assemble")
+        cfg["grid"]["h"] = 1 / 8
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert run(["assemble", "--config", "cfg.json", "--out", "o",
+                    "--dump-form", "form.csv"]) == 0
+        assert (tmp_path / "form.csv").exists()
+        assert not (tmp_path / "o" / "form.csv").exists()
+
     def test_caccioppoli_runner(self, tmp_path):
         assert run(["caccioppoli", "--out", tmp_path, "--ensemble", 5,
                     "--seed", 2]) == 0
@@ -155,21 +166,50 @@ def test_run_scenario_runs_hoelder(tmp_path):
     assert 0 <= out["fraction_in_range"] <= 1
 
 
-@pytest.mark.parametrize("kind", ["assemble", "harnack"])
-def test_run_scenario_builds_the_kernel_once(kind, tmp_path, monkeypatch):
+FORM_COMMANDS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli", "check-kernel Poinc"}
+
+
+@pytest.mark.parametrize("command", sorted(FORM_COMMANDS) + [
+    "algebra-tests", "mosco", "check-kernel"])
+def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
     import jumplab.cli as cli
     from jumplab.kernels import kernel_from_config
 
-    calls = []
+    kind, *assumption = command.split()
+    calls = {"kernel": 0, "assemble": 0}
 
-    def counting(cfg):
-        calls.append(cfg)
-        return kernel_from_config(cfg)
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(cli, "kernel_from_config", counting)
+    monkeypatch.setattr(cli, "kernel_from_config", counting("kernel", kernel_from_config))
+    monkeypatch.setattr(cli, "assemble", counting("assemble", cli.assemble))
+    real_runner, returned = cli._RUNNERS[kind], []
+
+    def runner(*args):
+        # a runner returns its results and leaves the writing to run_scenario
+        result = real_runner(*args)
+        assert [p.name for p in tmp_path.rglob("*")] == ["out"]
+        returned.append(result)
+        return result
+
+    monkeypatch.setitem(cli._RUNNERS, kind, runner)
+    monkeypatch.chdir(tmp_path)
     cfg = _default_config(kind)
-    cfg["harness"].update({"ensemble": 1, "seed": 3})
-    run_scenario(_validate(cfg), tmp_path)
-    assert len(calls) == 1
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["kernel_hash"] == kernel_from_config(cfg["kernel"]).spec.digest()
+    cfg["harness"].update({"ensemble": 1, "seed": 3, "alphas": [1.5]})
+    if assumption:
+        cfg["harness"]["assumption"] = assumption[0]
+    out = tmp_path / "out"
+    run_scenario(_validate(cfg), out)
+    assert calls == {"kernel": int("kernel" in cfg), "assemble": int(command in FORM_COMMANDS)}
+    ((summary, report, tables),) = returned
+    written = {p.name for p in out.iterdir()}
+    assert written == {"manifest.json", "report.json", "summary.txt"} | {
+        str(path) for path, _, _ in tables}
+    report_json = json.loads(json.dumps(cli._json_safe(report)))
+    assert json.loads((out / "report.json").read_text()) == report_json
+    manifest = json.loads((out / "manifest.json").read_text())
+    if "kernel" in cfg:
+        assert manifest["kernel_hash"] == kernel_from_config(cfg["kernel"]).spec.digest()

@@ -93,3 +93,22 @@ def test_modulation_field_slice_has_no_profile(cone_kernel_1d):
     x, y = np.array([[0.2]]), np.array([[-0.5]])
     a = 1.0 + 0.25 * np.sin(0.4 + 0.2 * -0.5)
     np.testing.assert_allclose(frozen.sym(x, y), a * cone_kernel_1d.sym(x, y), rtol=1e-15)
+
+
+@pytest.mark.parametrize("a, t", [(lambda t, c=1.0: c, 0.4), (np.cos, 0.0), (np.cos, 0.5)])
+def test_functions_of_t_alone_are_separable(a, t):
+    # a default argument or a ufunc's keywords do not make a a field a(t, x, y)
+    base = kernel_from_config({"family": "stable", "d": 1, "alpha": 1.0})
+    tk = time_modulate(base, a, 0.1, 2.0)
+    assert tk.separable
+    dirs, _ = directions(1, 2)
+    for part in ("sym", "anti"):
+        c, gamma = base.ray_profile(part, dirs)
+        c_t, gamma_t = tk.at(t).ray_profile(part, dirs)
+        assert np.array_equal(c_t, float(a(t)) * c) and np.array_equal(gamma_t, gamma)
+
+
+def test_a_function_of_t_x_y_stays_a_field(cone_kernel_1d):
+    tk = time_modulate(cone_kernel_1d, lambda t, x, y: 1.0 + 0.0 * x[..., 0], 0.5, 1.5)
+    assert not tk.separable
+    assert tk.at(0.2).ray_profile("sym", directions(1, 2)[0]) is None

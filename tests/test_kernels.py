@@ -8,7 +8,7 @@ from scipy.special import gamma
 
 from jumplab import Cone, c_alpha_norm, decompose, make_cone_kernel, make_drift_kernel
 from jumplab import make_coefficient_kernel, make_stable_kernel, time_modulate
-from jumplab.kernels import MIN_SEPARATION, SampledField, get_pair_field
+from jumplab.kernels import MIN_SEPARATION, SampledField, _project, get_field, get_pair_field
 
 
 def random_pairs(rng, d, n, extent=2.0, min_sep=1e-3):
@@ -232,3 +232,17 @@ class TestTimeModulation:
         np.testing.assert_allclose(tk.anti_at(0.5, x, y),
                                    np.cos(0.5) * linear_drift_kernel.anti(x, y),
                                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("axis", [(0.3, -0.4), (0.6, 0.8), (1.0, 0.0), (0.7,)])
+def test_projection_bits_do_not_depend_on_the_batch(axis):
+    # a BLAS dot takes another kernel for one row than for many, which moves
+    # the last bit of ~1/3 of random rows off the lattice axes
+    h = np.random.default_rng(11).standard_normal((4000, len(axis)))
+    many = _project(h, axis)
+    assert np.array_equal(many, [_project(row[None], axis)[0] for row in h])
+    assert np.array_equal(many, [_project(row, axis) for row in h])
+    cone = Cone((0.3, -0.4), 0.6) if len(axis) == 2 else Cone((1.0,), 0.6)
+    assert np.array_equal(cone.indicator(h), [cone.indicator(row) for row in h])
+    V = get_field({"preset": "linear-V", "b": list(axis)})
+    assert np.array_equal(V(h), [V(row) for row in h])
