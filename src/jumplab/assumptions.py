@@ -9,7 +9,7 @@ genuinely divergent inputs instead of returning large garbage values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,14 +69,13 @@ class AssumptionReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {"assumption": self.assumption, "constants": self.constants,
-                "exponents": self.exponents, "resolution": self.resolution,
-                "verdict": self.verdict, "notes": self.notes}
+        return asdict(self)
 
 
 def _lattice(ball: BallSpec, radius: float, grid: Grid | None, spacing: float | None,
-             max_points: int = 400) -> tuple[np.ndarray, float]:
-    """Evaluation lattice inside B_radius(z): grid nodes if a grid is given."""
+             max_points: int = 400) -> tuple[np.ndarray, float, float]:
+    """Lattice in B_radius(z) (grid nodes if a grid is given), its spacing h and the
+    volume per point: h^d, times n_all / n_kept if only every s-th node is kept."""
     z = np.asarray(ball.center)
     if grid is not None:
         pts = grid.nodes[grid.ball_mask(z, radius)]
@@ -88,12 +87,12 @@ def _lattice(ball: BallSpec, radius: float, grid: Grid | None, spacing: float | 
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         pts = pts[np.linalg.norm(pts - z, axis=-1) < radius]
-    if pts.shape[0] > max_points:
-        stride = int(math.ceil(pts.shape[0] / max_points))
-        pts = pts[::stride]
+    n_all = pts.shape[0]
+    if n_all > max_points:
+        pts = pts[::int(math.ceil(n_all / max_points))]
     if pts.shape[0] == 0:
         raise ValueError("empty evaluation lattice")
-    return pts, h
+    return pts, h, h ** ball.d * (n_all / pts.shape[0])
 
 
 def _lp_norm(values: np.ndarray, p: float, weight: float) -> float:
@@ -153,7 +152,7 @@ def _domination_ratio(kernel: Kernel, J: Kernel, ball: BallSpec,
     # sampled coarsely, so the spacing floor is set from the ball itself
     h_max = 2 * ball.r / 6
     spacing = min(spacing, h_max) if spacing is not None else h_max
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing, max_points=150)
+    pts, h, _ = _lattice(ball, 2 * ball.r, grid, spacing, max_points=150)
     if pts.shape[0] < 3:
         return INF
     L_J = _pair_form_matrix(lambda x, y: J.sym(x, y), pts, h)
@@ -207,14 +206,14 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     if glob and kernel.anti_support() is None and _far_field_divergent(
             kernel.anti, decay, ball, quad.n_ang):
         return divergent("far-field exponent of K_a^2/J is not integrable")
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    pts, _, volume = _lattice(ball, 2 * ball.r, grid, spacing)
     # K1glob: the near field B_radius(x) around each point, then the tail beyond
     center, radius = (None, max(4 * ball.r, 1.0)) if glob else (np.asarray(ball.center),
                                                                 2 * ball.r)
     W = ball_integral(ratio_fn, pts, center, radius, d, quad, singular_order=max(sing, 0.0))
     if glob:
         W = W + _tail_beyond([(ratio_fn, kernel.anti_support(), decay)], pts, radius, d, quad)
-    norm = _lp_norm(W, theta, h ** d)
+    norm = _lp_norm(W, theta, volume)
     ratio = _domination_ratio(kernel, J, ball, grid, spacing)
     resolution["n_points"] = int(pts.shape[0])
     verdict = "finite" if np.isfinite(norm) and np.isfinite(ratio) else "divergent"
@@ -264,7 +263,7 @@ def good_set_fraction(kernel: Kernel, ball: BallSpec, D: float,
     """Smallest lattice fraction of {y in B : |K_a(x,y)| <= D K_s(x,y)} over x in B."""
     if not (0 < D < 1):
         raise ValueError("D must lie in (0, 1)")
-    pts, h = _lattice(ball, ball.r, grid, spacing, max_points=300)
+    pts, h, _ = _lattice(ball, ball.r, grid, spacing, max_points=300)
     n = pts.shape[0]
     ks, ka = pair_values(pts, kernel.sym, kernel.anti)
     good = np.abs(ka) <= D * ks + 1e-300
@@ -287,7 +286,7 @@ def tail_sup(kernel: Kernel, ball: BallSpec, A: float, dual: bool = False,
     """
     quad = quad or QuadSpec()
     k = kernel.dual() if dual else kernel
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
+    pts, _, _ = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
     if _tail_divergent(k, ("sym", "anti"), ball, quad):
         return {"sup": INF, "sigma_fit": 0.0, "A": A, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
@@ -336,8 +335,8 @@ def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     quad = quad or QuadSpec()
-    pts, h = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
-                      max_points=60)
+    pts, _, _ = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
+                         max_points=60)
     if _tail_divergent(kernel, ("sym",), ball, quad):
         return {"sup": INF, "zeta": zeta, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
@@ -466,7 +465,7 @@ def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
     branch (gamma None): ||grad V||_{L^{2 theta}} plus the L^{2 theta} norm of
     the first-order remainder sup.
     """
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing, max_points=max_points)
+    pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=max_points)
     n = pts.shape[0]
     d = ball.d
     Vv = np.asarray(V(pts), dtype=float)
@@ -479,7 +478,7 @@ def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
         quot = np.zeros((n, n))
         quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
         seminorm = np.max(quot, axis=1)
-        norm = _lp_norm(seminorm, 2 * theta, h ** d)
+        norm = _lp_norm(seminorm, 2 * theta, volume)
         const = {"holder_norm": norm, "seminorm_max": float(np.max(seminorm))}
         exps = {"theta": theta, "gamma": gamma}
     else:
@@ -495,8 +494,8 @@ def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
         lin = np.einsum("nd,nmd->nm", G, -diffs)
         rem = np.zeros((n, n))
         rem[off] = np.abs((Vv[:, None] - Vv[None, :]) - lin)[off] / dist[off]
-        grad_norm = _lp_norm(np.linalg.norm(G, axis=-1), 2 * theta, h ** d)
-        rem_norm = _lp_norm(np.max(rem, axis=1), 2 * theta, h ** d)
+        grad_norm = _lp_norm(np.linalg.norm(G, axis=-1), 2 * theta, volume)
+        rem_norm = _lp_norm(np.max(rem, axis=1), 2 * theta, volume)
         norm = grad_norm + rem_norm
         const = {"grad_norm": grad_norm, "remainder_norm": rem_norm,
                  "total": norm}

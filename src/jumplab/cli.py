@@ -1,12 +1,13 @@
 """Scenario runner: declarative JSON configs in, reproducible artifacts out.
 
-Every run writes manifest.json (fully resolved config, package version,
-harness, kernel hash), report.json, per-harness CSV tables and a short
-human-readable summary into the output directory.  ``run_scenario`` is the
-one place that builds the inputs and writes the output: it builds the kernel
-and grid, assembles the form once for the runners that need one, and writes
-every artifact.  A runner computes only: it returns (summary, report, tables)
-and opens no file.  Fixed seed and config give byte-identical artifacts.
+Every run writes manifest.json (the config as run: file or preset, flags
+applied; package version, harness, kernel hash), report.json, per-harness CSV
+tables and a short human-readable summary into the output directory.
+``run_scenario`` is the one place that builds the inputs and writes the
+output: it builds the kernel and grid, assembles the form once for the runners
+that need one, and writes every artifact.  A runner computes only: it returns
+(summary, report, tables) and opens no file.  Fixed seed and config give
+byte-identical artifacts.
 Exit codes: 2 for config errors (with a field path), 3 for numerical failures.
 
 Start-up imports numpy and the package only: configs are checked by
@@ -22,6 +23,7 @@ import math
 import operator
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .assumptions import (
     suffK1_check,
     tail_sup,
 )
-from .discretize import assemble, build_grid
+from .discretize import assemble, build_grid, kernel_alpha
 from .estimates import (
     Cylinder,
     caccioppoli_ensemble,
@@ -61,6 +63,56 @@ from .mosco import (
 from .solve import ParabolicProblem, default_dt, solve_parabolic
 
 INF = float("inf")
+
+
+# --- check-kernel assumptions ----------------------------------------------
+# name -> (run_scenario assembles the form for it, check).  A check takes the
+# namespace of _run_check_kernel, reads the kernel run_scenario built (never
+# config["kernel"]) and returns the report fields after "assumption".
+
+
+def _kernel_of(c, family: str, name: str):
+    if c.kernel.spec.family != family:
+        raise ConfigError(f"$['kernel']['family']: {name} needs a {family} kernel, "
+                          f"not {c.kernel.spec.family!r}")
+    return c.kernel
+
+
+def _k1(c, profile=k1_profile):
+    J = make_stable_kernel(c.kernel.d, c.kernel.alpha)
+    return profile(c.kernel, J, c.ball, c.theta, grid=c.grid).to_dict()
+
+
+def _sob(c):
+    if c.kernel.alpha >= c.kernel.d:
+        raise ConfigError(f"$['kernel']['alpha']: Sob needs alpha < d = {c.kernel.d}")
+    return sobolev_ratio(c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
+                         rng=philox_stream(int(c.harness.get("seed", 0)), 0))
+
+
+_ASSUMPTIONS = {
+    "K1": (False, _k1),
+    "K1glob": (False, lambda c: _k1(c, k1_glob_profile)),
+    "K2": (False, lambda c: {"D": k2_coefficient_D(_kernel_of(c, "coefficient", "K2").lam,
+                                                   c.kernel.Lam)}),
+    "Cutoff": (False, lambda c: cutoff_sup(c.kernel, float(c.harness.get("zeta", c.ball.r / 2)),
+                                           c.ball, grid=c.grid)),
+    "Poinc": (True, lambda c: poincare_constant(c.form, c.ball)),
+    "Sob": (True, _sob),
+    "Tail": (False, lambda c: tail_sup(c.kernel, c.ball, float(c.harness.get("A", 2.0)),
+                                       grid=c.grid)),
+    "CP": (False, lambda c: cp_check(c.kernel.d, c.kernel.alpha, c.theta,
+                                     _exp(c.harness.get("mu", "inf")))),
+    "suffK1": (False, lambda c: suffK1_check(
+        _kernel_of(c, "drift", "suffK1").V, c.ball, c.theta, c.harness.get("gamma", 1.0),
+        c.kernel.alpha, grid=c.grid).to_dict()),
+    "coercivity": (True, lambda c: coercivity_ratio(c.form, c.ball)),
+    "good-set": (False, lambda c: good_set_fraction(c.kernel, c.ball,
+                                                    float(c.harness.get("D", 0.5)), grid=c.grid)),
+    "summary": (False, lambda c: {"K1": _k1(c), "good_set": _ASSUMPTIONS["good-set"][1](c),
+                                  "tail": _ASSUMPTIONS["Tail"][1](c)}),
+}
+
 
 SCHEMA = {
     "type": "object",
@@ -112,9 +164,7 @@ SCHEMA = {
                 "type": {"enum": ["check-kernel", "assemble", "solve", "harnack",
                                   "hoelder", "caccioppoli", "algebra-tests",
                                   "mosco"]},
-                "assumption": {"enum": ["K1", "K1glob", "K2", "Cutoff", "Poinc",
-                                        "Sob", "Tail", "CP", "suffK1",
-                                        "coercivity", "good-set", "summary"]},
+                "assumption": {"enum": list(_ASSUMPTIONS)},
                 "R": {"type": "number"},
                 "center": {"type": "array"},
                 "t0": {"type": "number"},
@@ -242,16 +292,14 @@ def _exp(value):
     return float(value)
 
 
-# the runners, and the check-kernel assumptions, that assemble a form of the
-# configured kernel on the configured grid
+# the runners that assemble a form of the configured kernel on the configured grid
 _FORM_RUNNERS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli"}
-_FORM_ASSUMPTIONS = {"Poinc", "Sob", "coercivity"}
 
 
 def _needs_form(harness) -> bool:
     kind = harness["type"]
-    return kind in _FORM_RUNNERS or (kind == "check-kernel"
-                                     and harness.get("assumption", "K1") in _FORM_ASSUMPTIONS)
+    return kind in _FORM_RUNNERS or (
+        kind == "check-kernel" and _ASSUMPTIONS[harness.get("assumption", "K1")][0])
 
 
 def _build_kernel_grid(config):
@@ -314,61 +362,17 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 def _run_check_kernel(config, kernel, grid, form):
     harness = config["harness"]
-    d = kernel.d
-    center = tuple(harness.get("center", [0.0] * d))
-    R = float(harness.get("R", 0.5))
-    rho = harness.get("rho")
-    ball = BallSpec(center, R, rho)
-    theta = _exp(harness.get("theta_exp", "inf"))
     which = harness.get("assumption", "K1")
-    J = make_stable_kernel(d, kernel.alpha)
+    ball = BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
+                    float(harness.get("R", 0.5)), harness.get("rho"))
+    check = SimpleNamespace(kernel=kernel, grid=grid, form=form, harness=harness, ball=ball,
+                            theta=_exp(harness.get("theta_exp", "inf")))
+    rep = {"assumption": which, **_ASSUMPTIONS[which][1](check)}
     if which == "summary":
-        k1 = k1_profile(kernel, J, ball, theta, grid=grid)
-        gs = good_set_fraction(kernel, ball, float(harness.get("D", 0.5)),
-                               grid=grid)
-        ts = tail_sup(kernel, ball, float(harness.get("A", 2.0)), grid=grid)
-        rep = {"assumption": "summary", "K1": k1.to_dict(),
-               "good_set": gs, "tail": ts}
-        return {"headline": f"K1 {k1.verdict}, good-set {gs['fraction']:.3f}, "
-                            f"tail sigma {ts['sigma_fit']:.3f}"}, rep, []
-    if which == "K1":
-        rep = k1_profile(kernel, J, ball, theta, grid=grid).to_dict()
-    elif which == "K1glob":
-        rep = k1_glob_profile(kernel, J, ball, theta, grid=grid).to_dict()
-    elif which == "K2":
-        lam = config["kernel"].get("lam", 1.0)
-        Lam = config["kernel"].get("Lam", 1.0)
-        rep = {"assumption": "K2", "D": k2_coefficient_D(lam, Lam)}
-    elif which == "good-set":
-        rep = {"assumption": "good-set",
-               **good_set_fraction(kernel, ball, float(harness.get("D", 0.5)),
-                                   grid=grid)}
-    elif which == "Tail":
-        rep = {"assumption": "Tail",
-               **tail_sup(kernel, ball, float(harness.get("A", 2.0)), grid=grid)}
-    elif which == "Cutoff":
-        rep = {"assumption": "Cutoff",
-               **cutoff_sup(kernel, float(harness.get("zeta", R / 2)), ball,
-                            grid=grid)}
-    elif which == "Poinc":
-        rep = {"assumption": "Poinc", **poincare_constant(form, ball)}
-    elif which == "Sob":
-        rep = {"assumption": "Sob",
-               **sobolev_ratio(form, ball, float(harness.get("rho", R / 2)),
-                               rng=philox_stream(int(harness.get("seed", 0)), 0))}
-    elif which == "coercivity":
-        rep = {"assumption": "coercivity", **coercivity_ratio(form, ball)}
-    elif which == "CP":
-        rep = {"assumption": "CP",
-               **cp_check(d, kernel.alpha, theta, _exp(harness.get("mu", "inf")))}
-    elif which == "suffK1":
-        V = get_field(config["kernel"].get("V", "sin-V"))
-        rep = suffK1_check(V, ball, theta, harness.get("gamma", 1.0),
-                           kernel.alpha, grid=grid).to_dict()
-    else:
-        raise ConfigError(f"$['harness']['assumption']: unknown {which!r}")
-    headline = rep.get("verdict", rep.get("assumption", "report"))
-    return {"headline": f"assumption {which}: {headline}", **{
+        return {"headline": f"K1 {rep['K1']['verdict']}, good-set "
+                            f"{rep['good_set']['fraction']:.3f}, "
+                            f"tail sigma {rep['tail']['sigma_fit']:.3f}"}, rep, []
+    return {"headline": f"assumption {which}: {rep.get('verdict', which)}", **{
         k: v for k, v in rep.items() if isinstance(v, (int, float, str, bool))}}, rep, []
 
 
@@ -393,8 +397,7 @@ def _problem_from_config(config, form):
     rng = philox_stream(seed, 0)
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
-    alpha = config["kernel"]["alpha"]
-    dt = pc.get("dt") or default_dt(grid.h, alpha)
+    dt = pc.get("dt") or default_dt(grid.h, kernel_alpha(form))
     horizon = float(pc.get("horizon", 8 * dt))
     return ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
@@ -420,18 +423,14 @@ def _run_solve(config, kernel, grid, form):
             [("snapshots.csv", ["t", "node", "value"], rows)])
 
 
-def _cylinder_from(config):
-    harness = config["harness"]
-    d = config["kernel"]["d"]
-    return Cylinder(float(harness.get("t0", 0.0)),
-                    float(harness.get("R", 0.5)),
-                    float(config["kernel"]["alpha"]),
-                    tuple(harness.get("center", [0.0] * d)))
+def _cylinder(harness, kernel):
+    return Cylinder(float(harness.get("t0", 0.0)), float(harness.get("R", 0.5)), kernel.alpha,
+                    tuple(harness.get("center", [0.0] * kernel.d)))
 
 
 def _run_harnack(config, kernel, grid, form):
     harness = config["harness"]
-    out = harnack_ensemble(form, _cylinder_from(config), int(harness.get("ensemble", 50)),
+    out = harnack_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
                            int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
     return ({"headline": f"min c_emp = {out['min']:.4g}", **report}, report,
@@ -440,7 +439,7 @@ def _run_harnack(config, kernel, grid, form):
 
 def _run_hoelder(config, kernel, grid, form):
     harness = config["harness"]
-    out = holder_ensemble(form, _cylinder_from(config), int(harness.get("ensemble", 50)),
+    out = holder_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
                           int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
     rows = [(i, g if g is not None else "", f)

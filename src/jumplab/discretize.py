@@ -359,6 +359,11 @@ def form_value(form: DiscreteForm, mask: np.ndarray | None, u, v,
     ``part`` selects the kernel matrix: full, sym or anti.  With a mask the
     sums run over the block of the nodes that the mask touches.
     """
+    # the pair weight w_ij from the row block v_i and all v_j
+    pair = {"onesided": lambda vi, vj: vi[:, None], "difference": np.subtract.outer,
+            "sum": np.add.outer}.get(weight)
+    if pair is None:
+        raise ValueError(f"unknown weight {weight!r}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if mask is None:
@@ -367,19 +372,13 @@ def form_value(form: DiscreteForm, mask: np.ndarray | None, u, v,
         nodes = np.any(mask, axis=1) | np.any(mask, axis=0)
         K = np.where(mask[np.ix_(nodes, nodes)], form.part_matrix(part, nodes), 0.0)
         u, v = u[nodes], v[nodes]
-    h2d = form.grid.cell_volume ** 2
-    if weight == "onesided":
-        return float(h2d * np.sum(v * (u * np.sum(K, axis=1) - K @ u)))
-    if weight not in ("difference", "sum"):
-        raise ValueError(f"unknown weight {weight!r}")
-    # the pair terms themselves, in row blocks: the matvec expansion
-    # u v row - v Ku -/+ u Kv +/- K(uv) of this sum cancels
-    pair = np.subtract if weight == "difference" else np.add
+    # the pair terms themselves, in row blocks: a matvec expansion such as
+    # v row(K) u - v Ku of these sums cancels
     val = 0.0
     for lo in range(0, len(u), _TILE):
         rows = slice(lo, lo + _TILE)
-        val += float(np.sum(K[rows] * np.subtract.outer(u[rows], u) * pair.outer(v[rows], v)))
-    return h2d * val
+        val += float(np.sum(K[rows] * np.subtract.outer(u[rows], u) * pair(v[rows], v)))
+    return form.grid.cell_volume ** 2 * val
 
 
 def carre_du_champ(form: DiscreteForm, tau: CutoffProfile) -> dict:

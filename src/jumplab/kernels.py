@@ -16,7 +16,7 @@ import hashlib
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class Cone:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Declarative description of a kernel; hashable for run manifests."""
+    """Declarative description of a kernel; ``digest`` keys run manifests."""
 
     family: str
     d: int
@@ -112,12 +112,9 @@ class KernelSpec:
 
     def to_config(self) -> dict:
         cfg = {"family": self.family, "d": self.d, "alpha": self.alpha}
-        if self.beta is not None:
-            cfg["beta"] = self.beta
-        if self.lam is not None:
-            cfg["lam"] = self.lam
-        if self.Lam is not None:
-            cfg["Lam"] = self.Lam
+        for key in ("beta", "lam", "Lam"):
+            if getattr(self, key) is not None:
+                cfg[key] = getattr(self, key)
         if self.trunc is not None:
             cfg["L"] = self.trunc if np.isfinite(self.trunc) else None
         for c, key in ((self.cone, "cone"), (self.double_cone, "double_cone")):
@@ -747,22 +744,6 @@ def kernel_from_config(cfg: dict) -> Kernel:
     alpha = float(cfg["alpha"])
     if fam == "stable":
         return StableKernel(d, alpha, coeff=float(cfg.get("coeff", 1.0)))
-    if fam == "coefficient":
-        g = get_pair_field(cfg.get("g", "sin-coefficient"))
-        # the named presets are all Lipschitz in each slot
-        smooth = float(cfg.get("g_smoothness", 1.0))
-        return CoefficientKernel(g, alpha, float(cfg.get("lam", 1.0)),
-                                 float(cfg.get("Lam", 3.0)), d,
-                                 g_smoothness=smooth)
-    if fam == "drift":
-        V = get_field(cfg.get("V", {"preset": "linear-V", "b": [1.0] * d}))
-        j = cfg.get("j", 1.0)
-        if isinstance(j, (dict, str)):
-            j = get_pair_field(j)
-        return DriftKernel(j, V, float(cfg.get("L", 1.0)), alpha, d,
-                           lam=float(cfg.get("lam", 1.0)),
-                           Lam=float(cfg.get("Lam", 1.0)),
-                           v_holder=float(cfg.get("v_holder", 1.0)))
     if fam == "cone":
         cone = Cone(tuple(cfg["cone"]["axis"]), float(cfg["cone"]["half_angle"]))
         dc = cfg.get("double_cone")
@@ -770,4 +751,24 @@ def kernel_from_config(cfg: dict) -> Kernel:
         if dc is not None:
             double = Cone(tuple(dc["axis"]), float(dc["half_angle"]), double=True)
         return ConeKernel(alpha, float(cfg["beta"]), cone, double, d)
-    raise ValueError(f"unknown kernel family {fam!r}")
+    # values resolved here that the spec lacks, defaults too, go into its params and hash
+    if fam == "coefficient":
+        g = cfg.get("g", "sin-coefficient")
+        # the named presets are all Lipschitz in each slot
+        smooth = float(cfg.get("g_smoothness", 1.0))
+        kernel = CoefficientKernel(get_pair_field(g), alpha, float(cfg.get("lam", 1.0)),
+                                   float(cfg.get("Lam", 3.0)), d, g_smoothness=smooth)
+        resolved = {"g": g, "g_smoothness": smooth}
+    elif fam == "drift":
+        V = cfg.get("V", {"preset": "linear-V", "b": [1.0] * d})
+        j = cfg.get("j", 1.0)
+        v_holder = float(cfg.get("v_holder", 1.0))
+        kernel = DriftKernel(get_pair_field(j) if isinstance(j, (dict, str)) else j,
+                             get_field(V), float(cfg.get("L", 1.0)), alpha, d,
+                             lam=float(cfg.get("lam", 1.0)), Lam=float(cfg.get("Lam", 1.0)),
+                             v_holder=v_holder)
+        resolved = {"V": V, "j": j, "v_holder": v_holder}
+    else:
+        raise ValueError(f"unknown kernel family {fam!r}")
+    kernel.spec = replace(kernel.spec, params=tuple(resolved.items()))
+    return kernel

@@ -478,7 +478,7 @@ def old_k1_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=None):
         return AssumptionReport(
             "K1", {"norm": INF}, {"theta": theta}, resolution, "divergent",
             "inner integrand fails the integrability pre-test at the diagonal")
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    pts, h, _ = _lattice(ball, 2 * ball.r, grid, spacing)
     W = old_ball_integral(lambda x, y: _safe_ratio(kernel, J, x, y), pts,
                           np.asarray(ball.center), 2 * ball.r, d, quad,
                           singular_order=max(sing, 0.0))
@@ -515,7 +515,7 @@ def old_k1_glob_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=No
             return AssumptionReport(
                 "K1glob", {"norm": INF}, {"theta": theta}, resolution, "divergent",
                 "far-field exponent of K_a^2/J is not integrable")
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing)
+    pts, h, _ = _lattice(ball, 2 * ball.r, grid, spacing)
     near_radius = max(4 * ball.r, 1.0)
     W = old_ball_integral(lambda a, b: _safe_ratio(kernel, J, a, b), pts, None,
                           near_radius, d, quad, singular_order=max(sing, 0.0))
@@ -558,7 +558,7 @@ def old_tail_sup(kernel, ball, A, dual=False, grid=None, quad=None, spacing=None
 
     quad = quad or QuadSpec()
     k = kernel.dual() if dual else kernel
-    pts, h = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
+    pts, h, _ = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
     if _old_tail_divergent(k, ("sym", "anti"), ball, quad):
         return {"sup": INF, "sigma_fit": 0.0, "A": A, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
@@ -581,8 +581,8 @@ def old_cutoff_sup(kernel, zeta, ball, grid=None, quad=None, spacing=None, n_swe
     from jumplab.quadrature import QuadSpec
 
     quad = quad or QuadSpec()
-    pts, h = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
-                      max_points=60)
+    pts, h, _ = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
+                         max_points=60)
     if _old_tail_divergent(kernel, ("sym",), ball, quad):
         return {"sup": INF, "zeta": zeta, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}

@@ -28,6 +28,7 @@ from jumplab.assumptions import (
     suffK1_check,
     tail_sup,
 )
+from jumplab.kernels import get_field
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +358,29 @@ class TestSuffK1:
         assert np.isfinite(rep.constants["total"])
 
 
+class TestStridedLattice:
+    # past max_points nodes the lattice keeps every s-th one, and each kept
+    # node stands for the volume of the nodes it replaces: finite-theta norms
+    # then agree with the unstrided ones of the coarser grid
+    ball = BallSpec((0.0, 0.0), 0.25)
+
+    def test_k1_norm(self, cone_kernel_2d):
+        J = make_stable_kernel(2, 1.5)
+        reps = [k1_profile(cone_kernel_2d, J, self.ball, 2.0, grid=build_grid(2, 1.0, h),
+                           quad=QuadSpec(n_ang=64, n_panels=16)) for h in (1 / 16, 1 / 32)]
+        assert [r.resolution["n_points"] for r in reps] == [208, 271]   # 812 nodes at 1/32
+        coarse, strided = (r.constants["norm"] for r in reps)
+        assert abs(strided - coarse) <= 0.02 * coarse
+
+    def test_suffk1_norm(self):
+        V = get_field({"preset": "sin-V", "scale": 0.5})
+        reps = [suffK1_check(V, self.ball, 2.0, 1.0, 1.5, grid=build_grid(2, 1.0, h),
+                             max_points=300) for h in (1 / 16, 1 / 32)]
+        assert [r.resolution["n_points"] for r in reps] == [208, 271]
+        coarse, strided = (r.constants["holder_norm"] for r in reps)
+        assert abs(strided - coarse) <= 0.02 * coarse
+
+
 class TestDriftAbsorptionSplit:
     def test_chebyshev_level_split_bounds(self):
         # the absorption argument splits W = int K_a^2/J into a small-level
@@ -371,7 +395,7 @@ class TestDriftAbsorptionSplit:
         ball = BallSpec((0.0,), 0.5)
         from jumplab.quadrature import ball_integral
         from jumplab.assumptions import _lattice, _safe_ratio
-        pts, h = _lattice(ball, 1.0, None, 0.02, max_points=2000)
+        pts, h, _ = _lattice(ball, 1.0, None, 0.02, max_points=2000)
         from jumplab import QuadSpec
         W = ball_integral(lambda x, y: _safe_ratio(k, J, x, y), pts,
                           np.asarray(ball.center), 1.0, 1, QuadSpec(n_ang=2),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from jumplab.cli import main, run_scenario, _default_config, _validate, ConfigError
+from jumplab.cli import DEFAULT_GRID, main, run_scenario, _default_config, _validate, ConfigError
 
 
 def run(args):
@@ -213,3 +213,67 @@ def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     if "kernel" in cfg:
         assert manifest["kernel_hash"] == kernel_from_config(cfg["kernel"]).spec.digest()
+
+
+ASSUMPTIONS = ["K1", "K1glob", "K2", "Cutoff", "Poinc", "Sob", "Tail", "CP", "suffK1",
+               "coercivity", "good-set", "summary"]
+# the checks that do not fit the builtin preset, a 1D cone kernel with alpha = 1.5,
+# and the field that rules each out
+UNFIT_ON_THE_PRESET = {"K2": "$['kernel']['family']", "suffK1": "$['kernel']['family']",
+                       "Sob": "$['kernel']['alpha']"}
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_the_assumption_table_is_the_schema_enum():
+    import jumplab.cli as cli
+
+    assert cli.SCHEMA["properties"]["harness"]["properties"]["assumption"]["enum"] == ASSUMPTIONS
+    assert list(cli._ASSUMPTIONS) == ASSUMPTIONS
+    reads_form = {a for a in ASSUMPTIONS
+                  if cli._needs_form({"type": "check-kernel", "assumption": a})}
+    assert reads_form == {"Poinc", "Sob", "coercivity"}
+
+
+@pytest.mark.parametrize("assumption", ASSUMPTIONS)
+def test_every_assumption_on_the_builtin_preset(assumption, tmp_path, capsys):
+    code = run(["check-kernel", "--assumption", assumption, "--out", tmp_path])
+    if assumption in UNFIT_ON_THE_PRESET:
+        # a check that does not fit the kernel is a config error, never a
+        # number computed on a stand-in
+        assert code == 2
+        assert f"config error: {UNFIT_ON_THE_PRESET[assumption]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+    else:
+        assert code == 0
+        assert _strict_json(tmp_path / "report.json")["assumption"] == assumption
+        assert _strict_json(tmp_path / "manifest.json")["harness"] == "check-kernel"
+
+
+def _report(kernel, assumption, tmp_path):
+    cfg = {"harness": {"type": "check-kernel", "assumption": assumption}, "kernel": kernel,
+           "grid": dict(DEFAULT_GRID)}
+    run_scenario(_validate(cfg), tmp_path)
+    return _strict_json(tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("kernel, D", [
+    ({"family": "coefficient", "d": 1, "alpha": 1.5}, 0.5),            # lam 1, Lam 3
+    ({"family": "coefficient", "d": 1, "alpha": 1.5, "g": "one", "Lam": 2.0}, 1 / 3),
+])
+def test_k2_reads_lam_and_Lam_of_the_kernel(kernel, D, tmp_path):
+    assert _report(kernel, "K2", tmp_path)["D"] == D
+
+
+def test_suffk1_checks_the_potential_of_the_drift_kernel(tmp_path):
+    # the default drift kernel is built on linear-V with b = 1: its Hoelder-1
+    # quotient is 1 at every pair of points
+    rep = _report({"family": "drift", "d": 1, "alpha": 1.5}, "suffK1", tmp_path)
+    assert rep["constants"]["seminorm_max"] == 1.0
+    rep = _report({"family": "drift", "d": 1, "alpha": 1.5,
+                   "V": {"preset": "linear-V", "b": [0.5]}}, "suffK1", tmp_path)
+    assert rep["constants"]["seminorm_max"] == 0.5

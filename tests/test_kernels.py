@@ -8,7 +8,8 @@ from scipy.special import gamma
 
 from jumplab import Cone, c_alpha_norm, decompose, make_cone_kernel, make_drift_kernel
 from jumplab import make_coefficient_kernel, make_stable_kernel, time_modulate
-from jumplab.kernels import MIN_SEPARATION, SampledField, _project, get_field, get_pair_field
+from jumplab.kernels import (MIN_SEPARATION, SampledField, _project, get_field, get_pair_field,
+                             kernel_from_config)
 
 
 def random_pairs(rng, d, n, extent=2.0, min_sep=1e-3):
@@ -246,3 +247,27 @@ def test_projection_bits_do_not_depend_on_the_batch(axis):
     assert np.array_equal(cone.indicator(h), [cone.indicator(row) for row in h])
     V = get_field({"preset": "linear-V", "b": list(axis)})
     assert np.array_equal(V(h), [V(row) for row in h])
+
+
+@pytest.mark.parametrize("base, one, other", [
+    ({"family": "drift", "d": 1, "alpha": 1.5},
+     {"V": {"preset": "linear-V", "b": [0.5]}}, {"V": {"preset": "sin-V", "scale": 0.3}}),
+    ({"family": "coefficient", "d": 1, "alpha": 1.5}, {}, {"g": "one"}),
+    ({"family": "coefficient", "d": 1, "alpha": 1.5}, {}, {"g_smoothness": 0.5}),
+    ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"j": 0.5}),
+    ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"v_holder": 0.5}),
+])
+def test_config_kernels_that_differ_hash_apart(base, one, other):
+    digest = lambda extra: kernel_from_config({**base, **extra}).spec.digest()
+    assert digest(one) != digest(other)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
+      "cone": {"axis": [1.0], "half_angle": 0.7853981633974483}, "double_cone": None},
+     "0c4e883732b311a5"),
+    ({"family": "stable", "d": 1, "alpha": 1.0}, "d75e02c633088b62"),
+])
+def test_cone_and_stable_hashes_stay(cfg, digest):
+    # the kernel_hash of the builtin presets, as manifests recorded it
+    assert kernel_from_config(cfg).spec.digest() == digest

@@ -37,11 +37,13 @@ def test_difference_and_sum_weights_match_a_longdouble_pair_sum(cone_form_2d):
     ul, vl = u.astype(np.longdouble), v.astype(np.longdouble)
     h2d = np.longdouble(F.grid.cell_volume) ** 2
     checked = 0
+    # the onesided weight v_i as well as v_i -/+ v_j
     for mask in (ball, ball & pair_mask_level(u), wide):
         for part in ("full", "sym", "anti"):
             K = np.where(mask, F.part_matrix(part), 0.0).astype(np.longdouble)
-            for weight, pair in (("difference", np.subtract), ("sum", np.add)):
-                terms = K * np.subtract.outer(ul, ul) * pair.outer(vl, vl)
+            for weight, w in (("onesided", vl[:, None]), ("difference", np.subtract.outer(vl, vl)),
+                              ("sum", np.add.outer(vl, vl))):
+                terms = K * np.subtract.outer(ul, ul) * w
                 exact, size = np.sum(terms) * h2d, np.sum(np.abs(terms)) * h2d
                 value = form_value(F, mask, u, v, part=part, weight=weight)
                 if size <= 4 * abs(exact):       # a well-conditioned pair sum
