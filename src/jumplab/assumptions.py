@@ -258,14 +258,30 @@ def k2_coefficient_D(lam: float, Lam: float) -> float:
     return (Lam - lam) / (Lam + lam)
 
 
+def _split_on_ball(kernel: Kernel, ball: BallSpec, grid: Grid | None, spacing: float | None):
+    """The good-set lattice in B, its spacing, and K_s, K_a on all of its pairs."""
+    pts, h, _ = _lattice(ball, ball.r, grid, spacing, max_points=300)
+    return (pts, h, *pair_values(pts, kernel.sym, kernel.anti))
+
+
+def k2_lattice_D(kernel: Kernel, ball: BallSpec, grid: Grid | None = None,
+                 spacing: float | None = None) -> float:
+    """The kernel's own domination constant: sup |K_a| / K_s over the off-diagonal
+    pairs of the good-set lattice (0 where K_a = 0, inf where K_s = 0 < |K_a|)."""
+    pts, _, ks, ka = _split_on_ball(kernel, ball, grid, spacing)
+    off = ~np.eye(pts.shape[0], dtype=bool)
+    ks, ka = ks[off], np.abs(ka[off])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(ka > 0, ka / ks, 0.0), initial=0.0))
+
+
 def good_set_fraction(kernel: Kernel, ball: BallSpec, D: float,
                       grid: Grid | None = None, spacing: float | None = None) -> dict:
     """Smallest lattice fraction of {y in B : |K_a(x,y)| <= D K_s(x,y)} over x in B."""
     if not (0 < D < 1):
         raise ValueError("D must lie in (0, 1)")
-    pts, h, _ = _lattice(ball, ball.r, grid, spacing, max_points=300)
+    pts, h, ks, ka = _split_on_ball(kernel, ball, grid, spacing)
     n = pts.shape[0]
-    ks, ka = pair_values(pts, kernel.sym, kernel.anti)
     good = np.abs(ka) <= D * ks + 1e-300
     good[np.eye(n, dtype=bool)] = True
     fractions = np.sum(good, axis=1) / n

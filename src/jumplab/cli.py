@@ -1,7 +1,8 @@
 """Scenario runner: declarative JSON configs in, reproducible artifacts out.
 
 Every run writes manifest.json (the config as run: file or preset, flags
-applied; package version, harness, kernel hash), report.json, per-harness CSV
+applied; package version, harness, kernel hash; for harnack and hoelder the
+health block, each member's max step residual), report.json, per-harness CSV
 tables and a short human-readable summary into the output directory.
 ``run_scenario`` is the one place that builds the inputs and writes the
 output: it builds the kernel and grid, assembles the form once for the runners
@@ -38,6 +39,7 @@ from .assumptions import (
     k1_glob_profile,
     k1_profile,
     k2_coefficient_D,
+    k2_lattice_D,
     poincare_constant,
     sobolev_ratio,
     suffK1_check,
@@ -66,16 +68,25 @@ INF = float("inf")
 
 
 # --- check-kernel assumptions ----------------------------------------------
-# name -> (run_scenario assembles the form for it, check).  A check takes the
-# namespace of _run_check_kernel, reads the kernel run_scenario built (never
-# config["kernel"]) and returns the report fields after "assumption".
+# name -> (run_scenario assembles the form for it, kernel fit test or None,
+# check).  The fit test takes the kernel and the name and raises a ConfigError
+# if the check does not apply to the kernel; run_scenario runs it before any
+# assembly.  A check takes the namespace of _run_check_kernel, reads the kernel
+# run_scenario built (never config["kernel"]) and returns the report fields
+# after "assumption".
 
 
-def _kernel_of(c, family: str, name: str):
-    if c.kernel.spec.family != family:
-        raise ConfigError(f"$['kernel']['family']: {name} needs a {family} kernel, "
-                          f"not {c.kernel.spec.family!r}")
-    return c.kernel
+def _family(family: str):
+    def fits(kernel, name: str):
+        if kernel.spec.family != family:
+            raise ConfigError(f"$['kernel']['family']: {name} needs a {family} kernel, "
+                              f"not {kernel.spec.family!r}")
+    return fits
+
+
+def _alpha_below_d(kernel, name: str):
+    if kernel.alpha >= kernel.d:
+        raise ConfigError(f"$['kernel']['alpha']: {name} needs alpha < d = {kernel.d}")
 
 
 def _k1(c, profile=k1_profile):
@@ -83,34 +94,31 @@ def _k1(c, profile=k1_profile):
     return profile(c.kernel, J, c.ball, c.theta, grid=c.grid).to_dict()
 
 
-def _sob(c):
-    if c.kernel.alpha >= c.kernel.d:
-        raise ConfigError(f"$['kernel']['alpha']: Sob needs alpha < d = {c.kernel.d}")
-    return sobolev_ratio(c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
-                         rng=philox_stream(int(c.harness.get("seed", 0)), 0))
-
-
 _ASSUMPTIONS = {
-    "K1": (False, _k1),
-    "K1glob": (False, lambda c: _k1(c, k1_glob_profile)),
-    "K2": (False, lambda c: {"D": k2_coefficient_D(_kernel_of(c, "coefficient", "K2").lam,
-                                                   c.kernel.Lam)}),
-    "Cutoff": (False, lambda c: cutoff_sup(c.kernel, float(c.harness.get("zeta", c.ball.r / 2)),
-                                           c.ball, grid=c.grid)),
-    "Poinc": (True, lambda c: poincare_constant(c.form, c.ball)),
-    "Sob": (True, _sob),
-    "Tail": (False, lambda c: tail_sup(c.kernel, c.ball, float(c.harness.get("A", 2.0)),
-                                       grid=c.grid)),
-    "CP": (False, lambda c: cp_check(c.kernel.d, c.kernel.alpha, c.theta,
-                                     _exp(c.harness.get("mu", "inf")))),
-    "suffK1": (False, lambda c: suffK1_check(
-        _kernel_of(c, "drift", "suffK1").V, c.ball, c.theta, c.harness.get("gamma", 1.0),
-        c.kernel.alpha, grid=c.grid).to_dict()),
-    "coercivity": (True, lambda c: coercivity_ratio(c.form, c.ball)),
-    "good-set": (False, lambda c: good_set_fraction(c.kernel, c.ball,
-                                                    float(c.harness.get("D", 0.5)), grid=c.grid)),
-    "summary": (False, lambda c: {"K1": _k1(c), "good_set": _ASSUMPTIONS["good-set"][1](c),
-                                  "tail": _ASSUMPTIONS["Tail"][1](c)}),
+    "K1": (False, None, _k1),
+    "K1glob": (False, None, lambda c: _k1(c, k1_glob_profile)),
+    # the class bound of the declared lam, Lam and the kernel's own sup |K_a| / K_s
+    "K2": (False, _family("coefficient"), lambda c: {
+        "D": k2_coefficient_D(c.kernel.lam, c.kernel.Lam),
+        "D_lattice": k2_lattice_D(c.kernel, c.ball, grid=c.grid)}),
+    "Cutoff": (False, None, lambda c: cutoff_sup(
+        c.kernel, float(c.harness.get("zeta", c.ball.r / 2)), c.ball, grid=c.grid)),
+    "Poinc": (True, None, lambda c: poincare_constant(c.form, c.ball)),
+    "Sob": (True, _alpha_below_d, lambda c: sobolev_ratio(
+        c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
+        rng=philox_stream(int(c.harness.get("seed", 0)), 0))),
+    "Tail": (False, None, lambda c: tail_sup(c.kernel, c.ball, float(c.harness.get("A", 2.0)),
+                                             grid=c.grid)),
+    "CP": (False, None, lambda c: cp_check(c.kernel.d, c.kernel.alpha, c.theta,
+                                           _exp(c.harness.get("mu", "inf")))),
+    "suffK1": (False, _family("drift"), lambda c: suffK1_check(
+        c.kernel.V, c.ball, c.theta, c.harness.get("gamma", 1.0), c.kernel.alpha,
+        grid=c.grid).to_dict()),
+    "coercivity": (True, None, lambda c: coercivity_ratio(c.form, c.ball)),
+    "good-set": (False, None, lambda c: good_set_fraction(
+        c.kernel, c.ball, float(c.harness.get("D", 0.5)), grid=c.grid)),
+    "summary": (False, None, lambda c: {"K1": _k1(c), "good_set": _ASSUMPTIONS["good-set"][2](c),
+                                        "tail": _ASSUMPTIONS["Tail"][2](c)}),
 }
 
 
@@ -315,6 +323,11 @@ def _build_kernel_grid(config):
         raise ConfigError(f"$['grid']['d']: {config['grid']['d']} does not match "
                           f"$['kernel']['d'] = {config['kernel']['d']}")
     kernel = kernel_from_config(config["kernel"]) if "kernel" in config else None
+    if kind == "check-kernel":
+        name = config["harness"].get("assumption", "K1")
+        fits = _ASSUMPTIONS[name][1]
+        if fits is not None:
+            fits(kernel, name)
     grid = None
     if "grid" in config:
         gc = config["grid"]
@@ -328,14 +341,16 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     The form is assembled here, once, for the runners that need one. A runner
     returns (summary, report, tables) and opens no file; each table is
-    (csv path, header, rows), its path taken relative to out_dir. Returns the
-    summary dictionary.
+    (csv path, header, rows), its path taken relative to out_dir. A "health"
+    entry of the summary goes to manifest.json instead of summary.txt. Returns
+    the summary dictionary.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = config["harness"]["type"]
     kernel, grid = _build_kernel_grid(config)
     form = assemble(kernel, grid) if _needs_form(config["harness"]) else None
     summary, report, tables = _RUNNERS[kind](config, kernel, grid, form)
+    health = summary.pop("health", None)
     for path, header, rows in tables:
         write_csv(out_dir / path, header, rows)
     write_json(out_dir / "report.json", report)
@@ -346,6 +361,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     }
     if kernel is not None:
         manifest["kernel_hash"] = kernel.spec.digest()
+    if health is not None:
+        manifest["health"] = health
     write_json(out_dir / "manifest.json", manifest)
     lines = [f"{kind}: {summary.get('headline', 'done')}"]
     for key, val in summary.items():
@@ -367,7 +384,7 @@ def _run_check_kernel(config, kernel, grid, form):
                     float(harness.get("R", 0.5)), harness.get("rho"))
     check = SimpleNamespace(kernel=kernel, grid=grid, form=form, harness=harness, ball=ball,
                             theta=_exp(harness.get("theta_exp", "inf")))
-    rep = {"assumption": which, **_ASSUMPTIONS[which][1](check)}
+    rep = {"assumption": which, **_ASSUMPTIONS[which][2](check)}
     if which == "summary":
         return {"headline": f"K1 {rep['K1']['verdict']}, good-set "
                             f"{rep['good_set']['fraction']:.3f}, "
@@ -428,12 +445,17 @@ def _cylinder(harness, kernel):
                     tuple(harness.get("center", [0.0] * kernel.d)))
 
 
+def _health(out):
+    """The summary entry that run_scenario moves to manifest["health"]."""
+    return {"health": {"max_step_residual": out["max_step_residual"]}}
+
+
 def _run_harnack(config, kernel, grid, form):
     harness = config["harness"]
     out = harnack_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
                            int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
-    return ({"headline": f"min c_emp = {out['min']:.4g}", **report}, report,
+    return ({"headline": f"min c_emp = {out['min']:.4g}", **report, **_health(out)}, report,
             [("harnack.csv", ["run", "c_emp"], list(enumerate(out["c_emp"])))])
 
 
@@ -444,8 +466,8 @@ def _run_hoelder(config, kernel, grid, form):
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
     rows = [(i, g if g is not None else "", f)
             for i, (g, f) in enumerate(zip(out["gamma_fit"], out["flat"]))]
-    return ({"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]", **report},
-            report, [("hoelder.csv", ["run", "gamma_fit", "flat"], rows)])
+    return ({"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]", **report,
+             **_health(out)}, report, [("hoelder.csv", ["run", "gamma_fit", "flat"], rows)])
 
 
 def _run_caccioppoli(config, kernel, grid, form):

@@ -354,33 +354,39 @@ def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
 
 def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
                      seed: int, dt: float | None = None) -> dict:
-    quotients = []
+    """Harnack quotients of n_runs members, and each member's max step residual."""
+    quotients, residuals = [], []
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
         quotients.append(harnack_quotient(sol, cyl, f_inf=0.0))
+        residuals.append(float(np.max(sol.residuals)))
     q = np.asarray(quotients)
     return {"c_emp": quotients, "min": float(np.min(q)), "median": float(np.median(q)),
             "max": float(np.max(q)), "n_runs": n_runs, "seed": seed,
-            "h": form.grid.h, "dt": dt or default_dt(form.grid.h, cyl.alpha)}
+            "h": form.grid.h, "dt": dt or default_dt(form.grid.h, cyl.alpha),
+            "max_step_residual": residuals}
 
 
 def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
                     n_scales: int = 4, nu: float = 2.0, R0: float | None = None,
                     dt: float | None = None) -> dict:
-    fits = []
+    """Hoelder fits of n_runs members, and each member's max step residual."""
+    fits, residuals = [], []
     t_fit = cyl.t0 + 0.5 * cyl.ralpha
     R0 = R0 if R0 is not None else cyl.R
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
         fit = holder_fit(sol, t_fit, cyl.center, R0, n_scales=n_scales, nu=nu)
         fits.append(fit)
+        residuals.append(float(np.max(sol.residuals)))
     gammas = [f.gamma for f in fits if not f.flat]
     in_range = [g for g in gammas if g is not None and 0.0 < g <= 1.0]
     return {"gamma_fit": [f.gamma for f in fits],
             "flat": [f.flat for f in fits],
             "fraction_in_range": len(in_range) / n_runs,
             "median": float(np.median(in_range)) if in_range else None,
-            "n_runs": n_runs, "seed": seed, "h": form.grid.h}
+            "n_runs": n_runs, "seed": seed, "h": form.grid.h,
+            "max_step_residual": residuals}
 
 
 def caccioppoli_ensemble(form: DiscreteForm, center, r: float, rho: float,

@@ -15,17 +15,22 @@ dual) hold at the level of the discrete recursion.
 One ``_InteriorSystem`` per (form, variant) holds A_II, A_IC, T_I and the
 drift load; the stepper factors I + theta dt A_II from it, the resolvent
 lam I + A_II.  For a fixed ``DiscreteForm`` whose collar datum and source are
-not callable, the load r is built once per solve and A_IC is then dropped; a
-callable collar is evaluated once per step, at the new time.  A time-dependent
-form is assembled once per time slice, also under theta < 1.
+not callable, the load dt theta r is built once per solve and A_IC is then
+dropped; a callable collar is evaluated once per step, at the new time.  A
+time-dependent form is assembled once per time slice, also under theta < 1.
+A step carries the interior vector and solves with the LAPACK ``getrs`` of the
+LU factors; x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
+``_solve_refined`` redoes the step: ``lu_solve`` and up to 3 refinement sweeps.
 
 ``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``); it
 is a module global read at call time, so replacing ``solve.sla`` reroutes
-every ``lu_factor`` and ``lu_solve``.
+every ``lu_factor`` and ``lu_solve``: a step then goes straight to
+``_solve_refined``, and the replacement sees every solve.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -141,6 +146,7 @@ class _InteriorSystem:
         self.A_II = self.A_II if keep else None      # else its memory now holds M
         self.M[np.diag_indices_from(self.M)] += a
         self.lu = sla.lu_factor(self.M)
+        (self.getrs,) = sla.get_lapack_funcs(("getrs",), self.lu[:1])
 
 
 class _Stepper:
@@ -159,7 +165,7 @@ class _Stepper:
         self._form0, self._form0_t = form0, form0_t
         self._static = not (problem.time_dependent or callable(problem.collar)
                             or callable(problem.f))
-        self._r = self._g = None      # load and collar entries when _static
+        self.g = self._loads = None   # collar datum at t_new, (dt (1 - theta) r, dt theta r)
 
     def matrices(self, t_new: float) -> _InteriorSystem:
         p = self.problem
@@ -168,8 +174,10 @@ class _Stepper:
             return self._system
         system = _InteriorSystem(p.form_at(t_new), p.variant)
         if self._static:
-            self._g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
-            self._r = system.load(p, t_new, self._g)
+            self.g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
+            r = system.load(p, t_new, self.g)
+            self._loads = (p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None,
+                           p.dt * p.theta * r)
             del system.A_IC           # the N_I x N_C block is not needed again
         system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
         self._key, self._system = key, system
@@ -182,37 +190,45 @@ class _Stepper:
         form = self._form0 if t == self._form0_t else self.problem.form_at(t)
         return _InteriorSystem(form, self.problem.variant)
 
-    def step(self, u_full: np.ndarray, t: float):
+    def step(self, u_I: np.ndarray, t: float):
+        """(interior state at t + dt, relative residual) from the interior state u_I at t."""
         p = self.problem
         t_new = t + p.dt
         # the explicit slice first: matrices() replaces the previous step's system
         old = self._explicit(t) if p.theta < 1.0 and p.time_dependent else None
         system = self.matrices(t_new)
         old = system if old is None else old
-        I = system.I
-        g_new = self._g if self._static else _datum(p.collar, t_new, system.form.grid, ~I)
-        u_I = u_full[I]
-        b = u_I.copy()
+        if not self._static:          # else matrices() set both for the whole solve
+            self.g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
+            self._loads = (p.dt * (1.0 - p.theta) * old.load(p, t) if p.theta < 1.0 else None,
+                           p.dt * p.theta * system.load(p, t_new, self.g))
+        b = u_I
         if p.theta < 1.0:
-            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I)
-            b = b + p.dt * (1.0 - p.theta) * (self._r if self._static else old.load(p, t))
-        b = b + p.dt * p.theta * (self._r if self._static else system.load(p, t_new, g_new))
-        u_new_I, rel_res = _solve_refined(system.lu, system.M, b)
+            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I) + self._loads[0]
+        b = b + self._loads[1]
+        rel_res = None
+        if sla is sys.modules["scipy.linalg"]:  # lu_solve inlined as its getrs, checked here
+            x = system.getrs(*system.lu, b)[0]
+            res = b - system.M @ x
+            nres, scale = math.sqrt(res.dot(res)), max(math.sqrt(b.dot(b)), 1e-300)
+            rel_res = nres / scale if nres <= RESIDUAL_TOL * scale else None
+        if rel_res is None:     # missed, not finite, or a replaced sla: the refining solve
+            x, rel_res = _solve_refined(system.lu, system.M, b)
         if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
             k = int(round((t - p.t_start) / p.dt))
             raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
                                f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
-        out = np.empty_like(u_full)
-        out[I] = u_new_I
-        out[~I] = g_new
-        return out, rel_res
+        return x, rel_res
 
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float,
                stepper: _Stepper | None = None):
     """One theta-scheme step from t to t + dt; returns the new full-box state."""
     stepper = stepper or _Stepper(problem)
-    out, _ = stepper.step(np.asarray(u_full, dtype=float), t)
+    out = np.array(u_full, dtype=float)
+    I = (stepper._system or stepper.matrices(t + problem.dt)).I   # one grid at every t
+    out[I], _ = stepper.step(out[I], t)
+    out[~I] = stepper.g
     return out
 
 
@@ -226,17 +242,21 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         raise ValueError("initial state must live on all box nodes")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial state contains non-finite values")
-    u = u0.copy()
-    u[grid.collar] = _datum(problem.collar, problem.t_start, grid, grid.collar)
     n_steps = max(int(round((problem.t_end - problem.t_start) / problem.dt)), 1)
     times = problem.t_start + problem.dt * np.arange(n_steps + 1)
+    I, C = np.flatnonzero(grid.interior), np.flatnonzero(grid.collar)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
-    snaps[0] = u
+    u = snaps[0, I] = u0[I]
+    snaps[0, C] = _datum(problem.collar, problem.t_start, grid, grid.collar)
     residuals = np.empty(n_steps)
     stepper = _Stepper(problem, form, problem.t_start)
     for k in range(n_steps):
         u, residuals[k] = stepper.step(u, times[k])
-        snaps[k + 1] = u
+        snaps[k + 1, I] = u
+        if callable(problem.collar):
+            snaps[k + 1, C] = stepper.g
+    if not callable(problem.collar):  # after the loop: the buffer fills as the steps go
+        snaps[1:, C] = snaps[0, C]
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,
             "h": grid.h, "exterior": problem.exterior,
             "d_const": problem.d_const, "kernel_hash": form.meta.get("kernel_hash"),

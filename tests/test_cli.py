@@ -269,6 +269,29 @@ def test_k2_reads_lam_and_Lam_of_the_kernel(kernel, D, tmp_path):
     assert _report(kernel, "K2", tmp_path)["D"] == D
 
 
+@pytest.mark.parametrize("kernel", [
+    {"family": "coefficient", "d": 1, "alpha": 1.5},
+    {"family": "coefficient", "d": 1, "alpha": 1.5, "g": "one", "Lam": 2.0},
+])
+def test_k2_reports_the_kernel_own_D_next_to_the_class_bound(kernel, tmp_path):
+    rep = _report(kernel, "K2", tmp_path)
+    if kernel.get("g") == "one":
+        assert rep["D_lattice"] == 0.0          # g symmetric: K_a = 0
+    else:
+        assert 0.0 < rep["D_lattice"] <= rep["D"]
+
+
+def test_sob_refuses_alpha_at_least_d_before_assembly(tmp_path, monkeypatch, capsys):
+    import jumplab.cli as cli
+
+    assembled = []
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kw: assembled.append(args))
+    code = run(["check-kernel", "--assumption", "Sob", "--out", tmp_path])
+    assert code == 2
+    assert "config error: $['kernel']['alpha']" in capsys.readouterr().err
+    assert assembled == []
+
+
 def test_suffk1_checks_the_potential_of_the_drift_kernel(tmp_path):
     # the default drift kernel is built on linear-V with b = 1: its Hoelder-1
     # quotient is 1 at every pair of points

@@ -17,7 +17,7 @@ from jumplab.cli import (
     run_scenario,
 )
 from jumplab.discretize import assemble
-from jumplab.solve import solve_parabolic
+from jumplab.solve import RESIDUAL_TOL, solve_parabolic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ENSEMBLE_COMMANDS = {"harnack", "hoelder", "caccioppoli"}
@@ -89,6 +89,15 @@ def test_json_artifacts_are_strict(readme_runs):
     k1 = json.loads((root / "runs" / "k1" / "report.json").read_text(),
                     parse_constant=_reject_constant)
     assert k1["exponents"]["theta"] == "inf"
+
+
+def test_ensemble_manifests_record_each_member_step_residual(readme_runs):
+    root, _ = readme_runs
+    for name in ("harnack", "hoelder"):
+        manifest = json.loads((root / "runs" / name / "manifest.json").read_text())
+        residuals = manifest["health"]["max_step_residual"]
+        assert len(residuals) == 2                      # --ensemble 2
+        assert all(0.0 <= r <= RESIDUAL_TOL for r in residuals)
 
 
 def test_snapshot_rows_match_loop_reference(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import old_resolvent_solve, old_solve_parabolic
+from _oracles import _old_solve_refined, old_resolvent_solve, old_solve_parabolic
 
 import jumplab.solve as solve_module
 from jumplab import (
@@ -302,6 +302,18 @@ class TestAgainstFrozenLoop:
         sol = _assert_matches_frozen_loop(p)
         assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
 
+    @pytest.mark.parametrize("collar", ["array", "callable"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_ball_form_2d(self, cone_kernel_2d, rng, theta, collar):
+        # the interior of a ball is no contiguous run of node indices
+        grid = build_grid(2, 1.0, 1 / 8, {"type": "ball", "radius": 0.6})
+        assert np.any(np.diff(np.flatnonzero(grid.interior)) > 1)
+        p = ParabolicProblem(assemble(cone_kernel_2d, grid), rng.uniform(0.2, 1.0, grid.n_nodes),
+                             0.0, 0.1, 0.02, collar=_collar(collar, grid), exterior=0.4,
+                             theta=theta, variant="dual_ext", d_const=0.7)
+        sol = _assert_matches_frozen_loop(p)
+        assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
+
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_time_dependent_form(self, grid_1d, sin_coefficient_kernel, rng, theta):
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
@@ -311,6 +323,19 @@ class TestAgainstFrozenLoop:
                              collar=_collar("array", grid_1d), exterior=0.3, theta=theta,
                              variant="dual_ext", d_const=0.5)
         _assert_matches_frozen_loop(p)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_theta_steps_through_one_stepper(self, grid_1d, sin_coefficient_kernel, rng,
+                                             theta):
+        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
+        p = ParabolicProblem(lambda t: assemble_time(tk, grid_1d, t),
+                             rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
+                             collar=_collar("callable", grid_1d), exterior=0.3, theta=theta)
+        sol = _assert_matches_frozen_loop(p)
+        stepper, u = solve_module._Stepper(p), sol.snapshots[0]
+        for k in range(len(sol.times) - 1):
+            u = theta_step(p, u, sol.times[k], stepper)
+            assert np.array_equal(u, sol.snapshots[k + 1])
 
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_resolvent(self, coeff_form_1d, rng, variant):
@@ -326,6 +351,55 @@ def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
         solve_parabolic(p)
     with pytest.raises(RuntimeError, match=r"step 2 to t=0\.03: relative residual"):
         theta_step(p, np.zeros(stable_form_1d.grid.n_nodes), 0.02)
+
+
+def test_a_step_that_meets_the_check_solves_with_getrs_alone(stable_form_1d, monkeypatch):
+    # scipy.linalg itself stays solve.sla, so the step inlines lu_solve as its getrs
+    calls = []
+    monkeypatch.setattr(solve_module.sla, "lu_solve", lambda *args: calls.append(args))
+    p = problem_with(stable_form_1d, u0=np.ones(stable_form_1d.grid.n_nodes), collar=0.5)
+    sol = solve_parabolic(p)
+    assert calls == [] and np.all(sol.residuals <= RESIDUAL_TOL)
+
+
+def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng, monkeypatch):
+    # LU factors of a slightly perturbed M: the first solve misses RESIDUAL_TOL
+    g = coeff_form_1d.grid
+    p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
+                         collar=_collar("array", g), exterior=0.4)
+    stepper = solve_module._Stepper(p)
+    system = stepper.matrices(p.t_start + p.dt)
+    system.lu = solve_module.sla.lu_factor(system.M * (1.0 + 1e-6))
+    real, calls = solve_module._solve_refined, []
+
+    def spy(lu_piv, M, b):
+        calls.append((lu_piv, M, b.copy()))
+        return real(lu_piv, M, b)
+
+    monkeypatch.setattr(solve_module, "_solve_refined", spy)
+    u_I, rel_res = stepper.step(p.u0[g.interior], p.t_start)
+    assert len(calls) == 1
+    x_old, rel_old = _old_solve_refined(*calls[0])
+    assert np.array_equal(u_I, x_old) and rel_res == rel_old
+    assert rel_res <= RESIDUAL_TOL
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")   # the residual of an inf solve
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("collar", ["array", "callable"])
+def test_non_finite_collar_raises_as_the_frozen_loop(coeff_form_1d, collar, bad):
+    g = coeff_form_1d.grid
+    datum = np.full(int(g.collar.sum()), 0.5)
+    datum[3] = bad
+    p = problem_with(coeff_form_1d, u0=np.ones(g.n_nodes), dt=0.02, t_end=0.04,
+                     collar=datum if collar == "array" else (lambda t, x: datum))
+    with pytest.raises(ValueError) as old:
+        old_solve_parabolic(p)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs") as new:
+        solve_parabolic(p)
+    assert str(new.value) == str(old.value)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        theta_step(p, np.ones(g.n_nodes), 0.0)
 
 
 def test_meta_records_horizon_and_alpha(stable_form_1d):
