@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
+from .kernels import _project
 from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic
 
 
@@ -328,8 +329,7 @@ def random_smooth_positive_field(rng: np.random.Generator, d: int,
     amp = roughness * rng.normal(size=n_modes) / np.sqrt(n_modes)
 
     def field(x):
-        x = np.asarray(x, dtype=float)
-        acc = sum(a * np.cos(np.tensordot(x, f, axes=([-1], [0])) + p)
+        acc = sum(a * np.cos(_project(x, f) + p)
                   for a, f, p in zip(amp, freq, phase))
         return np.exp(acc)
 

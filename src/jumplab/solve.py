@@ -12,12 +12,11 @@ tail weights; the extended dual adds the exact constant-drift load, which
 makes the shift identity (dual solution minus a constant solves the extended
 dual) hold at the level of the discrete recursion.
 
-One ``_InteriorSystem`` per (form, variant) holds A_II, A_IC, T_I and the
-drift load; the stepper factors I + theta dt A_II from it, the resolvent
-lam I + A_II.  For a fixed ``DiscreteForm`` whose collar datum and source are
-not callable, the load dt theta r is built once per solve and A_IC is then
-dropped; a callable collar is evaluated once per step, at the new time.  A
-time-dependent form is assembled once per time slice, also under theta < 1.
+``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
+and evaluates form, collar datum and source only at grid times, the form once
+per time.  One ``_InteriorSystem`` per (form object, variant) holds A_II, A_IC
+and the load; the stepper factors I + theta dt A_II from it once per form
+object (see ``_Stepper``), the resolvent lam I + A_II.
 A step carries the interior vector and solves with the LAPACK ``getrs`` of the
 LU factors; x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
 ``_solve_refined`` redoes the step: ``lu_solve`` and up to 3 refinement sweeps.
@@ -111,34 +110,39 @@ def _solve_refined(lu_piv, Mmat, x_rhs):
 
 
 class _InteriorSystem:
-    """A_II, A_IC, tail_I and drift_load_I of one (form, variant).
+    """A_II, A_IC and the load of one (form, variant), sliced on first use.
 
     ``factor(a, b)`` builds M = a I + b A_II and its LU factors: the stepper
     uses a = 1, b = theta dt, the resolvent a = lam, b = 1.  M takes the
     memory of A_II unless ``keep`` asks for A_II to stay (explicit part).
+    ``lu`` is None until then; ``loads`` is the stepper's load pair.
     """
+    lu = loads = None
 
     def __init__(self, form: DiscreteForm, variant: str):
-        A, tail = (form.A, form.tail) if variant == "primal" else (form.A.T, form.tail_dual)
-        load = form.drift_load if variant == "dual_ext" else None
-        self.form, self.I, self._A = form, form.grid.interior, A
-        self.A_II = A[np.ix_(self.I, self.I)]
-        self.tail_I = tail[self.I]
-        self.drift_load_I = None if load is None else load[self.I]
+        self.form, self.variant, self.I = form, variant, form.grid.interior
+
+    @cached_property
+    def _A(self) -> np.ndarray:
+        return self.form.A if self.variant == "primal" else self.form.A.T
+
+    @cached_property
+    def A_II(self) -> np.ndarray:
+        return self._A[np.ix_(self.I, self.I)]
 
     @cached_property
     def A_IC(self) -> np.ndarray:
         return self._A[np.ix_(self.I, ~self.I)]
 
-    def load(self, p: ParabolicProblem, t: float, g: np.ndarray | None = None):
+    def load(self, p: ParabolicProblem, t: float, g: np.ndarray):
         """r(t) = f - A_IC g + T_I u_ext (+ d * drift_load_I) on interior nodes,
-        with the collar datum g evaluated at t unless given."""
-        grid = self.form.grid
-        g = _datum(p.collar, t, grid, grid.collar) if g is None else g
-        r = _datum(p.f, t, grid, self.I) - self.A_IC @ g
-        r = r + self.tail_I * p.exterior
-        if self.drift_load_I is not None:
-            r = r + p.d_const * self.drift_load_I
+        g being the collar datum at t."""
+        form = self.form
+        tail = form.tail if self.variant == "primal" else form.tail_dual
+        r = _datum(p.f, t, form.grid, self.I) - self.A_IC @ g
+        r = r + tail[self.I] * p.exterior
+        if self.variant == "dual_ext":
+            r = r + p.d_const * form.drift_load[self.I]
         return r
 
     def factor(self, a: float, b: float, keep: bool = False):
@@ -150,62 +154,50 @@ class _InteriorSystem:
 
 
 class _Stepper:
-    """The factored interior system, cached per time for time-dependent forms.
+    """Steps the interior state from one grid time to the next.
 
-    Under theta < 1 the explicit part of a step at t reuses the implicit
-    system of the previous step (its A_II is kept) when that step ended at t
-    bit for bit, or ``form0`` when t is ``form0_t``; only a step that starts
-    elsewhere assembles its explicit slice anew.
+    It carries the interior system of the current time and keeps it for the
+    next step when the form there is the same object, so a system is built
+    once per form object and factored once, when it first becomes implicit.
+    Under theta < 1 the explicit part of a step is the system of its start
+    time (its A_II is kept).  The load pair (dt (1 - theta) r, dt theta r) is
+    built at each time, or once per system when neither the collar datum nor
+    the source is callable.
     """
 
-    def __init__(self, problem: ParabolicProblem, form0: DiscreteForm | None = None,
-                 form0_t: float | None = None):
+    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, t: float):
         self.problem = problem
-        self._key = self._system = None
-        self._form0, self._form0_t = form0, form0_t
-        self._static = not (problem.time_dependent or callable(problem.collar)
-                            or callable(problem.f))
-        self.g = self._loads = None   # collar datum at t_new, (dt (1 - theta) r, dt theta r)
+        self._timed = callable(problem.collar) or callable(problem.f)
+        self.system = _InteriorSystem(form, problem.variant)
+        self.g = None                 # collar datum at the current time, once loaded
+        self.loads = self._loads(self.system, t) if problem.theta < 1.0 else None
 
-    def matrices(self, t_new: float) -> _InteriorSystem:
+    def _loads(self, system: _InteriorSystem, t: float):
         p = self.problem
-        key = t_new if p.time_dependent else None
-        if self._system is not None and key == self._key:
-            return self._system
-        system = _InteriorSystem(p.form_at(t_new), p.variant)
-        if self._static:
-            self.g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
-            r = system.load(p, t_new, self.g)
-            self._loads = (p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None,
-                           p.dt * p.theta * r)
-            del system.A_IC           # the N_I x N_C block is not needed again
-        system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
-        self._key, self._system = key, system
-        return system
+        if system.loads is None or self._timed:
+            grid = system.form.grid
+            self.g = _datum(p.collar, t, grid, grid.collar)
+            r = system.load(p, t, self.g)
+            system.loads = (p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None,
+                            p.dt * p.theta * r)
+            if not self._timed:
+                del system.A_IC       # the N_I x N_C block is not needed again
+        return system.loads
 
-    def _explicit(self, t: float) -> _InteriorSystem:
-        """The system at t for the explicit part of a time-dependent step."""
-        if self._system is not None and t == self._key:
-            return self._system
-        form = self._form0 if t == self._form0_t else self.problem.form_at(t)
-        return _InteriorSystem(form, self.problem.variant)
-
-    def step(self, u_I: np.ndarray, t: float):
-        """(interior state at t + dt, relative residual) from the interior state u_I at t."""
+    def step(self, u_I: np.ndarray, t_new: float, k: int):
+        """(interior state at t_new, relative residual) of step k from the
+        interior state u_I at the current time."""
         p = self.problem
-        t_new = t + p.dt
-        # the explicit slice first: matrices() replaces the previous step's system
-        old = self._explicit(t) if p.theta < 1.0 and p.time_dependent else None
-        system = self.matrices(t_new)
-        old = system if old is None else old
-        if not self._static:          # else matrices() set both for the whole solve
-            self.g = _datum(p.collar, t_new, system.form.grid, system.form.grid.collar)
-            self._loads = (p.dt * (1.0 - p.theta) * old.load(p, t) if p.theta < 1.0 else None,
-                           p.dt * p.theta * system.load(p, t_new, self.g))
+        old, form = self.system, p.form_at(t_new)
+        system = old if form is old.form else _InteriorSystem(form, p.variant)
+        explicit, loads = self.loads, self._loads(system, t_new)
+        if system.lu is None:         # after the loads, which free a static A_IC first
+            system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
+        self.system, self.loads = system, loads
         b = u_I
         if p.theta < 1.0:
-            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I) + self._loads[0]
-        b = b + self._loads[1]
+            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I) + explicit[0]
+        b = b + loads[1]
         rel_res = None
         if sla is sys.modules["scipy.linalg"]:  # lu_solve inlined as its getrs, checked here
             x = system.getrs(*system.lu, b)[0]
@@ -215,19 +207,18 @@ class _Stepper:
         if rel_res is None:     # missed, not finite, or a replaced sla: the refining solve
             x, rel_res = _solve_refined(system.lu, system.M, b)
         if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
-            k = int(round((t - p.t_start) / p.dt))
             raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
                                f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
         return x, rel_res
 
 
-def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float,
-               stepper: _Stepper | None = None):
+def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     """One theta-scheme step from t to t + dt; returns the new full-box state."""
-    stepper = stepper or _Stepper(problem)
+    stepper = _Stepper(problem, problem.form_at(t), t)
     out = np.array(u_full, dtype=float)
-    I = (stepper._system or stepper.matrices(t + problem.dt)).I   # one grid at every t
-    out[I], _ = stepper.step(out[I], t)
+    I = stepper.system.I
+    out[I], _ = stepper.step(out[I], t + problem.dt,
+                             int(round((t - problem.t_start) / problem.dt)))
     out[~I] = stepper.g
     return out
 
@@ -251,7 +242,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     residuals = np.empty(n_steps)
     stepper = _Stepper(problem, form, problem.t_start)
     for k in range(n_steps):
-        u, residuals[k] = stepper.step(u, times[k])
+        u, residuals[k] = stepper.step(u, times[k + 1], k)
         snaps[k + 1, I] = u
         if callable(problem.collar):
             snaps[k + 1, C] = stepper.g

@@ -329,3 +329,11 @@ class TestEnsembles:
         cyl = Cylinder(0.0, 0.5, 1.0, (0.0,))
         out = harnack_ensemble(F, cyl, 5, seed=1)
         assert out["min"] > 0
+
+
+def test_random_field_value_does_not_depend_on_the_batch():
+    # 2D: a node's value from a one-row call is the same row of the full-grid call
+    grid = build_grid(2, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
+    field = random_smooth_positive_field(philox_stream(3, 0), 2)
+    rows = np.array([field(grid.nodes[i:i + 1])[0] for i in range(grid.n_nodes)])
+    assert np.array_equal(rows, field(grid.nodes))

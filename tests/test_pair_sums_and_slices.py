@@ -1,9 +1,10 @@
-"""form_value sums its pair terms directly; a theta < 1 run assembles each
-time slice once."""
+"""form_value sums its pair terms directly; a run evaluates its form once per
+grid time and builds and factors one interior system per form object."""
 import numpy as np
 import pytest
 
 from _oracles import old_solve_parabolic
+from jumplab import solve as solve_module
 from jumplab import (
     ParabolicProblem,
     QuadSpec,
@@ -91,19 +92,48 @@ def test_slice_reuse_is_exact_and_keyed_on_the_float(grid_1d, modulated, t_start
     p, calls = _counted_problem(grid_1d, modulated, t_start, 0.1, theta)
     sol = solve_parabolic(p)
     times = sol.times
-    # a step starts at times[k]; the previous one ended at times[k - 1] + dt,
-    # which for t_start = 0.7 differs from times[k] in the last bit at k = 3
+    # times[k - 1] + dt differs from times[k] in the last bit for t_start = 0.7
+    # (k = 3); the forms are still evaluated once each, at the grid times
     misses = [k for k in range(1, len(times) - 1) if times[k] != times[k - 1] + p.dt]
     assert bool(misses) == (t_start == 0.7)
-    expected = [times[0]]
-    for k in range(len(times) - 1):
-        if theta < 1.0 and k in misses:
-            expected.append(times[k])          # explicit slice, assembled anew
-        expected.append(times[k] + p.dt)       # implicit slice
-    assert calls == expected
-    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, t),
+    assert calls == list(times)
+    # the frozen loop steps to times[k] + dt: give it the slice of the nearest grid time
+    nearest = lambda t: times[np.argmin(np.abs(times - t))]
+    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, nearest(t)),
                               p.u0, p.t_start, p.t_end, p.dt, collar=p.collar,
                               exterior=p.exterior, theta=theta)
     old_times, old_snaps, _ = old_solve_parabolic(frozen)
     assert np.array_equal(sol.times, old_times)
     assert np.array_equal(sol.snapshots, old_snaps)
+
+
+def _count_systems_and_factorisations(monkeypatch):
+    systems, factors = [], []
+    init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
+
+    def counting_init(self, *args):
+        systems.append(type(self))
+        init(self, *args)
+
+    def counting_lu_factor(M):
+        factors.append(M.shape)
+        return lu_factor(M)
+
+    monkeypatch.setattr(solve_module._InteriorSystem, "__init__", counting_init)
+    monkeypatch.setattr(solve_module.sla, "lu_factor", counting_lu_factor)
+    return systems, factors
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["form", "constant", "switch"])
+def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, stable_form_1d,
+                                                          monkeypatch, kind, theta):
+    F, F2 = coeff_form_1d, stable_form_1d
+    form = {"form": F, "constant": lambda t: F,
+            "switch": lambda t: F if t < 0.5 else F2}[kind]
+    systems, factors = _count_systems_and_factorisations(monkeypatch)
+    sol = solve_parabolic(ParabolicProblem(form, np.ones(F.grid.n_nodes), 0.0, 1.0, 0.01,
+                                           collar=0.5, exterior=0.2, theta=theta))
+    assert sol.meta["n_steps"] == 100 and np.all(sol.residuals <= solve_module.RESIDUAL_TOL)
+    n_forms = 2 if kind == "switch" else 1
+    assert len(systems) == n_forms and len(factors) == n_forms

@@ -332,9 +332,11 @@ class TestAgainstFrozenLoop:
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
                              collar=_collar("callable", grid_1d), exterior=0.3, theta=theta)
         sol = _assert_matches_frozen_loop(p)
-        stepper, u = solve_module._Stepper(p), sol.snapshots[0]
+        stepper = solve_module._Stepper(p, p.form_at(sol.times[0]), sol.times[0])
+        u, I = sol.snapshots[0].copy(), grid_1d.interior
         for k in range(len(sol.times) - 1):
-            u = theta_step(p, u, sol.times[k], stepper)
+            u[I], _ = stepper.step(u[I], sol.times[k + 1], k)
+            u[~I] = stepper.g
             assert np.array_equal(u, sol.snapshots[k + 1])
 
     @pytest.mark.parametrize("variant", ["primal", "dual"])
@@ -367,8 +369,9 @@ def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng
     g = coeff_form_1d.grid
     p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
                          collar=_collar("array", g), exterior=0.4)
-    stepper = solve_module._Stepper(p)
-    system = stepper.matrices(p.t_start + p.dt)
+    stepper = solve_module._Stepper(p, p.form, p.t_start)
+    system = stepper.system
+    system.factor(1.0, p.theta * p.dt)
     system.lu = solve_module.sla.lu_factor(system.M * (1.0 + 1e-6))
     real, calls = solve_module._solve_refined, []
 
@@ -377,7 +380,7 @@ def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng
         return real(lu_piv, M, b)
 
     monkeypatch.setattr(solve_module, "_solve_refined", spy)
-    u_I, rel_res = stepper.step(p.u0[g.interior], p.t_start)
+    u_I, rel_res = stepper.step(p.u0[g.interior], p.t_start + p.dt, 0)
     assert len(calls) == 1
     x_old, rel_old = _old_solve_refined(*calls[0])
     assert np.array_equal(u_I, x_old) and rel_res == rel_old
