@@ -1,9 +1,11 @@
 """Scenario runner: declarative JSON configs in, reproducible artifacts out.
 
 Every run writes manifest.json (the config as run: file or preset, flags
-applied; package version, harness, kernel hash; for harnack and hoelder the
-health block, each member's max step residual), report.json, per-harness CSV
-tables and a short human-readable summary into the output directory.
+applied; package version, harness, kernel hash; the environment block: python,
+numpy, scipy and BLAS versions, the BLAS thread variables and the CPU count;
+for harnack and hoelder the health block, each member's max step residual),
+report.json, per-harness CSV tables and a short human-readable summary into
+the output directory.
 ``run_scenario`` is the one place that builds the inputs and writes the
 output: it builds the kernel and grid, assembles the form once for the runners
 that need one, and writes every artifact.  A runner computes only: it returns
@@ -22,6 +24,8 @@ import csv
 import json
 import math
 import operator
+import os
+import platform
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -336,6 +340,31 @@ def _build_kernel_grid(config):
     return kernel, grid
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """manifest["env"]: versions, BLAS, thread variables (None when unset) and
+    the CPUs this process may run on.  scipy's version is read from its
+    package metadata, since importing scipy would undo its lazy loading."""
+    from importlib import metadata
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:       # numpy < 1.26 only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy_version,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+            "cpus": len(affinity(0)) if affinity else os.cpu_count()}
+
+
 def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one validated scenario and write all of its artifacts.
 
@@ -358,6 +387,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         "version": __version__,
         "config": config,
         "harness": kind,
+        "env": _environment(),
     }
     if kernel is not None:
         manifest["kernel_hash"] = kernel.spec.digest()

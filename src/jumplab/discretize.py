@@ -17,12 +17,13 @@ separable modulation) is translation invariant and equals c(e)
 s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
 
 - pairs: K_s and K_a run once per node offset on the (2n-1)^d difference
-  stencil, and the N x N pair arrays are filled as (block-)Toeplitz copies of
-  it.  This path is taken only when along every axis the node difference
-  a_j - a_i depends on j - i alone, bit for bit (a dyadic h such as 1/32 on
-  X = 1); the arrays are then those of ``pair_values`` bit for bit.  Any
-  other grid (h = 4/48 on X = 2, say) and any other kernel runs
-  ``pair_values`` on all node pairs;
+  stencil, which is symmetrised there (offset k against -k), and the N x N
+  pair arrays are filled as (block-)Toeplitz copies of it.  This path is
+  taken only when along every axis the node difference a_j - a_i depends on
+  j - i alone, bit for bit (a dyadic h such as 1/32 on X = 1); the arrays
+  are then those of ``pair_values`` symmetrised on all pairs, bit for bit.
+  Any other grid (h = 4/48 on X = 2, say) and any other kernel runs
+  ``pair_values`` on all node pairs and symmetrises the N x N arrays;
 - tails: T_i = 2 sum_e w_e c(e) s0(x_i, e)^{-gamma(e)} / gamma(e), on the
   directions, weights and box exit radii s0 of the ray rule, whose radial
   quadrature it replaces.  Kernels without a profile keep the ray rule
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -202,12 +204,15 @@ def _symmetrise(M: np.ndarray, op) -> None:
 
 
 def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
-                    meta: dict, scale: float) -> DiscreteForm:
+                    meta: dict, scale: float, *, symmetrised: bool = False) -> DiscreteForm:
     """Form from zero-diagonal pair matrices S, W, built in place: A_s is
     scale * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
-    A_a is scale * anti(W)."""
-    _symmetrise(S, np.add)
-    _symmetrise(W, np.subtract)
+    A_a is scale * anti(W).  ``symmetrised`` says that S and W already are
+    sym(S) and anti(W) (``assemble`` takes its pairs so), which are then not
+    symmetrised again."""
+    if not symmetrised:
+        _symmetrise(S, np.add)
+        _symmetrise(W, np.subtract)
     row_s = -scale * np.sum(S, axis=1)
     row_a = -scale * np.sum(W, axis=1)
     S *= scale
@@ -233,11 +238,13 @@ def _toeplitz_axes(grid: Grid) -> list[np.ndarray] | None:
     return axes
 
 
-def _stencil_pair_values(axes: list[np.ndarray], *fns) -> list[np.ndarray]:
+def _stencil_pair_values(axes: list[np.ndarray], *fns, ops=()) -> list[np.ndarray]:
     """``pair_values`` of translation-invariant fns from the (2n-1)^d
     difference stencil: each fn runs once per node offset, on a node pair with
     that offset, and the N x N arrays are filled as (block-)Toeplitz copies of
-    the stencil through a strided view, with no N x N temporary."""
+    the stencil through a strided view, with no N x N temporary.  With ops,
+    one per fn, a stencil s is first op(s[k], s[-k]) * 0.5 at every offset k,
+    so its array is op(M, M.T) * 0.5, what ``_symmetrise`` makes of M."""
     n, d = axes[0].size, len(axes)
     off = np.arange(-(n - 1), n)
     # per axis, offset k = j - i is the node pair x = a[max(-k, 0)], y = a[max(k, 0)]
@@ -247,9 +254,12 @@ def _stencil_pair_values(axes: list[np.ndarray], *fns) -> list[np.ndarray]:
     live = np.ones(xs.shape[0], dtype=bool)
     live[xs.shape[0] // 2] = False               # offset zero: the diagonal
     out = []
-    for fn in fns:
+    for fn, op in zip_longest(fns, ops):
         stencil = np.zeros(xs.shape[0])
         stencil[live] = fn(xs[live], ys[live])
+        if op is not None:
+            # reversing the flat stencil reverses every axis: offset k meets -k
+            stencil = op(stencil, stencil[::-1]) * 0.5
         windows = np.lib.stride_tricks.sliding_window_view(
             stencil.reshape((2 * n - 1,) * d), (n,) * d)
         M = np.empty((n ** d, n ** d))
@@ -259,42 +269,45 @@ def _stencil_pair_values(axes: list[np.ndarray], *fns) -> list[np.ndarray]:
     return out
 
 
-def _pair_arrays(kernel: Kernel, grid: Grid, profiled: bool) -> list[np.ndarray]:
-    """K_s and K_a on all off-diagonal node pairs, zero diagonal."""
+def _pair_arrays(kernel: Kernel, grid: Grid, profiled: bool, ops=()) -> list[np.ndarray]:
+    """K_s and K_a on all off-diagonal node pairs, zero diagonal.  With ops
+    (np.add, np.subtract) they come as op(M, M.T) * 0.5, taken on the stencil
+    when the stencil path runs, by ``_symmetrise`` on the arrays otherwise."""
     axes = _toeplitz_axes(grid) if profiled else None
     try:
         if axes is not None:
-            return _stencil_pair_values(axes, kernel.sym, kernel.anti)
-        return pair_values(grid.nodes, kernel.sym, kernel.anti)
+            return _stencil_pair_values(axes, kernel.sym, kernel.anti, ops=ops)
+        out = pair_values(grid.nodes, kernel.sym, kernel.anti)
     except ValueError as exc:
         raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
-
-
-def _tail_weights(kernel: Kernel, grid: Grid, quad: QuadSpec,
-                  part: str, profile) -> np.ndarray:
-    """int_{R^d \\ box} K_part(x_i, y) dy at every node.  On a power-law ray
-    the radial integral from the exit radius s0 is c s0^{-gamma} / gamma,
-    summed with the angular weights; other kernels take the ray rule."""
-    exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
-    if profile is None:
-        return exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
-    dirs, ang_w = directions(grid.d, quad.n_ang)
-    c, gamma = profile
-    return (c / gamma * exit_fn(grid.nodes, dirs) ** -gamma) @ ang_w
+    for M, op in zip(out, ops):
+        _symmetrise(M, op)
+    return out
 
 
 def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> DiscreteForm:
     if kernel.d != grid.d:
         raise ValueError("kernel/grid dimension mismatch")
     quad = quad or QuadSpec()
-    dirs, _ = directions(grid.d, quad.n_ang)
+    dirs, ang_w = directions(grid.d, quad.n_ang)
     profiles = {part: kernel.ray_profile(part, dirs) for part in ("sym", "anti")}
-    Ks, Ka = _pair_arrays(kernel, grid, profiles["sym"] is not None)
-    T_s, T_a = (2.0 * _tail_weights(kernel, grid, quad, part, prof)
-                for part, prof in profiles.items())
+    profiled = all(prof is not None for prof in profiles.values())
+    Ks, Ka = _pair_arrays(kernel, grid, profiled, ops=(np.add, np.subtract))
+    # int_{R^d \ box} K_part(x_i, y) dy at every node.  On a power-law ray the
+    # radial integral from the exit radius s0 is c s0^{-gamma} / gamma, summed
+    # with the angular weights; other kernels take the ray rule.
+    if profiled:
+        s0 = ray_exit_box(grid.nodes, dirs, grid.X)
+        tails = ((c / gamma * s0 ** -gamma) @ ang_w for c, gamma in profiles.values())
+    else:
+        exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
+        tails = (exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
+                 for part in profiles)
+    T_s, T_a = (2.0 * T for T in tails)
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
-    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, -2.0 * grid.cell_volume)
+    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, -2.0 * grid.cell_volume,
+                           symmetrised=True)
 
 
 def transpose_form(form: DiscreteForm) -> DiscreteForm:

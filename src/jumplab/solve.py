@@ -238,9 +238,11 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     I, C = np.flatnonzero(grid.interior), np.flatnonzero(grid.collar)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
     u = snaps[0, I] = u0[I]
-    snaps[0, C] = _datum(problem.collar, problem.t_start, grid, grid.collar)
-    residuals = np.empty(n_steps)
     stepper = _Stepper(problem, form, problem.t_start)
+    # under theta < 1 the stepper has read the datum at t_start for its first load
+    snaps[0, C] = stepper.g if stepper.g is not None else _datum(
+        problem.collar, problem.t_start, grid, grid.collar)
+    residuals = np.empty(n_steps)
     for k in range(n_steps):
         u, residuals[k] = stepper.step(u, times[k + 1], k)
         snaps[k + 1, I] = u

@@ -4,11 +4,15 @@ import json
 import os
 import re
 import shlex
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from jumplab.cli import (
+    _RUNNERS,
     _build_kernel_grid,
     _default_config,
     _problem_from_config,
@@ -98,6 +102,22 @@ def test_ensemble_manifests_record_each_member_step_residual(readme_runs):
         residuals = manifest["health"]["max_step_residual"]
         assert len(residuals) == 2                      # --ensemble 2
         assert all(0.0 <= r <= RESIDUAL_TOL for r in residuals)
+
+
+def test_every_manifest_records_the_environment(readme_runs):
+    root, codes = readme_runs
+    harnesses = set()
+    for path in sorted(root.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        harnesses.add(manifest["harness"])
+        env = manifest["env"]
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"] == {var: os.environ.get(var) for var in
+                                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert env["cpus"] == len(os.sched_getaffinity(0))
+    assert harnesses == set(codes) == set(_RUNNERS)
 
 
 def test_snapshot_rows_match_loop_reference(tmp_path):

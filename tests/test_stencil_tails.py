@@ -138,6 +138,54 @@ def test_assembled_form_matches_the_pair_values_path(cone_kernel_2d, monkeypatch
     assert np.array_equal(F.tail_sym, G.tail_sym)
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("case", ["dual-cone-2d", "time-slice-2d", "stable-2d"])
+def test_assembled_forms_match_the_pair_values_path_bit_for_bit(case, cone_kernel_2d,
+                                                                monkeypatch):
+    kernel = {"dual-cone-2d": cone_kernel_2d.dual(),
+              "time-slice-2d": time_modulate(cone_kernel_2d, lambda t: 1.0 + t, 1.0, 2.0,
+                                             ka_scale=lambda t: -0.7).at(0.5),
+              "stable-2d": make_stable_kernel(2, 1.3, coeff=0.7)}[case]
+    grid = build_grid(2, 1.0, 1 / 16, {"type": "ball", "radius": 0.75})
+    quad = QuadSpec(n_ang=32, n_panels=20)
+    F = assemble(kernel, grid, quad=quad)
+    monkeypatch.setattr(discretize, "_toeplitz_axes", lambda grid: None)
+    G = assemble(kernel, grid, quad=quad)
+    for name in ("A_s", "A_a", "tail_sym", "tail_anti"):
+        assert _same_bits(getattr(F, name), getattr(G, name)), name
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(discretize, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(discretize, name, counted)
+    return calls
+
+
+def test_assembly_symmetrises_on_the_stencil_and_reads_the_grid_once(cone_kernel_1d,
+                                                                     cone_kernel_2d,
+                                                                     monkeypatch):
+    counted = {name: _counting(monkeypatch, name)
+               for name in ("_symmetrise", "_toeplitz_axes", "ray_exit_box")}
+    cases = [(cone_kernel_2d, build_grid(2, 1.0, 1 / 8), 0),
+             (cone_kernel_1d, build_grid(1, 2.0, 1 / 64), 0),
+             (cone_kernel_1d, build_grid(1, 2.0, 4.0 / 48), 2)]     # the non-dyadic fallback
+    for kernel, grid, n_symmetrise in cases:
+        for calls in counted.values():
+            calls.clear()
+        assemble(kernel, grid)
+        assert len(counted["_symmetrise"]) == n_symmetrise
+        assert len(counted["_toeplitz_axes"]) == 1 and len(counted["ray_exit_box"]) == 1
+
+
 def test_node_lattice_that_is_not_a_tensor_grid():
     grid = build_grid(2, 1.0, 1 / 4)
     flipped = discretize.Grid(2, grid.X, grid.h, grid.nodes[::-1].copy(), grid.interior)
@@ -207,6 +255,30 @@ def test_tiled_symmetrisation_equals_the_two_line_form(n):
         _symmetrise(new, op)
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_symmetrised_stencil_fills_what_symmetrise_makes_of_the_raw_fill(d, n):
+    rng = np.random.Generator(np.random.Philox(key=10 * n + d))
+    m = (2 * n - 1) ** d
+    R = rng.standard_normal(m)
+    R[rng.random(m) < 0.3] = 0.0
+    R[rng.random(m) < 0.2] = -0.0
+    pairs = np.flatnonzero(rng.random(m) < 0.2)
+    R[m - 1 - pairs] = R[pairs]                 # equal pairs: offsets k and -k alike
+    flips = np.flatnonzero(rng.random(m) < 0.2)
+    R[m - 1 - flips] = -R[flips]                # opposite pairs: a zero from either op
+    table = R.reshape((2 * n - 1,) * d)
+    # integer node coordinates: y - x + n - 1 is the stencil index of the pair
+    fn = lambda x, y: table[tuple((y - x + n - 1).astype(int).T)]
+    axes = [np.arange(n, dtype=float)] * d
+    ops = (np.add, np.subtract)
+    raw = discretize._stencil_pair_values(axes, fn, fn)
+    new = discretize._stencil_pair_values(axes, fn, fn, ops=ops)
+    for M, S, op in zip(raw, new, ops):
+        _symmetrise(M, op)
+        assert _same_bits(S, M)
 
 
 def test_completed_form_adds_no_n_by_n_temporary():
