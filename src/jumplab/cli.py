@@ -3,7 +3,9 @@
 Every run writes manifest.json (the config as run: file or preset, flags
 applied; package version, harness, kernel hash; the environment block: python,
 numpy, scipy and BLAS versions, the BLAS thread variables and the CPU count;
-for harnack and hoelder the health block, each member's max step residual),
+for harnack and hoelder the health block, each member's max step residual;
+the resolution block: h, N, N_I, dt and the form's quadrature, null where the
+subcommand has none),
 report.json, per-harness CSV tables and a short human-readable summary into
 the output directory.
 ``run_scenario`` is the one place that builds the inputs and writes the
@@ -365,14 +367,24 @@ def _environment() -> dict:
             "cpus": len(affinity(0)) if affinity else os.cpu_count()}
 
 
+def _resolution(grid, form=None) -> dict:
+    """manifest["resolution"] of a grid and form, either None; a time-stepping
+    runner sets dt through its summary."""
+    if grid is None:
+        return {"h": None, "N": None, "N_I": None, "dt": None, "quad": None}
+    return {"h": grid.h, "N": grid.n_nodes, "N_I": int(grid.interior.sum()), "dt": None,
+            "quad": None if form is None else form.meta.get("quad")}
+
+
 def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one validated scenario and write all of its artifacts.
 
     The form is assembled here, once, for the runners that need one. A runner
     returns (summary, report, tables) and opens no file; each table is
     (csv path, header, rows), its path taken relative to out_dir. A "health"
-    entry of the summary goes to manifest.json instead of summary.txt. Returns
-    the summary dictionary.
+    and a "resolution" entry (the fields it sets in ``_resolution``) of the
+    summary go to manifest.json instead of summary.txt. Returns the summary
+    dictionary.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = config["harness"]["type"]
@@ -380,6 +392,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     form = assemble(kernel, grid) if _needs_form(config["harness"]) else None
     summary, report, tables = _RUNNERS[kind](config, kernel, grid, form)
     health = summary.pop("health", None)
+    resolution = {**_resolution(grid, form), **summary.pop("resolution", {})}
     for path, header, rows in tables:
         write_csv(out_dir / path, header, rows)
     write_json(out_dir / "report.json", report)
@@ -388,6 +401,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         "config": config,
         "harness": kind,
         "env": _environment(),
+        "resolution": resolution,
     }
     if kernel is not None:
         manifest["kernel_hash"] = kernel.spec.digest()
@@ -466,7 +480,8 @@ def _run_solve(config, kernel, grid, form):
               "max_residual": float(np.max(sol.residuals)),
               "final_min": float(np.min(sol.snapshots[-1])),
               "final_max": float(np.max(sol.snapshots[-1]))}
-    return ({"headline": f"{report['steps']} steps", **report}, report,
+    return ({"headline": f"{report['steps']} steps", **report,
+             "resolution": {"dt": problem.dt}}, report,
             [("snapshots.csv", ["t", "node", "value"], rows)])
 
 
@@ -476,8 +491,10 @@ def _cylinder(harness, kernel):
 
 
 def _health(out):
-    """The summary entry that run_scenario moves to manifest["health"]."""
-    return {"health": {"max_step_residual": out["max_step_residual"]}}
+    """The summary entries that run_scenario moves to manifest["health"] and
+    manifest["resolution"]."""
+    return {"health": {"max_step_residual": out["max_step_residual"]},
+            "resolution": {"dt": out["dt"]}}
 
 
 def _run_harnack(config, kernel, grid, form):
@@ -576,7 +593,7 @@ def _run_mosco(config, kernel, grid, form):
         "gap_first": res["gaps"][0], "gap_last": res["gaps"][-1],
     }
     headline = f"resolvent gap {res['gaps'][0]:.3g} -> {res['gaps'][-1]:.3g}"
-    return ({"headline": headline,
+    return ({"headline": headline, "resolution": _resolution(grid),
              **{k: v for k, v in report.items() if not isinstance(v, list)}}, report,
             [("mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"], rows)])
 

@@ -386,7 +386,7 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
             "fraction_in_range": len(in_range) / n_runs,
             "median": float(np.median(in_range)) if in_range else None,
             "n_runs": n_runs, "seed": seed, "h": form.grid.h,
-            "max_step_residual": residuals}
+            "dt": dt or default_dt(form.grid.h, cyl.alpha), "max_step_residual": residuals}
 
 
 def caccioppoli_ensemble(form: DiscreteForm, center, r: float, rho: float,

@@ -18,8 +18,12 @@ per time.  One ``_InteriorSystem`` per (form object, variant) holds A_II, A_IC
 and the load; the stepper factors I + theta dt A_II from it once per form
 object (see ``_Stepper``), the resolvent lam I + A_II.
 A step carries the interior vector and solves with the LAPACK ``getrs`` of the
-LU factors; x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
-``_solve_refined`` redoes the step: ``lu_solve`` and up to 3 refinement sweeps.
+LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
+with one product R = B - X M^T that reads M once per block rather than once
+per step: x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
+``_solve_refined`` redoes the step (``lu_solve`` and up to 3 refinement
+sweeps) and the later steps of the block are recomputed from it.  Every step
+is checked before ``solve_parabolic`` or ``theta_step`` returns.
 
 ``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``); it
 is a module global read at call time, so replacing ``solve.sla`` reroutes
@@ -41,6 +45,7 @@ from .discretize import DiscreteForm, Grid
 sla = lazy_module("scipy.linalg")
 
 RESIDUAL_TOL = 1e-10
+_BLOCK = 128          # steps per residual check in solve_parabolic (see _Stepper)
 
 
 @dataclass
@@ -58,6 +63,9 @@ class ParabolicProblem:
     d_const: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_start", "t_end", "dt", "exterior", "d_const"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError("time step must be positive")
         if not (0.5 <= self.theta <= 1.0):
@@ -163,14 +171,29 @@ class _Stepper:
     time (its A_II is kept).  The load pair (dt (1 - theta) r, dt theta r) is
     built at each time, or once per system when neither the collar datum nor
     the source is callable.
+
+    A step solves M x = b with ``getrs`` and records b and x as rows of the
+    block buffers B and X.  ``check`` tests the recorded rows with one product
+    R = B - X M^T when ``rows`` steps are recorded, before the stepper changes
+    system, and when asked (the end of a run); a row passes if |r| <=
+    RESIDUAL_TOL |b|.  The first row j that misses (a non-finite one too) is
+    redone from its b by ``_solve_refined``, which raises if it misses again;
+    steps j + 1, ... are then recomputed from the corrected state and
+    checked anew, so the states equal those of a check after every step.
+    Checked rows go to ``emit(k0, X, residuals)``, k0 the index of the first.
     """
 
-    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, t: float):
+    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, t: float,
+                 emit=None, rows: int = 1):
         self.problem = problem
         self._timed = callable(problem.collar) or callable(problem.f)
         self.system = _InteriorSystem(form, problem.variant)
         self.g = None                 # collar datum at the current time, once loaded
         self.loads = self._loads(self.system, t) if problem.theta < 1.0 else None
+        self.emit, self.rows = emit, rows
+        self.steps = []               # (k, t_new, load pair) of each recorded row
+        self.n_checked = 0            # rows checked already (by a replaced sla's solve)
+        self.B = self.X = self.res = None   # rows of b, x, residual: from the first factorisation
 
     def _loads(self, system: _InteriorSystem, t: float):
         p = self.problem
@@ -186,30 +209,85 @@ class _Stepper:
 
     def step(self, u_I: np.ndarray, t_new: float, k: int):
         """(interior state at t_new, relative residual) of step k from the
-        interior state u_I at the current time."""
+        interior state u_I at the current time.
+
+        The state is a row of X, which a check corrects in place and the steps
+        after the next check overwrite.  The residual is None until the row is
+        checked, which with the default ``rows`` = 1 happens before returning.
+        """
         p = self.problem
-        old, form = self.system, p.form_at(t_new)
-        system = old if form is old.form else _InteriorSystem(form, p.variant)
+        old = system = self.system
+        form = p.form_at(t_new)
+        if form is not old.form:      # the old system checks its rows first
+            self.check()
+            system = _InteriorSystem(form, p.variant)
         explicit, loads = self.loads, self._loads(system, t_new)
         if system.lu is None:         # after the loads, which free a static A_IC first
             system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
+        if self.B is None:            # after the factorisation, whose peak they would raise
+            self.B, self.X = np.empty((2, self.rows, len(loads[1])))
+            self.res = np.empty(self.rows)
         self.system, self.loads = system, loads
-        b = u_I
-        if p.theta < 1.0:
-            b = b - (1.0 - p.theta) * p.dt * (old.A_II @ u_I) + explicit[0]
-        b = b + loads[1]
-        rel_res = None
-        if sla is sys.modules["scipy.linalg"]:  # lu_solve inlined as its getrs, checked here
-            x = system.getrs(*system.lu, b)[0]
-            res = b - system.M @ x
-            nres, scale = math.sqrt(res.dot(res)), max(math.sqrt(b.dot(b)), 1e-300)
-            rel_res = nres / scale if nres <= RESIDUAL_TOL * scale else None
-        if rel_res is None:     # missed, not finite, or a replaced sla: the refining solve
-            x, rel_res = _solve_refined(system.lu, system.M, b)
+        i = len(self.steps)
+        self.steps.append((k, t_new, loads))
+        self._solve(i, u_I, old.A_II if p.theta < 1.0 else None, explicit)
+        checked = i + 1 == self.rows
+        if checked:
+            self.check()
+        return self.X[i], self.res[i] if checked else None
+
+    def _solve(self, i: int, u_I: np.ndarray, A_exp, explicit):
+        """b and x of row i from the state u_I; A_exp and the load pair
+        ``explicit`` are the explicit part under theta < 1."""
+        p, system, b = self.problem, self.system, self.B[i]
+        if A_exp is None:
+            np.add(u_I, self.steps[i][2][1], out=b)
+        else:
+            np.subtract(u_I, (1.0 - p.theta) * p.dt * (A_exp @ u_I), out=b)
+            b += explicit[0]
+            b += self.steps[i][2][1]
+        if sla is sys.modules["scipy.linalg"]:  # lu_solve inlined as its getrs
+            self.X[i] = system.getrs(*system.lu, b)[0]
+        else:                 # a replaced sla sees every solve: the refining one, checked now
+            self._refine(i)
+            self.n_checked = i + 1
+
+    def _refine(self, i: int):
+        """Redo row i from its b with ``_solve_refined``; raises if it misses."""
+        k, t_new, _ = self.steps[i]
+        x, rel_res = _solve_refined(self.system.lu, self.system.M, self.B[i])
         if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
             raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
                                f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
-        return x, rel_res
+        self.X[i], self.res[i] = x, rel_res
+
+    def check(self):
+        """Check the recorded rows (see the class docstring) and emit them.
+        The rows are consumed, also by a check that raises."""
+        n, i = len(self.steps), self.n_checked
+        if not n:
+            return
+        B, X, M = self.B[:n], self.X[:n], self.system.M
+        try:
+            while i < n:
+                R = X[i:] @ M.T
+                np.subtract(B[i:], R, out=R)
+                nres = np.sqrt(np.einsum("ij,ij->i", R, R))
+                scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", B[i:], B[i:])), 1e-300)
+                missed = np.flatnonzero(~(nres <= RESIDUAL_TOL * scale))
+                self.res[i:n] = nres / scale
+                if not missed.size:
+                    break
+                j = i + int(missed[0])
+                self._refine(j)
+                A_exp = self.system.A_II if self.problem.theta < 1.0 else None
+                for m in range(j + 1, n):   # the block's system: it changes between blocks only
+                    self._solve(m, X[m - 1], A_exp, self.steps[m - 1][2])
+                i = j + 1
+            if self.emit is not None:
+                self.emit(self.steps[0][0], X, self.res[:n])
+        finally:
+            self.steps, self.n_checked = [], 0
 
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
@@ -238,16 +316,23 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     I, C = np.flatnonzero(grid.interior), np.flatnonzero(grid.collar)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
     u = snaps[0, I] = u0[I]
-    stepper = _Stepper(problem, form, problem.t_start)
+    residuals = np.empty(n_steps)
+
+    def emit(k0, X, res):             # a checked block: the states after steps k0, k0 + 1, ...
+        snaps[k0 + 1:k0 + 1 + len(X), I] = X
+        residuals[k0:k0 + len(X)] = res
+
+    stepper = _Stepper(problem, form, problem.t_start, emit, min(_BLOCK, n_steps))
     # under theta < 1 the stepper has read the datum at t_start for its first load
     snaps[0, C] = stepper.g if stepper.g is not None else _datum(
         problem.collar, problem.t_start, grid, grid.collar)
-    residuals = np.empty(n_steps)
-    for k in range(n_steps):
-        u, residuals[k] = stepper.step(u, times[k + 1], k)
-        snaps[k + 1, I] = u
-        if callable(problem.collar):
-            snaps[k + 1, C] = stepper.g
+    try:
+        for k in range(n_steps):
+            u, _ = stepper.step(u, times[k + 1], k)
+            if callable(problem.collar):
+                snaps[k + 1, C] = stepper.g
+    finally:    # the rows of the last block; after an error too, as a miss before it comes first
+        stepper.check()
     if not callable(problem.collar):  # after the loop: the buffer fills as the steps go
         snaps[1:, C] = snaps[0, C]
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,

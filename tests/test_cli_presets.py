@@ -120,6 +120,37 @@ def test_every_manifest_records_the_environment(readme_runs):
     assert harnesses == set(codes) == set(_RUNNERS)
 
 
+def test_every_manifest_records_the_resolution(readme_runs):
+    root, codes = readme_runs
+    harnesses = set()
+    for path in sorted(root.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        kind = manifest["harness"]
+        harnesses.add(kind)
+        res = manifest["resolution"]
+        assert set(res) == {"h", "N", "N_I", "dt", "quad"}
+        grid = _build_kernel_grid(manifest["config"])[1]
+        if kind == "mosco":         # no grid in its preset: the runner's own lattice
+            assert res["h"] == 1 / 32 and res["N"] == 64
+        elif grid is None:          # algebra-tests
+            assert res["h"] is res["N"] is res["N_I"] is None
+        else:
+            assert (res["h"], res["N"], res["N_I"]) == (
+                grid.h, grid.n_nodes, int(grid.interior.sum()))
+        if kind in ("solve", "harnack", "hoelder"):
+            assert res["dt"] > 0.0
+            report = json.loads((path.parent / "report.json").read_text())
+            if "dt" in report:
+                assert res["dt"] == report["dt"]
+        else:
+            assert res["dt"] is None
+        if kind in ("assemble", "solve", "harnack", "hoelder", "caccioppoli"):
+            assert set(res["quad"]) >= {"n_ang", "n_panels"}
+        else:                       # K1 and mosco assemble no form
+            assert res["quad"] is None
+    assert harnesses == set(codes) == set(_RUNNERS)
+
+
 def test_snapshot_rows_match_loop_reference(tmp_path):
     cfg = _default_config("solve")
     cfg["grid"]["h"] = 1 / 8

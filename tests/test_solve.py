@@ -135,6 +135,14 @@ class TestSolveParabolic:
         with pytest.raises(ValueError):
             problem_with(stable_form_1d, variant="weird")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["t_start", "t_end", "dt", "exterior", "d_const"])
+    def test_rejects_non_finite_numbers(self, stable_form_1d, name, bad):
+        # nan <= 0 is False: without the finiteness check these fail later, in
+        # the step count, the time grid or the load
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            problem_with(stable_form_1d, **{name: bad})
+
 
 class TestDualExt:
     def test_zero_drift_equals_dual(self, coeff_form_1d, rng):
@@ -279,10 +287,9 @@ def _collar(kind, grid):
 
 def _assert_matches_frozen_loop(problem):
     sol = solve_parabolic(problem)
-    times, snaps, residuals = old_solve_parabolic(problem)
+    times, snaps, _ = old_solve_parabolic(problem)
     assert np.array_equal(sol.times, times)
     assert np.array_equal(sol.snapshots, snaps)
-    assert np.array_equal(sol.residuals, residuals)
     assert np.all(sol.residuals <= RESIDUAL_TOL)
     return sol
 
@@ -434,3 +441,106 @@ def test_singular_step_raises_its_residual_error(grid_1d):
                          0.0, 2 * dt, dt)
     with pytest.raises(RuntimeError, match=r"step 0 to t=0\.01: relative residual inf"):
         solve_parabolic(p)
+
+
+class TestBlockCheck:
+    """solve_parabolic checks its steps a block at a time (``_BLOCK`` = 4 here):
+    a bad solve anywhere in a block is redone once, through ``_solve_refined``,
+    and the run ends on the bits of a run without the bad solve."""
+
+    STEPS = 10      # blocks of steps 0-3, 4-7 and the partial 8-9; the two-form
+    #                 problem changes form at step 6 and checks steps 4-5 before
+
+    @pytest.fixture
+    def problem(self, request, coeff_form_1d, stable_form_1d, rng):
+        kind, theta = request.param
+        g = coeff_form_1d.grid
+        form = coeff_form_1d if kind == "fixed" else (
+            lambda t: coeff_form_1d if t < 0.065 else stable_form_1d)
+        return ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.01,
+                                collar=_collar("callable", g), exterior=0.4, theta=theta)
+
+    @staticmethod
+    def corrupt(monkeypatch, step, how):
+        """Make the getrs call of the given step return how(x); returns the
+        list of (x, residual) that ``_solve_refined`` gives back."""
+        real_factor, real_refined = solve_module._InteriorSystem.factor, solve_module._solve_refined
+        calls, refined = [0], []
+
+        def factor(system, *args, **kwargs):
+            real_factor(system, *args, **kwargs)
+            getrs = system.getrs
+
+            def bad_getrs(*a):
+                x, info = getrs(*a)
+                calls[0] += 1
+                return (how(x) if calls[0] - 1 == step else x), info
+
+            system.getrs = bad_getrs
+
+        def spy(*args):
+            refined.append(real_refined(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(solve_module._InteriorSystem, "factor", factor)
+        monkeypatch.setattr(solve_module, "_solve_refined", spy)
+        return refined
+
+    @pytest.mark.parametrize("how", [lambda x: x * (1.0 + 1e-9), lambda x: x * np.nan],
+                             ids=["scaled", "nan"])
+    @pytest.mark.parametrize("step", [4, 5, 7, 9], ids=lambda k: f"step{k}")
+    @pytest.mark.parametrize("problem", [(kind, theta) for kind in ("fixed", "two-form")
+                                         for theta in (0.5, 1.0)], indirect=True,
+                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    def test_a_bad_solve_is_redone_once_and_changes_no_bit(self, problem, step, how,
+                                                           monkeypatch):
+        monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        clean = solve_parabolic(problem)
+        assert len(clean.times) == self.STEPS + 1
+        refined = self.corrupt(monkeypatch, step, how)
+        sol = solve_parabolic(problem)
+        assert len(refined) == 1
+        x, rel_res = refined[0]
+        I = clean.grid.interior
+        assert np.array_equal(x, clean.snapshots[step + 1, I])      # the bad step, redone
+        assert np.array_equal(sol.times, clean.times)
+        assert np.array_equal(sol.snapshots, clean.snapshots)
+        assert sol.residuals[step] == rel_res <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("step", [0, 3, 5, 9], ids=lambda k: f"step{k}")
+    @pytest.mark.parametrize("problem", [("fixed", 1.0), ("two-form", 0.5)], indirect=True,
+                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    def test_each_step_reports_its_own_residual(self, problem, step, monkeypatch):
+        # a tolerance that lets x (1 + eps) stand: its relative residual is eps
+        monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        monkeypatch.setattr(solve_module, "RESIDUAL_TOL", 1.0)
+        refined = self.corrupt(monkeypatch, step, lambda x: x * (1.0 + 1e-6))
+        sol = solve_parabolic(problem)
+        assert refined == []
+        assert sol.residuals[step] == pytest.approx(1e-6, rel=1e-6)
+        assert np.all(np.delete(sol.residuals, step) < 1e-12)
+
+    @pytest.mark.parametrize("later_error", [False, True])
+    @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
+    def test_a_step_that_misses_after_refinement_raises_with_its_index(self, problem,
+                                                                      later_error,
+                                                                      monkeypatch):
+        # the miss raises although the collar datum fails at step 6, before
+        # the block of steps 4-7 is full: the first failure is reported
+        if later_error:
+            collar = problem.collar
+
+            def failing_collar(t, x):
+                if t > 0.065:
+                    raise ValueError("no collar datum")
+                return collar(t, x)
+
+            monkeypatch.setattr(problem, "collar", failing_collar)
+        monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        self.corrupt(monkeypatch, 5, lambda x: x * np.nan)
+        real_refined = solve_module._solve_refined    # the redo of step 5 misses too
+        monkeypatch.setattr(solve_module, "_solve_refined",
+                            lambda *args: (real_refined(*args)[0], 1.0))
+        with pytest.raises(RuntimeError,
+                           match=r"^step 5 to t=0\.06: relative residual 1\.000e\+00"):
+            solve_parabolic(problem)
