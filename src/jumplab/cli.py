@@ -511,6 +511,7 @@ def _run_hoelder(config, kernel, grid, form):
     out = holder_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
                           int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
+    report["horizon"] = {"t_end": out["t_end"], "n_steps": out["n_steps"]}   # members stop at t_fit
     rows = [(i, g if g is not None else "", f)
             for i, (g, f) in enumerate(zip(out["gamma_fit"], out["flat"]))]
     return ({"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]", **report,

@@ -337,24 +337,47 @@ def random_smooth_positive_field(rng: np.random.Generator, d: int,
 
 
 def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
-                  dt: float | None = None) -> Solution:
+                  dt: float | None = None, t_end: float | None = None) -> Solution:
+    """One member: random positive initial state, collar datum and exterior
+    constant, stepped by implicit Euler from t0 - R^alpha.
+
+    The run covers the cylinder, to t0 + R^alpha, unless it is given a
+    horizon t_end, a grid time of the full run (see ``_fit_horizon``); its
+    times and snapshots are then a prefix of the full run's, bit for bit.
+    """
     grid = form.grid
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
     ext = float(rng.uniform(0.2, 1.0))
     dt = dt or default_dt(grid.h, cyl.alpha)
     t_start = cyl.t0 - cyl.ralpha
+    t_end = cyl.t0 + cyl.ralpha if t_end is None else t_end
     problem = ParabolicProblem(
-        form, u0_field(grid.nodes), t_start, cyl.t0 + cyl.ralpha, dt,
+        form, u0_field(grid.nodes), t_start, t_end, dt,
         collar=g_field(grid.nodes[grid.collar]), exterior=ext, theta=1.0)
     sol = solve_parabolic(problem)
     sol.meta["alpha"] = cyl.alpha
     return sol
 
 
+def _fit_horizon(cyl: Cylinder, dt: float, t_fit: float) -> tuple[int, float]:
+    """(k, t_k): the last time t_k = t_start + k dt of the full cylinder run
+    that ``_box_values`` selects for a window ending at t_fit, k >= 1.
+
+    The times are those of ``solve_parabolic`` on [t0 - R^alpha, t0 + R^alpha],
+    so a run to t_k steps k times, on the same grid."""
+    t_start = cyl.t0 - cyl.ralpha
+    n_full = max(int(round((cyl.t0 + cyl.ralpha - t_start) / dt)), 1)
+    times = t_start + dt * np.arange(n_full + 1)
+    k = max(int(np.flatnonzero(times <= t_fit + 1e-12)[-1]), 1)
+    return k, float(times[k])
+
+
 def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
                      seed: int, dt: float | None = None) -> dict:
-    """Harnack quotients of n_runs members, and each member's max step residual."""
+    """Harnack quotients of n_runs members, and each member's max step residual.
+
+    The members cover the cylinder: the late box ends at t0 + R^alpha."""
     quotients, residuals = [], []
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
@@ -370,12 +393,21 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
 def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
                     n_scales: int = 4, nu: float = 2.0, R0: float | None = None,
                     dt: float | None = None) -> dict:
-    """Hoelder fits of n_runs members, and each member's max step residual."""
+    """Hoelder fits of n_runs members, and each member's max step residual.
+
+    The fit at t_fit = t0 + R^alpha / 2 reads backward windows only, so each
+    member stops at the last grid time at or before t_fit: ``n_steps`` of
+    the full cylinder run's steps, to ``t_end``.  Its snapshots are a prefix
+    of the full run's and the fits are the same; ``max_step_residual``
+    covers the steps run.
+    """
     fits, residuals = [], []
     t_fit = cyl.t0 + 0.5 * cyl.ralpha
     R0 = R0 if R0 is not None else cyl.R
+    dt = dt or default_dt(form.grid.h, cyl.alpha)
+    n_steps, t_end = _fit_horizon(cyl, dt, t_fit)
     for m in range(n_runs):
-        sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
+        sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt, t_end=t_end)
         fit = holder_fit(sol, t_fit, cyl.center, R0, n_scales=n_scales, nu=nu)
         fits.append(fit)
         residuals.append(float(np.max(sol.residuals)))
@@ -385,8 +417,9 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
             "flat": [f.flat for f in fits],
             "fraction_in_range": len(in_range) / n_runs,
             "median": float(np.median(in_range)) if in_range else None,
-            "n_runs": n_runs, "seed": seed, "h": form.grid.h,
-            "dt": dt or default_dt(form.grid.h, cyl.alpha), "max_step_residual": residuals}
+            "n_runs": n_runs, "seed": seed, "h": form.grid.h, "dt": dt,
+            "t_end": t_end, "n_steps": n_steps,
+            "max_step_residual": residuals}
 
 
 def caccioppoli_ensemble(form: DiscreteForm, center, r: float, rho: float,

@@ -102,15 +102,20 @@ def _log_nodes(lo: np.ndarray, hi: np.ndarray, spec: QuadSpec):
 def ray_exit_box(x: np.ndarray, dirs: np.ndarray, halfwidth: float) -> np.ndarray:
     """Distance from x (inside the box) to the boundary of [-X, X]^d along dirs.
 
-    x: (N, d), dirs: (m, d) -> (N, m).
+    x: (N, d), dirs: (m, d) -> (N, m).  Per axis, a direction divides only by
+    the wall it meets (+X for a positive component, -X for a negative one);
+    a zero component never meets a wall of that axis.
     """
     x = np.atleast_2d(x)
-    with np.errstate(divide="ignore"):
-        t_pos = (halfwidth - x[:, None, :]) / dirs[None, :, :]
-        t_neg = (-halfwidth - x[:, None, :]) / dirs[None, :, :]
-    t = np.where(dirs[None, :, :] > 0, t_pos,
-                 np.where(dirs[None, :, :] < 0, t_neg, np.inf))
-    return np.min(t, axis=-1)
+    t = None
+    for a in range(x.shape[1]):
+        e = dirs[:, a]
+        moving = e != 0
+        q = np.where(e > 0, halfwidth, -halfwidth) - x[:, a, None]
+        np.divide(q, e, out=q, where=moving)
+        q[:, ~moving] = np.inf
+        t = q if t is None else np.minimum(t, q, out=t)
+    return t
 
 
 def ray_exit_ball(x: np.ndarray, dirs: np.ndarray, center: np.ndarray,

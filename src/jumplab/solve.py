@@ -174,12 +174,13 @@ class _Stepper:
 
     A step solves M x = b with ``getrs`` and records b and x as rows of the
     block buffers B and X.  ``check`` tests the recorded rows with one product
-    R = B - X M^T when ``rows`` steps are recorded, before the stepper changes
-    system, and when asked (the end of a run); a row passes if |r| <=
-    RESIDUAL_TOL |b|.  The first row j that misses (a non-finite one too) is
-    redone from its b by ``_solve_refined``, which raises if it misses again;
-    steps j + 1, ... are then recomputed from the corrected state and
-    checked anew, so the states equal those of a check after every step.
+    R = B - X M^T, written into a third block buffer, when ``rows`` steps are
+    recorded, before the stepper changes system, and when asked (the end of a
+    run); a row passes if |r| <= RESIDUAL_TOL |b|.  The first row j that
+    misses (a non-finite one too) is redone from its b by ``_solve_refined``,
+    which raises if it misses again; steps j + 1, ... are then recomputed
+    from the corrected state and checked anew, so the states equal those of
+    a check after every step.
     Checked rows go to ``emit(k0, X, residuals)``, k0 the index of the first.
     """
 
@@ -193,7 +194,7 @@ class _Stepper:
         self.emit, self.rows = emit, rows
         self.steps = []               # (k, t_new, load pair) of each recorded row
         self.n_checked = 0            # rows checked already (by a replaced sla's solve)
-        self.B = self.X = self.res = None   # rows of b, x, residual: from the first factorisation
+        self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
 
     def _loads(self, system: _InteriorSystem, t: float):
         p = self.problem
@@ -225,7 +226,7 @@ class _Stepper:
         if system.lu is None:         # after the loads, which free a static A_IC first
             system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
         if self.B is None:            # after the factorisation, whose peak they would raise
-            self.B, self.X = np.empty((2, self.rows, len(loads[1])))
+            self.B, self.X, self.R = np.empty((3, self.rows, len(loads[1])))
             self.res = np.empty(self.rows)
         self.system, self.loads = system, loads
         i = len(self.steps)
@@ -270,7 +271,7 @@ class _Stepper:
         B, X, M = self.B[:n], self.X[:n], self.system.M
         try:
             while i < n:
-                R = X[i:] @ M.T
+                R = np.matmul(X[i:], M.T, out=self.R[:n - i])
                 np.subtract(B[i:], R, out=R)
                 nres = np.sqrt(np.einsum("ij,ij->i", R, R))
                 scale = np.maximum(np.sqrt(np.einsum("ij,ij->i", B[i:], B[i:])), 1e-300)

@@ -686,3 +686,37 @@ def old_layer_cake_weighted_form(form, tau, u, part="full"):
         cake += (v_hi - v_lo) * float(np.sum(dusub * dusub * sub) * h2d)
     return {"value": direct, "layer_cake": cake,
             "gap": abs(direct - cake) / max(abs(direct), 1e-300)}
+
+
+# --- frozen full-cylinder ensemble member and box exit radius ---------------
+# An ensemble member as it was when every Hoelder member stepped over the
+# whole cylinder [t0 - R^alpha, t0 + R^alpha], and the box exit radius as it
+# was when it divided by both walls of every axis.  Keep them as they are.
+
+
+def old_positive_run(form, cyl, rng, dt=None):
+    from jumplab.estimates import random_smooth_positive_field
+    from jumplab.solve import ParabolicProblem, default_dt, solve_parabolic
+
+    grid = form.grid
+    u0_field = random_smooth_positive_field(rng, grid.d)
+    g_field = random_smooth_positive_field(rng, grid.d)
+    ext = float(rng.uniform(0.2, 1.0))
+    dt = dt or default_dt(grid.h, cyl.alpha)
+    t_start = cyl.t0 - cyl.ralpha
+    problem = ParabolicProblem(
+        form, u0_field(grid.nodes), t_start, cyl.t0 + cyl.ralpha, dt,
+        collar=g_field(grid.nodes[grid.collar]), exterior=ext, theta=1.0)
+    sol = solve_parabolic(problem)
+    sol.meta["alpha"] = cyl.alpha
+    return sol
+
+
+def old_ray_exit_box(x, dirs, halfwidth):
+    x = np.atleast_2d(x)
+    with np.errstate(divide="ignore"):
+        t_pos = (halfwidth - x[:, None, :]) / dirs[None, :, :]
+        t_neg = (-halfwidth - x[:, None, :]) / dirs[None, :, :]
+    t = np.where(dirs[None, :, :] > 0, t_pos,
+                 np.where(dirs[None, :, :] < 0, t_neg, np.inf))
+    return np.min(t, axis=-1)

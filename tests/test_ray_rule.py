@@ -14,8 +14,10 @@ from _oracles import (
     old_k1_glob_profile,
     old_k1_profile,
     old_log_caccioppoli_lhs,
+    old_ray_exit_box,
     old_tail_sup,
 )
+import jumplab.discretize as discretize
 from jumplab import assemble, build_grid, c_alpha_norm, make_drift_kernel, make_stable_kernel
 from jumplab.assumptions import (
     INF,
@@ -28,7 +30,14 @@ from jumplab.assumptions import (
 from jumplab.cli import main
 from jumplab.estimates import caccioppoli_audit, log_caccioppoli_audit
 from jumplab.kernels import SplitKernel
-from jumplab.quadrature import QuadSpec, _TAIL_BLOCK, ball_integral, exterior_tail, ray_exit_box
+from jumplab.quadrature import (
+    QuadSpec,
+    _TAIL_BLOCK,
+    ball_integral,
+    directions,
+    exterior_tail,
+    ray_exit_box,
+)
 
 V1 = lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0]
 V2 = lambda x: np.tensordot(np.asarray(x, dtype=float), np.array([0.3, -0.4]),
@@ -80,6 +89,31 @@ def test_drift_2d_tails_with_break_inside_the_box():
     T_s, T_a = old_assembly_tails(k, grid, quad)
     assert np.any(T_a != 0.0)
     assert np.array_equal(F.tail_sym, T_s) and np.array_equal(F.tail_anti, T_a)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ray_exit_box_matches_its_frozen_copy(d):
+    # random interior points; in 2D the midpoint directions, the axes (zero
+    # components) and random directions with a zeroed component
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.5, 1.5, (300, d)) * (1.0 - 1e-9)
+    dirs = directions(d, 64)[0]
+    if d == 2:
+        skew = rng.normal(size=(40, 2))
+        skew[::2, 0] = skew[1::2, 1] = 0.0
+        dirs = np.vstack([dirs, np.eye(2), -np.eye(2), skew])
+    t = ray_exit_box(x, dirs, 1.5)
+    assert np.array_equal(t, old_ray_exit_box(x, dirs, 1.5))
+    assert t.shape == (300, len(dirs)) and np.all(t > 0) and np.all(np.isfinite(t))
+    assert np.array_equal(ray_exit_box(x[0], dirs, 1.5), t[:1])
+
+
+def test_cone_2d_closed_form_tails_keep_their_bytes(cone_kernel_2d, cone_ball_form,
+                                                    monkeypatch):
+    monkeypatch.setattr(discretize, "ray_exit_box", old_ray_exit_box)
+    old = assemble(cone_kernel_2d, cone_ball_form.grid)
+    assert old.tail_sym.tobytes() == cone_ball_form.tail_sym.tobytes()
+    assert old.tail_anti.tobytes() == cone_ball_form.tail_anti.tobytes()
 
 
 @pytest.mark.parametrize("center", [None, (0.1, -0.2)])

@@ -544,3 +544,21 @@ class TestBlockCheck:
         with pytest.raises(RuntimeError,
                            match=r"^step 5 to t=0\.06: relative residual 1\.000e\+00"):
             solve_parabolic(problem)
+
+    @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
+    def test_every_check_writes_its_product_into_one_buffer(self, problem, monkeypatch):
+        monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        real_check, seen = solve_module._Stepper.check, []
+
+        def check(stepper):
+            n = len(stepper.steps)
+            real_check(stepper)
+            if n:
+                B, X, M = stepper.B[:n], stepper.X[:n], stepper.system.M
+                assert np.array_equal(stepper.R[:n], B - X @ M.T)
+                seen.append(stepper.R)
+
+        monkeypatch.setattr(solve_module._Stepper, "check", check)
+        solve_parabolic(problem)
+        assert len(seen) == 3 and all(R is seen[0] for R in seen)
+        assert seen[0].shape == (4, int(problem.form.grid.interior.sum()))
