@@ -502,6 +502,8 @@ def _run_harnack(config, kernel, grid, form):
     out = harnack_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
                            int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
+    # members end at the grid time nearest t0 + R^alpha, maybe short of it
+    report["horizon"] = {k: out[k] for k in ("t_end", "n_steps", "t_end_requested")}
     return ({"headline": f"min c_emp = {out['min']:.4g}", **report, **_health(out)}, report,
             [("harnack.csv", ["run", "c_emp"], list(enumerate(out["c_emp"])))])
 

@@ -224,7 +224,14 @@ def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
 def _toeplitz_axes(grid: Grid) -> list[np.ndarray] | None:
     """The per-axis node coordinates when the nodes are their tensor lattice
     and every difference a[j] - a[i] along an axis depends on j - i alone,
-    bit for bit; None otherwise.  Checked on the axes, in O(n^2) per axis."""
+    bit for bit; None otherwise.
+
+    Checked with one comparison per axis: the difference table
+    D[i, j] = a[j] - a[i] must equal itself shifted by one along its
+    diagonal.  By induction that is a[i + m] - a[i] == a[m] - a[0] for all
+    i and m; the lower triangle is the exact negation of the upper one, and
+    a nan (or an infinity, whose D[i, i] is nan) fails.  D has n^2 entries
+    per axis, fewer than one of the N x N pair arrays that follow."""
     P, d = grid.nodes, grid.d
     n = round(P.shape[0] ** (1.0 / d))
     if n ** d != P.shape[0]:
@@ -233,8 +240,10 @@ def _toeplitz_axes(grid: Grid) -> list[np.ndarray] | None:
     axes = [lattice[(0,) * k + (slice(None),) + (0,) * (d - 1 - k) + (k,)] for k in range(d)]
     if not np.array_equal(lattice, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)):
         return None
-    if not all(np.all(a[m:] - a[:-m] == a[m] - a[0]) for a in axes for m in range(1, n)):
-        return None
+    for a in axes:
+        D = a[None, :] - a[:, None]
+        if not np.array_equal(D[1:, 1:], D[:-1, :-1]):
+            return None
     return axes
 
 

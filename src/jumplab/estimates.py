@@ -377,7 +377,10 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
                      seed: int, dt: float | None = None) -> dict:
     """Harnack quotients of n_runs members, and each member's max step residual.
 
-    The members cover the cylinder: the late box ends at t0 + R^alpha."""
+    The members cover the cylinder as far as the time grid allows: they run
+    ``n_steps`` steps to ``t_end``, the grid time nearest t0 + R^alpha
+    (``t_end_requested``, where the late box ends), which may fall short of
+    it by up to dt / 2."""
     quotients, residuals = [], []
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
@@ -387,6 +390,7 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
     return {"c_emp": quotients, "min": float(np.min(q)), "median": float(np.median(q)),
             "max": float(np.max(q)), "n_runs": n_runs, "seed": seed,
             "h": form.grid.h, "dt": dt or default_dt(form.grid.h, cyl.alpha),
+            **{k: sol.meta[k] for k in ("t_end", "n_steps", "t_end_requested")},
             "max_step_residual": residuals}
 
 

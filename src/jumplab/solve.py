@@ -15,8 +15,9 @@ dual) hold at the level of the discrete recursion.
 ``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
 and evaluates form, collar datum and source only at grid times, the form once
 per time.  One ``_InteriorSystem`` per (form object, variant) holds A_II, A_IC
-and the load; the stepper factors I + theta dt A_II from it once per form
-object (see ``_Stepper``), the resolvent lam I + A_II.
+and the load; the stepper keeps up to ``_SYSTEMS`` of them and factors
+I + theta dt A_II once per kept form object (see ``_Stepper``), the resolvent
+lam I + A_II.
 A step carries the interior vector and solves with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
 with one product R = B - X M^T that reads M once per block rather than once
@@ -46,6 +47,7 @@ sla = lazy_module("scipy.linalg")
 
 RESIDUAL_TOL = 1e-10
 _BLOCK = 128          # steps per residual check in solve_parabolic (see _Stepper)
+_SYSTEMS = 4          # interior systems a stepper keeps, one per form object (see _Stepper)
 
 
 @dataclass
@@ -164,9 +166,15 @@ class _InteriorSystem:
 class _Stepper:
     """Steps the interior state from one grid time to the next.
 
-    It carries the interior system of the current time and keeps it for the
-    next step when the form there is the same object, so a system is built
-    once per form object and factored once, when it first becomes implicit.
+    It carries the interior system of the current time and keeps the last
+    ``_SYSTEMS`` systems it used, keyed on their form objects, so a form
+    function that cycles through up to ``_SYSTEMS`` forms builds one system
+    per form and factors it once, when it first becomes implicit; the least
+    recently used system is dropped beyond that.  Memory: each kept system
+    holds M and its LU factors, 16 N_I^2 bytes (52 MB at N_I = 1804; A_II
+    too under theta < 1), and keeps its form alive.  A form function that
+    returns a fresh object at every time thus keeps ``_SYSTEMS`` systems and
+    forms, none of which is used again.
     Under theta < 1 the explicit part of a step is the system of its start
     time (its A_II is kept).  The load pair (dt (1 - theta) r, dt theta r) is
     built at each time, or once per system when neither the collar datum nor
@@ -189,6 +197,7 @@ class _Stepper:
         self.problem = problem
         self._timed = callable(problem.collar) or callable(problem.f)
         self.system = _InteriorSystem(form, problem.variant)
+        self.systems = [self.system]  # the kept systems, the most recently used last
         self.g = None                 # collar datum at the current time, once loaded
         self.loads = self._loads(self.system, t) if problem.theta < 1.0 else None
         self.emit, self.rows = emit, rows
@@ -208,6 +217,14 @@ class _Stepper:
                 del system.A_IC       # the N_I x N_C block is not needed again
         return system.loads
 
+    def _system(self, form: DiscreteForm) -> _InteriorSystem:
+        """The kept system of form, or a new one, now the most recently used."""
+        system = next((s for s in self.systems if s.form is form), None)
+        if system is None:
+            system = _InteriorSystem(form, self.problem.variant)
+        self.systems = ([s for s in self.systems if s is not system] + [system])[-_SYSTEMS:]
+        return system
+
     def step(self, u_I: np.ndarray, t_new: float, k: int):
         """(interior state at t_new, relative residual) of step k from the
         interior state u_I at the current time.
@@ -221,7 +238,7 @@ class _Stepper:
         form = p.form_at(t_new)
         if form is not old.form:      # the old system checks its rows first
             self.check()
-            system = _InteriorSystem(form, p.variant)
+            system = self._system(form)
         explicit, loads = self.loads, self._loads(system, t_new)
         if system.lu is None:         # after the loads, which free a static A_IC first
             system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)

@@ -720,3 +720,23 @@ def old_ray_exit_box(x, dirs, halfwidth):
     t = np.where(dirs[None, :, :] > 0, t_pos,
                  np.where(dirs[None, :, :] < 0, t_neg, np.inf))
     return np.min(t, axis=-1)
+
+
+# --- frozen stencil-path test ------------------------------------------------
+# The lattice test of the stencil path as it was when it compared the
+# differences of every offset m along an axis in its own pass.  Keep it as it
+# is: tests compare the one-comparison-per-axis test against its decisions.
+
+
+def old_toeplitz_axes(grid):
+    P, d = grid.nodes, grid.d
+    n = round(P.shape[0] ** (1.0 / d))
+    if n ** d != P.shape[0]:
+        return None
+    lattice = P.reshape((n,) * d + (d,))
+    axes = [lattice[(0,) * k + (slice(None),) + (0,) * (d - 1 - k) + (k,)] for k in range(d)]
+    if not np.array_equal(lattice, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)):
+        return None
+    if not all(np.all(a[m:] - a[:-m] == a[m] - a[0]) for a in axes for m in range(1, n)):
+        return None
+    return axes

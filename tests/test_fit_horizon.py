@@ -1,7 +1,8 @@
 """Hoelder members step only to the last grid time that the fit reads: the
 fits, times and snapshots equal those of full-cylinder runs (a frozen copy in
 tests/_oracles.py) bit for bit, the step count is the horizon's, and Harnack
-members still cover the whole cylinder."""
+members still cover the whole cylinder, up to the grid time nearest its end,
+which both reports record."""
 import json
 
 import numpy as np
@@ -135,6 +136,25 @@ def test_harnack_members_still_step_over_the_cylinder(monkeypatch):
         full = old_positive_run(form, cyl, philox_stream(SEED, m))
         assert np.array_equal(sol.times, full.times)
         assert np.array_equal(sol.snapshots, full.snapshots)
+
+
+@pytest.mark.parametrize("h, n_steps", [(1 / 32, 512), (1 / 64, 1448)])
+def test_the_harnack_report_records_the_horizon(tmp_path, h, n_steps):
+    # the preset's grid, and the hoelder preset's, where the members stop
+    # 0.15 dt short of the late box's end
+    cfg = _default_config("harnack")
+    cfg["harness"].update({"ensemble": 2, "seed": 3})
+    cfg["grid"]["h"] = h
+    run_scenario(_validate(cfg), tmp_path)
+    horizon = json.loads((tmp_path / "report.json").read_text())["horizon"]
+    kernel, grid = _build_kernel_grid(cfg)
+    cyl = _cylinder(cfg["harness"], kernel)
+    dt = default_dt(grid.h, cyl.alpha)
+    assert horizon["n_steps"] == n_steps
+    assert horizon["t_end"] == cyl.t0 - cyl.ralpha + dt * n_steps
+    assert horizon["t_end_requested"] == cyl.late_box().t_hi == cyl.t0 + cyl.ralpha
+    if h == 1 / 64:
+        assert horizon["t_end"] < cyl.late_box().t_hi - 0.1 * dt
 
 
 def test_the_hoelder_report_records_the_horizon(tmp_path):

@@ -346,6 +346,29 @@ class TestAgainstFrozenLoop:
             u[~I] = stepper.g
             assert np.array_equal(u, sol.snapshots[k + 1])
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_alternating_forms(self, coeff_form_1d, stable_form_1d, rng, theta, monkeypatch):
+        # two assembled forms in turn over 10 steps: the stepper keeps both
+        # systems, so it builds and factors one per form, not one per switch
+        forms, dt = (coeff_form_1d, stable_form_1d), 0.02
+        g = coeff_form_1d.grid
+        p = ParabolicProblem(lambda t: forms[round(t / dt) % 2], rng.uniform(0.2, 1.0, g.n_nodes),
+                             0.0, 10 * dt, dt, collar=_collar("array", g), exterior=0.4,
+                             theta=theta, variant="dual_ext", d_const=0.7)
+        systems, factors = [], []
+        init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
+        with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
+            m.setattr(solve_module._InteriorSystem, "__init__",
+                      lambda self, *args: systems.append(args[0]) or init(self, *args))
+            m.setattr(solve_module.sla, "lu_factor", lambda M: factors.append(M) or lu_factor(M))
+            sol = solve_parabolic(p)
+        assert len(systems) == len(factors) == 2
+        assert systems[0] is forms[0] and systems[1] is forms[1]
+        times, snaps, _ = old_solve_parabolic(p)
+        assert sol.meta["n_steps"] == 10 and np.array_equal(sol.times, times)
+        assert np.array_equal(sol.snapshots, snaps)
+        assert np.all(sol.residuals <= RESIDUAL_TOL)
+
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_resolvent(self, coeff_form_1d, rng, variant):
         f = rng.normal(size=coeff_form_1d.grid.n_nodes)

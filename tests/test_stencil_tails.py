@@ -4,11 +4,12 @@ the ray rule), the tiled symmetrisation, the active-ray tail branch and the
 block-restricted form sums."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _oracles import old_form_value, old_layer_cake_weighted_form
+from _oracles import old_form_value, old_layer_cake_weighted_form, old_toeplitz_axes
 from jumplab import (
     Cone,
     CutoffProfile,
@@ -184,6 +185,51 @@ def test_assembly_symmetrises_on_the_stencil_and_reads_the_grid_once(cone_kernel
         assemble(kernel, grid)
         assert len(counted["_symmetrise"]) == n_symmetrise
         assert len(counted["_toeplitz_axes"]) == 1 and len(counted["ray_exit_box"]) == 1
+
+
+def _axes_to_test(rng):
+    """Cell-centred axes as ``build_grid`` makes them, dyadic or not, and
+    reversed; each also with one coordinate moved by one ulp and with a nan,
+    at random offsets."""
+    axes = []
+    for h in (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 4 / 48, 0.1, 1 / 3, 2 / 7):
+        for X in (0.5, 1.0, 2.0):
+            n = round(2 * X / h)
+            if abs(2 * X / h - n) > 1e-9 * n or n > 256:
+                continue
+            a = -X + (np.arange(n) + 0.5) * h
+            axes += [a, a[::-1].copy()]
+    out = []
+    for a in axes:
+        ulp, nan = a.copy(), a.copy()
+        m = rng.integers(a.size)
+        ulp[m] = np.nextafter(ulp[m], rng.choice([-np.inf, np.inf]))
+        nan[rng.integers(a.size)] = np.nan
+        out += [a, ulp, nan]
+    return out
+
+
+def _lattice(*axes):
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return SimpleNamespace(nodes=nodes, d=len(axes))
+
+
+def test_one_comparison_per_axis_decides_as_the_per_offset_loop(rng):
+    axes = _axes_to_test(rng)
+    by_size = {}
+    for a in axes:
+        by_size.setdefault(a.size, []).append(a)
+    pairs = [(a, b) for same in by_size.values() for a in same for b in same]
+    cases = [_lattice(a) for a in axes] + [
+        _lattice(*pairs[i]) for i in rng.choice(len(pairs), 300, replace=False)]
+    accepted = 0
+    for grid in cases:
+        new, ref = _toeplitz_axes(grid), old_toeplitz_axes(grid)
+        assert (new is None) == (ref is None), grid.nodes
+        if new is not None:
+            accepted += 1
+            assert all(np.array_equal(x, y) for x, y in zip(new, ref))
+    assert 0 < accepted < len(cases)
 
 
 def test_node_lattice_that_is_not_a_tensor_grid():
