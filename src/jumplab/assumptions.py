@@ -15,7 +15,7 @@ import numpy as np
 
 from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid, kernel_alpha
-from .kernels import Kernel, TimeKernel, pair_values
+from .kernels import Kernel, StableKernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
 sla = lazy_module("scipy.linalg")
@@ -401,13 +401,7 @@ def coercivity_ratio(form: DiscreteForm, ball: BallSpec) -> dict:
     grid = form.grid
     alpha = kernel_alpha(form)
     m, L = _ball_submatrices(form, ball, ball.r)
-    pts = grid.nodes[m]
-
-    def ref_eval(x, y):
-        r = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-        return np.power(r, -(grid.d + alpha))
-
-    L_ref = _pair_form_matrix(ref_eval, pts, grid.h)
+    L_ref = _pair_form_matrix(StableKernel(grid.d, alpha).sym, grid.nodes[m], grid.h)
     val = _pencil_extreme(L, L_ref, "min")
     return {"ratio": val, "n_points": int(m.sum()), "alpha": alpha}
 

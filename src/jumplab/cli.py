@@ -587,8 +587,10 @@ def _run_mosco(config, kernel, grid, form):
     res = resolvent_convergence(family, grid, f,
                                 float(harness.get("lam_resolvent", 5.0)),
                                 coeffs=coeffs)
-    rows = [(a, np.mean(coeffs["a"][a], axis=0)[0, 0], np.mean(coeffs["b"][a], axis=0)[0], gap)
-            for a, gap in zip(res["alphas"], res["gaps"])]
+    rows = [(a, *np.mean(coeffs["a"][a], axis=0).ravel(), *np.mean(coeffs["b"][a], axis=0),
+             gap) for a, gap in zip(res["alphas"], res["gaps"])]
+    header = ["alpha", *(f"a_{i}{j}" for i in range(d) for j in range(d)),
+              *(f"b_{i}" for i in range(d)), "resolvent_gap"]
     report = {
         "a_limit": np.mean(coeffs["a_limit"], axis=0).tolist(),
         "b_limit": np.mean(coeffs["b_limit"], axis=0).tolist(),
@@ -598,7 +600,7 @@ def _run_mosco(config, kernel, grid, form):
     headline = f"resolvent gap {res['gaps'][0]:.3g} -> {res['gaps'][-1]:.3g}"
     return ({"headline": headline, "resolution": _resolution(grid),
              **{k: v for k, v in report.items() if not isinstance(v, list)}}, report,
-            [("mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"], rows)])
+            [("mosco.csv", header, rows)])
 
 
 _RUNNERS = {

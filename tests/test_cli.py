@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jumplab.cli import DEFAULT_GRID, main, run_scenario, _default_config, _validate, ConfigError
@@ -103,8 +104,30 @@ class TestRunners:
     def test_mosco_gap_table(self, tmp_path):
         assert run(["mosco", "--out", tmp_path, "--alphas", "1.5,1.9"]) == 0
         lines = (tmp_path / "mosco.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("alpha,")
+        assert lines[0] == "alpha,a_00,b_0,resolvent_gap"
         assert len(lines) == 3
+
+    def test_mosco_2d_writes_every_coefficient(self, tmp_path):
+        cfg = {"harness": {"type": "mosco", "family": "drift", "alphas": [1.9]},
+               "kernel": {"family": "drift", "d": 2, "alpha": 1.5, "L": 2.0,
+                          "V": {"preset": "linear-V", "b": [0.4, -0.2]}},
+               "grid": {"d": 2, "X": 0.5, "h": 1 / 8,
+                        "omega": {"type": "box", "halfwidth": 0.375}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["mosco", "--config", path, "--out", tmp_path]) == 0
+        header, row, *rest = (tmp_path / "mosco.csv").read_text().strip().splitlines()
+        assert not rest
+        assert header == "alpha,a_00,a_01,a_10,a_11,b_0,b_1,resolvent_gap"
+        vals = [float(v) for v in row.split(",")]
+        a, b = np.reshape(vals[1:5], (2, 2)), np.array(vals[5:7])
+        # one alpha: the limits are the moments at that alpha
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert vals[0] == 1.9
+        assert np.array_equal(a, rep["a_limit"]) and np.array_equal(b, rep["b_limit"])
+        assert a[0, 1] == a[1, 0] and abs(a[0, 1]) < 1e-12 * a[0, 0]
+        # linear potential: b_i = a_ii * dV/dx_i
+        assert np.allclose(b, np.diag(a) * [0.4, -0.2], rtol=1e-8, atol=0.0)
 
     def test_solve_snapshots(self, tmp_path):
         cfg = _default_config("solve")
