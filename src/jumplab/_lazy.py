@@ -1,10 +1,15 @@
-"""Deferred imports for the heavy numerical back ends.
+"""Deferred imports: modules that load on their first use.
 
 ``lazy_module("scipy.linalg")`` returns a module whose code runs on its first
 attribute access (the ``importlib.util.LazyLoader`` recipe), so a command
 that never factors a matrix never pays for importing scipy.linalg.  Once
 loaded it is an ordinary module: an attribute lookup costs what it always
 does, and ``setattr`` on it patches the real module.
+
+Users: scipy.linalg in ``solve``, ``mosco`` and ``assumptions``; scipy.special
+in ``kernels``; and ``cli``, whose references to the package's ``algebra``,
+``assumptions``, ``estimates``, ``mosco`` and ``solve`` load each module on
+the first runner that calls into it.
 """
 from __future__ import annotations
 

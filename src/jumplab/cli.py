@@ -15,9 +15,13 @@ that need one, and writes every artifact.  A runner computes only: it returns
 byte-identical artifacts.
 Exit codes: 2 for config errors (with a field path), 3 for numerical failures.
 
-Start-up imports numpy and the package only: configs are checked by
-``_check``, a walker over the JSON Schema keywords ``SCHEMA`` uses, and scipy
-loads on the first factorisation or stable-kernel normalisation.
+Start-up imports numpy, the top-level scipy package, ``kernels`` and
+``discretize``.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
+``solve`` are lazy modules here (``_lazy.lazy_module``): each loads on the
+first runner that calls into it, so a command compiles only the package code
+it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
+keywords ``SCHEMA`` uses, and scipy.linalg and scipy.special load on the first
+factorisation or stable-kernel normalisation.
 """
 from __future__ import annotations
 
@@ -33,42 +37,19 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .algebra import ChainRulePair, check_chain_rule_bounds, check_log_weight, check_weighted
-from .assumptions import (
-    BallSpec,
-    coercivity_ratio,
-    cp_check,
-    cutoff_sup,
-    good_set_fraction,
-    k1_glob_profile,
-    k1_profile,
-    k2_coefficient_D,
-    k2_lattice_D,
-    poincare_constant,
-    sobolev_ratio,
-    suffK1_check,
-    tail_sup,
-)
+from ._lazy import lazy_module
 from .discretize import assemble, build_grid, kernel_alpha
-from .estimates import (
-    Cylinder,
-    caccioppoli_ensemble,
-    harnack_ensemble,
-    holder_ensemble,
-    philox_stream,
-    random_smooth_positive_field,
-)
-from .kernels import get_field, get_pair_field, kernel_from_config, make_stable_kernel
-from .mosco import (
-    local_coefficients,
-    make_coefficient_family,
-    make_drift_family,
-    make_isotropic_family,
-    resolvent_convergence,
-)
-from .solve import ParabolicProblem, default_dt, solve_parabolic
+from .kernels import (get_field, get_pair_field, kernel_from_config, make_stable_kernel,
+                      philox_stream, random_smooth_positive_field)
+
+algebra = lazy_module("jumplab.algebra")
+assumptions = lazy_module("jumplab.assumptions")
+estimates = lazy_module("jumplab.estimates")
+mosco = lazy_module("jumplab.mosco")
+solve = lazy_module("jumplab.solve")
 
 INF = float("inf")
 
@@ -95,35 +76,36 @@ def _alpha_below_d(kernel, name: str):
         raise ConfigError(f"$['kernel']['alpha']: {name} needs alpha < d = {kernel.d}")
 
 
-def _k1(c, profile=k1_profile):
+def _k1(c, profile):
     J = make_stable_kernel(c.kernel.d, c.kernel.alpha)
     return profile(c.kernel, J, c.ball, c.theta, grid=c.grid).to_dict()
 
 
 _ASSUMPTIONS = {
-    "K1": (False, None, _k1),
-    "K1glob": (False, None, lambda c: _k1(c, k1_glob_profile)),
+    "K1": (False, None, lambda c: _k1(c, assumptions.k1_profile)),
+    "K1glob": (False, None, lambda c: _k1(c, assumptions.k1_glob_profile)),
     # the class bound of the declared lam, Lam and the kernel's own sup |K_a| / K_s
     "K2": (False, _family("coefficient"), lambda c: {
-        "D": k2_coefficient_D(c.kernel.lam, c.kernel.Lam),
-        "D_lattice": k2_lattice_D(c.kernel, c.ball, grid=c.grid)}),
-    "Cutoff": (False, None, lambda c: cutoff_sup(
+        "D": assumptions.k2_coefficient_D(c.kernel.lam, c.kernel.Lam),
+        "D_lattice": assumptions.k2_lattice_D(c.kernel, c.ball, grid=c.grid)}),
+    "Cutoff": (False, None, lambda c: assumptions.cutoff_sup(
         c.kernel, float(c.harness.get("zeta", c.ball.r / 2)), c.ball, grid=c.grid)),
-    "Poinc": (True, None, lambda c: poincare_constant(c.form, c.ball)),
-    "Sob": (True, _alpha_below_d, lambda c: sobolev_ratio(
+    "Poinc": (True, None, lambda c: assumptions.poincare_constant(c.form, c.ball)),
+    "Sob": (True, _alpha_below_d, lambda c: assumptions.sobolev_ratio(
         c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
         rng=philox_stream(int(c.harness.get("seed", 0)), 0))),
-    "Tail": (False, None, lambda c: tail_sup(c.kernel, c.ball, float(c.harness.get("A", 2.0)),
-                                             grid=c.grid)),
-    "CP": (False, None, lambda c: cp_check(c.kernel.d, c.kernel.alpha, c.theta,
-                                           _exp(c.harness.get("mu", "inf")))),
-    "suffK1": (False, _family("drift"), lambda c: suffK1_check(
+    "Tail": (False, None, lambda c: assumptions.tail_sup(
+        c.kernel, c.ball, float(c.harness.get("A", 2.0)), grid=c.grid)),
+    "CP": (False, None, lambda c: assumptions.cp_check(c.kernel.d, c.kernel.alpha, c.theta,
+                                                       _exp(c.harness.get("mu", "inf")))),
+    "suffK1": (False, _family("drift"), lambda c: assumptions.suffK1_check(
         c.kernel.V, c.ball, c.theta, c.harness.get("gamma", 1.0), c.kernel.alpha,
         grid=c.grid).to_dict()),
-    "coercivity": (True, None, lambda c: coercivity_ratio(c.form, c.ball)),
-    "good-set": (False, None, lambda c: good_set_fraction(
+    "coercivity": (True, None, lambda c: assumptions.coercivity_ratio(c.form, c.ball)),
+    "good-set": (False, None, lambda c: assumptions.good_set_fraction(
         c.kernel, c.ball, float(c.harness.get("D", 0.5)), grid=c.grid)),
-    "summary": (False, None, lambda c: {"K1": _k1(c), "good_set": _ASSUMPTIONS["good-set"][2](c),
+    "summary": (False, None, lambda c: {"K1": _k1(c, assumptions.k1_profile),
+                                        "good_set": _ASSUMPTIONS["good-set"][2](c),
                                         "tail": _ASSUMPTIONS["Tail"][2](c)}),
 }
 
@@ -347,21 +329,17 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """manifest["env"]: versions, BLAS, thread variables (None when unset) and
-    the CPUs this process may run on.  scipy's version is read from its
-    package metadata, since importing scipy would undo its lazy loading."""
-    from importlib import metadata
+    the CPUs this process may run on.  The top-level scipy package is imported
+    already: ``lazy_module`` imports it to find scipy.linalg and scipy.special,
+    whose code it defers.  So scipy's version costs nothing to read."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:       # numpy < 1.26 only prints its configuration
         config = {}
     blas = config.get("Build Dependencies", {}).get("blas", {})
-    try:
-        scipy_version = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        scipy_version = None
     affinity = getattr(os, "sched_getaffinity", None)
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy_version,
+            "scipy": scipy.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             "cpus": len(affinity(0)) if affinity else os.cpu_count()}
@@ -424,8 +402,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 def _run_check_kernel(config, kernel, grid, form):
     harness = config["harness"]
     which = harness.get("assumption", "K1")
-    ball = BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
-                    float(harness.get("R", 0.5)), harness.get("rho"))
+    ball = assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
+                                float(harness.get("R", 0.5)), harness.get("rho"))
     check = SimpleNamespace(kernel=kernel, grid=grid, form=form, harness=harness, ball=ball,
                             theta=_exp(harness.get("theta_exp", "inf")))
     rep = {"assumption": which, **_ASSUMPTIONS[which][2](check)}
@@ -458,9 +436,9 @@ def _problem_from_config(config, form):
     rng = philox_stream(seed, 0)
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
-    dt = pc.get("dt") or default_dt(grid.h, kernel_alpha(form))
+    dt = pc.get("dt") or solve.default_dt(grid.h, kernel_alpha(form))
     horizon = float(pc.get("horizon", 8 * dt))
-    return ParabolicProblem(
+    return solve.ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
         collar=g_field(grid.nodes[grid.collar]),
         exterior=float(pc.get("exterior", 0.0)),
@@ -471,7 +449,7 @@ def _problem_from_config(config, form):
 
 def _run_solve(config, kernel, grid, form):
     problem = _problem_from_config(config, form)
-    sol = solve_parabolic(problem)
+    sol = solve.solve_parabolic(problem)
     n_times, n_nodes = sol.snapshots.shape
     rows = zip(np.repeat(sol.times, n_nodes).tolist(),
                np.tile(np.arange(n_nodes), n_times).tolist(),
@@ -486,8 +464,8 @@ def _run_solve(config, kernel, grid, form):
 
 
 def _cylinder(harness, kernel):
-    return Cylinder(float(harness.get("t0", 0.0)), float(harness.get("R", 0.5)), kernel.alpha,
-                    tuple(harness.get("center", [0.0] * kernel.d)))
+    return estimates.Cylinder(float(harness.get("t0", 0.0)), float(harness.get("R", 0.5)),
+                              kernel.alpha, tuple(harness.get("center", [0.0] * kernel.d)))
 
 
 def _health(out):
@@ -499,8 +477,8 @@ def _health(out):
 
 def _run_harnack(config, kernel, grid, form):
     harness = config["harness"]
-    out = harnack_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
-                           int(harness.get("seed", 0)))
+    out = estimates.harnack_ensemble(form, _cylinder(harness, kernel),
+                                     int(harness.get("ensemble", 50)), int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
     # members end at the grid time nearest t0 + R^alpha, maybe short of it
     report["horizon"] = {k: out[k] for k in ("t_end", "n_steps", "t_end_requested")}
@@ -510,8 +488,8 @@ def _run_harnack(config, kernel, grid, form):
 
 def _run_hoelder(config, kernel, grid, form):
     harness = config["harness"]
-    out = holder_ensemble(form, _cylinder(harness, kernel), int(harness.get("ensemble", 50)),
-                          int(harness.get("seed", 0)))
+    out = estimates.holder_ensemble(form, _cylinder(harness, kernel),
+                                    int(harness.get("ensemble", 50)), int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
     report["horizon"] = {"t_end": out["t_end"], "n_steps": out["n_steps"]}   # members stop at t_fit
     rows = [(i, g if g is not None else "", f)
@@ -522,7 +500,7 @@ def _run_hoelder(config, kernel, grid, form):
 
 def _run_caccioppoli(config, kernel, grid, form):
     harness = config["harness"]
-    out = caccioppoli_ensemble(
+    out = estimates.caccioppoli_ensemble(
         form, tuple(harness.get("center", [0.0] * kernel.d)),
         float(harness.get("R", 0.4)), float(harness.get("rho", 0.3)),
         harness.get("p_list", [0.5, 2.0]), int(harness.get("ensemble", 100)),
@@ -547,13 +525,14 @@ def _run_algebra(config, kernel, grid, form):
     delta = rng.uniform(1e-3, 1 - 1e-3, n)
     margins = {}
     for pk in np.unique(np.round(p, 2))[:50]:
-        out = check_chain_rule_bounds(ChainRulePair(float(pk)), s[:200], t[:200])
+        out = algebra.check_chain_rule_bounds(algebra.ChainRulePair(float(pk)), s[:200],
+                                              t[:200])
         for name, vals in out.items():
             margins.setdefault(name, []).append(float(np.min(vals)))
-    pair_vals = check_weighted(tau1, tau2, np.log(t), np.log(s), delta)
+    pair_vals = algebra.check_weighted(tau1, tau2, np.log(t), np.log(s), delta)
     for name, vals in pair_vals.items():
         margins.setdefault(name, []).append(float(np.min(vals)))
-    logm = check_log_weight(tau1, tau2, t, s)
+    logm = algebra.check_log_weight(tau1, tau2, t, s)
     margins["log_lower"] = [float(np.min(logm["log_lower"]))]
     reports = [{"lemma": name, "samples": n, "min_margin": float(np.min(vals))}
                for name, vals in margins.items()]
@@ -566,27 +545,28 @@ def _run_algebra(config, kernel, grid, form):
 def _run_mosco(config, kernel, grid, form):
     harness = config["harness"]
     kc = config.get("kernel", {})
-    d = int(kc.get("d", 1))
+    # without a kernel section the family takes the grid's dimension
+    d = kernel.d if kernel is not None else grid.d if grid is not None else 1
     alphas = tuple(harness.get("alphas", [1.5, 1.8, 1.9, 1.95]))
     fam_name = harness.get("family", "isotropic")
     if fam_name == "isotropic":
-        family = make_isotropic_family(d, alphas)
+        family = mosco.make_isotropic_family(d, alphas)
     elif fam_name == "drift":
         V = get_field(kc.get("V", {"preset": "linear-V", "b": [0.4] * d}))
-        family = make_drift_family(d, alphas, V, L=float(kc.get("L", 2.0)))
+        family = mosco.make_drift_family(d, alphas, V, L=float(kc.get("L", 2.0)))
     else:
         g = get_pair_field(kc.get("g", "sin-coefficient"))
-        family = make_coefficient_family(d, alphas, g, float(kc.get("lam", 1.0)),
-                                         float(kc.get("Lam", 3.0)))
+        family = mosco.make_coefficient_family(d, alphas, g, float(kc.get("lam", 1.0)),
+                                               float(kc.get("Lam", 3.0)))
     if grid is None:
         grid = build_grid(d, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     delta = float(harness.get("delta", 0.5))
     probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 10)]
-    coeffs = local_coefficients(family, probe, delta=delta)
+    coeffs = mosco.local_coefficients(family, probe, delta=delta)
     f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
-    res = resolvent_convergence(family, grid, f,
-                                float(harness.get("lam_resolvent", 5.0)),
-                                coeffs=coeffs)
+    res = mosco.resolvent_convergence(family, grid, f,
+                                      float(harness.get("lam_resolvent", 5.0)),
+                                      coeffs=coeffs)
     rows = [(a, *np.mean(coeffs["a"][a], axis=0).ravel(), *np.mean(coeffs["b"][a], axis=0),
              gap) for a, gap in zip(res["alphas"], res["gaps"])]
     header = ["alpha", *(f"a_{i}{j}" for i in range(d) for j in range(d)),

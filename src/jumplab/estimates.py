@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
-from .kernels import _project
+from .kernels import philox_stream, random_smooth_positive_field
 from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic
 
 
@@ -309,31 +309,6 @@ def dual_beta_threshold(R: float, sigma: float, alpha: float, target: float,
 
 
 # --- ensembles ------------------------------------------------------------------
-
-
-def philox_stream(seed: int, member: int) -> np.random.Generator:
-    """Counter-based generator stream: reproducible across runs and platforms."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(member))
-
-
-def random_smooth_positive_field(rng: np.random.Generator, d: int,
-                                 n_modes: int = 4, roughness: float = 0.6):
-    """Closed-form strictly positive random field (lognormal over cosines).
-
-    Returning a callable keeps the ensemble resolution-independent: the same
-    draw evaluates on any grid, which is what the refinement-stability
-    comparisons need.
-    """
-    freq = rng.uniform(0.5, 3.0, size=(n_modes, d))
-    phase = rng.uniform(0, 2 * np.pi, size=n_modes)
-    amp = roughness * rng.normal(size=n_modes) / np.sqrt(n_modes)
-
-    def field(x):
-        acc = sum(a * np.cos(_project(x, f) + p)
-                  for a, f, p in zip(amp, freq, phase))
-        return np.exp(acc)
-
-    return field
 
 
 def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,

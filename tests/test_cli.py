@@ -129,6 +129,15 @@ class TestRunners:
         # linear potential: b_i = a_ii * dV/dx_i
         assert np.allclose(b, np.diag(a) * [0.4, -0.2], rtol=1e-8, atol=0.0)
 
+    def test_mosco_without_kernel_takes_d_from_the_grid(self, tmp_path):
+        cfg = {"harness": {"type": "mosco", "alphas": [1.9]},
+               "grid": {"d": 2, "X": 0.5, "h": 1 / 8}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["mosco", "--config", path, "--out", tmp_path]) == 0
+        header = (tmp_path / "mosco.csv").read_text().splitlines()[0]
+        assert header == "alpha,a_00,a_01,a_10,a_11,b_0,b_1,resolvent_gap"
+
     def test_solve_snapshots(self, tmp_path):
         cfg = _default_config("solve")
         cfg["grid"]["h"] = 1 / 8

@@ -1,5 +1,6 @@
-"""Start-up cost: scipy loads on a command's first factorisation, and configs
-are checked without jsonschema (which serves here as the oracle of the check)."""
+"""Start-up cost: a command loads only the package modules it runs, scipy loads
+on a command's first factorisation, and configs are checked without jsonschema
+(which serves here as the oracle of the check)."""
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import jumplab
@@ -52,6 +54,63 @@ def test_presets_run_without_scipy_linalg_special_or_jsonschema(tmp_path):
     assert "scipy.linalg._basic" in seen["harnack"]
     assert "jsonschema" not in seen["harnack"]
     assert seen["sla_is_module"] and seen["sla_loaded_after"]
+
+
+_RAN = """
+import json, sys, types
+from jumplab.cli import main
+
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:       # --help
+    code = exc.code
+names = ("solve", "estimates", "assumptions", "mosco", "algebra")
+print(json.dumps({"code": code, "metadata": "importlib.metadata" in sys.modules,
+                  "ran": sorted(n for n in names
+                                if type(sys.modules.get("jumplab." + n)) is types.ModuleType)}))
+"""
+
+# the README command lines, ensembles cut to one member (the modules a command
+# runs do not depend on it) -> the package modules the command runs, and
+# whether it may import importlib.metadata (scipy.linalg imports it)
+README_COMMANDS = [
+    (["--help"], [], False),
+    (["check-kernel", "--assumption", "K1"], ["assumptions"], True),
+    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"], True),
+    (["hoelder", "--ensemble", "1"], ["estimates", "solve"], True),
+    (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"], False),
+    (["algebra-tests"], ["algebra"], False),
+    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"], True),
+    (["assemble", "--dump-form", "form.csv"], [], False),
+    (["solve"], ["solve"], True),
+]
+
+
+@pytest.mark.parametrize("argv, ran, metadata", README_COMMANDS,
+                         ids=[argv[0] for argv, _, _ in README_COMMANDS])
+def test_a_command_loads_only_the_modules_it_runs(argv, ran, metadata, tmp_path):
+    out = [] if argv == ["--help"] else ["--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _RAN, *argv, *out], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["code"] == 0 and seen["ran"] == ran
+    if not metadata:
+        assert not seen["metadata"]
+    if out:
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["env"]["scipy"] == scipy.__version__
+
+
+def test_package_names_resolve_from_their_home_modules(monkeypatch):
+    from jumplab import discretize
+
+    assert jumplab.assemble is discretize.assemble and "assemble" in jumplab.__all__
+    # no copy is kept in the package: a patch of the home module is what it returns
+    monkeypatch.setattr(discretize, "assemble", len)
+    assert jumplab.assemble is len and "assemble" not in vars(jumplab)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        jumplab.nope
 
 
 def test_lazy_module_returns_an_imported_module_itself():
