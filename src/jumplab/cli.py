@@ -148,8 +148,8 @@ SCHEMA = {
             "properties": {
                 "variant": {"enum": ["primal", "dual", "dual_ext"]},
                 "theta": {"type": "number", "minimum": 0.5, "maximum": 1.0},
-                "dt": {"type": ["number", "null"]},
-                "horizon": {"type": "number"},
+                "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
+                "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "exterior": {"type": "number"},
                 "d_const": {"type": "number"},
             },
@@ -436,7 +436,7 @@ def _problem_from_config(config, form):
     rng = philox_stream(seed, 0)
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
-    dt = pc.get("dt") or solve.default_dt(grid.h, kernel_alpha(form))
+    dt = solve.default_dt(grid.h, kernel_alpha(form)) if pc.get("dt") is None else pc["dt"]
     horizon = float(pc.get("horizon", 8 * dt))
     return solve.ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
 from .kernels import philox_stream, random_smooth_positive_field
-from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic
+from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic, time_grid
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def dual_beta_threshold(R: float, sigma: float, alpha: float, target: float,
 
 
 def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
-                  dt: float | None = None, t_end: float | None = None) -> Solution:
+                  dt: float, t_end: float | None = None) -> Solution:
     """One member: random positive initial state, collar datum and exterior
     constant, stepped by implicit Euler from t0 - R^alpha.
 
@@ -324,7 +324,6 @@ def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
     ext = float(rng.uniform(0.2, 1.0))
-    dt = dt or default_dt(grid.h, cyl.alpha)
     t_start = cyl.t0 - cyl.ralpha
     t_end = cyl.t0 + cyl.ralpha if t_end is None else t_end
     problem = ParabolicProblem(
@@ -341,9 +340,7 @@ def _fit_horizon(cyl: Cylinder, dt: float, t_fit: float) -> tuple[int, float]:
 
     The times are those of ``solve_parabolic`` on [t0 - R^alpha, t0 + R^alpha],
     so a run to t_k steps k times, on the same grid."""
-    t_start = cyl.t0 - cyl.ralpha
-    n_full = max(int(round((cyl.t0 + cyl.ralpha - t_start) / dt)), 1)
-    times = t_start + dt * np.arange(n_full + 1)
+    times = time_grid(cyl.t0 - cyl.ralpha, cyl.t0 + cyl.ralpha, dt)
     k = max(int(np.flatnonzero(times <= t_fit + 1e-12)[-1]), 1)
     return k, float(times[k])
 
@@ -357,14 +354,15 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
     (``t_end_requested``, where the late box ends), which may fall short of
     it by up to dt / 2."""
     quotients, residuals = [], []
+    dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
     for m in range(n_runs):
-        sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt)
+        sol = _positive_run(form, cyl, philox_stream(seed, m), dt)
         quotients.append(harnack_quotient(sol, cyl, f_inf=0.0))
         residuals.append(float(np.max(sol.residuals)))
     q = np.asarray(quotients)
     return {"c_emp": quotients, "min": float(np.min(q)), "median": float(np.median(q)),
             "max": float(np.max(q)), "n_runs": n_runs, "seed": seed,
-            "h": form.grid.h, "dt": dt or default_dt(form.grid.h, cyl.alpha),
+            "h": form.grid.h, "dt": dt,
             **{k: sol.meta[k] for k in ("t_end", "n_steps", "t_end_requested")},
             "max_step_residual": residuals}
 
@@ -383,10 +381,10 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
     fits, residuals = [], []
     t_fit = cyl.t0 + 0.5 * cyl.ralpha
     R0 = R0 if R0 is not None else cyl.R
-    dt = dt or default_dt(form.grid.h, cyl.alpha)
+    dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
     n_steps, t_end = _fit_horizon(cyl, dt, t_fit)
     for m in range(n_runs):
-        sol = _positive_run(form, cyl, philox_stream(seed, m), dt=dt, t_end=t_end)
+        sol = _positive_run(form, cyl, philox_stream(seed, m), dt, t_end=t_end)
         fit = holder_fit(sol, t_fit, cyl.center, R0, n_scales=n_scales, nu=nu)
         fits.append(fit)
         residuals.append(float(np.max(sol.residuals)))

@@ -26,15 +26,14 @@ per step: x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
 sweeps) and the later steps of the block are recomputed from it.  Every step
 is checked before ``solve_parabolic`` or ``theta_step`` returns.
 
-``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``); it
-is a module global read at call time, so replacing ``solve.sla`` reroutes
-every ``lu_factor`` and ``lu_solve``: a step then goes straight to
-``_solve_refined``, and the replacement sees every solve.
+``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``), a
+module global read at call time: a replaced ``solve.sla`` sees every
+``lu_factor``, the ``get_lapack_funcs`` whose ``getrs`` solves every step, and
+the ``lu_solve`` calls of ``_solve_refined`` (refinement, resolvent).
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,11 +137,12 @@ class _InteriorSystem:
 
     @cached_property
     def A_II(self) -> np.ndarray:
-        return self._A[np.ix_(self.I, self.I)]
+        i = np.flatnonzero(self.I)
+        return self._A[np.ix_(i, i)]
 
     @cached_property
     def A_IC(self) -> np.ndarray:
-        return self._A[np.ix_(self.I, ~self.I)]
+        return self._A[np.ix_(np.flatnonzero(self.I), np.flatnonzero(~self.I))]
 
     def load(self, p: ParabolicProblem, t: float, g: np.ndarray):
         """r(t) = f - A_IC g + T_I u_ext (+ d * drift_load_I) on interior nodes,
@@ -202,7 +202,6 @@ class _Stepper:
         self.loads = self._loads(self.system, t) if problem.theta < 1.0 else None
         self.emit, self.rows = emit, rows
         self.steps = []               # (k, t_new, load pair) of each recorded row
-        self.n_checked = 0            # rows checked already (by a replaced sla's solve)
         self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
 
     def _loads(self, system: _InteriorSystem, t: float):
@@ -264,25 +263,12 @@ class _Stepper:
             np.subtract(u_I, (1.0 - p.theta) * p.dt * (A_exp @ u_I), out=b)
             b += explicit[0]
             b += self.steps[i][2][1]
-        if sla is sys.modules["scipy.linalg"]:  # lu_solve inlined as its getrs
-            self.X[i] = system.getrs(*system.lu, b)[0]
-        else:                 # a replaced sla sees every solve: the refining one, checked now
-            self._refine(i)
-            self.n_checked = i + 1
-
-    def _refine(self, i: int):
-        """Redo row i from its b with ``_solve_refined``; raises if it misses."""
-        k, t_new, _ = self.steps[i]
-        x, rel_res = _solve_refined(self.system.lu, self.system.M, self.B[i])
-        if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
-            raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
-                               f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
-        self.X[i], self.res[i] = x, rel_res
+        self.X[i] = system.getrs(*system.lu, b)[0]
 
     def check(self):
         """Check the recorded rows (see the class docstring) and emit them.
         The rows are consumed, also by a check that raises."""
-        n, i = len(self.steps), self.n_checked
+        n, i = len(self.steps), 0
         if not n:
             return
         B, X, M = self.B[:n], self.X[:n], self.system.M
@@ -297,7 +283,12 @@ class _Stepper:
                 if not missed.size:
                     break
                 j = i + int(missed[0])
-                self._refine(j)
+                k, t_new, _ = self.steps[j]
+                x, rel_res = _solve_refined(self.system.lu, M, B[j])
+                if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
+                    raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
+                                       f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
+                X[j], self.res[j] = x, rel_res
                 A_exp = self.system.A_II if self.problem.theta < 1.0 else None
                 for m in range(j + 1, n):   # the block's system: it changes between blocks only
                     self._solve(m, X[m - 1], A_exp, self.steps[m - 1][2])
@@ -305,7 +296,7 @@ class _Stepper:
             if self.emit is not None:
                 self.emit(self.steps[0][0], X, self.res[:n])
         finally:
-            self.steps, self.n_checked = [], 0
+            self.steps = []
 
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
@@ -319,6 +310,14 @@ def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     return out
 
 
+def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The step times t_start + k dt, k <= max(round((t_end - t_start) / dt), 1),
+    of every run (``solve_parabolic``) and run horizon (``estimates``)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be finite and positive, got {dt}")
+    return t_start + dt * np.arange(max(int(round((t_end - t_start) / dt)), 1) + 1)
+
+
 def solve_parabolic(problem: ParabolicProblem) -> Solution:
     """Snapshots at t_start + k dt, k <= round((t_end - t_start) / dt) = meta["n_steps"]."""
     form = problem.form_at(problem.t_start)
@@ -329,8 +328,8 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         raise ValueError("initial state must live on all box nodes")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial state contains non-finite values")
-    n_steps = max(int(round((problem.t_end - problem.t_start) / problem.dt)), 1)
-    times = problem.t_start + problem.dt * np.arange(n_steps + 1)
+    times = time_grid(problem.t_start, problem.t_end, problem.dt)
+    n_steps = len(times) - 1
     I, C = np.flatnonzero(grid.interior), np.flatnonzero(grid.collar)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
     u = snaps[0, I] = u0[I]

@@ -72,10 +72,14 @@ def test_cone_1d_tails(cone_kernel_1d):
 
 
 def test_cone_2d_ball_tails(cone_kernel_2d, cone_ball_form):
-    # 1024 nodes: the tail runs in several blocks
-    assert cone_ball_form.grid.n_nodes > _TAIL_BLOCK
-    T_s, T_a = old_assembly_tails(cone_kernel_2d, cone_ball_form.grid)
-    new_s, new_a = _rule_tails(cone_kernel_2d, cone_ball_form.grid)
+    # 1024 nodes: the tail runs in several blocks; both parts end in an
+    # infinite piece.  A coarse rule takes the same paths as the default
+    # one at a sixteenth of the cost.
+    assert cone_ball_form.grid.n_nodes > 4 * _TAIL_BLOCK
+    assert all(cone_kernel_2d.radial_pieces(part)[-1][1] is None for part in ("sym", "anti"))
+    quad = QuadSpec(n_ang=16, n_panels=10)
+    T_s, T_a = old_assembly_tails(cone_kernel_2d, cone_ball_form.grid, quad)
+    new_s, new_a = _rule_tails(cone_kernel_2d, cone_ball_form.grid, quad)
     assert np.array_equal(new_s, T_s) and np.array_equal(new_a, T_a)
 
 

@@ -119,8 +119,11 @@ def test_lazy_module_returns_an_imported_module_itself():
 
 
 class _CountingLinalg:
+    """Stands in for solve.sla and counts lu_factor, lu_solve and the calls of
+    every getrs that get_lapack_funcs hands out."""
+
     def __init__(self, real):
-        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0}
+        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0, "getrs": 0}
 
     def __getattr__(self, name):
         return getattr(self.real, name)
@@ -133,17 +136,41 @@ class _CountingLinalg:
         self.calls["lu_solve"] += 1
         return self.real.lu_solve(*args, **kwargs)
 
+    def get_lapack_funcs(self, names, arrays=()):
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                self.calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+        return tuple(counted(name, fn) for name, fn
+                     in zip(names, self.real.get_lapack_funcs(names, arrays)))
+
+
+def _five_steps(form):
+    n = form.grid.n_nodes
+    return ParabolicProblem(form, np.ones(n), 0.0, 0.05, 0.01, collar=0.5)
+
 
 def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypatch):
     counting = _CountingLinalg(solve_module.sla)
     monkeypatch.setattr(solve_module, "sla", counting)
-    n = stable_form_1d.grid.n_nodes
-    sol = solve_parabolic(ParabolicProblem(stable_form_1d, np.ones(n), 0.0, 0.05, 0.01,
-                                           collar=0.5))
+    sol = solve_parabolic(_five_steps(stable_form_1d))
     assert counting.calls["lu_factor"] == 1
-    assert counting.calls["lu_solve"] >= sol.meta["n_steps"] == 5
-    resolvent_solve(stable_form_1d, 2.0, np.ones(n))
-    assert counting.calls["lu_factor"] == 2
+    # every step solves with the system's getrs; none misses, so none refines
+    assert counting.calls["getrs"] == sol.meta["n_steps"] == 5
+    assert counting.calls["lu_solve"] == 0
+    resolvent_solve(stable_form_1d, 2.0, np.ones(stable_form_1d.grid.n_nodes))
+    assert counting.calls["lu_factor"] == 2 and counting.calls["lu_solve"] >= 1
+    assert counting.calls["getrs"] == 5
+
+
+def test_patched_sla_changes_no_bit(stable_form_1d, monkeypatch):
+    plain = solve_parabolic(_five_steps(stable_form_1d))
+    monkeypatch.setattr(solve_module, "sla", _CountingLinalg(solve_module.sla))
+    patched = solve_parabolic(_five_steps(stable_form_1d))
+    assert np.array_equal(patched.times, plain.times)
+    assert np.array_equal(patched.snapshots, plain.snapshots)
+    assert np.array_equal(patched.residuals, plain.residuals)
 
 
 # --- the config check against jsonschema --------------------------------------
