@@ -454,7 +454,9 @@ def _run_solve(config, kernel, grid, form):
     rows = zip(np.repeat(sol.times, n_nodes).tolist(),
                np.tile(np.arange(n_nodes), n_times).tolist(),
                sol.snapshots.ravel().tolist())
+    # the run ends at the grid time nearest the horizon asked for, one step at least
     report = {"steps": len(sol.times) - 1, "dt": problem.dt, "t_end": sol.meta["t_end"],
+              "t_end_requested": sol.meta["t_end_requested"],
               "max_residual": float(np.max(sol.residuals)),
               "final_min": float(np.min(sol.snapshots[-1])),
               "final_max": float(np.max(sol.snapshots[-1]))}
@@ -607,7 +609,7 @@ def _default_config(kind: str) -> dict:
         cfg["kernel"] = dict(DEFAULT_KERNEL)
         cfg["grid"] = dict(DEFAULT_GRID)
     if kind == "hoelder":
-        # the smallest fit scale R / 8 must hold holder_fit's 8 nodes
+        # the smallest fit scale R / 8 must hold estimates._FIT_MIN_NODES = 8 nodes
         cfg["grid"]["h"] = 1 / 64
     if kind == "caccioppoli":
         cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.0}

@@ -75,8 +75,7 @@ class Grid:
         return self.h ** self.d
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
-        c = np.asarray(center, dtype=float)
-        return np.sqrt(np.sum((self.nodes - c) ** 2, axis=-1)) < radius
+        return self.radii(center) < radius
 
     def radii(self, center) -> np.ndarray:
         c = np.asarray(center, dtype=float)

@@ -16,6 +16,11 @@ from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
 from .kernels import philox_stream, random_smooth_positive_field
 from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic, time_grid
 
+# a grid time within this distance of a box's end belongs to the box
+_TIME_TOL = 1e-12
+# the least number of nodes a Hoelder fit reads at its smallest scale
+_FIT_MIN_NODES = 8
+
 
 @dataclass(frozen=True)
 class SpaceTimeBox:
@@ -91,7 +96,7 @@ class Cylinder:
 
 
 def _box_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
-    sel_t = (solution.times >= box.t_lo - 1e-12) & (solution.times <= box.t_hi + 1e-12)
+    sel_t = (solution.times >= box.t_lo - _TIME_TOL) & (solution.times <= box.t_hi + _TIME_TOL)
     mask = solution.grid.ball_mask(np.asarray(box.center), box.radius)
     if not np.any(sel_t) or not np.any(mask):
         raise ValueError("space-time box does not intersect the solution lattice")
@@ -123,8 +128,7 @@ class HolderFit:
 
 
 def holder_fit(solution: Solution, t_center: float, center, R0: float,
-               n_scales: int = 4, nu: float = 2.0,
-               min_points: int = 8) -> HolderFit:
+               n_scales: int = 4, nu: float = 2.0) -> HolderFit:
     """Least-squares slope of log oscillation against log scale, clamped to [0,1].
 
     Oscillations are taken over backward parabolic windows
@@ -141,8 +145,8 @@ def holder_fit(solution: Solution, t_center: float, center, R0: float,
         s = R0 * nu ** (-k)
         box = SpaceTimeBox(t_center - s ** alpha, t_center, tuple(center), s)
         vals = _box_values(solution, box)
-        if vals.shape[1] < min_points:
-            raise ValueError(f"scale {s} contains fewer than {min_points} nodes")
+        if vals.shape[1] < _FIT_MIN_NODES:
+            raise ValueError(f"scale {s} contains fewer than {_FIT_MIN_NODES} nodes")
         scales.append(s)
         oscs.append(float(np.max(vals) - np.min(vals)))
     if oscs[0] < 1e-13:
@@ -162,44 +166,59 @@ def oscillation(solution: Solution, box: SpaceTimeBox) -> dict:
 
 
 def _global_pairing(form: DiscreteForm, variant: str, u: np.ndarray,
-                    phi: np.ndarray, d_const: float, u_ext: float) -> float:
-    """Discrete global form value paired against a test field phi.
+                    phi: np.ndarray, d_const: float) -> float:
+    """Discrete global form value paired against a test field phi, with zero
+    exterior values (the tails T and T-hat do not enter).
 
-    primal:   E(u, phi)      = h^d phi . (A u - u_ext T)
-    dual:     E-hat(u, phi)  = h^d phi . (A^T u - u_ext T-hat)
+    primal:   E(u, phi)      = h^d phi . (A u)
+    dual:     E-hat(u, phi)  = h^d phi . (A^T u)
     dual_ext: adds the constant-drift load - d (A^T 1 - T-hat).
     """
     hd = form.grid.cell_volume
     if variant == "primal":
-        return hd * float(phi @ (form.A @ u - u_ext * form.tail))
-    val = hd * float(phi @ (form.A.T @ u - u_ext * form.tail_dual))
+        return hd * float(phi @ (form.A @ u))
+    val = hd * float(phi @ (form.A.T @ u))
     if variant == "dual_ext":
         val -= d_const * hd * float(phi @ form.drift_load)
     return val
 
 
-def _audit_shift(variant: str, eps: float, r: float, alpha: float, d: int,
-                 f_inf: float, d_const: float, theta: float) -> float:
+def _audit_shift(variant: str, eps: float, r: float, alpha: float,
+                 f_inf: float, d_const: float) -> float:
     """Positivity shift of the audited field: eps, plus r^alpha |f| for the
-    dual variants, plus r^{(alpha - d/theta)/2} |d| for the extended dual."""
+    dual variants, plus r^{alpha/2} |d| for the extended dual."""
     shift = eps
     if variant in ("dual", "dual_ext"):
         shift = shift + r ** alpha * f_inf
     if variant == "dual_ext":
-        exponent = 0.5 * (alpha - (d / theta if theta != math.inf else 0.0))
-        shift = shift + r ** exponent * abs(d_const)
+        shift = shift + r ** (0.5 * alpha) * abs(d_const)
     return shift
+
+
+def _audit_setup(u, form: DiscreteForm, center, r: float, rho: float, eps: float,
+                 variant: str, d_const: float, f_inf: float):
+    """What both audits start from: the field u, the order alpha, the shift,
+    the shifted field u~ = u + shift (which must be strictly positive), the
+    cutoff tau's values on the grid and the mask of B_{r+rho}."""
+    grid = form.grid
+    alpha = kernel_alpha(form)
+    u = np.asarray(u, dtype=float)
+    shift = _audit_shift(variant, eps, r, alpha, f_inf, d_const)
+    u_t = u + shift
+    if np.any(u_t <= 0):
+        raise ValueError("shifted field must be strictly positive")
+    tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
+    return u, alpha, shift, u_t, tau.values_on(grid), grid.ball_mask(tau.center, r + rho)
 
 
 def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
                       rho: float, p: float, eps: float,
                       variant: str = "primal", d_const: float = 0.0,
-                      f_inf: float = 0.0, weight_gamma: float = 1.0,
-                      theta: float = math.inf, u_ext: float = 0.0) -> dict:
+                      f_inf: float = 0.0) -> dict:
     """Energy-of-power audit: measures the empirical constant of the bound
 
         E^{K_s}_{B_{r+rho}}(tau u~^{(1-p)/2}, .) <=
-            c1 |p-1| T1 + c2 (1 v p^gamma) T2,
+            c1 |p-1| T1 + c2 max(1, p) T2,
 
     where T1 is the (variant-appropriate) global form paired with
     -tau^2 u~^{-p} and T2 = rho^{-alpha} ||u~^{1-p}||_{L^1(B_{r+rho})}.
@@ -209,22 +228,15 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     if p <= 0 or p == 1.0:
         raise ValueError("need p > 0 with p != 1 (the log audit is separate)")
     grid = form.grid
-    alpha = kernel_alpha(form)
-    u = np.asarray(u, dtype=float)
-    shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
-    u_t = u + shift
-    if np.any(u_t <= 0):
-        raise ValueError("shifted field must be strictly positive")
-    tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
-    tv = tau.values_on(grid)
-    mask = grid.ball_mask(tau.center, r + rho)
+    u, alpha, shift, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps,
+                                                  variant, d_const, f_inf)
     w = (tv * u_t ** ((1.0 - p) / 2.0))[mask]
     dw = w[:, None] - w[None, :]
     lhs = float(np.sum(dw * dw * form.ks_matrix(mask)) * grid.cell_volume ** 2)
     phi = -(tv * tv) * u_t ** (-p)
-    t1 = _global_pairing(form, variant, u, phi, d_const, u_ext)
+    t1 = _global_pairing(form, variant, u, phi, d_const)
     t2 = rho ** (-alpha) * float(np.sum(u_t[mask] ** (1.0 - p)) * grid.cell_volume)
-    denom = abs(p - 1.0) * max(t1, 0.0) + max(1.0, p ** weight_gamma) * t2
+    denom = abs(p - 1.0) * max(t1, 0.0) + max(1.0, p) * t2
     c_hat = lhs / denom if denom > 0 else math.inf
     return {"c_hat": c_hat, "lhs": lhs, "t1": t1, "t2": t2, "p": p,
             "variant": variant, "eps": eps, "shift": shift,
@@ -233,8 +245,7 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
 
 def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
                           rho: float, eps: float, variant: str = "primal",
-                          d_const: float = 0.0, f_inf: float = 0.0,
-                          theta: float = math.inf, u_ext: float = 0.0) -> dict:
+                          d_const: float = 0.0, f_inf: float = 0.0) -> dict:
     """Log-energy audit: the weighted log increment against the pairing with
     -tau^2 u~^{-1} and the bulk term rho^{-alpha} |B_{r+rho}|.
 
@@ -242,15 +253,8 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     vanishes and the shifted logarithm is undefined there).
     """
     grid = form.grid
-    alpha = kernel_alpha(form)
-    u = np.asarray(u, dtype=float)
-    shift = _audit_shift(variant, eps, r, alpha, grid.d, f_inf, d_const, theta)
-    u_t = u + shift
-    if np.any(u_t <= 0):
-        raise ValueError("shifted field must be strictly positive")
-    tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
-    tv = tau.values_on(grid)
-    mask = grid.ball_mask(tau.center, r + rho)
+    u, alpha, shift, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps,
+                                                  variant, d_const, f_inf)
     tb, pos = tv[mask], tv[mask] > 0
     Ks = np.where(pos[:, None] & pos[None, :], form.ks_matrix(mask), 0.0)
     logs = np.where(pos, np.log(np.where(pos, u_t[mask] / np.where(pos, tb, 1.0), 1.0)), 0.0)
@@ -258,7 +262,7 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     wmin = np.minimum(tb[:, None] ** 2, tb[None, :] ** 2)
     lhs = float(np.sum(wmin * dlog * dlog * Ks) * grid.cell_volume ** 2)
     phi = -(tv * tv) / u_t
-    t1 = _global_pairing(form, variant, u, phi, d_const, u_ext)
+    t1 = _global_pairing(form, variant, u, phi, d_const)
     t2 = rho ** (-alpha) * float(np.sum(mask) * grid.cell_volume)
     denom = max(t1, 0.0) + t2
     return {"c_hat": lhs / denom if denom > 0 else math.inf,
@@ -268,11 +272,11 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
 
 
 def tail_source_bound(beta_growth: float, R: float, sigma: float, alpha: float,
-                      nu: float = 3.0, max_terms: int = 2000) -> dict:
+                      nu: float = 3.0) -> dict:
     """Geometric-series bound on the far-field source created by truncation.
 
-    primal: R^{-alpha} sum_j (3^{j b} - 1) 3^{-j (sigma ^ alpha)};
-    dual:   R^{-alpha} (nu^{2b - s'} + sum_{j>=2} nu^{(2b - 2s') j + 2s'}),
+    primal: R^{-alpha} sum_{j<=2000} (3^{j b} - 1) 3^{-j (sigma ^ alpha)};
+    dual:   R^{-alpha} (nu^{2b - s'} + sum_{2<=j<=2000} nu^{(2b - 2s') j + 2s'}),
     with s' = sigma ^ alpha.  Growth at or beyond the decay rate is flagged
     divergent instead of summed.
     """
@@ -281,7 +285,7 @@ def tail_source_bound(beta_growth: float, R: float, sigma: float, alpha: float,
     if beta_growth >= s:
         out.update({"primal": math.inf, "divergent": True})
         return out
-    j = np.arange(1, max_terms + 1)
+    j = np.arange(1, 2001)
     ln3 = math.log(3.0)
     # (3^{jb} - 1) 3^{-js} written decay-first so large j never overflows
     terms = np.exp(j * (beta_growth - s) * ln3) - np.exp(-j * s * ln3)
@@ -294,15 +298,14 @@ def tail_source_bound(beta_growth: float, R: float, sigma: float, alpha: float,
     return out
 
 
-def dual_beta_threshold(R: float, sigma: float, alpha: float, target: float,
-                        nu_list=(3.0, 10.0, 30.0, 100.0),
-                        n_beta: int = 60) -> float:
-    """Largest growth exponent whose dual bound dips below target on a nu sweep."""
+def dual_beta_threshold(R: float, sigma: float, alpha: float, target: float) -> float:
+    """Largest of 60 growth exponents in [1e-3, 0.999 (sigma ^ alpha)] whose
+    dual bound dips below target for some nu in {3, 10, 30, 100}."""
     best = 0.0
     s = min(sigma, alpha)
-    for beta in np.linspace(1e-3, 0.999 * s, n_beta):
+    for beta in np.linspace(1e-3, 0.999 * s, 60):
         vals = [tail_source_bound(beta, R, sigma, alpha, nu=nu)["dual"]
-                for nu in nu_list]
+                for nu in (3.0, 10.0, 30.0, 100.0)]
         if min(vals) <= target:
             best = float(beta)
     return best
@@ -336,12 +339,13 @@ def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
 
 def _fit_horizon(cyl: Cylinder, dt: float, t_fit: float) -> tuple[int, float]:
     """(k, t_k): the last time t_k = t_start + k dt of the full cylinder run
-    that ``_box_values`` selects for a window ending at t_fit, k >= 1.
+    that ``_box_values`` selects for a window ending at t_fit (both within
+    ``_TIME_TOL``), k >= 1.
 
     The times are those of ``solve_parabolic`` on [t0 - R^alpha, t0 + R^alpha],
     so a run to t_k steps k times, on the same grid."""
     times = time_grid(cyl.t0 - cyl.ralpha, cyl.t0 + cyl.ralpha, dt)
-    k = max(int(np.flatnonzero(times <= t_fit + 1e-12)[-1]), 1)
+    k = max(int(np.flatnonzero(times <= t_fit + _TIME_TOL)[-1]), 1)
     return k, float(times[k])
 
 
@@ -368,7 +372,7 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
 
 
 def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
-                    n_scales: int = 4, nu: float = 2.0, R0: float | None = None,
+                    n_scales: int = 4, nu: float = 2.0,
                     dt: float | None = None) -> dict:
     """Hoelder fits of n_runs members, and each member's max step residual.
 
@@ -380,12 +384,11 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
     """
     fits, residuals = [], []
     t_fit = cyl.t0 + 0.5 * cyl.ralpha
-    R0 = R0 if R0 is not None else cyl.R
     dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
     n_steps, t_end = _fit_horizon(cyl, dt, t_fit)
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt, t_end=t_end)
-        fit = holder_fit(sol, t_fit, cyl.center, R0, n_scales=n_scales, nu=nu)
+        fit = holder_fit(sol, t_fit, cyl.center, cyl.R, n_scales=n_scales, nu=nu)
         fits.append(fit)
         residuals.append(float(np.max(sol.residuals)))
     gammas = [f.gamma for f in fits if not f.flat]

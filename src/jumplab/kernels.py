@@ -744,17 +744,18 @@ def philox_stream(seed: int, member: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(member))
 
 
-def random_smooth_positive_field(rng: np.random.Generator, d: int,
-                                 n_modes: int = 4, roughness: float = 0.6):
-    """Closed-form strictly positive random field (lognormal over cosines).
+def random_smooth_positive_field(rng: np.random.Generator, d: int):
+    """Closed-form strictly positive random field: exp of four cosine modes
+    with amplitudes 0.6 N(0, 1) / sqrt(4).
 
     Returning a callable keeps the ensemble resolution-independent: the same
     draw evaluates on any grid, which is what the refinement-stability
     comparisons need.
     """
+    n_modes = 4
     freq = rng.uniform(0.5, 3.0, size=(n_modes, d))
     phase = rng.uniform(0, 2 * np.pi, size=n_modes)
-    amp = roughness * rng.normal(size=n_modes) / np.sqrt(n_modes)
+    amp = 0.6 * rng.normal(size=n_modes) / np.sqrt(n_modes)
 
     def field(x):
         acc = sum(a * np.cos(_project(x, f) + p)

@@ -66,26 +66,23 @@ class AlphaFamily:
         return self._cache[alpha]
 
 
-def make_isotropic_family(d: int, alphas, coeff: float = 1.0) -> AlphaFamily:
-    """K^(a) = coeff * c_{d,a} |x-y|^{-d-a}; the c constant embeds (2-alpha)."""
-    factory = lambda a: make_stable_kernel(d, a, coeff * c_alpha_norm(d, a))
-    return AlphaFamily(factory, d, tuple(alphas), Lam=max(4.0, 4 * coeff),
-                       name="isotropic")
+def make_isotropic_family(d: int, alphas) -> AlphaFamily:
+    """K^(a) = c_{d,a} |x-y|^{-d-a}; the c constant embeds (2-alpha)."""
+    factory = lambda a: make_stable_kernel(d, a, c_alpha_norm(d, a))
+    return AlphaFamily(factory, d, tuple(alphas), name="isotropic")
 
 
-def make_drift_family(d: int, alphas, V, L: float, lam: float = 1.0,
-                      Lam: float = 1.0, v_holder: float = 1.0) -> AlphaFamily:
-    factory = lambda a: make_drift_kernel(1.0, V, L, a, d, lam=lam, Lam=Lam,
-                                          v_holder=v_holder)
-    return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam, name="drift")
+def make_drift_family(d: int, alphas, V, L: float) -> AlphaFamily:
+    """Drift kernels with j = 1, lam = Lam = 1 and v_holder = 1."""
+    factory = lambda a: make_drift_kernel(1.0, V, L, a, d)
+    return AlphaFamily(factory, d, tuple(alphas), name="drift")
 
 
-def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float,
-                            g_smoothness: float = 1.0) -> AlphaFamily:
+def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaFamily:
+    """Coefficient kernels over the normalized stable kernel, g_smoothness = 1."""
     def factory(a):
         base = make_stable_kernel(d, a, c_alpha_norm(d, a))
-        return make_coefficient_kernel(g, a, lam, Lam, d, base=base,
-                                       g_smoothness=g_smoothness)
+        return make_coefficient_kernel(g, a, lam, Lam, d, base=base, g_smoothness=1.0)
 
     return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam,
                        name="coefficient")
@@ -135,8 +132,7 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     return coeff[1], np.sqrt(np.mean((fit - vals[take]) ** 2, axis=0))
 
 
-def local_coefficients(family: AlphaFamily, x, delta: float,
-                       alphas=None, quad: QuadSpec | None = None,
+def local_coefficients(family: AlphaFamily, x, delta: float, alphas=None,
                        verify_quadrature: bool = False) -> dict:
     """Finite-alpha moment matrices/vectors and their extrapolated limits.
 
@@ -148,7 +144,7 @@ def local_coefficients(family: AlphaFamily, x, delta: float,
     1% raises with both levels reported.
     """
     alphas = tuple(alphas) if alphas is not None else family.alphas
-    quad = quad or QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
+    quad = QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d, m = x.shape[0], family.d, len(alphas)
     eps = 2.0 - np.asarray(alphas)
@@ -195,8 +191,7 @@ def _fd_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def form_convergence(family: AlphaFamily, u, v, grid: Grid,
-                     ball_center, ball_radius: float, alphas=None,
-                     quad: QuadSpec | None = None) -> dict:
+                     ball_center, ball_radius: float) -> dict:
     """Table of restricted form values against the extrapolated local target.
 
     The symmetric (difference-difference) and drift (difference-sum) parts are
@@ -204,8 +199,7 @@ def form_convergence(family: AlphaFamily, u, v, grid: Grid,
     the target is sum a_ij du dv + 2 sum b_i du v with lattice finite
     differences for the gradients.
     """
-    alphas = tuple(alphas) if alphas is not None else family.alphas
-    quad = quad or QuadSpec(n_ang=64, n_panels=32)
+    quad = QuadSpec(n_ang=64, n_panels=32)
     z = np.asarray(ball_center, dtype=float)
     mask = grid.ball_mask(z, ball_radius)
     pts = grid.nodes[mask]
@@ -216,7 +210,7 @@ def form_convergence(family: AlphaFamily, u, v, grid: Grid,
     dv = _fd_gradient(v_vals, grid)[mask]
 
     rows = []
-    for a in alphas:
+    for a in family.alphas:
         k = family.kernel(a)
 
         es = _ball_moment(lambda xb, y: (u(xb) - u(y)) * (v(xb) - v(y)),
@@ -227,7 +221,7 @@ def form_convergence(family: AlphaFamily, u, v, grid: Grid,
                      "E_anti": float(np.sum(ea) * hd)})
 
     coeffs = local_coefficients(family, pts[:: max(1, len(pts) // 40)],
-                                delta=min(0.5, ball_radius / 2), alphas=alphas)
+                                delta=min(0.5, ball_radius / 2))
     a_lim = np.mean(coeffs["a_limit"], axis=0)
     b_lim = np.mean(coeffs["b_limit"], axis=0)
     target_sym = float(np.einsum("ij,ni,nj->", a_lim, du, dv) * hd)
@@ -290,8 +284,7 @@ def _axis_stencil(grid: Grid, k: int):
             np.roll(idx, 1, axis=k)[inner])
 
 
-def assemble_corrected(kernel: Kernel, grid: Grid,
-                       quad: QuadSpec | None = None) -> DiscreteForm:
+def assemble_corrected(kernel: Kernel, grid: Grid) -> DiscreteForm:
     """Lattice assembly plus the sub-cell second-moment/drift correction.
 
     The correction adds C_kk(x) times the second-difference stencil and the
@@ -301,7 +294,7 @@ def assemble_corrected(kernel: Kernel, grid: Grid,
     symmetric part to A_s, the antisymmetric part to A_a) and the diagonal is
     completed again.
     """
-    quad = quad or QuadSpec(n_ang=32, n_panels=24)
+    quad = QuadSpec(n_ang=32, n_panels=24)
     form = assemble(kernel, grid, quad=quad)
     # sub-cell moments over the inscribed ball B_{h/2}(x_i): exactly the operator
     # mass the lattice sum cannot see
@@ -342,19 +335,17 @@ def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarr
 
 
 def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
-                          alphas=None, coeffs: dict | None = None,
-                          quad: QuadSpec | None = None) -> dict:
+                          coeffs: dict | None = None) -> dict:
     """L2 gaps between the order-alpha resolvents and the local-limit resolvent.
 
     Solves (lam + A^(alpha)) u = f with the corrected nonlocal assembly and
     (lam + A_loc) u = f with the divergence-form comparison operator built
     from the extrapolated coefficients.
     """
-    alphas = tuple(alphas) if alphas is not None else family.alphas
     f_vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
     if coeffs is None:
         probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 20)]
-        coeffs = local_coefficients(family, probe, delta=0.5, alphas=alphas)
+        coeffs = local_coefficients(family, probe, delta=0.5)
     a_lim = np.mean(coeffs["a_limit"], axis=0)
     b_lim = np.mean(coeffs["b_limit"], axis=0)
     A_loc = local_operator(a_lim, b_lim, grid)
@@ -367,10 +358,10 @@ def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
         raise RuntimeError(f"local resolvent solve unstable (relative residual {rel:.3e})")
     hd = grid.cell_volume
     gaps = []
-    for a in alphas:
-        form = assemble_corrected(family.kernel(a), grid, quad=quad)
+    for a in family.alphas:
+        form = assemble_corrected(family.kernel(a), grid)
         u_a = resolvent_solve(form, lam, f_vals)
         gaps.append(float(np.sqrt(np.sum((u_a - u_loc) ** 2) * hd)))
-    return {"alphas": list(alphas), "gaps": gaps,
+    return {"alphas": list(family.alphas), "gaps": gaps,
             "u_loc_norm": float(np.sqrt(np.sum(u_loc ** 2) * hd)),
             "monotone": all(np.diff(gaps) <= 1e-12)}

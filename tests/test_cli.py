@@ -160,6 +160,18 @@ class TestRunners:
         assert rep["steps"] == 7
         assert rep["t_end"] == pytest.approx(0.21)
 
+    def test_solve_reports_the_horizon_it_was_asked_for(self, tmp_path):
+        # a horizon below one step still steps once, to t = dt
+        cfg = _default_config("solve")
+        cfg["grid"]["h"] = 1 / 8
+        cfg["problem"] = {"dt": 1.0, "horizon": 0.01}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["solve", "--config", path, "--out", tmp_path]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert (rep["steps"], rep["t_end"], rep["t_end_requested"]) == (1, 1.0, 0.01)
+        assert "t_end_requested: 0.01" in (tmp_path / "summary.txt").read_text()
+
     def test_assemble_with_dump(self, tmp_path):
         cfg = _default_config("assemble")
         cfg["grid"]["h"] = 1 / 8

@@ -104,6 +104,12 @@ def test_ensemble_manifests_record_each_member_step_residual(readme_runs):
         assert all(0.0 <= r <= RESIDUAL_TOL for r in residuals)
 
 
+def test_the_solve_preset_ends_on_the_horizon_it_asks_for(readme_runs):
+    root, _ = readme_runs
+    report = json.loads((root / "runs" / "solve" / "report.json").read_text())
+    assert report["t_end"] == report["t_end_requested"]
+
+
 def test_every_manifest_records_the_environment(readme_runs):
     root, codes = readme_runs
     harnesses = set()
