@@ -1,15 +1,17 @@
 """Deferred imports: modules that load on their first use.
 
-``lazy_module("scipy.linalg")`` returns a module whose code runs on its first
-attribute access (the ``importlib.util.LazyLoader`` recipe), so a command
-that never factors a matrix never pays for importing scipy.linalg.  Once
+``lazy_module("jumplab._lapack")`` returns a module whose code runs on its
+first attribute access (the ``importlib.util.LazyLoader`` recipe), so a
+command that never factors a matrix never loads scipy's LAPACK wrapper.  Once
 loaded it is an ordinary module: an attribute lookup costs what it always
 does, and ``setattr`` on it patches the real module.
 
-Users: scipy.linalg in ``solve``, ``mosco`` and ``assumptions``; scipy.special
-in ``kernels``; and ``cli``, whose references to the package's ``algebra``,
-``assumptions``, ``estimates``, ``mosco`` and ``solve`` load each module on
-the first runner that calls into it.
+Users: ``_lapack`` (LU factors and solves) in ``solve`` and ``assumptions``;
+scipy.linalg in ``mosco`` (Cholesky, triangular and general solves) and
+``assumptions`` (eigh); scipy.special in ``kernels``; and ``cli``, whose
+references to the package's ``algebra``, ``assumptions``, ``estimates``,
+``mosco`` and ``solve`` load each module on the first runner that calls
+into it.
 """
 from __future__ import annotations
 

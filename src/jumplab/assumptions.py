@@ -19,6 +19,7 @@ from .kernels import Kernel, StableKernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
 sla = lazy_module("scipy.linalg")
+lapack = lazy_module("jumplab._lapack")
 
 INF = float("inf")
 # random probes and fixed-point sweeps of sobolev_ratio
@@ -450,14 +451,14 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
         probes.append(v)
     best = max(probes, key=ratio)
     M = L + rho ** (-alpha) * hd * np.eye(L.shape[0])
-    lu = sla.lu_factor(M)
+    lu = lapack.lu_factor(M)
     v = best.copy()
     for _ in range(_SOB_SWEEPS):
         w = np.where(in_sub, v * np.abs(v) ** (2 * (p_s - 1)), 0.0)
         nw = np.linalg.norm(w)
         if nw == 0:
             break
-        v_new = sla.lu_solve(lu, hd * w / nw)
+        v_new = lapack.lu_solve(lu, hd * w / nw)
         if ratio(v_new) > ratio(v):
             v = v_new
         else:

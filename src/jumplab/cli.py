@@ -20,8 +20,10 @@ Start-up imports numpy, the top-level scipy package, ``kernels`` and
 ``solve`` are lazy modules here (``_lazy.lazy_module``): each loads on the
 first runner that calls into it, so a command compiles only the package code
 it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
-keywords ``SCHEMA`` uses, and scipy.linalg and scipy.special load on the first
-factorisation or stable-kernel normalisation.
+keywords ``SCHEMA`` uses.  scipy's LAPACK wrapper loads on the first
+factorisation (``_lapack``, without the scipy.linalg package, which only
+``mosco`` and some ``check-kernel`` assumptions import) and scipy.special on
+the first stable-kernel normalisation.
 """
 from __future__ import annotations
 

@@ -197,15 +197,18 @@ def form_convergence(family: AlphaFamily, u, v, grid: Grid,
     The symmetric (difference-difference) and drift (difference-sum) parts are
     integrated separately per alpha by polar quadrature in the inner variable;
     the target is sum a_ij du dv + 2 sum b_i du v with lattice finite
-    differences for the gradients.
+    differences for the gradients.  ``u`` and ``v`` are callables on points,
+    since the pair integrands evaluate them off the nodes.
     """
+    for name, fn in (("u", u), ("v", v)):
+        if not callable(fn):
+            raise TypeError(f"{name} must be a callable on points, got {type(fn).__name__}")
     quad = QuadSpec(n_ang=64, n_panels=32)
     z = np.asarray(ball_center, dtype=float)
     mask = grid.ball_mask(z, ball_radius)
     pts = grid.nodes[mask]
     hd = grid.cell_volume
-    u_vals = u(grid.nodes) if callable(u) else np.asarray(u, dtype=float)
-    v_vals = v(grid.nodes) if callable(v) else np.asarray(v, dtype=float)
+    u_vals, v_vals = u(grid.nodes), v(grid.nodes)
     du = _fd_gradient(u_vals, grid)[mask]
     dv = _fd_gradient(v_vals, grid)[mask]
 

@@ -26,10 +26,11 @@ per step: x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
 sweeps) and the later steps of the block are recomputed from it.  Every step
 is checked before ``solve_parabolic`` or ``theta_step`` returns.
 
-``sla`` is scipy.linalg, loaded on the first factorisation (see ``_lazy``), a
-module global read at call time: a replaced ``solve.sla`` sees every
-``lu_factor``, the ``get_lapack_funcs`` whose ``getrs`` solves every step, and
-the ``lu_solve`` calls of ``_solve_refined`` (refinement, resolvent).
+``sla`` is ``_lapack`` (LAPACK's getrf and getrs from scipy's compiled
+wrapper, without the scipy.linalg package), loaded on the first factorisation
+(see ``_lazy``), a module global read at call time: a replaced ``solve.sla``
+sees every ``lu_factor``, the ``getrs`` that solves every step, and the
+``lu_solve`` calls of ``_solve_refined`` (refinement, resolvent).
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid
 
-sla = lazy_module("scipy.linalg")
+sla = lazy_module("jumplab._lapack")
 
 RESIDUAL_TOL = 1e-10
 _BLOCK = 128          # steps per residual check in solve_parabolic (see _Stepper)
@@ -160,7 +161,7 @@ class _InteriorSystem:
         self.A_II = self.A_II if keep else None      # else its memory now holds M
         self.M[np.diag_indices_from(self.M)] += a
         self.lu = sla.lu_factor(self.M)
-        (self.getrs,) = sla.get_lapack_funcs(("getrs",), self.lu[:1])
+        self.getrs = sla.getrs
 
 
 class _Stepper:

@@ -141,6 +141,17 @@ class TestFormConvergence:
         assert anti_gaps[-1] < anti_gaps[0]
         assert abs(out["target_anti"]) > 1e-3
 
+    def test_a_field_of_node_values_is_refused_up_front(self):
+        # the pair integrands evaluate u and v off the nodes, so values on the
+        # nodes cannot stand in for them
+        grid = build_grid(1, 1.0, 1 / 16, {"type": "box", "halfwidth": 0.75})
+        cos = lambda x: np.cos(np.asarray(x, dtype=float)[..., 0])
+        with pytest.raises(TypeError, match=r"^u must be a callable on points, got ndarray$"):
+            form_convergence(make_isotropic_family(1, (1.9,)), cos(grid.nodes), cos, grid,
+                             (0.0,), 0.6)
+        with pytest.raises(TypeError, match=r"^v must be a callable"):
+            form_convergence(make_isotropic_family(1, (1.9,)), cos, [1.0], grid, (0.0,), 0.6)
+
 
 def _hand_form(S_II, W_II):
     """A 1D form whose interior blocks of A_s and A_a are S_II and W_II; the

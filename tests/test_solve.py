@@ -386,7 +386,7 @@ def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
 
 
 def test_a_step_that_meets_the_check_solves_with_getrs_alone(stable_form_1d, monkeypatch):
-    # scipy.linalg itself stays solve.sla, so the step inlines lu_solve as its getrs
+    # a step calls the getrs of solve.sla (``_lapack``) directly: lu_solve only refines
     calls = []
     monkeypatch.setattr(solve_module.sla, "lu_solve", lambda *args: calls.append(args))
     p = problem_with(stable_form_1d, u0=np.ones(stable_form_1d.grid.n_nodes), collar=0.5)

@@ -1,6 +1,7 @@
-"""Start-up cost: a command loads only the package modules it runs, scipy loads
-on a command's first factorisation, and configs are checked without jsonschema
-(which serves here as the oracle of the check)."""
+"""Start-up cost: a command loads only the package modules it runs, scipy's
+LAPACK wrapper loads on a command's first factorisation without the
+scipy.linalg package, and configs are checked without jsonschema (which serves
+here as the oracle of the check)."""
 import json
 import math
 import os
@@ -23,6 +24,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 SRC = Path(jumplab.__file__).resolve().parent.parent
 HEAVY = ("scipy.linalg._basic", "scipy._lib._array_api", "scipy.special._ufuncs")
+LINALG = HEAVY[:2] + ("importlib.metadata",)   # what importing scipy.linalg loads
 
 _PROBE = """
 import json, sys, types
@@ -38,7 +40,8 @@ seen["presets"] = [m for m in heavy + ("jsonschema",) if m in sys.modules]
 seen["sla_loaded"] = type(solve.sla) is types.ModuleType
 assert main(["harnack", "--ensemble", "1", "--out", sys.argv[1] + "/harnack"]) == 0
 seen["harnack"] = [m for m in heavy + ("jsonschema",) if m in sys.modules]
-seen["sla_is_module"] = solve.sla is sys.modules["scipy.linalg"]
+seen["sla_is_module"] = solve.sla is sys.modules["jumplab._lapack"]
+seen["flapack"] = "scipy.linalg._flapack" in sys.modules
 seen["sla_loaded_after"] = type(solve.sla) is types.ModuleType
 print(json.dumps(seen))
 """
@@ -50,14 +53,15 @@ def test_presets_run_without_scipy_linalg_special_or_jsonschema(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.strip().splitlines()[-1])
     assert seen["presets"] == [] and not seen["sla_loaded"]
-    # harnack factors a matrix: scipy.linalg loads on that first use
-    assert "scipy.linalg._basic" in seen["harnack"]
-    assert "jsonschema" not in seen["harnack"]
-    assert seen["sla_is_module"] and seen["sla_loaded_after"]
+    # harnack factors a matrix: scipy's LAPACK wrapper loads on that first
+    # use, and the scipy.linalg package does not
+    assert seen["harnack"] == []
+    assert seen["sla_is_module"] and seen["sla_loaded_after"] and seen["flapack"]
 
 
 _RAN = """
 import json, sys, types
+linalg = {linalg!r}
 from jumplab.cli import main
 
 try:
@@ -65,38 +69,39 @@ try:
 except SystemExit as exc:       # --help
     code = exc.code
 names = ("solve", "estimates", "assumptions", "mosco", "algebra")
-print(json.dumps({"code": code, "metadata": "importlib.metadata" in sys.modules,
+print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.modules],
                   "ran": sorted(n for n in names
-                                if type(sys.modules.get("jumplab." + n)) is types.ModuleType)}))
+                                if type(sys.modules.get("jumplab." + n)) is types.ModuleType)}}))
 """
 
 # the README command lines, ensembles cut to one member (the modules a command
 # runs do not depend on it) -> the package modules the command runs, and
-# whether it may import importlib.metadata (scipy.linalg imports it)
+# whether it may import scipy.linalg (and with it importlib.metadata): the
+# stepping commands factor and solve through solve.sla, which does not
 README_COMMANDS = [
     (["--help"], [], False),
     (["check-kernel", "--assumption", "K1"], ["assumptions"], True),
-    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"], True),
-    (["hoelder", "--ensemble", "1"], ["estimates", "solve"], True),
+    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"], False),
+    (["hoelder", "--ensemble", "1"], ["estimates", "solve"], False),
     (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"], False),
     (["algebra-tests"], ["algebra"], False),
     (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"], True),
     (["assemble", "--dump-form", "form.csv"], [], False),
-    (["solve"], ["solve"], True),
+    (["solve"], ["solve"], False),
 ]
 
 
-@pytest.mark.parametrize("argv, ran, metadata", README_COMMANDS,
+@pytest.mark.parametrize("argv, ran, linalg", README_COMMANDS,
                          ids=[argv[0] for argv, _, _ in README_COMMANDS])
-def test_a_command_loads_only_the_modules_it_runs(argv, ran, metadata, tmp_path):
+def test_a_command_loads_only_the_modules_it_runs(argv, ran, linalg, tmp_path):
     out = [] if argv == ["--help"] else ["--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", _RAN, *argv, *out], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
+    proc = subprocess.run([sys.executable, "-c", _RAN.format(linalg=LINALG), *argv, *out],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["code"] == 0 and seen["ran"] == ran
-    if not metadata:
-        assert not seen["metadata"]
+    if not linalg:
+        assert seen["linalg"] == []
     if out:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["env"]["scipy"] == scipy.__version__
@@ -115,12 +120,14 @@ def test_package_names_resolve_from_their_home_modules(monkeypatch):
 
 def test_lazy_module_returns_an_imported_module_itself():
     assert lazy_module("json") is json
-    assert lazy_module("scipy.linalg") is sys.modules["scipy.linalg"] is solve_module.sla
+    assert lazy_module("jumplab._lapack") is sys.modules["jumplab._lapack"] is solve_module.sla
+    # the getrs every step solves with is scipy's own f2py routine
+    assert solve_module.sla.getrs is sys.modules["scipy.linalg._flapack"].dgetrs
 
 
 class _CountingLinalg:
     """Stands in for solve.sla and counts lu_factor, lu_solve and the calls of
-    every getrs that get_lapack_funcs hands out."""
+    every getrs it hands out."""
 
     def __init__(self, real):
         self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0, "getrs": 0}
@@ -136,14 +143,12 @@ class _CountingLinalg:
         self.calls["lu_solve"] += 1
         return self.real.lu_solve(*args, **kwargs)
 
-    def get_lapack_funcs(self, names, arrays=()):
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                self.calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
-        return tuple(counted(name, fn) for name, fn
-                     in zip(names, self.real.get_lapack_funcs(names, arrays)))
+    @property
+    def getrs(self):
+        def call(*args, **kwargs):
+            self.calls["getrs"] += 1
+            return self.real.getrs(*args, **kwargs)
+        return call
 
 
 def _five_steps(form):
