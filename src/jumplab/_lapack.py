@@ -1,18 +1,30 @@
-"""LU factors and solves from scipy's compiled LAPACK wrapper, without scipy.linalg.
+"""scipy's compiled routines without scipy's Python packages.
 
-Importing scipy.linalg runs its ``__init__``, which also loads scipy's
-array-API layer (and with it numpy.f2py and numpy.testing) and costs more than
-the factorisations of a stepping command.  This module loads the f2py
-extension ``scipy/linalg/_flapack*.so`` by file path instead, so that code
-never runs, and registers it as ``scipy.linalg._flapack``: a later ``import
-scipy.linalg`` reuses it, and its ``get_lapack_funcs`` hands out this
-``getrs``.  A module already registered under that name is reused.
-``lu_factor`` and ``lu_solve`` are scipy.linalg's for real double matrices,
-with its checks: non-finite input raises ``ValueError``, as does an illegal
-LAPACK argument, and an exact zero pivot warns.
+Importing scipy.linalg or scipy.special runs its ``__init__``, which also loads
+scipy's array-API layer (and with it numpy.f2py and numpy.testing) and costs
+more than the work of most commands.  This module finds scipy's directory
+without importing scipy and loads the compiled modules it needs by file path
+instead, so that code never runs: the f2py LAPACK wrapper
+``scipy.linalg._flapack``, the solver ``scipy.linalg._batched_linalg`` that
+``scipy.linalg.solve`` calls, and ``scipy.special._special_ufuncs``, home of
+the ``gamma`` ufunc.  Each is registered under its own name: a later ``import
+scipy.linalg`` or ``import scipy.special`` reuses it, so ``get_lapack_funcs``
+hands out this ``getrs`` and ``scipy.special.gamma`` is this ``gamma``.  A
+module already registered under its name is reused.  Where the installed scipy
+has no such file or function (``_batched_linalg`` is new in scipy 1.17),
+``solve`` and ``gamma`` are the public scipy functions, imported with their
+package.
+
+Every routine gives the bits of scipy's public function for real double
+matrices, with its checks: non-finite input raises ``ValueError``, as does an
+illegal LAPACK argument.  ``lu_factor`` warns on an exact zero pivot;
+``solve`` raises ``LinAlgError`` on a singular matrix and warns on an
+ill-conditioned one; ``cholesky`` raises ``LinAlgError`` on a matrix that is
+not positive definite and ``solve_lower`` on a singular one.
 """
 from __future__ import annotations
 
+import importlib
 import importlib.machinery
 import importlib.util
 import sys
@@ -20,7 +32,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
+from numpy.linalg import LinAlgError
+
+SCIPY = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
 
 
 def _extension(name: str, directory: Path):
@@ -40,8 +54,25 @@ def _extension(name: str, directory: Path):
     return module
 
 
-_flapack = _extension("scipy.linalg._flapack", Path(scipy.__file__).parent / "linalg")
-getrf, getrs = _flapack.dgetrf, _flapack.dgetrs
+def _routine(name: str, directory: Path, public: str, wrap=None):
+    """The function ``name`` (module.function) of a compiled module loaded from
+    ``directory``, passed through ``wrap`` if given; where the installed scipy
+    has no such file or function, the public function ``public``, imported
+    with its package."""
+    module, _, function = name.rpartition(".")
+    try:
+        routine = getattr(_extension(module, directory), function, None)
+    except ImportError:
+        routine = None
+    if routine is None:
+        package, _, function = public.rpartition(".")
+        return getattr(importlib.import_module(package), function)
+    return routine if wrap is None else wrap(routine)
+
+
+_flapack = _extension("scipy.linalg._flapack", SCIPY / "linalg")
+getrf, getrs, potrf, trtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dpotrf, _flapack.dtrtrs
+gamma = _routine("scipy.special._special_ufuncs.gamma", SCIPY / "special", "scipy.special.gamma")
 
 
 def lu_factor(a):
@@ -64,4 +95,51 @@ def lu_solve(lu_piv, b):
     x, info = getrs(lu, piv, b)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrs (lu_solve)")
+    return x
+
+
+def _checked_solve(batched_solve):
+    """scipy.linalg.solve(a, b) for a square ``a`` and a vector ``b``, made
+    with the compiled solver it calls, structure detection included."""
+
+    def solve(a, b):
+        """x with a x = b for the square matrix ``a`` and the vector ``b``."""
+        x, errors = batched_solve(np.asarray_chkfinite(a), np.asarray_chkfinite(b)[:, None],
+                                  -1, False, False, False, False)
+        for err in errors:
+            if err["is_singular"]:
+                raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
+            if err["lapack_info"] < 0:
+                raise ValueError(f"Internal LAPACK errors: slice 0 emits lapack "
+                                 f"info={err['lapack_info']}.")
+            if err["is_ill_conditioned"]:
+                warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = "
+                              f"{err['rcond']}.", RuntimeWarning, stacklevel=2)
+        return x[:, 0]
+
+    return solve
+
+
+solve = _routine("scipy.linalg._batched_linalg._solve", SCIPY / "linalg", "scipy.linalg.solve",
+                 _checked_solve)
+
+
+def cholesky(a):
+    """The lower Cholesky factor L of the symmetric positive definite ``a`` = L L^T."""
+    c, info = potrf(np.asarray_chkfinite(a), lower=1, clean=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry '
+                         f'to "POTRF".')
+    return c
+
+
+def solve_lower(L, b):
+    """x with L x = b for a lower triangular ``L`` as ``cholesky`` returns it."""
+    x, info = trtrs(L, np.asarray_chkfinite(b), lower=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x

@@ -2,13 +2,14 @@
 
 ``lazy_module("jumplab._lapack")`` returns a module whose code runs on its
 first attribute access (the ``importlib.util.LazyLoader`` recipe), so a
-command that never factors a matrix never loads scipy's LAPACK wrapper.  Once
+command that never factors a matrix or normalises a stable kernel never loads
+scipy's compiled routines.  Once
 loaded it is an ordinary module: an attribute lookup costs what it always
 does, and ``setattr`` on it patches the real module.
 
-Users: ``_lapack`` (LU factors and solves) in ``solve`` and ``assumptions``;
-scipy.linalg in ``mosco`` (Cholesky, triangular and general solves) and
-``assumptions`` (eigh); scipy.special in ``kernels``; and ``cli``, whose
+Users: ``_lapack`` in ``solve`` and ``assumptions`` (LU factors and solves),
+``mosco`` (Cholesky, triangular and general solves) and ``kernels``
+(``gamma``); scipy.linalg in ``assumptions`` (eigh); and ``cli``, whose
 references to the package's ``algebra``, ``assumptions``, ``estimates``,
 ``mosco`` and ``solve`` load each module on the first runner that calls
 into it.

@@ -15,20 +15,21 @@ that need one, and writes every artifact.  A runner computes only: it returns
 byte-identical artifacts.
 Exit codes: 2 for config errors (with a field path), 3 for numerical failures.
 
-Start-up imports numpy, the top-level scipy package, ``kernels`` and
-``discretize``.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
+Start-up imports numpy, ``kernels`` and ``discretize``, and no scipy
+package.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
 ``solve`` are lazy modules here (``_lazy.lazy_module``): each loads on the
 first runner that calls into it, so a command compiles only the package code
 it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
-keywords ``SCHEMA`` uses.  scipy's LAPACK wrapper loads on the first
-factorisation (``_lapack``, without the scipy.linalg package, which only
-``mosco`` and some ``check-kernel`` assumptions import) and scipy.special on
-the first stable-kernel normalisation.
+keywords ``SCHEMA`` uses.  scipy's compiled routines (``_lapack``: LAPACK,
+``solve`` and ``gamma``, loaded by file path) load on the first
+factorisation or stable-kernel normalisation; only some ``check-kernel``
+assumptions import the scipy.linalg package (``eigh``).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import operator
@@ -39,7 +40,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._lazy import lazy_module
@@ -321,19 +321,30 @@ def _build_kernel_grid(config):
     grid = None
     if "grid" in config:
         gc = config["grid"]
-        grid = build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]),
-                          gc.get("omega"))
+        try:
+            grid = build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]), gc.get("omega"))
+        except ValueError as exc:   # a grid the config's numbers cannot make
+            raise ConfigError(f"$['grid']: {exc}") from None
     return kernel, grid
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _scipy_version() -> str:
+    """The installed scipy's version, from its ``version.py``."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location("scipy.version", Path(scipy_dir, "version.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _environment() -> dict:
     """manifest["env"]: versions, BLAS, thread variables (None when unset) and
-    the CPUs this process may run on.  The top-level scipy package is imported
-    already: ``lazy_module`` imports it to find scipy.linalg and scipy.special,
-    whose code it defers.  So scipy's version costs nothing to read."""
+    the CPUs this process may run on.  scipy's version is read from its
+    ``version.py``: no command but some ``check-kernel`` assumptions imports
+    the scipy package."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:       # numpy < 1.26 only prints its configuration
@@ -341,7 +352,7 @@ def _environment() -> dict:
     blas = config.get("Build Dependencies", {}).get("blas", {})
     affinity = getattr(os, "sched_getaffinity", None)
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             "cpus": len(affinity(0)) if affinity else os.cpu_count()}

@@ -113,6 +113,8 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None) -> Grid:
         interior = np.sqrt(np.sum((nodes - center) ** 2, axis=-1)) < r
     else:
         raise ValueError(f"unknown domain type {omega['type']!r}")
+    if not interior.any():
+        raise ValueError(f"domain {omega} holds no grid node at h={h}")
     return Grid(d, float(X), float(h), nodes, interior, omega)
 
 

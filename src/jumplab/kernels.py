@@ -22,7 +22,7 @@ import numpy as np
 
 from ._lazy import lazy_module
 
-_special = lazy_module("scipy.special")
+_lapack = lazy_module("jumplab._lapack")
 
 MIN_SEPARATION = 1e-14
 
@@ -38,7 +38,7 @@ def c_alpha_norm(d: int, alpha: float) -> float:
         raise ValueError(f"order alpha must lie in (0, 2), got {alpha}")
     if d < 1 or int(d) != d:
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    gamma = _special.gamma
+    gamma = _lapack.gamma
     return (2.0 ** alpha) * gamma((d + alpha) / 2.0) / (
         math.pi ** (d / 2.0) * abs(gamma(-alpha / 2.0)))
 

@@ -23,7 +23,7 @@ from .kernels import (Kernel, c_alpha_norm, make_coefficient_kernel, make_drift_
 from .quadrature import QuadSpec, ball_integral
 from .solve import resolvent_solve
 
-sla = lazy_module("scipy.linalg")
+lapack = lazy_module("jumplab._lapack")
 
 
 @dataclass
@@ -253,9 +253,9 @@ def garding_sector_check(form: DiscreteForm, lam_G: float) -> dict:
     lam_min = float(np.linalg.eigvalsh(S)[0])
     c1 = np.inf
     if lam_min > 0:
-        L = sla.cholesky(S, lower=True)
-        LW = sla.solve_triangular(L, form.A_a[np.ix_(I, I)], lower=True)
-        B = sla.solve_triangular(L, LW.T, lower=True).T
+        L = lapack.cholesky(S)
+        LW = lapack.solve_lower(L, form.A_a[np.ix_(I, I)])
+        B = lapack.solve_lower(L, LW.T).T
         c1 = float(np.linalg.eigvalsh(B.T @ B)[-1])
     return {"lambda_min": lam_min, "garding_margin": 0.5 * lam_min + lam_G - 1.0,
             "lam_admissible": max(1.0, 1.0 - 0.5 * lam_min), "sector_c1": c1}
@@ -355,7 +355,7 @@ def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
     I = grid.interior
     M = lam * np.eye(int(I.sum())) + A_loc[np.ix_(I, I)]
     u_loc = np.zeros(grid.n_nodes)
-    u_loc[I] = sla.solve(M, f_vals[I])
+    u_loc[I] = lapack.solve(M, f_vals[I])
     rel = np.linalg.norm(f_vals[I] - M @ u_loc[I]) / max(np.linalg.norm(f_vals[I]), 1e-300)
     if not rel <= 1e-6:
         raise RuntimeError(f"local resolvent solve unstable (relative residual {rel:.3e})")

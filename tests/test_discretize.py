@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,32 @@ class TestBuildGrid:
     def test_rejects_missing_collar(self):
         with pytest.raises(ValueError):
             build_grid(1, 2.0, 1 / 8, {"type": "box", "halfwidth": 2.0})
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("omega", [{"type": "box", "halfwidth": 0.1},
+                                       {"type": "ball", "radius": 0.1}])
+    def test_rejects_a_domain_without_nodes(self, d, omega, capfd):
+        # the nodes nearest the centre sit at |x_k| = h/2 > 0.1: no interior,
+        # which LAPACK would refuse later with a message on stderr
+        with pytest.raises(ValueError, match=r"^domain \{'type': '(box|ball)', .*\} holds "
+                                             r"no grid node at h=0\.25$"):
+            build_grid(d, 1.0, 0.25, omega)
+        assert capfd.readouterr() == ("", "")
+        assert build_grid(d, 1.0, 0.25, {**omega, "center": [0.125] * d}).interior.sum() == 1
+
+    def test_a_domain_without_nodes_is_a_config_error(self, tmp_path, capfd):
+        from jumplab.cli import main
+
+        config = {"harness": {"type": "solve"},
+                  "kernel": {"family": "stable", "d": 1, "alpha": 1.0},
+                  "grid": {"d": 1, "X": 1.0, "h": 0.25,
+                           "omega": {"type": "box", "halfwidth": 0.1}}}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err == ("config error: $['grid']: domain {'type': 'box', "
+                                     "'halfwidth': 0.1} holds no grid node at h=0.25\n")
 
 
 class TestAssembly:

@@ -1,18 +1,21 @@
-"""``_lapack``: scipy's LAPACK getrf/getrs loaded without the scipy.linalg
-package give scipy.linalg's factors and solves bit for bit, and share their
-routines with scipy.linalg once that is imported."""
+"""``_lapack``: scipy's compiled routines loaded without scipy's Python
+packages (LAPACK's getrf/getrs/potrf/trtrs, the solver of scipy.linalg.solve
+and the gamma ufunc) give scipy's factors, solves and values bit for bit, and
+are shared with scipy.linalg and scipy.special once those are imported."""
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import jumplab
-from jumplab import _lapack
+from jumplab import _lapack, build_grid, mosco
 
 SRC = Path(jumplab.__file__).resolve().parent.parent
 
@@ -43,8 +46,12 @@ _AFTER = """
 import sys
 import numpy as np
 from jumplab import _lapack
-assert "scipy.linalg" not in sys.modules
+assert not {"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules)
+import scipy.special
+assert scipy.special.gamma is _lapack.gamma
 import scipy.linalg as sla
+assert sla._basic._batched_linalg is sys.modules["scipy.linalg._batched_linalg"]
+assert sla.get_lapack_funcs(("potrf",), (np.eye(2),))[0] is _lapack.potrf
 M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 b = np.array([1.0, -2.0, 0.5])
 assert sla.get_lapack_funcs(("getrs",), (M,))[0] is _lapack.getrs
@@ -54,12 +61,13 @@ assert np.array_equal(x, sla.lu_solve(sla.lu_factor(M), b))
 L = sla.cholesky(M, lower=True)
 assert np.allclose(sla.solve_triangular(L, b, lower=True), np.linalg.solve(L, b))
 assert np.allclose(sla.solve(M, b), x) and sla.eigh(M, eigvals_only=True)[0] > 0
+assert np.array_equal(sla.solve(M, b), _lapack.solve(M, b))
 print("ok")
 """
 
 
-def test_scipy_linalg_imports_after_lapack():
-    # the mosco path: the stepper loads _lapack, mosco then needs scipy.linalg
+def test_scipy_linalg_and_special_import_after_lapack():
+    # check-kernel's eigh, or any caller, imports the packages after the loader
     out = subprocess.run([sys.executable, "-c", _AFTER], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     assert out.stdout.strip() == "ok"
@@ -93,3 +101,133 @@ def test_a_missing_extension_names_its_path(tmp_path):
                                           + re.escape(str(tmp_path / "_nope"))):
         _lapack._extension("scipy.linalg._nope", tmp_path)
     assert "scipy.linalg._nope" not in sys.modules
+
+
+def test_a_missing_extension_falls_back_to_the_public_function(tmp_path):
+    # an older scipy without the compiled module: the public function, imported
+    assert _lapack._routine("scipy.special._nope.gamma", tmp_path,
+                            "scipy.special.gamma") is scipy.special.gamma
+    assert _lapack._routine("scipy.linalg._nope._solve", tmp_path, "scipy.linalg.solve",
+                            _lapack._checked_solve) is scipy.linalg.solve
+    assert "scipy.special._nope" not in sys.modules and "scipy.linalg._nope" not in sys.modules
+    # a compiled module without the function, as in a scipy that kept it elsewhere
+    assert _lapack._routine("scipy.special._special_ufuncs._nope", _lapack.SCIPY / "special",
+                            "scipy.special.gamma") is scipy.special.gamma
+
+
+# --- gamma, solve and the Cholesky factor of mosco ------------------------------
+
+def test_gamma_is_scipy_special_gamma():
+    assert _lapack.gamma is scipy.special.gamma
+    x = np.array([0.75, 1.7, 1.95, -0.75, -0.95, -0.975])    # (d + alpha)/2 and -alpha/2
+    assert np.array_equal(_lapack.gamma(x), scipy.special.gamma(x))
+
+
+class _Captured(Exception):
+    pass
+
+
+def _local_system(family, grid):
+    """(M, f) of the local resolvent solve of resolvent_convergence, captured at
+    the solve (which then stops the run)."""
+    seen = []
+
+    def capture(M, b):
+        seen.append((M, b))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mosco.lapack, "solve", capture)
+        with pytest.raises(_Captured):
+            mosco.resolvent_convergence(family, grid, lambda x: np.exp(-4 * np.sum(x * x, -1)),
+                                        lam=5.0)
+    return seen[0]
+
+
+_GRID = {1: (1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75}),
+         2: (2, 0.5, 1 / 8, {"type": "box", "halfwidth": 0.375})}
+LOCAL_SYSTEMS = {
+    "isotropic-1d": lambda: (mosco.make_isotropic_family(1, (1.5, 1.8, 1.9, 1.95)), 1),
+    "isotropic-2d": lambda: (mosco.make_isotropic_family(2, (1.5, 1.9)), 2),
+    "drift-1d": lambda: (mosco.make_drift_family(1, (1.5, 1.8, 1.9, 1.95),
+                                                 lambda x: 0.4 * x[..., 0], L=2.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_SYSTEMS))
+def test_solve_equals_scipy_linalg_solve_on_the_local_resolvents(name):
+    family, d = LOCAL_SYSTEMS[name]()
+    M, f = _local_system(family, build_grid(*_GRID[d]))
+    # tridiagonal in 1D, five-point in 2D; symmetric but for the drift
+    assert np.array_equal(M, M.T) == (name != "drift-1d")
+    x = _lapack.solve(M, f)
+    assert np.array_equal(x, scipy.linalg.solve(M, f))
+    assert np.linalg.norm(M @ x - f) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_refuses_a_non_finite_input(bad):
+    M, b = np.eye(4), np.ones(4)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _lapack.solve(M, np.ones(4))
+    b[3] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _lapack.solve(np.eye(4), b)
+
+
+@pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((5, 5)),
+                               np.arange(9.0).reshape(3, 3), np.diag([1.0, 0.0, 2.0, 3.0])],
+                         ids=["symmetric", "zero", "general", "diagonal"])
+def test_solve_raises_on_a_singular_matrix(M):
+    message = r"^A singular matrix detected: slice\(s\) \[0\] are singular\.$"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        _lapack.solve(M, np.ones(len(M)))
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        scipy.linalg.solve(M, np.ones(len(M)))
+
+
+def test_solve_warns_on_an_ill_conditioned_matrix():
+    H = 1.0 / (np.arange(14)[:, None] + np.arange(14)[None, :] + 1.0)   # Hilbert
+    b = np.ones(14)
+    with pytest.warns(RuntimeWarning) as ours:
+        x = _lapack.solve(H, b)
+    with pytest.warns(scipy.linalg.LinAlgWarning) as theirs:
+        ref = scipy.linalg.solve(H, b)
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+    assert str(ours[0].message).startswith("An ill-conditioned matrix detected: slice 0 "
+                                           "has rcond = ")
+    assert ours[0].filename == __file__ and np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cholesky_and_solve_lower_equal_scipy_linalg_on_the_drift_blocks(d):
+    # the interior blocks of garding_sector_check, on the drift family
+    V = (lambda x: 0.4 * x[..., 0]) if d == 1 else (lambda x: x @ np.array([0.4, -0.2]))
+    family = mosco.make_drift_family(d, (1.9,), V, L=2.0)
+    form = mosco.assemble_corrected(family.kernel(1.9), build_grid(*_GRID[d]))
+    I = form.grid.interior
+    S, W = form.A_s[np.ix_(I, I)], form.A_a[np.ix_(I, I)]
+    assert _lapack.potrf is _lapack._flapack.dpotrf and _lapack.trtrs is _lapack._flapack.dtrtrs
+    L = _lapack.cholesky(S)
+    ref_L = scipy.linalg.cholesky(S, lower=True)
+    assert np.array_equal(L, ref_L)
+    LW = _lapack.solve_lower(L, W)
+    ref_LW = scipy.linalg.solve_triangular(ref_L, W, lower=True)
+    assert np.array_equal(LW, ref_LW)
+    assert np.array_equal(_lapack.solve_lower(L, LW.T),
+                          scipy.linalg.solve_triangular(ref_L, ref_LW.T, lower=True))
+
+
+def test_cholesky_and_solve_lower_refuse_as_scipy_does():
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^2-th leading minor of the array is not positive definite$"):
+        _lapack.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _lapack.cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    L = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^singular matrix: resolution failed at diagonal 1$"):
+        _lapack.solve_lower(L, np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
+        scipy.linalg.solve_triangular(L, np.ones(2), lower=True)

@@ -145,6 +145,6 @@ def test_local_resolvent_checks_its_residual(monkeypatch):
     grid = _grid(1)
     good = resolvent_convergence(fam, grid, _source, lam=5.0)
     assert np.isfinite(good["u_loc_norm"])
-    monkeypatch.setattr(mosco.sla, "solve", lambda M, b: 2.0 * np.asarray(b))
+    monkeypatch.setattr(mosco.lapack, "solve", lambda M, b: 2.0 * np.asarray(b))
     with pytest.raises(RuntimeError, match="relative residual"):
         resolvent_convergence(fam, grid, _source, lam=5.0)

@@ -1,7 +1,7 @@
 """Start-up cost: a command loads only the package modules it runs, scipy's
-LAPACK wrapper loads on a command's first factorisation without the
-scipy.linalg package, and configs are checked without jsonschema (which serves
-here as the oracle of the check)."""
+compiled routines load by file path on first use without any scipy package,
+and configs are checked without jsonschema (which serves here as the oracle of
+the check)."""
 import json
 import math
 import os
@@ -25,6 +25,9 @@ jsonschema = pytest.importorskip("jsonschema")
 SRC = Path(jumplab.__file__).resolve().parent.parent
 HEAVY = ("scipy.linalg._basic", "scipy._lib._array_api", "scipy.special._ufuncs")
 LINALG = HEAVY[:2] + ("importlib.metadata",)   # what importing scipy.linalg loads
+# the scipy modules a command may load: the compiled ones, by file path
+BY_PATH = {"scipy.linalg._flapack", "scipy.linalg._batched_linalg",
+           "scipy.special._special_ufuncs"}
 
 _PROBE = """
 import json, sys, types
@@ -70,14 +73,16 @@ except SystemExit as exc:       # --help
     code = exc.code
 names = ("solve", "estimates", "assumptions", "mosco", "algebra")
 print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.modules],
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
                   "ran": sorted(n for n in names
                                 if type(sys.modules.get("jumplab." + n)) is types.ModuleType)}}))
 """
 
 # the README command lines, ensembles cut to one member (the modules a command
 # runs do not depend on it) -> the package modules the command runs, and
-# whether it may import scipy.linalg (and with it importlib.metadata): the
-# stepping commands factor and solve through solve.sla, which does not
+# whether it may import scipy's packages (scipy.linalg, and with it
+# importlib.metadata): only check-kernel's eigh does; every other command
+# loads scipy's compiled routines through _lapack, which imports no package
 README_COMMANDS = [
     (["--help"], [], False),
     (["check-kernel", "--assumption", "K1"], ["assumptions"], True),
@@ -85,7 +90,7 @@ README_COMMANDS = [
     (["hoelder", "--ensemble", "1"], ["estimates", "solve"], False),
     (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"], False),
     (["algebra-tests"], ["algebra"], False),
-    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"], True),
+    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"], False),
     (["assemble", "--dump-form", "form.csv"], [], False),
     (["solve"], ["solve"], False),
 ]
@@ -101,7 +106,8 @@ def test_a_command_loads_only_the_modules_it_runs(argv, ran, linalg, tmp_path):
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["code"] == 0 and seen["ran"] == ran
     if not linalg:
-        assert seen["linalg"] == []
+        assert seen["linalg"] == [] and set(seen["scipy"]) <= BY_PATH
+        assert not {"scipy", "scipy.linalg", "scipy.special"} & set(seen["scipy"])
     if out:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["env"]["scipy"] == scipy.__version__
