@@ -3,17 +3,18 @@
 Importing scipy.linalg or scipy.special runs its ``__init__``, which also loads
 scipy's array-API layer (and with it numpy.f2py and numpy.testing) and costs
 more than the work of most commands.  This module finds scipy's directory
-without importing scipy and loads the compiled modules it needs by file path
-instead, so that code never runs: the f2py LAPACK wrapper
-``scipy.linalg._flapack``, the solver ``scipy.linalg._batched_linalg`` that
-``scipy.linalg.solve`` calls, and ``scipy.special._special_ufuncs``, home of
-the ``gamma`` ufunc.  Each is registered under its own name: a later ``import
-scipy.linalg`` or ``import scipy.special`` reuses it, so ``get_lapack_funcs``
-hands out this ``getrs`` and ``scipy.special.gamma`` is this ``gamma``.  A
-module already registered under its name is reused.  Where the installed scipy
-has no such file or function (``_batched_linalg`` is new in scipy 1.17),
-``solve`` and ``gamma`` are the public scipy functions, imported with their
-package.
+without importing scipy (``_lazy.scipy_path``) and loads the compiled modules
+it needs by file path instead, so that code never runs: the f2py LAPACK
+wrapper ``scipy.linalg._flapack``, the solver ``scipy.linalg._batched_linalg``
+that ``scipy.linalg.solve`` calls, and ``scipy.special._special_ufuncs``, home
+of the ``gamma`` ufunc.  Each is registered under its own name: a later
+``import scipy.linalg`` or ``import scipy.special`` reuses it, so
+``get_lapack_funcs`` hands out this ``getrs`` and ``scipy.special.gamma`` is
+this ``gamma``.  A module already registered under its name is reused.  An
+older scipy may lack the solver (``_batched_linalg`` is new in scipy 1.17) or
+``gamma``'s compiled module; ``solve`` and ``gamma`` then call the public
+scipy function, whose package is imported on their first call, never when
+this module loads.
 
 Every routine gives the bits of scipy's public function for real double
 matrices, with its checks: non-finite input raises ``ValueError``, as does an
@@ -24,7 +25,6 @@ not positive definite and ``solve_lower`` on a singular one.
 """
 from __future__ import annotations
 
-import importlib
 import importlib.machinery
 import importlib.util
 import sys
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError
 
-SCIPY = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+from ._lazy import scipy_path
 
 
 def _extension(name: str, directory: Path):
@@ -54,25 +54,21 @@ def _extension(name: str, directory: Path):
     return module
 
 
-def _routine(name: str, directory: Path, public: str, wrap=None):
-    """The function ``name`` (module.function) of a compiled module loaded from
-    ``directory``, passed through ``wrap`` if given; where the installed scipy
-    has no such file or function, the public function ``public``, imported
-    with its package."""
-    module, _, function = name.rpartition(".")
-    try:
-        routine = getattr(_extension(module, directory), function, None)
-    except ImportError:
-        routine = None
-    if routine is None:
-        package, _, function = public.rpartition(".")
-        return getattr(importlib.import_module(package), function)
-    return routine if wrap is None else wrap(routine)
-
-
-_flapack = _extension("scipy.linalg._flapack", SCIPY / "linalg")
+_flapack = _extension("scipy.linalg._flapack", scipy_path("linalg"))
 getrf, getrs, potrf, trtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dpotrf, _flapack.dtrtrs
-gamma = _routine("scipy.special._special_ufuncs.gamma", SCIPY / "special", "scipy.special.gamma")
+
+try:
+    gamma = _extension("scipy.special._special_ufuncs", scipy_path("special")).gamma
+except (ImportError, AttributeError):   # an older scipy: no such module, or gamma elsewhere
+    def gamma(x):
+        """scipy.special.gamma(x), its package imported on the first call."""
+        from scipy.special import gamma as public
+        return public(x)
+
+try:
+    _batched_solve = _extension("scipy.linalg._batched_linalg", scipy_path("linalg"))._solve
+except ImportError:                     # scipy before 1.17
+    _batched_solve = None
 
 
 def lu_factor(a):
@@ -98,30 +94,32 @@ def lu_solve(lu_piv, b):
     return x
 
 
-def _checked_solve(batched_solve):
-    """scipy.linalg.solve(a, b) for a square ``a`` and a vector ``b``, made
-    with the compiled solver it calls, structure detection included."""
+def solve(a, b):
+    """x with a x = b for the square matrix ``a`` and the vector ``b``: the
+    bits, errors and warning of scipy.linalg.solve(a, b).
 
-    def solve(a, b):
-        """x with a x = b for the square matrix ``a`` and the vector ``b``."""
-        x, errors = batched_solve(np.asarray_chkfinite(a), np.asarray_chkfinite(b)[:, None],
-                                  -1, False, False, False, False)
-        for err in errors:
-            if err["is_singular"]:
-                raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
-            if err["lapack_info"] < 0:
-                raise ValueError(f"Internal LAPACK errors: slice 0 emits lapack "
-                                 f"info={err['lapack_info']}.")
-            if err["is_ill_conditioned"]:
-                warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = "
-                              f"{err['rcond']}.", RuntimeWarning, stacklevel=2)
-        return x[:, 0]
-
-    return solve
-
-
-solve = _routine("scipy.linalg._batched_linalg._solve", SCIPY / "linalg", "scipy.linalg.solve",
-                 _checked_solve)
+    This is the call scipy.linalg.solve makes in scipy 1.17, structure
+    detection included: the private ``_solve(a, b, structure=-1, lower,
+    transposed, overwrite_a, overwrite_b)``, and its error dicts read as
+    scipy 1.17 reads them.  A later scipy that changes that signature or
+    those keys fails ``tests/test_lapack.py``, which compares this function
+    with scipy.linalg.solve bit for bit on the newest scipy CI installs.
+    Without ``_batched_linalg``, scipy.linalg.solve itself."""
+    if _batched_solve is None:
+        from scipy.linalg import solve as public
+        return public(a, b)
+    x, errors = _batched_solve(np.asarray_chkfinite(a), np.asarray_chkfinite(b)[:, None],
+                               -1, False, False, False, False)
+    for err in errors:
+        if err["is_singular"]:
+            raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
+        if err["lapack_info"] < 0:
+            raise ValueError(f"Internal LAPACK errors: slice 0 emits lapack "
+                             f"info={err['lapack_info']}.")
+        if err["is_ill_conditioned"]:
+            warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = "
+                          f"{err['rcond']}.", RuntimeWarning, stacklevel=2)
+    return x[:, 0]
 
 
 def cholesky(a):

@@ -12,12 +12,20 @@ Users: ``_lapack`` in ``solve`` and ``assumptions`` (LU factors and solves),
 (``gamma``); scipy.linalg in ``assumptions`` (eigh); and ``cli``, whose
 references to the package's ``algebra``, ``assumptions``, ``estimates``,
 ``mosco`` and ``solve`` load each module on the first runner that calls
-into it.
+into it.  ``scipy_path`` locates files of the installed scipy for
+``_lapack`` (its compiled modules) and ``cli`` (its ``version.py``) without
+importing scipy.
 """
 from __future__ import annotations
 
 import importlib.util
 import sys
+from pathlib import Path
+
+
+def scipy_path(*parts: str) -> Path:
+    """The path ``parts`` inside the installed scipy, found without importing scipy."""
+    return Path(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
 
 
 def lazy_module(name: str):

@@ -42,7 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from ._lazy import lazy_module
+from ._lazy import lazy_module, scipy_path
 from .discretize import assemble, build_grid, kernel_alpha
 from .kernels import (get_field, get_pair_field, kernel_from_config, make_stable_kernel,
                       philox_stream, random_smooth_positive_field)
@@ -333,8 +333,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _scipy_version() -> str:
     """The installed scipy's version, from its ``version.py``."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    spec = importlib.util.spec_from_file_location("scipy.version", Path(scipy_dir, "version.py"))
+    spec = importlib.util.spec_from_file_location("scipy.version", scipy_path("version.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.version

@@ -18,6 +18,10 @@ import jumplab
 from jumplab import _lapack, build_grid, mosco
 
 SRC = Path(jumplab.__file__).resolve().parent.parent
+# scipy 1.17's compiled solver and gamma's compiled module, loaded by path; an
+# older scipy lacks them, and _lapack then calls scipy's public functions
+SOLVER_BY_PATH = _lapack._batched_solve is not None
+GAMMA_BY_PATH = isinstance(_lapack.gamma, np.ufunc)
 
 
 @pytest.mark.parametrize("n", [192, 1804])
@@ -48,9 +52,10 @@ import numpy as np
 from jumplab import _lapack
 assert not {"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules)
 import scipy.special
-assert scipy.special.gamma is _lapack.gamma
+assert scipy.special.gamma is _lapack.gamma or not isinstance(_lapack.gamma, np.ufunc)
 import scipy.linalg as sla
-assert sla._basic._batched_linalg is sys.modules["scipy.linalg._batched_linalg"]
+if _lapack._batched_solve is not None:
+    assert sla._basic._batched_linalg is sys.modules["scipy.linalg._batched_linalg"]
 assert sla.get_lapack_funcs(("potrf",), (np.eye(2),))[0] is _lapack.potrf
 M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 b = np.array([1.0, -2.0, 0.5])
@@ -103,22 +108,44 @@ def test_a_missing_extension_names_its_path(tmp_path):
     assert "scipy.linalg._nope" not in sys.modules
 
 
+_FALLBACK = """
+import importlib, sys
+from pathlib import Path
+import numpy as np
+import jumplab._lazy
+from jumplab import _lapack
+# load the loader again as on an older scipy: the LAPACK wrapper, which it
+# reuses, but no solver and no gamma module in scipy's (here empty) directory
+del sys.modules["scipy.linalg._batched_linalg"], sys.modules["scipy.special._special_ufuncs"]
+jumplab._lazy.scipy_path = lambda *parts: Path(sys.argv[1], *parts)
+importlib.reload(_lapack)
+assert not {"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules)
+assert _lapack._batched_solve is None and not isinstance(_lapack.gamma, np.ufunc)
+M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+b = np.array([1.0, -2.0, 0.5])
+x = _lapack.solve(M, b)
+assert "scipy.linalg" in sys.modules and "scipy.special" not in sys.modules
+import scipy.linalg
+assert np.array_equal(x, scipy.linalg.solve(M, b))
+g = _lapack.gamma(np.array([0.75, -0.95]))
+import scipy.special
+assert np.array_equal(g, scipy.special.gamma(np.array([0.75, -0.95])))
+print("ok")
+"""
+
+
 def test_a_missing_extension_falls_back_to_the_public_function(tmp_path):
-    # an older scipy without the compiled module: the public function, imported
-    assert _lapack._routine("scipy.special._nope.gamma", tmp_path,
-                            "scipy.special.gamma") is scipy.special.gamma
-    assert _lapack._routine("scipy.linalg._nope._solve", tmp_path, "scipy.linalg.solve",
-                            _lapack._checked_solve) is scipy.linalg.solve
-    assert "scipy.special._nope" not in sys.modules and "scipy.linalg._nope" not in sys.modules
-    # a compiled module without the function, as in a scipy that kept it elsewhere
-    assert _lapack._routine("scipy.special._special_ufuncs._nope", _lapack.SCIPY / "special",
-                            "scipy.special.gamma") is scipy.special.gamma
+    # solve and gamma import scipy.linalg and scipy.special on their first
+    # call, not when the loader loads
+    out = subprocess.run([sys.executable, "-c", _FALLBACK, str(tmp_path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert out.stdout.strip() == "ok"
 
 
 # --- gamma, solve and the Cholesky factor of mosco ------------------------------
 
 def test_gamma_is_scipy_special_gamma():
-    assert _lapack.gamma is scipy.special.gamma
+    assert (_lapack.gamma is scipy.special.gamma) == GAMMA_BY_PATH
     x = np.array([0.75, 1.7, 1.95, -0.75, -0.95, -0.975])    # (d + alpha)/2 and -alpha/2
     assert np.array_equal(_lapack.gamma(x), scipy.special.gamma(x))
 
@@ -180,11 +207,11 @@ def test_solve_refuses_a_non_finite_input(bad):
                                np.arange(9.0).reshape(3, 3), np.diag([1.0, 0.0, 2.0, 3.0])],
                          ids=["symmetric", "zero", "general", "diagonal"])
 def test_solve_raises_on_a_singular_matrix(M):
-    message = r"^A singular matrix detected: slice\(s\) \[0\] are singular\.$"
-    with pytest.raises(np.linalg.LinAlgError, match=message):
+    with pytest.raises(np.linalg.LinAlgError) as ours:
         _lapack.solve(M, np.ones(len(M)))
-    with pytest.raises(np.linalg.LinAlgError, match=message):
+    with pytest.raises(np.linalg.LinAlgError) as theirs:
         scipy.linalg.solve(M, np.ones(len(M)))
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_solve_warns_on_an_ill_conditioned_matrix():
@@ -195,9 +222,11 @@ def test_solve_warns_on_an_ill_conditioned_matrix():
     with pytest.warns(scipy.linalg.LinAlgWarning) as theirs:
         ref = scipy.linalg.solve(H, b)
     assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
-    assert str(ours[0].message).startswith("An ill-conditioned matrix detected: slice 0 "
-                                           "has rcond = ")
-    assert ours[0].filename == __file__ and np.array_equal(x, ref)
+    assert np.array_equal(x, ref)
+    if SOLVER_BY_PATH:      # the warning of scipy 1.17, raised at the caller
+        assert str(ours[0].message).startswith("An ill-conditioned matrix detected: slice 0 "
+                                               "has rcond = ")
+        assert ours[0].filename == __file__
 
 
 @pytest.mark.parametrize("d", [1, 2])
