@@ -450,6 +450,10 @@ def _problem_from_config(config, form):
     g_field = random_smooth_positive_field(rng, grid.d)
     dt = solve.default_dt(grid.h, kernel_alpha(form)) if pc.get("dt") is None else pc["dt"]
     horizon = float(pc.get("horizon", 8 * dt))
+    if horizon < dt:
+        # the run would step once, past the horizon asked for
+        raise ConfigError(f"$['problem']['horizon']: {horizon} is shorter than one "
+                          f"time step dt = {dt}")
     return solve.ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
         collar=g_field(grid.nodes[grid.collar]),

@@ -29,6 +29,12 @@ s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
   quadrature it replaces.  Kernels without a profile keep the ray rule
   (``quadrature.exterior_tail``).
 
+Each pair array goes through memory once after it is written: one row
+block of about 1 MB at a time is filled (on the stencil path), row-summed
+for the diagonal completion and scaled by -2 h^d while it sits in cache
+(``_sum_and_scale``); the other paths run the same loop on their filled
+arrays.  The row sums are those of the whole array, bit for bit.
+
 A form stores only the split and the tail weights T_s, T_a of K_s and K_a;
 A = A_s + A_a, T = T_s + T_a and T-hat = T_s - T_a are derived, so the split
 is exact bit for bit.  The drift intensity sits on the diagonal of A_s (a
@@ -186,6 +192,8 @@ def kernel_alpha(form: DiscreteForm) -> float:
 
 
 _TILE = 256   # tile edge of the in-place symmetrisation, row block of form_value
+_BLOCK_BYTES = 1_000_000   # row block of the one-pass fill, row sum and scale; a 2 MB
+                           # block measured slower where L2 is 2 MB a core
 
 
 def _symmetrise(M: np.ndarray, op) -> None:
@@ -204,21 +212,50 @@ def _symmetrise(M: np.ndarray, op) -> None:
             c[...] = t
 
 
+def _row_blocks(n_rows: int, row_bytes: int, unit: int) -> list[slice]:
+    """Row slices of about _BLOCK_BYTES: whole groups of ``unit`` rows, or
+    equal parts of one group when a group is larger."""
+    per = max(1, _BLOCK_BYTES // row_bytes)
+    if per >= unit:
+        step = per - per % unit
+        return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    parts = -(-unit // per)
+    step = -(-unit // parts)
+    return [slice(g + a, g + min(a + step, unit))
+            for g in range(0, n_rows, unit) for a in range(0, unit, step)]
+
+
+def _sum_and_scale(M: np.ndarray, scale: float, fill=None, unit: int = 1) -> np.ndarray:
+    """The row sums of M, then M *= scale, in one pass over memory: one row
+    block of about _BLOCK_BYTES (``_row_blocks``) at a time, first written by
+    ``fill(rows)`` when given, then summed and scaled while it sits in cache.
+    The sums are those of ``np.sum(M, axis=1)`` bit for bit: each is taken
+    over the same contiguous row."""
+    sums = np.empty(M.shape[0])
+    for rows in _row_blocks(M.shape[0], M[0].nbytes, unit):
+        if fill is not None:
+            fill(rows)
+        block = M[rows]
+        np.sum(block, axis=1, out=sums[rows])
+        block *= scale
+    return sums
+
+
 def _completed_form(grid: Grid, S: np.ndarray, W: np.ndarray, T_s, T_a,
-                    meta: dict, scale: float, *, symmetrised: bool = False) -> DiscreteForm:
+                    meta: dict, scale: float, *, row_sums=None) -> DiscreteForm:
     """Form from zero-diagonal pair matrices S, W, built in place: A_s is
     scale * sym(S) with the row completion A 1 = T_s + T_a on its diagonal,
-    A_a is scale * anti(W).  ``symmetrised`` says that S and W already are
-    sym(S) and anti(W) (``assemble`` takes its pairs so), which are then not
-    symmetrised again."""
-    if not symmetrised:
+    A_a is scale * anti(W).  Each array is symmetrised, then row-summed and
+    scaled per row block (``_sum_and_scale``).  With ``row_sums`` S and W
+    already are scale * sym(S) and scale * anti(W), with these unscaled row
+    sums (``assemble`` fills, sums and scales each row block as it goes), and
+    only the diagonal is written."""
+    if row_sums is None:
         _symmetrise(S, np.add)
         _symmetrise(W, np.subtract)
-    row_s = -scale * np.sum(S, axis=1)
-    row_a = -scale * np.sum(W, axis=1)
-    S *= scale
-    W *= scale
-    np.fill_diagonal(S, row_s + T_s + row_a + T_a)
+        row_sums = [_sum_and_scale(M, scale) for M in (S, W)]
+    sum_s, sum_a = row_sums
+    np.fill_diagonal(S, -scale * sum_s + T_s + -scale * sum_a + T_a)
     return DiscreteForm(grid, S, W, T_s, T_a, meta)
 
 
@@ -248,13 +285,17 @@ def _toeplitz_axes(grid: Grid) -> list[np.ndarray] | None:
     return axes
 
 
-def _stencil_pair_values(axes: list[np.ndarray], *fns, ops=()) -> list[np.ndarray]:
+def _stencil_pair_values(axes: list[np.ndarray], *fns, ops=(),
+                         scale: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
     """``pair_values`` of translation-invariant fns from the (2n-1)^d
     difference stencil: each fn runs once per node offset, on a node pair with
-    that offset, and the N x N arrays are filled as (block-)Toeplitz copies of
+    that offset, and the N x N array M is filled as (block-)Toeplitz copies of
     the stencil through a strided view, with no N x N temporary.  With ops,
     one per fn, a stencil s is first op(s[k], s[-k]) * 0.5 at every offset k,
-    so its array is op(M, M.T) * 0.5, what ``_symmetrise`` makes of M."""
+    so its array is op(M, M.T) * 0.5, what ``_symmetrise`` makes of M.
+    Returns per fn scale * M and the row sums of M: M is filled, row-summed
+    and scaled per row block of whole first-axis lattice slices, or of parts
+    of one slice when one is larger than a block."""
     n, d = axes[0].size, len(axes)
     off = np.arange(-(n - 1), n)
     # per axis, offset k = j - i is the node pair x = a[max(-k, 0)], y = a[max(k, 0)]
@@ -263,6 +304,7 @@ def _stencil_pair_values(axes: list[np.ndarray], *fns, ops=()) -> list[np.ndarra
     xs, ys = (np.stack(e, axis=-1).reshape(-1, d) for e in ends)
     live = np.ones(xs.shape[0], dtype=bool)
     live[xs.shape[0] // 2] = False               # offset zero: the diagonal
+    unit = n ** (d - 1)                          # rows of one first-axis slice
     out = []
     for fn, op in zip_longest(fns, ops):
         stencil = np.zeros(xs.shape[0])
@@ -271,28 +313,71 @@ def _stencil_pair_values(axes: list[np.ndarray], *fns, ops=()) -> list[np.ndarra
             # reversing the flat stencil reverses every axis: offset k meets -k
             stencil = op(stencil, stencil[::-1]) * 0.5
         windows = np.lib.stride_tricks.sliding_window_view(
-            stencil.reshape((2 * n - 1,) * d), (n,) * d)
+            stencil.reshape((2 * n - 1,) * d), (n,) * d)[(slice(None, None, -1),) * d]
         M = np.empty((n ** d, n ** d))
-        # M[i, j] = stencil[j - i]: row i reads the window starting at n-1-i
-        M.reshape((n,) * (2 * d))[...] = windows[(slice(None, None, -1),) * d]
-        out.append(M)
+        # first-axis slice, row within it, column lattice
+        lattice = M.reshape((n, unit) + (n,) * d)
+        windows = windows.reshape(lattice.shape)
+
+        def fill(rows):
+            # M[i, j] = stencil[j - i]: row i reads the window starting at n-1-i
+            g, a = divmod(rows.start, unit)
+            if rows.stop - rows.start < unit:            # a part of slice g
+                part = (g, slice(a, a + rows.stop - rows.start))
+            else:
+                part = slice(g, rows.stop // unit)
+            lattice[part] = windows[part]
+
+        out.append((M, _sum_and_scale(M, scale, fill, unit)))
     return out
 
 
-def _pair_arrays(kernel: Kernel, grid: Grid, profiled: bool, ops=()) -> list[np.ndarray]:
-    """K_s and K_a on all off-diagonal node pairs, zero diagonal.  With ops
-    (np.add, np.subtract) they come as op(M, M.T) * 0.5, taken on the stencil
-    when the stencil path runs, by ``_symmetrise`` on the arrays otherwise."""
+def _pair_arrays(kernel: Kernel, grid: Grid, profiled: bool, ops=(),
+                 scale: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """K_s and K_a on all off-diagonal node pairs, zero diagonal, each as
+    scale * M with the row sums of M.  With ops (np.add, np.subtract) M is
+    op(M, M.T) * 0.5, taken on the stencil when the stencil path runs, by
+    ``_symmetrise`` on the arrays otherwise."""
     axes = _toeplitz_axes(grid) if profiled else None
     try:
         if axes is not None:
-            return _stencil_pair_values(axes, kernel.sym, kernel.anti, ops=ops)
+            return _stencil_pair_values(axes, kernel.sym, kernel.anti, ops=ops, scale=scale)
         out = pair_values(grid.nodes, kernel.sym, kernel.anti)
     except ValueError as exc:
         raise RuntimeError(f"kernel evaluation failed on node pairs: {exc}")
     for M, op in zip(out, ops):
         _symmetrise(M, op)
+    return [(M, _sum_and_scale(M, scale)) for M in out]
+
+
+def _power_tail_columns(c: np.ndarray, gamma: np.ndarray, s0: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """c / gamma * s0 ** -gamma, the radial tail integral of every node and
+    ray, written into out: the power in place, then the factor in place, so
+    the bits are the expression's, signed zeros of the rays with c = 0
+    included, with no temporary of the size of s0."""
+    np.power(s0, -gamma, out=out)
+    out *= c / gamma
     return out
+
+
+def _tail_weights(kernel: Kernel, grid: Grid, quad: QuadSpec, dirs, ang_w, profiles,
+                  profiled: bool) -> list[np.ndarray]:
+    """T_s, T_a: 2 int_{R^d \\ box} K_part(x_i, y) dy at every node.  On a
+    power-law ray the radial integral from the exit radius s0 is
+    c s0^{-gamma} / gamma, summed with the angular weights; other kernels
+    take the ray rule.  Its temporaries are freed on return, before
+    ``assemble`` allocates the pair arrays."""
+    if profiled:
+        s0 = ray_exit_box(grid.nodes, dirs, grid.X)
+        E = np.empty(s0.shape)                   # one buffer for both parts
+        tails = (_power_tail_columns(c, gamma, s0, E) @ ang_w
+                 for c, gamma in profiles.values())
+    else:
+        exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
+        tails = (exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
+                 for part in profiles)
+    return [2.0 * T for T in tails]
 
 
 def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> DiscreteForm:
@@ -302,22 +387,13 @@ def assemble(kernel: Kernel, grid: Grid, quad: QuadSpec | None = None) -> Discre
     dirs, ang_w = directions(grid.d, quad.n_ang)
     profiles = {part: kernel.ray_profile(part, dirs) for part in ("sym", "anti")}
     profiled = all(prof is not None for prof in profiles.values())
-    Ks, Ka = _pair_arrays(kernel, grid, profiled, ops=(np.add, np.subtract))
-    # int_{R^d \ box} K_part(x_i, y) dy at every node.  On a power-law ray the
-    # radial integral from the exit radius s0 is c s0^{-gamma} / gamma, summed
-    # with the angular weights; other kernels take the ray rule.
-    if profiled:
-        s0 = ray_exit_box(grid.nodes, dirs, grid.X)
-        tails = ((c / gamma * s0 ** -gamma) @ ang_w for c, gamma in profiles.values())
-    else:
-        exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
-        tails = (exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
-                 for part in profiles)
-    T_s, T_a = (2.0 * T for T in tails)
+    T_s, T_a = _tail_weights(kernel, grid, quad, dirs, ang_w, profiles, profiled)
+    scale = -2.0 * grid.cell_volume
+    (Ks, sum_s), (Ka, sum_a) = _pair_arrays(kernel, grid, profiled,
+                                            ops=(np.add, np.subtract), scale=scale)
     meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
             "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
-    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, -2.0 * grid.cell_volume,
-                           symmetrised=True)
+    return _completed_form(grid, Ks, Ka, T_s, T_a, meta, scale, row_sums=(sum_s, sum_a))
 
 
 def transpose_form(form: DiscreteForm) -> DiscreteForm:

@@ -279,12 +279,11 @@ def old_cell_moments(kernel, pts, h, d, quad):
 
 
 def old_assemble_corrected(kernel, grid, quad=None):
-    from jumplab.discretize import _completed_form, assemble
     from jumplab.mosco import _axis_stencil
     from jumplab.quadrature import QuadSpec
 
     quad = quad or QuadSpec(n_ang=32, n_panels=24)
-    form = assemble(kernel, grid, quad=quad)
+    form = old_assemble(kernel, grid, quad=quad)
     C, b_cell = old_cell_moments(kernel, grid.nodes, grid.h, grid.d, quad)
     N = grid.n_nodes
     corr = np.zeros((N, N))
@@ -297,8 +296,89 @@ def old_assemble_corrected(kernel, grid, quad=None):
     np.fill_diagonal(S, 0.0)
     S += corr
     W += corr
-    return _completed_form(grid, S, W, form.tail_sym, form.tail_anti,
-                           dict(form.meta, corrected=True), 1.0)
+    return old_completed_form(grid, S, W, form.tail_sym, form.tail_anti,
+                              dict(form.meta, corrected=True), 1.0)
+
+
+# --- frozen whole-array assembly ----------------------------------------------
+# assemble as it was while the stencil path filled each N x N pair array in
+# one go, _completed_form then summed the rows of the whole arrays and scaled
+# them in a pass of their own, and the profiled tails were one expression.
+# Tests compare the one-pass assembly against it byte for byte, signed zeros
+# included, so do not tidy the order of the operations.
+
+
+def old_stencil_pair_values(axes, *fns, ops=()):
+    from itertools import zip_longest
+
+    n, d = axes[0].size, len(axes)
+    off = np.arange(-(n - 1), n)
+    ends = [np.meshgrid(*(a[np.maximum(sgn * off, 0)] for a in axes), indexing="ij")
+            for sgn in (-1, 1)]
+    xs, ys = (np.stack(e, axis=-1).reshape(-1, d) for e in ends)
+    live = np.ones(xs.shape[0], dtype=bool)
+    live[xs.shape[0] // 2] = False
+    out = []
+    for fn, op in zip_longest(fns, ops):
+        stencil = np.zeros(xs.shape[0])
+        stencil[live] = fn(xs[live], ys[live])
+        if op is not None:
+            stencil = op(stencil, stencil[::-1]) * 0.5
+        windows = np.lib.stride_tricks.sliding_window_view(
+            stencil.reshape((2 * n - 1,) * d), (n,) * d)
+        M = np.empty((n ** d, n ** d))
+        M.reshape((n,) * (2 * d))[...] = windows[(slice(None, None, -1),) * d]
+        out.append(M)
+    return out
+
+
+def old_completed_form(grid, S, W, T_s, T_a, meta, scale, *, symmetrised=False):
+    from jumplab.discretize import DiscreteForm, _symmetrise
+
+    if not symmetrised:
+        _symmetrise(S, np.add)
+        _symmetrise(W, np.subtract)
+    row_s = -scale * np.sum(S, axis=1)
+    row_a = -scale * np.sum(W, axis=1)
+    S *= scale
+    W *= scale
+    np.fill_diagonal(S, row_s + T_s + row_a + T_a)
+    return DiscreteForm(grid, S, W, T_s, T_a, meta)
+
+
+def old_tail_columns(c, gamma, s0):
+    return c / gamma * s0 ** -gamma
+
+
+def old_assemble(kernel, grid, quad=None):
+    from jumplab.discretize import _symmetrise
+    from jumplab.kernels import pair_values
+    from jumplab.quadrature import QuadSpec, directions, exterior_tail, ray_exit_box
+
+    quad = quad or QuadSpec()
+    dirs, ang_w = directions(grid.d, quad.n_ang)
+    profiles = {part: kernel.ray_profile(part, dirs) for part in ("sym", "anti")}
+    profiled = all(prof is not None for prof in profiles.values())
+    ops = (np.add, np.subtract)
+    axes = old_toeplitz_axes(grid) if profiled else None
+    if axes is not None:
+        Ks, Ka = old_stencil_pair_values(axes, kernel.sym, kernel.anti, ops=ops)
+    else:
+        Ks, Ka = pair_values(grid.nodes, kernel.sym, kernel.anti)
+        for M, op in zip((Ks, Ka), ops):
+            _symmetrise(M, op)
+    if profiled:
+        s0 = ray_exit_box(grid.nodes, dirs, grid.X)
+        tails = (old_tail_columns(c, gamma, s0) @ ang_w for c, gamma in profiles.values())
+    else:
+        exit_fn = lambda x, dirs: ray_exit_box(x, dirs, grid.X)
+        tails = (exterior_tail(kernel.radial_pieces(part), grid.nodes, exit_fn, grid.d, quad)
+                 for part in profiles)
+    T_s, T_a = (2.0 * T for T in tails)
+    meta = {"kernel": kernel.spec.to_config(), "kernel_hash": kernel.spec.digest(),
+            "h": grid.h, "X": grid.X, "quad": quad.to_dict()}
+    return old_completed_form(grid, Ks, Ka, T_s, T_a, meta, -2.0 * grid.cell_volume,
+                              symmetrised=True)
 
 
 def old_form_table(family, u, v, grid, ball_center, ball_radius, alphas, quad=None):

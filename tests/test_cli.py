@@ -159,18 +159,20 @@ class TestRunners:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["steps"] == 7
         assert rep["t_end"] == pytest.approx(0.21)
+        assert rep["t_end_requested"] == 0.2
+        assert "t_end_requested: 0.2" in (tmp_path / "summary.txt").read_text()
 
-    def test_solve_reports_the_horizon_it_was_asked_for(self, tmp_path):
-        # a horizon below one step still steps once, to t = dt
+    def test_solve_refuses_a_horizon_shorter_than_one_step(self, tmp_path, capsys):
         cfg = _default_config("solve")
         cfg["grid"]["h"] = 1 / 8
         cfg["problem"] = {"dt": 1.0, "horizon": 0.01}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert run(["solve", "--config", path, "--out", tmp_path]) == 0
-        rep = json.loads((tmp_path / "report.json").read_text())
-        assert (rep["steps"], rep["t_end"], rep["t_end_requested"]) == (1, 1.0, 0.01)
-        assert "t_end_requested: 0.01" in (tmp_path / "summary.txt").read_text()
+        assert run(["solve", "--config", path, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: $['problem']['horizon']" in err
+        assert "0.01" in err and "dt = 1.0" in err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_assemble_with_dump(self, tmp_path):
         cfg = _default_config("assemble")
