@@ -163,7 +163,7 @@ SCHEMA = {
                                   "hoelder", "caccioppoli", "algebra-tests",
                                   "mosco"]},
                 "assumption": {"enum": list(_ASSUMPTIONS)},
-                "R": {"type": "number"},
+                "R": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "center": {"type": "array"},
                 "t0": {"type": "number"},
                 "ensemble": {"type": "integer", "minimum": 1},
@@ -312,7 +312,14 @@ def _build_kernel_grid(config):
     if "kernel" in config and "grid" in config and config["kernel"]["d"] != config["grid"]["d"]:
         raise ConfigError(f"$['grid']['d']: {config['grid']['d']} does not match "
                           f"$['kernel']['d'] = {config['kernel']['d']}")
-    kernel = kernel_from_config(config["kernel"]) if "kernel" in config else None
+    kernel = None
+    if "kernel" in config:
+        try:
+            kernel = kernel_from_config(config["kernel"])
+        except KeyError as exc:
+            raise ConfigError(f"$['kernel']: missing entry or unknown preset {exc}") from None
+        except (ValueError, TypeError) as exc:   # numbers or shapes no kernel takes
+            raise ConfigError(f"$['kernel']: {exc}") from None
     if kind == "check-kernel":
         name = config["harness"].get("assumption", "K1")
         fits = _ASSUMPTIONS[name][1]
@@ -414,8 +421,11 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 def _run_check_kernel(config, kernel, grid, form):
     harness = config["harness"]
     which = harness.get("assumption", "K1")
-    ball = assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
-                                float(harness.get("R", 0.5)), harness.get("rho"))
+    try:
+        ball = assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
+                                    float(harness.get("R", 0.5)), harness.get("rho"))
+    except ValueError as exc:       # a rho above R, or a ball that leaves the domain
+        raise ConfigError(f"$['harness']: {exc}") from None
     check = SimpleNamespace(kernel=kernel, grid=grid, form=form, harness=harness, ball=ball,
                             theta=_exp(harness.get("theta_exp", "inf")))
     rep = {"assumption": which, **_ASSUMPTIONS[which][2](check)}

@@ -271,46 +271,6 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
             "shift": shift, "r": r, "rho": rho, "h": grid.h}
 
 
-def tail_source_bound(beta_growth: float, R: float, sigma: float, alpha: float,
-                      nu: float = 3.0) -> dict:
-    """Geometric-series bound on the far-field source created by truncation.
-
-    primal: R^{-alpha} sum_{j<=2000} (3^{j b} - 1) 3^{-j (sigma ^ alpha)};
-    dual:   R^{-alpha} (nu^{2b - s'} + sum_{2<=j<=2000} nu^{(2b - 2s') j + 2s'}),
-    with s' = sigma ^ alpha.  Growth at or beyond the decay rate is flagged
-    divergent instead of summed.
-    """
-    s = min(sigma, alpha)
-    out = {"beta": beta_growth, "sigma": sigma, "alpha": alpha, "nu": nu}
-    if beta_growth >= s:
-        out.update({"primal": math.inf, "divergent": True})
-        return out
-    j = np.arange(1, 2001)
-    ln3 = math.log(3.0)
-    # (3^{jb} - 1) 3^{-js} written decay-first so large j never overflows
-    terms = np.exp(j * (beta_growth - s) * ln3) - np.exp(-j * s * ln3)
-    primal = R ** (-alpha) * float(np.sum(terms))
-    lnv = math.log(nu)
-    dual_terms = np.exp(((2 * beta_growth - 2 * s) * j[1:] + 2 * s) * lnv)
-    dual = R ** (-alpha) * (3 * math.exp((2 * beta_growth - s) * lnv)
-                            + 3 * float(np.sum(dual_terms)))
-    out.update({"primal": primal, "dual": dual, "divergent": False})
-    return out
-
-
-def dual_beta_threshold(R: float, sigma: float, alpha: float, target: float) -> float:
-    """Largest of 60 growth exponents in [1e-3, 0.999 (sigma ^ alpha)] whose
-    dual bound dips below target for some nu in {3, 10, 30, 100}."""
-    best = 0.0
-    s = min(sigma, alpha)
-    for beta in np.linspace(1e-3, 0.999 * s, 60):
-        vals = [tail_source_bound(beta, R, sigma, alpha, nu=nu)["dual"]
-                for nu in (3.0, 10.0, 30.0, 100.0)]
-        if min(vals) <= target:
-            best = float(beta)
-    return best
-
-
 # --- ensembles ------------------------------------------------------------------
 
 

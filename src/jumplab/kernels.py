@@ -614,12 +614,6 @@ class TimeKernel:
     def __call__(self, t, x, y):
         return self.at(t)(x, y)
 
-    def sym_at(self, t, x, y):
-        return self.at(t).sym(x, y)
-
-    def anti_at(self, t, x, y):
-        return self.at(t).anti(x, y)
-
 
 def time_modulate(base: Kernel, a, lam: float, Lam: float,
                   ka_scale=None) -> TimeKernel:
@@ -692,49 +686,6 @@ def get_field(descriptor):
 def get_pair_field(descriptor):
     """A pair field g(x, y) from ``PAIR_FIELD_PRESETS`` (see ``_from_presets``)."""
     return _from_presets(PAIR_FIELD_PRESETS, descriptor)
-
-
-class SampledField:
-    """Scalar field given by samples on a uniform tensor grid.
-
-    Multilinear interpolation off-grid, constant extension outside the box;
-    lets data-driven potentials plug into the same kernel constructors as
-    closed forms.
-    """
-
-    def __init__(self, axes, values):
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != tuple(len(a) for a in self.axes):
-            raise ValueError("value array shape does not match the axes")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        pts = x.reshape(-1, x.shape[-1])
-        out = self._interp(pts)
-        return out.reshape(shape)
-
-    def _interp(self, pts):
-        d = len(self.axes)
-        idx = []
-        frac = []
-        for k in range(d):
-            a = self.axes[k]
-            t = np.clip(pts[:, k], a[0], a[-1])
-            i = np.clip(np.searchsorted(a, t) - 1, 0, len(a) - 2)
-            idx.append(i)
-            frac.append((t - a[i]) / (a[i + 1] - a[i]))
-        out = np.zeros(pts.shape[0])
-        for corner in range(2 ** d):
-            w = np.ones(pts.shape[0])
-            loc = []
-            for k in range(d):
-                hi = (corner >> k) & 1
-                w = w * (frac[k] if hi else (1.0 - frac[k]))
-                loc.append(idx[k] + hi)
-            out += w * self.values[tuple(loc)]
-        return out
 
 
 # --- seeded random fields: ensemble members and scenario data ----------------

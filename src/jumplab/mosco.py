@@ -1,4 +1,4 @@
-"""Local-limit extraction: diffusion/drift coefficients, form and resolvent
+"""Local-limit extraction: diffusion/drift coefficients and resolvent
 convergence of the order-alpha families toward a second-order operator.
 
 Families are normalized so the symmetric part carries the vanishing (2-alpha)
@@ -88,9 +88,9 @@ def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaF
                        name="coefficient")
 
 
-def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray, center,
+def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray,
                  radius: float, quad: QuadSpec) -> np.ndarray:
-    """int_{B_radius(center)} weight(x, y) K_part(x, y) dy for each x.
+    """int_{B_radius(x)} weight(x, y) K_part(x, y) dy for each x.
 
     The weights of this module vanish at y = x to second order against K_s
     and to first order against K_a, which sets the singular order of the
@@ -99,7 +99,7 @@ def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray, center,
     d = kernel.d
     K, order, degree = ((kernel.sym, kernel.sym_diag_order(), 2) if part == "sym"
                         else (kernel.anti, kernel.anti_diag_order(), 1))
-    return ball_integral(lambda xb, y: weight(xb, y) * K(xb, y), x, center, radius,
+    return ball_integral(lambda xb, y: weight(xb, y) * K(xb, y), x, None, radius,
                          d, quad, singular_order=max(d + order - degree, 0.0),
                          breaks=kernel.radial_breaks())
 
@@ -115,9 +115,9 @@ def _moments(kernel: Kernel, x: np.ndarray, radius: float,
         for j in range(i, d):
             a[:, i, j] = a[:, j, i] = _ball_moment(
                 lambda xb, y, i=i, j=j: (y[..., i] - xb[..., i]) * (y[..., j] - xb[..., j]),
-                kernel, "sym", x, None, radius, quad)
+                kernel, "sym", x, radius, quad)
         b[:, i] = _ball_moment(lambda xb, y, i=i: xb[..., i] - y[..., i],
-                               kernel, "anti", x, None, radius, quad)
+                               kernel, "anti", x, radius, quad)
     return a, b
 
 
@@ -132,9 +132,10 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     return coeff[1], np.sqrt(np.mean((fit - vals[take]) ** 2, axis=0))
 
 
-def local_coefficients(family: AlphaFamily, x, delta: float, alphas=None,
+def local_coefficients(family: AlphaFamily, x, delta: float,
                        verify_quadrature: bool = False) -> dict:
-    """Finite-alpha moment matrices/vectors and their extrapolated limits.
+    """Moment matrices/vectors at each alpha of the family and their
+    extrapolated limits.
 
     a_ij(x; alpha) = int_{B_delta} h_i h_j K_s(x, x+h) dh,
     b_i(x; alpha)  = int_{B_delta} (-h_i) K_a(x, x+h) dh,
@@ -143,7 +144,7 @@ def local_coefficients(family: AlphaFamily, x, delta: float, alphas=None,
     sharpest-alpha moments are recomputed at a refined rule and a drift beyond
     1% raises with both levels reported.
     """
-    alphas = tuple(alphas) if alphas is not None else family.alphas
+    alphas = family.alphas
     quad = QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d, m = x.shape[0], family.d, len(alphas)
@@ -177,63 +178,6 @@ def local_coefficients(family: AlphaFamily, x, delta: float, alphas=None,
         out["delta_sensitivity"] = float("nan")
     out["quad"] = quad.to_dict()
     return out
-
-
-def _fd_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central differences on the tensor lattice (one-sided at the box edge)."""
-    n_axis = int(round(2 * grid.X / grid.h))
-    shape = (n_axis,) * grid.d
-    v = values.reshape(shape)
-    out = np.empty(shape + (grid.d,))
-    for k in range(grid.d):
-        out[..., k] = np.gradient(v, grid.h, axis=k, edge_order=2)
-    return out.reshape(-1, grid.d)
-
-
-def form_convergence(family: AlphaFamily, u, v, grid: Grid,
-                     ball_center, ball_radius: float) -> dict:
-    """Table of restricted form values against the extrapolated local target.
-
-    The symmetric (difference-difference) and drift (difference-sum) parts are
-    integrated separately per alpha by polar quadrature in the inner variable;
-    the target is sum a_ij du dv + 2 sum b_i du v with lattice finite
-    differences for the gradients.  ``u`` and ``v`` are callables on points,
-    since the pair integrands evaluate them off the nodes.
-    """
-    for name, fn in (("u", u), ("v", v)):
-        if not callable(fn):
-            raise TypeError(f"{name} must be a callable on points, got {type(fn).__name__}")
-    quad = QuadSpec(n_ang=64, n_panels=32)
-    z = np.asarray(ball_center, dtype=float)
-    mask = grid.ball_mask(z, ball_radius)
-    pts = grid.nodes[mask]
-    hd = grid.cell_volume
-    u_vals, v_vals = u(grid.nodes), v(grid.nodes)
-    du = _fd_gradient(u_vals, grid)[mask]
-    dv = _fd_gradient(v_vals, grid)[mask]
-
-    rows = []
-    for a in family.alphas:
-        k = family.kernel(a)
-
-        es = _ball_moment(lambda xb, y: (u(xb) - u(y)) * (v(xb) - v(y)),
-                          k, "sym", pts, z, ball_radius, quad)
-        ea = _ball_moment(lambda xb, y: (u(xb) - u(y)) * (v(xb) + v(y)),
-                          k, "anti", pts, z, ball_radius, quad)
-        rows.append({"alpha": a, "E_sym": float(np.sum(es) * hd),
-                     "E_anti": float(np.sum(ea) * hd)})
-
-    coeffs = local_coefficients(family, pts[:: max(1, len(pts) // 40)],
-                                delta=min(0.5, ball_radius / 2))
-    a_lim = np.mean(coeffs["a_limit"], axis=0)
-    b_lim = np.mean(coeffs["b_limit"], axis=0)
-    target_sym = float(np.einsum("ij,ni,nj->", a_lim, du, dv) * hd)
-    target_anti = float(2.0 * np.einsum("i,ni,n->", b_lim, du,
-                                        v_vals[mask]) * hd)
-    gaps = [abs(r["E_sym"] - target_sym) + abs(r["E_anti"] - target_anti)
-            for r in rows]
-    return {"table": rows, "target_sym": target_sym, "target_anti": target_anti,
-            "gaps": gaps, "monotone": all(np.diff(gaps) <= 1e-12)}
 
 
 def garding_sector_check(form: DiscreteForm, lam_G: float) -> dict:

@@ -381,34 +381,6 @@ def old_assemble(kernel, grid, quad=None):
                               symmetrised=True)
 
 
-def old_form_table(family, u, v, grid, ball_center, ball_radius, alphas, quad=None):
-    """Per-alpha rows {alpha, E_sym, E_anti} of the old form_convergence."""
-    from jumplab.quadrature import QuadSpec, ball_integral
-
-    quad = quad or QuadSpec(n_ang=64, n_panels=32)
-    z = np.asarray(ball_center, dtype=float)
-    pts = grid.nodes[grid.ball_mask(z, ball_radius)]
-    rows = []
-    for a in alphas:
-        k = family.kernel(a)
-
-        def sym_eval(xb, y):
-            return (u(xb) - u(y)) * (v(xb) - v(y)) * k.sym(xb, y)
-
-        def anti_eval(xb, y):
-            return (u(xb) - u(y)) * (v(xb) + v(y)) * k.anti(xb, y)
-
-        es = ball_integral(sym_eval, pts, z, ball_radius, family.d, quad,
-                           singular_order=max(family.d + a - 2, 0.0),
-                           breaks=k.radial_breaks())
-        ea = ball_integral(anti_eval, pts, z, ball_radius, family.d, quad,
-                           singular_order=max(family.d + k.anti_diag_order() - 1, 0.0),
-                           breaks=k.radial_breaks())
-        rows.append({"alpha": a, "E_sym": float(np.sum(es) * grid.cell_volume),
-                     "E_anti": float(np.sum(ea) * grid.cell_volume)})
-    return rows
-
-
 def old_local_operator(a_mat, b_vec, grid):
     from jumplab.mosco import _axis_stencil
 

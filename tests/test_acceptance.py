@@ -356,7 +356,7 @@ def test_criterion_10_mosco():
     fam = make_isotropic_family(1, (1.5, 1.8, 1.9, 1.95))
 
     # finite-alpha moment: d=1, alpha=1, delta=1 equals 2 c_{1,1} = 2/pi
-    out1 = local_coefficients(fam, np.array([[0.0]]), delta=1.0, alphas=[1.0])
+    out1 = local_coefficients(make_isotropic_family(1, (1.0,)), np.array([[0.0]]), delta=1.0)
     moment_err = abs(out1["a"][1.0][0, 0, 0] - 2.0 / math.pi) / (2.0 / math.pi)
 
     # extrapolated limit: the gamma-function oracle gives

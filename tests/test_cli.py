@@ -55,6 +55,44 @@ class TestValidation:
         bad.write_text("{nope")
         assert run(["harnack", "--config", bad, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("kernel, message", [
+        ({"family": "cone", "d": 1, "alpha": 1.5}, "missing entry or unknown preset 'cone'"),
+        ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.9,
+          "cone": {"axis": [1.0], "half_angle": 0.7853981633974483}},
+         "need 0 < 2*beta < alpha < 2"),
+        ({"family": "drift", "d": 1, "alpha": 1.5, "V": "nope"},
+         "missing entry or unknown preset 'nope'"),
+        ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5, "cone": {"axis": 1.0}},
+         "object is not iterable"),
+    ])
+    def test_a_kernel_the_config_cannot_make_exits_2(self, tmp_path, capsys, kernel, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kernel": kernel}))
+        assert run(["check-kernel", "--config", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: $['kernel']: ") and message in err
+
+    @pytest.mark.parametrize("command, harness, path", [
+        ("harnack", {"R": 2.0}, "$['harness']['R']: 2.0 is greater than the maximum of 1"),
+        ("check-kernel", {"assumption": "Tail", "R": 2.0},
+         "$['harness']['R']: 2.0 is greater than the maximum of 1"),
+        ("check-kernel", {"assumption": "Tail", "R": 0.0},
+         "$['harness']['R']: 0.0 is less than or equal to the minimum of 0"),
+        ("check-kernel", {"assumption": "Tail", "R": 0.5, "rho": 0.9},
+         "$['harness']: need 0 < rho <= r"),
+        ("check-kernel", {"assumption": "Tail", "R": 0.5, "center": [3.5]},
+         "$['harness']: B_2r leaves the domain"),
+    ])
+    def test_a_radius_or_ball_out_of_range_exits_2(self, tmp_path, capsys, command,
+                                                   harness, path):
+        cfg = _default_config(command)
+        cfg["grid"]["h"] = 1 / 8
+        cfg["harness"].update(harness)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run([command, "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"config error: {path}\n"
+
 
 class TestRunners:
     def test_harnack_artifacts_and_determinism(self, tmp_path):

@@ -10,7 +10,6 @@ from jumplab.estimates import (
     SpaceTimeBox,
     caccioppoli_audit,
     caccioppoli_ensemble,
-    dual_beta_threshold,
     harnack_ensemble,
     harnack_quotient,
     holder_ensemble,
@@ -19,7 +18,6 @@ from jumplab.estimates import (
     oscillation,
     philox_stream,
     random_smooth_positive_field,
-    tail_source_bound,
 )
 from jumplab.discretize import CutoffProfile
 
@@ -261,23 +259,6 @@ class TestLogAudit:
                                       (0.0,), 0.4, 0.3, 1.0)["lhs"]
         gaps = [abs(v - limit) for v in vals]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
-
-
-class TestTailSourceBound:
-    def test_vanishes_with_growth(self):
-        vals = [tail_source_bound(b, 0.5, 1.0, 1.5)["primal"]
-                for b in (0.2, 0.1, 0.05, 0.01)]
-        assert vals[0] > vals[1] > vals[2] > vals[3]
-        assert vals[-1] < 0.05
-
-    def test_divergence_flag(self):
-        out = tail_source_bound(1.0, 0.5, 1.0, 1.5)
-        assert out["divergent"] and out["primal"] == math.inf
-
-    def test_dual_threshold_covers_quarter_rate(self):
-        sigma, alpha = 1.0, 1.5
-        thr = dual_beta_threshold(0.5, sigma, alpha, target=1.0)
-        assert thr >= min(sigma, alpha) / 4
 
 
 class TestTwoDimensionalPipeline:

@@ -8,7 +8,7 @@ from scipy.special import gamma
 
 from jumplab import Cone, c_alpha_norm, decompose, make_cone_kernel, make_drift_kernel
 from jumplab import make_coefficient_kernel, make_stable_kernel, time_modulate
-from jumplab.kernels import (MIN_SEPARATION, SampledField, _project, get_field, get_pair_field,
+from jumplab.kernels import (MIN_SEPARATION, _project, get_field, get_pair_field,
                              kernel_from_config)
 
 
@@ -115,13 +115,6 @@ class TestDriftKernel:
         base = c_alpha_norm(1, 1.0) * r ** -2.0
         assert np.all(linear_drift_kernel(x, y) >= (1 - D) * base * (1 - 1e-12))
 
-    def test_sampled_potential(self, rng):
-        axes = [np.linspace(-3, 3, 61)]
-        V = SampledField(axes, 0.3 * np.sin(axes[0]))
-        k = make_drift_kernel(1.0, V, L=1.0, alpha=1.0, d=1)
-        x, y = random_pairs(rng, 1, 50)
-        assert np.all(k(x, y) >= 0)
-
 
 class TestConeKernel:
     def test_requires_disjoint_cones(self):
@@ -218,7 +211,7 @@ class TestTimeModulation:
         x, y = random_pairs(rng, 1, 300)
         ks0 = sin_coefficient_kernel.sym(x, y)
         for t in np.linspace(0, 6, 7):
-            kst = tk.sym_at(t, x, y)
+            kst = tk.at(t).sym(x, y)
             assert np.all(kst >= 0.5 * ks0 - 1e-12)
             assert np.all(kst <= 1.5 * ks0 + 1e-12)
 
@@ -230,7 +223,7 @@ class TestTimeModulation:
         s = lambda t: np.cos(t)
         tk = time_modulate(linear_drift_kernel, lambda t: 1.0, 1.0, 1.0, ka_scale=s)
         x, y = random_pairs(rng, 1, 100)
-        np.testing.assert_allclose(tk.anti_at(0.5, x, y),
+        np.testing.assert_allclose(tk.at(0.5).anti(x, y),
                                    np.cos(0.5) * linear_drift_kernel.anti(x, y),
                                    rtol=1e-14)
 

@@ -10,7 +10,6 @@ from jumplab.kernels import get_pair_field
 from jumplab.mosco import (
     AlphaFamily,
     assemble_corrected,
-    form_convergence,
     garding_sector_check,
     local_coefficients,
     make_coefficient_family,
@@ -52,8 +51,8 @@ class TestFamily:
 class TestLocalCoefficients:
     def test_finite_alpha_moment_closed_form(self, iso_1d):
         # d=1, alpha=1, delta=1: 2 c_{1,1} delta^{2-a}/(2-a) = 2/pi
-        out = local_coefficients(iso_1d, np.array([[0.0]]), delta=1.0,
-                                 alphas=[1.0])
+        out = local_coefficients(make_isotropic_family(1, (1.0,)), np.array([[0.0]]),
+                                 delta=1.0)
         val = out["a"][1.0][0, 0, 0]
         assert abs(val - 2.0 / math.pi) < 0.01 * 2.0 / math.pi
 
@@ -92,65 +91,22 @@ class TestLocalCoefficients:
         out = local_coefficients(iso_1d, np.array([[0.0]]), delta=1.0)
         assert out["delta_sensitivity"] < 0.01
 
-    def test_quadrature_verification_converges(self, iso_1d):
-        out = local_coefficients(iso_1d, np.array([[0.0]]), delta=0.5,
-                                 alphas=[1.5, 1.9], verify_quadrature=True)
+    def test_quadrature_verification_converges(self):
+        out = local_coefficients(make_isotropic_family(1, (1.5, 1.9)), np.array([[0.0]]),
+                                 delta=0.5, verify_quadrature=True)
         assert out["quadrature_drift"] < 1e-8
 
     def test_coefficient_family_eigenvalue_bounds(self):
         g = get_pair_field("sin-coefficient")
-        fam = make_coefficient_family(2, (1.8, 1.9), g, lam=1.0, Lam=3.0)
-        out = local_coefficients(fam, np.array([[0.2, 0.1]]), delta=0.5,
-                                 alphas=[1.9])
+        fam = make_coefficient_family(2, (1.9,), g, lam=1.0, Lam=3.0)
+        out = local_coefficients(fam, np.array([[0.2, 0.1]]), delta=0.5)
         a = out["a"][1.9][0]
-        iso = local_coefficients(make_isotropic_family(2, (1.8, 1.9)),
-                                 np.array([[0.2, 0.1]]), delta=0.5,
-                                 alphas=[1.9])["a"][1.9][0]
+        iso = local_coefficients(make_isotropic_family(2, (1.9,)),
+                                 np.array([[0.2, 0.1]]), delta=0.5)["a"][1.9][0]
         eigs = np.linalg.eigvalsh(a)
         m = iso[0, 0]
         assert np.all(eigs >= 1.0 * m * (1 - 1e-9))
         assert np.all(eigs <= 3.0 * m * (1 + 1e-9))
-
-
-class TestFormConvergence:
-    def test_gap_shrinks_toward_local_target(self, iso_1d, grid_small):
-        bump = _bump_profile()
-        out = form_convergence(iso_1d, bump, bump, grid_small, (0.0,), 0.6)
-        gaps = out["gaps"]
-        assert all(np.diff(gaps) < 0)
-        assert gaps[-1] < 0.1 * abs(out["target_sym"])
-
-    def test_symmetric_family_has_no_drift_part(self, iso_1d, grid_small):
-        bump = _bump_profile()
-        out = form_convergence(iso_1d, bump, _tilt_profile(), grid_small,
-                               (0.0,), 0.6)
-        assert out["target_anti"] == 0.0
-        assert all(abs(r["E_anti"]) < 1e-12 for r in out["table"])
-
-    def test_constant_field_gives_zero(self, iso_1d, grid_small):
-        const = lambda x: np.ones(np.asarray(x).shape[:-1])
-        out = form_convergence(iso_1d, const, _bump_profile(), grid_small,
-                               (0.0,), 0.6)
-        assert all(abs(r["E_sym"]) < 1e-10 and abs(r["E_anti"]) < 1e-10
-                   for r in out["table"])
-
-    def test_drift_part_converges_for_uneven_pair(self, drift_1d, grid_small):
-        out = form_convergence(drift_1d, _bump_profile(), _tilt_profile(),
-                               grid_small, (0.0,), 0.6)
-        anti_gaps = [abs(r["E_anti"] - out["target_anti"]) for r in out["table"]]
-        assert anti_gaps[-1] < anti_gaps[0]
-        assert abs(out["target_anti"]) > 1e-3
-
-    def test_a_field_of_node_values_is_refused_up_front(self):
-        # the pair integrands evaluate u and v off the nodes, so values on the
-        # nodes cannot stand in for them
-        grid = build_grid(1, 1.0, 1 / 16, {"type": "box", "halfwidth": 0.75})
-        cos = lambda x: np.cos(np.asarray(x, dtype=float)[..., 0])
-        with pytest.raises(TypeError, match=r"^u must be a callable on points, got ndarray$"):
-            form_convergence(make_isotropic_family(1, (1.9,)), cos(grid.nodes), cos, grid,
-                             (0.0,), 0.6)
-        with pytest.raises(TypeError, match=r"^v must be a callable"):
-            form_convergence(make_isotropic_family(1, (1.9,)), cos, [1.0], grid, (0.0,), 0.6)
 
 
 def _hand_form(S_II, W_II):
@@ -314,23 +270,6 @@ class TestResolventConvergence:
         upp = -(np.pi / 1.5) ** 2 * np.cos(np.pi * x / 1.5)
         mid = np.abs(x) < 0.3
         ratio = np.mean((F.A @ u)[I][mid] / (-upp[mid]))
-        coeff = local_coefficients(fam, np.array([[0.0]]), delta=1.0,
-                                   alphas=[1.95])["a"][1.95][0, 0, 0]
+        coeff = local_coefficients(fam, np.array([[0.0]]), delta=1.0)["a"][1.95][0, 0, 0]
         assert abs(ratio - coeff) < 0.05 * coeff
 
-
-def _bump_profile():
-    def u(x):
-        t = np.asarray(x, dtype=float)[..., 0]
-        return np.where(np.abs(t) < 0.5, np.cos(np.pi * np.clip(t, -0.5, 0.5)) ** 2,
-                        0.0)
-    return u
-
-
-def _tilt_profile():
-    def v(x):
-        t = np.asarray(x, dtype=float)[..., 0]
-        return np.where(np.abs(t) < 0.5,
-                        (0.5 + t) * np.cos(np.pi * np.clip(t, -0.5, 0.5)) ** 2,
-                        0.0)
-    return v

@@ -5,7 +5,6 @@ import pytest
 
 from _oracles import (
     old_assemble_corrected,
-    old_form_table,
     old_local_coefficients,
     old_resolvent_gaps,
 )
@@ -14,7 +13,6 @@ from jumplab.kernels import SplitKernel, get_pair_field
 from jumplab.mosco import (
     AlphaFamily,
     assemble_corrected,
-    form_convergence,
     local_coefficients,
     local_operator,
     make_coefficient_family,
@@ -46,15 +44,6 @@ def _source(x):
     return np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
 
 
-def _bump(x):
-    t = np.asarray(x, dtype=float)[..., 0]
-    return np.where(np.abs(t) < 0.5, np.cos(np.pi * np.clip(t, -0.5, 0.5)) ** 2, 0.0)
-
-
-def _tilt(x):
-    return (0.5 + np.asarray(x, dtype=float)[..., 0]) * _bump(x)
-
-
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def family(request):
     return FAMILIES[request.param]()
@@ -76,7 +65,8 @@ def test_local_coefficients_match_frozen_loops(family):
 
 def test_single_alpha_coefficients_match_frozen_loops(family):
     x = np.zeros((1, family.d))
-    new = local_coefficients(family, x, delta=0.5, alphas=[1.9])
+    one = AlphaFamily(family.factory, family.d, (1.9,), Lam=family.Lam, name=family.name)
+    new = local_coefficients(one, x, delta=0.5)
     old = old_local_coefficients(family, x, delta=0.5, alphas=[1.9])
     for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
         assert np.array_equal(new[key], old[key], equal_nan=True), key
@@ -88,15 +78,6 @@ def test_corrected_form_matches_frozen_assembly(family):
     old = old_assemble_corrected(family.kernel(1.9), grid)
     for name in ("A_s", "A_a", "tail_sym", "tail_anti"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
-
-
-@pytest.mark.parametrize("name", ["isotropic-1d", "coefficient-1d", "drift-1d"])
-def test_form_table_matches_frozen_integrals(name):
-    family = FAMILIES[name]()
-    grid = _grid(1)
-    out = form_convergence(family, _bump, _tilt, grid, (0.0,), 0.6)
-    assert out["table"] == old_form_table(family, _bump, _tilt, grid, (0.0,), 0.6,
-                                          family.alphas)
 
 
 def test_resolvent_gaps_match_frozen_path(family):

@@ -261,13 +261,14 @@ def test_config_check_agrees_with_jsonschema(kind, mutations):
         assert not errors
 
 
-@pytest.mark.parametrize("value", [True, False, 1, 1.0, 2, 0, "a", None, [1]])
+@pytest.mark.parametrize("value", [True, False, 1, 1.0, 2, 0, 1.5, "a", None, [1]])
 @pytest.mark.parametrize("schema", [
     {"enum": [1, "a"]},
     {"enum": [True]},
     {"type": "integer", "minimum": 1, "exclusiveMaximum": 2},
     {"type": ["number", "null"], "exclusiveMinimum": 0},
     {"type": "array", "items": {"type": "integer"}},
+    SCHEMA["properties"]["harness"]["properties"]["R"],
 ])
 def test_json_schema_rules_for_bools_and_integers(schema, value):
     try:
