@@ -5,23 +5,20 @@ scipy's array-API layer (and with it numpy.f2py and numpy.testing) and costs
 more than the work of most commands.  This module finds scipy's directory
 without importing scipy (``_lazy.scipy_path``) and loads the compiled modules
 it needs by file path instead, so that code never runs: the f2py LAPACK
-wrapper ``scipy.linalg._flapack``, the solver ``scipy.linalg._batched_linalg``
-that ``scipy.linalg.solve`` calls, and ``scipy.special._special_ufuncs``, home
-of the ``gamma`` ufunc.  Each is registered under its own name: a later
-``import scipy.linalg`` or ``import scipy.special`` reuses it, so
-``get_lapack_funcs`` hands out this ``getrs`` and ``scipy.special.gamma`` is
-this ``gamma``.  A module already registered under its name is reused.  An
-older scipy may lack the solver (``_batched_linalg`` is new in scipy 1.17) or
-``gamma``'s compiled module; ``solve`` and ``gamma`` then call the public
-scipy function, whose package is imported on their first call, never when
-this module loads.
+wrapper ``scipy.linalg._flapack`` (getrf, getrs, potrf, trtrs) and
+``scipy.special._special_ufuncs``, home of the ``gamma`` ufunc.  Each is
+registered under its own name: a later ``import scipy.linalg`` or ``import
+scipy.special`` reuses it, so ``get_lapack_funcs`` hands out this ``getrs``
+and ``scipy.special.gamma`` is this ``gamma``.  A module already registered
+under its name is reused.  An older scipy may keep ``gamma`` elsewhere;
+``gamma`` then calls scipy.special.gamma, whose package is imported on its
+first call, never when this module loads.
 
 Every routine gives the bits of scipy's public function for real double
 matrices, with its checks: non-finite input raises ``ValueError``, as does an
 illegal LAPACK argument.  ``lu_factor`` warns on an exact zero pivot;
-``solve`` raises ``LinAlgError`` on a singular matrix and warns on an
-ill-conditioned one; ``cholesky`` raises ``LinAlgError`` on a matrix that is
-not positive definite and ``solve_lower`` on a singular one.
+``cholesky`` raises ``LinAlgError`` on a matrix that is not positive definite
+and ``solve_lower`` on a singular one.
 """
 from __future__ import annotations
 
@@ -65,11 +62,6 @@ except (ImportError, AttributeError):   # an older scipy: no such module, or gam
         from scipy.special import gamma as public
         return public(x)
 
-try:
-    _batched_solve = _extension("scipy.linalg._batched_linalg", scipy_path("linalg"))._solve
-except ImportError:                     # scipy before 1.17
-    _batched_solve = None
-
 
 def lu_factor(a):
     """(lu, piv) of the pivoted LU factorisation of the square matrix ``a``."""
@@ -92,34 +84,6 @@ def lu_solve(lu_piv, b):
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrs (lu_solve)")
     return x
-
-
-def solve(a, b):
-    """x with a x = b for the square matrix ``a`` and the vector ``b``: the
-    bits, errors and warning of scipy.linalg.solve(a, b).
-
-    This is the call scipy.linalg.solve makes in scipy 1.17, structure
-    detection included: the private ``_solve(a, b, structure=-1, lower,
-    transposed, overwrite_a, overwrite_b)``, and its error dicts read as
-    scipy 1.17 reads them.  A later scipy that changes that signature or
-    those keys fails ``tests/test_lapack.py``, which compares this function
-    with scipy.linalg.solve bit for bit on the newest scipy CI installs.
-    Without ``_batched_linalg``, scipy.linalg.solve itself."""
-    if _batched_solve is None:
-        from scipy.linalg import solve as public
-        return public(a, b)
-    x, errors = _batched_solve(np.asarray_chkfinite(a), np.asarray_chkfinite(b)[:, None],
-                               -1, False, False, False, False)
-    for err in errors:
-        if err["is_singular"]:
-            raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
-        if err["lapack_info"] < 0:
-            raise ValueError(f"Internal LAPACK errors: slice 0 emits lapack "
-                             f"info={err['lapack_info']}.")
-        if err["is_ill_conditioned"]:
-            warnings.warn(f"An ill-conditioned matrix detected: slice 0 has rcond = "
-                          f"{err['rcond']}.", RuntimeWarning, stacklevel=2)
-    return x[:, 0]
 
 
 def cholesky(a):

@@ -8,7 +8,7 @@ loaded it is an ordinary module: an attribute lookup costs what it always
 does, and ``setattr`` on it patches the real module.
 
 Users: ``_lapack`` in ``solve`` and ``assumptions`` (LU factors and solves),
-``mosco`` (Cholesky, triangular and general solves) and ``kernels``
+``mosco`` (Cholesky and triangular solves) and ``kernels``
 (``gamma``); scipy.linalg in ``assumptions`` (eigh); and ``cli``, whose
 references to the package's ``algebra``, ``assumptions``, ``estimates``,
 ``mosco`` and ``solve`` load each module on the first runner that calls

@@ -13,17 +13,18 @@ output: it builds the kernel and grid, assembles the form once for the runners
 that need one, and writes every artifact.  A runner computes only: it returns
 (summary, report, tables) and opens no file.  Fixed seed and config give
 byte-identical artifacts.
-Exit codes: 2 for config errors (with a field path), 3 for numerical failures.
+Exit codes: 2 for config errors (with a field path, before any output or
+assembly), 3 for numerical failures.
 
 Start-up imports numpy, ``kernels`` and ``discretize``, and no scipy
 package.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
 ``solve`` are lazy modules here (``_lazy.lazy_module``): each loads on the
 first runner that calls into it, so a command compiles only the package code
 it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
-keywords ``SCHEMA`` uses.  scipy's compiled routines (``_lapack``: LAPACK,
-``solve`` and ``gamma``, loaded by file path) load on the first
-factorisation or stable-kernel normalisation; only some ``check-kernel``
-assumptions import the scipy.linalg package (``eigh``).
+keywords ``SCHEMA`` uses.  scipy's compiled routines (``_lapack``: LAPACK
+and ``gamma``, loaded by file path) load on the first factorisation or
+stable-kernel normalisation; only some ``check-kernel`` assumptions import
+the scipy.linalg package (``eigh``).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from ._lazy import lazy_module, scipy_path
-from .discretize import assemble, build_grid, kernel_alpha
+from .discretize import assemble, build_grid
 from .kernels import (get_field, get_pair_field, kernel_from_config, make_stable_kernel,
                       philox_stream, random_smooth_positive_field)
 
@@ -376,18 +377,20 @@ def _resolution(grid, form=None) -> dict:
 def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one validated scenario and write all of its artifacts.
 
-    The form is assembled here, once, for the runners that need one. A runner
+    The config checks (``_build_kernel_grid``, ``_PREPARE``) run first; then
+    the form is assembled here, once, for the runners that need one. A runner
     returns (summary, report, tables) and opens no file; each table is
     (csv path, header, rows), its path taken relative to out_dir. A "health"
     and a "resolution" entry (the fields it sets in ``_resolution``) of the
     summary go to manifest.json instead of summary.txt. Returns the summary
     dictionary.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = config["harness"]["type"]
     kernel, grid = _build_kernel_grid(config)
+    prepared = _PREPARE[kind](config, kernel, grid) if kind in _PREPARE else ()
+    out_dir.mkdir(parents=True, exist_ok=True)      # the config passed every check
     form = assemble(kernel, grid) if _needs_form(config["harness"]) else None
-    summary, report, tables = _RUNNERS[kind](config, kernel, grid, form)
+    summary, report, tables = _RUNNERS[kind](config, kernel, grid, form, *prepared)
     health = summary.pop("health", None)
     resolution = {**_resolution(grid, form), **summary.pop("resolution", {})}
     for path, header, rows in tables:
@@ -415,17 +418,21 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 
 # --- harness runners -------------------------------------------------------
-# Each takes (config, kernel, grid, form) and returns (summary, report, tables).
+# Each takes (config, kernel, grid, form, *prepared) and returns (summary, report, tables).
 
 
-def _run_check_kernel(config, kernel, grid, form):
+def _ball(config, kernel, grid):
     harness = config["harness"]
-    which = harness.get("assumption", "K1")
     try:
-        ball = assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
-                                    float(harness.get("R", 0.5)), harness.get("rho"))
+        return (assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
+                                     float(harness.get("R", 0.5)), harness.get("rho")),)
     except ValueError as exc:       # a rho above R, or a ball that leaves the domain
         raise ConfigError(f"$['harness']: {exc}") from None
+
+
+def _run_check_kernel(config, kernel, grid, form, ball):
+    harness = config["harness"]
+    which = harness.get("assumption", "K1")
     check = SimpleNamespace(kernel=kernel, grid=grid, form=form, harness=harness, ball=ball,
                             theta=_exp(harness.get("theta_exp", "inf")))
     rep = {"assumption": which, **_ASSUMPTIONS[which][2](check)}
@@ -450,7 +457,20 @@ def _run_assemble(config, kernel, grid, form):
     return {"headline": f"assembled {grid.n_nodes} nodes", **report}, report, tables
 
 
-def _problem_from_config(config, form):
+def _time_span(config, kernel, grid):
+    """(dt, horizon) of a solve run; dt defaults to ``default_dt`` at kernel.alpha,
+    the order that ``kernel_alpha`` reads from the form."""
+    pc = config.get("problem", {})
+    dt = solve.default_dt(grid.h, kernel.alpha) if pc.get("dt") is None else pc["dt"]
+    horizon = float(pc.get("horizon", 8 * dt))
+    if horizon < dt:
+        # the run would step once, past the horizon asked for
+        raise ConfigError(f"$['problem']['horizon']: {horizon} is shorter than one "
+                          f"time step dt = {dt}")
+    return dt, horizon
+
+
+def _problem_from_config(config, form, dt, horizon):
     grid = form.grid
     pc = config.get("problem", {})
     harness = config["harness"]
@@ -458,12 +478,6 @@ def _problem_from_config(config, form):
     rng = philox_stream(seed, 0)
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
-    dt = solve.default_dt(grid.h, kernel_alpha(form)) if pc.get("dt") is None else pc["dt"]
-    horizon = float(pc.get("horizon", 8 * dt))
-    if horizon < dt:
-        # the run would step once, past the horizon asked for
-        raise ConfigError(f"$['problem']['horizon']: {horizon} is shorter than one "
-                          f"time step dt = {dt}")
     return solve.ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
         collar=g_field(grid.nodes[grid.collar]),
@@ -473,8 +487,8 @@ def _problem_from_config(config, form):
         d_const=float(pc.get("d_const", 0.0)))
 
 
-def _run_solve(config, kernel, grid, form):
-    problem = _problem_from_config(config, form)
+def _run_solve(config, kernel, grid, form, dt, horizon):
+    problem = _problem_from_config(config, form, dt, horizon)
     sol = solve.solve_parabolic(problem)
     n_times, n_nodes = sol.snapshots.shape
     rows = zip(np.repeat(sol.times, n_nodes).tolist(),
@@ -621,6 +635,8 @@ _RUNNERS = {
     "algebra-tests": _run_algebra,
     "mosco": _run_mosco,
 }
+# a runner's own config checks, run before any output or assembly: its arguments after form
+_PREPARE = {"check-kernel": _ball, "solve": _time_span}
 
 DEFAULT_KERNEL = {"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
                   "cone": {"axis": [1.0], "half_angle": 0.7853981633974483},

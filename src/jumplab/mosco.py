@@ -8,7 +8,8 @@ read off by Richardson extrapolation in (2 - alpha).
 The resolvent comparison corrects the lattice collocation by the sub-cell
 moments of the kernel: near alpha = 2 essentially all of the kernel's mass
 sits below any fixed lattice spacing, so the plain lattice operator
-degenerates while the corrected one stays consistent.
+degenerates while the corrected one stays consistent.  The limit is a
+``DiscreteForm`` too (``local_form``): ``resolvent_solve`` solves every resolvent.
 """
 from __future__ import annotations
 
@@ -262,23 +263,29 @@ def assemble_corrected(kernel: Kernel, grid: Grid) -> DiscreteForm:
                            dict(form.meta, corrected=True), 1.0)
 
 
-def local_operator(a_mat: np.ndarray, b_vec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order divergence-form collocation -d_k(a_kk d_k u) + 2 b . grad u
-    with centered differences on the same grid (zero Dirichlet outside)."""
-    N = grid.n_nodes
-    h = grid.h
-    A = np.zeros((N, N))
-    a_field = np.broadcast_to(_diffusion_diagonal(a_mat), (N, grid.d))
-    b_field = np.broadcast_to(b_vec, (N, grid.d))
-    for k in range(grid.d):
-        rows, plus, minus = _axis_stencil(grid, k)
-        a_here = a_field[rows, k]
-        a_plus = 0.5 * (a_here + a_field[plus, k])
-        a_minus = 0.5 * (a_here + a_field[minus, k])
-        A[rows, rows] += (a_plus + a_minus) / h ** 2
-        A[rows, plus] += -a_plus / h ** 2 + 2.0 * b_field[rows, k] / (2 * h)
-        A[rows, minus] += -a_minus / h ** 2 - 2.0 * b_field[rows, k] / (2 * h)
-    return A
+def local_form(a, b, grid: Grid) -> DiscreteForm:
+    """-d_k(a_kk d_k u) + 2 b . grad u as a form on the grid, zero outside:
+    a is (d, d) or (N, d, d), b is (d,) or (N, d).  Each pair of lattice
+    neighbours i, i + e_k couples both ways at the face values of a_kk and
+    b_k: -a_f / h^2 in A_s and +-b_f / h in A_a.  As in ``assemble``, A_s's
+    diagonal holds the drift's row sums (zero for a constant b) besides the
+    diffusion.  The tails are zero; meta records the order alpha = 2."""
+    N, h, d = grid.n_nodes, grid.h, grid.d
+    a_field = np.broadcast_to(_diffusion_diagonal(np.asarray(a, dtype=float)), (N, d))
+    b_field = np.broadcast_to(b, (N, d))
+    S, W, diag = np.zeros((N, N)), np.zeros((N, N)), np.zeros(N)
+    idx = np.arange(N).reshape((round(2 * grid.X / h),) * d)
+    for k in range(d):
+        lo, hi = np.delete(idx, -1, axis=k).ravel(), np.delete(idx, 0, axis=k).ravel()
+        a_f = 0.5 * (a_field[lo, k] + a_field[hi, k])
+        b_f = 0.5 * (b_field[lo, k] + b_field[hi, k]) / h
+        S[lo, hi] = S[hi, lo] = -a_f / h ** 2
+        W[lo, hi], W[hi, lo] = b_f, -b_f
+        plus, minus = np.zeros((2, 2, N))   # (a_f, b_f) of each node's faces, 0 at the box edge
+        plus[:, lo] = minus[:, hi] = a_f, b_f
+        diag += (plus[0] + minus[0]) / h ** 2 - (plus[1] - minus[1])
+    np.fill_diagonal(S, diag)
+    return DiscreteForm(grid, S, W, np.zeros(N), np.zeros(N), {"kernel": {"alpha": 2.0}})
 
 
 def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
@@ -286,29 +293,17 @@ def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
     """L2 gaps between the order-alpha resolvents and the local-limit resolvent.
 
     Solves (lam + A^(alpha)) u = f with the corrected nonlocal assembly and
-    (lam + A_loc) u = f with the divergence-form comparison operator built
-    from the extrapolated coefficients.
+    (lam + A_loc) u = f with the ``local_form`` of the extrapolated
+    coefficients, averaged over the probes, each by ``resolvent_solve``.
     """
     f_vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
     if coeffs is None:
         probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 20)]
         coeffs = local_coefficients(family, probe, delta=0.5)
-    a_lim = np.mean(coeffs["a_limit"], axis=0)
-    b_lim = np.mean(coeffs["b_limit"], axis=0)
-    A_loc = local_operator(a_lim, b_lim, grid)
-    I = grid.interior
-    M = lam * np.eye(int(I.sum())) + A_loc[np.ix_(I, I)]
-    u_loc = np.zeros(grid.n_nodes)
-    u_loc[I] = lapack.solve(M, f_vals[I])
-    rel = np.linalg.norm(f_vals[I] - M @ u_loc[I]) / max(np.linalg.norm(f_vals[I]), 1e-300)
-    if not rel <= 1e-6:
-        raise RuntimeError(f"local resolvent solve unstable (relative residual {rel:.3e})")
-    hd = grid.cell_volume
-    gaps = []
-    for a in family.alphas:
-        form = assemble_corrected(family.kernel(a), grid)
-        u_a = resolvent_solve(form, lam, f_vals)
-        gaps.append(float(np.sqrt(np.sum((u_a - u_loc) ** 2) * hd)))
-    return {"alphas": list(family.alphas), "gaps": gaps,
-            "u_loc_norm": float(np.sqrt(np.sum(u_loc ** 2) * hd)),
+    u_loc = resolvent_solve(local_form(np.mean(coeffs["a_limit"], axis=0),
+                                       np.mean(coeffs["b_limit"], axis=0), grid), lam, f_vals)
+    norm = lambda u: float(np.sqrt(np.sum(u ** 2) * grid.cell_volume))
+    gaps = [norm(resolvent_solve(assemble_corrected(family.kernel(a), grid), lam, f_vals) - u_loc)
+            for a in family.alphas]
+    return {"alphas": list(family.alphas), "gaps": gaps, "u_loc_norm": norm(u_loc),
             "monotone": all(np.diff(gaps) <= 1e-12)}

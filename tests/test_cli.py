@@ -7,6 +7,11 @@ import pytest
 from jumplab.cli import DEFAULT_GRID, main, run_scenario, _default_config, _validate, ConfigError
 
 
+CONE_2D = {"family": "cone", "d": 2, "alpha": 1.5, "beta": 0.5,
+           "cone": {"axis": [1.0, 0.0], "half_angle": 0.7853981633974483},
+           "double_cone": {"axis": [0.0, 1.0], "half_angle": 0.39269908169872414}}
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -92,6 +97,31 @@ class TestValidation:
         bad.write_text(json.dumps(cfg))
         assert run([command, "--config", bad, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == f"config error: {path}\n"
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("check-kernel", {"kernel": {"family": "cone", "d": 1, "alpha": 1.5}}, "$['kernel']"),
+        ("check-kernel", {"harness": {"assumption": "Poinc", "R": 0.5, "rho": 0.9},
+                          "kernel": CONE_2D,
+                          "grid": {"d": 2, "X": 2.0, "h": 1 / 16,
+                                   "omega": {"type": "box", "halfwidth": 1.5}}},
+         "$['harness']: need 0 < rho <= r"),
+        ("solve", {**_default_config("solve"), "problem": {"horizon": 1e-6}},
+         "$['problem']['horizon']: 1e-06 is shorter than one time step"),
+    ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt"])
+    def test_a_refused_config_assembles_nothing_and_leaves_no_output(
+            self, tmp_path, capsys, monkeypatch, command, cfg, path):
+        import jumplab.cli as cli
+
+        def refuse(*args, **kw):
+            raise AssertionError("a refused config assembled a form")
+
+        monkeypatch.setattr(cli, "assemble", refuse)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run([command, "--config", bad, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}")
+        assert not out.exists()
 
 
 class TestRunners:

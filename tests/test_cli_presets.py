@@ -16,6 +16,7 @@ from jumplab.cli import (
     _build_kernel_grid,
     _default_config,
     _problem_from_config,
+    _time_span,
     _validate,
     main,
     run_scenario,
@@ -163,7 +164,8 @@ def test_snapshot_rows_match_loop_reference(tmp_path):
     cfg["problem"] = {"horizon": 0.2, "dt": 0.05}
     run_scenario(_validate(cfg), tmp_path)
     kernel, grid = _build_kernel_grid(cfg)
-    sol = solve_parabolic(_problem_from_config(cfg, assemble(kernel, grid)))
+    sol = solve_parabolic(_problem_from_config(cfg, assemble(kernel, grid),
+                                               *_time_span(cfg, kernel, grid)))
     expected = [["t", "node", "value"]] + [
         [repr(float(t)), str(ni), repr(float(sol.snapshots[ti, ni]))]
         for ti, t in enumerate(sol.times) for ni in range(grid.n_nodes)]

@@ -1,12 +1,11 @@
 """``_lapack``: scipy's compiled routines loaded without scipy's Python
-packages (LAPACK's getrf/getrs/potrf/trtrs, the solver of scipy.linalg.solve
-and the gamma ufunc) give scipy's factors, solves and values bit for bit, and
-are shared with scipy.linalg and scipy.special once those are imported."""
+packages (LAPACK's getrf/getrs/potrf/trtrs and the gamma ufunc) give scipy's
+factors, solves and values bit for bit, and are shared with scipy.linalg and
+scipy.special once those are imported."""
 import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +17,8 @@ import jumplab
 from jumplab import _lapack, build_grid, mosco
 
 SRC = Path(jumplab.__file__).resolve().parent.parent
-# scipy 1.17's compiled solver and gamma's compiled module, loaded by path; an
-# older scipy lacks them, and _lapack then calls scipy's public functions
-SOLVER_BY_PATH = _lapack._batched_solve is not None
+# gamma's compiled module, loaded by path; an older scipy may lack it, and
+# _lapack then calls scipy.special.gamma
 GAMMA_BY_PATH = isinstance(_lapack.gamma, np.ufunc)
 
 
@@ -54,8 +52,6 @@ assert not {"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules)
 import scipy.special
 assert scipy.special.gamma is _lapack.gamma or not isinstance(_lapack.gamma, np.ufunc)
 import scipy.linalg as sla
-if _lapack._batched_solve is not None:
-    assert sla._basic._batched_linalg is sys.modules["scipy.linalg._batched_linalg"]
 assert sla.get_lapack_funcs(("potrf",), (np.eye(2),))[0] is _lapack.potrf
 M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 b = np.array([1.0, -2.0, 0.5])
@@ -66,7 +62,6 @@ assert np.array_equal(x, sla.lu_solve(sla.lu_factor(M), b))
 L = sla.cholesky(M, lower=True)
 assert np.allclose(sla.solve_triangular(L, b, lower=True), np.linalg.solve(L, b))
 assert np.allclose(sla.solve(M, b), x) and sla.eigh(M, eigvals_only=True)[0] > 0
-assert np.array_equal(sla.solve(M, b), _lapack.solve(M, b))
 print("ok")
 """
 
@@ -115,18 +110,12 @@ import numpy as np
 import jumplab._lazy
 from jumplab import _lapack
 # load the loader again as on an older scipy: the LAPACK wrapper, which it
-# reuses, but no solver and no gamma module in scipy's (here empty) directory
-del sys.modules["scipy.linalg._batched_linalg"], sys.modules["scipy.special._special_ufuncs"]
+# reuses, but no gamma module in scipy's (here empty) directory
+del sys.modules["scipy.special._special_ufuncs"]
 jumplab._lazy.scipy_path = lambda *parts: Path(sys.argv[1], *parts)
 importlib.reload(_lapack)
 assert not {"scipy", "scipy.linalg", "scipy.special"} & set(sys.modules)
-assert _lapack._batched_solve is None and not isinstance(_lapack.gamma, np.ufunc)
-M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-b = np.array([1.0, -2.0, 0.5])
-x = _lapack.solve(M, b)
-assert "scipy.linalg" in sys.modules and "scipy.special" not in sys.modules
-import scipy.linalg
-assert np.array_equal(x, scipy.linalg.solve(M, b))
+assert not isinstance(_lapack.gamma, np.ufunc)
 g = _lapack.gamma(np.array([0.75, -0.95]))
 import scipy.special
 assert np.array_equal(g, scipy.special.gamma(np.array([0.75, -0.95])))
@@ -135,14 +124,13 @@ print("ok")
 
 
 def test_a_missing_extension_falls_back_to_the_public_function(tmp_path):
-    # solve and gamma import scipy.linalg and scipy.special on their first
-    # call, not when the loader loads
+    # gamma imports scipy.special on its first call, not when the loader loads
     out = subprocess.run([sys.executable, "-c", _FALLBACK, str(tmp_path)], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     assert out.stdout.strip() == "ok"
 
 
-# --- gamma, solve and the Cholesky factor of mosco ------------------------------
+# --- gamma and the Cholesky factor of mosco -----------------------------------
 
 def test_gamma_is_scipy_special_gamma():
     assert (_lapack.gamma is scipy.special.gamma) == GAMMA_BY_PATH
@@ -150,83 +138,8 @@ def test_gamma_is_scipy_special_gamma():
     assert np.array_equal(_lapack.gamma(x), scipy.special.gamma(x))
 
 
-class _Captured(Exception):
-    pass
-
-
-def _local_system(family, grid):
-    """(M, f) of the local resolvent solve of resolvent_convergence, captured at
-    the solve (which then stops the run)."""
-    seen = []
-
-    def capture(M, b):
-        seen.append((M, b))
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mosco.lapack, "solve", capture)
-        with pytest.raises(_Captured):
-            mosco.resolvent_convergence(family, grid, lambda x: np.exp(-4 * np.sum(x * x, -1)),
-                                        lam=5.0)
-    return seen[0]
-
-
 _GRID = {1: (1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75}),
          2: (2, 0.5, 1 / 8, {"type": "box", "halfwidth": 0.375})}
-LOCAL_SYSTEMS = {
-    "isotropic-1d": lambda: (mosco.make_isotropic_family(1, (1.5, 1.8, 1.9, 1.95)), 1),
-    "isotropic-2d": lambda: (mosco.make_isotropic_family(2, (1.5, 1.9)), 2),
-    "drift-1d": lambda: (mosco.make_drift_family(1, (1.5, 1.8, 1.9, 1.95),
-                                                 lambda x: 0.4 * x[..., 0], L=2.0), 1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LOCAL_SYSTEMS))
-def test_solve_equals_scipy_linalg_solve_on_the_local_resolvents(name):
-    family, d = LOCAL_SYSTEMS[name]()
-    M, f = _local_system(family, build_grid(*_GRID[d]))
-    # tridiagonal in 1D, five-point in 2D; symmetric but for the drift
-    assert np.array_equal(M, M.T) == (name != "drift-1d")
-    x = _lapack.solve(M, f)
-    assert np.array_equal(x, scipy.linalg.solve(M, f))
-    assert np.linalg.norm(M @ x - f) <= 1e-12 * np.linalg.norm(f)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_solve_refuses_a_non_finite_input(bad):
-    M, b = np.eye(4), np.ones(4)
-    M[1, 2] = bad
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        _lapack.solve(M, np.ones(4))
-    b[3] = bad
-    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        _lapack.solve(np.eye(4), b)
-
-
-@pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((5, 5)),
-                               np.arange(9.0).reshape(3, 3), np.diag([1.0, 0.0, 2.0, 3.0])],
-                         ids=["symmetric", "zero", "general", "diagonal"])
-def test_solve_raises_on_a_singular_matrix(M):
-    with pytest.raises(np.linalg.LinAlgError) as ours:
-        _lapack.solve(M, np.ones(len(M)))
-    with pytest.raises(np.linalg.LinAlgError) as theirs:
-        scipy.linalg.solve(M, np.ones(len(M)))
-    assert str(ours.value) == str(theirs.value)
-
-
-def test_solve_warns_on_an_ill_conditioned_matrix():
-    H = 1.0 / (np.arange(14)[:, None] + np.arange(14)[None, :] + 1.0)   # Hilbert
-    b = np.ones(14)
-    with pytest.warns(RuntimeWarning) as ours:
-        x = _lapack.solve(H, b)
-    with pytest.warns(scipy.linalg.LinAlgWarning) as theirs:
-        ref = scipy.linalg.solve(H, b)
-    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
-    assert np.array_equal(x, ref)
-    if SOLVER_BY_PATH:      # the warning of scipy 1.17, raised at the caller
-        assert str(ours[0].message).startswith("An ill-conditioned matrix detected: slice 0 "
-                                               "has rcond = ")
-        assert ours[0].filename == __file__
 
 
 @pytest.mark.parametrize("d", [1, 2])

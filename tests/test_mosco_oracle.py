@@ -3,24 +3,25 @@
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import (
     old_assemble_corrected,
     old_local_coefficients,
+    old_local_operator,
     old_resolvent_gaps,
 )
-from jumplab import build_grid, c_alpha_norm
+from jumplab import build_grid, c_alpha_norm, solve
 from jumplab.kernels import SplitKernel, get_pair_field
 from jumplab.mosco import (
     AlphaFamily,
     assemble_corrected,
     local_coefficients,
-    local_operator,
+    local_form,
     make_coefficient_family,
     make_drift_family,
     make_isotropic_family,
     resolvent_convergence,
 )
-from jumplab import mosco
 
 ALPHAS = (1.5, 1.8, 1.9, 1.95)
 V = lambda x: 0.4 * np.asarray(x, dtype=float)[..., 0]
@@ -80,9 +81,43 @@ def test_corrected_form_matches_frozen_assembly(family):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
-def test_resolvent_gaps_match_frozen_path(family):
+def test_local_form_matches_frozen_operator(family):
+    # limits of the kind resolvent_convergence averages over probes
+    coeffs = local_coefficients(family, np.zeros((1, family.d)), delta=0.5)
+    a, b = np.mean(coeffs["a_limit"], axis=0), np.mean(coeffs["b_limit"], axis=0)
+    grid = _grid(family.d)
+    I = grid.interior
+    form = local_form(a, b, grid)
+    assert np.array_equal(form.A[I], old_local_operator(a, b, grid)[I])
+    assert np.array_equal(form.A_s, form.A_s.T)
+    assert np.array_equal(form.A_a, -form.A_a.T)
+    assert not np.any(form.tail_sym) and not np.any(form.tail_anti)
+    assert form.meta["kernel"]["alpha"] == 2.0
+
+
+def test_local_form_takes_node_fields():
+    grid = _grid(2)
+    N, I = grid.n_nodes, grid.interior
+    a = np.diag([2.0, 1.0])
+    b = grid.nodes @ np.array([[0.4, 0.0], [0.1, -0.3]])     # a linear field b(x)
+    form = local_form(a, b, grid)
+    assert np.array_equal(form.A_s, form.A_s.T) and np.array_equal(form.A_a, -form.A_a.T)
+    scale = np.abs(form.A).max()
+    assert np.abs(form.A.sum(axis=1)).max() <= 1e-12 * scale    # A 1 = tail = 0
+    for k in range(2):      # 2 b . grad x_k = 2 b_k, exactly for a linear b
+        assert np.allclose((form.A @ grid.nodes[:, k])[I], 2 * b[I, k], rtol=0,
+                           atol=1e-12 * scale)
+    # constants given once per node are the constants
+    fields = local_form(np.broadcast_to(a, (N, 2, 2)), np.broadcast_to(b[0], (N, 2)), grid)
+    assert np.array_equal(fields.A, local_form(a, b[0], grid).A)
+
+
+def test_resolvent_gaps_match_frozen_path(family, monkeypatch):
     grid = _grid(family.d)
     out = resolvent_convergence(family, grid, _source, lam=5.0)
+    # the local resolvent is an LU solve now, as the nonlocal ones always were
+    sla = _oracles.sla
+    monkeypatch.setattr(sla, "solve", lambda M, b: sla.lu_solve(sla.lu_factor(M), b))
     assert out["gaps"] == old_resolvent_gaps(family, grid, _source, 5.0)
 
 
@@ -114,11 +149,11 @@ def test_mixed_diffusion_term_raises():
 
 def test_diagonal_matrix_passes_the_guard():
     grid = _grid(2)
-    A = local_operator(np.diag([2.0, 1.0]), np.zeros(2), grid)
-    A_tiny = local_operator(np.array([[2.0, 1e-12], [1e-12, 1.0]]), np.zeros(2), grid)
+    A = local_form(np.diag([2.0, 1.0]), np.zeros(2), grid).A
+    A_tiny = local_form(np.array([[2.0, 1e-12], [1e-12, 1.0]]), np.zeros(2), grid).A
     assert np.array_equal(A, A_tiny)
     with pytest.raises(ValueError, match="mixed diffusion term"):
-        local_operator(np.array([[2.0, 1e-9], [1e-9, 1.0]]), np.zeros(2), grid)
+        local_form(np.array([[2.0, 1e-9], [1e-9, 1.0]]), np.zeros(2), grid)
 
 
 def test_local_resolvent_checks_its_residual(monkeypatch):
@@ -126,6 +161,14 @@ def test_local_resolvent_checks_its_residual(monkeypatch):
     grid = _grid(1)
     good = resolvent_convergence(fam, grid, _source, lam=5.0)
     assert np.isfinite(good["u_loc_norm"])
-    monkeypatch.setattr(mosco.lapack, "solve", lambda M, b: 2.0 * np.asarray(b))
-    with pytest.raises(RuntimeError, match="relative residual"):
+    # a solve that misses its residual: the first, the local resolvent, raises
+    solves = []
+
+    def off(lu_piv, b):
+        solves.append(b)
+        return 2.0 * np.asarray(b)
+
+    monkeypatch.setattr(solve.sla, "lu_solve", off)
+    with pytest.raises(RuntimeError, match="resolvent solve unstable"):
         resolvent_convergence(fam, grid, _source, lam=5.0)
+    assert len(solves) == 4     # the solve and its three refinement sweeps

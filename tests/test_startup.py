@@ -27,17 +27,15 @@ SRC = Path(jumplab.__file__).resolve().parent.parent
 HEAVY = ("scipy.linalg._basic", "scipy._lib._array_api", "scipy.special._ufuncs")
 LINALG = HEAVY[:2] + ("importlib.metadata",)   # what importing scipy.linalg loads
 # the scipy modules a command may load: the compiled ones, by file path
-BY_PATH = {"scipy.linalg._flapack", "scipy.linalg._batched_linalg",
-           "scipy.special._special_ufuncs"}
+BY_PATH = {"scipy.linalg._flapack", "scipy.special._special_ufuncs"}
 
 
 def _falls_back(command):
-    """Whether the command may import a scipy package through a fallback of
-    _lapack on the installed scipy.  Of the README commands only mosco solves
-    a general system and takes gamma (for its stable kernels), and an older
-    scipy lacks the compiled solver (before 1.17) or gamma's compiled module."""
-    return command == "mosco" and (_lapack._batched_solve is None
-                                   or not isinstance(_lapack.gamma, np.ufunc))
+    """Whether the command may import a scipy package through the fallback of
+    _lapack on the installed scipy.  Of the README commands only mosco takes
+    gamma (for its stable kernels), and an older scipy may lack gamma's
+    compiled module."""
+    return command == "mosco" and not isinstance(_lapack.gamma, np.ufunc)
 
 
 _PROBE = """
