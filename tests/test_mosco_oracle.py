@@ -2,6 +2,7 @@
 (tests/_oracles.py), bit for bit, and the guard on the dropped mixed term."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import _oracles
 from _oracles import (
@@ -10,7 +11,7 @@ from _oracles import (
     old_local_operator,
     old_resolvent_gaps,
 )
-from jumplab import build_grid, c_alpha_norm, solve
+from jumplab import build_grid, c_alpha_norm, mosco, solve
 from jumplab.kernels import SplitKernel, get_pair_field
 from jumplab.mosco import (
     AlphaFamily,
@@ -110,6 +111,36 @@ def test_local_form_takes_node_fields():
     # constants given once per node are the constants
     fields = local_form(np.broadcast_to(a, (N, 2, 2)), np.broadcast_to(b[0], (N, 2)), grid)
     assert np.array_equal(fields.A, local_form(a, b[0], grid).A)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
+    # the first solve of resolvent_convergence is the local resolvent; capture it
+    seen = []
+
+    def capture(form, lam, f):
+        seen.append((form, lam, f))
+        raise _Captured
+
+    grid = _grid(family.d)
+    with monkeypatch.context() as mp:
+        mp.setattr(mosco, "resolvent_solve", capture)
+        with pytest.raises(_Captured):
+            resolvent_convergence(family, grid, _source, lam=5.0)
+    form, lam, f = seen[0]
+    assert form.meta["kernel"]["alpha"] == 2.0 and lam == 5.0
+    I = grid.interior
+    M = lam * np.eye(int(I.sum())) + form.A[np.ix_(I, I)]
+    # tridiagonal in 1D, five-point in 2D; symmetric but for a drift
+    assert np.array_equal(M, M.T) == (not np.any(form.A_a))
+    u = solve.resolvent_solve(form, lam, f)
+    assert not np.any(u[~I])
+    ref = scipy.linalg.solve(M, f[I])
+    assert np.linalg.norm(u[I] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(M @ u[I] - f[I]) <= 1e-12 * np.linalg.norm(f[I])
 
 
 def test_resolvent_gaps_match_frozen_path(family, monkeypatch):
