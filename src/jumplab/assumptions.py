@@ -349,8 +349,9 @@ def _tail_divergent(kernel: Kernel, parts, ball: BallSpec,
 
 def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
                grid: Grid | None = None, quad: QuadSpec | None = None,
-               spacing: float | None = None, n_sweep: int = 4) -> dict:
-    """sup_x int_{R^d \\ B_zeta(x)} K_s(x, y) dy with a zeta-sweep exponent fit."""
+               spacing: float | None = None) -> dict:
+    """sup_x int_{R^d \\ B_zeta(x)} K_s(x, y) dy with an exponent fit over the
+    sweep zeta, zeta/2, zeta/4, zeta/8."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     quad = quad or QuadSpec()
@@ -360,7 +361,7 @@ def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
         return {"sup": INF, "zeta": zeta, "divergent": True,
                 "n_points": pts.shape[0], "quad": quad.to_dict()}
     pieces = kernel.radial_pieces("sym")
-    zetas = zeta * 0.5 ** np.arange(n_sweep)
+    zetas = zeta * 0.5 ** np.arange(4)
     sups = np.array([float(np.max(_tail_beyond(pieces, pts, z, ball.d, quad)))
                      for z in zetas])
     slope, intercept = np.polyfit(np.log(zetas), np.log(sups), 1)

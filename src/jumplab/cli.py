@@ -133,8 +133,11 @@ SCHEMA = {
                 "g_smoothness": {"type": "number"},
                 "cone": {"type": "object"},
                 "double_cone": {"type": ["object", "null"]},
+                "j": {"type": ["number", "string", "object"]},
+                "v_holder": {"type": "number"},
             },
             "required": ["family", "d", "alpha"],
+            "additionalProperties": False,
         },
         "grid": {
             "type": "object",
@@ -142,9 +145,19 @@ SCHEMA = {
                 "d": {"type": "integer"},
                 "X": {"type": "number", "exclusiveMinimum": 0},
                 "h": {"type": "number", "exclusiveMinimum": 0},
-                "omega": {"type": "object"},
+                "omega": {
+                    "type": "object",
+                    "properties": {
+                        "type": {"enum": ["box", "ball"]},
+                        "halfwidth": {"type": "number"},
+                        "radius": {"type": "number"},
+                        "center": {"type": "array", "items": {"type": "number"}},
+                    },
+                    "additionalProperties": False,
+                },
             },
             "required": ["d", "X", "h"],
+            "additionalProperties": False,
         },
         "problem": {
             "type": "object",
@@ -156,6 +169,7 @@ SCHEMA = {
                 "exterior": {"type": "number"},
                 "d_const": {"type": "number"},
             },
+            "additionalProperties": False,
         },
         "harness": {
             "type": "object",
@@ -183,11 +197,14 @@ SCHEMA = {
                 "p_list": {"type": "array", "items": {"type": "number"}},
                 "eps": {"type": "number"},
                 "samples": {"type": "integer"},
+                "dump_form": {"type": "string"},
             },
             "required": ["type"],
+            "additionalProperties": False,
         },
     },
     "required": ["harness"],
+    "additionalProperties": False,
 }
 
 
@@ -218,7 +235,7 @@ def _check(value, schema: dict, path: tuple = ()):
     """Raise a ConfigError at the first place where value breaks schema.
 
     Covers the keywords SCHEMA uses: type, enum, the four numeric bounds,
-    required, properties and items.
+    required, properties, additionalProperties (false only) and items.
     """
     where = "$" + "".join(f"[{p!r}]" for p in path)
     types = schema.get("type", [])
@@ -237,6 +254,11 @@ def _check(value, schema: dict, path: tuple = ()):
         for key in schema.get("required", ()):
             if key not in value:
                 raise ConfigError(f"{where}: {key!r} is a required property")
+        extra = sorted(set(value) - set(schema.get("properties", {})))
+        if extra and schema.get("additionalProperties") is False:
+            raise ConfigError(f"{where}: Additional properties are not allowed "
+                              f"({', '.join(map(repr, extra))} "
+                              f"{'was' if len(extra) == 1 else 'were'} unexpected)")
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 _check(value[key], sub, path + (key,))
@@ -331,6 +353,8 @@ def _build_kernel_grid(config):
         gc = config["grid"]
         try:
             grid = build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]), gc.get("omega"))
+        except KeyError as exc:     # a domain without its type, halfwidth or radius
+            raise ConfigError(f"$['grid']: missing entry {exc}") from None
         except ValueError as exc:   # a grid the config's numbers cannot make
             raise ConfigError(f"$['grid']: {exc}") from None
     return kernel, grid
@@ -423,9 +447,11 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 def _ball(config, kernel, grid):
     harness = config["harness"]
+    domain = {} if grid is None else {"omega": grid.omega}    # else BallSpec's default box
     try:
         return (assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
-                                     float(harness.get("R", 0.5)), harness.get("rho")),)
+                                     float(harness.get("R", 0.5)), harness.get("rho"),
+                                     **domain),)
     except ValueError as exc:       # a rho above R, or a ball that leaves the domain
         raise ConfigError(f"$['harness']: {exc}") from None
 

@@ -109,16 +109,15 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None) -> Grid:
     center = np.asarray(omega.get("center", [0.0] * d), dtype=float)
     if omega["type"] == "box":
         w = float(omega["halfwidth"])
-        if w > X - h + 1e-12:
-            raise ValueError("domain leaves no collar inside the box")
         interior = np.all(np.abs(nodes - center) < w, axis=-1)
     elif omega["type"] == "ball":
-        r = float(omega["radius"])
-        if r > X - h + 1e-12:
-            raise ValueError("domain leaves no collar inside the box")
-        interior = np.sqrt(np.sum((nodes - center) ** 2, axis=-1)) < r
+        w = float(omega["radius"])
+        interior = np.sqrt(np.sum((nodes - center) ** 2, axis=-1)) < w
     else:
         raise ValueError(f"unknown domain type {omega['type']!r}")
+    # the domain's bounding box, centre included, keeps one cell from the box's edge
+    if np.any(np.abs(center) + w > X - h + 1e-12):
+        raise ValueError("domain leaves no collar inside the box")
     if not interior.any():
         raise ValueError(f"domain {omega} holds no grid node at h={h}")
     return Grid(d, float(X), float(h), nodes, interior, omega)

@@ -39,9 +39,7 @@ class SpaceTimeBox:
 class Cylinder:
     """Order-alpha parabolic cylinder: time spans R^alpha around t0.
 
-    Provides the sub-boxes used by the audits: the early/late quotient boxes
-    of the weak Harnack inequality and the backward boxes of the oscillation
-    argument (D, D_minus, D_plus, D_hat).
+    Provides the early/late quotient boxes of the weak Harnack inequality.
     """
 
     t0: float
@@ -77,23 +75,6 @@ class Cylinder:
         return SpaceTimeBox(self.t0 + self.ralpha - self.half_ralpha,
                             self.t0 + self.ralpha, self.center, self.R / 2.0)
 
-    def D(self) -> SpaceTimeBox:
-        return SpaceTimeBox(self.t0 - 2 * self.ralpha, self.t0, self.center,
-                            2 * self.R)
-
-    def D_hat(self) -> SpaceTimeBox:
-        return SpaceTimeBox(self.t0 - 2 * self.ralpha, self.t0, self.center,
-                            3 * self.R)
-
-    def D_minus(self) -> SpaceTimeBox:
-        return SpaceTimeBox(self.t0 - 2 * self.ralpha,
-                            self.t0 - 2 * self.ralpha + self.half_ralpha,
-                            self.center, self.R / 2.0)
-
-    def D_plus(self) -> SpaceTimeBox:
-        return SpaceTimeBox(self.t0 - self.half_ralpha, self.t0,
-                            self.center, self.R / 2.0)
-
 
 def _box_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
     sel_t = (solution.times >= box.t_lo - _TIME_TOL) & (solution.times <= box.t_hi + _TIME_TOL)
@@ -103,17 +84,17 @@ def _box_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
     return solution.snapshots[np.ix_(sel_t, mask)]
 
 
-def harnack_quotient(solution: Solution, cyl: Cylinder, f_inf: float = 0.0) -> float:
-    """inf over the late box divided by (early space-time mean - R^alpha |f|).
+def harnack_quotient(solution: Solution, cyl: Cylinder) -> float:
+    """inf over the late box divided by the early space-time mean.
 
-    Returns +inf when the shifted early mean is nonpositive.  The quotient is
-    exactly homogeneous under positive scaling of solution and source.
+    Returns +inf when the early mean is nonpositive.  The quotient is exactly
+    homogeneous under positive scaling of the solution.
     """
     late = _box_values(solution, cyl.late_box())
     early = _box_values(solution, cyl.early_box())
     if np.min(early) < -1e-12 or np.min(late) < -1e-12:
         raise ValueError("audit expects a nonnegative solution on the cylinder")
-    denom = float(np.mean(early)) - cyl.ralpha * f_inf
+    denom = float(np.mean(early))
     if denom <= 0:
         return math.inf
     return float(np.min(late)) / denom
@@ -166,55 +147,34 @@ def oscillation(solution: Solution, box: SpaceTimeBox) -> dict:
 
 
 def _global_pairing(form: DiscreteForm, variant: str, u: np.ndarray,
-                    phi: np.ndarray, d_const: float) -> float:
+                    phi: np.ndarray) -> float:
     """Discrete global form value paired against a test field phi, with zero
     exterior values (the tails T and T-hat do not enter).
 
-    primal:   E(u, phi)      = h^d phi . (A u)
-    dual:     E-hat(u, phi)  = h^d phi . (A^T u)
-    dual_ext: adds the constant-drift load - d (A^T 1 - T-hat).
+    primal:         E(u, phi)      = h^d phi . (A u)
+    dual, dual_ext: E-hat(u, phi)  = h^d phi . (A^T u)
     """
-    hd = form.grid.cell_volume
-    if variant == "primal":
-        return hd * float(phi @ (form.A @ u))
-    val = hd * float(phi @ (form.A.T @ u))
-    if variant == "dual_ext":
-        val -= d_const * hd * float(phi @ form.drift_load)
-    return val
+    A = form.A if variant == "primal" else form.A.T
+    return form.grid.cell_volume * float(phi @ (A @ u))
 
 
-def _audit_shift(variant: str, eps: float, r: float, alpha: float,
-                 f_inf: float, d_const: float) -> float:
-    """Positivity shift of the audited field: eps, plus r^alpha |f| for the
-    dual variants, plus r^{alpha/2} |d| for the extended dual."""
-    shift = eps
-    if variant in ("dual", "dual_ext"):
-        shift = shift + r ** alpha * f_inf
-    if variant == "dual_ext":
-        shift = shift + r ** (0.5 * alpha) * abs(d_const)
-    return shift
-
-
-def _audit_setup(u, form: DiscreteForm, center, r: float, rho: float, eps: float,
-                 variant: str, d_const: float, f_inf: float):
-    """What both audits start from: the field u, the order alpha, the shift,
-    the shifted field u~ = u + shift (which must be strictly positive), the
-    cutoff tau's values on the grid and the mask of B_{r+rho}."""
+def _audit_setup(u, form: DiscreteForm, center, r: float, rho: float, eps: float):
+    """What both audits start from: the field u, the order alpha, the shifted
+    field u~ = u + eps (which must be strictly positive), the cutoff tau's
+    values on the grid and the mask of B_{r+rho}."""
     grid = form.grid
     alpha = kernel_alpha(form)
     u = np.asarray(u, dtype=float)
-    shift = _audit_shift(variant, eps, r, alpha, f_inf, d_const)
-    u_t = u + shift
+    u_t = u + eps
     if np.any(u_t <= 0):
         raise ValueError("shifted field must be strictly positive")
     tau = CutoffProfile(tuple(np.asarray(center, dtype=float)), r, rho / 2.0)
-    return u, alpha, shift, u_t, tau.values_on(grid), grid.ball_mask(tau.center, r + rho)
+    return u, alpha, u_t, tau.values_on(grid), grid.ball_mask(tau.center, r + rho)
 
 
 def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
                       rho: float, p: float, eps: float,
-                      variant: str = "primal", d_const: float = 0.0,
-                      f_inf: float = 0.0) -> dict:
+                      variant: str = "primal") -> dict:
     """Energy-of-power audit: measures the empirical constant of the bound
 
         E^{K_s}_{B_{r+rho}}(tau u~^{(1-p)/2}, .) <=
@@ -228,24 +188,22 @@ def caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     if p <= 0 or p == 1.0:
         raise ValueError("need p > 0 with p != 1 (the log audit is separate)")
     grid = form.grid
-    u, alpha, shift, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps,
-                                                  variant, d_const, f_inf)
+    u, alpha, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps)
     w = (tv * u_t ** ((1.0 - p) / 2.0))[mask]
     dw = w[:, None] - w[None, :]
     lhs = float(np.sum(dw * dw * form.ks_matrix(mask)) * grid.cell_volume ** 2)
     phi = -(tv * tv) * u_t ** (-p)
-    t1 = _global_pairing(form, variant, u, phi, d_const)
+    t1 = _global_pairing(form, variant, u, phi)
     t2 = rho ** (-alpha) * float(np.sum(u_t[mask] ** (1.0 - p)) * grid.cell_volume)
     denom = abs(p - 1.0) * max(t1, 0.0) + max(1.0, p) * t2
     c_hat = lhs / denom if denom > 0 else math.inf
     return {"c_hat": c_hat, "lhs": lhs, "t1": t1, "t2": t2, "p": p,
-            "variant": variant, "eps": eps, "shift": shift,
+            "variant": variant, "eps": eps, "shift": eps,
             "r": r, "rho": rho, "h": grid.h}
 
 
 def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
-                          rho: float, eps: float, variant: str = "primal",
-                          d_const: float = 0.0, f_inf: float = 0.0) -> dict:
+                          rho: float, eps: float, variant: str = "primal") -> dict:
     """Log-energy audit: the weighted log increment against the pairing with
     -tau^2 u~^{-1} and the bulk term rho^{-alpha} |B_{r+rho}|.
 
@@ -253,8 +211,7 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     vanishes and the shifted logarithm is undefined there).
     """
     grid = form.grid
-    u, alpha, shift, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps,
-                                                  variant, d_const, f_inf)
+    u, alpha, u_t, tv, mask = _audit_setup(u, form, center, r, rho, eps)
     tb, pos = tv[mask], tv[mask] > 0
     Ks = np.where(pos[:, None] & pos[None, :], form.ks_matrix(mask), 0.0)
     logs = np.where(pos, np.log(np.where(pos, u_t[mask] / np.where(pos, tb, 1.0), 1.0)), 0.0)
@@ -262,13 +219,13 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
     wmin = np.minimum(tb[:, None] ** 2, tb[None, :] ** 2)
     lhs = float(np.sum(wmin * dlog * dlog * Ks) * grid.cell_volume ** 2)
     phi = -(tv * tv) / u_t
-    t1 = _global_pairing(form, variant, u, phi, d_const)
+    t1 = _global_pairing(form, variant, u, phi)
     t2 = rho ** (-alpha) * float(np.sum(mask) * grid.cell_volume)
     denom = max(t1, 0.0) + t2
     return {"c_hat": lhs / denom if denom > 0 else math.inf,
             "c2_hat": lhs / t2 if t2 > 0 else math.inf,
             "lhs": lhs, "t1": t1, "t2": t2, "variant": variant, "eps": eps,
-            "shift": shift, "r": r, "rho": rho, "h": grid.h}
+            "shift": eps, "r": r, "rho": rho, "h": grid.h}
 
 
 # --- ensembles ------------------------------------------------------------------
@@ -321,7 +278,7 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
     dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
     for m in range(n_runs):
         sol = _positive_run(form, cyl, philox_stream(seed, m), dt)
-        quotients.append(harnack_quotient(sol, cyl, f_inf=0.0))
+        quotients.append(harnack_quotient(sol, cyl))
         residuals.append(float(np.max(sol.residuals)))
     q = np.asarray(quotients)
     return {"c_emp": quotients, "min": float(np.min(q)), "median": float(np.median(q)),

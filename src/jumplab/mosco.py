@@ -40,7 +40,6 @@ class AlphaFamily:
     d: int
     alphas: tuple
     Lam: float = 4.0
-    name: str = "family"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -70,13 +69,13 @@ class AlphaFamily:
 def make_isotropic_family(d: int, alphas) -> AlphaFamily:
     """K^(a) = c_{d,a} |x-y|^{-d-a}; the c constant embeds (2-alpha)."""
     factory = lambda a: make_stable_kernel(d, a, c_alpha_norm(d, a))
-    return AlphaFamily(factory, d, tuple(alphas), name="isotropic")
+    return AlphaFamily(factory, d, tuple(alphas))
 
 
 def make_drift_family(d: int, alphas, V, L: float) -> AlphaFamily:
     """Drift kernels with j = 1, lam = Lam = 1 and v_holder = 1."""
     factory = lambda a: make_drift_kernel(1.0, V, L, a, d)
-    return AlphaFamily(factory, d, tuple(alphas), name="drift")
+    return AlphaFamily(factory, d, tuple(alphas))
 
 
 def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaFamily:
@@ -85,8 +84,7 @@ def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaF
         base = make_stable_kernel(d, a, c_alpha_norm(d, a))
         return make_coefficient_kernel(g, a, lam, Lam, d, base=base, g_smoothness=1.0)
 
-    return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam,
-                       name="coefficient")
+    return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam)
 
 
 def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray,

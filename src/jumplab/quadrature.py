@@ -52,9 +52,10 @@ class QuadSpec:
     s_min_rel: float = 1e-8  # inner cutoff relative to the outer radius
     growth_octaves: int = 24 # outer truncation of infinite tails: s0 * 2**octaves
 
-    def refined(self, factor: int = 2) -> "QuadSpec":
-        return QuadSpec(self.n_ang * factor, self.n_panels * factor,
-                        self.n_gauss, self.s_min_rel / factor, self.growth_octaves + 4)
+    def refined(self) -> "QuadSpec":
+        """Twice the angular and radial panels, half the inner cutoff."""
+        return QuadSpec(self.n_ang * 2, self.n_panels * 2,
+                        self.n_gauss, self.s_min_rel / 2, self.growth_octaves + 4)
 
     def to_dict(self):
         return asdict(self)

@@ -82,10 +82,6 @@ class ParabolicProblem:
             return self.form
         return self.form(t)
 
-    @property
-    def time_dependent(self) -> bool:
-        return not isinstance(self.form, DiscreteForm)
-
 
 @dataclass
 class Solution:

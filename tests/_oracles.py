@@ -90,12 +90,15 @@ def _old_solve_refined(lu_piv, Mmat, x_rhs):
 
 class _OldStepper:
     def __init__(self, problem):
+        from jumplab.discretize import DiscreteForm
+
         self.problem = problem
+        self.time_dependent = not isinstance(problem.form, DiscreteForm)
         self._cache = {}
 
     def matrices(self, t_new):
         p = self.problem
-        key = None if not p.time_dependent else round(t_new, 12)
+        key = None if not self.time_dependent else round(t_new, 12)
         if key in self._cache:
             return self._cache[key]
         form = p.form_at(t_new)
@@ -111,7 +114,7 @@ class _OldStepper:
     def step(self, u_full, t):
         p = self.problem
         form_new, A_II, M_impl, lu_piv = self.matrices(t + p.dt)
-        form_old = p.form_at(t) if p.time_dependent and p.theta < 1.0 else form_new
+        form_old = p.form_at(t) if self.time_dependent and p.theta < 1.0 else form_new
         grid = form_new.grid
         I = grid.interior
         u_I = u_full[I]

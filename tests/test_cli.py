@@ -107,7 +107,24 @@ class TestValidation:
          "$['harness']: need 0 < rho <= r"),
         ("solve", {**_default_config("solve"), "problem": {"horizon": 1e-6}},
          "$['problem']['horizon']: 1e-06 is shorter than one time step"),
-    ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt"])
+        # B_2R = [0.2, 2.2] leaves the preset's domain (halfwidth 1.5) and its box (X = 2)
+        ("check-kernel", {**_default_config("check-kernel"),
+                          "harness": {"assumption": "K1", "center": [1.2], "R": 0.5}},
+         "$['harness']: B_2r leaves the domain\n"),
+        ("solve", {**_default_config("solve"),
+                   "grid": {**DEFAULT_GRID, "omega": {"type": "box"}}},
+         "$['grid']: missing entry 'halfwidth'\n"),
+        ("solve", {**_default_config("solve"),
+                   "grid": {**DEFAULT_GRID, "omega": {"type": "ball", "raduis": 1.0}}},
+         "$['grid']['omega']: Additional properties are not allowed ('raduis' was "
+         "unexpected)\n"),
+        ("harnack", {**_default_config("harnack"), "harness": {"ensemlbe": 2}},
+         "$['harness']: Additional properties are not allowed ('ensemlbe' was unexpected)\n"),
+        ("assemble", {**_default_config("assemble"), "kernels": {}},
+         "$: Additional properties are not allowed ('kernels' was unexpected)\n"),
+    ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
+            "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
+            "unknown-harness-key", "unknown-top-level-key"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli

@@ -67,6 +67,16 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(1, 2.0, 1 / 8, {"type": "box", "halfwidth": 2.0})
 
+    @pytest.mark.parametrize("d, X, omega", [
+        (1, 2.0, {"type": "box", "halfwidth": 1.8, "center": [0.5]}),
+        (2, 1.0, {"type": "ball", "radius": 0.85, "center": [0.5, 0.0]}),
+    ], ids=["box", "ball"])
+    def test_rejects_an_off_centre_domain_without_collar(self, d, X, omega):
+        # centred at the origin the domain keeps its collar: |c_k| + w <= X - h
+        assert build_grid(d, X, 1 / 8, {**omega, "center": [0.0] * d}).interior.any()
+        with pytest.raises(ValueError, match="^domain leaves no collar inside the box$"):
+            build_grid(d, X, 1 / 8, omega)
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("omega", [{"type": "box", "halfwidth": 0.1},
                                        {"type": "ball", "radius": 0.1}])

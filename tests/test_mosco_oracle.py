@@ -67,7 +67,7 @@ def test_local_coefficients_match_frozen_loops(family):
 
 def test_single_alpha_coefficients_match_frozen_loops(family):
     x = np.zeros((1, family.d))
-    one = AlphaFamily(family.factory, family.d, (1.9,), Lam=family.Lam, name=family.name)
+    one = AlphaFamily(family.factory, family.d, (1.9,), Lam=family.Lam)
     new = local_coefficients(one, x, delta=0.5)
     old = old_local_coefficients(family, x, delta=0.5, alphas=[1.9])
     for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
@@ -165,7 +165,7 @@ def _tilted_family():
         return SplitKernel(2, a, sym, lambda x, y: np.zeros(np.broadcast_shapes(
             x.shape, y.shape)[:-1]), anti_diag_order=-np.inf)
 
-    return AlphaFamily(factory, 2, (1.5, 1.9), Lam=8.0, name="tilted")
+    return AlphaFamily(factory, 2, (1.5, 1.9), Lam=8.0)
 
 
 def test_mixed_diffusion_term_raises():

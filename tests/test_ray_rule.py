@@ -196,11 +196,11 @@ def test_caccioppoli_audits_on_the_ball_block(cone_ball_form, variant):
     u = 1.0 + 0.5 * np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1])
     center, r, rho = (0.1, 0.0), 0.3, 0.2
     for p in (0.5, 2.0):
-        rep = caccioppoli_audit(u, F, center, r, rho, p, 0.1, variant=variant, f_inf=0.5)
+        rep = caccioppoli_audit(u, F, center, r, rho, p, 0.1, variant=variant)
         old = old_caccioppoli_lhs(u, F, center, r, rho, p, rep["shift"])
         assert rep["lhs"] > 0
         assert abs(rep["lhs"] - old) <= 1e-13 * abs(old)
-    rep = log_caccioppoli_audit(u, F, center, r, rho, 0.1, variant=variant, f_inf=0.5)
+    rep = log_caccioppoli_audit(u, F, center, r, rho, 0.1, variant=variant)
     old = old_log_caccioppoli_lhs(u, F, center, r, rho, rep["shift"])
     assert rep["lhs"] > 0
     assert abs(rep["lhs"] - old) <= 1e-13 * abs(old)

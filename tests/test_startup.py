@@ -203,7 +203,9 @@ def _schema_nodes(schema, path=()):
         yield from _schema_nodes(schema["items"], path + (0,))
 
 
-SCHEMA_PATHS = [p for p, _ in _schema_nodes(SCHEMA) if p]
+# the schema's own paths, and keys it does not know (additionalProperties)
+SCHEMA_PATHS = [p for p, _ in _schema_nodes(SCHEMA) if p] + [
+    ("kernels",), ("harness", "ensemlbe"), ("grid", "omega", "halfwidht"), ("problem", "D")]
 ENUM_WORDS = sorted({e for _, s in _schema_nodes(SCHEMA) for e in s.get("enum", ())}
                     | {"inf", "", "Stable"})
 EDGES = [0, 0.0, -0.0, 0.5, 0.4999999999999999, 1, 1.0, 1.5, 2, 2.0, 1.9999999999999998,
@@ -238,10 +240,16 @@ def _mutate(config, path, action):
             node[last] = action[1]
 
 
-def _errors(config):
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    return {"$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
-            for e in validator.iter_errors(config)}
+def _assert_agrees(config, schema=SCHEMA):
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = {"$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
+              for e in validator.iter_errors(config)}
+    try:
+        _check(config, schema)
+    except ConfigError as exc:
+        assert str(exc) in errors          # a real error, worded and placed as jsonschema does
+    else:
+        assert not errors
 
 
 @settings(max_examples=400, deadline=None)
@@ -250,13 +258,13 @@ def test_config_check_agrees_with_jsonschema(kind, mutations):
     config = json.loads(json.dumps(_default_config(kind)))
     for path, action in mutations:
         _mutate(config, path, action)
-    errors = _errors(config)
-    try:
-        _validate(config)
-    except ConfigError as exc:
-        assert str(exc) in errors          # a real error, worded and placed as jsonschema does
-    else:
-        assert not errors
+    _assert_agrees(config)
+
+
+@pytest.mark.parametrize("value", [{}, {"a": 1}, {"a": "x"}, {"b": 1}, {"b": 1, "a": 2, "B": 3}])
+def test_additional_properties_as_jsonschema_words_them(value):
+    _assert_agrees(value, {"type": "object", "properties": {"a": {"type": "integer"}},
+                           "additionalProperties": False})
 
 
 @pytest.mark.parametrize("value", [True, False, 1, 1.0, 2, 0, 1.5, "a", None, [1]])
