@@ -113,6 +113,11 @@ _ASSUMPTIONS = {
 }
 
 
+# a cone of the cone kernel: the two keys kernel_from_config reads (Cone
+# checks the axis)
+_CONE = {"type": "object", "properties": {"axis": {}, "half_angle": {"type": "number"}},
+         "required": ["axis", "half_angle"], "additionalProperties": False}
+
 SCHEMA = {
     "type": "object",
     "properties": {
@@ -131,8 +136,8 @@ SCHEMA = {
                 "g": {"type": ["string", "object"]},
                 "V": {"type": ["string", "object"]},
                 "g_smoothness": {"type": "number"},
-                "cone": {"type": "object"},
-                "double_cone": {"type": ["object", "null"]},
+                "cone": _CONE,
+                "double_cone": {**_CONE, "type": ["object", "null"]},
                 "j": {"type": ["number", "string", "object"]},
                 "v_holder": {"type": "number"},
             },
@@ -179,7 +184,7 @@ SCHEMA = {
                                   "mosco"]},
                 "assumption": {"enum": list(_ASSUMPTIONS)},
                 "R": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "center": {"type": "array"},
+                "center": {"type": "array", "items": {"type": "number"}},
                 "t0": {"type": "number"},
                 "ensemble": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
@@ -343,6 +348,9 @@ def _build_kernel_grid(config):
             raise ConfigError(f"$['kernel']: missing entry or unknown preset {exc}") from None
         except (ValueError, TypeError) as exc:   # numbers or shapes no kernel takes
             raise ConfigError(f"$['kernel']: {exc}") from None
+    center = config["harness"].get("center")
+    if kernel is not None and center is not None and len(center) != kernel.d:
+        raise ConfigError(f"$['harness']['center']: {center!r} needs d = {kernel.d} entries")
     if kind == "check-kernel":
         name = config["harness"].get("assumption", "K1")
         fits = _ASSUMPTIONS[name][1]

@@ -107,6 +107,8 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None) -> Grid:
         nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     omega = dict(omega) if omega else {"type": "box", "halfwidth": X - h}
     center = np.asarray(omega.get("center", [0.0] * d), dtype=float)
+    if center.shape != (d,):         # it would broadcast against the nodes
+        raise ValueError(f"domain center {omega['center']!r} needs d = {d} entries")
     if omega["type"] == "box":
         w = float(omega["halfwidth"])
         interior = np.all(np.abs(nodes - center) < w, axis=-1)

@@ -18,13 +18,16 @@ per time.  One ``_InteriorSystem`` per (form object, variant) holds A_II, A_IC
 and the load; the stepper keeps up to ``_SYSTEMS`` of them and factors
 I + theta dt A_II once per kept form object (see ``_Stepper``), the resolvent
 lam I + A_II.
-A step carries the interior vector and solves with the LAPACK ``getrs`` of the
+A step adds the load to the interior vector in a row of the block buffer B
+and solves a copy of that row in X in place with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
 with one product R = B - X M^T that reads M once per block rather than once
 per step: x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
 ``_solve_refined`` redoes the step (``lu_solve`` and up to 3 refinement
 sweeps) and the later steps of the block are recomputed from it.  Every step
 is checked before ``solve_parabolic`` or ``theta_step`` returns.
+``solve_parabolic`` writes checked rows and the collar datum into its
+snapshots with one slice copy per run of consecutive nodes (``_runs``).
 
 ``sla`` is ``_lapack`` (LAPACK's getrf and getrs from scipy's compiled
 wrapper, without the scipy.linalg package), loaded on the first factorisation
@@ -177,29 +180,43 @@ class _Stepper:
     built at each time, or once per system when neither the collar datum nor
     the source is callable.
 
-    A step solves M x = b with ``getrs`` and records b and x as rows of the
-    block buffers B and X.  ``check`` tests the recorded rows with one product
-    R = B - X M^T, written into a third block buffer, when ``rows`` steps are
-    recorded, before the stepper changes system, and when asked (the end of a
-    run); a row passes if |r| <= RESIDUAL_TOL |b|.  The first row j that
-    misses (a non-finite one too) is redone from its b by ``_solve_refined``,
-    which raises if it misses again; steps j + 1, ... are then recomputed
-    from the corrected state and checked anew, so the states equal those of
-    a check after every step.
+    ``_bind`` makes a system current: it builds the load pair, factors the
+    system on first use, binds its LU handles and ``getrs`` and allocates the
+    block buffers B, X and R once.  It runs on the first step, on a form
+    switch and, for the loads, at each step of a problem with a callable
+    collar datum or source.  A step adds the load into row i of B (after the
+    explicit part under theta < 1), copies it into row i of X and solves
+    that row in place with ``getrs``; an array that a replaced ``getrs``
+    returns instead is copied back.  Step indices and times go to the arrays
+    k and t; under a callable collar datum or source, L keeps each row's
+    load pair for a redo.
+    ``check`` tests the recorded rows with one product R = B - X M^T, written
+    into R, when ``rows`` steps are recorded, before the stepper changes
+    system, and when asked (the end of a run); a row passes if
+    |r| <= RESIDUAL_TOL |b|.  The first row j that misses (a non-finite one
+    too) is redone from its b by ``_solve_refined``, which raises if it
+    misses again; steps j + 1, ... are then recomputed from the corrected
+    state and checked anew, so the states equal those of a check after every
+    step.
     Checked rows go to ``emit(k0, X, residuals)``, k0 the index of the first.
     """
 
     def __init__(self, problem: ParabolicProblem, form: DiscreteForm, t: float,
                  emit=None, rows: int = 1):
-        self.problem = problem
-        self._timed = callable(problem.collar) or callable(problem.f)
-        self.system = _InteriorSystem(form, problem.variant)
+        p = self.problem = problem
+        self._timed = callable(p.collar) or callable(p.f)
+        self._forms = None if isinstance(p.form, DiscreteForm) else p.form
+        # the weight of the explicit part, None at theta = 1 (no explicit part)
+        self._c = (1.0 - p.theta) * p.dt if p.theta < 1.0 else None
+        self.system = _InteriorSystem(form, p.variant)
         self.systems = [self.system]  # the kept systems, the most recently used last
         self.g = None                 # collar datum at the current time, once loaded
-        self.loads = self._loads(self.system, t) if problem.theta < 1.0 else None
-        self.emit, self.rows = emit, rows
-        self.steps = []               # (k, t_new, load pair) of each recorded row
+        self.loads = self._loads(self.system, t) if self._c is not None else None
+        self.lu = self.piv = self.getrs = None    # the current system's, bound on the first step
+        self.emit, self.rows, self.n = emit, rows, 0    # n rows recorded since the last check
+        self.k, self.t = np.empty(rows, dtype=np.intp), np.empty(rows)
         self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
+        self.L = None                 # rows of load pairs, kept for a callable datum or source
 
     def _loads(self, system: _InteriorSystem, t: float):
         p = self.problem
@@ -221,6 +238,20 @@ class _Stepper:
         self.systems = ([s for s in self.systems if s is not system] + [system])[-_SYSTEMS:]
         return system
 
+    def _bind(self, system: _InteriorSystem, t: float):
+        """Make system the current one with its load pair at t (see the class
+        docstring)."""
+        self.system, self.loads = system, self._loads(system, t)
+        if system.lu is None:         # after the loads, which free a static A_IC first
+            system.factor(1.0, self.problem.theta * self.problem.dt, keep=self._c is not None)
+        (self.lu, self.piv), self.getrs = system.lu, system.getrs
+        if self.B is None:            # after the factorisation, whose peak they would raise
+            n_I = len(self.loads[1])
+            self.B, self.X, self.R = np.empty((3, self.rows, n_I))
+            self.res = np.empty(self.rows)
+            if self._timed:
+                self.L = np.empty((self.rows, 2, n_I))
+
     def step(self, u_I: np.ndarray, t_new: float, k: int):
         """(interior state at t_new, relative residual) of step k from the
         interior state u_I at the current time.
@@ -229,43 +260,46 @@ class _Stepper:
         after the next check overwrite.  The residual is None until the row is
         checked, which with the default ``rows`` = 1 happens before returning.
         """
-        p = self.problem
-        old = system = self.system
-        form = p.form_at(t_new)
-        if form is not old.form:      # the old system checks its rows first
-            self.check()
-            system = self._system(form)
-        explicit, loads = self.loads, self._loads(system, t_new)
-        if system.lu is None:         # after the loads, which free a static A_IC first
-            system.factor(1.0, p.theta * p.dt, keep=p.theta < 1.0)
-        if self.B is None:            # after the factorisation, whose peak they would raise
-            self.B, self.X, self.R = np.empty((3, self.rows, len(loads[1])))
-            self.res = np.empty(self.rows)
-        self.system, self.loads = system, loads
-        i = len(self.steps)
-        self.steps.append((k, t_new, loads))
-        self._solve(i, u_I, old.A_II if p.theta < 1.0 else None, explicit)
-        checked = i + 1 == self.rows
-        if checked:
-            self.check()
-        return self.X[i], self.res[i] if checked else None
+        A_exp, explicit = self.system.A_II, self.loads    # the start time's, under theta < 1
+        if self._forms is not None and (form := self._forms(t_new)) is not self.system.form:
+            self.check()              # the old system checks its rows first
+            self._bind(self._system(form), t_new)
+        elif self._timed or self.getrs is None:
+            self._bind(self.system, t_new)
+        i = self.n
+        self.k[i], self.t[i] = k, t_new
+        if self.L is not None:        # the load pair, its explicit part under theta < 1 only
+            self.L[i, 1] = self.loads[1]
+            if self._c is not None:
+                self.L[i, 0] = self.loads[0]
+        x = self._solve(i, u_I, A_exp, explicit, self.loads[1])
+        self.n = i + 1
+        if self.n < self.rows:
+            return x, None
+        self.check()
+        return x, self.res[i]
 
-    def _solve(self, i: int, u_I: np.ndarray, A_exp, explicit):
-        """b and x of row i from the state u_I; A_exp and the load pair
-        ``explicit`` are the explicit part under theta < 1."""
-        p, system, b = self.problem, self.system, self.B[i]
-        if A_exp is None:
-            np.add(u_I, self.steps[i][2][1], out=b)
-        else:
-            np.subtract(u_I, (1.0 - p.theta) * p.dt * (A_exp @ u_I), out=b)
+    def _solve(self, i: int, u_I: np.ndarray, A_exp, explicit, load: np.ndarray):
+        """Fill row i of B from the state u_I and the load dt theta r (after
+        the explicit part under theta < 1: A_exp and the load pair
+        ``explicit``), solve it into row i of X and return that row."""
+        b, x = self.B[i], self.X[i]
+        if self._c is not None:
+            np.subtract(u_I, self._c * (A_exp @ u_I), out=b)
             b += explicit[0]
-            b += self.steps[i][2][1]
-        self.X[i] = system.getrs(*system.lu, b)[0]
+            b += load
+        else:
+            np.add(u_I, load, out=b)
+        x[...] = b
+        out = self.getrs(self.lu, self.piv, x, 0, 1)[0]
+        if out is not x:              # a replaced getrs may return another array
+            x[...] = out
+        return x
 
     def check(self):
         """Check the recorded rows (see the class docstring) and emit them.
         The rows are consumed, also by a check that raises."""
-        n, i = len(self.steps), 0
+        n, i = self.n, 0
         if not n:
             return
         B, X, M = self.B[:n], self.X[:n], self.system.M
@@ -280,20 +314,21 @@ class _Stepper:
                 if not missed.size:
                     break
                 j = i + int(missed[0])
-                k, t_new, _ = self.steps[j]
                 x, rel_res = _solve_refined(self.system.lu, M, B[j])
                 if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
-                    raise RuntimeError(f"step {k} to t={t_new:.12g}: relative residual "
-                                       f"{rel_res:.3e} > RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
+                    raise RuntimeError(f"step {int(self.k[j])} to t={float(self.t[j]):.12g}: "
+                                       f"relative residual {rel_res:.3e} > "
+                                       f"RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
                 X[j], self.res[j] = x, rel_res
-                A_exp = self.system.A_II if self.problem.theta < 1.0 else None
                 for m in range(j + 1, n):   # the block's system: it changes between blocks only
-                    self._solve(m, X[m - 1], A_exp, self.steps[m - 1][2])
+                    explicit, load = ((self.loads, self.loads[1]) if self.L is None
+                                      else (self.L[m - 1], self.L[m, 1]))
+                    self._solve(m, X[m - 1], self.system.A_II, explicit, load)
                 i = j + 1
             if self.emit is not None:
-                self.emit(self.steps[0][0], X, self.res[:n])
+                self.emit(int(self.k[0]), X, self.res[:n])
         finally:
-            self.steps = []
+            self.n = 0
 
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
@@ -315,6 +350,23 @@ def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     return t_start + dt * np.arange(max(int(round((t_end - t_start) / dt)), 1) + 1)
 
 
+def _runs(mask: np.ndarray) -> list:
+    """(node slice, value slice) of each run of consecutive nodes in mask:
+    ``_write(rows, _runs(mask), values)`` writes ``rows[..., mask] = values``."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    runs, j = [], 0
+    for a, b in zip(edges[::2], edges[1::2]):
+        runs.append((slice(a, b), slice(j, j + b - a)))
+        j += b - a
+    return runs
+
+
+def _write(rows: np.ndarray, runs: list, values: np.ndarray):
+    """rows[..., mask] = values, one slice copy per run of ``_runs(mask)``."""
+    for nodes, vals in runs:
+        rows[..., nodes] = values[..., vals]
+
+
 def solve_parabolic(problem: ParabolicProblem) -> Solution:
     """Snapshots at t_start + k dt, k <= round((t_end - t_start) / dt) = meta["n_steps"]."""
     form = problem.form_at(problem.t_start)
@@ -327,28 +379,31 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         raise ValueError("initial state contains non-finite values")
     times = time_grid(problem.t_start, problem.t_end, problem.dt)
     n_steps = len(times) - 1
-    I, C = np.flatnonzero(grid.interior), np.flatnonzero(grid.collar)
+    I, C = _runs(grid.interior), _runs(grid.collar)
     snaps = np.empty((n_steps + 1, grid.n_nodes))
-    u = snaps[0, I] = u0[I]
+    u = u0[grid.interior]
+    _write(snaps[0], I, u)
     residuals = np.empty(n_steps)
 
     def emit(k0, X, res):             # a checked block: the states after steps k0, k0 + 1, ...
-        snaps[k0 + 1:k0 + 1 + len(X), I] = X
+        _write(snaps[k0 + 1:k0 + 1 + len(X)], I, X)
         residuals[k0:k0 + len(X)] = res
 
     stepper = _Stepper(problem, form, problem.t_start, emit, min(_BLOCK, n_steps))
     # under theta < 1 the stepper has read the datum at t_start for its first load
-    snaps[0, C] = stepper.g if stepper.g is not None else _datum(
+    g = stepper.g if stepper.g is not None else _datum(
         problem.collar, problem.t_start, grid, grid.collar)
+    _write(snaps[0], C, g)
+    timed = callable(problem.collar)
     try:
-        for k in range(n_steps):
-            u, _ = stepper.step(u, times[k + 1], k)
-            if callable(problem.collar):
-                snaps[k + 1, C] = stepper.g
+        for k, t_new in enumerate(times[1:]):
+            u, _ = stepper.step(u, t_new, k)
+            if timed:
+                _write(snaps[k + 1], C, stepper.g)
     finally:    # the rows of the last block; after an error too, as a miss before it comes first
         stepper.check()
-    if not callable(problem.collar):  # after the loop: the buffer fills as the steps go
-        snaps[1:, C] = snaps[0, C]
+    if not timed:                     # after the loop: the buffer fills as the steps go
+        _write(snaps[1:], C, g)
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,
             "h": grid.h, "exterior": problem.exterior,
             "d_const": problem.d_const, "kernel_hash": form.meta.get("kernel_hash"),

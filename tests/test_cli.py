@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jumplab.cli import DEFAULT_GRID, main, run_scenario, _default_config, _validate, ConfigError
+from jumplab.cli import (DEFAULT_GRID, DEFAULT_KERNEL, main, run_scenario, _default_config,
+                         _validate, ConfigError)
 
 
 CONE_2D = {"family": "cone", "d": 2, "alpha": 1.5, "beta": 0.5,
@@ -67,7 +68,8 @@ class TestValidation:
          "need 0 < 2*beta < alpha < 2"),
         ({"family": "drift", "d": 1, "alpha": 1.5, "V": "nope"},
          "missing entry or unknown preset 'nope'"),
-        ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5, "cone": {"axis": 1.0}},
+        ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
+          "cone": {"axis": 1.0, "half_angle": 0.7853981633974483}},
          "object is not iterable"),
     ])
     def test_a_kernel_the_config_cannot_make_exits_2(self, tmp_path, capsys, kernel, message):
@@ -122,9 +124,28 @@ class TestValidation:
          "$['harness']: Additional properties are not allowed ('ensemlbe' was unexpected)\n"),
         ("assemble", {**_default_config("assemble"), "kernels": {}},
          "$: Additional properties are not allowed ('kernels' was unexpected)\n"),
+        # a 2-vector centre on the 1D grid would broadcast into two boxes
+        ("solve", {**_default_config("solve"),
+                   "grid": {**DEFAULT_GRID, "omega": {"type": "box", "halfwidth": 1.0,
+                                                      "center": [0.5, -0.5]}}},
+         "$['grid']: domain center [0.5, -0.5] needs d = 1 entries\n"),
+        ("harnack", {**_default_config("harnack"), "harness": {"center": [0.0, 0.0]}},
+         "$['harness']['center']: [0.0, 0.0] needs d = 1 entries\n"),
+        ("check-kernel", {**_default_config("check-kernel"), "harness": {"center": [0.0, 0.0]}},
+         "$['harness']['center']: [0.0, 0.0] needs d = 1 entries\n"),
+        ("check-kernel", {**_default_config("check-kernel"),
+                          "kernel": {**DEFAULT_KERNEL,
+                                     "cone": {**DEFAULT_KERNEL["cone"], "duoble": True}}},
+         "$['kernel']['cone']: Additional properties are not allowed ('duoble' was "
+         "unexpected)\n"),
+        ("check-kernel", {**_default_config("check-kernel"),
+                          "kernel": {**DEFAULT_KERNEL, "double_cone": {"axis": [1.0]}}},
+         "$['kernel']['double_cone']: 'half_angle' is a required property\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
-            "unknown-harness-key", "unknown-top-level-key"])
+            "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
+            "harnack-center-of-wrong-length", "check-kernel-center-of-wrong-length",
+            "misspelt-cone-key", "double-cone-without-half-angle"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli

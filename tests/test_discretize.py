@@ -77,6 +77,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="^domain leaves no collar inside the box$"):
             build_grid(d, X, 1 / 8, omega)
 
+    @pytest.mark.parametrize("d, center", [(1, [0.5, -0.5]), (1, [[0.0]]), (2, [0.0]),
+                                           (2, [0.0, 0.0, 0.0])])
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_rejects_a_center_whose_length_is_not_d(self, d, center, kind):
+        # [0.5, -0.5] on a 1D grid would broadcast and intersect two boxes
+        omega = {"type": kind, "halfwidth": 0.5, "radius": 0.5, "center": center}
+        with pytest.raises(ValueError, match=rf"^domain center .* needs d = {d} entries$"):
+            build_grid(d, 2.0, 1 / 8, omega)
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("omega", [{"type": "box", "halfwidth": 0.1},
                                        {"type": "ball", "radius": 0.1}])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumplab import build_grid, make_stable_kernel, assemble, c_alpha_norm
 from jumplab.solve import Solution
 from jumplab.estimates import (
+    _median,
     Cylinder,
     SpaceTimeBox,
     caccioppoli_audit,
@@ -292,6 +294,26 @@ class TestEnsembles:
         cyl = Cylinder(0.0, 0.5, 1.0, (0.0,))
         out = harnack_ensemble(F, cyl, 5, seed=1)
         assert out["min"] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # np.median of inf - inf, or overflow
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=12))
+def test_median_is_that_of_np_median(values):
+    # odd n: the middle value; even n: (a + b) / 2; any nan gives nan
+    expected, got = float(np.median(values)), _median(values)
+    assert (math.isnan(expected) and math.isnan(got)) or got == expected
+
+
+def test_ensemble_medians_are_those_of_np_median():
+    k = make_stable_kernel(1, 1.0, c_alpha_norm(1, 1.0))
+    F = assemble(k, build_grid(1, 2.0, 1 / 16, {"type": "box", "halfwidth": 1.0}))
+    for n in (3, 4):
+        out = harnack_ensemble(F, Cylinder(0.0, 0.5, 1.0, (0.0,)), n, seed=1)
+        assert out["median"] == float(np.median(out["c_emp"]))
+        out = caccioppoli_ensemble(F, (0.0,), 0.4, 0.3, [0.5, 2.0], n, seed=1)
+        for p, values in out["c_hat"].items():
+            assert out["summary"][p]["median"] == float(np.median(values))
 
 
 def test_random_field_value_does_not_depend_on_the_batch():

@@ -530,6 +530,37 @@ class TestBlockCheck:
         assert np.array_equal(sol.snapshots, clean.snapshots)
         assert sol.residuals[step] == rel_res <= RESIDUAL_TOL
 
+    @pytest.mark.parametrize("problem", [(kind, theta) for kind in ("fixed", "two-form")
+                                         for theta in (0.5, 1.0)], indirect=True,
+                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    def test_a_clean_run_calls_step_and_getrs_once_per_step(self, problem, monkeypatch):
+        monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        real_step, real_factor = solve_module._Stepper.step, solve_module._InteriorSystem.factor
+        steps, solves, systems = [0], [0], []
+
+        def step(stepper, *args):
+            steps[0] += 1
+            return real_step(stepper, *args)
+
+        def factor(system, *args, **kwargs):
+            real_factor(system, *args, **kwargs)
+            systems.append(system)
+            getrs = system.getrs
+
+            def counting_getrs(*a):
+                solves[0] += 1
+                return getrs(*a)
+
+            system.getrs = counting_getrs
+
+        monkeypatch.setattr(solve_module._Stepper, "step", step)
+        monkeypatch.setattr(solve_module._InteriorSystem, "factor", factor)
+        monkeypatch.setattr(solve_module.sla, "lu_solve", None)    # no redo in a clean run
+        sol = solve_parabolic(problem)
+        assert steps[0] == solves[0] == sol.meta["n_steps"] == self.STEPS
+        assert len(systems) == (2 if callable(problem.form) else 1)
+        assert np.all(sol.residuals <= RESIDUAL_TOL)
+
     @pytest.mark.parametrize("step", [0, 3, 5, 9], ids=lambda k: f"step{k}")
     @pytest.mark.parametrize("problem", [("fixed", 1.0), ("two-form", 0.5)], indirect=True,
                              ids=lambda p: f"{p[0]}-theta{p[1]}")
@@ -574,7 +605,7 @@ class TestBlockCheck:
         real_check, seen = solve_module._Stepper.check, []
 
         def check(stepper):
-            n = len(stepper.steps)
+            n = stepper.n
             real_check(stepper)
             if n:
                 B, X, M = stepper.B[:n], stepper.X[:n], stepper.system.M
@@ -585,3 +616,49 @@ class TestBlockCheck:
         solve_parabolic(problem)
         assert len(seen) == 3 and all(R is seen[0] for R in seen)
         assert seen[0].shape == (4, int(problem.form.grid.interior.sum()))
+
+
+def _offset_box_1d():
+    return build_grid(1, 2.0, 1 / 16, {"type": "box", "halfwidth": 0.75, "center": [-0.5]})
+
+
+def _offset_box_2d():
+    return build_grid(2, 1.0, 1 / 8, {"type": "box", "halfwidth": 0.5,
+                                      "center": [0.25, -0.125]})
+
+
+class TestNodeRuns:
+    """solve_parabolic writes its snapshots by runs of consecutive nodes."""
+
+    GRIDS = {
+        "box-1d": (lambda: build_grid(1, 2.0, 1 / 64, {"type": "box", "halfwidth": 1.5}), 1),
+        "ball-2d": (lambda: build_grid(2, 1.0, 1 / 32, {"type": "ball", "radius": 0.75}), 48),
+        "offset-box-2d": (_offset_box_2d, 8),
+        "offset-box-1d": (_offset_box_1d, 1),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_runs_write_what_a_fancy_index_writes(self, name, rng):
+        make, n_runs = self.GRIDS[name]
+        grid = make()
+        assert len(solve_module._runs(grid.interior)) == n_runs
+        for mask in (grid.interior, grid.collar):
+            runs = solve_module._runs(mask)
+            values = rng.normal(size=(5, int(mask.sum())))
+            for vals, rows in ((values, slice(0, 5)), (values[2], 2), (values[3], slice(1, 5))):
+                got, expected = np.zeros((5, grid.n_nodes)), np.zeros((5, grid.n_nodes))
+                solve_module._write(got[rows], runs, vals)
+                expected[rows, mask] = vals
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("collar", ["array", "callable"])
+    @pytest.mark.parametrize("make", [_offset_box_1d, _offset_box_2d],
+                             ids=["offset-box-1d", "offset-box-2d"])
+    def test_off_centre_runs_match_the_frozen_loop(self, make, collar, theta, rng):
+        grid = make()
+        kernel = make_stable_kernel(grid.d, 1.0, c_alpha_norm(grid.d, 1.0))
+        p = ParabolicProblem(assemble(kernel, grid), rng.uniform(0.2, 1.0, grid.n_nodes),
+                             0.0, 0.1, 0.02, collar=_collar(collar, grid), exterior=0.4,
+                             theta=theta)
+        _assert_matches_frozen_loop(p)
