@@ -85,6 +85,8 @@ class Grid:
 
     def radii(self, center) -> np.ndarray:
         c = np.asarray(center, dtype=float)
+        if c.shape != (self.d,):     # it would broadcast against the nodes
+            raise ValueError(f"center {center!r} needs d = {self.d} entries")
         return np.sqrt(np.sum((self.nodes - c) ** 2, axis=-1))
 
 
@@ -132,7 +134,9 @@ class DiscreteForm:
     A = A_s + A_a is computed on first use and kept.  tail / tail_dual are
     the exterior weights of K(x_i, .) and K(., x_i); drift_load = A^T 1 -
     tail_dual is the exact constant-drift load used by the extended dual
-    equation (zero for symmetric kernels).
+    equation (zero for symmetric kernels).  ``_systems`` holds the interior
+    systems that ``jumplab.solve`` builds on the form, one per variant; a new
+    form, ``dataclasses.replace`` of one too, starts without them.
     """
 
     grid: Grid
@@ -141,6 +145,7 @@ class DiscreteForm:
     tail_sym: np.ndarray
     tail_anti: np.ndarray
     meta: dict = field(default_factory=dict)
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def A(self) -> np.ndarray:

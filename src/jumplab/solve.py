@@ -14,10 +14,10 @@ dual) hold at the level of the discrete recursion.
 
 ``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
 and evaluates form, collar datum and source only at grid times, the form once
-per time.  One ``_InteriorSystem`` per (form object, variant) holds A_II, A_IC
-and the load; the stepper keeps up to ``_SYSTEMS`` of them and factors
-I + theta dt A_II once per kept form object (see ``_Stepper``), the resolvent
-lam I + A_II.
+per time.  A form keeps one ``_InteriorSystem`` per variant, which holds M
+and its LU factors while the form lives: every run, theta step and resolvent
+on the form shares it, and it refactors only when M changes (I + theta dt A_II
+for a step, lam I + A_II for the resolvent).
 A step adds the load to the interior vector in a row of the block buffer B
 and solves a copy of that row in X in place with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +49,7 @@ sla = lazy_module("jumplab._lapack")
 
 RESIDUAL_TOL = 1e-10
 _BLOCK = 128          # steps per residual check in solve_parabolic (see _Stepper)
-_SYSTEMS = 4          # interior systems a stepper keeps, one per form object (see _Stepper)
+_VARIANTS = ("primal", "dual", "dual_ext")
 
 
 @dataclass
@@ -75,7 +74,7 @@ class ParabolicProblem:
             raise ValueError("time step must be positive")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [1/2, 1]")
-        if self.variant not in ("primal", "dual", "dual_ext"):
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.t_end <= self.t_start:
             raise ValueError("empty time interval")
@@ -119,77 +118,73 @@ def _solve_refined(lu_piv, Mmat, x_rhs):
 
 
 class _InteriorSystem:
-    """A_II, A_IC and the load of one (form, variant), sliced on first use.
+    """The interior system of one variant of a form, kept by the form
+    (``_system``): the form's A (A^T for dual variants), the interior tail
+    weights and drift load (dual_ext), M and its LU factors, 16 N_I^2 bytes.
+    It holds the form's arrays, never the form, so a dropped form frees it
+    at once.
 
-    ``factor(a, b)`` builds M = a I + b A_II and its LU factors: the stepper
-    uses a = 1, b = theta dt, the resolvent a = lam, b = 1.  M takes the
-    memory of A_II unless ``keep`` asks for A_II to stay (explicit part).
-    ``lu`` is None until then; ``loads`` is the stepper's load pair.
+    ``factor(a, b)`` builds M = a I + b A_II and its LU factors unless (a, b)
+    is the ``key`` of those it holds: a = 1, b = theta dt for a step, a = lam,
+    b = 1 for the resolvent.  M takes the memory of a fresh A_II slice, given
+    or its own, so a refactor leaves the M and LU factors a stepper bound as
+    they were.
     """
-    lu = loads = None
+    key = None
 
     def __init__(self, form: DiscreteForm, variant: str):
-        self.form, self.variant, self.I = form, variant, form.grid.interior
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        self.I = form.grid.interior
+        self._A = form.A if variant == "primal" else form.A.T
+        self.tail = (form.tail if variant == "primal" else form.tail_dual)[self.I]
+        self.drift = form.drift_load[self.I] if variant == "dual_ext" else None
 
-    @cached_property
-    def _A(self) -> np.ndarray:
-        return self.form.A if self.variant == "primal" else self.form.A.T
-
-    @cached_property
     def A_II(self) -> np.ndarray:
         i = np.flatnonzero(self.I)
         return self._A[np.ix_(i, i)]
 
-    @cached_property
     def A_IC(self) -> np.ndarray:
         return self._A[np.ix_(np.flatnonzero(self.I), np.flatnonzero(~self.I))]
 
-    def load(self, p: ParabolicProblem, t: float, g: np.ndarray):
-        """r(t) = f - A_IC g + T_I u_ext (+ d * drift_load_I) on interior nodes,
-        g being the collar datum at t."""
-        form = self.form
-        tail = form.tail if self.variant == "primal" else form.tail_dual
-        r = _datum(p.f, t, form.grid, self.I) - self.A_IC @ g
-        r = r + tail[self.I] * p.exterior
-        if self.variant == "dual_ext":
-            r = r + p.d_const * form.drift_load[self.I]
-        return r
+    def factor(self, a: float, b: float, A_II: np.ndarray | None = None):
+        if (a, b) == self.key:
+            return
+        M = self.A_II() if A_II is None else A_II
+        M *= b
+        M[np.diag_indices_from(M)] += a
+        self.M, self.lu, self.getrs, self.key = M, sla.lu_factor(M), sla.getrs, (a, b)
 
-    def factor(self, a: float, b: float, keep: bool = False):
-        self.M = np.multiply(self.A_II, b, out=None if keep else self.A_II)
-        self.A_II = self.A_II if keep else None      # else its memory now holds M
-        self.M[np.diag_indices_from(self.M)] += a
-        self.lu = sla.lu_factor(self.M)
-        self.getrs = sla.getrs
+
+def _system(form: DiscreteForm, variant: str) -> _InteriorSystem:
+    """The form's interior system of variant, built on first use."""
+    system = form._systems.get(variant)
+    if system is None:
+        system = form._systems[variant] = _InteriorSystem(form, variant)
+    return system
 
 
 class _Stepper:
     """Steps the interior state from one grid time to the next.
 
-    It carries the interior system of the current time and keeps the last
-    ``_SYSTEMS`` systems it used, keyed on their form objects, so a form
-    function that cycles through up to ``_SYSTEMS`` forms builds one system
-    per form and factors it once, when it first becomes implicit; the least
-    recently used system is dropped beyond that.  Memory: each kept system
-    holds M and its LU factors, 16 N_I^2 bytes (52 MB at N_I = 1804; A_II
-    too under theta < 1), and keeps its form alive.  A form function that
-    returns a fresh object at every time thus keeps ``_SYSTEMS`` systems and
-    forms, none of which is used again.
-    Under theta < 1 the explicit part of a step is the system of its start
-    time (its A_II is kept).  The load pair (dt (1 - theta) r, dt theta r) is
-    built at each time, or once per system when neither the collar datum nor
-    the source is callable.
+    It steps on the system that the current form keeps (``_system``), so a
+    form function over any number of forms factors once per form.  Under
+    theta < 1 the explicit part of a step is the system of its start time.
+    The load pair (dt (1 - theta) r, dt theta r) is the problem's: it is built
+    from a temporary A_IC on each new system, and at each time under a
+    callable collar datum or source (the system's A_IC is then kept).
 
     ``_bind`` makes a system current: it builds the load pair, factors the
-    system on first use, binds its LU handles and ``getrs`` and allocates the
-    block buffers B, X and R once.  It runs on the first step, on a form
-    switch and, for the loads, at each step of a problem with a callable
-    collar datum or source.  A step adds the load into row i of B (after the
-    explicit part under theta < 1), copies it into row i of X and solves
-    that row in place with ``getrs``; an array that a replaced ``getrs``
-    returns instead is copied back.  Step indices and times go to the arrays
-    k and t; under a callable collar datum or source, L keeps each row's
-    load pair for a redo.
+    system if its key differs, binds M with its LU handles and ``getrs`` (a
+    later refactor of the shared system leaves them as they are), slices the
+    explicit part A_II under theta < 1 and allocates the block buffers B, X
+    and R once.  It runs on the first step, on a form switch and, for the loads,
+    at each step of a problem with a callable collar datum or source.  A
+    step adds the load into row i of B (after the explicit part under
+    theta < 1), copies it into row i of X and solves that row in place with
+    ``getrs``; an array that a replaced ``getrs`` returns instead is copied
+    back.  Step indices and times go to the arrays k and t; under a callable
+    collar datum or source, L keeps each row's load pair for a redo.
     ``check`` tests the recorded rows with one product R = B - X M^T, written
     into R, when ``rows`` steps are recorded, before the stepper changes
     system, and when asked (the end of a run); a row passes if
@@ -208,43 +203,47 @@ class _Stepper:
         self._forms = None if isinstance(p.form, DiscreteForm) else p.form
         # the weight of the explicit part, None at theta = 1 (no explicit part)
         self._c = (1.0 - p.theta) * p.dt if p.theta < 1.0 else None
-        self.system = _InteriorSystem(form, p.variant)
-        self.systems = [self.system]  # the kept systems, the most recently used last
+        self.form, self.system = form, _system(form, p.variant)
+        self.A_IC = None              # the current system's, kept for a callable datum or source
         self.g = None                 # collar datum at the current time, once loaded
-        self.loads = self._loads(self.system, t) if self._c is not None else None
-        self.lu = self.piv = self.getrs = None    # the current system's, bound on the first step
+        self.loads = self._loads(t) if self._c is not None else None
+        self.A_II = self.system.A_II() if self._c is not None else None   # the explicit part
+        self.M = self.lu = self.piv = self.getrs = None    # the current system's, by _bind
         self.emit, self.rows, self.n = emit, rows, 0    # n rows recorded since the last check
         self.k, self.t = np.empty(rows, dtype=np.intp), np.empty(rows)
         self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
         self.L = None                 # rows of load pairs, kept for a callable datum or source
 
-    def _loads(self, system: _InteriorSystem, t: float):
-        p = self.problem
-        if system.loads is None or self._timed:
-            grid = system.form.grid
-            self.g = _datum(p.collar, t, grid, grid.collar)
-            r = system.load(p, t, self.g)
-            system.loads = (p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None,
-                            p.dt * p.theta * r)
-            if not self._timed:
-                del system.A_IC       # the N_I x N_C block is not needed again
-        return system.loads
+    def _loads(self, t: float):
+        """The current system's load pair at t; reads the collar datum g first."""
+        p, system, grid = self.problem, self.system, self.form.grid
+        A_IC = self.A_IC if self.A_IC is not None else system.A_IC()
+        self.A_IC = A_IC if self._timed else None
+        self.g = _datum(p.collar, t, grid, grid.collar)
+        r = _datum(p.f, t, grid, system.I) - A_IC @ self.g
+        r = r + system.tail * p.exterior
+        if system.drift is not None:
+            r = r + p.d_const * system.drift
+        return p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None, p.dt * p.theta * r
 
-    def _system(self, form: DiscreteForm) -> _InteriorSystem:
-        """The kept system of form, or a new one, now the most recently used."""
-        system = next((s for s in self.systems if s.form is form), None)
-        if system is None:
-            system = _InteriorSystem(form, self.problem.variant)
-        self.systems = ([s for s in self.systems if s is not system] + [system])[-_SYSTEMS:]
-        return system
-
-    def _bind(self, system: _InteriorSystem, t: float):
-        """Make system the current one with its load pair at t (see the class
-        docstring)."""
-        self.system, self.loads = system, self._loads(system, t)
-        if system.lu is None:         # after the loads, which free a static A_IC first
-            system.factor(1.0, self.problem.theta * self.problem.dt, keep=self._c is not None)
-        (self.lu, self.piv), self.getrs = system.lu, system.getrs
+    def _bind(self, form: DiscreteForm, t: float):
+        """Make the system of form current with its load pair at t (see the
+        class docstring)."""
+        p, switch = self.problem, form is not self.form
+        if switch:
+            self.form, self.system, self.A_IC = form, _system(form, p.variant), None
+        s, key, bind = self.system, (1.0, p.theta * p.dt), switch or self.getrs is None
+        # M's slice comes before the load's A_IC: that temporary (31.5 MiB on holder-2d),
+        # freed first, raises glibc's mmap threshold, and M and the LU factors then go to
+        # the brk heap (a 6 MB higher peak resident set on holder-2d, measured)
+        fresh = s.A_II() if bind and s.key != key else None
+        if switch or self._timed or self.loads is None:
+            self.loads = self._loads(t)
+        if bind:
+            s.factor(*key, fresh)
+            self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, s.getrs
+        if switch and self._c is not None:
+            self.A_II = s.A_II()
         if self.B is None:            # after the factorisation, whose peak they would raise
             n_I = len(self.loads[1])
             self.B, self.X, self.R = np.empty((3, self.rows, n_I))
@@ -260,12 +259,12 @@ class _Stepper:
         after the next check overwrite.  The residual is None until the row is
         checked, which with the default ``rows`` = 1 happens before returning.
         """
-        A_exp, explicit = self.system.A_II, self.loads    # the start time's, under theta < 1
-        if self._forms is not None and (form := self._forms(t_new)) is not self.system.form:
+        A_exp, explicit = self.A_II, self.loads     # the start time's, under theta < 1
+        if self._forms is not None and (form := self._forms(t_new)) is not self.form:
             self.check()              # the old system checks its rows first
-            self._bind(self._system(form), t_new)
+            self._bind(form, t_new)
         elif self._timed or self.getrs is None:
-            self._bind(self.system, t_new)
+            self._bind(self.form, t_new)
         i = self.n
         self.k[i], self.t[i] = k, t_new
         if self.L is not None:        # the load pair, its explicit part under theta < 1 only
@@ -302,7 +301,7 @@ class _Stepper:
         n, i = self.n, 0
         if not n:
             return
-        B, X, M = self.B[:n], self.X[:n], self.system.M
+        B, X, M = self.B[:n], self.X[:n], self.M
         try:
             while i < n:
                 R = np.matmul(X[i:], M.T, out=self.R[:n - i])
@@ -314,7 +313,7 @@ class _Stepper:
                 if not missed.size:
                     break
                 j = i + int(missed[0])
-                x, rel_res = _solve_refined(self.system.lu, M, B[j])
+                x, rel_res = _solve_refined((self.lu, self.piv), M, B[j])
                 if not rel_res <= RESIDUAL_TOL:       # also a non-finite state (nan, inf)
                     raise RuntimeError(f"step {int(self.k[j])} to t={float(self.t[j]):.12g}: "
                                        f"relative residual {rel_res:.3e} > "
@@ -323,7 +322,7 @@ class _Stepper:
                 for m in range(j + 1, n):   # the block's system: it changes between blocks only
                     explicit, load = ((self.loads, self.loads[1]) if self.L is None
                                       else (self.L[m - 1], self.L[m, 1]))
-                    self._solve(m, X[m - 1], self.system.A_II, explicit, load)
+                    self._solve(m, X[m - 1], self.A_II, explicit, load)
                 i = j + 1
             if self.emit is not None:
                 self.emit(int(self.k[0]), X, self.res[:n])
@@ -436,7 +435,7 @@ def resolvent_solve(form: DiscreteForm, lam: float, f: np.ndarray,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    system = _InteriorSystem(form, variant)
+    system = _system(form, variant)
     rhs = np.asarray(f, dtype=float)[system.I]
     system.factor(lam, 1.0)
     x, rel = _solve_refined(system.lu, system.M, rhs)

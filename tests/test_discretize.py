@@ -55,6 +55,17 @@ class TestBuildGrid:
         oracle = int(np.sum(np.sqrt(np.sum(g.nodes ** 2, axis=-1)) < 1.0))
         assert int(g.interior.sum()) == oracle
 
+    @pytest.mark.parametrize("d, center", [(2, (0.3,)), (2, (0.3, 0.0, 0.1)), (1, (0.3, 0.3)),
+                                           (1, 0.3), (2, [[0.3, 0.0]])])
+    def test_a_center_without_d_entries_is_refused(self, d, center):
+        # a short center would broadcast: (0.3,) on a 2D grid is the ball about (0.3, 0.3)
+        g = build_grid(d, 1.0, 1 / 8, {"type": "box", "halfwidth": 0.5})
+        with pytest.raises(ValueError, match=rf"^center .* needs d = {d} entries$"):
+            g.radii(center)
+        with pytest.raises(ValueError, match=rf"needs d = {d} entries$"):
+            g.ball_mask(center, 0.4)
+        assert g.ball_mask((0.3,) * d, 0.4).sum() > 0
+
     def test_rejects_nondivisible_h(self):
         with pytest.raises(ValueError):
             build_grid(1, 2.0, 0.3)

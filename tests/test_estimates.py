@@ -51,6 +51,17 @@ class TestCylinderGeometry:
             Cylinder(0.0, 0.5, 2.5, (0.0,))
 
 
+def test_a_cylinder_center_without_d_entries_is_refused_by_its_boxes():
+    # Cylinder has no grid, so its short center is refused where a box meets one
+    g2 = build_grid(2, 2.0, 1 / 8, {"type": "ball", "radius": 1.5})
+    cyl = Cylinder(0.0, 0.5, 1.0, (0.3,))
+    sol = synthetic_solution(g2, cyl, lambda t, x: np.full(x.shape[0], 3.0), n_t=9)
+    with pytest.raises(ValueError, match=r"needs d = 2 entries$"):
+        harnack_quotient(sol, cyl)
+    with pytest.raises(ValueError, match=r"needs d = 2 entries$"):
+        holder_fit(sol, cyl.t0, cyl.center, cyl.R)
+
+
 class TestHarnackQuotient:
     def test_constant_solution_gives_one(self, grid, cyl):
         sol = synthetic_solution(grid, cyl, lambda t, x: np.full(x.shape[0], 3.0))

@@ -1,6 +1,8 @@
 """form_value sums its pair terms directly; a run evaluates its form once per
 grid time and builds and factors one interior system per form object; a
 callable collar datum is read once per grid time too."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ def _count_systems_and_factorisations(monkeypatch):
 @pytest.mark.parametrize("kind", ["form", "constant", "switch"])
 def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, stable_form_1d,
                                                           monkeypatch, kind, theta):
-    F, F2 = coeff_form_1d, stable_form_1d
+    F, F2 = replace(coeff_form_1d), replace(stable_form_1d)    # no system built yet
     form = {"form": F, "constant": lambda t: F,
             "switch": lambda t: F if t < 0.5 else F2}[kind]
     systems, factors = _count_systems_and_factorisations(monkeypatch)

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from _oracles import _old_solve_refined, old_resolvent_solve, old_solve_parabolic
@@ -19,6 +23,7 @@ from jumplab import (
     time_modulate,
     transpose_form,
 )
+from jumplab.estimates import Cylinder, harnack_ensemble, holder_ensemble
 from jumplab.solve import RESIDUAL_TOL
 
 
@@ -233,6 +238,13 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_solve(stable_form_1d, 0.0, np.zeros(stable_form_1d.grid.n_nodes))
 
+    @pytest.mark.parametrize("variant", ["dula", "Dual", "", "primal "])
+    def test_rejects_an_unknown_variant(self, stable_form_1d, variant):
+        # any variant but "primal" used to take A^T: "dula" ran as "dual"
+        with pytest.raises(ValueError, match=f"^unknown variant {variant!r}$"):
+            resolvent_solve(stable_form_1d, 2.0, np.ones(stable_form_1d.grid.n_nodes), variant)
+        assert variant not in stable_form_1d._systems
+
 
 def test_default_dt_tracks_parabolic_scaling():
     assert default_dt(1 / 16, 1.0) == pytest.approx(1 / 64)
@@ -348,9 +360,9 @@ class TestAgainstFrozenLoop:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_alternating_forms(self, coeff_form_1d, stable_form_1d, rng, theta, monkeypatch):
-        # two assembled forms in turn over 10 steps: the stepper keeps both
-        # systems, so it builds and factors one per form, not one per switch
-        forms, dt = (coeff_form_1d, stable_form_1d), 0.02
+        # two assembled forms in turn over 10 steps: each form keeps its
+        # system, so the run builds and factors one per form, not one per switch
+        forms, dt = (replace(coeff_form_1d), replace(stable_form_1d)), 0.02
         g = coeff_form_1d.grid
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 2], rng.uniform(0.2, 1.0, g.n_nodes),
                              0.0, 10 * dt, dt, collar=_collar("array", g), exterior=0.4,
@@ -376,6 +388,112 @@ class TestAgainstFrozenLoop:
                               old_resolvent_solve(coeff_form_1d, 2.0, f, variant))
 
 
+def _count_systems_and_factors(monkeypatch):
+    """Lists that grow by one per interior system built and per lu_factor call."""
+    systems, factors = [], []
+    init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
+    monkeypatch.setattr(solve_module._InteriorSystem, "__init__",
+                        lambda self, *args: systems.append(args[1]) or init(self, *args))
+    monkeypatch.setattr(solve_module.sla, "lu_factor", lambda M: factors.append(M) or lu_factor(M))
+    return systems, factors
+
+
+class TestSharedSystem:
+    """A form keeps one interior system per variant: every run, theta step,
+    resolvent and ensemble member on it shares its factors, bit for bit."""
+
+    @pytest.mark.parametrize("ensemble", [harnack_ensemble, holder_ensemble])
+    def test_an_ensemble_builds_one_system_and_factors_once(self, sin_coefficient_kernel,
+                                                            ensemble, monkeypatch):
+        grid = build_grid(1, 2.0, 1 / 64, {"type": "box", "halfwidth": 1.5})
+        form, cyl = assemble(sin_coefficient_kernel, grid), Cylinder(0.0, 0.5, 1.0, (0.0,))
+        with monkeypatch.context() as m:     # each member builds and factors its own system
+            m.setattr(solve_module, "_system", solve_module._InteriorSystem)
+            per_member = ensemble(replace(form), cyl, 3, seed=4)
+        systems, factors = _count_systems_and_factors(monkeypatch)
+        shared = ensemble(form, cyl, 3, seed=4)
+        assert systems == ["primal"] and len(factors) == 1
+        assert shared == per_member
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_five_cycled_forms_factor_five_times(self, grid_1d, sin_coefficient_kernel, rng,
+                                                 theta, monkeypatch):
+        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4,
+                           ka_scale=lambda t: 0.5 * np.cos(t))
+        forms, dt = [assemble_time(tk, grid_1d, 0.1 * j) for j in range(5)], 0.01
+        p = ParabolicProblem(lambda t: forms[round(t / dt) % 5],
+                             rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 20 * dt, dt,
+                             collar=_collar("array", grid_1d), exterior=0.3, theta=theta)
+        with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
+            systems, factors = _count_systems_and_factors(m)
+            sol = solve_parabolic(p)
+        assert sol.meta["n_steps"] == 20
+        assert len(systems) == len(factors) == 5
+        assert all(len(F._systems) == 1 for F in forms)
+        times, snaps, _ = old_solve_parabolic(p)
+        assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
+
+    def test_a_dropped_form_is_freed_without_the_cyclic_collector(self, coeff_form_1d):
+        form = replace(coeff_form_1d)
+        f = np.cos(form.grid.nodes[:, 0])
+        gc.disable()
+        try:
+            harnack_ensemble(form, Cylinder(0.0, 0.5, 1.0, (0.0,)), 2, seed=1)
+            resolvent_solve(form, 2.0, f, "dual")
+            assert set(form._systems) == {"primal", "dual"}
+            ref = weakref.ref(form)
+            del form
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["between", "inside"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["primal", "dual"])
+    def test_a_resolvent_changes_no_bit_of_a_run(self, coeff_form_1d, rng, variant, theta,
+                                                 inside):
+        # the resolvent refactors the shared system; a run's bound M, LU
+        # factors and explicit part stay, also when it runs inside a step
+        # (through the collar datum) and a redo of that step reads them
+        form = replace(coeff_form_1d)
+        g, f = form.grid, rng.normal(size=form.grid.n_nodes)
+        collar = _collar("callable", g)
+
+        def collar_and_resolvent(t, x):
+            resolvent_solve(form, 2.0, f, variant)
+            return collar(t, x)
+
+        p = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+                             collar=collar_and_resolvent if inside else collar, exterior=0.4,
+                             theta=theta, variant=variant)
+        first = _assert_matches_frozen_loop(p)
+        u = resolvent_solve(form, 2.0, f, variant)
+        second = solve_parabolic(p)
+        assert np.array_equal(second.snapshots, first.snapshots)
+        assert np.array_equal(second.residuals, first.residuals)
+        assert np.array_equal(resolvent_solve(form, 2.0, f, variant), u)
+        assert np.array_equal(u, old_resolvent_solve(form, 2.0, f, variant))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_a_timed_dual_ext_run_reads_the_drift_load_once(self, coeff_form_1d, rng, theta,
+                                                            monkeypatch):
+        # the drift load is a full A^T 1 product: sliced once per system, not per step
+        form, g = replace(coeff_form_1d), coeff_form_1d.grid
+        p = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+                             f=lambda t, x: np.sin(2.0 * x[..., 0]) * (1.0 + t),
+                             collar=_collar("callable", g), exterior=0.4, theta=theta,
+                             variant="dual_ext", d_const=0.7)
+        times, snaps, _ = old_solve_parabolic(p)
+        reads, drift_load = [], DiscreteForm.drift_load
+        monkeypatch.setattr(DiscreteForm, "drift_load",
+                            property(lambda F: reads.append(F) or drift_load.fget(F)))
+        sol = solve_parabolic(p)
+        assert reads == [form]
+        assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
+        solve_parabolic(p)
+        assert reads == [form]
+
+
 def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
     monkeypatch.setattr(solve_module, "RESIDUAL_TOL", -1.0)
     p = problem_with(stable_form_1d, collar=lambda t, x: 0.5)
@@ -397,7 +515,7 @@ def test_a_step_that_meets_the_check_solves_with_getrs_alone(stable_form_1d, mon
 def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng, monkeypatch):
     # LU factors of a slightly perturbed M: the first solve misses RESIDUAL_TOL
     g = coeff_form_1d.grid
-    p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
+    p = ParabolicProblem(replace(coeff_form_1d), rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
                          collar=_collar("array", g), exterior=0.4)
     stepper = solve_module._Stepper(p, p.form, p.t_start)
     system = stepper.system
@@ -476,10 +594,9 @@ class TestBlockCheck:
 
     @pytest.fixture
     def problem(self, request, coeff_form_1d, stable_form_1d, rng):
-        kind, theta = request.param
-        g = coeff_form_1d.grid
-        form = coeff_form_1d if kind == "fixed" else (
-            lambda t: coeff_form_1d if t < 0.065 else stable_form_1d)
+        kind, theta = request.param     # forms of their own: the tests tamper with their systems
+        g, F, F2 = coeff_form_1d.grid, replace(coeff_form_1d), replace(stable_form_1d)
+        form = F if kind == "fixed" else (lambda t: F if t < 0.065 else F2)
         return ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.01,
                                 collar=_collar("callable", g), exterior=0.4, theta=theta)
 
