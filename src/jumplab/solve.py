@@ -32,13 +32,15 @@ snapshots with one slice copy per run of consecutive nodes (``_runs``).
 ``sla`` is ``_lapack`` (LAPACK's getrf and getrs from scipy's compiled
 wrapper, without the scipy.linalg package), loaded on the first factorisation
 (see ``_lazy``), a module global read at call time: a replaced ``solve.sla``
-sees every ``lu_factor``, the ``getrs`` that solves every step, and the
-``lu_solve`` calls of ``_solve_refined`` (refinement, resolvent).
+sees every ``lu_factor``, the ``lu_solve`` calls of ``_solve_refined``
+(refinement, resolvent) and the ``getrs`` that solves every step on a system
+factored while it is in place (a system keeps the ``getrs`` of its factors).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +122,10 @@ def _solve_refined(lu_piv, Mmat, x_rhs):
 class _InteriorSystem:
     """The interior system of one variant of a form, kept by the form
     (``_system``): the form's A (A^T for dual variants), the interior tail
-    weights and drift load (dual_ext), M and its LU factors, 16 N_I^2 bytes.
-    It holds the form's arrays, never the form, so a dropped form frees it
-    at once.
+    weights and drift load (dual_ext), M and its LU factors, 16 N_I^2 bytes,
+    and 8 N_I^2 more once a theta < 1 step reads its explicit part A_II
+    (``A_exp``).  It holds the form's arrays, never the form, so a dropped
+    form frees it at once.
 
     ``factor(a, b)`` builds M = a I + b A_II and its LU factors unless (a, b)
     is the ``key`` of those it holds: a = 1, b = theta dt for a step, a = lam,
@@ -140,17 +143,19 @@ class _InteriorSystem:
         self.tail = (form.tail if variant == "primal" else form.tail_dual)[self.I]
         self.drift = form.drift_load[self.I] if variant == "dual_ext" else None
 
-    def A_II(self) -> np.ndarray:
-        i = np.flatnonzero(self.I)
-        return self._A[np.ix_(i, i)]
+    def block(self, cols: np.ndarray) -> np.ndarray:
+        """A copy of A (A^T) on the interior rows and the columns in mask cols."""
+        return self._A[np.ix_(np.flatnonzero(self.I), np.flatnonzero(cols))]
 
-    def A_IC(self) -> np.ndarray:
-        return self._A[np.ix_(np.flatnonzero(self.I), np.flatnonzero(~self.I))]
+    @cached_property
+    def A_exp(self) -> np.ndarray:
+        """A_II for the explicit part of a theta < 1 step, never written into."""
+        return self.block(self.I)
 
     def factor(self, a: float, b: float, A_II: np.ndarray | None = None):
         if (a, b) == self.key:
             return
-        M = self.A_II() if A_II is None else A_II
+        M = self.block(self.I) if A_II is None else A_II
         M *= b
         M[np.diag_indices_from(M)] += a
         self.M, self.lu, self.getrs, self.key = M, sla.lu_factor(M), sla.getrs, (a, b)
@@ -158,10 +163,9 @@ class _InteriorSystem:
 
 def _system(form: DiscreteForm, variant: str) -> _InteriorSystem:
     """The form's interior system of variant, built on first use."""
-    system = form._systems.get(variant)
-    if system is None:
-        system = form._systems[variant] = _InteriorSystem(form, variant)
-    return system
+    if variant not in form._systems:
+        form._systems[variant] = _InteriorSystem(form, variant)
+    return form._systems[variant]
 
 
 class _Stepper:
@@ -169,22 +173,22 @@ class _Stepper:
 
     It steps on the system that the current form keeps (``_system``), so a
     form function over any number of forms factors once per form.  Under
-    theta < 1 the explicit part of a step is the system of its start time.
+    theta < 1 a step's explicit part is the ``A_exp`` of its start time's system.
     The load pair (dt (1 - theta) r, dt theta r) is the problem's: it is built
     from a temporary A_IC on each new system, and at each time under a
     callable collar datum or source (the system's A_IC is then kept).
 
     ``_bind`` makes a system current: it builds the load pair, factors the
     system if its key differs, binds M with its LU handles and ``getrs`` (a
-    later refactor of the shared system leaves them as they are), slices the
-    explicit part A_II under theta < 1 and allocates the block buffers B, X
-    and R once.  It runs on the first step, on a form switch and, for the loads,
-    at each step of a problem with a callable collar datum or source.  A
-    step adds the load into row i of B (after the explicit part under
-    theta < 1), copies it into row i of X and solves that row in place with
-    ``getrs``; an array that a replaced ``getrs`` returns instead is copied
-    back.  Step indices and times go to the arrays k and t; under a callable
-    collar datum or source, L keeps each row's load pair for a redo.
+    later refactor of the shared system leaves them as they are) and allocates
+    the block buffers B, X and R once.  It runs on the first step, on a form
+    switch and, for the loads, at each step of a problem with a callable
+    collar datum or source.  A step adds the load into row i of B (after the
+    explicit part under theta < 1), copies it into row i of X and solves that
+    row in place with ``getrs``; an array that a replaced ``getrs`` returns
+    instead is copied back.  Step indices and times go to the arrays k and t;
+    under a callable collar datum or source, L keeps each row's load pair for
+    a redo.
     ``check`` tests the recorded rows with one product R = B - X M^T, written
     into R, when ``rows`` steps are recorded, before the stepper changes
     system, and when asked (the end of a run); a row passes if
@@ -207,7 +211,6 @@ class _Stepper:
         self.A_IC = None              # the current system's, kept for a callable datum or source
         self.g = None                 # collar datum at the current time, once loaded
         self.loads = self._loads(t) if self._c is not None else None
-        self.A_II = self.system.A_II() if self._c is not None else None   # the explicit part
         self.M = self.lu = self.piv = self.getrs = None    # the current system's, by _bind
         self.emit, self.rows, self.n = emit, rows, 0    # n rows recorded since the last check
         self.k, self.t = np.empty(rows, dtype=np.intp), np.empty(rows)
@@ -217,7 +220,7 @@ class _Stepper:
     def _loads(self, t: float):
         """The current system's load pair at t; reads the collar datum g first."""
         p, system, grid = self.problem, self.system, self.form.grid
-        A_IC = self.A_IC if self.A_IC is not None else system.A_IC()
+        A_IC = self.A_IC if self.A_IC is not None else system.block(~system.I)
         self.A_IC = A_IC if self._timed else None
         self.g = _datum(p.collar, t, grid, grid.collar)
         r = _datum(p.f, t, grid, system.I) - A_IC @ self.g
@@ -233,17 +236,14 @@ class _Stepper:
         if switch:
             self.form, self.system, self.A_IC = form, _system(form, p.variant), None
         s, key, bind = self.system, (1.0, p.theta * p.dt), switch or self.getrs is None
-        # M's slice comes before the load's A_IC: that temporary (31.5 MiB on holder-2d),
-        # freed first, raises glibc's mmap threshold, and M and the LU factors then go to
-        # the brk heap (a 6 MB higher peak resident set on holder-2d, measured)
-        fresh = s.A_II() if bind and s.key != key else None
+        # M's A_II slice comes before the load's temporary A_IC (31.5 MiB on holder-2d):
+        # in the other order holder-2d read a 6 MB higher peak resident set (measured)
+        fresh = s.block(s.I) if bind and s.key != key else None
         if switch or self._timed or self.loads is None:
             self.loads = self._loads(t)
         if bind:
             s.factor(*key, fresh)
             self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, s.getrs
-        if switch and self._c is not None:
-            self.A_II = s.A_II()
         if self.B is None:            # after the factorisation, whose peak they would raise
             n_I = len(self.loads[1])
             self.B, self.X, self.R = np.empty((3, self.rows, n_I))
@@ -259,7 +259,7 @@ class _Stepper:
         after the next check overwrite.  The residual is None until the row is
         checked, which with the default ``rows`` = 1 happens before returning.
         """
-        A_exp, explicit = self.A_II, self.loads     # the start time's, under theta < 1
+        system, explicit = self.system, self.loads  # the start time's, under theta < 1
         if self._forms is not None and (form := self._forms(t_new)) is not self.form:
             self.check()              # the old system checks its rows first
             self._bind(form, t_new)
@@ -271,20 +271,20 @@ class _Stepper:
             self.L[i, 1] = self.loads[1]
             if self._c is not None:
                 self.L[i, 0] = self.loads[0]
-        x = self._solve(i, u_I, A_exp, explicit, self.loads[1])
+        x = self._solve(i, u_I, system, explicit, self.loads[1])
         self.n = i + 1
         if self.n < self.rows:
             return x, None
         self.check()
         return x, self.res[i]
 
-    def _solve(self, i: int, u_I: np.ndarray, A_exp, explicit, load: np.ndarray):
+    def _solve(self, i: int, u_I: np.ndarray, system, explicit, load: np.ndarray):
         """Fill row i of B from the state u_I and the load dt theta r (after
-        the explicit part under theta < 1: A_exp and the load pair
-        ``explicit``), solve it into row i of X and return that row."""
+        the explicit part under theta < 1: the ``A_exp`` of system and the
+        load pair ``explicit``), solve it into row i of X and return that row."""
         b, x = self.B[i], self.X[i]
         if self._c is not None:
-            np.subtract(u_I, self._c * (A_exp @ u_I), out=b)
+            np.subtract(u_I, self._c * (system.A_exp @ u_I), out=b)
             b += explicit[0]
             b += load
         else:
@@ -322,7 +322,7 @@ class _Stepper:
                 for m in range(j + 1, n):   # the block's system: it changes between blocks only
                     explicit, load = ((self.loads, self.loads[1]) if self.L is None
                                       else (self.L[m - 1], self.L[m, 1]))
-                    self._solve(m, X[m - 1], self.A_II, explicit, load)
+                    self._solve(m, X[m - 1], self.system, explicit, load)
                 i = j + 1
             if self.emit is not None:
                 self.emit(int(self.k[0]), X, self.res[:n])

@@ -424,11 +424,16 @@ class TestSharedSystem:
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 5],
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 20 * dt, dt,
                              collar=_collar("array", grid_1d), exterior=0.3, theta=theta)
+        block, slices = solve_module._InteriorSystem.block, []
         with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
             systems, factors = _count_systems_and_factors(m)
+            m.setattr(solve_module._InteriorSystem, "block",
+                      lambda s, cols: slices.append(cols is s.I) or block(s, cols))
             sol = solve_parabolic(p)
         assert sol.meta["n_steps"] == 20
         assert len(systems) == len(factors) == 5
+        # A_II is sliced once per form for M and, under theta < 1, once for the explicit part
+        assert sum(slices) == (10 if theta < 1 else 5)
         assert all(len(F._systems) == 1 for F in forms)
         times, snaps, _ = old_solve_parabolic(p)
         assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,22 +177,27 @@ def _five_steps(form):
 
 
 def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypatch):
+    # a form of its own: the fixture's shared system may hold factors of earlier tests
+    form = replace(stable_form_1d)
     counting = _CountingLinalg(solve_module.sla)
     monkeypatch.setattr(solve_module, "sla", counting)
-    sol = solve_parabolic(_five_steps(stable_form_1d))
+    sol = solve_parabolic(_five_steps(form))
     assert counting.calls["lu_factor"] == 1
     # every step solves with the system's getrs; none misses, so none refines
     assert counting.calls["getrs"] == sol.meta["n_steps"] == 5
     assert counting.calls["lu_solve"] == 0
-    resolvent_solve(stable_form_1d, 2.0, np.ones(stable_form_1d.grid.n_nodes))
+    resolvent_solve(form, 2.0, np.ones(form.grid.n_nodes))
     assert counting.calls["lu_factor"] == 2 and counting.calls["lu_solve"] >= 1
     assert counting.calls["getrs"] == 5
 
 
 def test_patched_sla_changes_no_bit(stable_form_1d, monkeypatch):
-    plain = solve_parabolic(_five_steps(stable_form_1d))
-    monkeypatch.setattr(solve_module, "sla", _CountingLinalg(solve_module.sla))
-    patched = solve_parabolic(_five_steps(stable_form_1d))
+    # each run on a form of its own, so that the patched run factors and solves
+    plain = solve_parabolic(_five_steps(replace(stable_form_1d)))
+    counting = _CountingLinalg(solve_module.sla)
+    monkeypatch.setattr(solve_module, "sla", counting)
+    patched = solve_parabolic(_five_steps(replace(stable_form_1d)))
+    assert counting.calls["lu_factor"] == 1 and counting.calls["getrs"] == 5
     assert np.array_equal(patched.times, plain.times)
     assert np.array_equal(patched.snapshots, plain.snapshots)
     assert np.array_equal(patched.residuals, plain.residuals)
