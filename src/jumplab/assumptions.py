@@ -25,6 +25,8 @@ INF = float("inf")
 # random probes and fixed-point sweeps of sobolev_ratio
 _SOB_PROBES = 40
 _SOB_SWEEPS = 3
+# lattice points of suffK1_check on B_2r
+_SUFFK1_POINTS = 1500
 
 
 @dataclass(frozen=True)
@@ -471,8 +473,7 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
 
 def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
                  alpha: float, grid: Grid | None = None,
-                 spacing: float | None = None,
-                 max_points: int = 1500) -> AssumptionReport:
+                 spacing: float | None = None) -> AssumptionReport:
     """Criterion for the drift-integrability assumption via potential regularity.
 
     Hoelder branch (gamma given, gamma in (alpha/2, 1]): lattice sup of the
@@ -481,7 +482,7 @@ def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
     differences of step h/10, plus the L^{2 theta} norm of the first-order
     remainder sup.  The verdict is "finite" or "divergent" with the norm.
     """
-    pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=max_points)
+    pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=_SUFFK1_POINTS)
     n = pts.shape[0]
     d = ball.d
     Vv = np.asarray(V(pts), dtype=float)

@@ -193,15 +193,18 @@ SCHEMA = {
                 "A": {"type": "number"},
                 "zeta": {"type": "number"},
                 "D": {"type": "number"},
-                "rho": {"type": "number"},
+                "rho": {"type": "number", "exclusiveMinimum": 0},
                 "gamma": {"type": ["number", "null"]},
-                "alphas": {"type": "array", "items": {"type": "number"}},
+                "alphas": {"type": "array", "minItems": 1, "uniqueItems": True,
+                           "items": {"type": "number", "exclusiveMinimum": 0,
+                                     "exclusiveMaximum": 2}},
                 "family": {"enum": ["isotropic", "drift", "coefficient"]},
-                "delta": {"type": "number"},
-                "lam_resolvent": {"type": "number"},
-                "p_list": {"type": "array", "items": {"type": "number"}},
-                "eps": {"type": "number"},
-                "samples": {"type": "integer"},
+                "delta": {"type": "number", "exclusiveMinimum": 0},
+                "lam_resolvent": {"type": "number", "exclusiveMinimum": 0},
+                "p_list": {"type": "array", "minItems": 1,
+                           "items": {"type": "number", "exclusiveMinimum": 0}},
+                "eps": {"type": "number", "minimum": 0},
+                "samples": {"type": "integer", "minimum": 1},
                 "dump_form": {"type": "string"},
             },
             "required": ["type"],
@@ -236,11 +239,19 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, _TYPES[name])
 
 
+def _same(a, b) -> bool:
+    """JSON Schema equality of enum values and array items: a bool is no
+    number, and a value is itself (a JSON NaN too, which json parses to one
+    object)."""
+    return a is b or (a == b and isinstance(a, bool) == isinstance(b, bool))
+
+
 def _check(value, schema: dict, path: tuple = ()):
     """Raise a ConfigError at the first place where value breaks schema.
 
     Covers the keywords SCHEMA uses: type, enum, the four numeric bounds,
-    required, properties, additionalProperties (false only) and items.
+    required, properties, additionalProperties (false only), minItems,
+    uniqueItems and items.
     """
     where = "$" + "".join(f"[{p!r}]" for p in path)
     types = schema.get("type", [])
@@ -248,8 +259,7 @@ def _check(value, schema: dict, path: tuple = ()):
     if types and not any(_is_type(value, t) for t in types):
         raise ConfigError(f"{where}: {value!r} is not of type {', '.join(map(repr, types))}")
     enum = schema.get("enum")
-    if enum is not None and not any(value == e and isinstance(value, bool) == isinstance(e, bool)
-                                    for e in enum):
+    if enum is not None and not any(_same(value, e) for e in enum):
         raise ConfigError(f"{where}: {value!r} is not one of {enum!r}")
     if _is_type(value, "number"):
         for key, fails, words in _BOUNDS:
@@ -267,6 +277,12 @@ def _check(value, schema: dict, path: tuple = ()):
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 _check(value[key], sub, path + (key,))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):     # SCHEMA's minItems are all 1
+            raise ConfigError(f"{where}: {value!r} should be non-empty")
+        if schema.get("uniqueItems") and any(_same(a, b) for i, a in enumerate(value)
+                                             for b in value[i + 1:]):
+            raise ConfigError(f"{where}: {value!r} has non-unique elements")
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             _check(item, schema["items"], path + (i,))
@@ -544,6 +560,21 @@ def _cylinder(harness, kernel):
                               kernel.alpha, tuple(harness.get("center", [0.0] * kernel.d)))
 
 
+def _inside(config, kernel, grid):
+    """The cylinder of a harnack or hoelder run, refused if its ball B_R(center)
+    leaves the domain: its late box and fit windows would read collar nodes,
+    whose values are the datum, not the solution."""
+    cylinder, omega = _cylinder(config["harness"], kernel), grid.omega
+    off = np.subtract(cylinder.center, omega.get("center", [0.0] * grid.d))
+    box = omega["type"] == "box"
+    reach = float(np.max(np.abs(off)) if box else np.linalg.norm(off)) + cylinder.R
+    size = "halfwidth" if box else "radius"
+    if reach > float(omega[size]) + 1e-12:
+        raise ConfigError(f"$['harness']: B_R(center) leaves the domain: center offset + R = "
+                          f"{reach:.12g} > {omega['type']} {size} {float(omega[size]):.12g}")
+    return (cylinder,)
+
+
 def _health(out):
     """The summary entries that run_scenario moves to manifest["health"] and
     manifest["resolution"]."""
@@ -551,10 +582,10 @@ def _health(out):
             "resolution": {"dt": out["dt"]}}
 
 
-def _run_harnack(config, kernel, grid, form):
+def _run_harnack(config, kernel, grid, form, cylinder):
     harness = config["harness"]
-    out = estimates.harnack_ensemble(form, _cylinder(harness, kernel),
-                                     int(harness.get("ensemble", 50)), int(harness.get("seed", 0)))
+    out = estimates.harnack_ensemble(form, cylinder, int(harness.get("ensemble", 50)),
+                                     int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
     # members end at the grid time nearest t0 + R^alpha, maybe short of it
     report["horizon"] = {k: out[k] for k in ("t_end", "n_steps", "t_end_requested")}
@@ -562,10 +593,10 @@ def _run_harnack(config, kernel, grid, form):
             [("harnack.csv", ["run", "c_emp"], list(enumerate(out["c_emp"])))])
 
 
-def _run_hoelder(config, kernel, grid, form):
+def _run_hoelder(config, kernel, grid, form, cylinder):
     harness = config["harness"]
-    out = estimates.holder_ensemble(form, _cylinder(harness, kernel),
-                                    int(harness.get("ensemble", 50)), int(harness.get("seed", 0)))
+    out = estimates.holder_ensemble(form, cylinder, int(harness.get("ensemble", 50)),
+                                    int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
     report["horizon"] = {"t_end": out["t_end"], "n_steps": out["n_steps"]}   # members stop at t_fit
     rows = [(i, g if g is not None else "", f)
@@ -574,12 +605,21 @@ def _run_hoelder(config, kernel, grid, form):
              **_health(out)}, report, [("hoelder.csv", ["run", "gamma_fit", "flat"], rows)])
 
 
-def _run_caccioppoli(config, kernel, grid, form):
+def _p_list(config, kernel, grid):
+    """The powers of a caccioppoli run; p = 1 has a log audit of its own."""
+    p_list = config["harness"].get("p_list", [0.5, 2.0])
+    if 1 in p_list:
+        raise ConfigError(f"$['harness']['p_list']: {p_list!r} holds p = 1, which the "
+                          f"power audit excludes")
+    return (p_list,)
+
+
+def _run_caccioppoli(config, kernel, grid, form, p_list):
     harness = config["harness"]
     out = estimates.caccioppoli_ensemble(
         form, tuple(harness.get("center", [0.0] * kernel.d)),
         float(harness.get("R", 0.4)), float(harness.get("rho", 0.3)),
-        harness.get("p_list", [0.5, 2.0]), int(harness.get("ensemble", 100)),
+        p_list, int(harness.get("ensemble", 100)),
         int(harness.get("seed", 0)), eps=float(harness.get("eps", 0.1)),
         variant=config.get("problem", {}).get("variant", "primal"))
     rows = [(i, p, v) for p, vals in out["c_hat"].items() for i, v in enumerate(vals)]
@@ -670,7 +710,8 @@ _RUNNERS = {
     "mosco": _run_mosco,
 }
 # a runner's own config checks, run before any output or assembly: its arguments after form
-_PREPARE = {"check-kernel": _ball, "solve": _time_span}
+_PREPARE = {"check-kernel": _ball, "solve": _time_span, "harnack": _inside, "hoelder": _inside,
+            "caccioppoli": _p_list}
 
 DEFAULT_KERNEL = {"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
                   "cone": {"axis": [1.0], "half_angle": 0.7853981633974483},

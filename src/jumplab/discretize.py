@@ -135,8 +135,9 @@ class DiscreteForm:
     the exterior weights of K(x_i, .) and K(., x_i); drift_load = A^T 1 -
     tail_dual is the exact constant-drift load used by the extended dual
     equation (zero for symmetric kernels).  ``_systems`` holds the interior
-    systems that ``jumplab.solve`` builds on the form, one per variant; a new
-    form, ``dataclasses.replace`` of one too, starts without them.
+    systems that ``jumplab.solve`` builds on the form, one per operator: "A"
+    (primal) and "A^T" (dual and dual_ext); a new form, ``dataclasses.replace``
+    of one too, starts without them.
     """
 
     grid: Grid

@@ -144,7 +144,7 @@ def local_coefficients(family: AlphaFamily, x, delta: float,
     1% raises with both levels reported.
     """
     alphas = family.alphas
-    quad = QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
+    quad = QuadSpec(n_ang=256, n_panels=48)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d, m = x.shape[0], family.d, len(alphas)
     eps = 2.0 - np.asarray(alphas)

@@ -14,10 +14,10 @@ dual) hold at the level of the discrete recursion.
 
 ``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
 and evaluates form, collar datum and source only at grid times, the form once
-per time.  A form keeps one ``_InteriorSystem`` per variant, which holds M
-and its LU factors while the form lives: every run, theta step and resolvent
-on the form shares it, and it refactors only when M changes (I + theta dt A_II
-for a step, lam I + A_II for the resolvent).
+per time.  A form keeps one ``_InteriorSystem`` per operator, A or A^T (dual
+and dual_ext), which holds M and its LU factors while the form lives: every
+run, theta step and resolvent on the form shares it, and it refactors only
+when M changes (I + theta dt A_II for a step, lam I + A_II for the resolvent).
 A step adds the load to the interior vector in a row of the block buffer B
 and solves a copy of that row in X in place with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
@@ -33,8 +33,7 @@ snapshots with one slice copy per run of consecutive nodes (``_runs``).
 wrapper, without the scipy.linalg package), loaded on the first factorisation
 (see ``_lazy``), a module global read at call time: a replaced ``solve.sla``
 sees every ``lu_factor``, the ``lu_solve`` calls of ``_solve_refined``
-(refinement, resolvent) and the ``getrs`` that solves every step on a system
-factored while it is in place (a system keeps the ``getrs`` of its factors).
+(refinement, resolvent) and the ``getrs`` of every step (``_Stepper._bind``).
 """
 from __future__ import annotations
 
@@ -120,12 +119,12 @@ def _solve_refined(lu_piv, Mmat, x_rhs):
 
 
 class _InteriorSystem:
-    """The interior system of one variant of a form, kept by the form
-    (``_system``): the form's A (A^T for dual variants), the interior tail
-    weights and drift load (dual_ext), M and its LU factors, 16 N_I^2 bytes,
-    and 8 N_I^2 more once a theta < 1 step reads its explicit part A_II
-    (``A_exp``).  It holds the form's arrays, never the form, so a dropped
-    form frees it at once.
+    """The interior system of one operator of a form, kept by the form
+    (``_system``): the operator A (primal) or A^T (dual, dual_ext), its
+    interior tail weights, the interior drift load (once a dual_ext load reads
+    it), M and its LU factors, 16 N_I^2 bytes, and 8 N_I^2 more once a
+    theta < 1 step reads its explicit part A_II (``A_exp``).  It holds arrays
+    only, never the form, so a dropped form frees it at once.
 
     ``factor(a, b)`` builds M = a I + b A_II and its LU factors unless (a, b)
     is the ``key`` of those it holds: a = 1, b = theta dt for a step, a = lam,
@@ -133,15 +132,12 @@ class _InteriorSystem:
     or its own, so a refactor leaves the M and LU factors a stepper bound as
     they were.
     """
-    key = None
+    key = drift = None
 
-    def __init__(self, form: DiscreteForm, variant: str):
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+    def __init__(self, form: DiscreteForm, operator: str):
         self.I = form.grid.interior
-        self._A = form.A if variant == "primal" else form.A.T
-        self.tail = (form.tail if variant == "primal" else form.tail_dual)[self.I]
-        self.drift = form.drift_load[self.I] if variant == "dual_ext" else None
+        self._A = form.A if operator == "A" else form.A.T
+        self.tail = (form.tail if operator == "A" else form.tail_dual)[self.I]
 
     def block(self, cols: np.ndarray) -> np.ndarray:
         """A copy of A (A^T) on the interior rows and the columns in mask cols."""
@@ -158,14 +154,17 @@ class _InteriorSystem:
         M = self.block(self.I) if A_II is None else A_II
         M *= b
         M[np.diag_indices_from(M)] += a
-        self.M, self.lu, self.getrs, self.key = M, sla.lu_factor(M), sla.getrs, (a, b)
+        self.M, self.lu, self.key = M, sla.lu_factor(M), (a, b)
 
 
 def _system(form: DiscreteForm, variant: str) -> _InteriorSystem:
-    """The form's interior system of variant, built on first use."""
-    if variant not in form._systems:
-        form._systems[variant] = _InteriorSystem(form, variant)
-    return form._systems[variant]
+    """The form's interior system of variant's operator, built on first use."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    operator = "A" if variant == "primal" else "A^T"
+    if operator not in form._systems:
+        form._systems[operator] = _InteriorSystem(form, operator)
+    return form._systems[operator]
 
 
 class _Stepper:
@@ -179,8 +178,8 @@ class _Stepper:
     callable collar datum or source (the system's A_IC is then kept).
 
     ``_bind`` makes a system current: it builds the load pair, factors the
-    system if its key differs, binds M with its LU handles and ``getrs`` (a
-    later refactor of the shared system leaves them as they are) and allocates
+    system if its key differs, binds M with its LU handles and ``sla.getrs``
+    (a later refactor of the shared system leaves them as they are) and allocates
     the block buffers B, X and R once.  It runs on the first step, on a form
     switch and, for the loads, at each step of a problem with a callable
     collar datum or source.  A step adds the load into row i of B (after the
@@ -225,7 +224,8 @@ class _Stepper:
         self.g = _datum(p.collar, t, grid, grid.collar)
         r = _datum(p.f, t, grid, system.I) - A_IC @ self.g
         r = r + system.tail * p.exterior
-        if system.drift is not None:
+        if p.variant == "dual_ext":   # the system keeps the drift slice of its first such load
+            system.drift = self.form.drift_load[system.I] if system.drift is None else system.drift
             r = r + p.d_const * system.drift
         return p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None, p.dt * p.theta * r
 
@@ -243,7 +243,7 @@ class _Stepper:
             self.loads = self._loads(t)
         if bind:
             s.factor(*key, fresh)
-            self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, s.getrs
+            self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, sla.getrs
         if self.B is None:            # after the factorisation, whose peak they would raise
             n_I = len(self.loads[1])
             self.B, self.X, self.R = np.empty((3, self.rows, n_I))

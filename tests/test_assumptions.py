@@ -372,10 +372,13 @@ class TestStridedLattice:
         coarse, strided = (r.constants["norm"] for r in reps)
         assert abs(strided - coarse) <= 0.02 * coarse
 
-    def test_suffk1_norm(self):
+    def test_suffk1_norm(self, monkeypatch):
+        import jumplab.assumptions as assumptions
+
         V = get_field({"preset": "sin-V", "scale": 0.5})
-        reps = [suffK1_check(V, self.ball, 2.0, 1.0, 1.5, grid=build_grid(2, 1.0, h),
-                             max_points=300) for h in (1 / 16, 1 / 32)]
+        monkeypatch.setattr(assumptions, "_SUFFK1_POINTS", 300)
+        reps = [suffK1_check(V, self.ball, 2.0, 1.0, 1.5, grid=build_grid(2, 1.0, h))
+                for h in (1 / 16, 1 / 32)]
         assert [r.resolution["n_points"] for r in reps] == [208, 271]
         coarse, strided = (r.constants["holder_norm"] for r in reps)
         assert abs(strided - coarse) <= 0.02 * coarse

@@ -141,11 +141,47 @@ class TestValidation:
         ("check-kernel", {**_default_config("check-kernel"),
                           "kernel": {**DEFAULT_KERNEL, "double_cone": {"axis": [1.0]}}},
          "$['kernel']['double_cone']: 'half_angle' is a required property\n"),
+        # a negative delta gave a negative a_00 at every alpha and exit 0
+        ("mosco", {"harness": {"delta": -0.5}},
+         "$['harness']['delta']: -0.5 is less than or equal to the minimum of 0\n"),
+        ("mosco", {"harness": {"alphas": [2.5]}},
+         "$['harness']['alphas'][0]: 2.5 is greater than or equal to the maximum of 2\n"),
+        ("mosco", {"harness": {"alphas": []}}, "$['harness']['alphas']: [] should be non-empty\n"),
+        # one distinct alpha: the limit fit was rank-deficient
+        ("mosco", {"harness": {"alphas": [1.9, 1.9]}},
+         "$['harness']['alphas']: [1.9, 1.9] has non-unique elements\n"),
+        ("mosco", {"harness": {"lam_resolvent": 0}},
+         "$['harness']['lam_resolvent']: 0 is less than or equal to the minimum of 0\n"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": [1.0]}},
+         "$['harness']['p_list']: [1.0] holds p = 1"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": [0.5, 1]}},
+         "$['harness']['p_list']: [0.5, 1] holds p = 1"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": [-1.0]}},
+         "$['harness']['p_list'][0]: -1.0 is less than or equal to the minimum of 0\n"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": []}},
+         "$['harness']['p_list']: [] should be non-empty\n"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"rho": -0.3}},
+         "$['harness']['rho']: -0.3 is less than or equal to the minimum of 0\n"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"eps": -5}},
+         "$['harness']['eps']: -5 is less than the minimum of 0\n"),
+        ("algebra-tests", {"harness": {"samples": 0}},
+         "$['harness']['samples']: 0 is less than the minimum of 1\n"),
+        # B_0.5(1.4) reaches 1.9 past the halfwidth 1.5: the late box read the collar datum
+        ("harnack", {**_default_config("harnack"), "harness": {"center": [1.4]}},
+         "$['harness']: B_R(center) leaves the domain: center offset + R = 1.9 > box "
+         "halfwidth 1.5\n"),
+        ("hoelder", {**_default_config("hoelder"), "harness": {"center": [-1.2], "R": 0.4}},
+         "$['harness']: B_R(center) leaves the domain: center offset + R = 1.6 > box "
+         "halfwidth 1.5\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
             "harnack-center-of-wrong-length", "check-kernel-center-of-wrong-length",
-            "misspelt-cone-key", "double-cone-without-half-angle"])
+            "misspelt-cone-key", "double-cone-without-half-angle", "mosco-negative-delta",
+            "mosco-alpha-2.5", "mosco-no-alphas", "mosco-equal-alphas", "mosco-zero-lam",
+            "caccioppoli-p-1", "caccioppoli-p-list-with-1", "caccioppoli-negative-p",
+            "caccioppoli-no-p", "caccioppoli-negative-rho", "caccioppoli-negative-eps",
+            "algebra-no-samples", "harnack-ball-off-domain", "hoelder-ball-off-domain"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli
@@ -160,6 +196,32 @@ class TestValidation:
         assert run([command, "--config", bad, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("omega, center, R, inside", [
+        ({"type": "box", "halfwidth": 1.5}, [1.0], 0.5, True),       # touches the edge
+        ({"type": "box", "halfwidth": 1.5}, [-1.0 - 1e-9], 0.5, False),
+        ({"type": "box", "halfwidth": 0.5, "center": [1.0]}, [1.25], 0.25, True),
+        ({"type": "box", "halfwidth": 0.5, "center": [1.0]}, [0.0], 0.25, False),
+        ({"type": "ball", "radius": 1.0}, [0.6, 0.0], 0.4, True),
+        ({"type": "ball", "radius": 1.0}, [0.6, 0.6], 0.1, True),    # |c| + R = 0.949 <= 1
+        ({"type": "ball", "radius": 1.0}, [0.6, 0.6], 0.2, False),   # a box test would pass
+        ({"type": "ball", "radius": 0.5, "center": [0.5, 0.0]}, [0.5, 0.25], 0.25, True),
+        ({"type": "ball", "radius": 0.5, "center": [0.5, 0.0]}, [0.0, 0.0], 0.25, False),
+    ])
+    def test_the_cylinder_ball_must_lie_in_the_domain(self, omega, center, R, inside):
+        import jumplab.cli as cli
+        from jumplab.discretize import build_grid
+
+        d = len(center)
+        grid = build_grid(d, 2.0, 1 / 8, omega)
+        cfg = {"harness": {"type": "harnack", "center": center, "R": R}}
+        kernel = cli.kernel_from_config({"family": "stable", "d": d, "alpha": 1.0})
+        if inside:
+            (cyl,) = cli._inside(cfg, kernel, grid)
+            assert cyl.R == R and cyl.center == tuple(center)
+        else:
+            with pytest.raises(ConfigError, match=r"^\$\['harness'\]: B_R\(center\) leaves"):
+                cli._inside(cfg, kernel, grid)
 
 
 class TestRunners:

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,9 +242,10 @@ class TestResolvent:
     @pytest.mark.parametrize("variant", ["dula", "Dual", "", "primal "])
     def test_rejects_an_unknown_variant(self, stable_form_1d, variant):
         # any variant but "primal" used to take A^T: "dula" ran as "dual"
+        form = replace(stable_form_1d)
         with pytest.raises(ValueError, match=f"^unknown variant {variant!r}$"):
-            resolvent_solve(stable_form_1d, 2.0, np.ones(stable_form_1d.grid.n_nodes), variant)
-        assert variant not in stable_form_1d._systems
+            resolvent_solve(form, 2.0, np.ones(form.grid.n_nodes), variant)
+        assert form._systems == {}
 
 
 def test_default_dt_tracks_parabolic_scaling():
@@ -389,7 +391,8 @@ class TestAgainstFrozenLoop:
 
 
 def _count_systems_and_factors(monkeypatch):
-    """Lists that grow by one per interior system built and per lu_factor call."""
+    """Lists that grow by the operator of each interior system built and by
+    the matrix of each lu_factor call."""
     systems, factors = [], []
     init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
     monkeypatch.setattr(solve_module._InteriorSystem, "__init__",
@@ -399,20 +402,22 @@ def _count_systems_and_factors(monkeypatch):
 
 
 class TestSharedSystem:
-    """A form keeps one interior system per variant: every run, theta step,
-    resolvent and ensemble member on it shares its factors, bit for bit."""
+    """A form keeps one interior system per operator (A, or A^T for dual and
+    dual_ext): every run, theta step, resolvent and ensemble member on it
+    shares its factors, bit for bit."""
 
     @pytest.mark.parametrize("ensemble", [harnack_ensemble, holder_ensemble])
     def test_an_ensemble_builds_one_system_and_factors_once(self, sin_coefficient_kernel,
                                                             ensemble, monkeypatch):
         grid = build_grid(1, 2.0, 1 / 64, {"type": "box", "halfwidth": 1.5})
         form, cyl = assemble(sin_coefficient_kernel, grid), Cylinder(0.0, 0.5, 1.0, (0.0,))
-        with monkeypatch.context() as m:     # each member builds and factors its own system
-            m.setattr(solve_module, "_system", solve_module._InteriorSystem)
+        with monkeypatch.context() as m:     # each member builds and factors its own system of A
+            m.setattr(solve_module, "_system",
+                      lambda F, variant: solve_module._InteriorSystem(F, "A"))
             per_member = ensemble(replace(form), cyl, 3, seed=4)
         systems, factors = _count_systems_and_factors(monkeypatch)
         shared = ensemble(form, cyl, 3, seed=4)
-        assert systems == ["primal"] and len(factors) == 1
+        assert systems == ["A"] and len(factors) == 1
         assert shared == per_member
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -445,7 +450,7 @@ class TestSharedSystem:
         try:
             harnack_ensemble(form, Cylinder(0.0, 0.5, 1.0, (0.0,)), 2, seed=1)
             resolvent_solve(form, 2.0, f, "dual")
-            assert set(form._systems) == {"primal", "dual"}
+            assert set(form._systems) == {"A", "A^T"}
             ref = weakref.ref(form)
             del form
             assert ref() is None
@@ -497,6 +502,34 @@ class TestSharedSystem:
         assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
         solve_parabolic(p)
         assert reads == [form]
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_a_dual_and_a_dual_ext_run_share_one_factorisation(self, coeff_form_1d, rng, theta,
+                                                              monkeypatch):
+        # both variants step A^T; dual_ext only adds the constant-drift load
+        form, g = replace(coeff_form_1d), coeff_form_1d.grid
+        dual = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+                                collar=_collar("array", g), exterior=0.4, theta=theta,
+                                variant="dual")
+        runs = (dual, replace(dual, variant="dual_ext", d_const=0.7))
+        frozen = [old_solve_parabolic(p) for p in runs]
+        systems, factors = _count_systems_and_factors(monkeypatch)
+        sols = [solve_parabolic(p) for p in runs]
+        assert systems == ["A^T"] and len(factors) == 1 and set(form._systems) == {"A^T"}
+        for sol, (times, snaps, _) in zip(sols, frozen):
+            assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
+        assert not np.array_equal(sols[0].snapshots, sols[1].snapshots)
+
+    def test_a_dual_ext_resolvent_reads_no_drift_load(self, coeff_form_1d, rng, monkeypatch):
+        # a resolvent has no load beyond f: dual_ext solves with the factors of A^T
+        form, f = replace(coeff_form_1d), rng.normal(size=coeff_form_1d.grid.n_nodes)
+        reads, drift_load = [], DiscreteForm.drift_load
+        monkeypatch.setattr(DiscreteForm, "drift_load",
+                            property(lambda F: reads.append(F) or drift_load.fget(F)))
+        u = resolvent_solve(form, 2.0, f, "dual_ext")
+        assert reads == [] and set(form._systems) == {"A^T"}
+        assert np.array_equal(u, resolvent_solve(replace(coeff_form_1d), 2.0, f, "dual"))
+        assert np.array_equal(u, old_resolvent_solve(form, 2.0, f, "dual"))
 
 
 def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
@@ -589,6 +622,15 @@ def test_singular_step_raises_its_residual_error(grid_1d):
         solve_parabolic(p)
 
 
+def _replace_getrs(monkeypatch, getrs):
+    """Put a stand-in for ``solve.sla`` in place whose getrs(*args) is
+    getrs(real getrs, *args); lu_factor and lu_solve are the real ones."""
+    real = solve_module.sla
+    monkeypatch.setattr(solve_module, "sla", SimpleNamespace(
+        lu_factor=real.lu_factor, lu_solve=real.lu_solve,
+        getrs=lambda *args: getrs(real.getrs, *args)))
+
+
 class TestBlockCheck:
     """solve_parabolic checks its steps a block at a time (``_BLOCK`` = 4 here):
     a bad solve anywhere in a block is redone once, through ``_solve_refined``,
@@ -609,25 +651,18 @@ class TestBlockCheck:
     def corrupt(monkeypatch, step, how):
         """Make the getrs call of the given step return how(x); returns the
         list of (x, residual) that ``_solve_refined`` gives back."""
-        real_factor, real_refined = solve_module._InteriorSystem.factor, solve_module._solve_refined
-        calls, refined = [0], []
+        real_refined, calls, refined = solve_module._solve_refined, [0], []
 
-        def factor(system, *args, **kwargs):
-            real_factor(system, *args, **kwargs)
-            getrs = system.getrs
-
-            def bad_getrs(*a):
-                x, info = getrs(*a)
-                calls[0] += 1
-                return (how(x) if calls[0] - 1 == step else x), info
-
-            system.getrs = bad_getrs
+        def bad_getrs(getrs, *a):
+            x, info = getrs(*a)
+            calls[0] += 1
+            return (how(x) if calls[0] - 1 == step else x), info
 
         def spy(*args):
             refined.append(real_refined(*args))
             return refined[-1]
 
-        monkeypatch.setattr(solve_module._InteriorSystem, "factor", factor)
+        _replace_getrs(monkeypatch, bad_getrs)
         monkeypatch.setattr(solve_module, "_solve_refined", spy)
         return refined
 
@@ -667,16 +702,14 @@ class TestBlockCheck:
         def factor(system, *args, **kwargs):
             real_factor(system, *args, **kwargs)
             systems.append(system)
-            getrs = system.getrs
 
-            def counting_getrs(*a):
-                solves[0] += 1
-                return getrs(*a)
-
-            system.getrs = counting_getrs
+        def counting_getrs(getrs, *a):
+            solves[0] += 1
+            return getrs(*a)
 
         monkeypatch.setattr(solve_module._Stepper, "step", step)
         monkeypatch.setattr(solve_module._InteriorSystem, "factor", factor)
+        _replace_getrs(monkeypatch, counting_getrs)
         monkeypatch.setattr(solve_module.sla, "lu_solve", None)    # no redo in a clean run
         sol = solve_parabolic(problem)
         assert steps[0] == solves[0] == sol.meta["n_steps"] == self.STEPS

@@ -191,6 +191,18 @@ def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypa
     assert counting.calls["getrs"] == 5
 
 
+def test_patched_sla_sees_the_steps_on_a_form_factored_before(stable_form_1d, monkeypatch):
+    # the form's system is factored before the patch; its steps still solve through solve.sla
+    form = replace(stable_form_1d)
+    plain = solve_parabolic(_five_steps(form))
+    counting = _CountingLinalg(solve_module.sla)
+    monkeypatch.setattr(solve_module, "sla", counting)
+    patched = solve_parabolic(_five_steps(form))
+    assert counting.calls == {"lu_factor": 0, "lu_solve": 0, "getrs": 5}
+    assert np.array_equal(patched.snapshots, plain.snapshots)
+    assert np.array_equal(patched.residuals, plain.residuals)
+
+
 def test_patched_sla_changes_no_bit(stable_form_1d, monkeypatch):
     # each run on a form of its own, so that the patched run factors and solves
     plain = solve_parabolic(_five_steps(replace(stable_form_1d)))
@@ -220,7 +232,7 @@ ENUM_WORDS = sorted({e for _, s in _schema_nodes(SCHEMA) for e in s.get("enum", 
                     | {"inf", "", "Stable"})
 EDGES = [0, 0.0, -0.0, 0.5, 0.4999999999999999, 1, 1.0, 1.5, 2, 2.0, 1.9999999999999998,
          3, -1, 1e-300, math.inf, -math.inf, math.nan, True, False, None, [], {},
-         [1.0, 2], [True], ["a"], {"axis": [1.0]}]
+         [1.0, 2], [True], ["a"], [1.9, 1.9], {"axis": [1.0]}]
 VALUES = st.one_of(st.sampled_from(EDGES), st.sampled_from(ENUM_WORDS),
                    st.integers(-3, 6), st.floats(-3.0, 3.0),
                    st.lists(st.one_of(st.floats(-2, 2), st.booleans(), st.text(max_size=2)),
@@ -293,6 +305,15 @@ def test_json_schema_rules_for_bools_and_integers(schema, value):
     except ConfigError:
         ours = False
     assert ours == jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
+@pytest.mark.parametrize("value", [[], [1.5], [1.5, 1.5], [1, 1.0], [1, True], [True, True],
+                                   [math.nan, math.nan], [0.5, 2.5], [1.0, 1.0, 2.5],
+                                   [[1], [1]], ["a", "a"]])
+@pytest.mark.parametrize("name", ["alphas", "p_list"])
+def test_array_rules_as_jsonschema_words_them(name, value):
+    # minItems and uniqueItems, before or with the rules of the items
+    _assert_agrees(value, SCHEMA["properties"]["harness"]["properties"][name])
 
 
 def test_error_keeps_the_field_path():
