@@ -201,7 +201,7 @@ SCHEMA = {
                 "family": {"enum": ["isotropic", "drift", "coefficient"]},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "lam_resolvent": {"type": "number", "exclusiveMinimum": 0},
-                "p_list": {"type": "array", "minItems": 1,
+                "p_list": {"type": "array", "minItems": 1, "uniqueItems": True,
                            "items": {"type": "number", "exclusiveMinimum": 0}},
                 "eps": {"type": "number", "minimum": 0},
                 "samples": {"type": "integer", "minimum": 1},
@@ -735,8 +735,18 @@ def _default_config(kind: str) -> dict:
     return cfg
 
 
+def _finite(text: str) -> float:
+    """A number of the config file or the command line; NaN, Infinity and
+    -Infinity (which JSON has not, but ``json`` reads) and a literal that
+    overflows to infinity are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> list:
-    return [float(a) for a in text.split(",")]
+    return [_finite(a) for a in text.split(",")]
 
 
 # harness overrides: (flag, argparse keywords, the subcommands whose runner
@@ -769,7 +779,8 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            config = json.loads(Path(args.config).read_text())
+            config = json.loads(Path(args.config).read_text(), parse_float=_finite,
+                                parse_constant=_finite)
         else:
             config = _default_config(args.command)
         config.setdefault("harness", {})["type"] = args.command
@@ -778,7 +789,7 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 config["harness"][key] = getattr(args, key)
         config = _validate(config)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:    # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

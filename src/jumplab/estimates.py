@@ -338,10 +338,9 @@ def caccioppoli_ensemble(form: DiscreteForm, center, r: float, rho: float,
         rng = philox_stream(seed, m)
         field = random_smooth_positive_field(rng, form.grid.d)
         u = field(form.grid.nodes)
-        for p in p_list:
-            rep = caccioppoli_audit(u, form, center, r, rho, float(p), eps,
-                                    variant=variant)
-            out[float(p)].append(rep["c_hat"])
+        for p in out:                 # each p once, also where p_list repeats it
+            rep = caccioppoli_audit(u, form, center, r, rho, p, eps, variant=variant)
+            out[p].append(rep["c_hat"])
     summary = {p: {"max": float(np.max(v)), "median": _median(v)}
                for p, v in out.items()}
     return {"c_hat": out, "summary": summary, "n_runs": n_runs, "seed": seed,

@@ -3,21 +3,23 @@
 The semi-discrete system on interior nodes (collar nodes pinned to the datum,
 constant exterior datum beyond the box) reads
 
-    du/dt + A_II u = f - A_IC g + T_I u_ext (+ d * drift_load_I).
+    du/dt + A_II u = f - A_IC g + T_I u_ext (+ d * drift_load_I),
 
-The mass is the identity: the cell volume already sits inside the assembled
-matrix (A u collocates the operator pointwise), so an extra h^d factor would
-only rescale time.  Dual variants use the transposed coupling and the dual
-tail weights; the extended dual adds the exact constant-drift load, which
-makes the shift identity (dual solution minus a constant solves the extended
-dual) hold at the level of the discrete recursion.
+its data fixed in time: the collar datum g and the source f are arrays or
+scalars, the initial state an array.  The mass is the identity: the cell
+volume already sits inside the assembled matrix (A u collocates the operator
+pointwise), so an extra h^d factor would only rescale time.  Dual variants use
+the transposed coupling and the dual tail weights; the extended dual adds the
+exact constant-drift load, which makes the shift identity (dual solution minus
+a constant solves the extended dual) hold at the level of the discrete
+recursion.
 
 ``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
-and evaluates form, collar datum and source only at grid times, the form once
-per time.  A form keeps one ``_InteriorSystem`` per operator, A or A^T (dual
-and dual_ext), which holds M and its LU factors while the form lives: every
-run, theta step and resolvent on the form shares it, and it refactors only
-when M changes (I + theta dt A_II for a step, lam I + A_II for the resolvent).
+and evaluates a form function only at grid times, once per time.  A form
+keeps one ``_InteriorSystem`` per operator, A or A^T (dual and dual_ext),
+which holds M and its LU factors while the form lives: every run, theta step
+and resolvent on the form shares it, and it refactors only when M changes
+(I + theta dt A_II for a step, lam I + A_II for the resolvent).
 A step adds the load to the interior vector in a row of the block buffer B
 and solves a copy of that row in X in place with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
@@ -26,8 +28,9 @@ per step: x stands if |b - M x| <= RESIDUAL_TOL |b|, else (b not finite too)
 ``_solve_refined`` redoes the step (``lu_solve`` and up to 3 refinement
 sweeps) and the later steps of the block are recomputed from it.  Every step
 is checked before ``solve_parabolic`` or ``theta_step`` returns.
-``solve_parabolic`` writes checked rows and the collar datum into its
-snapshots with one slice copy per run of consecutive nodes (``_runs``).
+``solve_parabolic`` writes checked rows and, once for all rows, the collar
+datum into its snapshots with one slice copy per run of consecutive nodes
+(``_runs``).
 
 ``sla`` is ``_lapack`` (LAPACK's getrf and getrs from scipy's compiled
 wrapper, without the scipy.linalg package), loaded on the first factorisation
@@ -55,19 +58,24 @@ _VARIANTS = ("primal", "dual", "dual_ext")
 
 @dataclass
 class ParabolicProblem:
+    """A theta-scheme run of a form, or of a function t -> form, on data fixed
+    in time: the initial state u0, the collar datum, the source f, the exterior."""
     form: object                      # DiscreteForm or callable t -> DiscreteForm
-    u0: object                        # initial values on all box nodes (or callable)
+    u0: object                        # initial values on all box nodes (array)
     t_start: float
     t_end: float
     dt: float
-    f: object = None                  # source: callable (t, points) -> values, or None
-    collar: object = None             # collar datum: callable (t, points), array, scalar
+    f: object = None                  # source on the interior nodes: array, scalar or None
+    collar: object = None             # collar datum: array, scalar or None
     exterior: float = 0.0
     theta: float = 1.0
     variant: str = "primal"           # primal | dual | dual_ext
     d_const: float = 0.0
 
     def __post_init__(self):
+        for name in ("collar", "f", "u0"):
+            if callable(getattr(self, name)):
+                raise ValueError(f"{name} must be an array fixed in time, not a callable")
         for name in ("t_start", "t_end", "dt", "exterior", "d_const"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -95,10 +103,8 @@ class Solution:
     residuals: np.ndarray | None = None
 
 
-def _datum(value, t: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Collar datum or source on the masked nodes: callable (t, points), array,
-    scalar or None (zero)."""
-    value = value(t, grid.nodes[mask]) if callable(value) else value
+def _datum(value, mask: np.ndarray) -> np.ndarray:
+    """Collar datum or source on the masked nodes: array, scalar or None (zero)."""
     return np.asarray(0.0 if value is None else value, dtype=float) * np.ones(int(mask.sum()))
 
 
@@ -173,21 +179,16 @@ class _Stepper:
     It steps on the system that the current form keeps (``_system``), so a
     form function over any number of forms factors once per form.  Under
     theta < 1 a step's explicit part is the ``A_exp`` of its start time's system.
-    The load pair (dt (1 - theta) r, dt theta r) is the problem's: it is built
-    from a temporary A_IC on each new system, and at each time under a
-    callable collar datum or source (the system's A_IC is then kept).
 
-    ``_bind`` makes a system current: it builds the load pair, factors the
-    system if its key differs, binds M with its LU handles and ``sla.getrs``
-    (a later refactor of the shared system leaves them as they are) and allocates
-    the block buffers B, X and R once.  It runs on the first step, on a form
-    switch and, for the loads, at each step of a problem with a callable
-    collar datum or source.  A step adds the load into row i of B (after the
-    explicit part under theta < 1), copies it into row i of X and solves that
-    row in place with ``getrs``; an array that a replaced ``getrs`` returns
-    instead is copied back.  Step indices and times go to the arrays k and t;
-    under a callable collar datum or source, L keeps each row's load pair for
-    a redo.
+    ``_bind`` makes a system current, on the first step and on a form switch:
+    it builds the system's load pair (dt (1 - theta) r, dt theta r) from the
+    data, fixed in time, and a temporary A_IC, factors the system if its key
+    differs, binds M with its LU handles and ``sla.getrs`` (a later refactor of
+    the shared system leaves them as they are) and allocates the block buffers
+    B, X and R once.  A step adds the load into row i of B (after the explicit
+    part under theta < 1), copies it into row i of X and solves that row in
+    place with ``getrs``; an array that a replaced ``getrs`` returns instead is
+    copied back.  Step indices and times go to the arrays k and t.
     ``check`` tests the recorded rows with one product R = B - X M^T, written
     into R, when ``rows`` steps are recorded, before the stepper changes
     system, and when asked (the end of a run); a row passes if
@@ -199,57 +200,46 @@ class _Stepper:
     Checked rows go to ``emit(k0, X, residuals)``, k0 the index of the first.
     """
 
-    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, t: float,
-                 emit=None, rows: int = 1):
+    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, emit=None,
+                 rows: int = 1):
         p = self.problem = problem
-        self._timed = callable(p.collar) or callable(p.f)
         self._forms = None if isinstance(p.form, DiscreteForm) else p.form
         # the weight of the explicit part, None at theta = 1 (no explicit part)
         self._c = (1.0 - p.theta) * p.dt if p.theta < 1.0 else None
         self.form, self.system = form, _system(form, p.variant)
-        self.A_IC = None              # the current system's, kept for a callable datum or source
-        self.g = None                 # collar datum at the current time, once loaded
-        self.loads = self._loads(t) if self._c is not None else None
+        self.g = _datum(p.collar, form.grid.collar)
+        self.loads = self._loads() if self._c is not None else None
         self.M = self.lu = self.piv = self.getrs = None    # the current system's, by _bind
         self.emit, self.rows, self.n = emit, rows, 0    # n rows recorded since the last check
         self.k, self.t = np.empty(rows, dtype=np.intp), np.empty(rows)
         self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
-        self.L = None                 # rows of load pairs, kept for a callable datum or source
 
-    def _loads(self, t: float):
-        """The current system's load pair at t; reads the collar datum g first."""
-        p, system, grid = self.problem, self.system, self.form.grid
-        A_IC = self.A_IC if self.A_IC is not None else system.block(~system.I)
-        self.A_IC = A_IC if self._timed else None
-        self.g = _datum(p.collar, t, grid, grid.collar)
-        r = _datum(p.f, t, grid, system.I) - A_IC @ self.g
+    def _loads(self):
+        """The current system's load pair."""
+        p, system = self.problem, self.system
+        r = _datum(p.f, system.I) - system.block(~system.I) @ self.g
         r = r + system.tail * p.exterior
         if p.variant == "dual_ext":   # the system keeps the drift slice of its first such load
             system.drift = self.form.drift_load[system.I] if system.drift is None else system.drift
             r = r + p.d_const * system.drift
         return p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None, p.dt * p.theta * r
 
-    def _bind(self, form: DiscreteForm, t: float):
-        """Make the system of form current with its load pair at t (see the
-        class docstring)."""
+    def _bind(self, form: DiscreteForm):
+        """Make the system of form current (see the class docstring)."""
         p, switch = self.problem, form is not self.form
         if switch:
-            self.form, self.system, self.A_IC = form, _system(form, p.variant), None
-        s, key, bind = self.system, (1.0, p.theta * p.dt), switch or self.getrs is None
+            self.form, self.system = form, _system(form, p.variant)
+        s, key = self.system, (1.0, p.theta * p.dt)
         # M's A_II slice comes before the load's temporary A_IC (31.5 MiB on holder-2d):
         # in the other order holder-2d read a 6 MB higher peak resident set (measured)
-        fresh = s.block(s.I) if bind and s.key != key else None
-        if switch or self._timed or self.loads is None:
-            self.loads = self._loads(t)
-        if bind:
-            s.factor(*key, fresh)
-            self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, sla.getrs
+        fresh = s.block(s.I) if s.key != key else None
+        if switch or self.loads is None:
+            self.loads = self._loads()
+        s.factor(*key, fresh)
+        self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, sla.getrs
         if self.B is None:            # after the factorisation, whose peak they would raise
-            n_I = len(self.loads[1])
-            self.B, self.X, self.R = np.empty((3, self.rows, n_I))
+            self.B, self.X, self.R = np.empty((3, self.rows, len(self.loads[1])))
             self.res = np.empty(self.rows)
-            if self._timed:
-                self.L = np.empty((self.rows, 2, n_I))
 
     def step(self, u_I: np.ndarray, t_new: float, k: int):
         """(interior state at t_new, relative residual) of step k from the
@@ -262,15 +252,11 @@ class _Stepper:
         system, explicit = self.system, self.loads  # the start time's, under theta < 1
         if self._forms is not None and (form := self._forms(t_new)) is not self.form:
             self.check()              # the old system checks its rows first
-            self._bind(form, t_new)
-        elif self._timed or self.getrs is None:
-            self._bind(self.form, t_new)
+            self._bind(form)
+        elif self.getrs is None:
+            self._bind(self.form)
         i = self.n
         self.k[i], self.t[i] = k, t_new
-        if self.L is not None:        # the load pair, its explicit part under theta < 1 only
-            self.L[i, 1] = self.loads[1]
-            if self._c is not None:
-                self.L[i, 0] = self.loads[0]
         x = self._solve(i, u_I, system, explicit, self.loads[1])
         self.n = i + 1
         if self.n < self.rows:
@@ -320,9 +306,7 @@ class _Stepper:
                                        f"RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
                 X[j], self.res[j] = x, rel_res
                 for m in range(j + 1, n):   # the block's system: it changes between blocks only
-                    explicit, load = ((self.loads, self.loads[1]) if self.L is None
-                                      else (self.L[m - 1], self.L[m, 1]))
-                    self._solve(m, X[m - 1], self.system, explicit, load)
+                    self._solve(m, X[m - 1], self.system, self.loads, self.loads[1])
                 i = j + 1
             if self.emit is not None:
                 self.emit(int(self.k[0]), X, self.res[:n])
@@ -332,7 +316,7 @@ class _Stepper:
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     """One theta-scheme step from t to t + dt; returns the new full-box state."""
-    stepper = _Stepper(problem, problem.form_at(t), t)
+    stepper = _Stepper(problem, problem.form_at(t))
     out = np.array(u_full, dtype=float)
     I = stepper.system.I
     out[I], _ = stepper.step(out[I], t + problem.dt,
@@ -370,8 +354,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     """Snapshots at t_start + k dt, k <= round((t_end - t_start) / dt) = meta["n_steps"]."""
     form = problem.form_at(problem.t_start)
     grid = form.grid
-    u0 = problem.u0(grid.nodes) if callable(problem.u0) else np.asarray(
-        problem.u0, dtype=float)
+    u0 = np.asarray(problem.u0, dtype=float)
     if u0.shape != (grid.n_nodes,):
         raise ValueError("initial state must live on all box nodes")
     if not np.all(np.isfinite(u0)):
@@ -388,21 +371,13 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         _write(snaps[k0 + 1:k0 + 1 + len(X)], I, X)
         residuals[k0:k0 + len(X)] = res
 
-    stepper = _Stepper(problem, form, problem.t_start, emit, min(_BLOCK, n_steps))
-    # under theta < 1 the stepper has read the datum at t_start for its first load
-    g = stepper.g if stepper.g is not None else _datum(
-        problem.collar, problem.t_start, grid, grid.collar)
-    _write(snaps[0], C, g)
-    timed = callable(problem.collar)
+    stepper = _Stepper(problem, form, emit, min(_BLOCK, n_steps))
     try:
         for k, t_new in enumerate(times[1:]):
             u, _ = stepper.step(u, t_new, k)
-            if timed:
-                _write(snaps[k + 1], C, stepper.g)
     finally:    # the rows of the last block; after an error too, as a miss before it comes first
         stepper.check()
-    if not timed:                     # after the loop: the buffer fills as the steps go
-        _write(snaps[1:], C, g)
+    _write(snaps, C, stepper.g)       # after the loop: the buffer fills as the steps go
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,
             "h": grid.h, "exterior": problem.exterior,
             "d_const": problem.d_const, "kernel_hash": form.meta.get("kernel_hash"),

@@ -26,7 +26,8 @@ def pv_operator_oracle(xi, u, c, alpha, hf, window=64.0):
 # The solver as it was before the interior system was shared between
 # the stepper and the resolvent and before time-independent loads were built
 # once per solve: every step slices A_II / A_IC out of the form again and
-# evaluates the collar datum and the source afresh.  Tests compare the
+# evaluates the collar datum and the source afresh (arrays or scalars, as
+# ``ParabolicProblem`` takes them).  Tests compare the
 # production solver against it bit for bit, so nothing here may be "tidied":
 # the order of the floating-point operations is the point.
 
@@ -45,8 +46,6 @@ def _old_collar_values(problem, grid, t):
     g = problem.collar
     if g is None:
         return np.zeros(pts.shape[0])
-    if callable(g):
-        return np.asarray(g(t, pts), dtype=float) * np.ones(pts.shape[0])
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         return np.full(pts.shape[0], float(g))
@@ -56,8 +55,7 @@ def _old_collar_values(problem, grid, t):
 def _old_source(problem, grid, t):
     if problem.f is None:
         return np.zeros(int(np.sum(grid.interior)))
-    return np.asarray(problem.f(t, grid.nodes[grid.interior]), dtype=float) * np.ones(
-        int(np.sum(grid.interior)))
+    return np.asarray(problem.f, dtype=float) * np.ones(int(np.sum(grid.interior)))
 
 
 def _old_rhs_load(problem, form, t):
@@ -134,9 +132,7 @@ class _OldStepper:
 def old_solve_parabolic(problem):
     """(times, snapshots, residuals) of the old loop."""
     grid = problem.form_at(problem.t_start).grid
-    u0 = problem.u0(grid.nodes) if callable(problem.u0) else np.asarray(
-        problem.u0, dtype=float)
-    u = u0.copy()
+    u = np.array(problem.u0, dtype=float)
     u[grid.collar] = _old_collar_values(problem, grid, problem.t_start)
     n_steps = max(int(round((problem.t_end - problem.t_start) / problem.dt)), 1)
     times = problem.t_start + problem.dt * np.arange(n_steps + 1)

@@ -201,7 +201,7 @@ def test_criterion_05_solver():
         field = random_smooth_positive_field(rng, 1)
         gval = float(rng.uniform(0.05, 1.0))
         p = ParabolicProblem(F, field(grid.nodes), 0.0, 0.06, 0.02,
-                             collar=lambda t, x, v=gval: v,
+                             collar=gval,
                              exterior=float(rng.uniform(0.0, 1.0)), theta=1.0)
         sol = solve_parabolic(p)
         if np.min(sol.snapshots) < 0:
@@ -334,14 +334,14 @@ def test_criterion_09_caccioppoli():
     D = 0.7
     rng2 = philox_stream(910, 0)
     u0 = random_smooth_positive_field(rng2, 1)(grid.nodes) + 1.0
-    kw = dict(dt=0.01, t_end=0.08, collar=lambda t, x: 1.4, exterior=1.1)
+    kw = dict(dt=0.01, t_end=0.08, collar=1.4, exterior=1.1)
     dual = solve_parabolic(ParabolicProblem(Fns, u0, 0.0, kw["t_end"],
                                             kw["dt"], collar=kw["collar"],
                                             exterior=kw["exterior"],
                                             variant="dual"))
     ext = solve_dual_ext(ParabolicProblem(Fns, u0 - D, 0.0, kw["t_end"],
                                           kw["dt"],
-                                          collar=lambda t, x: 1.4 - D,
+                                          collar=1.4 - D,
                                           exterior=kw["exterior"] - D,
                                           variant="dual_ext", d_const=-D))
     shift_gap = float(np.max(np.abs(ext.snapshots - (dual.snapshots - D))))

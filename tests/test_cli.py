@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,15 @@ class TestValidation:
          "$['harness']['p_list'][0]: -1.0 is less than or equal to the minimum of 0\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": []}},
          "$['harness']['p_list']: [] should be non-empty\n"),
+        # two members gave four rows of caccioppoli.csv, each value twice
+        ("caccioppoli", {**_default_config("caccioppoli"),
+                         "harness": {"p_list": [0.5, 0.5], "ensemble": 2}},
+         "$['harness']['p_list']: [0.5, 0.5] has non-unique elements\n"),
+        # every comparison with NaN is false: NaN passed the bounds and exited 3
+        ("mosco", {"harness": {"delta": math.nan}}, "NaN is not a finite number\n"),
+        ("mosco", {"harness": {"alphas": [1.5, math.inf]}}, "Infinity is not a finite number\n"),
+        ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"eps": -math.inf}},
+         "-Infinity is not a finite number\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"rho": -0.3}},
          "$['harness']['rho']: -0.3 is less than or equal to the minimum of 0\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"eps": -5}},
@@ -180,7 +190,9 @@ class TestValidation:
             "misspelt-cone-key", "double-cone-without-half-angle", "mosco-negative-delta",
             "mosco-alpha-2.5", "mosco-no-alphas", "mosco-equal-alphas", "mosco-zero-lam",
             "caccioppoli-p-1", "caccioppoli-p-list-with-1", "caccioppoli-negative-p",
-            "caccioppoli-no-p", "caccioppoli-negative-rho", "caccioppoli-negative-eps",
+            "caccioppoli-no-p", "caccioppoli-repeated-p", "mosco-nan-delta",
+            "mosco-infinite-alpha", "caccioppoli-minus-infinite-eps", "caccioppoli-negative-rho",
+            "caccioppoli-negative-eps",
             "algebra-no-samples", "harnack-ball-off-domain", "hoelder-ball-off-domain"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
@@ -196,6 +208,21 @@ class TestValidation:
         assert run([command, "--config", bad, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}")
         assert not out.exists()
+
+    def test_a_number_that_overflows_is_refused_as_infinity(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"harness": {"type": "mosco", "delta": 1e400}}')
+        assert run(["mosco", "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == "config error: 1e400 is not a finite number\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("alphas", ["nan", "1.5,inf", "1.9,-inf"])
+    def test_a_non_finite_alpha_on_the_command_line_exits_2(self, tmp_path, capsys, alphas):
+        with pytest.raises(SystemExit) as exc:
+            run(["mosco", "--alphas", alphas, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert "argument --alphas: invalid _float_list value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("omega, center, R, inside", [
         ({"type": "box", "halfwidth": 1.5}, [1.0], 0.5, True),       # touches the edge

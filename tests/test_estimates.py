@@ -327,6 +327,13 @@ def test_ensemble_medians_are_those_of_np_median():
             assert out["summary"][p]["median"] == float(np.median(values))
 
 
+def test_a_repeated_p_is_audited_once(stable_form_1d):
+    # the audit ran once per entry of p_list: [0.5, 0.5] gave each member twice
+    once = caccioppoli_ensemble(stable_form_1d, (0.0,), 0.4, 0.3, [0.5], 2, seed=1)
+    twice = caccioppoli_ensemble(stable_form_1d, (0.0,), 0.4, 0.3, [0.5, 0.5], 2, seed=1)
+    assert len(twice["c_hat"][0.5]) == 2 and twice == once
+
+
 def test_random_field_value_does_not_depend_on_the_batch():
     # 2D: a node's value from a one-row call is the same row of the full-grid call
     grid = build_grid(2, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})

@@ -1,6 +1,5 @@
 """form_value sums its pair terms directly; a run evaluates its form once per
-grid time and builds and factors one interior system per form object; a
-callable collar datum is read once per grid time too."""
+grid time and builds and factors one interior system per form object."""
 from dataclasses import replace
 
 import numpy as np
@@ -140,21 +139,3 @@ def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, stable_
     assert sol.meta["n_steps"] == 100 and np.all(sol.residuals <= solve_module.RESIDUAL_TOL)
     n_forms = 2 if kind == "switch" else 1
     assert len(systems) == n_forms and len(factors) == n_forms
-
-
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_a_callable_collar_is_read_once_per_grid_time(coeff_form_1d, theta):
-    grid = coeff_form_1d.grid
-    calls = []
-
-    def collar(t, x):
-        calls.append(t)
-        return 0.5 + 0.2 * np.sin(3.0 * t) * np.cos(x[..., 0])
-
-    p = ParabolicProblem(coeff_form_1d, 1.0 + 0.3 * np.cos(2.0 * grid.nodes[:, 0]), 0.0, 0.1,
-                         0.02, collar=collar, exterior=0.2, theta=theta)
-    sol = solve_parabolic(p)
-    assert calls == list(sol.times)
-    old_times, old_snaps, _ = old_solve_parabolic(p)
-    assert np.array_equal(sol.times, old_times)
-    assert np.array_equal(sol.snapshots, old_snaps)

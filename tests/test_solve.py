@@ -66,7 +66,7 @@ class TestThetaStep:
         c0 = 2.5
         g = coeff_form_1d.grid
         p = problem_with(coeff_form_1d, u0=np.full(g.n_nodes, c0),
-                         collar=lambda t, x: c0, exterior=c0,
+                         collar=c0, exterior=c0,
                          dt=0.01, t_end=0.05)
         sol = solve_parabolic(p)
         assert np.max(np.abs(sol.snapshots[-1] - c0)) < 1e-6
@@ -84,7 +84,7 @@ class TestSolveParabolic:
         for _ in range(10):
             u0 = rng.uniform(0.0, 2.0, g.n_nodes)
             gc = rng.uniform(0.1, 1.0)
-            p = problem_with(coeff_form_1d, u0=u0, collar=lambda t, x, v=gc: v,
+            p = problem_with(coeff_form_1d, u0=u0, collar=gc,
                              exterior=0.5, dt=0.02, t_end=0.1, theta=1.0)
             sol = solve_parabolic(p)
             assert np.min(sol.snapshots) >= 0.0
@@ -94,7 +94,7 @@ class TestSolveParabolic:
         u0 = rng.uniform(0.0, 1.0, g.n_nodes)
         v0 = u0 + rng.uniform(0.0, 1.0, g.n_nodes)
         common = dict(dt=0.02, t_end=0.1, theta=1.0, exterior=0.0,
-                      collar=lambda t, x: 0.2)
+                      collar=0.2)
         su = solve_parabolic(problem_with(coeff_form_1d, u0=u0, **common))
         sv = solve_parabolic(problem_with(coeff_form_1d, u0=v0, **common))
         assert np.all(sv.snapshots >= su.snapshots - 1e-12)
@@ -111,7 +111,7 @@ class TestSolveParabolic:
     def test_dual_equals_primal_for_symmetric(self, stable_form_1d, rng):
         g = stable_form_1d.grid
         u0 = rng.uniform(0, 1, g.n_nodes)
-        kw = dict(u0=u0, dt=0.02, t_end=0.1, collar=lambda t, x: 0.3,
+        kw = dict(u0=u0, dt=0.02, t_end=0.1, collar=0.3,
                   exterior=0.1)
         s1 = solve_parabolic(problem_with(stable_form_1d, variant="primal", **kw))
         s2 = solve_parabolic(problem_with(stable_form_1d, variant="dual", **kw))
@@ -124,8 +124,7 @@ class TestSolveParabolic:
         u0 = np.exp(-4 * g.nodes[:, 0] ** 2)
         sols = {}
         for dt in (0.02, 0.01, 0.005):
-            p = problem_with(F, u0=u0, dt=dt, t_end=0.2,
-                             collar=lambda t, x: 0.0)
+            p = problem_with(F, u0=u0, dt=dt, t_end=0.2, collar=0.0)
             sols[dt] = solve_parabolic(p).snapshots[-1]
         e1 = np.linalg.norm(sols[0.02] - sols[0.005])
         e2 = np.linalg.norm(sols[0.01] - sols[0.005])
@@ -141,6 +140,13 @@ class TestSolveParabolic:
         with pytest.raises(ValueError):
             problem_with(stable_form_1d, variant="weird")
 
+    @pytest.mark.parametrize("name", ["collar", "f", "u0"])
+    def test_rejects_callable_data(self, stable_form_1d, name):
+        # the data are fixed in time: a function of (t, x) is refused, not read
+        with pytest.raises(ValueError, match=f"^{name} must be an array fixed in time, "
+                                             f"not a callable$"):
+            problem_with(stable_form_1d, **{name: lambda t, x: 0.5})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["t_start", "t_end", "dt", "exterior", "d_const"])
     def test_rejects_non_finite_numbers(self, stable_form_1d, name, bad):
@@ -153,7 +159,7 @@ class TestSolveParabolic:
 class TestDualExt:
     def test_zero_drift_equals_dual(self, coeff_form_1d, rng):
         u0 = rng.uniform(0.5, 1.5, coeff_form_1d.grid.n_nodes)
-        kw = dict(u0=u0, dt=0.02, t_end=0.1, collar=lambda t, x: 1.0,
+        kw = dict(u0=u0, dt=0.02, t_end=0.1, collar=1.0,
                   exterior=1.0)
         s_dual = solve_parabolic(problem_with(coeff_form_1d, variant="dual", **kw))
         s_ext = solve_dual_ext(problem_with(coeff_form_1d, variant="dual_ext",
@@ -178,10 +184,10 @@ class TestDualExt:
         collar_val = 1.3
         dual = solve_parabolic(problem_with(
             coeff_form_1d, variant="dual", u0=u0, dt=0.01, t_end=0.08,
-            collar=lambda t, x: collar_val, exterior=0.9))
+            collar=collar_val, exterior=0.9))
         shifted = solve_dual_ext(problem_with(
             coeff_form_1d, variant="dual_ext", d_const=-D, u0=u0 - D,
-            dt=0.01, t_end=0.08, collar=lambda t, x: collar_val - D,
+            dt=0.01, t_end=0.08, collar=collar_val - D,
             exterior=0.9 - D))
         gap = np.max(np.abs(shifted.snapshots - (dual.snapshots - D)))
         assert gap < 1e-9
@@ -196,7 +202,7 @@ class TestTimeDependentOperator:
         static = assemble(sin_coefficient_kernel, grid_1d)
         u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
         kw = dict(u0=u0, t_start=0.0, t_end=0.1, dt=0.02,
-                  collar=lambda t, x: 0.5, exterior=0.3)
+                  collar=0.5, exterior=0.3)
         s_time = solve_parabolic(ParabolicProblem(form_fn, **kw))
         s_stat = solve_parabolic(ParabolicProblem(static, **kw))
         assert np.max(np.abs(s_time.snapshots - s_stat.snapshots)) < 1e-12
@@ -209,7 +215,7 @@ class TestTimeDependentOperator:
         form_fn = lambda t: assemble_time(tk, grid_1d, t)
         u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
         p = ParabolicProblem(form_fn, u0, 0.0, 0.1, 0.02, theta=0.5,
-                             collar=lambda t, x: 0.5, exterior=0.3)
+                             collar=0.5, exterior=0.3)
         sol = solve_parabolic(p)
         assert np.all(np.isfinite(sol.snapshots))
         assert np.all(sol.residuals <= 1e-10)
@@ -292,11 +298,14 @@ def test_order_one_semigroup_matches_poisson_kernel():
     assert err < 0.03 * np.max(target[inner])
 
 
-def _collar(kind, grid):
-    """An array collar datum, or a callable one that moves in time."""
-    if kind == "array":
-        return 0.5 + 0.25 * np.cos(3.0 * grid.nodes[grid.collar][:, 0])
-    return lambda t, x: 0.5 + 0.25 * np.cos(3.0 * x[..., 0] + t)
+def _collar(grid):
+    """A collar datum that varies over the collar nodes."""
+    return 0.5 + 0.25 * np.cos(3.0 * grid.nodes[grid.collar][:, 0])
+
+
+def _source(grid):
+    """A nonzero source on the interior nodes."""
+    return np.sin(2.0 * grid.nodes[grid.interior][:, 0])
 
 
 def _assert_matches_frozen_loop(problem):
@@ -311,26 +320,24 @@ def _assert_matches_frozen_loop(problem):
 class TestAgainstFrozenLoop:
     """The shared interior system and the precomputed load change no bit."""
 
-    @pytest.mark.parametrize("collar", ["array", "callable"])
+    @pytest.mark.parametrize("source", [None, "array"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("variant", ["primal", "dual", "dual_ext"])
-    def test_fixed_form(self, coeff_form_1d, rng, variant, theta, collar):
+    def test_fixed_form(self, coeff_form_1d, rng, variant, theta, source):
         g = coeff_form_1d.grid
-        source = (lambda t, x: np.sin(2.0 * x[..., 0]) * (1.0 + t)) if collar == "callable" else None
         p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
-                             f=source, collar=_collar(collar, g), exterior=0.4, theta=theta,
-                             variant=variant, d_const=0.7)
+                             f=_source(g) if source else None, collar=_collar(g), exterior=0.4,
+                             theta=theta, variant=variant, d_const=0.7)
         sol = _assert_matches_frozen_loop(p)
         assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
 
-    @pytest.mark.parametrize("collar", ["array", "callable"])
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_ball_form_2d(self, cone_kernel_2d, rng, theta, collar):
+    def test_ball_form_2d(self, cone_kernel_2d, rng, theta):
         # the interior of a ball is no contiguous run of node indices
         grid = build_grid(2, 1.0, 1 / 8, {"type": "ball", "radius": 0.6})
         assert np.any(np.diff(np.flatnonzero(grid.interior)) > 1)
         p = ParabolicProblem(assemble(cone_kernel_2d, grid), rng.uniform(0.2, 1.0, grid.n_nodes),
-                             0.0, 0.1, 0.02, collar=_collar(collar, grid), exterior=0.4,
+                             0.0, 0.1, 0.02, collar=_collar(grid), exterior=0.4,
                              theta=theta, variant="dual_ext", d_const=0.7)
         sol = _assert_matches_frozen_loop(p)
         assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
@@ -341,7 +348,7 @@ class TestAgainstFrozenLoop:
                            0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
         form_fn = lambda t: assemble_time(tk, grid_1d, t)
         p = ParabolicProblem(form_fn, rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
-                             collar=_collar("array", grid_1d), exterior=0.3, theta=theta,
+                             collar=_collar(grid_1d), exterior=0.3, theta=theta,
                              variant="dual_ext", d_const=0.5)
         _assert_matches_frozen_loop(p)
 
@@ -351,9 +358,9 @@ class TestAgainstFrozenLoop:
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
         p = ParabolicProblem(lambda t: assemble_time(tk, grid_1d, t),
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
-                             collar=_collar("callable", grid_1d), exterior=0.3, theta=theta)
+                             collar=_collar(grid_1d), exterior=0.3, theta=theta)
         sol = _assert_matches_frozen_loop(p)
-        stepper = solve_module._Stepper(p, p.form_at(sol.times[0]), sol.times[0])
+        stepper = solve_module._Stepper(p, p.form_at(sol.times[0]))
         u, I = sol.snapshots[0].copy(), grid_1d.interior
         for k in range(len(sol.times) - 1):
             u[I], _ = stepper.step(u[I], sol.times[k + 1], k)
@@ -367,7 +374,7 @@ class TestAgainstFrozenLoop:
         forms, dt = (replace(coeff_form_1d), replace(stable_form_1d)), 0.02
         g = coeff_form_1d.grid
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 2], rng.uniform(0.2, 1.0, g.n_nodes),
-                             0.0, 10 * dt, dt, collar=_collar("array", g), exterior=0.4,
+                             0.0, 10 * dt, dt, collar=_collar(g), exterior=0.4,
                              theta=theta, variant="dual_ext", d_const=0.7)
         systems, factors = [], []
         init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
@@ -428,7 +435,7 @@ class TestSharedSystem:
         forms, dt = [assemble_time(tk, grid_1d, 0.1 * j) for j in range(5)], 0.01
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 5],
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 20 * dt, dt,
-                             collar=_collar("array", grid_1d), exterior=0.3, theta=theta)
+                             collar=_collar(grid_1d), exterior=0.3, theta=theta)
         block, slices = solve_module._InteriorSystem.block, []
         with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
             systems, factors = _count_systems_and_factors(m)
@@ -464,18 +471,17 @@ class TestSharedSystem:
                                                  inside):
         # the resolvent refactors the shared system; a run's bound M, LU
         # factors and explicit part stay, also when it runs inside a step
-        # (through the collar datum) and a redo of that step reads them
+        # (through the form function) and the block check reads them
         form = replace(coeff_form_1d)
         g, f = form.grid, rng.normal(size=form.grid.n_nodes)
-        collar = _collar("callable", g)
 
-        def collar_and_resolvent(t, x):
+        def form_and_resolvent(t):
             resolvent_solve(form, 2.0, f, variant)
-            return collar(t, x)
+            return form
 
-        p = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
-                             collar=collar_and_resolvent if inside else collar, exterior=0.4,
-                             theta=theta, variant=variant)
+        p = ParabolicProblem(form_and_resolvent if inside else form,
+                             rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+                             collar=_collar(g), exterior=0.4, theta=theta, variant=variant)
         first = _assert_matches_frozen_loop(p)
         u = resolvent_solve(form, 2.0, f, variant)
         second = solve_parabolic(p)
@@ -485,13 +491,12 @@ class TestSharedSystem:
         assert np.array_equal(u, old_resolvent_solve(form, 2.0, f, variant))
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_a_timed_dual_ext_run_reads_the_drift_load_once(self, coeff_form_1d, rng, theta,
-                                                            monkeypatch):
+    def test_a_dual_ext_run_reads_the_drift_load_once(self, coeff_form_1d, rng, theta,
+                                                      monkeypatch):
         # the drift load is a full A^T 1 product: sliced once per system, not per step
         form, g = replace(coeff_form_1d), coeff_form_1d.grid
         p = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
-                             f=lambda t, x: np.sin(2.0 * x[..., 0]) * (1.0 + t),
-                             collar=_collar("callable", g), exterior=0.4, theta=theta,
+                             f=_source(g), collar=_collar(g), exterior=0.4, theta=theta,
                              variant="dual_ext", d_const=0.7)
         times, snaps, _ = old_solve_parabolic(p)
         reads, drift_load = [], DiscreteForm.drift_load
@@ -509,7 +514,7 @@ class TestSharedSystem:
         # both variants step A^T; dual_ext only adds the constant-drift load
         form, g = replace(coeff_form_1d), coeff_form_1d.grid
         dual = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
-                                collar=_collar("array", g), exterior=0.4, theta=theta,
+                                collar=_collar(g), exterior=0.4, theta=theta,
                                 variant="dual")
         runs = (dual, replace(dual, variant="dual_ext", d_const=0.7))
         frozen = [old_solve_parabolic(p) for p in runs]
@@ -534,7 +539,7 @@ class TestSharedSystem:
 
 def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
     monkeypatch.setattr(solve_module, "RESIDUAL_TOL", -1.0)
-    p = problem_with(stable_form_1d, collar=lambda t, x: 0.5)
+    p = problem_with(stable_form_1d, collar=0.5)
     with pytest.raises(RuntimeError, match=r"step 0 to t=0\.01: relative residual"):
         solve_parabolic(p)
     with pytest.raises(RuntimeError, match=r"step 2 to t=0\.03: relative residual"):
@@ -554,8 +559,8 @@ def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng
     # LU factors of a slightly perturbed M: the first solve misses RESIDUAL_TOL
     g = coeff_form_1d.grid
     p = ParabolicProblem(replace(coeff_form_1d), rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
-                         collar=_collar("array", g), exterior=0.4)
-    stepper = solve_module._Stepper(p, p.form, p.t_start)
+                         collar=_collar(g), exterior=0.4)
+    stepper = solve_module._Stepper(p, p.form)
     system = stepper.system
     system.factor(1.0, p.theta * p.dt)
     system.lu = solve_module.sla.lu_factor(system.M * (1.0 + 1e-6))
@@ -575,13 +580,11 @@ def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng
 
 @pytest.mark.filterwarnings("ignore:invalid value")   # the residual of an inf solve
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("collar", ["array", "callable"])
-def test_non_finite_collar_raises_as_the_frozen_loop(coeff_form_1d, collar, bad):
+def test_non_finite_collar_raises_as_the_frozen_loop(coeff_form_1d, bad):
     g = coeff_form_1d.grid
     datum = np.full(int(g.collar.sum()), 0.5)
     datum[3] = bad
-    p = problem_with(coeff_form_1d, u0=np.ones(g.n_nodes), dt=0.02, t_end=0.04,
-                     collar=datum if collar == "array" else (lambda t, x: datum))
+    p = problem_with(coeff_form_1d, u0=np.ones(g.n_nodes), dt=0.02, t_end=0.04, collar=datum)
     with pytest.raises(ValueError) as old:
         old_solve_parabolic(p)
     with pytest.raises(ValueError, match="must not contain infs or NaNs") as new:
@@ -645,7 +648,7 @@ class TestBlockCheck:
         g, F, F2 = coeff_form_1d.grid, replace(coeff_form_1d), replace(stable_form_1d)
         form = F if kind == "fixed" else (lambda t: F if t < 0.065 else F2)
         return ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.01,
-                                collar=_collar("callable", g), exterior=0.4, theta=theta)
+                                collar=_collar(g), exterior=0.4, theta=theta)
 
     @staticmethod
     def corrupt(monkeypatch, step, how):
@@ -734,17 +737,17 @@ class TestBlockCheck:
     def test_a_step_that_misses_after_refinement_raises_with_its_index(self, problem,
                                                                       later_error,
                                                                       monkeypatch):
-        # the miss raises although the collar datum fails at step 6, before
+        # the miss raises although the form function fails at step 6, before
         # the block of steps 4-7 is full: the first failure is reported
         if later_error:
-            collar = problem.collar
+            form = problem.form
 
-            def failing_collar(t, x):
+            def failing_form(t):
                 if t > 0.065:
-                    raise ValueError("no collar datum")
-                return collar(t, x)
+                    raise ValueError("no form")
+                return form
 
-            monkeypatch.setattr(problem, "collar", failing_collar)
+            monkeypatch.setattr(problem, "form", failing_form)
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
         self.corrupt(monkeypatch, 5, lambda x: x * np.nan)
         real_refined = solve_module._solve_refined    # the redo of step 5 misses too
@@ -807,13 +810,12 @@ class TestNodeRuns:
                 assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    @pytest.mark.parametrize("collar", ["array", "callable"])
     @pytest.mark.parametrize("make", [_offset_box_1d, _offset_box_2d],
                              ids=["offset-box-1d", "offset-box-2d"])
-    def test_off_centre_runs_match_the_frozen_loop(self, make, collar, theta, rng):
+    def test_off_centre_runs_match_the_frozen_loop(self, make, theta, rng):
         grid = make()
         kernel = make_stable_kernel(grid.d, 1.0, c_alpha_norm(grid.d, 1.0))
         p = ParabolicProblem(assemble(kernel, grid), rng.uniform(0.2, 1.0, grid.n_nodes),
-                             0.0, 0.1, 0.02, collar=_collar(collar, grid), exterior=0.4,
+                             0.0, 0.1, 0.02, collar=_collar(grid), exterior=0.4,
                              theta=theta)
         _assert_matches_frozen_loop(p)
