@@ -4,7 +4,10 @@ Each checker turns one assumption into a quantitative profile (a norm, a sup,
 an eigenvalue, a fraction) plus a verdict at a declared resolution.  Inner
 singular integrals run through the graded polar quadrature; an analytic
 integrability pre-test on the singularity/decay exponents short-circuits
-genuinely divergent inputs instead of returning large garbage values.
+genuinely divergent inputs instead of returning large garbage values.  The
+singularity exponents are the kernels' diagonal orders measured at the
+checker's lattice points (``Kernel.diag_orders``), the decay exponents the
+kernels' declared ``decay_orders``.
 """
 from __future__ import annotations
 
@@ -197,7 +200,8 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     name = "K1glob" if glob else "K1"
     quad = quad or QuadSpec(n_ang=256, n_panels=32)
     d = ball.d
-    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
+    pts, _, volume = _lattice(ball, 2 * ball.r, grid, spacing)
+    sing = d + 2 * kernel.diag_orders(pts)[1] - J.diag_orders(pts)[0]
     resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
 
     def divergent(notes):
@@ -211,7 +215,6 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     if glob and kernel.anti_support() is None and _far_field_divergent(
             kernel.anti, decay, ball, quad.n_ang):
         return divergent("far-field exponent of K_a^2/J is not integrable")
-    pts, _, volume = _lattice(ball, 2 * ball.r, grid, spacing)
     # K1glob: the near field B_radius(x) around each point, then the tail beyond
     center, radius = (None, max(4 * ball.r, 1.0)) if glob else (np.asarray(ball.center),
                                                                 2 * ball.r)

@@ -58,25 +58,35 @@ INF = float("inf")
 
 
 # --- check-kernel assumptions ----------------------------------------------
-# name -> (run_scenario assembles the form for it, kernel fit test or None,
-# check).  The fit test takes the kernel and the name and raises a ConfigError
-# if the check does not apply to the kernel; run_scenario runs it before any
-# assembly.  A check takes the namespace of _run_check_kernel, reads the kernel
-# run_scenario built (never config["kernel"]) and returns the report fields
-# after "assumption".
+# name -> (run_scenario assembles the form for it, kernel fit tests, check).
+# A fit test takes the kernel, the name and the harness and raises a
+# ConfigError if the check or a harness number does not fit the kernel;
+# run_scenario runs them before any output.  A check takes the namespace of
+# _run_check_kernel, reads the kernel run_scenario built (never
+# config["kernel"]) and returns the report fields after "assumption".
 
 
 def _family(family: str):
-    def fits(kernel, name: str):
+    def fits(kernel, name: str, harness):
         if kernel.spec.family != family:
             raise ConfigError(f"$['kernel']['family']: {name} needs a {family} kernel, "
                               f"not {kernel.spec.family!r}")
     return fits
 
 
-def _alpha_below_d(kernel, name: str):
+def _alpha_below_d(kernel, name: str, harness):
     if kernel.alpha >= kernel.d:
         raise ConfigError(f"$['kernel']['alpha']: {name} needs alpha < d = {kernel.d}")
+
+
+def _above(key: str, words: str, bound):
+    """Fit test: the exponent harness[key] (absent: passes) exceeds bound(kernel)."""
+    def fits(kernel, name: str, harness):
+        value, limit = _exp(harness.get(key)), bound(kernel)
+        if value <= limit:
+            raise ConfigError(f"$['harness'][{key!r}]: {value!r} is not above {words} = "
+                              f"{limit!r}")
+    return fits
 
 
 def _k1(c, profile):
@@ -85,29 +95,31 @@ def _k1(c, profile):
 
 
 _ASSUMPTIONS = {
-    "K1": (False, None, lambda c: _k1(c, assumptions.k1_profile)),
-    "K1glob": (False, None, lambda c: _k1(c, assumptions.k1_glob_profile)),
+    "K1": (False, (), lambda c: _k1(c, assumptions.k1_profile)),
+    "K1glob": (False, (), lambda c: _k1(c, assumptions.k1_glob_profile)),
     # the class bound of the declared lam, Lam and the kernel's own sup |K_a| / K_s
-    "K2": (False, _family("coefficient"), lambda c: {
+    "K2": (False, (_family("coefficient"),), lambda c: {
         "D": assumptions.k2_coefficient_D(c.kernel.lam, c.kernel.Lam),
         "D_lattice": assumptions.k2_lattice_D(c.kernel, c.ball, grid=c.grid)}),
-    "Cutoff": (False, None, lambda c: assumptions.cutoff_sup(
+    "Cutoff": (False, (), lambda c: assumptions.cutoff_sup(
         c.kernel, float(c.harness.get("zeta", c.ball.r / 2)), c.ball, grid=c.grid)),
-    "Poinc": (True, None, lambda c: assumptions.poincare_constant(c.form, c.ball)),
-    "Sob": (True, _alpha_below_d, lambda c: assumptions.sobolev_ratio(
+    "Poinc": (True, (), lambda c: assumptions.poincare_constant(c.form, c.ball)),
+    "Sob": (True, (_alpha_below_d,), lambda c: assumptions.sobolev_ratio(
         c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
         rng=philox_stream(int(c.harness.get("seed", 0)), 0))),
-    "Tail": (False, None, lambda c: assumptions.tail_sup(
+    "Tail": (False, (), lambda c: assumptions.tail_sup(
         c.kernel, c.ball, float(c.harness.get("A", 2.0)), grid=c.grid)),
-    "CP": (False, None, lambda c: assumptions.cp_check(c.kernel.d, c.kernel.alpha, c.theta,
-                                                       _exp(c.harness.get("mu", "inf")))),
-    "suffK1": (False, _family("drift"), lambda c: assumptions.suffK1_check(
+    "CP": (False, (_above("theta_exp", "d/alpha", lambda k: k.d / k.alpha),),
+           lambda c: assumptions.cp_check(c.kernel.d, c.kernel.alpha, c.theta,
+                                          _exp(c.harness.get("mu", "inf")))),
+    "suffK1": (False, (_family("drift"), _above("gamma", "alpha/2", lambda k: k.alpha / 2)),
+               lambda c: assumptions.suffK1_check(
         c.kernel.V, c.ball, c.theta, c.harness.get("gamma", 1.0), c.kernel.alpha,
         grid=c.grid).to_dict()),
-    "coercivity": (True, None, lambda c: assumptions.coercivity_ratio(c.form, c.ball)),
-    "good-set": (False, None, lambda c: assumptions.good_set_fraction(
+    "coercivity": (True, (), lambda c: assumptions.coercivity_ratio(c.form, c.ball)),
+    "good-set": (False, (), lambda c: assumptions.good_set_fraction(
         c.kernel, c.ball, float(c.harness.get("D", 0.5)), grid=c.grid)),
-    "summary": (False, None, lambda c: {"K1": _k1(c, assumptions.k1_profile),
+    "summary": (False, (), lambda c: {"K1": _k1(c, assumptions.k1_profile),
                                         "good_set": _ASSUMPTIONS["good-set"][2](c),
                                         "tail": _ASSUMPTIONS["Tail"][2](c)}),
 }
@@ -135,11 +147,9 @@ SCHEMA = {
                 "coeff": {"type": "number"},
                 "g": {"type": ["string", "object"]},
                 "V": {"type": ["string", "object"]},
-                "g_smoothness": {"type": "number"},
                 "cone": _CONE,
                 "double_cone": {**_CONE, "type": ["object", "null"]},
                 "j": {"type": ["number", "string", "object"]},
-                "v_holder": {"type": "number"},
             },
             "required": ["family", "d", "alpha"],
             "additionalProperties": False,
@@ -188,13 +198,14 @@ SCHEMA = {
                 "t0": {"type": "number"},
                 "ensemble": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
-                "theta_exp": {"type": ["number", "string"]},
-                "mu": {"type": ["number", "string"]},
-                "A": {"type": "number"},
-                "zeta": {"type": "number"},
-                "D": {"type": "number"},
+                # the kernel's bounds (CP's theta, suffK1's gamma) are fit tests
+                "theta_exp": {"type": ["number", "string"], "exclusiveMinimum": 0},
+                "mu": {"type": ["number", "string"], "exclusiveMinimum": 1},
+                "A": {"type": "number", "exclusiveMinimum": 0},
+                "zeta": {"type": "number", "exclusiveMinimum": 0},
+                "D": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": ["number", "null"]},
+                "gamma": {"type": ["number", "null"], "maximum": 1},
                 "alphas": {"type": "array", "minItems": 1, "uniqueItems": True,
                            "items": {"type": "number", "exclusiveMinimum": 0,
                                      "exclusiveMaximum": 2}},
@@ -329,9 +340,7 @@ def write_json(path: Path, payload: dict):
 
 
 def _exp(value):
-    if value in ("inf", None):
-        return INF
-    return float(value)
+    return INF if value in ("inf", None) else float(value)
 
 
 # the runners that assemble a form of the configured kernel on the configured grid
@@ -369,9 +378,8 @@ def _build_kernel_grid(config):
         raise ConfigError(f"$['harness']['center']: {center!r} needs d = {kernel.d} entries")
     if kind == "check-kernel":
         name = config["harness"].get("assumption", "K1")
-        fits = _ASSUMPTIONS[name][1]
-        if fits is not None:
-            fits(kernel, name)
+        for fits in _ASSUMPTIONS[name][1]:
+            fits(kernel, name, config["harness"])
     grid = None
     if "grid" in config:
         gc = config["grid"]
@@ -735,18 +743,26 @@ def _default_config(kind: str) -> dict:
     return cfg
 
 
-def _finite(text: str) -> float:
-    """A number of the config file or the command line; NaN, Infinity and
-    -Infinity (which JSON has not, but ``json`` reads) and a literal that
-    overflows to infinity are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
+class _NonFinite(str):
+    """NaN, Infinity, -Infinity (JSON has none, but ``json`` reads them) or an
+    overflowing literal of a config file or flag, kept as its text."""
+
+
+def _parse_number(text: str):
+    return float(text) if math.isfinite(float(text)) else _NonFinite(text)
+
+
+def _refuse_non_finite(value, where: str = "$"):
+    """Refused with its path before ``_check``, which never sees a _NonFinite."""
+    if isinstance(value, _NonFinite):
+        raise ConfigError(f"{where}: {value} is not a finite number")
+    for key, item in (value.items() if isinstance(value, dict)
+                      else enumerate(value) if isinstance(value, list) else ()):
+        _refuse_non_finite(item, f"{where}[{key!r}]")
 
 
 def _float_list(text: str) -> list:
-    return [_finite(a) for a in text.split(",")]
+    return [_parse_number(a) for a in text.split(",")]
 
 
 # harness overrides: (flag, argparse keywords, the subcommands whose runner
@@ -779,8 +795,8 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            config = json.loads(Path(args.config).read_text(), parse_float=_finite,
-                                parse_constant=_finite)
+            config = json.loads(Path(args.config).read_text(), parse_float=_parse_number,
+                                parse_constant=_parse_number)
         else:
             config = _default_config(args.command)
         config.setdefault("harness", {})["type"] = args.command
@@ -788,6 +804,7 @@ def main(argv=None) -> int:
             key = flag[2:].replace("-", "_")
             if getattr(args, key, None) is not None:
                 config["harness"][key] = getattr(args, key)
+        _refuse_non_finite(config)
         config = _validate(config)
     except (ConfigError, ValueError, OSError) as exc:    # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,10 +21,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._lazy import lazy_module
+from .quadrature import directions
 
 _lapack = lazy_module("jumplab._lapack")
 
 MIN_SEPARATION = 1e-14
+# diag_orders: the ladder's last two rungs r = 2^-k, its 2D fan, its decimals
+_DIAG_RUNGS = np.array([2.0 ** -19, 2.0 ** -20])
+_DIAG_FAN = 64
+_DIAG_DECIMALS = 4
 
 
 def c_alpha_norm(d: int, alpha: float) -> float:
@@ -133,9 +138,10 @@ class KernelSpec:
 class Kernel:
     """Base class: eval of K, K_s, K_a plus the metadata the quadratures need.
 
-    Subclasses must set ``spec`` and implement ``sym`` and ``anti``; the
-    singularity/decay orders steer the graded quadratures and the analytic
-    integrability pre-tests of the assumption checkers.
+    Subclasses must set ``spec`` and implement ``sym`` and ``anti``.  The
+    diagonal orders are measured from those two (``diag_orders``), never
+    declared; they and the declared decay orders steer the graded quadratures
+    and the analytic integrability pre-tests of the assumption checkers.
     """
 
     spec: KernelSpec
@@ -158,13 +164,21 @@ class Kernel:
     def alpha(self) -> float:
         return self.spec.alpha
 
-    def sym_diag_order(self) -> float:
-        """gamma with K_s(x, x+h) = O(|h|^{-d-gamma}) near the diagonal."""
-        return self.spec.alpha
-
-    def anti_diag_order(self) -> float:
-        """gamma_a with |K_a(x, x+h)| = O(|h|^{-d-gamma_a}) near the diagonal."""
-        return self.spec.alpha
+    def diag_orders(self, points) -> tuple[float, float]:
+        """(gamma_s, gamma_a) with |K_part(x, x + h)| ~ |h|^{-d-gamma} near the
+        diagonal: the slope of log|K_part| between the rungs ``_DIAG_RUNGS``
+        on the axis rays (1D) or a fan of rays (2D) from each row x of
+        points, the worst point and ray.  gamma_s is read to
+        ``_DIAG_DECIMALS`` decimals and so is the gap gamma_s - gamma_a, so
+        alpha - 1 comes out as the float alpha - 1.0.
+        """
+        x = np.atleast_2d(np.asarray(points, dtype=float))[:, None, None, :]
+        y = x + _DIAG_RUNGS[:, None] * directions(self.d, _DIAG_FAN)[0][:, None, :]
+        x = np.broadcast_to(x, y.shape)                         # (N, rays, rungs, d)
+        fit_s, fit_a = (_worst_order(part(x, y), self.d) for part in (self.sym, self.anti))
+        gamma_s = round(fit_s, _DIAG_DECIMALS)
+        return gamma_s, (fit_a if math.isinf(gamma_s)
+                         else gamma_s - round(gamma_s - fit_a, _DIAG_DECIMALS))
 
     def anti_support(self) -> float | None:
         """Radius beyond which K_a vanishes (None = unbounded support)."""
@@ -205,12 +219,25 @@ class Kernel:
         return _ScaledKernel(self, 1.0, -1.0)
 
 
+def _worst_order(vals, d: int) -> float:
+    """Largest log2(|K(r_2)| / |K(r_1)|) - d over the rays of vals (..., 2) at
+    the rungs r_1 > r_2; a ray that vanishes at both is skipped: -inf if all
+    do, +inf if a value is not finite."""
+    v = np.abs(np.asarray(vals, dtype=float))
+    if not np.all(np.isfinite(v)):
+        return math.inf
+    live = np.any(v > 0, axis=-1)
+    with np.errstate(divide="ignore"):
+        fit = np.log2(v[live][:, 1] / v[live][:, 0]) - d
+    return float(np.max(fit, initial=-math.inf))
+
+
 class _ScaledKernel(Kernel):
     """View of a base kernel with K_s = sym_scale * base.sym and K_a =
     anti_scale * base.anti: the dual is (1, -1), a time slice (a(t),
     ka_scale(t)).  ``sym_scale`` is a number or a symmetric field (x, y) ->
-    array; orders, support, breaks and decay are the base's, and the ray
-    profile is the base's with c scaled (None under a field)."""
+    array; support, breaks and decay are the base's, and the ray profile is
+    the base's with c scaled (None under a field)."""
 
     def __init__(self, base: Kernel, sym_scale, anti_scale: float):
         self.base = base
@@ -224,12 +251,6 @@ class _ScaledKernel(Kernel):
 
     def anti(self, x, y):
         return self.anti_scale * self.base.anti(x, y)
-
-    def sym_diag_order(self):
-        return self.base.sym_diag_order()
-
-    def anti_diag_order(self):
-        return self.base.anti_diag_order()
 
     def anti_support(self):
         return self.base.anti_support()
@@ -276,9 +297,6 @@ class StableKernel(Kernel):
         _, r = _check_separation(x, y)
         return np.zeros_like(r)
 
-    def anti_diag_order(self):
-        return -math.inf
-
     def decay_orders(self, part, dirs):
         return np.full(dirs.shape[0], self.order)
 
@@ -293,12 +311,10 @@ class SplitKernel(Kernel):
     """Custom kernel given directly by a symmetric and an antisymmetric part."""
 
     def __init__(self, d: int, alpha: float, sym_fn, anti_fn, *,
-                 anti_diag_order: float | None = None,
                  anti_support: float | None = None, validate: bool = True):
         self.spec = KernelSpec("custom-symmetric-plus-antisymmetric", d, alpha)
         self._sym = sym_fn
         self._anti = anti_fn
-        self._anti_diag = alpha if anti_diag_order is None else anti_diag_order
         self._anti_supp = anti_support
         if validate:
             _validate_split(self, d)
@@ -308,9 +324,6 @@ class SplitKernel(Kernel):
 
     def anti(self, x, y):
         return self._anti(x, y)
-
-    def anti_diag_order(self):
-        return self._anti_diag
 
     def anti_support(self):
         return self._anti_supp
@@ -354,13 +367,13 @@ def _validate_split(kernel: Kernel, d: int):
 class CoefficientKernel(Kernel):
     """K(x,y) = g(x,y) * J(x,y) with a bounded two-point coefficient g.
 
-    ``g_smoothness`` records the Hoelder exponent of g's antisymmetric part
-    in |x - y| (0 = bounded only); it sharpens the drift singularity order
-    used by the integrability pre-tests, |K_a| = O(|h|^{smoothness - d - a}).
+    How fast g's antisymmetric part vanishes on the diagonal sets the drift
+    order |K_a| = O(|h|^{s - d - a}) (s = 1 for a Lipschitz g); ``diag_orders``
+    measures it from g itself.
     """
 
     def __init__(self, g, alpha: float, lam: float, Lam: float, d: int,
-                 base: Kernel | None = None, g_smoothness: float = 0.0):
+                 base: Kernel | None = None):
         if not (0.0 < lam <= Lam < math.inf):
             raise ValueError("need 0 < lam <= Lam < inf")
         self.g = g
@@ -369,7 +382,6 @@ class CoefficientKernel(Kernel):
             raise ValueError("base must be a symmetric kernel")
         self.lam = float(lam)
         self.Lam = float(Lam)
-        self.g_smoothness = float(g_smoothness)
         self.spec = KernelSpec("coefficient", d, alpha, lam=lam, Lam=Lam)
         (gv,) = _lattice_pair_values(d, g)
         if np.any(gv < lam - 1e-12) or np.any(gv > Lam + 1e-12):
@@ -388,12 +400,6 @@ class CoefficientKernel(Kernel):
                     - np.asarray(self.g(y, x), dtype=float))
         return ga * self.base.sym(x, y)
 
-    def sym_diag_order(self):
-        return self.base.sym_diag_order()
-
-    def anti_diag_order(self):
-        return self.base.sym_diag_order() - min(self.g_smoothness, 1.0)
-
     def decay_orders(self, part, dirs):
         return self.base.decay_orders("sym", dirs)
 
@@ -409,8 +415,7 @@ class DriftKernel(Kernel):
     """
 
     def __init__(self, j, V, L: float, alpha: float, d: int,
-                 lam: float = 1.0, Lam: float = 1.0, *,
-                 v_holder: float = 1.0):
+                 lam: float = 1.0, Lam: float = 1.0):
         if not (0.0 < lam <= Lam < math.inf):
             raise ValueError("need 0 < lam <= Lam < inf")
         if L <= 0:
@@ -422,7 +427,6 @@ class DriftKernel(Kernel):
         self.lam = float(lam)
         self.Lam = float(Lam)
         self.c_norm = c_alpha_norm(d, alpha)
-        self.v_holder = float(v_holder)
         self.spec = KernelSpec("drift", d, alpha, lam=lam, Lam=Lam, trunc=L)
         (dv,) = _lattice_pair_values(d, lambda x, y: np.abs(
             np.asarray(V(x)) - np.asarray(V(y))) * (
@@ -444,10 +448,6 @@ class DriftKernel(Kernel):
         base, r = self._stable(x, y)
         dv = np.asarray(self.V(x), dtype=float) - np.asarray(self.V(y), dtype=float)
         return dv * (r <= self.L) * base
-
-    def anti_diag_order(self):
-        # Hoelder-gamma potential gives |K_a| = O(|h|^{gamma - d - alpha})
-        return self.alpha - min(self.v_holder, 1.0)
 
     def anti_support(self):
         return self.L if np.isfinite(self.L) else None
@@ -507,12 +507,6 @@ class ConeKernel(Kernel):
         _, rd_beta, _, ind_C, ind_Cm = self._parts(x, y)
         return 0.5 * rd_beta * (ind_C - ind_Cm)
 
-    def sym_diag_order(self):
-        return self.alpha if self.double_cone is not None else self.beta
-
-    def anti_diag_order(self):
-        return self.beta
-
     def decay_orders(self, part, dirs):
         in_C = (self.cone.indicator(dirs) + self.cone.indicator(-dirs)) > 0
         return np.where(in_C, self.beta, self.alpha)
@@ -534,16 +528,13 @@ class ConeKernel(Kernel):
 # --- operations ---------------------------------------------------------------
 
 def make_coefficient_kernel(g, alpha: float, lam: float, Lam: float, d: int,
-                            base: Kernel | None = None,
-                            g_smoothness: float = 0.0) -> CoefficientKernel:
-    return CoefficientKernel(g, alpha, lam, Lam, d, base=base,
-                             g_smoothness=g_smoothness)
+                            base: Kernel | None = None) -> CoefficientKernel:
+    return CoefficientKernel(g, alpha, lam, Lam, d, base=base)
 
 
 def make_drift_kernel(j, V, L: float, alpha: float, d: int,
-                      lam: float = 1.0, Lam: float = 1.0,
-                      v_holder: float = 1.0) -> DriftKernel:
-    return DriftKernel(j, V, L, alpha, d, lam=lam, Lam=Lam, v_holder=v_holder)
+                      lam: float = 1.0, Lam: float = 1.0) -> DriftKernel:
+    return DriftKernel(j, V, L, alpha, d, lam=lam, Lam=Lam)
 
 
 def make_cone_kernel(alpha: float, beta: float, cone: Cone,
@@ -622,26 +613,14 @@ def time_modulate(base: Kernel, a, lam: float, Lam: float,
 
 # --- named closed-form fields used by scenario configs -------------------------
 
-def _field_linear(b):
-    b = np.asarray(b, dtype=float)
-    return lambda x: _project(x, b)
-
-
-def _field_sin1(scale=1.0):
-    return lambda x: scale * np.sin(np.asarray(x, dtype=float)[..., 0])
-
-
-def _field_abs_power(gamma0):
-    return lambda x: np.power(np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2,
-                                             axis=-1)), gamma0)
-
-
 FIELD_PRESETS = {
     "zero": lambda **kw: (lambda x: np.zeros(np.asarray(x).shape[:-1])),
     "one": lambda **kw: (lambda x: np.ones(np.asarray(x).shape[:-1])),
-    "linear-V": lambda b=(1.0,), **kw: _field_linear(b),
-    "sin-V": lambda scale=1.0, **kw: _field_sin1(scale),
-    "abs-power-V": lambda gamma0=0.5, **kw: _field_abs_power(gamma0),
+    "linear-V": lambda b=(1.0,), **kw: (lambda x: _project(x, b)),
+    "sin-V": lambda scale=1.0, **kw: (
+        lambda x: scale * np.sin(np.asarray(x, dtype=float)[..., 0])),
+    "abs-power-V": lambda gamma0=0.5, **kw: (lambda x: np.power(
+        np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)), gamma0)),
 }
 
 PAIR_FIELD_PRESETS = {
@@ -733,20 +712,16 @@ def kernel_from_config(cfg: dict) -> Kernel:
     # values resolved here that the spec lacks, defaults too, go into its params and hash
     if fam == "coefficient":
         g = cfg.get("g", "sin-coefficient")
-        # the named presets are all Lipschitz in each slot
-        smooth = float(cfg.get("g_smoothness", 1.0))
         kernel = CoefficientKernel(get_pair_field(g), alpha, float(cfg.get("lam", 1.0)),
-                                   float(cfg.get("Lam", 3.0)), d, g_smoothness=smooth)
-        resolved = {"g": g, "g_smoothness": smooth}
+                                   float(cfg.get("Lam", 3.0)), d)
+        resolved = {"g": g}
     elif fam == "drift":
         V = cfg.get("V", {"preset": "linear-V", "b": [1.0] * d})
         j = cfg.get("j", 1.0)
-        v_holder = float(cfg.get("v_holder", 1.0))
         kernel = DriftKernel(get_pair_field(j) if isinstance(j, (dict, str)) else j,
                              get_field(V), float(cfg.get("L", 1.0)), alpha, d,
-                             lam=float(cfg.get("lam", 1.0)), Lam=float(cfg.get("Lam", 1.0)),
-                             v_holder=v_holder)
-        resolved = {"V": V, "j": j, "v_holder": v_holder}
+                             lam=float(cfg.get("lam", 1.0)), Lam=float(cfg.get("Lam", 1.0)))
+        resolved = {"V": V, "j": j}
     else:
         raise ValueError(f"unknown kernel family {fam!r}")
     kernel.spec = replace(kernel.spec, params=tuple(resolved.items()))

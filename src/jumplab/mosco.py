@@ -73,31 +73,31 @@ def make_isotropic_family(d: int, alphas) -> AlphaFamily:
 
 
 def make_drift_family(d: int, alphas, V, L: float) -> AlphaFamily:
-    """Drift kernels with j = 1, lam = Lam = 1 and v_holder = 1."""
+    """Drift kernels with j = 1 and lam = Lam = 1."""
     factory = lambda a: make_drift_kernel(1.0, V, L, a, d)
     return AlphaFamily(factory, d, tuple(alphas))
 
 
 def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaFamily:
-    """Coefficient kernels over the normalized stable kernel, g_smoothness = 1."""
+    """Coefficient kernels over the normalized stable kernel."""
     def factory(a):
         base = make_stable_kernel(d, a, c_alpha_norm(d, a))
-        return make_coefficient_kernel(g, a, lam, Lam, d, base=base, g_smoothness=1.0)
+        return make_coefficient_kernel(g, a, lam, Lam, d, base=base)
 
     return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam)
 
 
-def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray,
+def _ball_moment(weight, kernel: Kernel, part: str, order: float, x: np.ndarray,
                  radius: float, quad: QuadSpec) -> np.ndarray:
-    """int_{B_radius(x)} weight(x, y) K_part(x, y) dy for each x.
+    """int_{B_radius(x)} weight(x, y) K_part(x, y) dy for each x, with order
+    the diagonal order of K_part.
 
     The weights of this module vanish at y = x to second order against K_s
     and to first order against K_a, which sets the singular order of the
     analytic sub-cutoff remainder; panel edges sit on the kernel's jumps.
     """
     d = kernel.d
-    K, order, degree = ((kernel.sym, kernel.sym_diag_order(), 2) if part == "sym"
-                        else (kernel.anti, kernel.anti_diag_order(), 1))
+    K, degree = (kernel.sym, 2) if part == "sym" else (kernel.anti, 1)
     return ball_integral(lambda xb, y: weight(xb, y) * K(xb, y), x, None, radius,
                          d, quad, singular_order=max(d + order - degree, 0.0),
                          breaks=kernel.radial_breaks())
@@ -106,17 +106,19 @@ def _ball_moment(weight, kernel: Kernel, part: str, x: np.ndarray,
 def _moments(kernel: Kernel, x: np.ndarray, radius: float,
              quad: QuadSpec) -> tuple[np.ndarray, np.ndarray]:
     """a_ij = int_{B_radius} h_i h_j K_s(x, x+h) dh (n, d, d) and
-    b_i = int_{B_radius} (-h_i) K_a(x, x+h) dh (n, d) at the rows of x."""
+    b_i = int_{B_radius} (-h_i) K_a(x, x+h) dh (n, d) at the rows of x, with
+    the kernel's diagonal orders measured at x."""
     d = kernel.d
+    order_s, order_a = kernel.diag_orders(x)
     a = np.empty((x.shape[0], d, d))
     b = np.empty((x.shape[0], d))
     for i in range(d):
         for j in range(i, d):
             a[:, i, j] = a[:, j, i] = _ball_moment(
                 lambda xb, y, i=i, j=j: (y[..., i] - xb[..., i]) * (y[..., j] - xb[..., j]),
-                kernel, "sym", x, radius, quad)
+                kernel, "sym", order_s, x, radius, quad)
         b[:, i] = _ball_moment(lambda xb, y, i=i: xb[..., i] - y[..., i],
-                               kernel, "anti", x, radius, quad)
+                               kernel, "anti", order_a, x, radius, quad)
     return a, b
 
 

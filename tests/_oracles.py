@@ -208,7 +208,7 @@ def old_local_coefficients(family, x, delta, alphas=None, quad=None,
                 a_mat[:, j, i] = vals
         b_vec = np.empty((x.shape[0], d))
         for i in range(d):
-            sing = d + k.anti_diag_order() - 1
+            sing = d + k.diag_orders(x)[1] - 1
             b_vec[:, i] = ball_integral(_old_moment_eval(k, i, None), x, None, dlt,
                                         d, q, singular_order=max(sing, 0.0),
                                         breaks=k.radial_breaks())
@@ -272,7 +272,7 @@ def old_cell_moments(kernel, pts, h, d, quad):
         C[:, k] = ball_integral(c_eval, pts, None, h / 2.0, d, quad,
                                 singular_order=max(d + alpha - 2, 0.0))
         b[:, k] = ball_integral(b_eval, pts, None, h / 2.0, d, quad,
-                                singular_order=max(d + kernel.anti_diag_order()
+                                singular_order=max(d + kernel.diag_orders(pts)[1]
                                                    - 1, 0.0))
     return C, b
 
@@ -523,7 +523,8 @@ def old_k1_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=None):
 
     quad = quad or QuadSpec(n_ang=256, n_panels=32)
     d = ball.d
-    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
+    lattice = _lattice(ball, 2 * ball.r, grid, spacing)[0]
+    sing = d + 2 * kernel.diag_orders(lattice)[1] - J.diag_orders(lattice)[0]
     resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
     if sing >= d:
         return AssumptionReport(
@@ -549,7 +550,8 @@ def old_k1_glob_profile(kernel, J, ball, theta, grid=None, quad=None, spacing=No
 
     quad = quad or QuadSpec(n_ang=256, n_panels=32)
     d = ball.d
-    sing = d + 2 * kernel.anti_diag_order() - J.sym_diag_order()
+    lattice = _lattice(ball, 2 * ball.r, grid, spacing)[0]
+    sing = d + 2 * kernel.diag_orders(lattice)[1] - J.diag_orders(lattice)[0]
     resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
     if sing >= d:
         return AssumptionReport(

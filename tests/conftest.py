@@ -37,7 +37,7 @@ def cone_kernel_1d():
 @pytest.fixture(scope="session")
 def sin_coefficient_kernel():
     return make_coefficient_kernel(get_pair_field("sin-coefficient"), 1.0,
-                                   lam=1.0, Lam=3.0, d=1, g_smoothness=1.0)
+                                   lam=1.0, Lam=3.0, d=1)
 
 
 @pytest.fixture(scope="session")

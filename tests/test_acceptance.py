@@ -117,8 +117,7 @@ def test_criterion_02_kernel_split_invariants():
     rng = philox_stream(202, 0)
     families = {
         "coefficient": (make_coefficient_kernel(
-            get_pair_field("sin-coefficient"), 1.0, 1.0, 3.0, d=1,
-            g_smoothness=1.0), 1),
+            get_pair_field("sin-coefficient"), 1.0, 1.0, 3.0, d=1), 1),
         "drift": (make_drift_kernel(
             1.0, lambda x: 0.5 * np.asarray(x, dtype=float)[..., 0],
             L=1.0, alpha=1.0, d=1), 1),
@@ -165,7 +164,7 @@ def test_criterion_04_assembly():
     alpha = 1.0
     c = c_alpha_norm(1, alpha)
     kernel = make_coefficient_kernel(get_pair_field("sin-coefficient"),
-                                     alpha, 1.0, 3.0, d=1, g_smoothness=1.0)
+                                     alpha, 1.0, 3.0, d=1)
     grid = build_grid(1, 1.25, 2.5 / 64, {"type": "box", "halfwidth": 1.0})
     F = assemble(kernel, grid)
     one = np.ones(grid.n_nodes)
@@ -192,7 +191,7 @@ def test_criterion_04_assembly():
 
 def test_criterion_05_solver():
     kernel = make_coefficient_kernel(get_pair_field("sin-coefficient"), 1.0,
-                                     1.0, 3.0, d=1, g_smoothness=1.0)
+                                     1.0, 3.0, d=1)
     grid = build_grid(1, 2.0, 1 / 16, {"type": "box", "halfwidth": 1.0})
     F = assemble(kernel, grid)
     violations = 0
@@ -236,7 +235,7 @@ def test_criterion_05_solver():
 
 def test_criterion_06_discrete_identities():
     kernel = make_coefficient_kernel(get_pair_field("sin-coefficient"), 1.0,
-                                     1.0, 3.0, d=1, g_smoothness=1.0)
+                                     1.0, 3.0, d=1)
     grid = build_grid(1, 2.0, 1 / 16, {"type": "box", "halfwidth": 1.0})
     F = assemble(kernel, grid)
     rng = philox_stream(606, 0)
@@ -329,7 +328,7 @@ def test_criterion_09_caccioppoli():
         dual_gap = max(dual_gap, abs(a["c_hat"] - b["c_hat"]))
 
     kernel_ns = make_coefficient_kernel(get_pair_field("sin-coefficient"),
-                                        1.0, 1.0, 3.0, d=1, g_smoothness=1.0)
+                                        1.0, 1.0, 3.0, d=1)
     Fns = assemble(kernel_ns, grid)
     D = 0.7
     rng2 = philox_stream(910, 0)

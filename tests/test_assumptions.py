@@ -71,7 +71,7 @@ class TestK1Profile:
     def test_divergence_pretest_at_critical_drift_order(self, ball_1d):
         # drift order beta_eff = alpha/2 exactly: borderline radial exponent
         V = lambda x: np.abs(np.asarray(x, dtype=float)[..., 0]) ** 0.5
-        k = make_drift_kernel(1.0, V, L=1.0, alpha=1.0, d=1, v_holder=0.5)
+        k = make_drift_kernel(1.0, V, L=1.0, alpha=1.0, d=1)
         J = make_stable_kernel(1, 1.0)
         rep = k1_profile(k, J, ball_1d, INF)
         assert rep.verdict == "divergent"
@@ -393,7 +393,7 @@ class TestDriftAbsorptionSplit:
         from jumplab.kernels import get_pair_field
         from jumplab import make_coefficient_kernel
         k = make_coefficient_kernel(get_pair_field("sin-coefficient"), alpha,
-                                    1.0, 3.0, d=1, g_smoothness=1.0)
+                                    1.0, 3.0, d=1)
         J = make_stable_kernel(1, alpha)
         ball = BallSpec((0.0,), 0.5)
         from jumplab.quadrature import ball_integral

@@ -12,6 +12,7 @@ from jumplab.cli import (DEFAULT_GRID, DEFAULT_KERNEL, main, run_scenario, _defa
 CONE_2D = {"family": "cone", "d": 2, "alpha": 1.5, "beta": 0.5,
            "cone": {"axis": [1.0, 0.0], "half_angle": 0.7853981633974483},
            "double_cone": {"axis": [0.0, 1.0], "half_angle": 0.39269908169872414}}
+DRIFT_1D = {"family": "drift", "d": 1, "alpha": 1.5}
 
 
 def run(args):
@@ -166,10 +167,12 @@ class TestValidation:
                          "harness": {"p_list": [0.5, 0.5], "ensemble": 2}},
          "$['harness']['p_list']: [0.5, 0.5] has non-unique elements\n"),
         # every comparison with NaN is false: NaN passed the bounds and exited 3
-        ("mosco", {"harness": {"delta": math.nan}}, "NaN is not a finite number\n"),
-        ("mosco", {"harness": {"alphas": [1.5, math.inf]}}, "Infinity is not a finite number\n"),
+        ("mosco", {"harness": {"delta": math.nan}},
+         "$['harness']['delta']: NaN is not a finite number\n"),
+        ("mosco", {"harness": {"alphas": [1.5, math.inf]}},
+         "$['harness']['alphas'][1]: Infinity is not a finite number\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"eps": -math.inf}},
-         "-Infinity is not a finite number\n"),
+         "$['harness']['eps']: -Infinity is not a finite number\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"rho": -0.3}},
          "$['harness']['rho']: -0.3 is less than or equal to the minimum of 0\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"eps": -5}},
@@ -183,6 +186,31 @@ class TestValidation:
         ("hoelder", {**_default_config("hoelder"), "harness": {"center": [-1.2], "R": 0.4}},
          "$['harness']: B_R(center) leaves the domain: center offset + R = 1.6 > box "
          "halfwidth 1.5\n"),
+        # the kernel's diagonal orders are measured, not set
+        ("check-kernel", {"kernel": {**DRIFT_1D, "v_holder": 0.5}},
+         "$['kernel']: Additional properties are not allowed ('v_holder' was unexpected)\n"),
+        ("check-kernel", {"kernel": {"family": "coefficient", "d": 1, "alpha": 1.5,
+                                     "g_smoothness": 1.0}},
+         "$['kernel']: Additional properties are not allowed ('g_smoothness' was "
+         "unexpected)\n"),
+        # numbers no check-kernel assumption can mean: each exited 3 after making --out,
+        # or 0 with a meaningless report
+        ("check-kernel", {"harness": {"assumption": "suffK1", "gamma": 0.7}, "kernel": DRIFT_1D},
+         "$['harness']['gamma']: 0.7 is not above alpha/2 = 0.75\n"),
+        ("check-kernel", {"harness": {"assumption": "suffK1", "gamma": 1.2}, "kernel": DRIFT_1D},
+         "$['harness']['gamma']: 1.2 is greater than the maximum of 1\n"),
+        ("check-kernel", {"harness": {"assumption": "Cutoff", "zeta": -1}, "kernel": DRIFT_1D},
+         "$['harness']['zeta']: -1 is less than or equal to the minimum of 0\n"),
+        ("check-kernel", {"harness": {"assumption": "good-set", "D": 1.5}, "kernel": DRIFT_1D},
+         "$['harness']['D']: 1.5 is greater than or equal to the maximum of 1\n"),
+        ("check-kernel", {"harness": {"assumption": "CP", "theta_exp": 0.5}, "kernel": DRIFT_1D},
+         "$['harness']['theta_exp']: 0.5 is not above d/alpha = 0.6666666666666666\n"),
+        ("check-kernel", {"harness": {"assumption": "CP", "mu": 0.5}, "kernel": DRIFT_1D},
+         "$['harness']['mu']: 0.5 is less than or equal to the minimum of 1\n"),
+        ("check-kernel", {"harness": {"assumption": "Tail", "A": -2}, "kernel": DRIFT_1D},
+         "$['harness']['A']: -2 is less than or equal to the minimum of 0\n"),
+        ("check-kernel", {"harness": {"assumption": "K1", "theta_exp": -1}, "kernel": DRIFT_1D},
+         "$['harness']['theta_exp']: -1 is less than or equal to the minimum of 0\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -193,7 +221,11 @@ class TestValidation:
             "caccioppoli-no-p", "caccioppoli-repeated-p", "mosco-nan-delta",
             "mosco-infinite-alpha", "caccioppoli-minus-infinite-eps", "caccioppoli-negative-rho",
             "caccioppoli-negative-eps",
-            "algebra-no-samples", "harnack-ball-off-domain", "hoelder-ball-off-domain"])
+            "algebra-no-samples", "harnack-ball-off-domain", "hoelder-ball-off-domain",
+            "drift-v-holder", "coefficient-g-smoothness", "suffK1-gamma-at-alpha-over-2",
+            "suffK1-gamma-above-1", "cutoff-negative-zeta", "good-set-D-above-1",
+            "cp-theta-below-d-over-alpha", "cp-mu-below-1", "tail-negative-A",
+            "k1-negative-theta"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli
@@ -213,13 +245,22 @@ class TestValidation:
         bad = tmp_path / "bad.json"
         bad.write_text('{"harness": {"type": "mosco", "delta": 1e400}}')
         assert run(["mosco", "--config", bad, "--out", tmp_path / "o"]) == 2
-        assert capsys.readouterr().err == "config error: 1e400 is not a finite number\n"
+        assert capsys.readouterr().err == ("config error: $['harness']['delta']: 1e400 is not "
+                                           "a finite number\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("alphas", ["nan", "1.5,inf", "1.9,-inf"])
     def test_a_non_finite_alpha_on_the_command_line_exits_2(self, tmp_path, capsys, alphas):
+        # named with its path in the config, like a non-finite number of the file
+        assert run(["mosco", "--alphas", alphas, "--out", tmp_path / "o"]) == 2
+        index, bad = alphas.count(","), alphas.split(",")[-1]
+        assert capsys.readouterr().err == (f"config error: $['harness']['alphas'][{index}]: "
+                                           f"{bad} is not a finite number\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_word_for_an_alpha_on_the_command_line_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["mosco", "--alphas", alphas, "--out", tmp_path / "o"])
+            run(["mosco", "--alphas", "1.5,big", "--out", tmp_path / "o"])
         assert exc.value.code == 2
         assert "argument --alphas: invalid _float_list value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -541,3 +582,16 @@ def test_suffk1_checks_the_potential_of_the_drift_kernel(tmp_path):
     rep = _report({"family": "drift", "d": 1, "alpha": 1.5,
                    "V": {"preset": "linear-V", "b": [0.5]}}, "suffK1", tmp_path)
     assert rep["constants"]["seminorm_max"] == 0.5
+
+
+@pytest.mark.parametrize("gamma0, verdict", [(0.5, "divergent"), (0.75, "divergent"),
+                                             (0.9, "finite")])
+def test_k1_reads_the_drift_order_of_a_holder_potential(gamma0, verdict, tmp_path):
+    # V = |x|^gamma0: K_a^2 / J ~ |h|^{2 gamma0 - 1 - alpha} at x = 0, which is
+    # not integrable for 2 gamma0 <= alpha; the lattice of a run without a
+    # grid holds 0
+    cfg = {"harness": {"type": "check-kernel", "assumption": "K1"},
+           "kernel": {"family": "drift", "d": 1, "alpha": 1.5, "L": 0.5,
+                      "V": {"preset": "abs-power-V", "gamma0": gamma0}}}
+    run_scenario(_validate(cfg), tmp_path)
+    assert _strict_json(tmp_path / "report.json")["verdict"] == verdict

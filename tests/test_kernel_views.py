@@ -75,8 +75,8 @@ def test_time_slice_keeps_the_base_metadata(drift_2d):
     dirs, _ = directions(2, 16)
     assert frozen.radial_breaks() == (1.0,)
     assert frozen.anti_support() == 1.0
-    assert frozen.sym_diag_order() == drift_2d.sym_diag_order()
-    assert frozen.anti_diag_order() == drift_2d.anti_diag_order()
+    pts = np.array([[0.1, -0.2], [0.0, 0.3]])
+    assert frozen.diag_orders(pts) == drift_2d.diag_orders(pts)
     for part in ("sym", "anti"):
         assert np.array_equal(frozen.decay_orders(part, dirs), drift_2d.decay_orders(part, dirs))
 

@@ -246,9 +246,7 @@ def test_projection_bits_do_not_depend_on_the_batch(axis):
     ({"family": "drift", "d": 1, "alpha": 1.5},
      {"V": {"preset": "linear-V", "b": [0.5]}}, {"V": {"preset": "sin-V", "scale": 0.3}}),
     ({"family": "coefficient", "d": 1, "alpha": 1.5}, {}, {"g": "one"}),
-    ({"family": "coefficient", "d": 1, "alpha": 1.5}, {}, {"g_smoothness": 0.5}),
     ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"j": 0.5}),
-    ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"v_holder": 0.5}),
 ])
 def test_config_kernels_that_differ_hash_apart(base, one, other):
     digest = lambda extra: kernel_from_config({**base, **extra}).spec.digest()
@@ -264,3 +262,71 @@ def test_config_kernels_that_differ_hash_apart(base, one, other):
 def test_cone_and_stable_hashes_stay(cfg, digest):
     # the kernel_hash of the builtin presets, as manifests recorded it
     assert kernel_from_config(cfg).spec.digest() == digest
+
+
+# --- measured diagonal orders ------------------------------------------------
+
+_PTS = {1: np.linspace(-1.0, 1.0, 9)[:, None],
+        2: np.stack(np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)),
+                    axis=-1).reshape(-1, 2)}
+_C1 = Cone((1.0,), math.pi / 4)
+_C2, _D2 = Cone((1.0, 0.0), math.pi / 4), Cone((0.0, 1.0), math.pi / 8, double=True)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.6, 1.7, 1.8, 1.9, 1.95, 1.99])
+@pytest.mark.parametrize("d", [1, 2])
+def test_mosco_family_orders_are_the_declared_ones(d, alpha):
+    # the orders the classes declared before they were measured, bit for bit:
+    # alpha for K_s, -inf for a zero K_a and alpha - 1 for a Lipschitz V or g
+    from jumplab.mosco import (make_coefficient_family, make_drift_family,
+                               make_isotropic_family)
+    V = get_field({"preset": "linear-V", "b": [0.4] * d})
+    g = get_pair_field("sin-coefficient")
+    for family, expected in ((make_isotropic_family(d, (alpha,)), (alpha, -math.inf)),
+                             (make_drift_family(d, (alpha,), V, 2.0), (alpha, alpha - 1.0)),
+                             (make_coefficient_family(d, (alpha,), g, 1.0, 3.0),
+                              (alpha, alpha - 1.0))):
+        assert family.kernel(alpha).diag_orders(_PTS[d]) == expected
+
+
+@pytest.mark.parametrize("kernel, d, expected", [
+    (make_cone_kernel(1.5, 0.5, _C1, None, d=1), 1, (0.5, 0.5)),
+    (make_cone_kernel(1.5, 0.5, _C1, None, d=1).dual(), 1, (0.5, 0.5)),
+    (make_cone_kernel(1.5, 0.5, _C2, _D2, d=2), 2, (1.5, 0.5)),
+    (make_cone_kernel(1.5, 0.5, _C2, _D2, d=2).dual(), 2, (1.5, 0.5)),
+    (make_cone_kernel(1.9, 0.25, _C2, _D2, d=2), 2, (1.9, 0.25)),
+    (make_stable_kernel(1, 0.5), 1, (0.5, -math.inf)),
+    (make_stable_kernel(2, 1.5, 3.0), 2, (1.5, -math.inf)),
+    (kernel_from_config({"family": "drift", "d": 1, "alpha": 1.5}), 1, (1.5, 0.5)),
+    (kernel_from_config({"family": "drift", "d": 2, "alpha": 1.0}), 2, (1.0, 0.0)),
+    (kernel_from_config({"family": "coefficient", "d": 1, "alpha": 0.5}), 1, (0.5, -0.5)),
+    (kernel_from_config({"family": "coefficient", "d": 2, "alpha": 1.5}), 2, (1.5, 0.5)),
+], ids=["cone-1d", "cone-1d-dual", "cone-2d", "cone-2d-dual", "cone-2d-beta-0.25",
+        "stable-1d", "stable-2d", "drift-1d", "drift-2d", "coefficient-1d", "coefficient-2d"])
+def test_diag_orders_are_the_declared_ones(kernel, d, expected):
+    assert kernel.diag_orders(_PTS[d]) == expected
+
+
+def test_a_time_slice_without_drift_has_drift_order_minus_inf():
+    base = kernel_from_config({"family": "drift", "d": 1, "alpha": 1.5})
+    frozen = time_modulate(base, lambda t: 1.0, 1.0, 1.0, ka_scale=lambda t: 0.0).at(0.5)
+    assert frozen.diag_orders(_PTS[1]) == (1.5, -math.inf)
+
+
+def test_an_infinite_drift_has_order_plus_inf():
+    from jumplab.kernels import SplitKernel
+    J = make_stable_kernel(1, 1.0)
+    inf_anti = lambda x, y: np.full(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]),
+                                    np.inf)
+    k = SplitKernel(1, 1.0, J.sym, inf_anti, validate=False)
+    assert k.diag_orders(_PTS[1]) == (1.0, math.inf)
+
+
+@pytest.mark.parametrize("gamma0", [0.5, 0.75, 0.9])
+def test_a_holder_potential_sets_the_drift_order_where_it_is_singular(gamma0):
+    # V = |x|^gamma0 is smooth away from 0: K_a has order alpha - 1 there and
+    # alpha - gamma0 at 0
+    k = kernel_from_config({"family": "drift", "d": 1, "alpha": 1.5, "L": 0.5,
+                            "V": {"preset": "abs-power-V", "gamma0": gamma0}})
+    assert k.diag_orders([[0.0], [0.5]]) == (1.5, 1.5 - gamma0)
+    assert k.diag_orders([[0.25], [0.5]]) == (1.5, 0.5)

@@ -163,7 +163,7 @@ def _tilted_family():
             return (1.0 + h[..., 0] * h[..., 1] / r2) * c * r2 ** (-(2 + a) / 2)
 
         return SplitKernel(2, a, sym, lambda x, y: np.zeros(np.broadcast_shapes(
-            x.shape, y.shape)[:-1]), anti_diag_order=-np.inf)
+            x.shape, y.shape)[:-1]))
 
     return AlphaFamily(factory, 2, (1.5, 1.9), Lam=8.0)
 

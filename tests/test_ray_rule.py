@@ -181,7 +181,7 @@ def test_k1_glob_verdict_follows_an_infinite_norm():
     J = make_stable_kernel(1, 1.0)
     inf_anti = lambda x, y: np.full(np.broadcast_shapes(
         np.shape(x)[:-1], np.shape(y)[:-1]), np.inf)
-    k = SplitKernel(1, 1.0, J.sym, inf_anti, anti_diag_order=0.1, validate=False)
+    k = SplitKernel(1, 1.0, J.sym, inf_anti, validate=False)
     ball = BallSpec((0.0,), 0.5)
     for profile in (k1_profile, k1_glob_profile):
         rep = profile(k, J, ball, INF, spacing=0.2)
