@@ -218,7 +218,8 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     # K1glob: the near field B_radius(x) around each point, then the tail beyond
     center, radius = (None, max(4 * ball.r, 1.0)) if glob else (np.asarray(ball.center),
                                                                 2 * ball.r)
-    W = ball_integral(ratio_fn, pts, center, radius, d, quad, singular_order=max(sing, 0.0))
+    W = ball_integral(ratio_fn, pts, center, radius, d, quad, singular_order=max(sing, 0.0),
+                      breaks=kernel.radial_breaks())
     if glob:
         W = W + _tail_beyond([(ratio_fn, kernel.anti_support(), decay)], pts, radius, d, quad)
     norm = _lp_norm(W, theta, volume)

@@ -36,6 +36,7 @@ import math
 import operator
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -199,8 +200,9 @@ SCHEMA = {
                 "ensemble": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
                 # the kernel's bounds (CP's theta, suffK1's gamma) are fit tests
-                "theta_exp": {"type": ["number", "string"], "exclusiveMinimum": 0},
-                "mu": {"type": ["number", "string"], "exclusiveMinimum": 1},
+                "theta_exp": {"type": ["number", "string"], "exclusiveMinimum": 0,
+                              "pattern": "^inf$"},
+                "mu": {"type": ["number", "string"], "exclusiveMinimum": 1, "pattern": "^inf$"},
                 "A": {"type": "number", "exclusiveMinimum": 0},
                 "zeta": {"type": "number", "exclusiveMinimum": 0},
                 "D": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -261,8 +263,8 @@ def _check(value, schema: dict, path: tuple = ()):
     """Raise a ConfigError at the first place where value breaks schema.
 
     Covers the keywords SCHEMA uses: type, enum, the four numeric bounds,
-    required, properties, additionalProperties (false only), minItems,
-    uniqueItems and items.
+    pattern, required, properties, additionalProperties (false only),
+    minItems, uniqueItems and items.
     """
     where = "$" + "".join(f"[{p!r}]" for p in path)
     types = schema.get("type", [])
@@ -272,6 +274,8 @@ def _check(value, schema: dict, path: tuple = ()):
     enum = schema.get("enum")
     if enum is not None and not any(_same(value, e) for e in enum):
         raise ConfigError(f"{where}: {value!r} is not one of {enum!r}")
+    if isinstance(value, str) and not re.search(schema.get("pattern", ""), value):
+        raise ConfigError(f"{where}: {value!r} does not match {schema['pattern']!r}")
     if _is_type(value, "number"):
         for key, fails, words in _BOUNDS:
             if key in schema and fails(value, schema[key]):
@@ -516,16 +520,16 @@ def _run_assemble(config, kernel, grid, form):
 
 
 def _time_span(config, kernel, grid):
-    """(dt, horizon) of a solve run; dt defaults to ``default_dt`` at kernel.alpha,
-    the order that ``kernel_alpha`` reads from the form."""
+    """(dt, horizon) of a solve run, dt the ``whole_steps`` step of at most the config's
+    dt (default ``default_dt`` at kernel.alpha, the order ``kernel_alpha`` reads)."""
     pc = config.get("problem", {})
     dt = solve.default_dt(grid.h, kernel.alpha) if pc.get("dt") is None else pc["dt"]
     horizon = float(pc.get("horizon", 8 * dt))
     if horizon < dt:
-        # the run would step once, past the horizon asked for
+        # a step longer than the run is a slip in the config, not shortened here
         raise ConfigError(f"$['problem']['horizon']: {horizon} is shorter than one "
                           f"time step dt = {dt}")
-    return dt, horizon
+    return solve.whole_steps(horizon, dt)[1], horizon
 
 
 def _problem_from_config(config, form, dt, horizon):
@@ -552,9 +556,7 @@ def _run_solve(config, kernel, grid, form, dt, horizon):
     rows = zip(np.repeat(sol.times, n_nodes).tolist(),
                np.tile(np.arange(n_nodes), n_times).tolist(),
                sol.snapshots.ravel().tolist())
-    # the run ends at the grid time nearest the horizon asked for, one step at least
     report = {"steps": len(sol.times) - 1, "dt": problem.dt, "t_end": sol.meta["t_end"],
-              "t_end_requested": sol.meta["t_end_requested"],
               "max_residual": float(np.max(sol.residuals)),
               "final_min": float(np.min(sol.snapshots[-1])),
               "final_max": float(np.max(sol.snapshots[-1]))}
@@ -595,8 +597,7 @@ def _run_harnack(config, kernel, grid, form, cylinder):
     out = estimates.harnack_ensemble(form, cylinder, int(harness.get("ensemble", 50)),
                                      int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("min", "median", "max", "n_runs", "h", "dt")}
-    # members end at the grid time nearest t0 + R^alpha, maybe short of it
-    report["horizon"] = {k: out[k] for k in ("t_end", "n_steps", "t_end_requested")}
+    report["horizon"] = {k: out[k] for k in ("t_end", "n_steps")}
     return ({"headline": f"min c_emp = {out['min']:.4g}", **report, **_health(out)}, report,
             [("harnack.csv", ["run", "c_emp"], list(enumerate(out["c_emp"])))])
 
@@ -606,7 +607,7 @@ def _run_hoelder(config, kernel, grid, form, cylinder):
     out = estimates.holder_ensemble(form, cylinder, int(harness.get("ensemble", 50)),
                                     int(harness.get("seed", 0)))
     report = {k: out[k] for k in ("fraction_in_range", "median", "n_runs", "h")}
-    report["horizon"] = {"t_end": out["t_end"], "n_steps": out["n_steps"]}   # members stop at t_fit
+    report["horizon"] = {k: out[k] for k in ("t_end", "n_steps")}   # members stop at t_fit
     rows = [(i, g if g is not None else "", f)
             for i, (g, f) in enumerate(zip(out["gamma_fit"], out["flat"]))]
     return ({"headline": f"{out['fraction_in_range']:.0%} of fits in (0, 1]", **report,

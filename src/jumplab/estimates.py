@@ -14,9 +14,10 @@ import numpy as np
 
 from .discretize import CutoffProfile, DiscreteForm, kernel_alpha
 from .kernels import philox_stream, random_smooth_positive_field
-from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic, time_grid
+from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic, whole_steps
 
-# a grid time within this distance of a box's end belongs to the box
+# a grid time within this distance of a box's end belongs to the box: fit
+# windows may end on grid times too (t_fit - s^alpha at alpha = 1.5)
 _TIME_TOL = 1e-12
 # the least number of nodes a Hoelder fit reads at its smallest scale
 _FIT_MIN_NODES = 8
@@ -231,39 +232,28 @@ def log_caccioppoli_audit(u: np.ndarray, form: DiscreteForm, center, r: float,
 # --- ensembles ------------------------------------------------------------------
 
 
-def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
-                  dt: float, t_end: float | None = None) -> Solution:
-    """One member: random positive initial state, collar datum and exterior
-    constant, stepped by implicit Euler from t0 - R^alpha.
+def _cylinder_step(cyl: Cylinder, h: float, dt: float | None) -> tuple[int, float]:
+    """(m, R^alpha / (2m)), the step of at most dt (``default_dt`` at h if None): a
+    run over the cylinder takes 4m steps, and t0 + R^alpha / 2 is its time 3m."""
+    return whole_steps(0.5 * cyl.ralpha, default_dt(h, cyl.alpha) if dt is None else dt)
 
-    The run covers the cylinder, to t0 + R^alpha, unless it is given a
-    horizon t_end, a grid time of the full run (see ``_fit_horizon``); its
-    times and snapshots are then a prefix of the full run's, bit for bit.
-    """
+
+def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
+                  dt: float, t_end: float) -> Solution:
+    """One member: random positive initial state, collar datum and exterior
+    constant, stepped by implicit Euler from t0 - R^alpha to t_end, a grid time
+    of the run over the cylinder, whose times and snapshots it shares, bit for bit."""
     grid = form.grid
     u0_field = random_smooth_positive_field(rng, grid.d)
     g_field = random_smooth_positive_field(rng, grid.d)
     ext = float(rng.uniform(0.2, 1.0))
     t_start = cyl.t0 - cyl.ralpha
-    t_end = cyl.t0 + cyl.ralpha if t_end is None else t_end
     problem = ParabolicProblem(
         form, u0_field(grid.nodes), t_start, t_end, dt,
         collar=g_field(grid.nodes[grid.collar]), exterior=ext, theta=1.0)
     sol = solve_parabolic(problem)
     sol.meta["alpha"] = cyl.alpha
     return sol
-
-
-def _fit_horizon(cyl: Cylinder, dt: float, t_fit: float) -> tuple[int, float]:
-    """(k, t_k): the last time t_k = t_start + k dt of the full cylinder run
-    that ``_box_values`` selects for a window ending at t_fit (both within
-    ``_TIME_TOL``), k >= 1.
-
-    The times are those of ``solve_parabolic`` on [t0 - R^alpha, t0 + R^alpha],
-    so a run to t_k steps k times, on the same grid."""
-    times = time_grid(cyl.t0 - cyl.ralpha, cyl.t0 + cyl.ralpha, dt)
-    k = max(int(np.flatnonzero(times <= t_fit + _TIME_TOL)[-1]), 1)
-    return k, float(times[k])
 
 
 def _median(values) -> float:
@@ -281,21 +271,18 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
                      seed: int, dt: float | None = None) -> dict:
     """Harnack quotients of n_runs members, and each member's max step residual.
 
-    The members cover the cylinder as far as the time grid allows: they run
-    ``n_steps`` steps to ``t_end``, the grid time nearest t0 + R^alpha
-    (``t_end_requested``, where the late box ends), which may fall short of
-    it by up to dt / 2."""
+    The members step over the whole cylinder, ``n_steps`` = 4m steps of
+    ``_cylinder_step`` to ``t_end`` = t0 + R^alpha, where the late box ends."""
     quotients, residuals = [], []
-    dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
+    _, dt = _cylinder_step(cyl, form.grid.h, dt)
     for m in range(n_runs):
-        sol = _positive_run(form, cyl, philox_stream(seed, m), dt)
+        sol = _positive_run(form, cyl, philox_stream(seed, m), dt, cyl.t0 + cyl.ralpha)
         quotients.append(harnack_quotient(sol, cyl))
         residuals.append(float(np.max(sol.residuals)))
     q = np.asarray(quotients)
     return {"c_emp": quotients, "min": float(np.min(q)), "median": _median(quotients),
             "max": float(np.max(q)), "n_runs": n_runs, "seed": seed,
-            "h": form.grid.h, "dt": dt,
-            **{k: sol.meta[k] for k in ("t_end", "n_steps", "t_end_requested")},
+            "h": form.grid.h, "dt": dt, **{k: sol.meta[k] for k in ("t_end", "n_steps")},
             "max_step_residual": residuals}
 
 
@@ -304,18 +291,17 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
                     dt: float | None = None) -> dict:
     """Hoelder fits of n_runs members, and each member's max step residual.
 
-    The fit at t_fit = t0 + R^alpha / 2 reads backward windows only, so each
-    member stops at the last grid time at or before t_fit: ``n_steps`` of
-    the full cylinder run's steps, to ``t_end``.  Its snapshots are a prefix
-    of the full run's and the fits are the same; ``max_step_residual``
-    covers the steps run.
+    The fit at t_fit = t0 + R^alpha / 2, grid time 3m of the cylinder's run
+    (``_cylinder_step``), reads backward windows only, so each member stops
+    there: ``n_steps`` = 3m steps to ``t_end`` = t_fit.  Its snapshots are a
+    prefix of the full run's and the fits are the same;
+    ``max_step_residual`` covers the steps run.
     """
     fits, residuals = [], []
-    t_fit = cyl.t0 + 0.5 * cyl.ralpha
-    dt = dt if dt is not None else default_dt(form.grid.h, cyl.alpha)
-    n_steps, t_end = _fit_horizon(cyl, dt, t_fit)
-    for m in range(n_runs):
-        sol = _positive_run(form, cyl, philox_stream(seed, m), dt, t_end=t_end)
+    m, dt = _cylinder_step(cyl, form.grid.h, dt)
+    t_fit = cyl.t0 - cyl.ralpha + 3 * m * dt    # the run's time 3m, bit for bit
+    for i in range(n_runs):
+        sol = _positive_run(form, cyl, philox_stream(seed, i), dt, t_fit)
         fit = holder_fit(sol, t_fit, cyl.center, cyl.R, n_scales=n_scales, nu=nu)
         fits.append(fit)
         residuals.append(float(np.max(sol.residuals)))
@@ -326,7 +312,7 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
             "fraction_in_range": len(in_range) / n_runs,
             "median": _median(in_range) if in_range else None,
             "n_runs": n_runs, "seed": seed, "h": form.grid.h, "dt": dt,
-            "t_end": t_end, "n_steps": n_steps,
+            "t_end": t_fit, "n_steps": 3 * m,
             "max_step_residual": residuals}
 
 

@@ -14,8 +14,8 @@ exact constant-drift load, which makes the shift identity (dual solution minus
 a constant solves the extended dual) hold at the level of the discrete
 recursion.
 
-``solve_parabolic`` steps from times[k] to times[k + 1] = t_start + (k + 1) dt
-and evaluates a form function only at grid times, once per time.  A form
+``solve_parabolic`` steps over the whole steps of ``time_grid`` to t_end and
+evaluates a form function only at grid times, once per time.  A form
 keeps one ``_InteriorSystem`` per operator, A or A^T (dual and dual_ext),
 which holds M and its LU factors while the form lives: every run, theta step
 and resolvent on the form shares it, and it refactors only when M changes
@@ -325,12 +325,23 @@ def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     return out
 
 
-def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """The step times t_start + k dt, k <= max(round((t_end - t_start) / dt), 1),
-    of every run (``solve_parabolic``) and run horizon (``estimates``)."""
+def whole_steps(span: float, dt: float) -> tuple[int, float]:
+    """(n, span / n): the fewest steps of at most dt that make up span > 0, a
+    ratio span / dt within 1e-9 relative above a whole number taken as it."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be finite and positive, got {dt}")
-    return t_start + dt * np.arange(max(int(round((t_end - t_start) / dt)), 1) + 1)
+    n = max(math.ceil(span / dt * (1 - 1e-9)), 1)
+    return n, span / n
+
+
+def time_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The step times t_start + k dt, k < n, and t_end of a run over n whole
+    steps: (t_end - t_start) / dt = n within 1e-9 relative."""
+    span = t_end - t_start
+    n, _ = whole_steps(span, dt)
+    if not abs(n * dt - span) <= 1e-9 * span:
+        raise ValueError(f"dt={dt} does not divide the span t_end - t_start = {span}")
+    return np.append(t_start + dt * np.arange(n), t_end)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -351,7 +362,7 @@ def _write(rows: np.ndarray, runs: list, values: np.ndarray):
 
 
 def solve_parabolic(problem: ParabolicProblem) -> Solution:
-    """Snapshots at t_start + k dt, k <= round((t_end - t_start) / dt) = meta["n_steps"]."""
+    """Snapshots at the times of ``time_grid``, meta["n_steps"] steps of dt to t_end."""
     form = problem.form_at(problem.t_start)
     grid = form.grid
     u0 = np.asarray(problem.u0, dtype=float)
@@ -381,8 +392,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     meta = {"variant": problem.variant, "theta": problem.theta, "dt": problem.dt,
             "h": grid.h, "exterior": problem.exterior,
             "d_const": problem.d_const, "kernel_hash": form.meta.get("kernel_hash"),
-            "n_steps": n_steps, "t_end_requested": problem.t_end,
-            "t_end": float(times[-1])}
+            "n_steps": n_steps, "t_end": problem.t_end}
     if "alpha" in form.meta.get("kernel", {}):
         meta["alpha"] = form.meta["kernel"]["alpha"]
     return Solution(times, snaps, grid, meta, residuals)

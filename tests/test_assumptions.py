@@ -68,6 +68,18 @@ class TestK1Profile:
         assert rep.verdict == "finite"
         assert abs(rep.constants["W_max"] - expected) < 0.02 * expected
 
+    def test_drift_closed_form_with_its_jump_on_a_panel_edge(self):
+        # V = |x|^0.9, L = 0.5 < 2r = 1: at x = 0, K_a^2 / J = c^2 |y|^{-0.7} on
+        # |y| <= L and 0 beyond, so W(0) = 2 c^2 L^0.3 / 0.3 (0.5 % above it
+        # while the jump at L sat inside a Gauss panel)
+        k = make_drift_kernel(1.0, get_field({"preset": "abs-power-V", "gamma0": 0.9}),
+                              L=0.5, alpha=1.5, d=1)
+        rep = k1_profile(k, make_stable_kernel(1, 1.5), BallSpec((0.0,), 0.5), INF,
+                         spacing=2.0)
+        assert rep.resolution["n_points"] == 1 and k.radial_breaks() == (0.5,)
+        exact = 2 * k.c_norm ** 2 * 0.5 ** 0.3 / 0.3
+        assert rep.constants["W_max"] == pytest.approx(exact, rel=1e-13)
+
     def test_divergence_pretest_at_critical_drift_order(self, ball_1d):
         # drift order beta_eff = alpha/2 exactly: borderline radial exponent
         V = lambda x: np.abs(np.asarray(x, dtype=float)[..., 0]) ** 0.5

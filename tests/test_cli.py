@@ -211,6 +211,12 @@ class TestValidation:
          "$['harness']['A']: -2 is less than or equal to the minimum of 0\n"),
         ("check-kernel", {"harness": {"assumption": "K1", "theta_exp": -1}, "kernel": DRIFT_1D},
          "$['harness']['theta_exp']: -1 is less than or equal to the minimum of 0\n"),
+        # an exponent string other than "inf": "big" exited 3 after making --out, "Inf"
+        # and "-inf" read as float(...)
+        *[("check-kernel", {"harness": {"assumption": name, key: word}, "kernel": DRIFT_1D},
+           f"$['harness'][{key!r}]: {word!r} does not match '^inf$'\n")
+          for name, key in (("K1", "theta_exp"), ("CP", "mu"))
+          for word in ("big", "nan", "-inf", "Inf")],
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -225,7 +231,8 @@ class TestValidation:
             "drift-v-holder", "coefficient-g-smoothness", "suffK1-gamma-at-alpha-over-2",
             "suffK1-gamma-above-1", "cutoff-negative-zeta", "good-set-D-above-1",
             "cp-theta-below-d-over-alpha", "cp-mu-below-1", "tail-negative-A",
-            "k1-negative-theta"])
+            "k1-negative-theta", *[f"{key}-{word}" for key in ("k1-theta", "cp-mu")
+                                   for word in ("big", "nan", "minus-inf", "Inf")]])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli
@@ -393,10 +400,12 @@ class TestRunners:
         path.write_text(json.dumps(cfg))
         assert run(["solve", "--config", path, "--out", tmp_path]) == 0
         rep = json.loads((tmp_path / "report.json").read_text())
-        assert rep["steps"] == 7
-        assert rep["t_end"] == pytest.approx(0.21)
-        assert rep["t_end_requested"] == 0.2
-        assert "t_end_requested: 0.2" in (tmp_path / "summary.txt").read_text()
+        # seven steps of 0.2 / 7 <= 0.03 end on the horizon
+        assert rep["steps"] == 7 and rep["dt"] == 0.2 / 7
+        assert rep["t_end"] == 0.2
+        assert "t_end_requested" not in (tmp_path / "summary.txt").read_text()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["resolution"]["dt"] == 0.2 / 7
 
     def test_solve_refuses_a_horizon_shorter_than_one_step(self, tmp_path, capsys):
         cfg = _default_config("solve")

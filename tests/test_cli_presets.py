@@ -108,7 +108,10 @@ def test_ensemble_manifests_record_each_member_step_residual(readme_runs):
 def test_the_solve_preset_ends_on_the_horizon_it_asks_for(readme_runs):
     root, _ = readme_runs
     report = json.loads((root / "runs" / "solve" / "report.json").read_text())
-    assert report["t_end"] == report["t_end_requested"]
+    cfg = _default_config("solve")
+    dt, horizon = _time_span(cfg, *_build_kernel_grid(cfg))
+    assert report["t_end"] == horizon == 8 * dt and report["dt"] == dt
+    assert report["steps"] == 8
 
 
 def test_every_manifest_records_the_environment(readme_runs):

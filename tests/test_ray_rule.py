@@ -2,10 +2,11 @@
 against frozen copies of the earlier three-copy rule (tests/_oracles.py), bit
 for bit; the K1 verdict rule; the Caccioppoli ball block; the CLI flag sets."""
 import json
+from functools import partial
 
+import _oracles
 import numpy as np
 import pytest
-
 from _oracles import (
     old_assembly_tails,
     old_ball_integral,
@@ -151,10 +152,14 @@ def _k1_cases(cone_kernel_2d, cone_kernel_1d, linear_drift_kernel):
     ]
 
 
-def test_k1_reports(cone_kernel_2d, cone_kernel_1d, linear_drift_kernel):
+def test_k1_reports(cone_kernel_2d, cone_kernel_1d, linear_drift_kernel, monkeypatch):
     lattices = []
     for kernel, J, ball, kw in _k1_cases(cone_kernel_2d, cone_kernel_1d,
                                          linear_drift_kernel):
+        # the frozen profiles' ball integral, with panel edges at the kernel's
+        # jumps, as K1 and K1glob pin them (a drift kernel's L)
+        monkeypatch.setattr(_oracles, "old_ball_integral",
+                            partial(old_ball_integral, breaks=kernel.radial_breaks()))
         for new, old in ((k1_profile, old_k1_profile),
                          (k1_glob_profile, old_k1_glob_profile)):
             rep, ref = new(kernel, J, ball, INF, **kw), old(kernel, J, ball, INF, **kw)
