@@ -196,18 +196,23 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
                grid: Grid | None, quad: QuadSpec | None, spacing: float | None,
                glob: bool) -> AssumptionReport:
     """K1 (inner integral over B_2r(z)) or K1glob (over R^d) with one verdict
-    rule: finite exactly when the norm and the domination ratio are."""
+    rule: finite exactly when the norm and the domination ratio are.  J of a
+    higher measured diagonal order than K_s is divergent: E^J / E^{K_s} is unbounded."""
     name = "K1glob" if glob else "K1"
     quad = quad or QuadSpec(n_ang=256, n_panels=32)
     d = ball.d
     pts, _, volume = _lattice(ball, 2 * ball.r, grid, spacing)
-    sing = d + 2 * kernel.diag_orders(pts)[1] - J.diag_orders(pts)[0]
+    (order_s, order_a), order_J = kernel.diag_orders(pts), J.diag_orders(pts)[0]
+    sing = d + 2 * order_a - order_J
     resolution = {"quad": quad.to_dict(), "kappa": 1 + kernel.alpha / d}
 
     def divergent(notes):
         return AssumptionReport(name, {"norm": INF}, {"theta": theta}, resolution,
                                 "divergent", notes)
 
+    if order_J > order_s:
+        return divergent(f"J's diagonal order {order_J!r} exceeds K_s's {order_s!r}: "
+                         f"E^J is not dominated by E^(K_s)")
     if sing >= d:
         return divergent("inner integrand fails the integrability pre-test at the diagonal")
     ratio_fn = lambda x, y: _safe_ratio(kernel, J, x, y)
@@ -475,51 +480,30 @@ def sobolev_ratio(form: DiscreteForm, ball: BallSpec, rho: float,
             "n_points": int(outer.sum())}
 
 
-def suffK1_check(V, ball: BallSpec, theta: float, gamma: float | None,
+def suffK1_check(V, ball: BallSpec, theta: float, gamma: float,
                  alpha: float, grid: Grid | None = None,
                  spacing: float | None = None) -> AssumptionReport:
     """Criterion for the drift-integrability assumption via potential regularity.
 
-    Hoelder branch (gamma given, gamma in (alpha/2, 1]): lattice sup of the
-    local Hoelder quotient per point, then its L^{2 theta} norm.  Gradient
-    branch (gamma None): ||grad V||_{L^{2 theta}}, with grad V by central
-    differences of step h/10, plus the L^{2 theta} norm of the first-order
-    remainder sup.  The verdict is "finite" or "divergent" with the norm.
+    For gamma in (alpha/2, 1]: the lattice sup of the local Hoelder quotient
+    per point, then its L^{2 theta} norm.  The verdict is "finite" or
+    "divergent" with the norm.
     """
+    if not (alpha / 2 < gamma <= 1.0):
+        raise ValueError("suffK1 needs gamma in (alpha/2, 1]")
     pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=_SUFFK1_POINTS)
     n = pts.shape[0]
-    d = ball.d
     Vv = np.asarray(V(pts), dtype=float)
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diffs ** 2, axis=-1))
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     off = ~np.eye(n, dtype=bool)
-    if gamma is not None:
-        if not (alpha / 2 < gamma <= 1.0):
-            raise ValueError("Hoelder branch needs gamma in (alpha/2, 1]")
-        quot = np.zeros((n, n))
-        quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
-        seminorm = np.max(quot, axis=1)
-        norm = _lp_norm(seminorm, 2 * theta, volume)
-        const = {"holder_norm": norm, "seminorm_max": float(np.max(seminorm))}
-        exps = {"theta": theta, "gamma": gamma}
-    else:
-        step = h / 10
-        G = np.empty((n, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            G[:, k] = (np.asarray(V(pts + e)) - np.asarray(V(pts - e))) / (2 * step)
-        lin = np.einsum("nd,nmd->nm", G, -diffs)
-        rem = np.zeros((n, n))
-        rem[off] = np.abs((Vv[:, None] - Vv[None, :]) - lin)[off] / dist[off]
-        grad_norm = _lp_norm(np.linalg.norm(G, axis=-1), 2 * theta, volume)
-        rem_norm = _lp_norm(np.max(rem, axis=1), 2 * theta, volume)
-        norm = grad_norm + rem_norm
-        const = {"grad_norm": grad_norm, "remainder_norm": rem_norm,
-                 "total": norm}
-        exps = {"theta": theta, "gamma": None}
-    return AssumptionReport("suffK1", const, exps,
-                            {"n_points": n, "spacing": h, "kappa": 1 + alpha / d},
+    quot = np.zeros((n, n))
+    quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
+    seminorm = np.max(quot, axis=1)
+    norm = _lp_norm(seminorm, 2 * theta, volume)
+    return AssumptionReport("suffK1", {"holder_norm": norm,
+                                       "seminorm_max": float(np.max(seminorm))},
+                            {"theta": theta, "gamma": gamma},
+                            {"n_points": n, "spacing": h, "kappa": 1 + alpha / ball.d},
                             "finite" if np.isfinite(norm) else "divergent")
 
 

@@ -46,8 +46,8 @@ import numpy as np
 from . import __version__
 from ._lazy import lazy_module, scipy_path
 from .discretize import assemble, build_grid
-from .kernels import (get_field, get_pair_field, kernel_from_config, make_stable_kernel,
-                      philox_stream, random_smooth_positive_field)
+from .kernels import (kernel_from_config, make_stable_kernel, philox_stream,
+                      random_smooth_positive_field)
 
 algebra = lazy_module("jumplab.algebra")
 assumptions = lazy_module("jumplab.assumptions")
@@ -207,11 +207,10 @@ SCHEMA = {
                 "zeta": {"type": "number", "exclusiveMinimum": 0},
                 "D": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": ["number", "null"], "maximum": 1},
+                "gamma": {"type": "number", "maximum": 1},
                 "alphas": {"type": "array", "minItems": 1, "uniqueItems": True,
                            "items": {"type": "number", "exclusiveMinimum": 0,
                                      "exclusiveMaximum": 2}},
-                "family": {"enum": ["isotropic", "drift", "coefficient"]},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "lam_resolvent": {"type": "number", "exclusiveMinimum": 0},
                 "p_list": {"type": "array", "minItems": 1, "uniqueItems": True,
@@ -359,7 +358,7 @@ def _needs_form(harness) -> bool:
 
 def _build_kernel_grid(config):
     kind = config["harness"]["type"]
-    if _needs_form(config["harness"]):
+    if _needs_form(config["harness"]) or kind == "mosco":
         required = ("kernel", "grid")
     else:
         required = ("kernel",) if kind == "check-kernel" else ()
@@ -667,27 +666,20 @@ def _run_algebra(config, kernel, grid, form):
             {"lemmas": reports}, [("algebra.csv", ["lemma", "samples", "min_margin"], rows)])
 
 
-def _run_mosco(config, kernel, grid, form):
+def _alpha_family(config, kernel, grid):
+    """The alpha-family of the configured kernel at the harness's alphas."""
+    alphas = config["harness"].get("alphas", [1.5, 1.8, 1.9, 1.95])
+    try:
+        return (mosco.alpha_family(kernel, alphas),)
+    except ValueError as exc:       # a cone kernel, or a member outside the comparison
+        raise ConfigError(f"$['kernel']: {exc}") from None
+
+
+def _run_mosco(config, kernel, grid, form, family):
     harness = config["harness"]
-    kc = config.get("kernel", {})
-    # without a kernel section the family takes the grid's dimension
-    d = kernel.d if kernel is not None else grid.d if grid is not None else 1
-    alphas = tuple(harness.get("alphas", [1.5, 1.8, 1.9, 1.95]))
-    fam_name = harness.get("family", "isotropic")
-    if fam_name == "isotropic":
-        family = mosco.make_isotropic_family(d, alphas)
-    elif fam_name == "drift":
-        V = get_field(kc.get("V", {"preset": "linear-V", "b": [0.4] * d}))
-        family = mosco.make_drift_family(d, alphas, V, L=float(kc.get("L", 2.0)))
-    else:
-        g = get_pair_field(kc.get("g", "sin-coefficient"))
-        family = mosco.make_coefficient_family(d, alphas, g, float(kc.get("lam", 1.0)),
-                                               float(kc.get("Lam", 3.0)))
-    if grid is None:
-        grid = build_grid(d, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
-    delta = float(harness.get("delta", 0.5))
+    d = kernel.d
     probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 10)]
-    coeffs = mosco.local_coefficients(family, probe, delta=delta)
+    coeffs = mosco.local_coefficients(family, probe, delta=float(harness.get("delta", 0.5)))
     f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
     res = mosco.resolvent_convergence(family, grid, f,
                                       float(harness.get("lam_resolvent", 5.0)),
@@ -703,7 +695,7 @@ def _run_mosco(config, kernel, grid, form):
         "gap_first": res["gaps"][0], "gap_last": res["gaps"][-1],
     }
     headline = f"resolvent gap {res['gaps'][0]:.3g} -> {res['gaps'][-1]:.3g}"
-    return ({"headline": headline, "resolution": _resolution(grid),
+    return ({"headline": headline,
              **{k: v for k, v in report.items() if not isinstance(v, list)}}, report,
             [("mosco.csv", header, rows)])
 
@@ -720,7 +712,7 @@ _RUNNERS = {
 }
 # a runner's own config checks, run before any output or assembly: its arguments after form
 _PREPARE = {"check-kernel": _ball, "solve": _time_span, "harnack": _inside, "hoelder": _inside,
-            "caccioppoli": _p_list}
+            "caccioppoli": _p_list, "mosco": _alpha_family}
 
 DEFAULT_KERNEL = {"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
                   "cone": {"axis": [1.0], "half_angle": 0.7853981633974483},
@@ -741,6 +733,10 @@ def _default_config(kind: str) -> dict:
         cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.0}
         cfg["grid"] = {"d": 1, "X": 2.0, "h": 1 / 16,
                        "omega": {"type": "box", "halfwidth": 1.0}}
+    if kind == "mosco":             # the family of the unit stable kernel
+        cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.5}
+        cfg["grid"] = {"d": 1, "X": 1.0, "h": 1 / 32,
+                       "omega": {"type": "box", "halfwidth": 0.75}}
     return cfg
 
 

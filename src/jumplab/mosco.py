@@ -1,9 +1,11 @@
 """Local-limit extraction: diffusion/drift coefficients and resolvent
 convergence of the order-alpha families toward a second-order operator.
 
-Families are normalized so the symmetric part carries the vanishing (2-alpha)
-factor; the finite-alpha moment integrals then stay O(1) and their limits are
-read off by Richardson extrapolation in (2 - alpha).
+``alpha_family`` derives the members at each order from a configured stable,
+drift or coefficient kernel.  Families are normalized so the symmetric part
+carries the vanishing (2-alpha) factor; the finite-alpha moment integrals then
+stay O(1) and their limits are read off by Richardson extrapolation in
+(2 - alpha).
 
 The resolvent comparison corrects the lattice collocation by the sub-cell
 moments of the kernel: near alpha = 2 essentially all of the kernel's mass
@@ -19,8 +21,8 @@ import numpy as np
 
 from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid, _completed_form, assemble
-from .kernels import (Kernel, c_alpha_norm, make_coefficient_kernel, make_drift_kernel,
-                      make_stable_kernel)
+from .kernels import (CoefficientKernel, DriftKernel, Kernel, StableKernel, c_alpha_norm,
+                      make_coefficient_kernel, make_drift_kernel, make_stable_kernel)
 from .quadrature import QuadSpec, ball_integral
 from .solve import resolvent_solve
 
@@ -66,25 +68,42 @@ class AlphaFamily:
         return self._cache[alpha]
 
 
+def alpha_family(kernel: Kernel, alphas) -> AlphaFamily:
+    """The family that kernel generates at the orders alphas, from its own
+    fields (its order is not read): a stable kernel gives coeff c_{d,a} |x-y|^{-d-a},
+    a drift kernel its j, V, L, lam and Lam at order a, a coefficient kernel its g,
+    lam and Lam over c_{d,a} |x-y|^{-d-a} (comparison constant 4 Lam).  Another
+    kernel, or a member outside the comparison, raises a ValueError."""
+    d, Lam = kernel.d, 4.0
+    if isinstance(kernel, StableKernel):
+        factory = lambda a: make_stable_kernel(d, a, kernel.coeff * c_alpha_norm(d, a))
+    elif isinstance(kernel, DriftKernel):
+        factory = lambda a: make_drift_kernel(kernel.j, kernel.V, kernel.L, a, d,
+                                              kernel.lam, kernel.Lam)
+    elif isinstance(kernel, CoefficientKernel):
+        factory = lambda a: make_coefficient_kernel(
+            kernel.g, a, kernel.lam, kernel.Lam, d,
+            base=make_stable_kernel(d, a, c_alpha_norm(d, a)))
+        Lam = 4.0 * kernel.Lam
+    else:
+        raise ValueError(f"the alpha-family of a {kernel.spec.family!r} kernel is not "
+                         f"defined: it needs a stable, drift or coefficient kernel")
+    return AlphaFamily(factory, d, alphas, Lam=Lam)
+
+
 def make_isotropic_family(d: int, alphas) -> AlphaFamily:
     """K^(a) = c_{d,a} |x-y|^{-d-a}; the c constant embeds (2-alpha)."""
-    factory = lambda a: make_stable_kernel(d, a, c_alpha_norm(d, a))
-    return AlphaFamily(factory, d, tuple(alphas))
+    return alpha_family(make_stable_kernel(d, 1.0), alphas)
 
 
 def make_drift_family(d: int, alphas, V, L: float) -> AlphaFamily:
     """Drift kernels with j = 1 and lam = Lam = 1."""
-    factory = lambda a: make_drift_kernel(1.0, V, L, a, d)
-    return AlphaFamily(factory, d, tuple(alphas))
+    return alpha_family(make_drift_kernel(1.0, V, L, 1.0, d), alphas)
 
 
 def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaFamily:
     """Coefficient kernels over the normalized stable kernel."""
-    def factory(a):
-        base = make_stable_kernel(d, a, c_alpha_norm(d, a))
-        return make_coefficient_kernel(g, a, lam, Lam, d, base=base)
-
-    return AlphaFamily(factory, d, tuple(alphas), Lam=4.0 * Lam)
+    return alpha_family(make_coefficient_kernel(g, 1.0, lam, Lam, d), alphas)
 
 
 def _ball_moment(weight, kernel: Kernel, part: str, order: float, x: np.ndarray,

@@ -799,8 +799,8 @@ def old_toeplitz_axes(grid):
 # caccioppoli_audit, log_caccioppoli_audit (with the pairing and the shift),
 # suffK1_check and sobolev_ratio as they were while they took the options that
 # no caller set: the weight exponent, the theta term of the shift, the exterior
-# value u_ext, the pass/fail threshold, an analytic gradient and the probe and
-# sweep counts.  Called with their defaults they are the reference; tests
+# value u_ext, the pass/fail threshold and the probe and sweep counts (suffK1's
+# Hoelder branch only: its gradient branch is gone).  Called with their defaults they are the reference; tests
 # compare the production reports against them with ==, so do not tidy.
 
 def _old_global_pairing(form, variant, u, phi, d_const, u_ext):
@@ -945,7 +945,7 @@ def old_sobolev_ratio(form, ball, rho, rng=None, n_probe=40, n_iter=3):
 
 
 def old_suffK1_check(V, ball, theta, gamma, alpha, grid=None, spacing=None,
-                     threshold=float("inf"), grad_V=None, max_points=1500):
+                     threshold=float("inf"), max_points=1500):
     from jumplab.assumptions import AssumptionReport, _lattice, _lp_norm
 
     pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=max_points)
@@ -955,34 +955,14 @@ def old_suffK1_check(V, ball, theta, gamma, alpha, grid=None, spacing=None,
     diffs = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diffs ** 2, axis=-1))
     off = ~np.eye(n, dtype=bool)
-    if gamma is not None:
-        if not (alpha / 2 < gamma <= 1.0):
-            raise ValueError("Hoelder branch needs gamma in (alpha/2, 1]")
-        quot = np.zeros((n, n))
-        quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
-        seminorm = np.max(quot, axis=1)
-        norm = _lp_norm(seminorm, 2 * theta, volume)
-        const = {"holder_norm": norm, "seminorm_max": float(np.max(seminorm))}
-        exps = {"theta": theta, "gamma": gamma}
-    else:
-        if grad_V is not None:
-            G = np.asarray(grad_V(pts), dtype=float).reshape(n, d)
-        else:
-            step = h / 10
-            G = np.empty((n, d))
-            for k in range(d):
-                e = np.zeros(d)
-                e[k] = step
-                G[:, k] = (np.asarray(V(pts + e)) - np.asarray(V(pts - e))) / (2 * step)
-        lin = np.einsum("nd,nmd->nm", G, -diffs)
-        rem = np.zeros((n, n))
-        rem[off] = np.abs((Vv[:, None] - Vv[None, :]) - lin)[off] / dist[off]
-        grad_norm = _lp_norm(np.linalg.norm(G, axis=-1), 2 * theta, volume)
-        rem_norm = _lp_norm(np.max(rem, axis=1), 2 * theta, volume)
-        norm = grad_norm + rem_norm
-        const = {"grad_norm": grad_norm, "remainder_norm": rem_norm,
-                 "total": norm}
-        exps = {"theta": theta, "gamma": None}
+    if not (alpha / 2 < gamma <= 1.0):
+        raise ValueError("Hoelder branch needs gamma in (alpha/2, 1]")
+    quot = np.zeros((n, n))
+    quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
+    seminorm = np.max(quot, axis=1)
+    norm = _lp_norm(seminorm, 2 * theta, volume)
+    const = {"holder_norm": norm, "seminorm_max": float(np.max(seminorm))}
+    exps = {"theta": theta, "gamma": gamma}
     verdict = "pass" if norm <= threshold else "fail"
     if not np.isfinite(threshold):
         verdict = "finite" if np.isfinite(norm) else "divergent"

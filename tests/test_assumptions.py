@@ -88,6 +88,24 @@ class TestK1Profile:
         rep = k1_profile(k, J, ball_1d, INF)
         assert rep.verdict == "divergent"
 
+    @pytest.mark.parametrize("profile", [k1_profile, k1_glob_profile])
+    def test_order_pretest_reads_divergent_when_J_has_the_higher_order(self, profile,
+                                                                       cone_kernel_1d,
+                                                                       ball_1d):
+        # the 1D cone kernel's K_s has order beta = 0.5: J = stable(1, 1.5) is not
+        # dominated (sup E^J / E^{K_s} doubled with each halving of h).  Against
+        # J of its own order, K_a^2 / J ~ |h|^{-1.5} fails the diagonal pre-test
+        rep = profile(cone_kernel_1d, make_stable_kernel(1, 1.5), ball_1d, INF, spacing=0.1)
+        assert rep.verdict == "divergent" and rep.constants == {"norm": INF}
+        assert rep.notes == ("J's diagonal order 1.5 exceeds K_s's 0.5: E^J is not "
+                             "dominated by E^(K_s)")
+        rep = profile(cone_kernel_1d, make_stable_kernel(1, 0.5), ball_1d, INF, spacing=0.1)
+        assert rep.verdict == "divergent" and rep.notes.startswith("inner integrand fails")
+        # equal orders pass the order pre-test
+        J = make_stable_kernel(1, 1.0)
+        rep = profile(J, J, ball_1d, INF, spacing=0.2)
+        assert rep.verdict == "finite" and rep.constants["norm"] == 0.0
+
     def test_dual_invariance(self, cone_kernel_2d, ball_2d):
         J = make_stable_kernel(2, 1.5)
         a = k1_profile(cone_kernel_2d, J, ball_2d, INF, spacing=0.5)
@@ -362,12 +380,6 @@ class TestSuffK1:
         V = lambda x: np.asarray(x, dtype=float)[..., 0]
         with pytest.raises(ValueError):
             suffK1_check(V, BallSpec((0.0,), 0.5), INF, gamma=0.4, alpha=1.0)
-
-    def test_gradient_branch(self):
-        V = lambda x: np.sin(np.asarray(x, dtype=float)[..., 0])
-        ball = BallSpec((0.0,), 0.5)
-        rep = suffK1_check(V, ball, 4.0, gamma=None, alpha=1.0, spacing=0.05)
-        assert np.isfinite(rep.constants["total"])
 
 
 class TestStridedLattice:

@@ -13,6 +13,8 @@ CONE_2D = {"family": "cone", "d": 2, "alpha": 1.5, "beta": 0.5,
            "cone": {"axis": [1.0, 0.0], "half_angle": 0.7853981633974483},
            "double_cone": {"axis": [0.0, 1.0], "half_angle": 0.39269908169872414}}
 DRIFT_1D = {"family": "drift", "d": 1, "alpha": 1.5}
+STABLE_1D = {"family": "stable", "d": 1, "alpha": 1.5}
+MOSCO_GRID = {"d": 1, "X": 1.0, "h": 1 / 32, "omega": {"type": "box", "halfwidth": 0.75}}
 
 
 def run(args):
@@ -154,6 +156,18 @@ class TestValidation:
          "$['harness']['alphas']: [1.9, 1.9] has non-unique elements\n"),
         ("mosco", {"harness": {"lam_resolvent": 0}},
          "$['harness']['lam_resolvent']: 0 is less than or equal to the minimum of 0\n"),
+        # mosco runs the family of the configured kernel: no selector of its own
+        ("mosco", {"harness": {"family": "drift"}, "kernel": DRIFT_1D, "grid": MOSCO_GRID},
+         "$['harness']: Additional properties are not allowed ('family' was unexpected)\n"),
+        ("mosco", {"kernel": DEFAULT_KERNEL, "grid": MOSCO_GRID},
+         "$['kernel']: the alpha-family of a 'cone' kernel is not defined: it needs a "
+         "stable, drift or coefficient kernel\n"),
+        # c_{1,0.5} = 0.1995 lies below (2 - 0.5) / 4
+        ("mosco", {"harness": {"alphas": [0.5]}, "kernel": STABLE_1D, "grid": MOSCO_GRID},
+         "$['kernel']: family member alpha=0.5 violates the (2-alpha) comparison bound "
+         "with Lam=4.0\n"),
+        ("mosco", {"grid": MOSCO_GRID}, "$['kernel']: required for mosco\n"),
+        ("mosco", {"kernel": STABLE_1D}, "$['grid']: required for mosco\n"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": [1.0]}},
          "$['harness']['p_list']: [1.0] holds p = 1"),
         ("caccioppoli", {**_default_config("caccioppoli"), "harness": {"p_list": [0.5, 1]}},
@@ -199,6 +213,9 @@ class TestValidation:
          "$['harness']['gamma']: 0.7 is not above alpha/2 = 0.75\n"),
         ("check-kernel", {"harness": {"assumption": "suffK1", "gamma": 1.2}, "kernel": DRIFT_1D},
          "$['harness']['gamma']: 1.2 is greater than the maximum of 1\n"),
+        # null selected a second estimate of the gamma = 1 quotient
+        ("check-kernel", {"harness": {"assumption": "suffK1", "gamma": None}, "kernel": DRIFT_1D},
+         "$['harness']['gamma']: None is not of type 'number'\n"),
         ("check-kernel", {"harness": {"assumption": "Cutoff", "zeta": -1}, "kernel": DRIFT_1D},
          "$['harness']['zeta']: -1 is less than or equal to the minimum of 0\n"),
         ("check-kernel", {"harness": {"assumption": "good-set", "D": 1.5}, "kernel": DRIFT_1D},
@@ -223,13 +240,15 @@ class TestValidation:
             "harnack-center-of-wrong-length", "check-kernel-center-of-wrong-length",
             "misspelt-cone-key", "double-cone-without-half-angle", "mosco-negative-delta",
             "mosco-alpha-2.5", "mosco-no-alphas", "mosco-equal-alphas", "mosco-zero-lam",
+            "mosco-family", "mosco-cone-kernel", "mosco-alpha-0.5", "mosco-without-kernel",
+            "mosco-without-grid",
             "caccioppoli-p-1", "caccioppoli-p-list-with-1", "caccioppoli-negative-p",
             "caccioppoli-no-p", "caccioppoli-repeated-p", "mosco-nan-delta",
             "mosco-infinite-alpha", "caccioppoli-minus-infinite-eps", "caccioppoli-negative-rho",
             "caccioppoli-negative-eps",
             "algebra-no-samples", "harnack-ball-off-domain", "hoelder-ball-off-domain",
             "drift-v-holder", "coefficient-g-smoothness", "suffK1-gamma-at-alpha-over-2",
-            "suffK1-gamma-above-1", "cutoff-negative-zeta", "good-set-D-above-1",
+            "suffK1-gamma-above-1", "suffK1-gamma-null", "cutoff-negative-zeta", "good-set-D-above-1",
             "cp-theta-below-d-over-alpha", "cp-mu-below-1", "tail-negative-A",
             "k1-negative-theta", *[f"{key}-{word}" for key in ("k1-theta", "cp-mu")
                                    for word in ("big", "nan", "minus-inf", "Inf")]])
@@ -351,7 +370,7 @@ class TestRunners:
         assert len(lines) == 3
 
     def test_mosco_2d_writes_every_coefficient(self, tmp_path):
-        cfg = {"harness": {"type": "mosco", "family": "drift", "alphas": [1.9]},
+        cfg = {"harness": {"type": "mosco", "alphas": [1.9]},
                "kernel": {"family": "drift", "d": 2, "alpha": 1.5, "L": 2.0,
                           "V": {"preset": "linear-V", "b": [0.4, -0.2]}},
                "grid": {"d": 2, "X": 0.5, "h": 1 / 8,
@@ -372,14 +391,30 @@ class TestRunners:
         # linear potential: b_i = a_ii * dV/dx_i
         assert np.allclose(b, np.diag(a) * [0.4, -0.2], rtol=1e-8, atol=0.0)
 
-    def test_mosco_without_kernel_takes_d_from_the_grid(self, tmp_path):
-        cfg = {"harness": {"type": "mosco", "alphas": [1.9]},
-               "grid": {"d": 2, "X": 0.5, "h": 1 / 8}}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run(["mosco", "--config", path, "--out", tmp_path]) == 0
-        header = (tmp_path / "mosco.csv").read_text().splitlines()[0]
-        assert header == "alpha,a_00,a_01,a_10,a_11,b_0,b_1,resolvent_gap"
+    def test_mosco_runs_the_family_of_the_configured_kernel(self, tmp_path):
+        # a drift kernel without V or L: kernel_from_config's linear V with b = 1 and L = 1
+        from jumplab.cli import write_csv
+        from jumplab.discretize import build_grid
+        from jumplab.kernels import kernel_from_config
+        from jumplab.mosco import alpha_family, local_coefficients, resolvent_convergence
+
+        cfg = {"harness": {"type": "mosco", "alphas": [1.8, 1.9]}, "kernel": DRIFT_1D,
+               "grid": MOSCO_GRID}
+        run_scenario(_validate(cfg), tmp_path / "run")
+        kernel = kernel_from_config(DRIFT_1D)
+        family = alpha_family(kernel, (1.8, 1.9))
+        grid = build_grid(1, 1.0, 1 / 32, MOSCO_GRID["omega"])
+        probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 10)]
+        coeffs = local_coefficients(family, probe, delta=0.5)
+        f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
+        res = resolvent_convergence(family, grid, f, 5.0, coeffs=coeffs)
+        write_csv(tmp_path / "mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"],
+                  [(a, np.mean(coeffs["a"][a]), np.mean(coeffs["b"][a]), gap)
+                   for a, gap in zip(res["alphas"], res["gaps"])])
+        assert ((tmp_path / "run" / "mosco.csv").read_text()
+                == (tmp_path / "mosco.csv").read_text())
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["kernel_hash"] == kernel.spec.digest()
 
     def test_solve_snapshots(self, tmp_path):
         cfg = _default_config("solve")
@@ -543,6 +578,19 @@ def test_every_assumption_on_the_builtin_preset(assumption, tmp_path, capsys):
         assert code == 0
         assert _strict_json(tmp_path / "report.json")["assumption"] == assumption
         assert _strict_json(tmp_path / "manifest.json")["harness"] == "check-kernel"
+
+
+def test_k1_on_the_preset_reads_the_order_pre_test(tmp_path):
+    # the preset's K_s has order beta = 0.5 and J = stable(1, 1.5): K1 read finite
+    # with domination_ratio 50.97 at h = 1/32
+    for assumption in ("K1", "summary"):
+        assert run(["check-kernel", "--assumption", assumption,
+                    "--out", tmp_path / assumption]) == 0
+    rep = _strict_json(tmp_path / "K1" / "report.json")
+    assert rep["verdict"] == "divergent" and rep["constants"] == {"norm": "inf"}
+    assert rep["notes"].startswith("J's diagonal order 1.5 exceeds K_s's 0.5")
+    assert (tmp_path / "summary" / "summary.txt").read_text().startswith(
+        "check-kernel: K1 divergent, good-set ")
 
 
 def _report(kernel, assumption, tmp_path):

@@ -140,9 +140,7 @@ def test_every_manifest_records_the_resolution(readme_runs):
         res = manifest["resolution"]
         assert set(res) == {"h", "N", "N_I", "dt", "quad"}
         grid = _build_kernel_grid(manifest["config"])[1]
-        if kind == "mosco":         # no grid in its preset: the runner's own lattice
-            assert res["h"] == 1 / 32 and res["N"] == 64
-        elif grid is None:          # algebra-tests
+        if grid is None:            # algebra-tests
             assert res["h"] is res["N"] is res["N_I"] is None
         else:
             assert (res["h"], res["N"], res["N_I"]) == (

@@ -162,7 +162,13 @@ def test_k1_reports(cone_kernel_2d, cone_kernel_1d, linear_drift_kernel, monkeyp
                             partial(old_ball_integral, breaks=kernel.radial_breaks()))
         for new, old in ((k1_profile, old_k1_profile),
                          (k1_glob_profile, old_k1_glob_profile)):
-            rep, ref = new(kernel, J, ball, INF, **kw), old(kernel, J, ball, INF, **kw)
+            rep = new(kernel, J, ball, INF, **kw)
+            if kernel is cone_kernel_1d:
+                # K_s of order beta = 0.5 against J of order 1.5: the order pre-test
+                assert rep.verdict == "divergent" and rep.constants == {"norm": INF}
+                assert rep.notes.startswith("J's diagonal order 1.5 exceeds K_s's 0.5")
+                continue
+            ref = old(kernel, J, ball, INF, **kw)
             assert _same(rep.to_dict(), ref.to_dict()), (new.__name__, kernel.spec)
             lattices.append(rep.resolution.get("n_points", 0))
     assert max(lattices) > 3 * _TAIL_BLOCK
