@@ -85,6 +85,18 @@ def _box_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
     return solution.snapshots[np.ix_(sel_t, mask)]
 
 
+def _edge_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
+    """The state at time box.t_lo on the box's ball, linear in time between
+    the grid times around it: one row, or none where t_lo is no later than
+    the first time or later than the last."""
+    times, mask = solution.times, solution.grid.ball_mask(np.asarray(box.center), box.radius)
+    j = int(np.searchsorted(times, box.t_lo))     # times[j - 1] < t_lo <= times[j]
+    if j == 0 or j == len(times):
+        return np.empty((0, int(np.sum(mask))))
+    w = (times[j] - box.t_lo) / (times[j] - times[j - 1])
+    return (w * solution.snapshots[j - 1, mask] + (1.0 - w) * solution.snapshots[j, mask])[None]
+
+
 def harnack_quotient(solution: Solution, cyl: Cylinder) -> float:
     """inf over the late box divided by the early space-time mean.
 
@@ -114,7 +126,10 @@ def holder_fit(solution: Solution, t_center: float, center, R0: float,
     """Least-squares slope of log oscillation against log scale, clamped to [0,1].
 
     Oscillations are taken over backward parabolic windows
-    (t - s^alpha, t] x B_s with s = R0 nu^{-k}.  Oscillation below 1e-13 at
+    [t - s^alpha, t] x B_s with s = R0 nu^{-k}: the grid times in the window
+    and the early edge t - s^alpha, whose state is read linearly in time
+    between the grid times around it (``_edge_values``), so that no window
+    loses the part before its first grid time.  Oscillation below 1e-13 at
     the largest scale yields the flat verdict instead of a fit.
     """
     if n_scales < 4:
@@ -129,6 +144,7 @@ def holder_fit(solution: Solution, t_center: float, center, R0: float,
         vals = _box_values(solution, box)
         if vals.shape[1] < _FIT_MIN_NODES:
             raise ValueError(f"scale {s} contains fewer than {_FIT_MIN_NODES} nodes")
+        vals = np.vstack([vals, _edge_values(solution, box)])
         scales.append(s)
         oscs.append(float(np.max(vals) - np.min(vals)))
     if oscs[0] < 1e-13:
@@ -256,6 +272,12 @@ def _positive_run(form: DiscreteForm, cyl: Cylinder, rng: np.random.Generator,
     return sol
 
 
+def _members(n_runs: int):
+    """Refuse an ensemble of no members before any member runs."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be at least 1, got {n_runs}")
+
+
 def _median(values) -> float:
     """The median of np.median without its nan check, which imports numpy.ma:
     the middle value of an odd count, (a + b) / 2 of the middle pair of an
@@ -273,6 +295,7 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
 
     The members step over the whole cylinder, ``n_steps`` = 4m steps of
     ``_cylinder_step`` to ``t_end`` = t0 + R^alpha, where the late box ends."""
+    _members(n_runs)
     quotients, residuals = [], []
     _, dt = _cylinder_step(cyl, form.grid.h, dt)
     for m in range(n_runs):
@@ -297,6 +320,7 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
     prefix of the full run's and the fits are the same;
     ``max_step_residual`` covers the steps run.
     """
+    _members(n_runs)
     fits, residuals = [], []
     m, dt = _cylinder_step(cyl, form.grid.h, dt)
     t_fit = cyl.t0 - cyl.ralpha + 3 * m * dt    # the run's time 3m, bit for bit
@@ -319,6 +343,7 @@ def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
 def caccioppoli_ensemble(form: DiscreteForm, center, r: float, rho: float,
                          p_list, n_runs: int, seed: int, eps: float = 0.1,
                          variant: str = "primal") -> dict:
+    _members(n_runs)
     out = {float(p): [] for p in p_list}
     for m in range(n_runs):
         rng = philox_stream(seed, m)

@@ -969,3 +969,29 @@ def old_suffK1_check(V, ball, theta, gamma, alpha, grid=None, spacing=None,
     return AssumptionReport("suffK1", const, exps,
                             {"n_points": n, "spacing": h,
                              "kappa": 1 + alpha / d}, verdict)
+
+
+class CountingLinalg:
+    """Stands in for solve.sla and counts lu_factor, lu_solve and the calls of
+    every getrs it hands out."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0, "getrs": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def lu_factor(self, *args, **kwargs):
+        self.calls["lu_factor"] += 1
+        return self.real.lu_factor(*args, **kwargs)
+
+    def lu_solve(self, *args, **kwargs):
+        self.calls["lu_solve"] += 1
+        return self.real.lu_solve(*args, **kwargs)
+
+    @property
+    def getrs(self):
+        def call(*args, **kwargs):
+            self.calls["getrs"] += 1
+            return self.real.getrs(*args, **kwargs)
+        return call

@@ -77,10 +77,10 @@ def test_the_step_asked_for_is_an_upper_bound(dt):
 
 
 def test_the_readme_preset_grid_keeps_its_step():
-    # h = 1/32: R^alpha / 2 is 128 default steps, so dt is default_dt to the bit
+    # h = 1/32: R^alpha / 2 is 64 default steps, so dt is default_dt to the bit
     cyl = Cylinder(0.0, 0.5, 1.5, (0.0,))
-    assert _cylinder_step(cyl, 1 / 32, None) == (128, default_dt(1 / 32, 1.5))
-    assert _cylinder_step(cyl, 1 / 64, None)[0] == 363      # 1452 steps, not 1448.15
+    assert _cylinder_step(cyl, 1 / 32, None) == (64, default_dt(1 / 32, 1.5))
+    assert _cylinder_step(cyl, 1 / 64, None)[0] == 182      # 728 steps, not 724.08
 
 
 def _cone_2d_smoke():
@@ -99,16 +99,16 @@ def _harnack_1d():
 
 
 def _stable_1d_integer():
-    # dt = h / 4 = 2^-8 divides R^alpha / 2 = 1/4: the default step
+    # dt = h / 2 = 2^-7 divides R^alpha / 2 = 1/4: the default step
     kernel = make_stable_kernel(1, 1.0, c_alpha_norm(1, 1.0))
     grid = build_grid(1, 2.0, 1 / 64, {"type": "box", "halfwidth": 1.5})
     return assemble(kernel, grid), Cylinder(0.0, 0.5, 1.0, (0.0,))
 
 
 # (build, m): a full cylinder run has 4m steps, the fit reads time 3m
-CASES = {"cone-2d-smoke": (_cone_2d_smoke, 128),
-         "harnack-1d": (_harnack_1d, 363),
-         "stable-1d-integer": (_stable_1d_integer, 64)}
+CASES = {"cone-2d-smoke": (_cone_2d_smoke, 64),
+         "harnack-1d": (_harnack_1d, 182),
+         "stable-1d-integer": (_stable_1d_integer, 32)}
 
 
 @pytest.fixture(scope="module", params=list(CASES))
@@ -175,17 +175,17 @@ def test_harnack_members_step_over_the_cylinder(monkeypatch):
     form, cyl = _harnack_1d()
     sols, steps = _recorded(monkeypatch)
     out = harnack_ensemble(form, cyl, MEMBERS, SEED)
-    assert steps[0] == MEMBERS * 1452
+    assert steps[0] == MEMBERS * 728
     assert out["dt"] == _step(form, cyl) <= default_dt(form.grid.h, cyl.alpha)
     for i, sol in enumerate(sols):
-        assert sol.meta["n_steps"] == 1452
+        assert sol.meta["n_steps"] == 728
         assert sol.times[-1] == cyl.late_box().t_hi
         full = old_positive_run(form, cyl, philox_stream(SEED, i), out["dt"])
         assert np.array_equal(sol.times, full.times)
         assert np.array_equal(sol.snapshots, full.snapshots)
 
 
-@pytest.mark.parametrize("h, n_steps", [(1 / 32, 512), (1 / 64, 1452)])
+@pytest.mark.parametrize("h, n_steps", [(1 / 32, 256), (1 / 64, 728)])
 def test_the_harnack_report_records_the_horizon(tmp_path, h, n_steps):
     # the preset's grid, and the hoelder preset's
     cfg = _default_config("harnack")
@@ -206,7 +206,7 @@ def test_the_hoelder_report_records_the_horizon(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     kernel, grid = _build_kernel_grid(cfg)
     m, _, full, _ = _cylinder_times(_cylinder(cfg["harness"], kernel), grid.h)
-    assert m == 363            # the harnack-1d grid and cylinder
+    assert m == 182            # the harnack-1d grid and cylinder
     assert report["horizon"] == {"t_end": full[3 * m], "n_steps": 3 * m}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["resolution"]) == {"h", "N", "N_I", "dt", "quad"}

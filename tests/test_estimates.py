@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jumplab.estimates as estimates
 from jumplab import build_grid, make_stable_kernel, assemble, c_alpha_norm
 from jumplab.solve import Solution
 from jumplab.estimates import (
@@ -105,6 +106,13 @@ class TestHolderFit:
         aff = Solution(sol.times, -2.5 * sol.snapshots + 7.0, grid, sol.meta)
         g1 = holder_fit(aff, cyl.t0, cyl.center, 0.5).gamma
         assert abs(g0 - g1) < 1e-12
+
+    def test_a_window_edge_between_grid_times_is_read_linearly_in_time(self, grid, cyl):
+        # u = t on steps of 0.02: the windows [-s, 0] of s = 0.25, 0.125 and 0.0625
+        # start between grid times, and each oscillation is s, not the whole steps in it
+        sol = synthetic_solution(grid, cyl, lambda t, x: np.full(x.shape[0], t), n_t=51)
+        fit = holder_fit(sol, 0.0, cyl.center, 0.5)
+        np.testing.assert_allclose(fit.oscillations, fit.scales, rtol=1e-12)
 
     def test_requires_enough_scales_and_points(self, grid, cyl):
         sol = synthetic_solution(grid, cyl, lambda t, x: x[:, 0])
@@ -332,6 +340,25 @@ def test_a_repeated_p_is_audited_once(stable_form_1d):
     once = caccioppoli_ensemble(stable_form_1d, (0.0,), 0.4, 0.3, [0.5], 2, seed=1)
     twice = caccioppoli_ensemble(stable_form_1d, (0.0,), 0.4, 0.3, [0.5, 0.5], 2, seed=1)
     assert len(twice["c_hat"][0.5]) == 2 and twice == once
+
+
+@pytest.mark.parametrize("n_runs", [0, -1])
+@pytest.mark.parametrize("ensemble", ["harnack", "holder", "caccioppoli"])
+def test_an_ensemble_of_no_members_is_refused_before_any_member(stable_form_1d, monkeypatch,
+                                                                ensemble, n_runs):
+    # 0 members raised ZeroDivisionError (holder) or numpy's zero-size error (the others)
+    def member(*args, **kwargs):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(estimates, "solve_parabolic", member)
+    monkeypatch.setattr(estimates, "caccioppoli_audit", member)
+    cyl = Cylinder(0.0, 0.25, 1.0, (0.0,))
+    run = {"harnack": lambda: harnack_ensemble(stable_form_1d, cyl, n_runs, 0),
+           "holder": lambda: holder_ensemble(stable_form_1d, cyl, n_runs, 0),
+           "caccioppoli": lambda: caccioppoli_ensemble(stable_form_1d, (0.0,), 0.4, 0.3,
+                                                       [0.5], n_runs, 0)}[ensemble]
+    with pytest.raises(ValueError, match=rf"^n_runs must be at least 1, got {n_runs}$"):
+        run()
 
 
 def test_random_field_value_does_not_depend_on_the_batch():

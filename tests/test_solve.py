@@ -255,7 +255,7 @@ class TestResolvent:
 
 
 def test_default_dt_tracks_parabolic_scaling():
-    assert default_dt(1 / 16, 1.0) == pytest.approx(1 / 64)
+    assert default_dt(1 / 16, 1.0) == pytest.approx(1 / 32)
     assert default_dt(1 / 4, 2.0) < default_dt(1 / 4, 1.0)
 
 

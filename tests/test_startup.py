@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from _oracles import CountingLinalg
 from hypothesis import given, settings, strategies as st
 
 import jumplab
@@ -145,32 +146,6 @@ def test_lazy_module_returns_an_imported_module_itself():
     assert solve_module.sla.getrs is sys.modules["scipy.linalg._flapack"].dgetrs
 
 
-class _CountingLinalg:
-    """Stands in for solve.sla and counts lu_factor, lu_solve and the calls of
-    every getrs it hands out."""
-
-    def __init__(self, real):
-        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0, "getrs": 0}
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-    def lu_factor(self, *args, **kwargs):
-        self.calls["lu_factor"] += 1
-        return self.real.lu_factor(*args, **kwargs)
-
-    def lu_solve(self, *args, **kwargs):
-        self.calls["lu_solve"] += 1
-        return self.real.lu_solve(*args, **kwargs)
-
-    @property
-    def getrs(self):
-        def call(*args, **kwargs):
-            self.calls["getrs"] += 1
-            return self.real.getrs(*args, **kwargs)
-        return call
-
-
 def _five_steps(form):
     n = form.grid.n_nodes
     return ParabolicProblem(form, np.ones(n), 0.0, 0.05, 0.01, collar=0.5)
@@ -179,7 +154,7 @@ def _five_steps(form):
 def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypatch):
     # a form of its own: the fixture's shared system may hold factors of earlier tests
     form = replace(stable_form_1d)
-    counting = _CountingLinalg(solve_module.sla)
+    counting = CountingLinalg(solve_module.sla)
     monkeypatch.setattr(solve_module, "sla", counting)
     sol = solve_parabolic(_five_steps(form))
     assert counting.calls["lu_factor"] == 1
@@ -195,7 +170,7 @@ def test_patched_sla_sees_the_steps_on_a_form_factored_before(stable_form_1d, mo
     # the form's system is factored before the patch; its steps still solve through solve.sla
     form = replace(stable_form_1d)
     plain = solve_parabolic(_five_steps(form))
-    counting = _CountingLinalg(solve_module.sla)
+    counting = CountingLinalg(solve_module.sla)
     monkeypatch.setattr(solve_module, "sla", counting)
     patched = solve_parabolic(_five_steps(form))
     assert counting.calls == {"lu_factor": 0, "lu_solve": 0, "getrs": 5}
@@ -206,7 +181,7 @@ def test_patched_sla_sees_the_steps_on_a_form_factored_before(stable_form_1d, mo
 def test_patched_sla_changes_no_bit(stable_form_1d, monkeypatch):
     # each run on a form of its own, so that the patched run factors and solves
     plain = solve_parabolic(_five_steps(replace(stable_form_1d)))
-    counting = _CountingLinalg(solve_module.sla)
+    counting = CountingLinalg(solve_module.sla)
     monkeypatch.setattr(solve_module, "sla", counting)
     patched = solve_parabolic(_five_steps(replace(stable_form_1d)))
     assert counting.calls["lu_factor"] == 1 and counting.calls["getrs"] == 5

@@ -34,7 +34,7 @@ from jumplab.solve import default_dt, time_grid, whole_steps
     (0.0, 0.1, 0.025, 4),
     (0.0, 0.1, 0.1, 1),
     (0.7, 1.05, 0.05, 7),             # (t_end - t_start) / dt = 7.000000000000002
-    (-0.5 ** 1.5, 0.5 ** 1.5, default_dt(1 / 32, 1.5), 512)])
+    (-0.5 ** 1.5, 0.5 ** 1.5, default_dt(1 / 32, 1.5), 256)])
 def test_time_grid_steps_a_whole_span(t_start, t_end, dt, n):
     times = time_grid(t_start, t_end, dt)
     assert len(times) == n + 1 and times[-1] == t_end
@@ -85,7 +85,7 @@ def test_time_grid_refuses_a_step_that_is_not_positive(dt):
 def test_implicit_euler_error_halves_with_the_step():
     """Against u(t) = u_inf + exp(-(t - t_start) A_II)(u0_I - u_inf), A_II u_inf
     = load, on the late box of a cylinder run: a stable form, alpha = 1.5,
-    h = 1/32, fixed data.  m = 128 is the default step's."""
+    h = 1/32, fixed data.  m = 64 is the default step's."""
     grid = build_grid(1, 2.0, 1 / 32, {"type": "box", "halfwidth": 1.5})
     form = assemble(make_stable_kernel(1, 1.5, c_alpha_norm(1, 1.5)), grid)
     cyl = Cylinder(0.0, 0.5, 1.5, (0.0,))
@@ -109,9 +109,9 @@ def test_implicit_euler_error_halves_with_the_step():
         return float(np.max(np.abs(computed[:, ball] - np.asarray(exact)[:, ball])))
 
     m, dt = _cylinder_step(cyl, grid.h, None)
-    assert (m, _cylinder_step(cyl, grid.h, dt / 2)) == (128, (256, dt / 2))
+    assert (m, _cylinder_step(cyl, grid.h, dt / 2)) == (64, (128, dt / 2))
     coarse, fine = late_error(dt), late_error(dt / 2)
-    assert coarse == pytest.approx(5.96e-4, rel=0.02)
+    assert coarse == pytest.approx(1.19e-3, rel=0.02)
     assert 1.8 <= coarse / fine <= 2.2
 
 
