@@ -7,12 +7,14 @@ scipy's compiled routines.  Once
 loaded it is an ordinary module: an attribute lookup costs what it always
 does, and ``setattr`` on it patches the real module.
 
-Users: ``_lapack`` in ``solve`` and ``assumptions`` (LU factors and solves),
-``mosco`` (Cholesky and triangular solves) and ``kernels``
-(``gamma``); scipy.linalg in ``assumptions`` (eigh); and ``cli``, whose
-references to the package's ``algebra``, ``assumptions``, ``estimates``,
-``mosco`` and ``solve`` load each module on the first runner that calls
-into it.  ``scipy_path`` locates files of the installed scipy for
+Users: ``_lapack`` in ``solve`` (LU factors and solves), ``assumptions``
+(LU factors and solves, and the Cholesky factor and triangular solves of its
+eigenvalue pencil), ``mosco`` (Cholesky and triangular solves) and
+``kernels`` (``gamma``); and ``cli``, whose references to the package's
+``algebra``, ``assumptions``, ``estimates``, ``mosco`` and ``solve`` load
+each module on the first runner that calls into it.  Only the module itself
+waits: finding a submodule imports its parent packages at once, so a lazy
+``scipy.linalg`` would import the ``scipy`` package.  ``scipy_path`` locates files of the installed scipy for
 ``_lapack`` (its compiled modules) and ``cli`` (its ``version.py``) without
 importing scipy.
 """

@@ -21,7 +21,6 @@ from .discretize import DiscreteForm, Grid, _symmetrise, kernel_alpha
 from .kernels import Kernel, StableKernel, TimeKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
-sla = lazy_module("scipy.linalg")
 lapack = lazy_module("jumplab._lapack")
 
 INF = float("inf")
@@ -123,22 +122,21 @@ def _graph_laplacian(K: np.ndarray, h2d: float) -> np.ndarray:
     return 2.0 * h2d * (np.diag(np.sum(K, axis=1)) - K)
 
 
-def _mean_zero_basis(n: int) -> np.ndarray:
-    Q, _ = np.linalg.qr(np.eye(n) - np.ones((n, n)) / n)
-    return Q[:, : n - 1]
-
-
 def _pencil_extreme(L_num: np.ndarray, L_den: np.ndarray, which: str) -> float:
-    """Extreme generalized eigenvalue of v^T L_num v / v^T L_den v on mean-zero v."""
+    """Extreme generalized eigenvalue of v^T L_num v / v^T L_den v on mean-zero v, inf
+    where L_den is singular there: with A and B = C C^T the pencil in an orthonormal
+    mean-zero basis, an extreme eigenvalue of C^-1 A C^-T."""
     n = L_num.shape[0]
-    Q = _mean_zero_basis(n)
+    Q = np.linalg.qr(np.eye(n) - np.ones((n, n)) / n)[0][:, : n - 1]
     A = Q.T @ L_num @ Q
     B = Q.T @ L_den @ Q
     B = 0.5 * (B + B.T)
     wB = np.linalg.eigvalsh(B)
     if wB[0] <= 1e-12 * max(wB[-1], 1e-300):
         return INF
-    w = sla.eigh(0.5 * (A + A.T), B, eigvals_only=True)
+    C = lapack.cholesky(B)
+    CA = lapack.solve_lower(C, 0.5 * (A + A.T))
+    w = np.linalg.eigvalsh(lapack.solve_lower(C, CA.T))
     return float(w[-1] if which == "max" else w[0])
 
 
@@ -316,17 +314,32 @@ def tail_sup(kernel: Kernel, ball: BallSpec, A: float, dual: bool = False,
     """
     quad = quad or QuadSpec()
     k = kernel.dual() if dual else kernel
-    pts, _, _ = _lattice(ball, 2 * ball.r, grid, spacing, max_points=60)
-    if _tail_divergent(k, ("sym", "anti"), ball, quad):
+    n, sups = _tail_sups(k, "full", ball, 2 * ball.r, (A * ball.r, 2 * A * ball.r),
+                         grid, quad, spacing)
+    if sups is None:
         return {"sup": INF, "sigma_fit": 0.0, "A": A, "divergent": True,
-                "n_points": pts.shape[0], "quad": quad.to_dict()}
-    pieces = k.radial_pieces("full")
-    sup1, sup2 = (float(np.max(_tail_beyond(pieces, pts, radius, ball.d, quad)))
-                  for radius in (A * ball.r, 2 * A * ball.r))
+                "n_points": n, "quad": quad.to_dict()}
+    sup1, sup2 = sups
     sigma = math.log(sup1 / sup2) / math.log(2.0) if sup2 > 0 else INF
     return {"sup": sup1, "sup_2A": sup2, "sigma_fit": sigma, "A": A,
             "radius": A * ball.r, "divergent": False,
-            "n_points": pts.shape[0], "quad": quad.to_dict()}
+            "n_points": n, "quad": quad.to_dict()}
+
+
+def _tail_sups(kernel: Kernel, part: str, ball: BallSpec, lattice_radius: float, radii,
+               grid: Grid | None, quad: QuadSpec, spacing: float | None):
+    """The number of points of the tail lattice in B_lattice_radius(z) and, over
+    them, the sup of the tail of the kernel's part ("full" or "sym") beyond
+    B_radius(x) at each radius; None where the exponent pre-test finds K_s, or a
+    K_a of the part without compact support, not integrable in the far field."""
+    pts, _, _ = _lattice(ball, lattice_radius, grid, spacing, max_points=60)
+    tested = ("sym", "anti") if part == "full" and kernel.anti_support() is None else ("sym",)
+    if any(_far_field_divergent(getattr(kernel, p), lambda dd, p=p: kernel.decay_orders(p, dd),
+                                ball, min(quad.n_ang, 64)) for p in tested):
+        return pts.shape[0], None
+    pieces = kernel.radial_pieces(part)
+    return pts.shape[0], [float(np.max(_tail_beyond(pieces, pts, radius, ball.d, quad)))
+                          for radius in radii]
 
 
 def _tail_beyond(pieces, pts: np.ndarray, radius: float, d: int,
@@ -345,19 +358,6 @@ def _far_field_divergent(ev, decay_fn, ball: BallSpec, n_ang: int) -> bool:
     return bool(np.any(active & (decay_fn(dirs) <= 0)))
 
 
-def _tail_divergent(kernel: Kernel, parts, ball: BallSpec,
-                    quad: QuadSpec) -> bool:
-    """Exponent pre-test: is some compactly unsupported part non-integrable?"""
-    for part in parts:
-        if part == "anti" and kernel.anti_support() is not None:
-            continue
-        ev = kernel.sym if part == "sym" else kernel.anti
-        if _far_field_divergent(ev, lambda dd: kernel.decay_orders(part, dd), ball,
-                                min(quad.n_ang, 64)):
-            return True
-    return False
-
-
 def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
                grid: Grid | None = None, quad: QuadSpec | None = None,
                spacing: float | None = None) -> dict:
@@ -366,19 +366,16 @@ def cutoff_sup(kernel: Kernel, zeta: float, ball: BallSpec,
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     quad = quad or QuadSpec()
-    pts, _, _ = _lattice(ball, ball.r + (ball.rho or ball.r), grid, spacing,
-                         max_points=60)
-    if _tail_divergent(kernel, ("sym",), ball, quad):
-        return {"sup": INF, "zeta": zeta, "divergent": True,
-                "n_points": pts.shape[0], "quad": quad.to_dict()}
-    pieces = kernel.radial_pieces("sym")
     zetas = zeta * 0.5 ** np.arange(4)
-    sups = np.array([float(np.max(_tail_beyond(pieces, pts, z, ball.d, quad)))
-                     for z in zetas])
+    n, sups = _tail_sups(kernel, "sym", ball, ball.r + (ball.rho or ball.r), zetas,
+                         grid, quad, spacing)
+    if sups is None:
+        return {"sup": INF, "zeta": zeta, "divergent": True,
+                "n_points": n, "quad": quad.to_dict()}
     slope, intercept = np.polyfit(np.log(zetas), np.log(sups), 1)
     return {"sup": sups[0], "zeta": zeta, "exponent_fit": float(-slope),
             "prefactor_fit": float(np.exp(intercept)), "sweep": list(zetas),
-            "n_points": pts.shape[0], "quad": quad.to_dict()}
+            "n_points": n, "quad": quad.to_dict()}
 
 
 def _ball_submatrices(form: DiscreteForm, ball: BallSpec, radius: float):
@@ -396,14 +393,10 @@ def poincare_constant(form: DiscreteForm, ball: BallSpec) -> dict:
     c = r^{-alpha} / lambda_2 with lambda_2 the smallest nonzero eigenvalue of
     the restricted symmetric form against the mean-zero mass form.
     """
-    grid = form.grid
     alpha = kernel_alpha(form)
     m, L = _ball_submatrices(form, ball, ball.r)
     n = int(m.sum())
-    Q = _mean_zero_basis(n)
-    A = Q.T @ L @ Q / grid.cell_volume
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    lam2 = float(w[0])
+    lam2 = _pencil_extreme(L, form.grid.cell_volume * np.eye(n), "min")
     if lam2 <= 0:
         raise ValueError("restricted form is singular on mean-zero functions")
     return {"constant": ball.r ** (-alpha) / lam2, "lambda2": lam2,
@@ -493,11 +486,10 @@ def suffK1_check(V, ball: BallSpec, theta: float, gamma: float,
         raise ValueError("suffK1 needs gamma in (alpha/2, 1]")
     pts, h, volume = _lattice(ball, 2 * ball.r, grid, spacing, max_points=_SUFFK1_POINTS)
     n = pts.shape[0]
-    Vv = np.asarray(V(pts), dtype=float)
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    off = ~np.eye(n, dtype=bool)
-    quot = np.zeros((n, n))
-    quot[off] = np.abs(Vv[:, None] - Vv[None, :])[off] / dist[off] ** gamma
+    # the quotient on all pairs of the lattice points, each with V in its last column
+    (quot,) = pair_values(np.column_stack([pts, np.asarray(V(pts), dtype=float)]),
+                          lambda x, y: np.abs(x[:, -1] - y[:, -1]) / np.sqrt(
+                              np.sum((x[:, :-1] - y[:, :-1]) ** 2, axis=-1)) ** gamma)
     seminorm = np.max(quot, axis=1)
     norm = _lp_norm(seminorm, 2 * theta, volume)
     return AssumptionReport("suffK1", {"holder_norm": norm,

@@ -14,7 +14,8 @@ that need one, and writes every artifact.  A runner computes only: it returns
 (summary, report, tables) and opens no file.  Fixed seed and config give
 byte-identical artifacts.
 Exit codes: 2 for config errors (with a field path, before any output or
-assembly), 3 for numerical failures.
+assembly; a harnack or hoelder cylinder too small for its grid is one),
+3 for numerical failures.
 
 Start-up imports numpy, ``kernels`` and ``discretize``, and no scipy
 package.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
@@ -22,9 +23,9 @@ package.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
 first runner that calls into it, so a command compiles only the package code
 it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
 keywords ``SCHEMA`` uses.  scipy's compiled routines (``_lapack``: LAPACK
-and ``gamma``, loaded by file path) load on the first factorisation or
-stable-kernel normalisation; only some ``check-kernel`` assumptions import
-the scipy.linalg package (``eigh``).
+and ``gamma``, loaded by file path) load on the first factorisation,
+eigenvalue pencil or stable-kernel normalisation; no command imports a
+scipy package.
 """
 from __future__ import annotations
 
@@ -571,8 +572,9 @@ def _cylinder(harness, kernel):
 
 def _inside(config, kernel, grid):
     """The cylinder of a harnack or hoelder run, refused if its ball B_R(center)
-    leaves the domain: its late box and fit windows would read collar nodes,
-    whose values are the datum, not the solution."""
+    leaves the domain (its late box and fit windows would read collar nodes,
+    whose values are the datum, not the solution) or if the smallest ball the
+    run reads holds fewer grid nodes than it needs (``estimates.smallest_ball``)."""
     cylinder, omega = _cylinder(config["harness"], kernel), grid.omega
     off = np.subtract(cylinder.center, omega.get("center", [0.0] * grid.d))
     box = omega["type"] == "box"
@@ -581,6 +583,13 @@ def _inside(config, kernel, grid):
     if reach > float(omega[size]) + 1e-12:
         raise ConfigError(f"$['harness']: B_R(center) leaves the domain: center offset + R = "
                           f"{reach:.12g} > {omega['type']} {size} {float(omega[size]):.12g}")
+    kind = config["harness"]["type"]
+    radius, need = estimates.smallest_ball(cylinder, kind)
+    have = int(np.sum(grid.ball_mask(cylinder.center, radius)))
+    if have < need:
+        raise ConfigError(f"$['harness']: R = {cylinder.R:.12g} is too small for h = "
+                          f"{grid.h:.12g}: {kind} reads B_{radius:.12g}(center), which holds "
+                          f"{have} grid nodes, fewer than {need}")
     return (cylinder,)
 
 
@@ -727,7 +736,8 @@ def _default_config(kind: str) -> dict:
         cfg["kernel"] = dict(DEFAULT_KERNEL)
         cfg["grid"] = dict(DEFAULT_GRID)
     if kind == "hoelder":
-        # the smallest fit scale R / 8 must hold estimates._FIT_MIN_NODES = 8 nodes
+        # _inside refuses a smallest fit ball B_R/8 of fewer than
+        # estimates._FIT_MIN_NODES = 8 nodes: R = 0.5 needs h = 1/64
         cfg["grid"]["h"] = 1 / 64
     if kind == "caccioppoli":
         cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.0}

@@ -19,8 +19,10 @@ from .solve import ParabolicProblem, Solution, default_dt, solve_parabolic, whol
 # a grid time within this distance of a box's end belongs to the box: fit
 # windows may end on grid times too (t_fit - s^alpha at alpha = 1.5)
 _TIME_TOL = 1e-12
-# the least number of nodes a Hoelder fit reads at its smallest scale
+# the least number of nodes a Hoelder fit reads at its smallest scale, and the
+# default scales of a fit: R0 nu^-k for k < n_scales
 _FIT_MIN_NODES = 8
+_FIT_SCALES, _FIT_NU = 4, 2.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,16 @@ def _edge_values(solution: Solution, box: SpaceTimeBox) -> np.ndarray:
     return (w * solution.snapshots[j - 1, mask] + (1.0 - w) * solution.snapshots[j, mask])[None]
 
 
+def smallest_ball(cyl: Cylinder, audit: str) -> tuple[float, int]:
+    """The radius of the smallest ball the audit ("harnack" or "hoelder", at the
+    default scales) reads on cyl, and the least number of nodes it needs there:
+    one in the R/2 boxes of the Harnack quotient, _FIT_MIN_NODES at the smallest
+    scale of a Hoelder fit."""
+    if audit == "harnack":
+        return cyl.late_box().radius, 1
+    return cyl.R * _FIT_NU ** (-(_FIT_SCALES - 1)), _FIT_MIN_NODES
+
+
 def harnack_quotient(solution: Solution, cyl: Cylinder) -> float:
     """inf over the late box divided by the early space-time mean.
 
@@ -122,7 +134,7 @@ class HolderFit:
 
 
 def holder_fit(solution: Solution, t_center: float, center, R0: float,
-               n_scales: int = 4, nu: float = 2.0) -> HolderFit:
+               n_scales: int = _FIT_SCALES, nu: float = _FIT_NU) -> HolderFit:
     """Least-squares slope of log oscillation against log scale, clamped to [0,1].
 
     Oscillations are taken over backward parabolic windows
@@ -310,7 +322,7 @@ def harnack_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int,
 
 
 def holder_ensemble(form: DiscreteForm, cyl: Cylinder, n_runs: int, seed: int,
-                    n_scales: int = 4, nu: float = 2.0,
+                    n_scales: int = _FIT_SCALES, nu: float = _FIT_NU,
                     dt: float | None = None) -> dict:
     """Hoelder fits of n_runs members, and each member's max step residual.
 

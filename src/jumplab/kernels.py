@@ -410,8 +410,9 @@ class DriftKernel(Kernel):
     K(x,y) = j(x,y) c_{d,a} |x-y|^{-d-a}
            + (V(x) - V(y)) 1{|x-y| <= L} c_{d,a} |x-y|^{-d-a}.
 
-    Nonnegativity requires |V(x) - V(y)| <= lam within the truncation radius;
-    this is checked on a validation lattice at construction.
+    The class needs |V(x) - V(y)| <= lam within the truncation radius, and a
+    nonnegative K needs K_s >= |K_a|, that is |V(x) - V(y)| <= j(x, y) there;
+    both are checked on a validation lattice at construction.
     """
 
     def __init__(self, j, V, L: float, alpha: float, d: int,
@@ -435,6 +436,7 @@ class DriftKernel(Kernel):
             raise ValueError(
                 "potential increment exceeds lam inside the truncation radius; "
                 "kernel would go negative (shrink L or rescale V)")
+        _validate_split(self, d)
 
     def _stable(self, x, y):
         _, r = _check_separation(x, y)

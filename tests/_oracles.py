@@ -22,6 +22,26 @@ def pv_operator_oracle(xi, u, c, alpha, hf, window=64.0):
     return 2 * (s + tail)
 
 
+# --- the mean-zero eigenvalue pencil of the spectral checks ------------------
+
+def eigh_pencil(L_num, L_den, which):
+    """The extreme eigenvalue of v^T L_num v / v^T L_den v on mean-zero v as
+    scipy.linalg.eigh solves the pencil, on the basis of
+    assumptions._pencil_extreme."""
+    n = L_num.shape[0]
+    Q = np.linalg.qr(np.eye(n) - np.ones((n, n)) / n)[0][:, : n - 1]
+    A, B = Q.T @ L_num @ Q, Q.T @ L_den @ Q
+    w = sla.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
+    return float(w[-1] if which == "max" else w[0])
+
+
+# K1 on a drift kernel with V = |x|^0.9 (the CI's finite case): its domination
+# ratio takes the pencil's eigenvalues
+K1_DRIFT_09 = {"harness": {"type": "check-kernel", "assumption": "K1"},
+               "kernel": {"family": "drift", "d": 1, "alpha": 1.5, "L": 0.5,
+                          "V": {"preset": "abs-power-V", "gamma0": 0.9}}}
+
+
 # --- frozen theta-scheme stepping loop and resolvent ------------------------
 # The solver as it was before the interior system was shared between
 # the stepper and the resolvent and before time-independent loads were built

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from jumplab.assumptions import (
     tail_sup,
 )
 from jumplab.kernels import get_field
+
+from _oracles import K1_DRIFT_09, eigh_pencil
 
 
 @pytest.fixture(scope="module")
@@ -496,3 +499,60 @@ def test_audits_refuse_a_form_without_its_kernel_order(grid_1d):
     rho = 0.3
     gamma = carre_du_champ(F, CutoffProfile((0.0,), 0.4, rho))
     assert gamma["c_fit"] == gamma["sup"] * rho ** 1.5
+
+
+# --- the mean-zero pencil against scipy.linalg.eigh ---------------------------
+
+@pytest.mark.parametrize("which", ["min", "max"])
+@pytest.mark.parametrize("n", [3, 11, 40, 150])
+def test_pencil_matches_scipy_eigh_on_random_spd_pencils(n, which):
+    from jumplab.assumptions import _pencil_extreme
+
+    X, Y = np.random.default_rng(n).normal(size=(2, n, n))
+    L_num, L_den = X @ X.T + n * np.eye(n), Y @ Y.T + n * np.eye(n)
+    assert _pencil_extreme(L_num, L_den, which) == pytest.approx(
+        eigh_pencil(L_num, L_den, which), rel=1e-13, abs=0)
+
+
+def test_pencil_is_inf_where_the_denominator_is_singular_on_mean_zero_vectors():
+    from jumplab.assumptions import _pencil_extreme
+
+    # the Laplacian of a graph of two components: a mean-zero v is constant on each
+    K = np.zeros((6, 6))
+    K[:3, :3] = K[3:, 3:] = 1.0
+    np.fill_diagonal(K, 0.0)
+    L_den = np.diag(K.sum(axis=1)) - K
+    assert _pencil_extreme(np.eye(6), L_den, "max") == INF
+
+
+def _preset(assumption):
+    from jumplab.cli import _default_config
+
+    cfg = _default_config("check-kernel")
+    cfg["harness"]["assumption"] = assumption
+    return cfg
+
+
+# the scipy.linalg.eigh values of the coercivity and Poinc presets and of K1's
+# domination ratio on the drift kernel with V = |x|^0.9
+@pytest.mark.parametrize("config, path, value", [
+    (_preset("coercivity"), ("ratio",), 0.01918376701632663),
+    (_preset("Poinc"), ("lambda2",), 3.1795198048291593),
+    (K1_DRIFT_09, ("constants", "domination_ratio"), 3.342171032841335),
+], ids=["coercivity", "Poinc", "K1-gamma0-0.9"])
+def test_spectral_checks_match_scipy_eigh(config, path, value, tmp_path, monkeypatch):
+    import jumplab.assumptions as assumptions
+    from jumplab.cli import _validate, run_scenario
+
+    def reported(out):
+        run_scenario(_validate(json.loads(json.dumps(config))), tmp_path / out)
+        rep = json.loads((tmp_path / out / "report.json").read_text())
+        for key in path:
+            rep = rep[key]
+        return rep
+
+    ours = reported("ours")
+    monkeypatch.setattr(assumptions, "_pencil_extreme", eigh_pencil)
+    theirs = reported("eigh")
+    assert ours == pytest.approx(theirs, rel=1e-13, abs=0)
+    assert ours == pytest.approx(value, rel=1e-13, abs=0)

@@ -234,6 +234,17 @@ class TestValidation:
            f"$['harness'][{key!r}]: {word!r} does not match '^inf$'\n")
           for name, key in (("K1", "theta_exp"), ("CP", "mu"))
           for word in ("big", "nan", "-inf", "Inf")],
+        # cylinders too small for their grid: each exited 3 after making --out
+        ("hoelder", {**_default_config("hoelder"), "grid": DEFAULT_GRID},
+         "$['harness']: R = 0.5 is too small for h = 0.03125: hoelder reads B_0.0625(center), "
+         "which holds 4 grid nodes, fewer than 8\n"),
+        ("harnack", {**_default_config("harnack"), "harness": {"R": 0.01}},
+         "$['harness']: R = 0.01 is too small for h = 0.03125: harnack reads B_0.005(center), "
+         "which holds 0 grid nodes, fewer than 1\n"),
+        # K_s = 0.5 c |h|^{-1-alpha} < |K_a| = 0.9 |h| c |h|^{-1-alpha} at |h| = 0.8: exited 0
+        ("harnack", {"kernel": {**DRIFT_1D, "j": 0.5, "V": {"preset": "linear-V", "b": [0.9]}},
+                     "grid": DEFAULT_GRID},
+         "$['kernel']: kernel is negative on the validation lattice\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -251,7 +262,8 @@ class TestValidation:
             "suffK1-gamma-above-1", "suffK1-gamma-null", "cutoff-negative-zeta", "good-set-D-above-1",
             "cp-theta-below-d-over-alpha", "cp-mu-below-1", "tail-negative-A",
             "k1-negative-theta", *[f"{key}-{word}" for key in ("k1-theta", "cp-mu")
-                                   for word in ("big", "nan", "minus-inf", "Inf")]])
+                                   for word in ("big", "nan", "minus-inf", "Inf")],
+            "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         import jumplab.cli as cli
@@ -307,7 +319,8 @@ class TestValidation:
         from jumplab.discretize import build_grid
 
         d = len(center)
-        grid = build_grid(d, 2.0, 1 / 8, omega)
+        # h = 1/16: B_R/2 of each cylinder inside holds a node, as _inside asks
+        grid = build_grid(d, 2.0, 1 / 16, omega)
         cfg = {"harness": {"type": "harnack", "center": center, "R": R}}
         kernel = cli.kernel_from_config({"family": "stable", "d": d, "alpha": 1.0})
         if inside:
@@ -315,6 +328,28 @@ class TestValidation:
             assert cyl.R == R and cyl.center == tuple(center)
         else:
             with pytest.raises(ConfigError, match=r"^\$\['harness'\]: B_R\(center\) leaves"):
+                cli._inside(cfg, kernel, grid)
+
+    @pytest.mark.parametrize("kind, R, nodes, ok", [
+        # at h = 1/32 the nodes lie at odd multiples of 1/64: B_R/2 of harnack
+        # holds a node for R/2 > 1/64, B_R/8 of hoelder 8 nodes for R/8 > 7/64
+        ("harnack", 0.04, 2, True), ("harnack", 0.03, 0, False),
+        ("hoelder", 0.9, 8, True), ("hoelder", 0.85, 6, False),
+    ])
+    def test_the_cylinder_must_hold_the_nodes_its_run_reads(self, kind, R, nodes, ok):
+        import jumplab.cli as cli
+        from jumplab.discretize import build_grid
+
+        grid = build_grid(1, 2.0, 1 / 32, {"type": "box", "halfwidth": 1.5})
+        cfg = {"harness": {"type": kind, "R": R}}
+        kernel = cli.kernel_from_config({"family": "stable", "d": 1, "alpha": 1.5})
+        radius = R / 2 if kind == "harnack" else R / 8
+        assert int(np.sum(grid.ball_mask((0.0,), radius))) == nodes
+        if ok:
+            assert cli._inside(cfg, kernel, grid)[0].R == R
+        else:
+            with pytest.raises(ConfigError, match=rf"^\$\['harness'\]: R = {R} is too small "
+                                                  rf"for h = 0.03125: {kind} reads B_"):
                 cli._inside(cfg, kernel, grid)
 
 

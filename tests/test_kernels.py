@@ -246,7 +246,7 @@ def test_projection_bits_do_not_depend_on_the_batch(axis):
     ({"family": "drift", "d": 1, "alpha": 1.5},
      {"V": {"preset": "linear-V", "b": [0.5]}}, {"V": {"preset": "sin-V", "scale": 0.3}}),
     ({"family": "coefficient", "d": 1, "alpha": 1.5}, {}, {"g": "one"}),
-    ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"j": 0.5}),
+    ({"family": "drift", "d": 1, "alpha": 1.5}, {}, {"j": 1.5}),
 ])
 def test_config_kernels_that_differ_hash_apart(base, one, other):
     digest = lambda extra: kernel_from_config({**base, **extra}).spec.digest()

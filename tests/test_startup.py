@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from _oracles import CountingLinalg
+from _oracles import CountingLinalg, K1_DRIFT_09
 from hypothesis import given, settings, strategies as st
 
 import jumplab
@@ -32,12 +32,13 @@ LINALG = HEAVY[:2] + ("importlib.metadata",)   # what importing scipy.linalg loa
 BY_PATH = {"scipy.linalg._flapack", "scipy.special._special_ufuncs"}
 
 
-def _falls_back(command):
+def _falls_back(argv):
     """Whether the command may import a scipy package through the fallback of
-    _lapack on the installed scipy.  Of the README commands only mosco takes
-    gamma (for its stable kernels), and an older scipy may lack gamma's
-    compiled module."""
-    return command == "mosco" and not isinstance(_lapack.gamma, np.ufunc)
+    _lapack on the installed scipy: an older scipy may lack gamma's compiled
+    module.  Of the commands below mosco and coercivity take gamma (for their
+    stable kernels), and so does a drift kernel (the only config passed)."""
+    takes_gamma = argv[0] == "mosco" or "coercivity" in argv or isinstance(argv[-1], dict)
+    return takes_gamma and not isinstance(_lapack.gamma, np.ufunc)
 
 
 _PROBE = """
@@ -91,28 +92,35 @@ print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.module
 """
 
 # the README command lines, ensembles cut to one member (the modules a command
-# runs do not depend on it) -> the package modules the command runs, and
-# whether it may import scipy's packages (scipy.linalg, and with it
-# importlib.metadata): only check-kernel's eigh does; every other command
-# loads scipy's compiled routines through _lapack, which imports no package
+# runs do not depend on it), and two check-kernel runs that take eigenvalues
+# -> the package modules the command runs; a config is passed as a file
 README_COMMANDS = [
-    (["--help"], [], False),
-    (["check-kernel", "--assumption", "K1"], ["assumptions"], True),
-    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"], False),
-    (["hoelder", "--ensemble", "1"], ["estimates", "solve"], False),
-    (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"], False),
-    (["algebra-tests"], ["algebra"], False),
-    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"], False),
-    (["assemble", "--dump-form", "form.csv"], [], False),
-    (["solve"], ["solve"], False),
+    (["--help"], []),
+    (["check-kernel", "--assumption", "K1"], ["assumptions"]),
+    (["check-kernel", "--assumption", "coercivity"], ["assumptions"]),
+    (["check-kernel", "--config", K1_DRIFT_09], ["assumptions"]),
+    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"]),
+    (["hoelder", "--ensemble", "1"], ["estimates", "solve"]),
+    (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"]),
+    (["algebra-tests"], ["algebra"]),
+    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"]),
+    (["assemble", "--dump-form", "form.csv"], []),
+    (["solve"], ["solve"]),
 ]
 
 
-@pytest.mark.parametrize("argv, ran, linalg", README_COMMANDS,
-                         ids=[argv[0] for argv, _, _ in README_COMMANDS])
-def test_a_command_loads_only_the_modules_it_runs(argv, ran, linalg, tmp_path):
+@pytest.mark.parametrize("argv, ran", README_COMMANDS, ids=[
+    "--help", "check-kernel", "check-kernel-coercivity", "check-kernel-K1-drift", "harnack",
+    "hoelder", "caccioppoli", "algebra-tests", "mosco", "assemble", "solve"])
+def test_a_command_loads_only_the_modules_it_runs(argv, ran, tmp_path):
+    # scipy's compiled routines load through _lapack, which imports no scipy package
+    command = argv
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        command = [*argv[:-1], str(config)]
     out = [] if argv == ["--help"] else ["--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", _RAN.format(linalg=LINALG), *argv, *out],
+    proc = subprocess.run([sys.executable, "-c", _RAN.format(linalg=LINALG), *command, *out],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -120,7 +128,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv, ran, linalg, tmp_path):
     if argv[0] in ("harnack", "hoelder", "caccioppoli"):
         # their medians skip np.median, whose nan check imports numpy.ma
         assert not seen["ma"]
-    if not linalg and not _falls_back(argv[0]):
+    if not _falls_back(argv):
         assert seen["linalg"] == [] and set(seen["scipy"]) <= BY_PATH
         assert not {"scipy", "scipy.linalg", "scipy.special"} & set(seen["scipy"])
     if out:
