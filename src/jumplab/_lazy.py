@@ -10,13 +10,18 @@ does, and ``setattr`` on it patches the real module.
 Users: ``_lapack`` in ``solve`` (LU factors and solves), ``assumptions``
 (LU factors and solves, and the Cholesky factor and triangular solves of its
 eigenvalue pencil), ``mosco`` (Cholesky and triangular solves) and
-``kernels`` (``gamma``); and ``cli``, whose references to the package's
-``algebra``, ``assumptions``, ``estimates``, ``mosco`` and ``solve`` load
-each module on the first runner that calls into it.  Only the module itself
-waits: finding a submodule imports its parent packages at once, so a lazy
-``scipy.linalg`` would import the ``scipy`` package.  ``scipy_path`` locates files of the installed scipy for
-``_lapack`` (its compiled modules) and ``cli`` (its ``version.py``) without
-importing scipy.
+``kernels`` (``gamma``); and ``cli``, whose references to numpy and to the
+package's ``algebra``, ``assumptions``, ``discretize``, ``estimates``,
+``kernels``, ``mosco`` and ``solve`` load each module on its first use, so
+that its start-up, usage errors and config refusals load none of them.  A
+module that is None in ``sys.modules`` (an import blocked on purpose) comes
+back as None and fails on its first use only.  A module that ``from``-imports
+a name binds it when its code runs: a test that patches a home module's
+attribute runs such a module first.  Only the module itself waits: finding a
+submodule imports its parent packages at once, so a lazy ``scipy.linalg``
+would import the ``scipy`` package.  ``scipy_path`` locates files of the
+installed scipy for ``_lapack`` (its compiled modules) and ``cli`` (its
+``version.py``) without importing scipy.
 """
 from __future__ import annotations
 

@@ -17,15 +17,17 @@ Exit codes: 2 for config errors (with a field path, before any output or
 assembly; a harnack or hoelder cylinder too small for its grid is one),
 3 for numerical failures.
 
-Start-up imports numpy, ``kernels`` and ``discretize``, and no scipy
-package.  ``algebra``, ``assumptions``, ``estimates``, ``mosco`` and
-``solve`` are lazy modules here (``_lazy.lazy_module``): each loads on the
-first runner that calls into it, so a command compiles only the package code
-it runs.  Configs are checked by ``_check``, a walker over the JSON Schema
-keywords ``SCHEMA`` uses.  scipy's compiled routines (``_lapack``: LAPACK
-and ``gamma``, loaded by file path) load on the first factorisation,
-eigenvalue pencil or stable-kernel normalisation; no command imports a
-scipy package.
+Start-up loads nothing numerical.  numpy and the package's ``algebra``,
+``assumptions``, ``discretize``, ``estimates``, ``kernels``, ``mosco`` and
+``solve`` are lazy modules here (``_lazy.lazy_module``), their functions named
+at call time (``kernels.kernel_from_config``): each loads on its first use, so
+a command compiles only the package code it runs.  Argument parsing, reading
+the config, ``_refuse_non_finite`` and ``_check`` (a walker over the JSON
+Schema keywords ``SCHEMA`` uses) all finish before numpy loads: ``--help``, a
+usage error and a config the schema refuses never import it.  scipy's compiled
+routines (``_lapack``: LAPACK and ``gamma``, loaded by file path) load on the
+first factorisation, eigenvalue pencil or stable-kernel normalisation; no
+command imports a scipy package.
 """
 from __future__ import annotations
 
@@ -36,23 +38,20 @@ import json
 import math
 import operator
 import os
-import platform
 import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import __version__
 from ._lazy import lazy_module, scipy_path
-from .discretize import assemble, build_grid
-from .kernels import (kernel_from_config, make_stable_kernel, philox_stream,
-                      random_smooth_positive_field)
 
+np = lazy_module("numpy")
 algebra = lazy_module("jumplab.algebra")
 assumptions = lazy_module("jumplab.assumptions")
+discretize = lazy_module("jumplab.discretize")
 estimates = lazy_module("jumplab.estimates")
+kernels = lazy_module("jumplab.kernels")
 mosco = lazy_module("jumplab.mosco")
 solve = lazy_module("jumplab.solve")
 
@@ -92,7 +91,7 @@ def _above(key: str, words: str, bound):
 
 
 def _k1(c, profile):
-    J = make_stable_kernel(c.kernel.d, c.kernel.alpha)
+    J = kernels.make_stable_kernel(c.kernel.d, c.kernel.alpha)
     return profile(c.kernel, J, c.ball, c.theta, grid=c.grid).to_dict()
 
 
@@ -108,7 +107,7 @@ _ASSUMPTIONS = {
     "Poinc": (True, (), lambda c: assumptions.poincare_constant(c.form, c.ball)),
     "Sob": (True, (_alpha_below_d,), lambda c: assumptions.sobolev_ratio(
         c.form, c.ball, float(c.harness.get("rho", c.ball.r / 2)),
-        rng=philox_stream(int(c.harness.get("seed", 0)), 0))),
+        rng=kernels.philox_stream(int(c.harness.get("seed", 0)), 0))),
     "Tail": (False, (), lambda c: assumptions.tail_sup(
         c.kernel, c.ball, float(c.harness.get("A", 2.0)), grid=c.grid)),
     "CP": (False, (_above("theta_exp", "d/alpha", lambda k: k.d / k.alpha),),
@@ -372,7 +371,7 @@ def _build_kernel_grid(config):
     kernel = None
     if "kernel" in config:
         try:
-            kernel = kernel_from_config(config["kernel"])
+            kernel = kernels.kernel_from_config(config["kernel"])
         except KeyError as exc:
             raise ConfigError(f"$['kernel']: missing entry or unknown preset {exc}") from None
         except (ValueError, TypeError) as exc:   # numbers or shapes no kernel takes
@@ -388,7 +387,8 @@ def _build_kernel_grid(config):
     if "grid" in config:
         gc = config["grid"]
         try:
-            grid = build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]), gc.get("omega"))
+            grid = discretize.build_grid(int(gc["d"]), float(gc["X"]), float(gc["h"]),
+                                         gc.get("omega"))
         except KeyError as exc:     # a domain without its type, halfwidth or radius
             raise ConfigError(f"$['grid']: missing entry {exc}") from None
         except ValueError as exc:   # a grid the config's numbers cannot make
@@ -411,7 +411,9 @@ def _environment() -> dict:
     """manifest["env"]: versions, BLAS, thread variables (None when unset) and
     the CPUs this process may run on.  scipy's version is read from its
     ``version.py``: no command but some ``check-kernel`` assumptions imports
-    the scipy package."""
+    the scipy package.  ``platform`` is imported here: start-up needs none of it."""
+    import platform
+
     try:
         config = np.show_config(mode="dicts")
     except TypeError:       # numpy < 1.26 only prints its configuration
@@ -449,7 +451,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     kernel, grid = _build_kernel_grid(config)
     prepared = _PREPARE[kind](config, kernel, grid) if kind in _PREPARE else ()
     out_dir.mkdir(parents=True, exist_ok=True)      # the config passed every check
-    form = assemble(kernel, grid) if _needs_form(config["harness"]) else None
+    form = discretize.assemble(kernel, grid) if _needs_form(config["harness"]) else None
     summary, report, tables = _RUNNERS[kind](config, kernel, grid, form, *prepared)
     health = summary.pop("health", None)
     resolution = {**_resolution(grid, form), **summary.pop("resolution", {})}
@@ -537,9 +539,9 @@ def _problem_from_config(config, form, dt, horizon):
     pc = config.get("problem", {})
     harness = config["harness"]
     seed = int(harness.get("seed", 0))
-    rng = philox_stream(seed, 0)
-    u0_field = random_smooth_positive_field(rng, grid.d)
-    g_field = random_smooth_positive_field(rng, grid.d)
+    rng = kernels.philox_stream(seed, 0)
+    u0_field = kernels.random_smooth_positive_field(rng, grid.d)
+    g_field = kernels.random_smooth_positive_field(rng, grid.d)
     return solve.ParabolicProblem(
         form, u0_field(grid.nodes), 0.0, horizon, dt,
         collar=g_field(grid.nodes[grid.collar]),
@@ -649,7 +651,7 @@ def _run_algebra(config, kernel, grid, form):
     harness = config["harness"]
     n = int(harness.get("samples", 10000))
     seed = int(harness.get("seed", 0))
-    rng = philox_stream(seed, 0)
+    rng = kernels.philox_stream(seed, 0)
     p = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
     t = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
     s = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
@@ -657,7 +659,10 @@ def _run_algebra(config, kernel, grid, form):
     tau2 = rng.uniform(0, 3, n)
     delta = rng.uniform(1e-3, 1 - 1e-3, n)
     margins = {}
-    for pk in np.unique(np.round(p, 2))[:50]:
+    # the first 50 distinct rounded p: np.unique's array, without its import of numpy.ma
+    levels = np.sort(np.round(p, 2))
+    levels = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
+    for pk in levels[:50]:
         out = algebra.check_chain_rule_bounds(algebra.ChainRulePair(float(pk)), s[:200],
                                               t[:200])
         for name, vals in out.items():

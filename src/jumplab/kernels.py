@@ -346,16 +346,27 @@ def pair_values(points, *fns, chunk: int = 256):
     return out
 
 
-def _lattice_pair_values(d: int, *fns, n: int = 6, extent: float = 2.0):
-    """Values of each ``fn`` on the off-diagonal pairs of an n^d validation lattice."""
+def _lattice_pair_values(d: int, *fns, breaks=(), n: int = 6, extent: float = 2.0):
+    """Values of each ``fn`` on the off-diagonal pairs of an n^d validation lattice,
+    then on the pairs (x, x +- r e_k) of each lattice point x and axis e_k with r
+    just inside and just outside each radius in ``breaks``, where the kernel jumps.
+    The lattice's own pair distances are multiples of its spacing (0.8), so a
+    truncation radius between two of them would go untested."""
     axes = [np.linspace(-extent, extent, n)] * d
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     off = ~np.eye(pts.shape[0], dtype=bool)
-    return [M[off] for M in pair_values(pts, *fns)]
+    values = [M[off] for M in pair_values(pts, *fns)]
+    if not breaks:
+        return values
+    steps = np.concatenate([s * b * (1 + t * 1e-9) * np.eye(d)
+                            for b in breaks for t in (-1, 1) for s in (-1, 1)])
+    xs = np.repeat(pts, len(steps), axis=0)
+    ys = xs + np.tile(steps, (len(pts), 1))
+    return [np.concatenate((v, fn(xs, ys))) for v, fn in zip(values, fns)]
 
 
 def _validate_split(kernel: Kernel, d: int):
-    ks, ka = _lattice_pair_values(d, kernel.sym, kernel.anti)
+    ks, ka = _lattice_pair_values(d, kernel.sym, kernel.anti, breaks=kernel.radial_breaks())
     scale = np.maximum(np.abs(ks), 1e-300)
     if np.any(ks + ka < -1e-12 * scale):
         raise ValueError("kernel is negative on the validation lattice")
@@ -412,7 +423,8 @@ class DriftKernel(Kernel):
 
     The class needs |V(x) - V(y)| <= lam within the truncation radius, and a
     nonnegative K needs K_s >= |K_a|, that is |V(x) - V(y)| <= j(x, y) there;
-    both are checked on a validation lattice at construction.
+    both are checked at construction, on a validation lattice and on axis pairs
+    at the truncation radius.
     """
 
     def __init__(self, j, V, L: float, alpha: float, d: int,
@@ -431,7 +443,7 @@ class DriftKernel(Kernel):
         self.spec = KernelSpec("drift", d, alpha, lam=lam, Lam=Lam, trunc=L)
         (dv,) = _lattice_pair_values(d, lambda x, y: np.abs(
             np.asarray(V(x)) - np.asarray(V(y))) * (
-            np.sqrt(np.sum((x - y) ** 2, axis=-1)) <= self.L))
+            np.sqrt(np.sum((x - y) ** 2, axis=-1)) <= self.L), breaks=self.radial_breaks())
         if np.any(dv > lam + 1e-12):
             raise ValueError(
                 "potential increment exceeds lam inside the truncation radius; "

@@ -7,6 +7,9 @@ import pytest
 
 from jumplab.cli import (DEFAULT_GRID, DEFAULT_KERNEL, main, run_scenario, _default_config,
                          _validate, ConfigError)
+# mosco binds discretize.assemble when its code runs: run it now, before a test
+# patches the home module, so that no patch outlives its test in mosco
+from jumplab.mosco import alpha_family  # noqa: F401
 
 
 CONE_2D = {"family": "cone", "d": 2, "alpha": 1.5, "beta": 0.5,
@@ -245,6 +248,12 @@ class TestValidation:
         ("harnack", {"kernel": {**DRIFT_1D, "j": 0.5, "V": {"preset": "linear-V", "b": [0.9]}},
                      "grid": DEFAULT_GRID},
          "$['kernel']: kernel is negative on the validation lattice\n"),
+        # K(0, 0.9) = (0.5 - 0.6 * 0.9) c |h|^{-1-alpha} < 0 inside L = 1, between the
+        # lattice's distances 0.8 and 1.6: exited 0
+        ("harnack", {"kernel": {**DRIFT_1D, "L": 1.0, "j": 0.5,
+                                "V": {"preset": "linear-V", "b": [0.6]}},
+                     "grid": DEFAULT_GRID},
+         "$['kernel']: kernel is negative on the validation lattice\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -263,15 +272,14 @@ class TestValidation:
             "cp-theta-below-d-over-alpha", "cp-mu-below-1", "tail-negative-A",
             "k1-negative-theta", *[f"{key}-{word}" for key in ("k1-theta", "cp-mu")
                                    for word in ("big", "nan", "minus-inf", "Inf")],
-            "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment"])
+            "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment",
+            "drift-j-below-its-increment-between-lattice-distances"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
-        import jumplab.cli as cli
-
         def refuse(*args, **kw):
             raise AssertionError("a refused config assembled a form")
 
-        monkeypatch.setattr(cli, "assemble", refuse)
+        monkeypatch.setattr("jumplab.discretize.assemble", refuse)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         out = tmp_path / "o"
@@ -317,12 +325,13 @@ class TestValidation:
     def test_the_cylinder_ball_must_lie_in_the_domain(self, omega, center, R, inside):
         import jumplab.cli as cli
         from jumplab.discretize import build_grid
+        from jumplab.kernels import kernel_from_config
 
         d = len(center)
         # h = 1/16: B_R/2 of each cylinder inside holds a node, as _inside asks
         grid = build_grid(d, 2.0, 1 / 16, omega)
         cfg = {"harness": {"type": "harnack", "center": center, "R": R}}
-        kernel = cli.kernel_from_config({"family": "stable", "d": d, "alpha": 1.0})
+        kernel = kernel_from_config({"family": "stable", "d": d, "alpha": 1.0})
         if inside:
             (cyl,) = cli._inside(cfg, kernel, grid)
             assert cyl.R == R and cyl.center == tuple(center)
@@ -339,10 +348,11 @@ class TestValidation:
     def test_the_cylinder_must_hold_the_nodes_its_run_reads(self, kind, R, nodes, ok):
         import jumplab.cli as cli
         from jumplab.discretize import build_grid
+        from jumplab.kernels import kernel_from_config
 
         grid = build_grid(1, 2.0, 1 / 32, {"type": "box", "halfwidth": 1.5})
         cfg = {"harness": {"type": kind, "R": R}}
-        kernel = cli.kernel_from_config({"family": "stable", "d": 1, "alpha": 1.5})
+        kernel = kernel_from_config({"family": "stable", "d": 1, "alpha": 1.5})
         radius = R / 2 if kind == "harnack" else R / 8
         assert int(np.sum(grid.ball_mask((0.0,), radius))) == nodes
         if ok:
@@ -534,6 +544,7 @@ FORM_COMMANDS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli", "chec
     "algebra-tests", "mosco", "check-kernel"])
 def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
     import jumplab.cli as cli
+    from jumplab.discretize import assemble
     from jumplab.kernels import kernel_from_config
 
     kind, *assumption = command.split()
@@ -545,8 +556,9 @@ def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(cli, "kernel_from_config", counting("kernel", kernel_from_config))
-    monkeypatch.setattr(cli, "assemble", counting("assemble", cli.assemble))
+    monkeypatch.setattr("jumplab.kernels.kernel_from_config",
+                        counting("kernel", kernel_from_config))
+    monkeypatch.setattr("jumplab.discretize.assemble", counting("assemble", assemble))
     real_runner, returned = cli._RUNNERS[kind], []
 
     def runner(*args):
@@ -656,10 +668,9 @@ def test_k2_reports_the_kernel_own_D_next_to_the_class_bound(kernel, tmp_path):
 
 
 def test_sob_refuses_alpha_at_least_d_before_assembly(tmp_path, monkeypatch, capsys):
-    import jumplab.cli as cli
-
     assembled = []
-    monkeypatch.setattr(cli, "assemble", lambda *args, **kw: assembled.append(args))
+    monkeypatch.setattr("jumplab.discretize.assemble",
+                        lambda *args, **kw: assembled.append(args))
     code = run(["check-kernel", "--assumption", "Sob", "--out", tmp_path])
     assert code == 2
     assert "config error: $['kernel']['alpha']" in capsys.readouterr().err

@@ -23,7 +23,11 @@ from jumplab import solve as solve_module
 from jumplab._lazy import lazy_module
 from jumplab.cli import _RUNNERS, SCHEMA, ConfigError, _check, _default_config, _validate
 
-jsonschema = pytest.importorskip("jsonschema")
+try:
+    import jsonschema
+except ImportError:     # the oracle of the config check; the tables below run without it
+    jsonschema = None
+needs_jsonschema = pytest.mark.skipif(jsonschema is None, reason="jsonschema is not installed")
 
 SRC = Path(jumplab.__file__).resolve().parent.parent
 HEAVY = ("scipy.linalg._basic", "scipy._lib._array_api", "scipy.special._ufuncs")
@@ -81,10 +85,12 @@ from jumplab.cli import main
 
 try:
     code = main(sys.argv[1:])
-except SystemExit as exc:       # --help
+except SystemExit as exc:       # --help and usage errors
     code = exc.code
-names = ("solve", "estimates", "assumptions", "mosco", "algebra")
+names = ("solve", "estimates", "assumptions", "mosco", "algebra", "kernels", "discretize",
+         "quadrature")
 print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.modules],
+                  "numpy": type(sys.modules.get("numpy")) is types.ModuleType,
                   "ma": "numpy.ma" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
                   "ran": sorted(n for n in names
@@ -93,19 +99,23 @@ print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.module
 
 # the README command lines, ensembles cut to one member (the modules a command
 # runs do not depend on it), and two check-kernel runs that take eigenvalues
-# -> the package modules the command runs; a config is passed as a file
+# -> the package modules the command runs; a config is passed as a file.  A
+# command that builds a kernel runs kernels and quadrature, and one that builds
+# a grid discretize; --help runs none of them, and algebra-tests only kernels
+# (its sample stream) and quadrature, which kernels imports
+BUILT = ["discretize", "kernels", "quadrature"]
 README_COMMANDS = [
     (["--help"], []),
-    (["check-kernel", "--assumption", "K1"], ["assumptions"]),
-    (["check-kernel", "--assumption", "coercivity"], ["assumptions"]),
-    (["check-kernel", "--config", K1_DRIFT_09], ["assumptions"]),
-    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve"]),
-    (["hoelder", "--ensemble", "1"], ["estimates", "solve"]),
-    (["caccioppoli", "--ensemble", "1"], ["estimates", "solve"]),
-    (["algebra-tests"], ["algebra"]),
-    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve"]),
-    (["assemble", "--dump-form", "form.csv"], []),
-    (["solve"], ["solve"]),
+    (["check-kernel", "--assumption", "K1"], ["assumptions", *BUILT]),
+    (["check-kernel", "--assumption", "coercivity"], ["assumptions", *BUILT]),
+    (["check-kernel", "--config", K1_DRIFT_09], ["assumptions", *BUILT]),
+    (["harnack", "--ensemble", "1", "--seed", "7"], ["estimates", "solve", *BUILT]),
+    (["hoelder", "--ensemble", "1"], ["estimates", "solve", *BUILT]),
+    (["caccioppoli", "--ensemble", "1"], ["estimates", "solve", *BUILT]),
+    (["algebra-tests"], ["algebra", "kernels", "quadrature"]),
+    (["mosco", "--alphas", "1.5,1.8,1.9,1.95"], ["mosco", "solve", *BUILT]),
+    (["assemble", "--dump-form", "form.csv"], BUILT),
+    (["solve"], ["solve", *BUILT]),
 ]
 
 
@@ -124,16 +134,56 @@ def test_a_command_loads_only_the_modules_it_runs(argv, ran, tmp_path):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen["code"] == 0 and seen["ran"] == ran
-    if argv[0] in ("harnack", "hoelder", "caccioppoli"):
-        # their medians skip np.median, whose nan check imports numpy.ma
-        assert not seen["ma"]
+    assert seen["code"] == 0 and seen["ran"] == sorted(ran)
+    # no command imports numpy.ma: the medians skip np.median's nan check and
+    # algebra-tests dedupes its p values without np.unique
+    assert not seen["ma"]
     if not _falls_back(argv):
         assert seen["linalg"] == [] and set(seen["scipy"]) <= BY_PATH
         assert not {"scipy", "scipy.linalg", "scipy.special"} & set(seen["scipy"])
     if out:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["env"]["scipy"] == scipy.__version__
+
+
+# what the CLI does before a command builds its kernel: (argv, exit code, last
+# line of stderr); a config is passed as a file
+STARTUP_COMMANDS = [
+    (["--help"], 0, None),
+    *[([kind, "--help"], 0, None) for kind in _RUNNERS],
+    (["harnack", "--ensemble", "two"], 2,
+     "jumplab harnack: error: argument --ensemble: invalid int value: 'two'"),
+    (["harnack", "--config", {"harness": {"ensemlbe": 2}}], 2,
+     "config error: $['harness']: Additional properties are not allowed ('ensemlbe' was "
+     "unexpected)"),
+    (["mosco", "--config", {"harness": {"delta": math.nan}}], 2,
+     "config error: $['harness']['delta']: NaN is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", STARTUP_COMMANDS, ids=[
+    "--help", *(f"{kind}--help" for kind in _RUNNERS), "usage-error", "unknown-harness-key",
+    "nan-delta"])
+def test_help_usage_errors_and_config_refusals_load_nothing_numerical(argv, code, error,
+                                                                      tmp_path):
+    command = argv
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        command = [*argv[:-1], str(config)]
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _RAN.format(linalg=LINALG), *command,
+                           "--out", str(out)],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    # numpy and every package module but cli stay unexecuted
+    assert seen["code"] == code and not seen["numpy"] and seen["ran"] == []
+    if error is None:
+        assert proc.stdout.startswith("usage: jumplab") and proc.stderr == ""
+    else:
+        assert proc.stderr.splitlines()[-1] == error
+    assert not out.exists()
 
 
 def test_package_names_resolve_from_their_home_modules(monkeypatch):
@@ -245,18 +295,27 @@ def _mutate(config, path, action):
             node[last] = action[1]
 
 
+def _error(value, schema):
+    """The message of _check's ConfigError on value, or None where value passes."""
+    try:
+        _check(value, schema)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def _assert_agrees(config, schema=SCHEMA):
     validator = jsonschema.Draft202012Validator(schema)
     errors = {"$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
               for e in validator.iter_errors(config)}
-    try:
-        _check(config, schema)
-    except ConfigError as exc:
-        assert str(exc) in errors          # a real error, worded and placed as jsonschema does
-    else:
+    ours = _error(config, schema)
+    if ours is None:
         assert not errors
+    else:
+        assert ours in errors              # a real error, worded and placed as jsonschema does
 
 
+@needs_jsonschema
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(sorted(_RUNNERS)), mutations=MUTATIONS)
 def test_config_check_agrees_with_jsonschema(kind, mutations):
@@ -266,37 +325,82 @@ def test_config_check_agrees_with_jsonschema(kind, mutations):
     _assert_agrees(config)
 
 
-@pytest.mark.parametrize("value", [{}, {"a": 1}, {"a": "x"}, {"b": 1}, {"b": 1, "a": 2, "B": 3}])
-def test_additional_properties_as_jsonschema_words_them(value):
-    _assert_agrees(value, {"type": "object", "properties": {"a": {"type": "integer"}},
-                           "additionalProperties": False})
+# The tables below write out what JSON Schema (draft 2020-12) says of each
+# case, so that they check the config walker without jsonschema installed;
+# where it is installed, jsonschema must agree with the walker as well.
+
+# (value, the error of an object schema with one integer property "a" and no others)
+ADDITIONAL_CASES = [
+    ({}, None),
+    ({"a": 1}, None),
+    ({"a": "x"}, "$['a']: 'x' is not of type 'integer'"),
+    ({"b": 1}, "$: Additional properties are not allowed ('b' was unexpected)"),
+    ({"b": 1, "a": 2, "B": 3}, "$: Additional properties are not allowed ('B', 'b' were "
+                               "unexpected)"),
+]
 
 
-@pytest.mark.parametrize("value", [True, False, 1, 1.0, 2, 0, 1.5, "a", None, [1]])
-@pytest.mark.parametrize("schema", [
-    {"enum": [1, "a"]},
-    {"enum": [True]},
-    {"type": "integer", "minimum": 1, "exclusiveMaximum": 2},
-    {"type": ["number", "null"], "exclusiveMinimum": 0},
-    {"type": "array", "items": {"type": "integer"}},
-    SCHEMA["properties"]["harness"]["properties"]["R"],
-])
-def test_json_schema_rules_for_bools_and_integers(schema, value):
-    try:
-        _check(value, schema)
-        ours = True
-    except ConfigError:
-        ours = False
-    assert ours == jsonschema.Draft202012Validator(schema).is_valid(value)
+@pytest.mark.parametrize("value, error", [pytest.param(v, e, id=f"value{i}")
+                                          for i, (v, e) in enumerate(ADDITIONAL_CASES)])
+def test_additional_properties_as_jsonschema_words_them(value, error):
+    schema = {"type": "object", "properties": {"a": {"type": "integer"}},
+              "additionalProperties": False}
+    assert _error(value, schema) == error
+    if jsonschema is not None:
+        _assert_agrees(value, schema)
 
 
-@pytest.mark.parametrize("value", [[], [1.5], [1.5, 1.5], [1, 1.0], [1, True], [True, True],
-                                   [math.nan, math.nan], [0.5, 2.5], [1.0, 1.0, 2.5],
-                                   [[1], [1]], ["a", "a"]])
+BOOL_INT_VALUES = [True, False, 1, 1.0, 2, 0, 1.5, "a", None, [1]]
+# each schema with its verdict on each of BOOL_INT_VALUES in turn, T where
+# the value is valid: a bool is neither a number nor equal to one, 1.0 is an
+# integer and equals 1
+BOOL_INT_SCHEMAS = [
+    ({"enum": [1, "a"]}, "FFTTFFFTFF"),
+    ({"enum": [True]}, "TFFFFFFFFF"),
+    ({"type": "integer", "minimum": 1, "exclusiveMaximum": 2}, "FFTTFFFFFF"),
+    ({"type": ["number", "null"], "exclusiveMinimum": 0}, "FFTTTFTFTF"),
+    ({"type": "array", "items": {"type": "integer"}}, "FFFFFFFFFT"),
+    (SCHEMA["properties"]["harness"]["properties"]["R"], "FFTTFFFFFF"),
+]
+
+
+@pytest.mark.parametrize("value", BOOL_INT_VALUES)
+@pytest.mark.parametrize("schema, verdicts", BOOL_INT_SCHEMAS,
+                         ids=[f"schema{i}" for i in range(len(BOOL_INT_SCHEMAS))])
+def test_json_schema_rules_for_bools_and_integers(schema, verdicts, value):
+    # by identity: True == 1 would find the column of True for 1
+    column = next(i for i, v in enumerate(BOOL_INT_VALUES) if v is value)
+    valid = verdicts[column] == "T"
+    assert (_error(value, schema) is None) == valid
+    if jsonschema is not None:
+        assert jsonschema.Draft202012Validator(schema).is_valid(value) == valid
+
+
+# (value, its error under harness.alphas, under harness.p_list): minItems and
+# uniqueItems come before the rules of the items
+ARRAY_CASES = [
+    ([], *2 * ["$: [] should be non-empty"]),
+    ([1.5], None, None),
+    ([1.5, 1.5], *2 * ["$: [1.5, 1.5] has non-unique elements"]),
+    ([1, 1.0], *2 * ["$: [1, 1.0] has non-unique elements"]),
+    ([1, True], *2 * ["$[1]: True is not of type 'number'"]),
+    ([True, True], *2 * ["$: [True, True] has non-unique elements"]),
+    ([math.nan, math.nan], *2 * ["$: [nan, nan] has non-unique elements"]),
+    ([0.5, 2.5], "$[1]: 2.5 is greater than or equal to the maximum of 2", None),
+    ([1.0, 1.0, 2.5], *2 * ["$: [1.0, 1.0, 2.5] has non-unique elements"]),
+    ([[1], [1]], *2 * ["$: [[1], [1]] has non-unique elements"]),
+    (["a", "a"], *2 * ["$: ['a', 'a'] has non-unique elements"]),
+]
+
+
+@pytest.mark.parametrize("value, errors", [pytest.param(v, e, id=f"value{i}")
+                                           for i, (v, *e) in enumerate(ARRAY_CASES)])
 @pytest.mark.parametrize("name", ["alphas", "p_list"])
-def test_array_rules_as_jsonschema_words_them(name, value):
-    # minItems and uniqueItems, before or with the rules of the items
-    _assert_agrees(value, SCHEMA["properties"]["harness"]["properties"][name])
+def test_array_rules_as_jsonschema_words_them(name, value, errors):
+    schema = SCHEMA["properties"]["harness"]["properties"][name]
+    assert _error(value, schema) == errors[["alphas", "p_list"].index(name)]
+    if jsonschema is not None:
+        _assert_agrees(value, schema)
 
 
 def test_error_keeps_the_field_path():
