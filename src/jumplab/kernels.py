@@ -348,18 +348,20 @@ def pair_values(points, *fns, chunk: int = 256):
 
 def _lattice_pair_values(d: int, *fns, breaks=(), n: int = 6, extent: float = 2.0):
     """Values of each ``fn`` on the off-diagonal pairs of an n^d validation lattice,
-    then on the pairs (x, x +- r e_k) of each lattice point x and axis e_k with r
-    just inside and just outside each radius in ``breaks``, where the kernel jumps.
-    The lattice's own pair distances are multiples of its spacing (0.8), so a
-    truncation radius between two of them would go untested."""
+    then on the pairs (x, x + r u) of each lattice point x and direction u of a
+    fan (+-1 in 1D; in 2D the 16 angles k pi / 8, axes and diagonals among them)
+    with r just inside and just outside each radius in ``breaks``, where the
+    kernel jumps.  The lattice's own pair distances are multiples of its
+    spacing (0.8), so a truncation radius between two of them would go untested."""
     axes = [np.linspace(-extent, extent, n)] * d
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     off = ~np.eye(pts.shape[0], dtype=bool)
     values = [M[off] for M in pair_values(pts, *fns)]
     if not breaks:
         return values
-    steps = np.concatenate([s * b * (1 + t * 1e-9) * np.eye(d)
-                            for b in breaks for t in (-1, 1) for s in (-1, 1)])
+    phi = np.arange(16) * (np.pi / 8)
+    fan = np.array([[-1.0], [1.0]]) if d == 1 else np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    steps = np.concatenate([b * (1 + t * 1e-9) * fan for b in breaks for t in (-1, 1)])
     xs = np.repeat(pts, len(steps), axis=0)
     ys = xs + np.tile(steps, (len(pts), 1))
     return [np.concatenate((v, fn(xs, ys))) for v, fn in zip(values, fns)]
@@ -423,8 +425,8 @@ class DriftKernel(Kernel):
 
     The class needs |V(x) - V(y)| <= lam within the truncation radius, and a
     nonnegative K needs K_s >= |K_a|, that is |V(x) - V(y)| <= j(x, y) there;
-    both are checked at construction, on a validation lattice and on axis pairs
-    at the truncation radius.
+    both are checked at construction, on a validation lattice and on pairs at
+    the truncation radius along a fan of directions.
     """
 
     def __init__(self, j, V, L: float, alpha: float, d: int,
@@ -730,7 +732,8 @@ def kernel_from_config(cfg: dict) -> Kernel:
                                    float(cfg.get("Lam", 3.0)), d)
         resolved = {"g": g}
     elif fam == "drift":
-        V = cfg.get("V", {"preset": "linear-V", "b": [1.0] * d})
+        # |b| = 1 = lam: the increment |b| |x - y| stays within lam inside L = 1
+        V = cfg.get("V", {"preset": "linear-V", "b": [1.0] if d == 1 else [0.5 ** 0.5] * d})
         j = cfg.get("j", 1.0)
         kernel = DriftKernel(get_pair_field(j) if isinstance(j, (dict, str)) else j,
                              get_field(V), float(cfg.get("L", 1.0)), alpha, d,

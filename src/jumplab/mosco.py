@@ -91,21 +91,6 @@ def alpha_family(kernel: Kernel, alphas) -> AlphaFamily:
     return AlphaFamily(factory, d, alphas, Lam=Lam)
 
 
-def make_isotropic_family(d: int, alphas) -> AlphaFamily:
-    """K^(a) = c_{d,a} |x-y|^{-d-a}; the c constant embeds (2-alpha)."""
-    return alpha_family(make_stable_kernel(d, 1.0), alphas)
-
-
-def make_drift_family(d: int, alphas, V, L: float) -> AlphaFamily:
-    """Drift kernels with j = 1 and lam = Lam = 1."""
-    return alpha_family(make_drift_kernel(1.0, V, L, 1.0, d), alphas)
-
-
-def make_coefficient_family(d: int, alphas, g, lam: float, Lam: float) -> AlphaFamily:
-    """Coefficient kernels over the normalized stable kernel."""
-    return alpha_family(make_coefficient_kernel(g, 1.0, lam, Lam, d), alphas)
-
-
 def _ball_moment(weight, kernel: Kernel, part: str, order: float, x: np.ndarray,
                  radius: float, quad: QuadSpec) -> np.ndarray:
     """int_{B_radius(x)} weight(x, y) K_part(x, y) dy for each x, with order

@@ -37,6 +37,8 @@ wrapper, without the scipy.linalg package), loaded on the first factorisation
 (see ``_lazy``), a module global read at call time: a replaced ``solve.sla``
 sees every ``lu_factor``, the ``lu_solve`` calls of ``_solve_refined``
 (refinement, resolvent) and the ``getrs`` of every step (``_Stepper._bind``).
+``sla`` and the returned ``Solution`` (states and each step's residual) are
+the seams that tests pin the stepper by; the private classes may change.
 """
 from __future__ import annotations
 
@@ -241,14 +243,11 @@ class _Stepper:
             self.B, self.X, self.R = np.empty((3, self.rows, len(self.loads[1])))
             self.res = np.empty(self.rows)
 
-    def step(self, u_I: np.ndarray, t_new: float, k: int):
-        """(interior state at t_new, relative residual) of step k from the
-        interior state u_I at the current time.
-
-        The state is a row of X, which a check corrects in place and the steps
-        after the next check overwrite.  The residual is None until the row is
-        checked, which with the default ``rows`` = 1 happens before returning.
-        """
+    def step(self, u_I: np.ndarray, t_new: float, k: int) -> np.ndarray:
+        """The interior state at t_new of step k from the interior state u_I
+        at the current time: a row of X, which a check corrects in place and
+        the steps after the next check overwrite.  With the default ``rows`` = 1
+        the row is checked before it is returned."""
         system, explicit = self.system, self.loads  # the start time's, under theta < 1
         if self._forms is not None and (form := self._forms(t_new)) is not self.form:
             self.check()              # the old system checks its rows first
@@ -259,10 +258,9 @@ class _Stepper:
         self.k[i], self.t[i] = k, t_new
         x = self._solve(i, u_I, system, explicit, self.loads[1])
         self.n = i + 1
-        if self.n < self.rows:
-            return x, None
-        self.check()
-        return x, self.res[i]
+        if self.n == self.rows:
+            self.check()
+        return x
 
     def _solve(self, i: int, u_I: np.ndarray, system, explicit, load: np.ndarray):
         """Fill row i of B from the state u_I and the load dt theta r (after
@@ -319,8 +317,7 @@ def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     stepper = _Stepper(problem, problem.form_at(t))
     out = np.array(u_full, dtype=float)
     I = stepper.system.I
-    out[I], _ = stepper.step(out[I], t + problem.dt,
-                             int(round((t - problem.t_start) / problem.dt)))
+    out[I] = stepper.step(out[I], t + problem.dt, int(round((t - problem.t_start) / problem.dt)))
     out[~I] = stepper.g
     return out
 
@@ -385,7 +382,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
     stepper = _Stepper(problem, form, emit, min(_BLOCK, n_steps))
     try:
         for k, t_new in enumerate(times[1:]):
-            u, _ = stepper.step(u, t_new, k)
+            u = stepper.step(u, t_new, k)
     finally:    # the rows of the last block; after an error too, as a miss before it comes first
         stepper.check()
     _write(snaps, C, stepper.g)       # after the loop: the buffer fills as the steps go

@@ -178,6 +178,16 @@ def old_resolvent_solve(form, lam, f, variant="primal"):
     return out
 
 
+def system_matrix(form, a, b, operator="A"):
+    """a I + b A_II of the operator A or A^T, as the solver builds the matrix
+    it factors: a = 1, b = theta dt for a step, a = lam, b = 1 for a resolvent."""
+    I = form.grid.interior
+    M = (form.A if operator == "A" else form.A.T)[np.ix_(I, I)]
+    M *= b
+    M[np.diag_indices_from(M)] += a
+    return M
+
+
 # --- frozen moment integrals of the nonlocal-to-local layer -----------------
 # local_coefficients, the sub-cell moments and the corrected assembly as they
 # were before one moment helper and one column-stacked extrapolation replaced
@@ -989,29 +999,3 @@ def old_suffK1_check(V, ball, theta, gamma, alpha, grid=None, spacing=None,
     return AssumptionReport("suffK1", const, exps,
                             {"n_points": n, "spacing": h,
                              "kappa": 1 + alpha / d}, verdict)
-
-
-class CountingLinalg:
-    """Stands in for solve.sla and counts lu_factor, lu_solve and the calls of
-    every getrs it hands out."""
-
-    def __init__(self, real):
-        self.real, self.calls = real, {"lu_factor": 0, "lu_solve": 0, "getrs": 0}
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-    def lu_factor(self, *args, **kwargs):
-        self.calls["lu_factor"] += 1
-        return self.real.lu_factor(*args, **kwargs)
-
-    def lu_solve(self, *args, **kwargs):
-        self.calls["lu_solve"] += 1
-        return self.real.lu_solve(*args, **kwargs)
-
-    @property
-    def getrs(self):
-        def call(*args, **kwargs):
-            self.calls["getrs"] += 1
-            return self.real.getrs(*args, **kwargs)
-        return call

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import jumplab.solve
+
 from jumplab import (
     Cone,
     QuadSpec,
@@ -66,3 +68,45 @@ def coeff_form_1d(grid_1d, sin_coefficient_kernel):
 def fast_quad():
     return QuadSpec(n_ang=32, n_panels=20, n_gauss=4, s_min_rel=1e-6,
                     growth_octaves=20)
+
+
+class RecordedLinalg:
+    """Stands in for ``jumplab.solve.sla``, the solver's LAPACK seam, and
+    records each call: ``lu_factor_calls`` holds (copy of M, the factors
+    returned), ``lu_solve_calls`` (lu_piv, copy of b) and ``getrs_calls`` a
+    copy of the right-hand side b, which a step solves in place.  A function
+    set as ``stand_in[name]`` runs as f(real routine, *args) in the routine's
+    place; ``real`` is the module that was in place."""
+
+    def __init__(self, real):
+        self.real, self.stand_in = real, {}
+        self.lu_factor_calls, self.lu_solve_calls, self.getrs_calls = [], [], []
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def _run(self, name, *args):
+        real, f = getattr(self.real, name), self.stand_in.get(name)
+        return real(*args) if f is None else f(real, *args)
+
+    def lu_factor(self, M):
+        M_copy = np.array(M)
+        out = self._run("lu_factor", M)
+        self.lu_factor_calls.append((M_copy, out))
+        return out
+
+    def lu_solve(self, lu_piv, b):
+        self.lu_solve_calls.append((lu_piv, np.array(b)))
+        return self._run("lu_solve", lu_piv, b)
+
+    def getrs(self, lu, piv, b, *args):
+        self.getrs_calls.append(np.array(b))
+        return self._run("getrs", lu, piv, b, *args)
+
+
+@pytest.fixture
+def sla_calls(monkeypatch):
+    """A ``RecordedLinalg`` in place of ``jumplab.solve.sla`` for the test."""
+    recorded = RecordedLinalg(jumplab.solve.sla)
+    monkeypatch.setattr(jumplab.solve, "sla", recorded)
+    return recorded

@@ -43,8 +43,7 @@ from jumplab.estimates import (
     random_smooth_positive_field,
 )
 from jumplab.kernels import get_pair_field
-from jumplab.mosco import local_coefficients, make_isotropic_family, \
-    make_drift_family, resolvent_convergence
+from jumplab.mosco import alpha_family, local_coefficients, resolvent_convergence
 from jumplab.solve import Solution
 from jumplab.estimates import holder_fit
 
@@ -352,10 +351,11 @@ def test_criterion_09_caccioppoli():
 
 def test_criterion_10_mosco():
     t0 = time.time()
-    fam = make_isotropic_family(1, (1.5, 1.8, 1.9, 1.95))
+    fam = alpha_family(make_stable_kernel(1, 1.0), (1.5, 1.8, 1.9, 1.95))
 
     # finite-alpha moment: d=1, alpha=1, delta=1 equals 2 c_{1,1} = 2/pi
-    out1 = local_coefficients(make_isotropic_family(1, (1.0,)), np.array([[0.0]]), delta=1.0)
+    out1 = local_coefficients(alpha_family(make_stable_kernel(1, 1.0), (1.0,)), np.array([[0.0]]),
+                              delta=1.0)
     moment_err = abs(out1["a"][1.0][0, 0, 0] - 2.0 / math.pi) / (2.0 / math.pi)
 
     # extrapolated limit: the gamma-function oracle gives
@@ -365,7 +365,7 @@ def test_criterion_10_mosco():
     limit_err = abs(out2["a_limit"][0, 0, 0] - 2.0) / 2.0
 
     V = lambda x: 0.4 * np.asarray(x, dtype=float)[..., 0]
-    dfam = make_drift_family(1, (1.5, 1.8, 1.9, 1.95), V, L=2.0)
+    dfam = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.5, 1.8, 1.9, 1.95))
     co = local_coefficients(dfam, np.array([[0.1]]), delta=0.5)
     drift_gap = max(abs(co["b"][a][0, 0] - co["a"][a][0, 0, 0] * 0.4)
                     for a in dfam.alphas)

@@ -6,7 +6,7 @@ import pytest
 
 from jumplab.kernels import (SplitKernel, c_alpha_norm, kernel_from_config, make_drift_kernel,
                              make_stable_kernel)
-from jumplab.mosco import alpha_family, make_isotropic_family
+from jumplab.mosco import alpha_family
 
 ALPHAS = (1.5, 1.9)
 rng = np.random.Generator(np.random.Philox(key=5))
@@ -25,7 +25,7 @@ def test_the_generator_order_is_not_read():
 
 def test_a_stable_generator_scales_the_normalised_member_by_its_coeff():
     family = alpha_family(make_stable_kernel(1, 1.0, 2.0), ALPHAS)
-    unit = make_isotropic_family(1, ALPHAS)
+    unit = alpha_family(make_stable_kernel(1, 1.0), ALPHAS)
     for a in ALPHAS:
         assert family.kernel(a).coeff == 2.0 * c_alpha_norm(1, a)
         assert np.array_equal(family.kernel(a).sym(X, Y), 2.0 * unit.kernel(a).sym(X, Y))

@@ -254,6 +254,11 @@ class TestValidation:
                                 "V": {"preset": "linear-V", "b": [0.6]}},
                      "grid": DEFAULT_GRID},
          "$['kernel']: kernel is negative on the validation lattice\n"),
+        # |V(x) - V(y)| = sqrt 2 r on the diagonal, above lam = 1 inside L = 1, and
+        # K(0, (0.65, 0.65)) < 0: the axes alone saw r <= 1 and it exited 0
+        ("check-kernel", {"kernel": {"family": "drift", "d": 2, "alpha": 1.0, "L": 1.0,
+                                     "V": {"preset": "linear-V", "b": [1.0, 1.0]}}},
+         "$['kernel']: potential increment exceeds lam inside the truncation radius"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -273,7 +278,8 @@ class TestValidation:
             "k1-negative-theta", *[f"{key}-{word}" for key in ("k1-theta", "cp-mu")
                                    for word in ("big", "nan", "minus-inf", "Inf")],
             "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment",
-            "drift-j-below-its-increment-between-lattice-distances"])
+            "drift-j-below-its-increment-between-lattice-distances",
+            "drift-2d-increment-above-lam-on-the-diagonal"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         def refuse(*args, **kw):

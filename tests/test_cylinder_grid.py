@@ -12,7 +12,6 @@ import pytest
 from _oracles import old_positive_run
 
 import jumplab.estimates as estimates
-import jumplab.solve as solve_module
 from jumplab import (
     Cone,
     QuadSpec,
@@ -123,21 +122,15 @@ def _step(form, cyl):
 
 
 def _recorded(monkeypatch):
-    """(solutions that the estimates module gets back, steps taken)."""
-    sols, steps = [], [0]
-    real_solve, real_step = estimates.solve_parabolic, solve_module._Stepper.step
+    """The solutions that the estimates module gets back."""
+    sols, real_solve = [], estimates.solve_parabolic
 
     def solve(problem):
         sols.append(real_solve(problem))
         return sols[-1]
 
-    def step(self, *args):
-        steps[0] += 1
-        return real_step(self, *args)
-
     monkeypatch.setattr(estimates, "solve_parabolic", solve)
-    monkeypatch.setattr(solve_module._Stepper, "step", step)
-    return sols, steps
+    return sols
 
 
 def test_the_full_run_spans_the_cylinder_in_4m_steps(case):
@@ -148,12 +141,12 @@ def test_the_full_run_spans_the_cylinder_in_4m_steps(case):
     assert full.times[3 * m] == pytest.approx(cyl.t0 + 0.5 * cyl.ralpha, abs=1e-15)
 
 
-def test_members_fit_as_over_the_full_cylinder(case, monkeypatch):
+def test_members_fit_as_over_the_full_cylinder(case, monkeypatch, sla_calls):
     name, form, cyl, m = case
-    sols, steps = _recorded(monkeypatch)
+    sols = _recorded(monkeypatch)
     out = holder_ensemble(form, cyl, MEMBERS, SEED)
     dt = _step(form, cyl)
-    assert steps[0] == MEMBERS * 3 * m
+    assert len(sla_calls.getrs_calls) == MEMBERS * 3 * m       # one getrs call a step
     assert out["n_steps"] == 3 * m and out["dt"] == dt
     assert len(sols) == MEMBERS
     for i, sol in enumerate(sols):
@@ -171,11 +164,11 @@ def test_members_fit_as_over_the_full_cylinder(case, monkeypatch):
         assert (out["gamma_fit"][i], out["flat"][i]) == (ref.gamma, ref.flat)
 
 
-def test_harnack_members_step_over_the_cylinder(monkeypatch):
+def test_harnack_members_step_over_the_cylinder(monkeypatch, sla_calls):
     form, cyl = _harnack_1d()
-    sols, steps = _recorded(monkeypatch)
+    sols = _recorded(monkeypatch)
     out = harnack_ensemble(form, cyl, MEMBERS, SEED)
-    assert steps[0] == MEMBERS * 728
+    assert len(sla_calls.getrs_calls) == MEMBERS * 728          # one getrs call a step
     assert out["dt"] == _step(form, cyl) <= default_dt(form.grid.h, cyl.alpha)
     for i, sol in enumerate(sols):
         assert sol.meta["n_steps"] == 728

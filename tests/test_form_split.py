@@ -6,11 +6,12 @@ A_a exactly antisymmetric and transpose_form(F).A == F.A.T.
 import numpy as np
 import pytest
 
-from jumplab import assemble, assemble_time, build_grid, time_modulate, transpose_form
+from jumplab import (assemble, assemble_time, build_grid, make_drift_kernel, time_modulate,
+                     transpose_form)
 from jumplab.assumptions import BallSpec, poincare_constant, sobolev_ratio
 from jumplab.discretize import DiscreteForm
 from jumplab.kernels import pair_values
-from jumplab.mosco import assemble_corrected, make_drift_family
+from jumplab.mosco import alpha_family, assemble_corrected
 
 
 def _dense_arrays(form):
@@ -25,7 +26,8 @@ def forms(coeff_form_1d, grid_1d, sin_coefficient_kernel, cone_kernel_2d, fast_q
     field = time_modulate(sin_coefficient_kernel,
                           lambda t, x, y: 1.0 + 0.25 * np.sin(t + x[..., 0] * y[..., 0]),
                           0.5, 1.5)
-    drift = make_drift_family(1, (1.9,), lambda x: 0.4 * np.asarray(x)[..., 0], L=2.0)
+    V = lambda x: 0.4 * np.asarray(x)[..., 0]
+    drift = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
     grid_mosco = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     return {
         "assemble-1d": coeff_form_1d,

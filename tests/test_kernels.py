@@ -278,14 +278,15 @@ _C2, _D2 = Cone((1.0, 0.0), math.pi / 4), Cone((0.0, 1.0), math.pi / 8, double=T
 def test_mosco_family_orders_are_the_declared_ones(d, alpha):
     # the orders the classes declared before they were measured, bit for bit:
     # alpha for K_s, -inf for a zero K_a and alpha - 1 for a Lipschitz V or g
-    from jumplab.mosco import (make_coefficient_family, make_drift_family,
-                               make_isotropic_family)
-    V = get_field({"preset": "linear-V", "b": [0.4] * d})
+    from jumplab.mosco import alpha_family
+    # |b| = 0.4: the increment |b| L = 0.8 stays below lam = 1 in every direction
+    V = get_field({"preset": "linear-V", "b": [0.4 / math.sqrt(d)] * d})
     g = get_pair_field("sin-coefficient")
-    for family, expected in ((make_isotropic_family(d, (alpha,)), (alpha, -math.inf)),
-                             (make_drift_family(d, (alpha,), V, 2.0), (alpha, alpha - 1.0)),
-                             (make_coefficient_family(d, (alpha,), g, 1.0, 3.0),
-                              (alpha, alpha - 1.0))):
+    for generator, expected in ((make_stable_kernel(d, 1.0), (alpha, -math.inf)),
+                                (make_drift_kernel(1.0, V, 2.0, 1.0, d), (alpha, alpha - 1.0)),
+                                (make_coefficient_kernel(g, 1.0, 1.0, 3.0, d),
+                                 (alpha, alpha - 1.0))):
+        family = alpha_family(generator, (alpha,))
         assert family.kernel(alpha).diag_orders(_PTS[d]) == expected
 
 
@@ -305,6 +306,19 @@ def test_mosco_family_orders_are_the_declared_ones(d, alpha):
         "stable-1d", "stable-2d", "drift-1d", "drift-2d", "coefficient-1d", "coefficient-2d"])
 def test_diag_orders_are_the_declared_ones(kernel, d, expected):
     assert kernel.diag_orders(_PTS[d]) == expected
+
+
+def test_the_default_2d_drift_kernel_is_nonnegative_on_a_fan_of_directions():
+    # b = (1, 1) / sqrt 2 has |b| = lam = 1: |V(x) - V(y)| <= |x - y| <= L in every
+    # direction; b = (1, 1) built as well, with K(0, (0.65, 0.65)) = -0.06
+    k = kernel_from_config({"family": "drift", "d": 2, "alpha": 1.0})
+    phi = np.arange(16) * np.pi / 8
+    fan = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    for x in ([0.0, 0.0], [0.3, -0.7], [-1.2, 0.4]):
+        for r in (0.3, 0.65 * 2 ** 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5):
+            y = np.asarray(x) + r * fan
+            assert np.all(k(np.broadcast_to(x, y.shape), y) >= 0.0)
+            assert np.all(k(y, np.broadcast_to(x, y.shape)) >= 0.0)
 
 
 def test_a_time_slice_without_drift_has_drift_order_minus_inf():

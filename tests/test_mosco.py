@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from jumplab import assemble, build_grid, c_alpha_norm, make_stable_kernel
+from jumplab import (assemble, build_grid, c_alpha_norm, make_coefficient_kernel,
+                     make_drift_kernel, make_stable_kernel)
 from jumplab.discretize import DiscreteForm
 from jumplab.kernels import get_pair_field
 from jumplab.mosco import (
     AlphaFamily,
+    alpha_family,
     assemble_corrected,
     garding_sector_check,
     local_coefficients,
-    make_coefficient_family,
-    make_drift_family,
-    make_isotropic_family,
     resolvent_convergence,
 )
 
@@ -23,13 +22,13 @@ ALPHAS = (1.5, 1.8, 1.9, 1.95)
 
 @pytest.fixture(scope="module")
 def iso_1d():
-    return make_isotropic_family(1, ALPHAS)
+    return alpha_family(make_stable_kernel(1, 1.0), ALPHAS)
 
 
 @pytest.fixture(scope="module")
 def drift_1d():
     V = lambda x: 0.4 * np.asarray(x, dtype=float)[..., 0]
-    return make_drift_family(1, ALPHAS, V, L=2.0)
+    return alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), ALPHAS)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +50,8 @@ class TestFamily:
 class TestLocalCoefficients:
     def test_finite_alpha_moment_closed_form(self, iso_1d):
         # d=1, alpha=1, delta=1: 2 c_{1,1} delta^{2-a}/(2-a) = 2/pi
-        out = local_coefficients(make_isotropic_family(1, (1.0,)), np.array([[0.0]]),
-                                 delta=1.0)
+        unit = alpha_family(make_stable_kernel(1, 1.0), (1.0,))
+        out = local_coefficients(unit, np.array([[0.0]]), delta=1.0)
         val = out["a"][1.0][0, 0, 0]
         assert abs(val - 2.0 / math.pi) < 0.01 * 2.0 / math.pi
 
@@ -63,7 +62,7 @@ class TestLocalCoefficients:
         assert abs(out["a_limit"][0, 0, 0] - 2.0) < 0.05 * 2.0
 
     def test_limit_matrix_2d(self):
-        fam = make_isotropic_family(2, ALPHAS)
+        fam = alpha_family(make_stable_kernel(2, 1.0), ALPHAS)
         out = local_coefficients(fam, np.array([[0.1, -0.2]]), delta=0.5)
         a = out["a_limit"][0]
         assert np.array_equal(a, a.T)
@@ -92,16 +91,16 @@ class TestLocalCoefficients:
         assert out["delta_sensitivity"] < 0.01
 
     def test_quadrature_verification_converges(self):
-        out = local_coefficients(make_isotropic_family(1, (1.5, 1.9)), np.array([[0.0]]),
-                                 delta=0.5, verify_quadrature=True)
+        out = local_coefficients(alpha_family(make_stable_kernel(1, 1.0), (1.5, 1.9)),
+                                 np.array([[0.0]]), delta=0.5, verify_quadrature=True)
         assert out["quadrature_drift"] < 1e-8
 
     def test_coefficient_family_eigenvalue_bounds(self):
         g = get_pair_field("sin-coefficient")
-        fam = make_coefficient_family(2, (1.9,), g, lam=1.0, Lam=3.0)
+        fam = alpha_family(make_coefficient_kernel(g, 1.0, 1.0, 3.0, 2), (1.9,))
         out = local_coefficients(fam, np.array([[0.2, 0.1]]), delta=0.5)
         a = out["a"][1.9][0]
-        iso = local_coefficients(make_isotropic_family(2, (1.9,)),
+        iso = local_coefficients(alpha_family(make_stable_kernel(2, 1.0), (1.9,)),
                                  np.array([[0.2, 0.1]]), delta=0.5)["a"][1.9][0]
         eigs = np.linalg.eigvalsh(a)
         m = iso[0, 0]
@@ -253,7 +252,7 @@ class TestResolventConvergence:
         assert out["gaps"][-1] < out["gaps"][0]
 
     def test_isotropic_gap_shrinks_in_2d(self):
-        fam = make_isotropic_family(2, (1.5, 1.9))
+        fam = alpha_family(make_stable_kernel(2, 1.0), (1.5, 1.9))
         g = build_grid(2, 1.0, 1 / 16, {"type": "box", "halfwidth": 0.75})
         f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
         out = resolvent_convergence(fam, g, f, lam=5.0)
@@ -262,7 +261,7 @@ class TestResolventConvergence:
     def test_corrected_assembly_tracks_effective_coefficient(self, grid_small):
         # at alpha near 2 the plain lattice operator degenerates; the
         # corrected one reproduces the second-moment coefficient
-        fam = make_isotropic_family(1, (1.95,))
+        fam = alpha_family(make_stable_kernel(1, 1.0), (1.95,))
         F = assemble_corrected(fam.kernel(1.95), grid_small)
         u = np.cos(np.pi * grid_small.nodes[:, 0] / 1.5)
         I = grid_small.interior

@@ -12,27 +12,26 @@ from _oracles import (
     old_resolvent_gaps,
 )
 from jumplab import build_grid, c_alpha_norm, mosco, solve
-from jumplab.kernels import SplitKernel, get_pair_field
+from jumplab.kernels import (SplitKernel, get_pair_field, make_coefficient_kernel,
+                             make_drift_kernel, make_stable_kernel)
 from jumplab.mosco import (
     AlphaFamily,
+    alpha_family,
     assemble_corrected,
     local_coefficients,
     local_form,
-    make_coefficient_family,
-    make_drift_family,
-    make_isotropic_family,
     resolvent_convergence,
 )
 
 ALPHAS = (1.5, 1.8, 1.9, 1.95)
 V = lambda x: 0.4 * np.asarray(x, dtype=float)[..., 0]
 FAMILIES = {
-    "isotropic-1d": lambda: make_isotropic_family(1, ALPHAS),
-    "isotropic-2d": lambda: make_isotropic_family(2, (1.5, 1.9)),
-    "coefficient-1d": lambda: make_coefficient_family(
-        1, ALPHAS, get_pair_field("sin-coefficient"), 1.0, 3.0),
+    "isotropic-1d": lambda: alpha_family(make_stable_kernel(1, 1.0), ALPHAS),
+    "isotropic-2d": lambda: alpha_family(make_stable_kernel(2, 1.0), (1.5, 1.9)),
+    "coefficient-1d": lambda: alpha_family(
+        make_coefficient_kernel(get_pair_field("sin-coefficient"), 1.0, 1.0, 3.0, 1), ALPHAS),
     # the drift kernel jumps at its truncation radius L (a radial break)
-    "drift-1d": lambda: make_drift_family(1, ALPHAS, V, L=2.0),
+    "drift-1d": lambda: alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), ALPHAS),
 }
 
 
@@ -187,19 +186,14 @@ def test_diagonal_matrix_passes_the_guard():
         local_form(np.array([[2.0, 1e-9], [1e-9, 1.0]]), np.zeros(2), grid)
 
 
-def test_local_resolvent_checks_its_residual(monkeypatch):
-    fam = make_isotropic_family(1, (1.5, 1.9))
+def test_local_resolvent_checks_its_residual(sla_calls):
+    fam = alpha_family(make_stable_kernel(1, 1.0), (1.5, 1.9))
     grid = _grid(1)
     good = resolvent_convergence(fam, grid, _source, lam=5.0)
     assert np.isfinite(good["u_loc_norm"])
     # a solve that misses its residual: the first, the local resolvent, raises
-    solves = []
-
-    def off(lu_piv, b):
-        solves.append(b)
-        return 2.0 * np.asarray(b)
-
-    monkeypatch.setattr(solve.sla, "lu_solve", off)
+    sla_calls.lu_solve_calls.clear()
+    sla_calls.stand_in["lu_solve"] = lambda lu_solve, lu_piv, b: 2.0 * np.asarray(b)
     with pytest.raises(RuntimeError, match="resolvent solve unstable"):
         resolvent_convergence(fam, grid, _source, lam=5.0)
-    assert len(solves) == 4     # the solve and its three refinement sweeps
+    assert len(sla_calls.lu_solve_calls) == 4     # the solve and its three refinement sweeps

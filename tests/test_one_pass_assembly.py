@@ -17,7 +17,8 @@ from _oracles import (
     old_completed_form,
     old_tail_columns,
 )
-from jumplab import Cone, assemble, build_grid, make_cone_kernel, make_stable_kernel
+from jumplab import (Cone, assemble, build_grid, make_cone_kernel, make_drift_kernel,
+                     make_stable_kernel)
 from jumplab import discretize
 from jumplab.discretize import (
     _completed_form,
@@ -25,7 +26,7 @@ from jumplab.discretize import (
     _row_blocks,
     _toeplitz_axes,
 )
-from jumplab.mosco import assemble_corrected, make_drift_family, make_isotropic_family
+from jumplab.mosco import alpha_family, assemble_corrected
 from jumplab.quadrature import directions, ray_exit_box
 
 FIELDS = ("A_s", "A_a", "tail_sym", "tail_anti")
@@ -113,10 +114,11 @@ def test_completion_of_filled_arrays_is_the_whole_array_completion(monkeypatch):
 def test_corrected_form_is_the_frozen_one_byte_for_byte(name):
     # the drift kernel takes the pair_values path, the isotropic one the stencil
     if name == "drift-1d":
-        family = make_drift_family(1, (1.9,), lambda x: 0.4 * np.asarray(x)[..., 0], L=2.0)
+        V = lambda x: 0.4 * np.asarray(x)[..., 0]
+        family = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
         grid = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     else:
-        family = make_isotropic_family(2, (1.9,))
+        family = alpha_family(make_stable_kernel(2, 1.0), (1.9,))
         grid = build_grid(2, 0.5, 1 / 8, {"type": "box", "halfwidth": 0.375})
     _same_bytes(assemble_corrected(family.kernel(1.9), grid),
                 old_assemble_corrected(family.kernel(1.9), grid))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import old_solve_parabolic
+from _oracles import old_solve_parabolic, system_matrix
 from jumplab import solve as solve_module
 from jumplab import (
     ParabolicProblem,
@@ -109,33 +109,18 @@ def test_slice_reuse_is_exact_and_keyed_on_the_float(grid_1d, modulated, t_start
     assert np.array_equal(sol.snapshots, old_snaps)
 
 
-def _count_systems_and_factorisations(monkeypatch):
-    systems, factors = [], []
-    init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
-
-    def counting_init(self, *args):
-        systems.append(type(self))
-        init(self, *args)
-
-    def counting_lu_factor(M):
-        factors.append(M.shape)
-        return lu_factor(M)
-
-    monkeypatch.setattr(solve_module._InteriorSystem, "__init__", counting_init)
-    monkeypatch.setattr(solve_module.sla, "lu_factor", counting_lu_factor)
-    return systems, factors
-
-
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("kind", ["form", "constant", "switch"])
 def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, stable_form_1d,
-                                                          monkeypatch, kind, theta):
+                                                          sla_calls, kind, theta):
     F, F2 = replace(coeff_form_1d), replace(stable_form_1d)    # no system built yet
     form = {"form": F, "constant": lambda t: F,
             "switch": lambda t: F if t < 0.5 else F2}[kind]
-    systems, factors = _count_systems_and_factorisations(monkeypatch)
     sol = solve_parabolic(ParabolicProblem(form, np.ones(F.grid.n_nodes), 0.0, 1.0, 0.01,
                                            collar=0.5, exterior=0.2, theta=theta))
     assert sol.meta["n_steps"] == 100 and np.all(sol.residuals <= solve_module.RESIDUAL_TOL)
-    n_forms = 2 if kind == "switch" else 1
-    assert len(systems) == n_forms and len(factors) == n_forms
+    # each form object is factored once, at the step size of the run
+    forms = (F, F2) if kind == "switch" else (F,)
+    assert len(sla_calls.lu_factor_calls) == len(forms)
+    for (M, _), G in zip(sla_calls.lu_factor_calls, forms):
+        assert np.array_equal(M, system_matrix(G, 1.0, theta * 0.01))

@@ -1,12 +1,12 @@
 import gc
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _oracles import _old_solve_refined, old_resolvent_solve, old_solve_parabolic
+from _oracles import _old_solve_refined, old_resolvent_solve, old_solve_parabolic, system_matrix
 
+import jumplab.estimates as estimates
 import jumplab.solve as solve_module
 from jumplab import (
     DiscreteForm,
@@ -246,12 +246,12 @@ class TestResolvent:
             resolvent_solve(stable_form_1d, 0.0, np.zeros(stable_form_1d.grid.n_nodes))
 
     @pytest.mark.parametrize("variant", ["dula", "Dual", "", "primal "])
-    def test_rejects_an_unknown_variant(self, stable_form_1d, variant):
+    def test_rejects_an_unknown_variant(self, stable_form_1d, variant, sla_calls):
         # any variant but "primal" used to take A^T: "dula" ran as "dual"
         form = replace(stable_form_1d)
         with pytest.raises(ValueError, match=f"^unknown variant {variant!r}$"):
             resolvent_solve(form, 2.0, np.ones(form.grid.n_nodes), variant)
-        assert form._systems == {}
+        assert sla_calls.lu_factor_calls == sla_calls.lu_solve_calls == []
 
 
 def test_default_dt_tracks_parabolic_scaling():
@@ -308,6 +308,13 @@ def _source(grid):
     return np.sin(2.0 * grid.nodes[grid.interior][:, 0])
 
 
+def _assert_factored(sla_calls, *matrices):
+    """The recorded lu_factor calls factored exactly these matrices, in order."""
+    factored = [M for M, _ in sla_calls.lu_factor_calls]
+    assert len(factored) == len(matrices)
+    assert all(np.array_equal(M, expected) for M, expected in zip(factored, matrices))
+
+
 def _assert_matches_frozen_loop(problem):
     sol = solve_parabolic(problem)
     times, snaps, _ = old_solve_parabolic(problem)
@@ -353,59 +360,38 @@ class TestAgainstFrozenLoop:
         _assert_matches_frozen_loop(p)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_theta_steps_through_one_stepper(self, grid_1d, sin_coefficient_kernel, rng,
-                                             theta):
+    def test_theta_steps_chain_into_the_run(self, grid_1d, sin_coefficient_kernel, rng, theta):
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
         p = ParabolicProblem(lambda t: assemble_time(tk, grid_1d, t),
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
                              collar=_collar(grid_1d), exterior=0.3, theta=theta)
         sol = _assert_matches_frozen_loop(p)
-        stepper = solve_module._Stepper(p, p.form_at(sol.times[0]))
-        u, I = sol.snapshots[0].copy(), grid_1d.interior
+        u = sol.snapshots[0]
         for k in range(len(sol.times) - 1):
-            u[I], _ = stepper.step(u[I], sol.times[k + 1], k)
-            u[~I] = stepper.g
+            assert sol.times[k] + p.dt == sol.times[k + 1]     # theta_step steps to t + dt
+            u = theta_step(p, u, sol.times[k])
             assert np.array_equal(u, sol.snapshots[k + 1])
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_alternating_forms(self, coeff_form_1d, stable_form_1d, rng, theta, monkeypatch):
+    def test_alternating_forms(self, coeff_form_1d, stable_form_1d, rng, theta, sla_calls):
         # two assembled forms in turn over 10 steps: each form keeps its
-        # system, so the run builds and factors one per form, not one per switch
+        # system, so the run factors one per form, not one per switch; the
+        # first step, to t = dt, steps on the second form
         forms, dt = (replace(coeff_form_1d), replace(stable_form_1d)), 0.02
         g = coeff_form_1d.grid
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 2], rng.uniform(0.2, 1.0, g.n_nodes),
                              0.0, 10 * dt, dt, collar=_collar(g), exterior=0.4,
                              theta=theta, variant="dual_ext", d_const=0.7)
-        systems, factors = [], []
-        init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
-        with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
-            m.setattr(solve_module._InteriorSystem, "__init__",
-                      lambda self, *args: systems.append(args[0]) or init(self, *args))
-            m.setattr(solve_module.sla, "lu_factor", lambda M: factors.append(M) or lu_factor(M))
-            sol = solve_parabolic(p)
-        assert len(systems) == len(factors) == 2
-        assert systems[0] is forms[0] and systems[1] is forms[1]
-        times, snaps, _ = old_solve_parabolic(p)
-        assert sol.meta["n_steps"] == 10 and np.array_equal(sol.times, times)
-        assert np.array_equal(sol.snapshots, snaps)
-        assert np.all(sol.residuals <= RESIDUAL_TOL)
+        sol = _assert_matches_frozen_loop(p)
+        assert sol.meta["n_steps"] == 10
+        _assert_factored(sla_calls, *(system_matrix(F, 1.0, theta * dt, "A^T")
+                                      for F in forms[::-1]))
 
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_resolvent(self, coeff_form_1d, rng, variant):
         f = rng.normal(size=coeff_form_1d.grid.n_nodes)
         assert np.array_equal(resolvent_solve(coeff_form_1d, 2.0, f, variant),
                               old_resolvent_solve(coeff_form_1d, 2.0, f, variant))
-
-
-def _count_systems_and_factors(monkeypatch):
-    """Lists that grow by the operator of each interior system built and by
-    the matrix of each lu_factor call."""
-    systems, factors = [], []
-    init, lu_factor = solve_module._InteriorSystem.__init__, solve_module.sla.lu_factor
-    monkeypatch.setattr(solve_module._InteriorSystem, "__init__",
-                        lambda self, *args: systems.append(args[1]) or init(self, *args))
-    monkeypatch.setattr(solve_module.sla, "lu_factor", lambda M: factors.append(M) or lu_factor(M))
-    return systems, factors
 
 
 class TestSharedSystem:
@@ -415,49 +401,64 @@ class TestSharedSystem:
 
     @pytest.mark.parametrize("ensemble", [harnack_ensemble, holder_ensemble])
     def test_an_ensemble_builds_one_system_and_factors_once(self, sin_coefficient_kernel,
-                                                            ensemble, monkeypatch):
+                                                            ensemble, monkeypatch, sla_calls):
         grid = build_grid(1, 2.0, 1 / 64, {"type": "box", "halfwidth": 1.5})
         form, cyl = assemble(sin_coefficient_kernel, grid), Cylinder(0.0, 0.5, 1.0, (0.0,))
-        with monkeypatch.context() as m:     # each member builds and factors its own system of A
-            m.setattr(solve_module, "_system",
-                      lambda F, variant: solve_module._InteriorSystem(F, "A"))
-            per_member = ensemble(replace(form), cyl, 3, seed=4)
-        systems, factors = _count_systems_and_factors(monkeypatch)
+        solve = estimates.solve_parabolic
+        with monkeypatch.context() as m:     # each member on a form of its own: its own factors
+            m.setattr(estimates, "solve_parabolic",
+                      lambda p: solve(replace(p, form=replace(p.form))))
+            per_member = ensemble(form, cyl, 3, seed=4)
+        assert len(sla_calls.lu_factor_calls) == 3
+        sla_calls.lu_factor_calls.clear()
         shared = ensemble(form, cyl, 3, seed=4)
-        assert systems == ["A"] and len(factors) == 1
+        _assert_factored(sla_calls, system_matrix(form, 1.0, shared["dt"], "A"))
         assert shared == per_member
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_five_cycled_forms_factor_five_times(self, grid_1d, sin_coefficient_kernel, rng,
-                                                 theta, monkeypatch):
+                                                 theta, sla_calls):
         tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4,
                            ka_scale=lambda t: 0.5 * np.cos(t))
         forms, dt = [assemble_time(tk, grid_1d, 0.1 * j) for j in range(5)], 0.01
         p = ParabolicProblem(lambda t: forms[round(t / dt) % 5],
                              rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 20 * dt, dt,
                              collar=_collar(grid_1d), exterior=0.3, theta=theta)
-        block, slices = solve_module._InteriorSystem.block, []
-        with monkeypatch.context() as m:     # the frozen loop's lu_factor is not counted
-            systems, factors = _count_systems_and_factors(m)
-            m.setattr(solve_module._InteriorSystem, "block",
-                      lambda s, cols: slices.append(cols is s.I) or block(s, cols))
-            sol = solve_parabolic(p)
-        assert sol.meta["n_steps"] == 20
-        assert len(systems) == len(factors) == 5
-        # A_II is sliced once per form for M and, under theta < 1, once for the explicit part
-        assert sum(slices) == (10 if theta < 1 else 5)
-        assert all(len(F._systems) == 1 for F in forms)
         times, snaps, _ = old_solve_parabolic(p)
+        square_reads = []
+
+        class CountedA(np.ndarray):
+            """A form's A that counts its reads of a block with rows = columns."""
+
+            def __getitem__(self, key):
+                square_reads.append(isinstance(key, tuple) and len(key) == 2
+                                    and np.array_equal(np.ravel(key[0]), np.ravel(key[1])))
+                return np.asarray(self)[key]
+
+        for F in forms:
+            F.__dict__["A"] = F.A.view(CountedA)
+        sol = solve_parabolic(p)
+        assert sol.meta["n_steps"] == 20
+        # A_II is read once per form for M and, under theta < 1, once for the explicit part
+        assert sum(square_reads) == (10 if theta < 1 else 5)
+        # each form keeps the one system of A: factored once, not once per visit,
+        # in the order of the steps' end times
+        _assert_factored(sla_calls, *(system_matrix(F, 1.0, theta * dt)
+                                      for F in forms[1:] + forms[:1]))
         assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
 
-    def test_a_dropped_form_is_freed_without_the_cyclic_collector(self, coeff_form_1d):
+    def test_a_dropped_form_is_freed_without_the_cyclic_collector(self, coeff_form_1d,
+                                                                   sla_calls):
         form = replace(coeff_form_1d)
         f = np.cos(form.grid.nodes[:, 0])
         gc.disable()
         try:
-            harnack_ensemble(form, Cylinder(0.0, 0.5, 1.0, (0.0,)), 2, seed=1)
+            out = harnack_ensemble(form, Cylinder(0.0, 0.5, 1.0, (0.0,)), 2, seed=1)
             resolvent_solve(form, 2.0, f, "dual")
-            assert set(form._systems) == {"A", "A^T"}
+            resolvent_solve(form, 2.0, f, "dual")
+            # the form keeps a system of A (the runs) and one of A^T (the resolvents)
+            _assert_factored(sla_calls, system_matrix(form, 1.0, out["dt"]),
+                             system_matrix(form, 2.0, 1.0, "A^T"))
             ref = weakref.ref(form)
             del form
             assert ref() is None
@@ -510,7 +511,7 @@ class TestSharedSystem:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     def test_a_dual_and_a_dual_ext_run_share_one_factorisation(self, coeff_form_1d, rng, theta,
-                                                              monkeypatch):
+                                                              sla_calls):
         # both variants step A^T; dual_ext only adds the constant-drift load
         form, g = replace(coeff_form_1d), coeff_form_1d.grid
         dual = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
@@ -518,21 +519,22 @@ class TestSharedSystem:
                                 variant="dual")
         runs = (dual, replace(dual, variant="dual_ext", d_const=0.7))
         frozen = [old_solve_parabolic(p) for p in runs]
-        systems, factors = _count_systems_and_factors(monkeypatch)
         sols = [solve_parabolic(p) for p in runs]
-        assert systems == ["A^T"] and len(factors) == 1 and set(form._systems) == {"A^T"}
+        _assert_factored(sla_calls, system_matrix(form, 1.0, theta * 0.02, "A^T"))
         for sol, (times, snaps, _) in zip(sols, frozen):
             assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
         assert not np.array_equal(sols[0].snapshots, sols[1].snapshots)
 
-    def test_a_dual_ext_resolvent_reads_no_drift_load(self, coeff_form_1d, rng, monkeypatch):
+    def test_a_dual_ext_resolvent_reads_no_drift_load(self, coeff_form_1d, rng, monkeypatch,
+                                                      sla_calls):
         # a resolvent has no load beyond f: dual_ext solves with the factors of A^T
         form, f = replace(coeff_form_1d), rng.normal(size=coeff_form_1d.grid.n_nodes)
         reads, drift_load = [], DiscreteForm.drift_load
         monkeypatch.setattr(DiscreteForm, "drift_load",
                             property(lambda F: reads.append(F) or drift_load.fget(F)))
         u = resolvent_solve(form, 2.0, f, "dual_ext")
-        assert reads == [] and set(form._systems) == {"A^T"}
+        assert reads == []
+        _assert_factored(sla_calls, system_matrix(form, 2.0, 1.0, "A^T"))
         assert np.array_equal(u, resolvent_solve(replace(coeff_form_1d), 2.0, f, "dual"))
         assert np.array_equal(u, old_resolvent_solve(form, 2.0, f, "dual"))
 
@@ -546,36 +548,39 @@ def test_step_residual_above_tolerance_raises(stable_form_1d, monkeypatch):
         theta_step(p, np.zeros(stable_form_1d.grid.n_nodes), 0.02)
 
 
-def test_a_step_that_meets_the_check_solves_with_getrs_alone(stable_form_1d, monkeypatch):
+def test_a_step_that_meets_the_check_solves_with_getrs_alone(stable_form_1d, sla_calls):
     # a step calls the getrs of solve.sla (``_lapack``) directly: lu_solve only refines
-    calls = []
-    monkeypatch.setattr(solve_module.sla, "lu_solve", lambda *args: calls.append(args))
     p = problem_with(stable_form_1d, u0=np.ones(stable_form_1d.grid.n_nodes), collar=0.5)
     sol = solve_parabolic(p)
-    assert calls == [] and np.all(sol.residuals <= RESIDUAL_TOL)
+    assert sla_calls.lu_solve_calls == [] and len(sla_calls.getrs_calls) == sol.meta["n_steps"]
+    assert np.all(sol.residuals <= RESIDUAL_TOL)
 
 
-def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng, monkeypatch):
+def _redo(sla_calls):
+    """(b, x, relative residual) of the one lu_solve call of a run, a redo
+    that needs no refinement sweep: its right-hand side b and the frozen
+    refined solve of b with the factors and the matrix of that call."""
+    (lu_piv, b), = sla_calls.lu_solve_calls
+    M = next(M for M, (lu, _) in sla_calls.lu_factor_calls if lu is lu_piv[0])
+    return (b, *_old_solve_refined(lu_piv, M, b))
+
+
+def test_a_missed_first_solve_redoes_the_step_with_refinement(coeff_form_1d, rng, sla_calls):
     # LU factors of a slightly perturbed M: the first solve misses RESIDUAL_TOL
     g = coeff_form_1d.grid
     p = ParabolicProblem(replace(coeff_form_1d), rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.02, 0.02,
                          collar=_collar(g), exterior=0.4)
-    stepper = solve_module._Stepper(p, p.form)
-    system = stepper.system
-    system.factor(1.0, p.theta * p.dt)
-    system.lu = solve_module.sla.lu_factor(system.M * (1.0 + 1e-6))
-    real, calls = solve_module._solve_refined, []
-
-    def spy(lu_piv, M, b):
-        calls.append((lu_piv, M, b.copy()))
-        return real(lu_piv, M, b)
-
-    monkeypatch.setattr(solve_module, "_solve_refined", spy)
-    u_I, rel_res = stepper.step(p.u0[g.interior], p.t_start + p.dt, 0)
-    assert len(calls) == 1
-    x_old, rel_old = _old_solve_refined(*calls[0])
-    assert np.array_equal(u_I, x_old) and rel_res == rel_old
-    assert rel_res <= RESIDUAL_TOL
+    sla_calls.stand_in["lu_factor"] = lambda lu_factor, M: lu_factor(M * (1.0 + 1e-6))
+    sol = solve_parabolic(p)
+    (b,) = sla_calls.getrs_calls                    # the one step
+    (M, lu_piv), = sla_calls.lu_factor_calls
+    assert np.array_equal(M, system_matrix(p.form, 1.0, p.dt))
+    # one refined solve of the step's b: a first lu_solve of b, then its sweeps
+    of_b = [np.array_equal(rhs, b) for _, rhs in sla_calls.lu_solve_calls]
+    assert of_b[0] and not any(of_b[1:])
+    x_old, rel_old = _old_solve_refined(lu_piv, M, b)
+    assert np.array_equal(sol.snapshots[1, g.interior], x_old) and sol.residuals[0] == rel_old
+    assert rel_old <= RESIDUAL_TOL
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")   # the residual of an inf solve
@@ -625,15 +630,6 @@ def test_singular_step_raises_its_residual_error(grid_1d):
         solve_parabolic(p)
 
 
-def _replace_getrs(monkeypatch, getrs):
-    """Put a stand-in for ``solve.sla`` in place whose getrs(*args) is
-    getrs(real getrs, *args); lu_factor and lu_solve are the real ones."""
-    real = solve_module.sla
-    monkeypatch.setattr(solve_module, "sla", SimpleNamespace(
-        lu_factor=real.lu_factor, lu_solve=real.lu_solve,
-        getrs=lambda *args: getrs(real.getrs, *args)))
-
-
 class TestBlockCheck:
     """solve_parabolic checks its steps a block at a time (``_BLOCK`` = 4 here):
     a bad solve anywhere in a block is redone once, through ``_solve_refined``,
@@ -651,23 +647,13 @@ class TestBlockCheck:
                                 collar=_collar(g), exterior=0.4, theta=theta)
 
     @staticmethod
-    def corrupt(monkeypatch, step, how):
-        """Make the getrs call of the given step return how(x); returns the
-        list of (x, residual) that ``_solve_refined`` gives back."""
-        real_refined, calls, refined = solve_module._solve_refined, [0], []
-
+    def corrupt(sla_calls, step, how):
+        """Make the getrs call of the given step, the step-th of the run, return how(x)."""
         def bad_getrs(getrs, *a):
             x, info = getrs(*a)
-            calls[0] += 1
-            return (how(x) if calls[0] - 1 == step else x), info
+            return (how(x) if len(sla_calls.getrs_calls) - 1 == step else x), info
 
-        def spy(*args):
-            refined.append(real_refined(*args))
-            return refined[-1]
-
-        _replace_getrs(monkeypatch, bad_getrs)
-        monkeypatch.setattr(solve_module, "_solve_refined", spy)
-        return refined
+        sla_calls.stand_in["getrs"] = bad_getrs
 
     @pytest.mark.parametrize("how", [lambda x: x * (1.0 + 1e-9), lambda x: x * np.nan],
                              ids=["scaled", "nan"])
@@ -676,14 +662,15 @@ class TestBlockCheck:
                                          for theta in (0.5, 1.0)], indirect=True,
                              ids=lambda p: f"{p[0]}-theta{p[1]}")
     def test_a_bad_solve_is_redone_once_and_changes_no_bit(self, problem, step, how,
-                                                           monkeypatch):
+                                                           monkeypatch, sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
+        self.corrupt(sla_calls, step, how)
+        sol = solve_parabolic(problem)
+        b, x, rel_res = _redo(sla_calls)                   # one redo, from the bad step's b
+        assert np.array_equal(b, sla_calls.getrs_calls[step])
+        del sla_calls.stand_in["getrs"]
         clean = solve_parabolic(problem)
         assert len(clean.times) == self.STEPS + 1
-        refined = self.corrupt(monkeypatch, step, how)
-        sol = solve_parabolic(problem)
-        assert len(refined) == 1
-        x, rel_res = refined[0]
         I = clean.grid.interior
         assert np.array_equal(x, clean.snapshots[step + 1, I])      # the bad step, redone
         assert np.array_equal(sol.times, clean.times)
@@ -693,42 +680,25 @@ class TestBlockCheck:
     @pytest.mark.parametrize("problem", [(kind, theta) for kind in ("fixed", "two-form")
                                          for theta in (0.5, 1.0)], indirect=True,
                              ids=lambda p: f"{p[0]}-theta{p[1]}")
-    def test_a_clean_run_calls_step_and_getrs_once_per_step(self, problem, monkeypatch):
+    def test_a_clean_run_solves_each_step_with_one_getrs_call(self, problem, monkeypatch,
+                                                              sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
-        real_step, real_factor = solve_module._Stepper.step, solve_module._InteriorSystem.factor
-        steps, solves, systems = [0], [0], []
-
-        def step(stepper, *args):
-            steps[0] += 1
-            return real_step(stepper, *args)
-
-        def factor(system, *args, **kwargs):
-            real_factor(system, *args, **kwargs)
-            systems.append(system)
-
-        def counting_getrs(getrs, *a):
-            solves[0] += 1
-            return getrs(*a)
-
-        monkeypatch.setattr(solve_module._Stepper, "step", step)
-        monkeypatch.setattr(solve_module._InteriorSystem, "factor", factor)
-        _replace_getrs(monkeypatch, counting_getrs)
-        monkeypatch.setattr(solve_module.sla, "lu_solve", None)    # no redo in a clean run
         sol = solve_parabolic(problem)
-        assert steps[0] == solves[0] == sol.meta["n_steps"] == self.STEPS
-        assert len(systems) == (2 if callable(problem.form) else 1)
+        assert len(sla_calls.getrs_calls) == sol.meta["n_steps"] == self.STEPS
+        assert len(sla_calls.lu_factor_calls) == (2 if callable(problem.form) else 1)
+        assert sla_calls.lu_solve_calls == []        # no redo in a clean run
         assert np.all(sol.residuals <= RESIDUAL_TOL)
 
     @pytest.mark.parametrize("step", [0, 3, 5, 9], ids=lambda k: f"step{k}")
     @pytest.mark.parametrize("problem", [("fixed", 1.0), ("two-form", 0.5)], indirect=True,
                              ids=lambda p: f"{p[0]}-theta{p[1]}")
-    def test_each_step_reports_its_own_residual(self, problem, step, monkeypatch):
+    def test_each_step_reports_its_own_residual(self, problem, step, monkeypatch, sla_calls):
         # a tolerance that lets x (1 + eps) stand: its relative residual is eps
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
         monkeypatch.setattr(solve_module, "RESIDUAL_TOL", 1.0)
-        refined = self.corrupt(monkeypatch, step, lambda x: x * (1.0 + 1e-6))
+        self.corrupt(sla_calls, step, lambda x: x * (1.0 + 1e-6))
         sol = solve_parabolic(problem)
-        assert refined == []
+        assert sla_calls.lu_solve_calls == []
         assert sol.residuals[step] == pytest.approx(1e-6, rel=1e-6)
         assert np.all(np.delete(sol.residuals, step) < 1e-12)
 
@@ -736,7 +706,7 @@ class TestBlockCheck:
     @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
     def test_a_step_that_misses_after_refinement_raises_with_its_index(self, problem,
                                                                       later_error,
-                                                                      monkeypatch):
+                                                                      monkeypatch, sla_calls):
         # the miss raises although the form function fails at step 6, before
         # the block of steps 4-7 is full: the first failure is reported
         if later_error:
@@ -749,31 +719,44 @@ class TestBlockCheck:
 
             monkeypatch.setattr(problem, "form", failing_form)
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
-        self.corrupt(monkeypatch, 5, lambda x: x * np.nan)
-        real_refined = solve_module._solve_refined    # the redo of step 5 misses too
-        monkeypatch.setattr(solve_module, "_solve_refined",
-                            lambda *args: (real_refined(*args)[0], 1.0))
+        self.corrupt(sla_calls, 5, lambda x: x * np.nan)
+        # the redo of step 5 misses too: each of its solves returns twice the solution
+        sla_calls.stand_in["lu_solve"] = lambda lu_solve, *args: 2.0 * lu_solve(*args)
         with pytest.raises(RuntimeError,
                            match=r"^step 5 to t=0\.06: relative residual 1\.000e\+00"):
             solve_parabolic(problem)
 
     @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
-    def test_every_check_writes_its_product_into_one_buffer(self, problem, monkeypatch):
+    def test_every_check_writes_its_product_into_one_buffer(self, problem, monkeypatch,
+                                                            sla_calls):
+        # each check's one product goes into the memory of the first, and
+        # holds B - X M^T of the check's steps once the check is done
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
-        real_check, seen = solve_module._Stepper.check, []
+        monkeypatch.setattr(solve_module, "RESIDUAL_TOL", 1.0)
 
-        def check(stepper):
-            n = stepper.n
-            real_check(stepper)
-            if n:
-                B, X, M = stepper.B[:n], stepper.X[:n], stepper.system.M
-                assert np.array_equal(stepper.R[:n], B - X @ M.T)
-                seen.append(stepper.R)
+        def scaled(getrs, *args):      # x (1 + 1e-6) stands: R is about -1e-6 B
+            x, info = getrs(*args)
+            return x * (1.0 + 1e-6), info
 
-        monkeypatch.setattr(solve_module._Stepper, "check", check)
-        solve_parabolic(problem)
-        assert len(seen) == 3 and all(R is seen[0] for R in seen)
-        assert seen[0].shape == (4, int(problem.form.grid.interior.sum()))
+        sla_calls.stand_in["getrs"] = scaled
+        matmul, outs, products = np.matmul, [], []
+
+        def spy(*args, out=None):
+            if outs:                  # the product of the check before, as it left it
+                products.append(outs[-1].copy())
+            outs.append(out)
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        sol = solve_parabolic(problem)
+        products.append(outs[-1].copy())
+        n_I = int(problem.form.grid.interior.sum())
+        assert [R.shape for R in outs] == [(4, n_I), (4, n_I), (2, n_I)]
+        assert all(np.shares_memory(R, outs[0]) for R in outs)
+        (M, _), = sla_calls.lu_factor_calls
+        B, X = np.array(sla_calls.getrs_calls), sol.snapshots[1:, problem.form.grid.interior]
+        for k, R in zip((0, 4, 8), products):
+            np.testing.assert_allclose(R, B[k:k + len(R)] - X[k:k + len(R)] @ M.T, rtol=1e-8)
 
 
 def _offset_box_1d():

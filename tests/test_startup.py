@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from _oracles import CountingLinalg, K1_DRIFT_09
+from _oracles import K1_DRIFT_09
 from hypothesis import given, settings, strategies as st
 
 import jumplab
@@ -209,40 +209,42 @@ def _five_steps(form):
     return ParabolicProblem(form, np.ones(n), 0.0, 0.05, 0.01, collar=0.5)
 
 
-def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, monkeypatch):
+def _counts(sla_calls):
+    return tuple(len(calls) for calls in (sla_calls.lu_factor_calls, sla_calls.lu_solve_calls,
+                                          sla_calls.getrs_calls))
+
+
+def test_patched_sla_sees_every_factorisation_and_solve(stable_form_1d, sla_calls):
     # a form of its own: the fixture's shared system may hold factors of earlier tests
     form = replace(stable_form_1d)
-    counting = CountingLinalg(solve_module.sla)
-    monkeypatch.setattr(solve_module, "sla", counting)
     sol = solve_parabolic(_five_steps(form))
-    assert counting.calls["lu_factor"] == 1
     # every step solves with the system's getrs; none misses, so none refines
-    assert counting.calls["getrs"] == sol.meta["n_steps"] == 5
-    assert counting.calls["lu_solve"] == 0
+    assert _counts(sla_calls) == (1, 0, sol.meta["n_steps"]) == (1, 0, 5)
     resolvent_solve(form, 2.0, np.ones(form.grid.n_nodes))
-    assert counting.calls["lu_factor"] == 2 and counting.calls["lu_solve"] >= 1
-    assert counting.calls["getrs"] == 5
+    assert len(sla_calls.lu_factor_calls) == 2 and len(sla_calls.lu_solve_calls) >= 1
+    assert len(sla_calls.getrs_calls) == 5
 
 
-def test_patched_sla_sees_the_steps_on_a_form_factored_before(stable_form_1d, monkeypatch):
+def test_patched_sla_sees_the_steps_on_a_form_factored_before(stable_form_1d, sla_calls,
+                                                              monkeypatch):
     # the form's system is factored before the patch; its steps still solve through solve.sla
     form = replace(stable_form_1d)
-    plain = solve_parabolic(_five_steps(form))
-    counting = CountingLinalg(solve_module.sla)
-    monkeypatch.setattr(solve_module, "sla", counting)
+    with monkeypatch.context() as m:
+        m.setattr(solve_module, "sla", sla_calls.real)
+        plain = solve_parabolic(_five_steps(form))
     patched = solve_parabolic(_five_steps(form))
-    assert counting.calls == {"lu_factor": 0, "lu_solve": 0, "getrs": 5}
+    assert _counts(sla_calls) == (0, 0, 5)
     assert np.array_equal(patched.snapshots, plain.snapshots)
     assert np.array_equal(patched.residuals, plain.residuals)
 
 
-def test_patched_sla_changes_no_bit(stable_form_1d, monkeypatch):
+def test_patched_sla_changes_no_bit(stable_form_1d, sla_calls, monkeypatch):
     # each run on a form of its own, so that the patched run factors and solves
-    plain = solve_parabolic(_five_steps(replace(stable_form_1d)))
-    counting = CountingLinalg(solve_module.sla)
-    monkeypatch.setattr(solve_module, "sla", counting)
+    with monkeypatch.context() as m:
+        m.setattr(solve_module, "sla", sla_calls.real)
+        plain = solve_parabolic(_five_steps(replace(stable_form_1d)))
     patched = solve_parabolic(_five_steps(replace(stable_form_1d)))
-    assert counting.calls["lu_factor"] == 1 and counting.calls["getrs"] == 5
+    assert _counts(sla_calls) == (1, 0, 5)
     assert np.array_equal(patched.times, plain.times)
     assert np.array_equal(patched.snapshots, plain.snapshots)
     assert np.array_equal(patched.residuals, plain.residuals)
