@@ -240,7 +240,7 @@ def k1_time_profile(time_kernel: TimeKernel, J: Kernel, ball: BallSpec,
                     glob: bool = False) -> AssumptionReport:
     """Mixed-norm profile for time-modulated kernels: L^mu in t of L^theta in x.
 
-    Reuses the static profile per time slice; separable drift modulation only
+    Reuses the static profile per time slice: the drift modulation only
     rescales the slice norms by ka_scale(t)^2.
     """
     t_grid = np.asarray(t_grid, dtype=float)

@@ -12,9 +12,9 @@ excluded; its omitted principal-value contribution is O(h^{2-alpha}) on C^2
 fields and is documented rather than corrected.
 
 Power-law kernels.  A kernel with a ray profile (``Kernel.ray_profile``: the
-stable and cone families, their duals and their time slices under a
-separable modulation) is translation invariant and equals c(e)
-s^{-d-gamma(e)} along every ray x + s e.  Assembly uses both facts:
+stable and cone families, their duals and their time slices) is translation
+invariant and equals c(e) s^{-d-gamma(e)} along every ray x + s e.  Assembly
+uses both facts:
 
 - pairs: K_s and K_a run once per node offset on the (2n-1)^d difference
   stencil, which is symmetrised there (offset k against -k), and the N x N
@@ -519,7 +519,6 @@ def layer_cake_weighted_form(form: DiscreteForm, tau: CutoffProfile, u,
     """
     grid = form.grid
     tv = tau.values_on(grid)
-    _check_radial_decreasing(grid, tau, tv)
     support = tv > 0
     K = form.part_matrix(part, support)
     u = np.asarray(u, dtype=float)[support]
@@ -541,14 +540,3 @@ def layer_cake_weighted_form(form: DiscreteForm, tau: CutoffProfile, u,
     return {"value": direct, "layer_cake": cake,
             "gap": abs(direct - cake) / max(abs(direct), 1e-300)}
 
-
-def _check_radial_decreasing(grid: Grid, tau: CutoffProfile, values: np.ndarray):
-    r = grid.radii(tau.center)
-    order = np.argsort(r)
-    v = values[order]
-    if np.any(np.diff(v) > 1e-12):
-        # equal radii may permute; verify monotonicity radius-blockwise
-        rv = r[order]
-        for i in range(1, len(v)):
-            if rv[i] > rv[i - 1] + 1e-12 and v[i] > np.min(v[:i]) + 1e-12:
-                raise ValueError("cutoff weight is not radially decreasing")

@@ -13,7 +13,6 @@ the split from the two orderings of K as an independent cross-check.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -234,20 +233,18 @@ def _worst_order(vals, d: int) -> float:
 
 class _ScaledKernel(Kernel):
     """View of a base kernel with K_s = sym_scale * base.sym and K_a =
-    anti_scale * base.anti: the dual is (1, -1), a time slice (a(t),
-    ka_scale(t)).  ``sym_scale`` is a number or a symmetric field (x, y) ->
-    array; support, breaks and decay are the base's, and the ray profile is
-    the base's with c scaled (None under a field)."""
+    anti_scale * base.anti for two numbers: the dual is (1, -1), a time slice
+    (a(t), ka_scale(t)).  Support, breaks and decay are the base's, and the
+    ray profile is the base's with c scaled."""
 
-    def __init__(self, base: Kernel, sym_scale, anti_scale: float):
+    def __init__(self, base: Kernel, sym_scale: float, anti_scale: float):
         self.base = base
-        self.sym_scale = sym_scale
-        self.anti_scale = anti_scale
+        self.sym_scale = float(sym_scale)
+        self.anti_scale = float(anti_scale)
         self.spec = base.spec
 
     def sym(self, x, y):
-        scale = self.sym_scale(x, y) if callable(self.sym_scale) else self.sym_scale
-        return scale * self.base.sym(x, y)
+        return self.sym_scale * self.base.sym(x, y)
 
     def anti(self, x, y):
         return self.anti_scale * self.base.anti(x, y)
@@ -263,7 +260,7 @@ class _ScaledKernel(Kernel):
 
     def ray_profile(self, part, dirs):
         prof = self.base.ray_profile(part, dirs)
-        if prof is None or callable(self.sym_scale):
+        if prof is None:
             return None
         c, gamma = prof
         return (self.sym_scale if part == "sym" else self.anti_scale) * c, gamma
@@ -574,49 +571,32 @@ _VALIDATION_TIMES = (0.0, 0.5, 1.0)   # where TimeKernel checks a and ka_scale
 
 
 class TimeKernel:
-    """k(t;x,y) = a(t;x,y) K_s(x,y) + s(t) K_a(x,y) with a in [lam, Lam].
+    """k(t;x,y) = a(t) K_s(x,y) + s(t) K_a(x,y) with a(t) in [lam, Lam].
 
-    ``a`` may be a scalar-valued function of t alone (separable modulation)
-    or a full a(t, x, y) field; it is a field exactly when it can be called
-    with three positional arguments, so ``np.cos`` and ``lambda t, c=1.0: c``
-    are separable.  ``ka_scale`` modulates the drift part, |s| <= 1 keeps the
-    kernel admissible.  Under a separable modulation a time slice keeps the
-    base's ray profile (see ``at``).
+    ``a`` and ``ka_scale`` (s, default 1) are functions of t alone; |s| <= 1
+    keeps the kernel admissible.  Both are checked at ``_VALIDATION_TIMES``.
+    A time slice keeps the base's ray profile with c scaled (see ``at``).
     """
 
     def __init__(self, base: Kernel, a, lam: float, Lam: float, ka_scale=None):
         if not (0.0 < lam <= Lam < math.inf):
             raise ValueError("need 0 < lam <= Lam < inf")
         self.base = base
+        self.a = a
         self.lam = float(lam)
         self.Lam = float(Lam)
         self.ka_scale = ka_scale if ka_scale is not None else (lambda t: 1.0)
-        try:
-            inspect.signature(a).bind(0.0, 0.0, 0.0)
-            self.separable = False
-        except TypeError:
-            self.separable = True
-        self.a = a
         for t in _VALIDATION_TIMES:
             k = self.at(t)
-            av = k.sym_scale
-            if callable(av):
-                (av,) = _lattice_pair_values(base.d, av, n=4)
-            if np.any(av < lam - 1e-12) or np.any(av > Lam + 1e-12):
-                raise ValueError(f"modulation leaves [lam, Lam] at t={t}")
-            if abs(k.anti_scale) > 1.0 + 1e-12:
-                raise ValueError(f"|ka_scale(t)| > 1 at t={t}")
+            if not lam - 1e-12 <= k.sym_scale <= Lam + 1e-12:
+                raise ValueError(f"modulation a(t) = {k.sym_scale} leaves [lam, Lam] at t={t}")
+            if not abs(k.anti_scale) <= 1.0 + 1e-12:
+                raise ValueError(f"|ka_scale(t)| = {abs(k.anti_scale)} > 1 at t={t}")
 
     def at(self, t: float) -> Kernel:
-        """Freeze time: the base kernel with K_s scaled by a(t) (by the
-        symmetrised field a(t; x, y) when a is not separable) and K_a by
+        """Freeze time: the base kernel with K_s scaled by a(t) and K_a by
         ka_scale(t)."""
-        if self.separable:
-            a = float(self.a(t))
-        else:
-            a = lambda x, y: 0.5 * (np.asarray(self.a(t, x, y), dtype=float)
-                                    + np.asarray(self.a(t, y, x), dtype=float))
-        return _ScaledKernel(self.base, a, float(self.ka_scale(t)))
+        return _ScaledKernel(self.base, self.a(t), self.ka_scale(t))
 
     def __call__(self, t, x, y):
         return self.at(t)(x, y)
@@ -711,9 +691,19 @@ def random_smooth_positive_field(rng: np.random.Generator, d: int):
     return field
 
 
+# the keys besides family, d and alpha that kernel_from_config reads, per family
+_FAMILY_KEYS = {"stable": {"coeff"}, "cone": {"beta", "cone", "double_cone"},
+                "coefficient": {"g", "lam", "Lam"}, "drift": {"V", "j", "L", "lam", "Lam"}}
+
+
 def kernel_from_config(cfg: dict) -> Kernel:
     """Build a kernel from a scenario-config dictionary (see cli schema)."""
     fam = cfg["family"]
+    if fam not in _FAMILY_KEYS:
+        raise ValueError(f"unknown kernel family {fam!r}")
+    unread = sorted(set(cfg) - {"family", "d", "alpha"} - _FAMILY_KEYS[fam])
+    if unread:
+        raise ValueError(f"a {fam} kernel does not read {', '.join(map(repr, unread))}")
     d = int(cfg["d"])
     alpha = float(cfg["alpha"])
     if fam == "stable":
@@ -739,7 +729,5 @@ def kernel_from_config(cfg: dict) -> Kernel:
                              get_field(V), float(cfg.get("L", 1.0)), alpha, d,
                              lam=float(cfg.get("lam", 1.0)), Lam=float(cfg.get("Lam", 1.0)))
         resolved = {"V": V, "j": j}
-    else:
-        raise ValueError(f"unknown kernel family {fam!r}")
     kernel.spec = replace(kernel.spec, params=tuple(resolved.items()))
     return kernel

@@ -1,11 +1,11 @@
 """Local-limit extraction: diffusion/drift coefficients and resolvent
 convergence of the order-alpha families toward a second-order operator.
 
-``alpha_family`` derives the members at each order from a configured stable,
-drift or coefficient kernel.  Families are normalized so the symmetric part
-carries the vanishing (2-alpha) factor; the finite-alpha moment integrals then
-stay O(1) and their limits are read off by Richardson extrapolation in
-(2 - alpha).
+``alpha_family`` maps each order to its member, derived from a configured
+stable, drift or coefficient kernel.  Families are normalized so the
+symmetric part carries the vanishing (2-alpha) factor; the finite-alpha moment
+integrals then stay O(1) and their limits are read off by Richardson
+extrapolation in (2 - alpha).
 
 The resolvent comparison corrects the lattice collocation by the sub-cell
 moments of the kernel: near alpha = 2 essentially all of the kernel's mass
@@ -14,8 +14,6 @@ degenerates while the corrected one stays consistent.  The limit is a
 ``DiscreteForm`` too (``local_form``): ``resolvent_solve`` solves every resolvent.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,66 +27,42 @@ from .solve import resolvent_solve
 lapack = lazy_module("jumplab._lapack")
 
 
-@dataclass
-class AlphaFamily:
-    """Map alpha -> kernel on a shared domain, with comparison constant Lam.
-
-    Members must satisfy the two-sided bound
-        Lam^{-1} (2-alpha) |x-y|^{-d-alpha} <= K_s <= Lam (2-alpha) |x-y|^{-d-alpha};
-    the constructor spot-checks this on sample pairs for every requested alpha.
-    """
-
-    factory: object                  # callable alpha -> Kernel
-    d: int
-    alphas: tuple
-    Lam: float = 4.0
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.alphas = tuple(sorted(float(a) for a in self.alphas))
-        rng = np.random.Generator(np.random.Philox(key=1234))
-        x = rng.uniform(-0.5, 0.5, size=(64, self.d))
-        y = rng.uniform(-0.5, 0.5, size=(64, self.d))
-        keep = np.linalg.norm(x - y, axis=-1) > 1e-2
-        x, y = x[keep], y[keep]
-        for a in self.alphas:
-            k = self.kernel(a)
-            r = np.linalg.norm(x - y, axis=-1)
-            ref = (2.0 - a) * r ** (-(self.d + a))
-            ks = k.sym(x, y)
-            if np.any(ks > self.Lam * ref * (1 + 1e-9)) or np.any(
-                    ks < ref / self.Lam * (1 - 1e-9)):
-                raise ValueError(
-                    f"family member alpha={a} violates the (2-alpha) comparison "
-                    f"bound with Lam={self.Lam}")
-
-    def kernel(self, alpha: float) -> Kernel:
-        if alpha not in self._cache:
-            self._cache[alpha] = self.factory(alpha)
-        return self._cache[alpha]
-
-
-def alpha_family(kernel: Kernel, alphas) -> AlphaFamily:
-    """The family that kernel generates at the orders alphas, from its own
-    fields (its order is not read): a stable kernel gives coeff c_{d,a} |x-y|^{-d-a},
-    a drift kernel its j, V, L, lam and Lam at order a, a coefficient kernel its g,
-    lam and Lam over c_{d,a} |x-y|^{-d-a} (comparison constant 4 Lam).  Another
-    kernel, or a member outside the comparison, raises a ValueError."""
+def alpha_family(kernel: Kernel, alphas) -> dict:
+    """{alpha: member} in increasing alpha: the family that kernel generates
+    at the orders alphas, from its own fields (its order is not read).  A
+    stable kernel gives coeff c_{d,a} |x-y|^{-d-a}, a drift kernel its j, V, L,
+    lam and Lam at order a, a coefficient kernel its g, lam and Lam over
+    c_{d,a} |x-y|^{-d-a}.  Each member is spot-checked on sample pairs against
+        Lam^{-1} (2-a) |x-y|^{-d-a} <= K_s <= Lam (2-a) |x-y|^{-d-a}
+    with Lam = 4, or 4 Lam for a coefficient kernel.  Another kernel, or a
+    member outside the comparison, raises a ValueError."""
     d, Lam = kernel.d, 4.0
     if isinstance(kernel, StableKernel):
-        factory = lambda a: make_stable_kernel(d, a, kernel.coeff * c_alpha_norm(d, a))
+        member = lambda a: make_stable_kernel(d, a, kernel.coeff * c_alpha_norm(d, a))
     elif isinstance(kernel, DriftKernel):
-        factory = lambda a: make_drift_kernel(kernel.j, kernel.V, kernel.L, a, d,
-                                              kernel.lam, kernel.Lam)
+        member = lambda a: make_drift_kernel(kernel.j, kernel.V, kernel.L, a, d,
+                                             kernel.lam, kernel.Lam)
     elif isinstance(kernel, CoefficientKernel):
-        factory = lambda a: make_coefficient_kernel(
+        member = lambda a: make_coefficient_kernel(
             kernel.g, a, kernel.lam, kernel.Lam, d,
             base=make_stable_kernel(d, a, c_alpha_norm(d, a)))
         Lam = 4.0 * kernel.Lam
     else:
         raise ValueError(f"the alpha-family of a {kernel.spec.family!r} kernel is not "
                          f"defined: it needs a stable, drift or coefficient kernel")
-    return AlphaFamily(factory, d, alphas, Lam=Lam)
+    rng = np.random.Generator(np.random.Philox(key=1234))
+    x, y = rng.uniform(-0.5, 0.5, size=(2, 64, d))
+    r = np.linalg.norm(x - y, axis=-1)
+    x, y, r = x[r > 1e-2], y[r > 1e-2], r[r > 1e-2]
+    family = {}
+    for a in sorted(float(a) for a in alphas):
+        family[a] = member(a)
+        ref = (2.0 - a) * r ** (-(d + a))
+        ks = family[a].sym(x, y)
+        if np.any(ks > Lam * ref * (1 + 1e-9)) or np.any(ks < ref / Lam * (1 - 1e-9)):
+            raise ValueError(f"family member alpha={a} violates the (2-alpha) comparison "
+                             f"bound with Lam={Lam}")
+    return family
 
 
 def _ball_moment(weight, kernel: Kernel, part: str, order: float, x: np.ndarray,
@@ -137,10 +111,10 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     return coeff[1], np.sqrt(np.mean((fit - vals[take]) ** 2, axis=0))
 
 
-def local_coefficients(family: AlphaFamily, x, delta: float,
+def local_coefficients(family: dict, x, delta: float,
                        verify_quadrature: bool = False) -> dict:
-    """Moment matrices/vectors at each alpha of the family and their
-    extrapolated limits.
+    """Moment matrices/vectors at each alpha of the family {alpha: kernel}
+    (``alpha_family``) and their extrapolated limits.
 
     a_ij(x; alpha) = int_{B_delta} h_i h_j K_s(x, x+h) dh,
     b_i(x; alpha)  = int_{B_delta} (-h_i) K_a(x, x+h) dh,
@@ -149,17 +123,16 @@ def local_coefficients(family: AlphaFamily, x, delta: float,
     sharpest-alpha moments are recomputed at a refined rule and a drift beyond
     1% raises with both levels reported.
     """
-    alphas = family.alphas
+    alphas = tuple(family)
     quad = QuadSpec(n_ang=256, n_panels=48)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d, m = x.shape[0], family.d, len(alphas)
+    n, d, m = x.shape[0], family[alphas[0]].d, len(alphas)
     eps = 2.0 - np.asarray(alphas)
-    a_all, b_all = map(np.array, zip(*(_moments(family.kernel(a), x, delta, quad)
-                                       for a in alphas)))
+    a_all, b_all = map(np.array, zip(*(_moments(family[a], x, delta, quad) for a in alphas)))
     out = {"alphas": list(alphas), "a": dict(zip(alphas, a_all)),
            "b": dict(zip(alphas, b_all))}
     if verify_quadrature:
-        a_ref, _ = _moments(family.kernel(alphas[-1]), x, delta, quad.refined())
+        a_ref, _ = _moments(family[alphas[-1]], x, delta, quad.refined())
         scale = max(float(np.max(np.abs(a_ref))), 1e-300)
         drift = float(np.max(np.abs(a_ref - a_all[-1])) / scale)
         out["quadrature_drift"] = drift
@@ -175,7 +148,7 @@ def local_coefficients(family: AlphaFamily, x, delta: float,
     out["fit_residual"] = float(np.max(resid))
     # the extrapolated limit must not depend on the moment window
     if m > 1:
-        a2 = np.array([_moments(family.kernel(a), x, delta / 2.0, quad)[0] for a in alphas])
+        a2 = np.array([_moments(family[a], x, delta / 2.0, quad)[0] for a in alphas])
         a_lim2, _ = _extrapolate(eps, a2.reshape(m, -1))
         scale = max(float(np.max(np.abs(a_lim))), 1e-300)
         out["delta_sensitivity"] = float(np.max(np.abs(a_lim2 - a_lim)) / scale)
@@ -292,22 +265,20 @@ def local_form(a, b, grid: Grid) -> DiscreteForm:
     return DiscreteForm(grid, S, W, np.zeros(N), np.zeros(N), {"kernel": {"alpha": 2.0}})
 
 
-def resolvent_convergence(family: AlphaFamily, grid: Grid, f, lam: float,
-                          coeffs: dict | None = None) -> dict:
-    """L2 gaps between the order-alpha resolvents and the local-limit resolvent.
+def resolvent_convergence(family: dict, grid: Grid, f, lam: float, coeffs: dict) -> dict:
+    """L2 gaps between the order-alpha resolvents of the family and the
+    local-limit resolvent.
 
     Solves (lam + A^(alpha)) u = f with the corrected nonlocal assembly and
     (lam + A_loc) u = f with the ``local_form`` of the extrapolated
-    coefficients, averaged over the probes, each by ``resolvent_solve``.
+    coefficients ``coeffs`` (``local_coefficients``), averaged over their
+    probes, each by ``resolvent_solve``.
     """
     f_vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
-    if coeffs is None:
-        probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 20)]
-        coeffs = local_coefficients(family, probe, delta=0.5)
     u_loc = resolvent_solve(local_form(np.mean(coeffs["a_limit"], axis=0),
                                        np.mean(coeffs["b_limit"], axis=0), grid), lam, f_vals)
     norm = lambda u: float(np.sqrt(np.sum(u ** 2) * grid.cell_volume))
-    gaps = [norm(resolvent_solve(assemble_corrected(family.kernel(a), grid), lam, f_vals) - u_loc)
-            for a in family.alphas]
-    return {"alphas": list(family.alphas), "gaps": gaps, "u_loc_norm": norm(u_loc),
+    gaps = [norm(resolvent_solve(assemble_corrected(k, grid), lam, f_vals) - u_loc)
+            for k in family.values()]
+    return {"alphas": list(family), "gaps": gaps, "u_loc_norm": norm(u_loc),
             "monotone": all(np.diff(gaps) <= 1e-12)}

@@ -16,10 +16,9 @@ end terms close the rule, both built from F(x, x + s e) s^d at the cut radius
   F(s_max) s_max^d / gamma(e).
 
 Assembly takes its tail weights from this rule only for kernels without a ray
-profile: coefficient, drift and custom (``SplitKernel``) kernels, and time
-slices under a modulation field a(t; x, y); stable and cone kernels, their
-duals and their separable time slices get closed-form tails in
-``discretize``.
+profile: coefficient, drift and custom (``SplitKernel``) kernels and their
+duals and time slices; stable and cone kernels, their duals and their time
+slices get closed-form tails in ``discretize``.
 The assumption checkers (K1, K1glob, Tail, Cutoff) and ``mosco`` use the rule
 for every kernel.
 """

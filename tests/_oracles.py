@@ -219,14 +219,14 @@ def old_local_coefficients(family, x, delta, alphas=None, quad=None,
                            delta_check=None, verify_quadrature=False):
     from jumplab.quadrature import QuadSpec, ball_integral
 
-    alphas = tuple(alphas) if alphas is not None else family.alphas
+    alphas = tuple(alphas) if alphas is not None else tuple(family)
     quad = quad or QuadSpec(n_ang=256, n_panels=48, growth_octaves=24)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = family.d
+    d = next(iter(family.values())).d
     out = {"alphas": list(alphas), "a": {}, "b": {}}
 
     def moments(alpha, dlt, q=quad):
-        k = family.kernel(alpha)
+        k = family[alpha]
         a_mat = np.empty((x.shape[0], d, d))
         for i in range(d):
             for j in range(i, d):
@@ -434,7 +434,7 @@ def old_local_operator(a_mat, b_vec, grid):
 def old_resolvent_gaps(family, grid, f, lam, alphas=None, quad=None):
     from jumplab.solve import resolvent_solve
 
-    alphas = tuple(alphas) if alphas is not None else family.alphas
+    alphas = tuple(alphas) if alphas is not None else tuple(family)
     f_vals = f(grid.nodes) if callable(f) else np.asarray(f, dtype=float)
     probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 20)]
     coeffs = old_local_coefficients(family, probe, delta=0.5, alphas=alphas)
@@ -446,7 +446,7 @@ def old_resolvent_gaps(family, grid, f, lam, alphas=None, quad=None):
     u_loc[I] = sla.solve(M, f_vals[I])
     gaps = []
     for a in alphas:
-        u_a = resolvent_solve(old_assemble_corrected(family.kernel(a), grid, quad), lam, f_vals)
+        u_a = resolvent_solve(old_assemble_corrected(family[a], grid, quad), lam, f_vals)
         gaps.append(float(np.sqrt(np.sum((u_a - u_loc) ** 2) * grid.cell_volume)))
     return gaps
 

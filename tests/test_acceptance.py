@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from _local_limit import probe_coefficients
 from _oracles import bump, pv_operator_oracle
 from jumplab import (
     ChainRulePair,
@@ -368,11 +369,11 @@ def test_criterion_10_mosco():
     dfam = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.5, 1.8, 1.9, 1.95))
     co = local_coefficients(dfam, np.array([[0.1]]), delta=0.5)
     drift_gap = max(abs(co["b"][a][0, 0] - co["a"][a][0, 0, 0] * 0.4)
-                    for a in dfam.alphas)
+                    for a in dfam)
 
     grid = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     f = lambda x: np.exp(-4 * np.asarray(x)[..., 0] ** 2)
-    res = resolvent_convergence(fam, grid, f, lam=5.0)
+    res = resolvent_convergence(fam, grid, f, 5.0, probe_coefficients(fam, grid))
     gap_ratio = res["gaps"][0] / res["gaps"][-1]
     elapsed = time.time() - t0
     ok = (moment_err < 0.01 and limit_err < 0.05 and drift_gap < 1e-8

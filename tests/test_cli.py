@@ -86,6 +86,24 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: $['kernel']: ") and message in err
 
+    @pytest.mark.parametrize("kernel, unread", [
+        ({"family": "stable", "d": 1, "alpha": 1.5, "beta": 0.3, "lam": 7.0, "V": "sin-V",
+          "cone": {"axis": [1.0], "half_angle": 0.7853981633974483}},
+         "'V', 'beta', 'cone', 'lam'"),
+        ({"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5, "coeff": 2.0, "L": 1.0,
+          "cone": {"axis": [1.0], "half_angle": 0.7853981633974483}}, "'L', 'coeff'"),
+        ({"family": "coefficient", "d": 1, "alpha": 1.5, "V": "sin-V", "L": 1.0}, "'L', 'V'"),
+        ({"family": "drift", "d": 1, "alpha": 1.5, "g": "one", "coeff": 2.0}, "'coeff', 'g'"),
+    ])
+    def test_a_kernel_key_its_family_does_not_read_exits_2(self, tmp_path, capsys, kernel,
+                                                          unread):
+        bad, out = tmp_path / "bad.json", tmp_path / "o"
+        bad.write_text(json.dumps({"kernel": kernel}))
+        assert run(["check-kernel", "--config", bad, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: $['kernel']: a {kernel['family']} kernel does not read {unread}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, harness, path", [
         ("harnack", {"R": 2.0}, "$['harness']['R']: 2.0 is greater than the maximum of 1"),
         ("check-kernel", {"assumption": "Tail", "R": 2.0},
@@ -458,7 +476,7 @@ class TestRunners:
         probe = grid.nodes[grid.interior][:: max(1, int(grid.interior.sum()) // 10)]
         coeffs = local_coefficients(family, probe, delta=0.5)
         f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
-        res = resolvent_convergence(family, grid, f, 5.0, coeffs=coeffs)
+        res = resolvent_convergence(family, grid, f, 5.0, coeffs)
         write_csv(tmp_path / "mosco.csv", ["alpha", "a_00", "b_0", "resolvent_gap"],
                   [(a, np.mean(coeffs["a"][a]), np.mean(coeffs["b"][a]), gap)
                    for a, gap in zip(res["alphas"], res["gaps"])])

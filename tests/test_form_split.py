@@ -23,9 +23,6 @@ def forms(coeff_form_1d, grid_1d, sin_coefficient_kernel, cone_kernel_2d, fast_q
     grid_2d = build_grid(2, 1.0, 1 / 8, {"type": "ball", "radius": 0.5})
     separable = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.5 * np.sin(t),
                               0.5, 1.5, ka_scale=lambda t: 0.5 * np.cos(t))
-    field = time_modulate(sin_coefficient_kernel,
-                          lambda t, x, y: 1.0 + 0.25 * np.sin(t + x[..., 0] * y[..., 0]),
-                          0.5, 1.5)
     V = lambda x: 0.4 * np.asarray(x)[..., 0]
     drift = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
     grid_mosco = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
@@ -33,15 +30,13 @@ def forms(coeff_form_1d, grid_1d, sin_coefficient_kernel, cone_kernel_2d, fast_q
         "assemble-1d": coeff_form_1d,
         "assemble-2d": assemble(cone_kernel_2d, grid_2d, quad=fast_quad),
         "assemble_time-separable": assemble_time(separable, grid_1d, 0.9),
-        "assemble_time-field": assemble_time(field, grid_1d, 0.9),
         "transpose_form": transpose_form(coeff_form_1d),
-        "assemble_corrected": assemble_corrected(drift.kernel(1.9), grid_mosco),
+        "assemble_corrected": assemble_corrected(drift[1.9], grid_mosco),
     }
 
 
 @pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d", "assemble_time-separable",
-                                  "assemble_time-field", "transpose_form",
-                                  "assemble_corrected"])
+                                  "transpose_form", "assemble_corrected"])
 def test_split_is_exact(forms, name):
     F = forms[name]
     assert np.any(F.A_a != 0.0)

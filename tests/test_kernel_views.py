@@ -1,6 +1,6 @@
 """The dual kernel and the time slices of a modulated kernel are scaled views
-of their base: K_s and K_a scaled by numbers (or K_s by a field), with the
-base's orders, breaks, decay and ray profile."""
+of their base: K_s and K_a scaled by two numbers, with the base's orders,
+breaks, decay and ray profile."""
 import hashlib
 import math
 
@@ -81,34 +81,12 @@ def test_time_slice_keeps_the_base_metadata(drift_2d):
         assert np.array_equal(frozen.decay_orders(part, dirs), drift_2d.decay_orders(part, dirs))
 
 
-def test_modulation_field_slice_has_no_profile(cone_kernel_1d):
-    tk = time_modulate(cone_kernel_1d,
-                       lambda t, x, y: 1.0 + 0.25 * np.sin(t + x[..., 0] * y[..., 0]),
-                       0.5, 1.5)
-    frozen = tk.at(0.4)
-    dirs, _ = directions(1, 2)
-    assert frozen.ray_profile("sym", dirs) is None
-    assert frozen.ray_profile("anti", dirs) is None
-    assert np.array_equal(frozen.decay_orders("sym", dirs), cone_kernel_1d.decay_orders("sym", dirs))
-    x, y = np.array([[0.2]]), np.array([[-0.5]])
-    a = 1.0 + 0.25 * np.sin(0.4 + 0.2 * -0.5)
-    np.testing.assert_allclose(frozen.sym(x, y), a * cone_kernel_1d.sym(x, y), rtol=1e-15)
-
-
 @pytest.mark.parametrize("a, t", [(lambda t, c=1.0: c, 0.4), (np.cos, 0.0), (np.cos, 0.5)])
 def test_functions_of_t_alone_are_separable(a, t):
-    # a default argument or a ufunc's keywords do not make a a field a(t, x, y)
     base = kernel_from_config({"family": "stable", "d": 1, "alpha": 1.0})
     tk = time_modulate(base, a, 0.1, 2.0)
-    assert tk.separable
     dirs, _ = directions(1, 2)
     for part in ("sym", "anti"):
         c, gamma = base.ray_profile(part, dirs)
         c_t, gamma_t = tk.at(t).ray_profile(part, dirs)
         assert np.array_equal(c_t, float(a(t)) * c) and np.array_equal(gamma_t, gamma)
-
-
-def test_a_function_of_t_x_y_stays_a_field(cone_kernel_1d):
-    tk = time_modulate(cone_kernel_1d, lambda t, x, y: 1.0 + 0.0 * x[..., 0], 0.5, 1.5)
-    assert not tk.separable
-    assert tk.at(0.2).ray_profile("sym", directions(1, 2)[0]) is None

@@ -219,6 +219,12 @@ class TestTimeModulation:
         with pytest.raises(ValueError):
             time_modulate(sin_coefficient_kernel, lambda t: 2.0 + np.sin(t), 0.5, 1.5)
 
+    @pytest.mark.parametrize("a, s", [(lambda t: math.nan, None),
+                                      (lambda t: 1.0, lambda t: math.nan)])
+    def test_rejects_a_nan_modulation(self, sin_coefficient_kernel, a, s):
+        with pytest.raises(ValueError, match="at t=0.0"):
+            time_modulate(sin_coefficient_kernel, a, 0.5, 1.5, ka_scale=s)
+
     def test_drift_scaling(self, rng, linear_drift_kernel):
         s = lambda t: np.cos(t)
         tk = time_modulate(linear_drift_kernel, lambda t: 1.0, 1.0, 1.0, ka_scale=s)
@@ -287,7 +293,7 @@ def test_mosco_family_orders_are_the_declared_ones(d, alpha):
                                 (make_coefficient_kernel(g, 1.0, 1.0, 3.0, d),
                                  (alpha, alpha - 1.0))):
         family = alpha_family(generator, (alpha,))
-        assert family.kernel(alpha).diag_orders(_PTS[d]) == expected
+        assert family[alpha].diag_orders(_PTS[d]) == expected
 
 
 @pytest.mark.parametrize("kernel, d, expected", [

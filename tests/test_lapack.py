@@ -147,7 +147,7 @@ def test_cholesky_and_solve_lower_equal_scipy_linalg_on_the_drift_blocks(d):
     # the interior blocks of garding_sector_check, on the drift family
     V = (lambda x: 0.4 * x[..., 0]) if d == 1 else (lambda x: x @ np.array([0.4, -0.2]))
     family = mosco.alpha_family(jumplab.make_drift_kernel(1.0, V, 2.0, 1.0, d), (1.9,))
-    form = mosco.assemble_corrected(family.kernel(1.9), build_grid(*_GRID[d]))
+    form = mosco.assemble_corrected(family[1.9], build_grid(*_GRID[d]))
     I = form.grid.interior
     S, W = form.A_s[np.ix_(I, I)], form.A_a[np.ix_(I, I)]
     assert _lapack.potrf is _lapack._flapack.dpotrf and _lapack.trtrs is _lapack._flapack.dtrtrs

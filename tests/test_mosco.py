@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from _local_limit import probe_coefficients
 
 from jumplab import (assemble, build_grid, c_alpha_norm, make_coefficient_kernel,
                      make_drift_kernel, make_stable_kernel)
 from jumplab.discretize import DiscreteForm
 from jumplab.kernels import get_pair_field
 from jumplab.mosco import (
-    AlphaFamily,
     alpha_family,
     assemble_corrected,
     garding_sector_check,
@@ -38,13 +38,10 @@ def grid_small():
 
 class TestFamily:
     def test_rejects_unnormalized_member(self):
-        # a plain |h|^{-d-a} kernel misses the (2 - alpha) factor
-        with pytest.raises(ValueError):
-            AlphaFamily(lambda a: make_stable_kernel(1, a, 1.0), 1, (1.9, 1.95),
-                        Lam=4.0)
-
-    def test_kernels_are_cached(self, iso_1d):
-        assert iso_1d.kernel(1.5) is iso_1d.kernel(1.5)
+        # a plain |h|^{-d-a} member misses the (2 - alpha) factor
+        plain = make_stable_kernel(1, 1.0, 1.0 / c_alpha_norm(1, 1.9))
+        with pytest.raises(ValueError, match="comparison"):
+            alpha_family(plain, (1.9, 1.95))
 
 
 class TestLocalCoefficients:
@@ -149,7 +146,7 @@ class TestGardingSector:
     def test_drift_kernel_admissible_lambda_bounded(self, drift_1d, grid_small):
         lams = []
         for a in (1.5, 1.9):
-            F = assemble(drift_1d.kernel(a), grid_small)
+            F = assemble(drift_1d[a], grid_small)
             out = garding_sector_check(F, 2.0)
             lams.append(out["lam_admissible"])
             assert out["garding_margin"] > 0
@@ -158,7 +155,7 @@ class TestGardingSector:
     @pytest.mark.parametrize("alpha, c1", [(1.5, 0.025563667460182),
                                            (1.9, 0.031575020165404)])
     def test_drift_family_sector_constant(self, drift_1d, grid_small, alpha, c1):
-        F = assemble(drift_1d.kernel(alpha), grid_small)
+        F = assemble(drift_1d[alpha], grid_small)
         out = garding_sector_check(F, 2.0)
         assert out["sector_c1"] == pytest.approx(c1, rel=1e-4)
         # the top eigenvalue of the pencil (W'S^{-1}W, S) is the same constant
@@ -201,7 +198,7 @@ class TestGardingSector:
     @pytest.mark.parametrize("alpha", [None, 1.5, 1.9])
     def test_probes_never_exceed_the_exact_constants(self, drift_1d, grid_small, alpha):
         kernel = (make_stable_kernel(1, 1.0, c_alpha_norm(1, 1.0)) if alpha is None
-                  else drift_1d.kernel(alpha))
+                  else drift_1d[alpha])
         F = assemble(kernel, grid_small)
         lam_G = 0.5
         out = garding_sector_check(F, lam_G)
@@ -223,7 +220,7 @@ class TestGardingSector:
 
     @pytest.mark.parametrize("alpha", [1.5, 1.9])
     def test_extremal_pair_attains_the_sector_constant(self, drift_1d, grid_small, alpha):
-        F = assemble(drift_1d.kernel(alpha), grid_small)
+        F = assemble(drift_1d[alpha], grid_small)
         c1 = garding_sector_check(F, 1.0)["sector_c1"]
         _, S, W = _interior_blocks(F)
         L = np.linalg.cholesky(S)
@@ -235,34 +232,36 @@ class TestGardingSector:
 
 class TestResolventConvergence:
     def test_zero_source_gives_zero_gaps(self, iso_1d, grid_small):
-        out = resolvent_convergence(iso_1d, grid_small,
-                                    np.zeros(grid_small.n_nodes), lam=5.0)
+        out = resolvent_convergence(iso_1d, grid_small, np.zeros(grid_small.n_nodes), 5.0,
+                                    probe_coefficients(iso_1d, grid_small))
         assert all(g == 0.0 for g in out["gaps"])
 
     def test_isotropic_gap_collapses(self, iso_1d, grid_small):
         f = lambda x: np.exp(-4 * np.asarray(x)[..., 0] ** 2)
-        out = resolvent_convergence(iso_1d, grid_small, f, lam=5.0)
+        out = resolvent_convergence(iso_1d, grid_small, f, 5.0,
+                                    probe_coefficients(iso_1d, grid_small))
         gaps = out["gaps"]
         assert all(np.diff(gaps) < 0)
         assert gaps[-1] * 4.0 <= gaps[0]
 
     def test_drift_family_trend(self, drift_1d, grid_small):
         f = lambda x: np.exp(-4 * np.asarray(x)[..., 0] ** 2)
-        out = resolvent_convergence(drift_1d, grid_small, f, lam=5.0)
+        out = resolvent_convergence(drift_1d, grid_small, f, 5.0,
+                                    probe_coefficients(drift_1d, grid_small))
         assert out["gaps"][-1] < out["gaps"][0]
 
     def test_isotropic_gap_shrinks_in_2d(self):
         fam = alpha_family(make_stable_kernel(2, 1.0), (1.5, 1.9))
         g = build_grid(2, 1.0, 1 / 16, {"type": "box", "halfwidth": 0.75})
         f = lambda x: np.exp(-4 * np.sum(np.asarray(x) ** 2, axis=-1))
-        out = resolvent_convergence(fam, g, f, lam=5.0)
+        out = resolvent_convergence(fam, g, f, 5.0, probe_coefficients(fam, g))
         assert out["gaps"][1] < out["gaps"][0]
 
     def test_corrected_assembly_tracks_effective_coefficient(self, grid_small):
         # at alpha near 2 the plain lattice operator degenerates; the
         # corrected one reproduces the second-moment coefficient
         fam = alpha_family(make_stable_kernel(1, 1.0), (1.95,))
-        F = assemble_corrected(fam.kernel(1.95), grid_small)
+        F = assemble_corrected(fam[1.95], grid_small)
         u = np.cos(np.pi * grid_small.nodes[:, 0] / 1.5)
         I = grid_small.interior
         x = grid_small.nodes[I, 0]

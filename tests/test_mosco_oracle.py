@@ -11,11 +11,11 @@ from _oracles import (
     old_local_operator,
     old_resolvent_gaps,
 )
+from _local_limit import probe_coefficients
 from jumplab import build_grid, c_alpha_norm, mosco, solve
 from jumplab.kernels import (SplitKernel, get_pair_field, make_coefficient_kernel,
                              make_drift_kernel, make_stable_kernel)
 from jumplab.mosco import (
-    AlphaFamily,
     alpha_family,
     assemble_corrected,
     local_coefficients,
@@ -51,13 +51,14 @@ def family(request):
 
 
 def test_local_coefficients_match_frozen_loops(family):
-    x = np.random.default_rng(0).uniform(-0.4, 0.4, (2, family.d))
-    verify = family.d == 1
+    d = family[1.9].d
+    x = np.random.default_rng(0).uniform(-0.4, 0.4, (2, d))
+    verify = d == 1
     new = local_coefficients(family, x, delta=0.5, verify_quadrature=verify)
     old = old_local_coefficients(family, x, delta=0.5, verify_quadrature=verify)
     for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
         assert np.array_equal(new[key], old[key]), key
-    for a in family.alphas:
+    for a in family:
         assert np.array_equal(new["a"][a], old["a"][a])
         assert np.array_equal(new["b"][a], old["b"][a])
     if verify:
@@ -65,8 +66,8 @@ def test_local_coefficients_match_frozen_loops(family):
 
 
 def test_single_alpha_coefficients_match_frozen_loops(family):
-    x = np.zeros((1, family.d))
-    one = AlphaFamily(family.factory, family.d, (1.9,), Lam=family.Lam)
+    x = np.zeros((1, family[1.9].d))
+    one = {1.9: family[1.9]}
     new = local_coefficients(one, x, delta=0.5)
     old = old_local_coefficients(family, x, delta=0.5, alphas=[1.9])
     for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
@@ -74,18 +75,19 @@ def test_single_alpha_coefficients_match_frozen_loops(family):
 
 
 def test_corrected_form_matches_frozen_assembly(family):
-    grid = _grid(family.d)
-    new = assemble_corrected(family.kernel(1.9), grid)
-    old = old_assemble_corrected(family.kernel(1.9), grid)
+    grid = _grid(family[1.9].d)
+    new = assemble_corrected(family[1.9], grid)
+    old = old_assemble_corrected(family[1.9], grid)
     for name in ("A_s", "A_a", "tail_sym", "tail_anti"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 def test_local_form_matches_frozen_operator(family):
     # limits of the kind resolvent_convergence averages over probes
-    coeffs = local_coefficients(family, np.zeros((1, family.d)), delta=0.5)
+    d = family[1.9].d
+    coeffs = local_coefficients(family, np.zeros((1, d)), delta=0.5)
     a, b = np.mean(coeffs["a_limit"], axis=0), np.mean(coeffs["b_limit"], axis=0)
-    grid = _grid(family.d)
+    grid = _grid(d)
     I = grid.interior
     form = local_form(a, b, grid)
     assert np.array_equal(form.A[I], old_local_operator(a, b, grid)[I])
@@ -124,11 +126,12 @@ def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
         seen.append((form, lam, f))
         raise _Captured
 
-    grid = _grid(family.d)
+    grid = _grid(family[1.9].d)
+    coeffs = probe_coefficients(family, grid)
     with monkeypatch.context() as mp:
         mp.setattr(mosco, "resolvent_solve", capture)
         with pytest.raises(_Captured):
-            resolvent_convergence(family, grid, _source, lam=5.0)
+            resolvent_convergence(family, grid, _source, 5.0, coeffs)
     form, lam, f = seen[0]
     assert form.meta["kernel"]["alpha"] == 2.0 and lam == 5.0
     I = grid.interior
@@ -143,8 +146,8 @@ def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
 
 
 def test_resolvent_gaps_match_frozen_path(family, monkeypatch):
-    grid = _grid(family.d)
-    out = resolvent_convergence(family, grid, _source, lam=5.0)
+    grid = _grid(family[1.9].d)
+    out = resolvent_convergence(family, grid, _source, 5.0, probe_coefficients(family, grid))
     # the local resolvent is an LU solve now, as the nonlocal ones always were
     sla = _oracles.sla
     monkeypatch.setattr(sla, "solve", lambda M, b: sla.lu_solve(sla.lu_factor(M), b))
@@ -164,17 +167,18 @@ def _tilted_family():
         return SplitKernel(2, a, sym, lambda x, y: np.zeros(np.broadcast_shapes(
             x.shape, y.shape)[:-1]))
 
-    return AlphaFamily(factory, 2, (1.5, 1.9), Lam=8.0)
+    return {a: factory(a) for a in (1.5, 1.9)}
 
 
 def test_mixed_diffusion_term_raises():
     fam = _tilted_family()
-    a = local_coefficients(fam, np.zeros((1, 2)), delta=0.5)["a_limit"][0]
+    coeffs = local_coefficients(fam, np.zeros((1, 2)), delta=0.5)
+    a = coeffs["a_limit"][0]
     assert abs(a[0, 1]) > 0.1 * abs(a[0, 0])
     with pytest.raises(ValueError, match="mixed diffusion term"):
-        resolvent_convergence(fam, _grid(2), _source, lam=5.0)
+        resolvent_convergence(fam, _grid(2), _source, 5.0, coeffs)
     with pytest.raises(ValueError, match="mixed diffusion term"):
-        assemble_corrected(fam.kernel(1.9), _grid(2))
+        assemble_corrected(fam[1.9], _grid(2))
 
 
 def test_diagonal_matrix_passes_the_guard():
@@ -189,11 +193,12 @@ def test_diagonal_matrix_passes_the_guard():
 def test_local_resolvent_checks_its_residual(sla_calls):
     fam = alpha_family(make_stable_kernel(1, 1.0), (1.5, 1.9))
     grid = _grid(1)
-    good = resolvent_convergence(fam, grid, _source, lam=5.0)
+    coeffs = probe_coefficients(fam, grid)
+    good = resolvent_convergence(fam, grid, _source, 5.0, coeffs)
     assert np.isfinite(good["u_loc_norm"])
     # a solve that misses its residual: the first, the local resolvent, raises
     sla_calls.lu_solve_calls.clear()
     sla_calls.stand_in["lu_solve"] = lambda lu_solve, lu_piv, b: 2.0 * np.asarray(b)
     with pytest.raises(RuntimeError, match="resolvent solve unstable"):
-        resolvent_convergence(fam, grid, _source, lam=5.0)
+        resolvent_convergence(fam, grid, _source, 5.0, coeffs)
     assert len(sla_calls.lu_solve_calls) == 4     # the solve and its three refinement sweeps

@@ -120,8 +120,8 @@ def test_corrected_form_is_the_frozen_one_byte_for_byte(name):
     else:
         family = alpha_family(make_stable_kernel(2, 1.0), (1.9,))
         grid = build_grid(2, 0.5, 1 / 8, {"type": "box", "halfwidth": 0.375})
-    _same_bytes(assemble_corrected(family.kernel(1.9), grid),
-                old_assemble_corrected(family.kernel(1.9), grid))
+    _same_bytes(assemble_corrected(family[1.9], grid),
+                old_assemble_corrected(family[1.9], grid))
 
 
 def test_stencil_assembly_holds_the_two_arrays_and_at_most_one_block():
