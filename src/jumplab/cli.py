@@ -12,7 +12,8 @@ the output directory.
 output: it builds the kernel and grid, assembles the form once for the runners
 that need one, and writes every artifact.  A runner computes only: it returns
 (summary, report, tables) and opens no file.  Fixed seed and config give
-byte-identical artifacts.
+byte-identical artifacts.  ``_RUNNERS`` holds one row per command; a config key
+it does not read exits 2, and its flags are those of the keys it reads.
 Exit codes: 2 for config errors (with a field path, before any output or
 assembly; a harnack or hoelder cylinder too small for its grid is one),
 3 for numerical failures.
@@ -42,6 +43,7 @@ import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from ._lazy import lazy_module, scipy_path
@@ -62,9 +64,9 @@ INF = float("inf")
 # name -> (run_scenario assembles the form for it, kernel fit tests, check).
 # A fit test takes the kernel, the name and the harness and raises a
 # ConfigError if the check or a harness number does not fit the kernel;
-# run_scenario runs them before any output.  A check takes the namespace of
-# _run_check_kernel, reads the kernel run_scenario built (never
-# config["kernel"]) and returns the report fields after "assumption".
+# check-kernel's prepare (_ball) runs them before any output.  A check takes
+# the namespace of _run_check_kernel, reads the kernel run_scenario built
+# (never config["kernel"]) and returns the report fields after "assumption".
 
 
 def _family(family: str):
@@ -304,6 +306,12 @@ def _check(value, schema: dict, path: tuple = ()):
 
 def _validate(config: dict) -> dict:
     _check(config, SCHEMA)
+    kind = config["harness"]["type"]
+    for section in ("harness", "problem"):      # the keys of each that the command reads
+        unread = sorted(set(config.get(section, ())) - {"type"} - getattr(_RUNNERS[kind], section))
+        if unread:
+            raise ConfigError(f"$[{section!r}]: {kind} does not read "
+                              f"{', '.join(map(repr, unread))}")
     return config
 
 
@@ -346,22 +354,14 @@ def _exp(value):
     return INF if value in ("inf", None) else float(value)
 
 
-# the runners that assemble a form of the configured kernel on the configured grid
-_FORM_RUNNERS = {"assemble", "solve", "harnack", "hoelder", "caccioppoli"}
-
-
 def _needs_form(harness) -> bool:
-    kind = harness["type"]
-    return kind in _FORM_RUNNERS or (
-        kind == "check-kernel" and _ASSUMPTIONS[harness.get("assumption", "K1")][0])
+    form = _RUNNERS[harness["type"]].form
+    return form(harness) if callable(form) else form
 
 
 def _build_kernel_grid(config):
     kind = config["harness"]["type"]
-    if _needs_form(config["harness"]) or kind == "mosco":
-        required = ("kernel", "grid")
-    else:
-        required = ("kernel",) if kind == "check-kernel" else ()
+    required = ("kernel", "grid") if _needs_form(config["harness"]) else _RUNNERS[kind].sections
     for key in required:
         if key not in config:
             raise ConfigError(f"$['{key}']: required for {kind}")
@@ -379,10 +379,6 @@ def _build_kernel_grid(config):
     center = config["harness"].get("center")
     if kernel is not None and center is not None and len(center) != kernel.d:
         raise ConfigError(f"$['harness']['center']: {center!r} needs d = {kernel.d} entries")
-    if kind == "check-kernel":
-        name = config["harness"].get("assumption", "K1")
-        for fits in _ASSUMPTIONS[name][1]:
-            fits(kernel, name, config["harness"])
     grid = None
     if "grid" in config:
         gc = config["grid"]
@@ -410,8 +406,8 @@ def _scipy_version() -> str:
 def _environment() -> dict:
     """manifest["env"]: versions, BLAS, thread variables (None when unset) and
     the CPUs this process may run on.  scipy's version is read from its
-    ``version.py``: no command but some ``check-kernel`` assumptions imports
-    the scipy package.  ``platform`` is imported here: start-up needs none of it."""
+    ``version.py``, as no command imports a scipy package.  ``platform`` is
+    imported here: start-up needs none of it."""
     import platform
 
     try:
@@ -439,20 +435,21 @@ def _resolution(grid, form=None) -> dict:
 def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one validated scenario and write all of its artifacts.
 
-    The config checks (``_build_kernel_grid``, ``_PREPARE``) run first; then
-    the form is assembled here, once, for the runners that need one. A runner
-    returns (summary, report, tables) and opens no file; each table is
-    (csv path, header, rows), its path taken relative to out_dir. A "health"
-    and a "resolution" entry (the fields it sets in ``_resolution``) of the
-    summary go to manifest.json instead of summary.txt. Returns the summary
-    dictionary.
+    The config checks (``_build_kernel_grid``, the command's prepare) run
+    first; then the form is assembled here, once, for the runners that need
+    one. A runner returns (summary, report, tables) and opens no file; each
+    table is (csv path, header, rows), its path taken relative to out_dir. A
+    "health" and a "resolution" entry (the fields it sets in ``_resolution``)
+    of the summary go to manifest.json instead of summary.txt. Returns the
+    summary dictionary.
     """
     kind = config["harness"]["type"]
+    command = _RUNNERS[kind]
     kernel, grid = _build_kernel_grid(config)
-    prepared = _PREPARE[kind](config, kernel, grid) if kind in _PREPARE else ()
+    prepared = command.prepare(config, kernel, grid) if command.prepare else ()
     out_dir.mkdir(parents=True, exist_ok=True)      # the config passed every check
     form = discretize.assemble(kernel, grid) if _needs_form(config["harness"]) else None
-    summary, report, tables = _RUNNERS[kind](config, kernel, grid, form, *prepared)
+    summary, report, tables = command.run(config, kernel, grid, form, *prepared)
     health = summary.pop("health", None)
     resolution = {**_resolution(grid, form), **summary.pop("resolution", {})}
     for path, header, rows in tables:
@@ -485,6 +482,9 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
 def _ball(config, kernel, grid):
     harness = config["harness"]
+    name = harness.get("assumption", "K1")
+    for fits in _ASSUMPTIONS[name][1]:
+        fits(kernel, name, harness)
     domain = {} if grid is None else {"omega": grid.omega}    # else BallSpec's default box
     try:
         return (assumptions.BallSpec(tuple(harness.get("center", [0.0] * kernel.d)),
@@ -714,45 +714,51 @@ def _run_mosco(config, kernel, grid, form, family):
             [("mosco.csv", header, rows)])
 
 
-_RUNNERS = {
-    "check-kernel": _run_check_kernel,
-    "assemble": _run_assemble,
-    "solve": _run_solve,
-    "harnack": _run_harnack,
-    "hoelder": _run_hoelder,
-    "caccioppoli": _run_caccioppoli,
-    "algebra-tests": _run_algebra,
-    "mosco": _run_mosco,
-}
-# a runner's own config checks, run before any output or assembly: its arguments after form
-_PREPARE = {"check-kernel": _ball, "solve": _time_span, "harnack": _inside, "hoelder": _inside,
-            "caccioppoli": _p_list, "mosco": _alpha_family}
+class _Command(NamedTuple):
+    harness: set        # the harness keys its run reads; _validate refuses the others
+    problem: set        # the problem keys its run reads
+    sections: tuple     # the config sections it requires
+    form: object        # whether run_scenario assembles a form: a bool or a function of harness
+    preset: dict        # its builtin config, besides the harness
+    prepare: object     # None, or its check before any output: the runner's args after form
+    run: object         # (config, kernel, grid, form, *prepared) -> (summary, report, tables)
+
 
 DEFAULT_KERNEL = {"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
-                  "cone": {"axis": [1.0], "half_angle": 0.7853981633974483},
-                  "double_cone": None}
-DEFAULT_GRID = {"d": 1, "X": 2.0, "h": 1 / 32,
-                "omega": {"type": "box", "halfwidth": 1.5}}
+                  "cone": {"axis": [1.0], "half_angle": 0.7853981633974483}, "double_cone": None}
+DEFAULT_GRID = {"d": 1, "X": 2.0, "h": 1 / 32, "omega": {"type": "box", "halfwidth": 1.5}}
+_PRESET, _FORM = {"kernel": DEFAULT_KERNEL, "grid": DEFAULT_GRID}, ("kernel", "grid")
+_CYLINDER = {"t0", "R", "center", "ensemble", "seed"}
+
+_RUNNERS = {
+    "check-kernel": _Command(
+        {"assumption", "R", "center", "rho", "theta_exp", "mu", "A", "zeta", "D", "gamma",
+         "seed"}, set(), ("kernel",),
+        lambda harness: _ASSUMPTIONS[harness.get("assumption", "K1")][0], _PRESET, _ball,
+        _run_check_kernel),
+    "assemble": _Command({"dump_form"}, set(), _FORM, True, _PRESET, None, _run_assemble),
+    "solve": _Command({"seed"}, {"variant", "theta", "dt", "horizon", "exterior", "d_const"},
+                      _FORM, True, _PRESET, _time_span, _run_solve),
+    "harnack": _Command(_CYLINDER, set(), _FORM, True, _PRESET, _inside, _run_harnack),
+    # _inside asks for estimates._FIT_MIN_NODES = 8 nodes in B_R/8: R = 0.5 needs h = 1/64
+    "hoelder": _Command(_CYLINDER, set(), _FORM, True,
+                        {**_PRESET, "grid": {**DEFAULT_GRID, "h": 1 / 64}}, _inside, _run_hoelder),
+    "caccioppoli": _Command(
+        {"center", "R", "rho", "p_list", "ensemble", "seed", "eps"}, {"variant"}, _FORM, True,
+        {"kernel": {"family": "stable", "d": 1, "alpha": 1.0},
+         "grid": {"d": 1, "X": 2.0, "h": 1 / 16, "omega": {"type": "box", "halfwidth": 1.0}}},
+        _p_list, _run_caccioppoli),
+    "algebra-tests": _Command({"samples", "seed"}, set(), (), False, {}, None, _run_algebra),
+    "mosco": _Command(
+        {"alphas", "delta", "lam_resolvent"}, set(), _FORM, False,
+        {"kernel": {"family": "stable", "d": 1, "alpha": 1.5},
+         "grid": {"d": 1, "X": 1.0, "h": 1 / 32, "omega": {"type": "box", "halfwidth": 0.75}}},
+        _alpha_family, _run_mosco),
+}
 
 
 def _default_config(kind: str) -> dict:
-    cfg = {"harness": {"type": kind}}
-    if kind in _FORM_RUNNERS | {"check-kernel"}:
-        cfg["kernel"] = dict(DEFAULT_KERNEL)
-        cfg["grid"] = dict(DEFAULT_GRID)
-    if kind == "hoelder":
-        # _inside refuses a smallest fit ball B_R/8 of fewer than
-        # estimates._FIT_MIN_NODES = 8 nodes: R = 0.5 needs h = 1/64
-        cfg["grid"]["h"] = 1 / 64
-    if kind == "caccioppoli":
-        cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.0}
-        cfg["grid"] = {"d": 1, "X": 2.0, "h": 1 / 16,
-                       "omega": {"type": "box", "halfwidth": 1.0}}
-    if kind == "mosco":             # the family of the unit stable kernel
-        cfg["kernel"] = {"family": "stable", "d": 1, "alpha": 1.5}
-        cfg["grid"] = {"d": 1, "X": 1.0, "h": 1 / 32,
-                       "omega": {"type": "box", "halfwidth": 0.75}}
-    return cfg
+    return {"harness": {"type": kind}, **{k: dict(v) for k, v in _RUNNERS[kind].preset.items()}}
 
 
 class _NonFinite(str):
@@ -777,17 +783,10 @@ def _float_list(text: str) -> list:
     return [_parse_number(a) for a in text.split(",")]
 
 
-# harness overrides: (flag, argparse keywords, the subcommands whose runner
-# reads it); a subcommand refuses the flags it would ignore
-_HARNESS_FLAGS = (
-    ("--seed", {"type": int}, {"check-kernel", "solve", "harnack", "hoelder",
-                               "caccioppoli", "algebra-tests"}),
-    ("--ensemble", {"type": int}, {"harnack", "hoelder", "caccioppoli"}),
-    ("--assumption", {"type": str}, {"check-kernel"}),
-    ("--alphas", {"type": _float_list,
-                  "help": "comma-separated list for the mosco harness"}, {"mosco"}),
-    ("--dump-form", {"type": lambda text: str(Path(text))}, {"assemble"}),
-)
+# the harness keys that have a flag: a command offers those of the keys it reads
+_FLAGS = {"seed": {"type": int}, "ensemble": {"type": int}, "assumption": {"type": str},
+          "alphas": {"type": _float_list, "help": "comma-separated list for the mosco harness"},
+          "dump_form": {"type": lambda text: str(Path(text))}}
 
 
 def main(argv=None) -> int:
@@ -800,9 +799,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=Path, default=None,
                        help="scenario JSON (defaults to a builtin preset)")
         p.add_argument("--out", type=Path, default=Path("runs") / kind)
-        for flag, kwargs, kinds in _HARNESS_FLAGS:
-            if kind in kinds:
-                p.add_argument(flag, **kwargs)
+        for key, kwargs in _FLAGS.items():
+            if key in _RUNNERS[kind].harness:
+                p.add_argument("--" + key.replace("_", "-"), **kwargs)
     args = parser.parse_args(argv)
 
     try:
@@ -812,8 +811,7 @@ def main(argv=None) -> int:
         else:
             config = _default_config(args.command)
         config.setdefault("harness", {})["type"] = args.command
-        for flag, _, _ in _HARNESS_FLAGS:
-            key = flag[2:].replace("-", "_")
+        for key in _FLAGS:
             if getattr(args, key, None) is not None:
                 config["harness"][key] = getattr(args, key)
         _refuse_non_finite(config)

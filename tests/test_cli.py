@@ -277,6 +277,14 @@ class TestValidation:
         ("check-kernel", {"kernel": {"family": "drift", "d": 2, "alpha": 1.0, "L": 1.0,
                                      "V": {"preset": "linear-V", "b": [1.0, 1.0]}}},
          "$['kernel']: potential increment exceeds lam inside the truncation radius"),
+        # keys the command does not read: each ran and exited 0
+        ("solve", {**_default_config("solve"), "harness": {"alphas": [1.5]}},
+         "$['harness']: solve does not read 'alphas'\n"),
+        ("harnack", {**_default_config("harnack"), "problem": {"variant": "dual"}},
+         "$['problem']: harnack does not read 'variant'\n"),
+        ("mosco", {"harness": {"seed": 3}}, "$['harness']: mosco does not read 'seed'\n"),
+        ("assemble", {**_default_config("assemble"), "harness": {"center": [0.0]}},
+         "$['harness']: assemble does not read 'center'\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -297,7 +305,8 @@ class TestValidation:
                                    for word in ("big", "nan", "minus-inf", "Inf")],
             "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment",
             "drift-j-below-its-increment-between-lattice-distances",
-            "drift-2d-increment-above-lam-on-the-diagonal"])
+            "drift-2d-increment-above-lam-on-the-diagonal", "solve-alphas", "harnack-variant",
+            "mosco-seed", "assemble-center"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         def refuse(*args, **kw):
@@ -583,7 +592,7 @@ def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
     monkeypatch.setattr("jumplab.kernels.kernel_from_config",
                         counting("kernel", kernel_from_config))
     monkeypatch.setattr("jumplab.discretize.assemble", counting("assemble", assemble))
-    real_runner, returned = cli._RUNNERS[kind], []
+    real_runner, returned = cli._RUNNERS[kind].run, []
 
     def runner(*args):
         # a runner returns its results and leaves the writing to run_scenario
@@ -592,10 +601,12 @@ def test_run_scenario_builds_the_kernel_once(command, tmp_path, monkeypatch):
         returned.append(result)
         return result
 
-    monkeypatch.setitem(cli._RUNNERS, kind, runner)
+    monkeypatch.setitem(cli._RUNNERS, kind, cli._RUNNERS[kind]._replace(run=runner))
     monkeypatch.chdir(tmp_path)
     cfg = _default_config(kind)
-    cfg["harness"].update({"ensemble": 1, "seed": 3, "alphas": [1.5]})
+    for key, value in (("ensemble", 1), ("seed", 3), ("alphas", [1.5])):
+        if key in cli._RUNNERS[kind].harness:      # a key the command does not read exits 2
+            cfg["harness"][key] = value
     if assumption:
         cfg["harness"]["assumption"] = assumption[0]
     out = tmp_path / "out"
@@ -634,6 +645,17 @@ def test_the_assumption_table_is_the_schema_enum():
     reads_form = {a for a in ASSUMPTIONS
                   if cli._needs_form({"type": "check-kernel", "assumption": a})}
     assert reads_form == {"Poinc", "Sob", "coercivity"}
+
+
+def test_the_command_table_holds_every_schema_key():
+    import jumplab.cli as cli
+
+    sections = cli.SCHEMA["properties"]
+    assert set().union(*(c.harness for c in cli._RUNNERS.values())) | {"type"} == set(
+        sections["harness"]["properties"])
+    assert len(sections["harness"]["properties"]) == 21
+    assert set().union(*(c.problem for c in cli._RUNNERS.values())) == set(
+        sections["problem"]["properties"])
 
 
 @pytest.mark.parametrize("assumption", ASSUMPTIONS)

@@ -172,3 +172,37 @@ def test_snapshot_rows_match_loop_reference(tmp_path):
         for ti, t in enumerate(sol.times) for ni in range(grid.n_nodes)]
     with open(tmp_path / "snapshots.csv", newline="") as fh:
         assert list(csv.reader(fh)) == expected
+
+
+def test_the_readme_example_config_validates():
+    block = re.search(r"A scenario config looks like:\n\n```json\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    config = json.loads(block)
+    assert _validate(config) is config
+
+
+def _offered_flags(kind, capsys):
+    """The flags besides --config and --out that ``jumplab <kind> --help`` lists."""
+    with pytest.raises(SystemExit):
+        main([kind, "--help"])
+    return set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help", "--config",
+                                                                      "--out"}
+
+
+def test_the_readme_lists_the_keys_and_flags_of_each_command(capsys):
+    section = re.search(r"## CLI\n(.*?)\n## ", README.read_text(), re.S).group(1)
+    listed = {}     # the opening paragraph: `--flag` (command, command, ...)
+    for flag, kinds in re.findall(r"`(--[a-z-]+)` \(([a-z,\s-]+)\)", section.split("```")[0]):
+        for kind in re.split(r",\s*", kinds):
+            listed.setdefault(kind, set()).add(flag)
+    table = {}      # | command | harness keys | problem keys | flags |
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and cells[0] in _RUNNERS:
+            table[cells[0]] = [set(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:]]
+    assert set(table) == set(_RUNNERS)
+    for kind, command in _RUNNERS.items():
+        flags = _offered_flags(kind, capsys)
+        assert {flag[2:].replace("-", "_") for flag in flags} <= command.harness
+        assert flags == listed.get(kind, set())
+        assert table[kind] == [command.harness, command.problem, flags]
