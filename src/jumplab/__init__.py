@@ -10,12 +10,11 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {name: module for module, names in (
-    ("kernels", "Cone Kernel KernelSpec TimeKernel c_alpha_norm decompose kernel_from_config "
-                "make_coefficient_kernel make_cone_kernel make_drift_kernel make_stable_kernel "
-                "time_modulate"),
+    ("kernels", "Cone Kernel KernelSpec c_alpha_norm decompose kernel_from_config "
+                "make_coefficient_kernel make_cone_kernel make_drift_kernel make_stable_kernel"),
     ("algebra", "ChainRulePair check_chain_rule_bounds check_log_weight check_weighted "
                 "eval_pair"),
-    ("discretize", "CutoffProfile DiscreteForm Grid assemble assemble_time build_grid "
+    ("discretize", "CutoffProfile DiscreteForm Grid assemble build_grid "
                    "carre_du_champ form_value layer_cake_weighted_form transpose_form"),
     ("solve", "ParabolicProblem Solution default_dt resolvent_solve solve_dual_ext "
               "solve_parabolic theta_step"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lazy import lazy_module
 from .discretize import DiscreteForm, Grid, _symmetrise, kernel_alpha
-from .kernels import Kernel, StableKernel, TimeKernel, pair_values
+from .kernels import Kernel, StableKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
 lapack = lazy_module("jumplab._lapack")
@@ -232,35 +232,6 @@ def _k1_report(kernel: Kernel, J: Kernel, ball: BallSpec, theta: float,
     return AssumptionReport(name, {"norm": norm, "W_max": float(np.max(W)),
                                    "domination_ratio": ratio},
                             {"theta": theta}, resolution, verdict)
-
-
-def k1_time_profile(time_kernel: TimeKernel, J: Kernel, ball: BallSpec,
-                    theta: float, mu: float, t_grid: np.ndarray,
-                    grid: Grid | None = None, quad: QuadSpec | None = None,
-                    glob: bool = False) -> AssumptionReport:
-    """Mixed-norm profile for time-modulated kernels: L^mu in t of L^theta in x.
-
-    Reuses the static profile per time slice: the drift modulation only
-    rescales the slice norms by ka_scale(t)^2.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    profile = k1_glob_profile if glob else k1_profile
-    base = profile(time_kernel.base, J, ball, theta, grid=grid, quad=quad)
-    if base.verdict == "divergent":
-        return AssumptionReport("K1time", base.constants,
-                                {"theta": theta, "mu": mu},
-                                base.resolution, "divergent", base.notes)
-    slice_norms = np.array([float(time_kernel.ka_scale(t)) ** 2 * base.constants["norm"]
-                            for t in t_grid])
-    if mu == INF:
-        norm = float(np.max(slice_norms))
-    else:
-        dt = np.diff(t_grid).mean() if len(t_grid) > 1 else 1.0
-        norm = float((np.sum(slice_norms ** mu) * dt) ** (1.0 / mu))
-    res = dict(base.resolution)
-    res["n_times"] = int(len(t_grid))
-    return AssumptionReport("K1time", {"norm": norm}, {"theta": theta, "mu": mu},
-                            res, "finite")
 
 
 def k2_coefficient_D(lam: float, Lam: float) -> float:

@@ -13,7 +13,8 @@ output: it builds the kernel and grid, assembles the form once for the runners
 that need one, and writes every artifact.  A runner computes only: it returns
 (summary, report, tables) and opens no file.  Fixed seed and config give
 byte-identical artifacts.  ``_RUNNERS`` holds one row per command; a config key
-it does not read exits 2, and its flags are those of the keys it reads.
+it does not read or a section it does not take exits 2, and its flags are
+those of the keys it reads.
 Exit codes: 2 for config errors (with a field path, before any output or
 assembly; a harnack or hoelder cylinder too small for its grid is one),
 3 for numerical failures.
@@ -307,12 +308,26 @@ def _check(value, schema: dict, path: tuple = ()):
 def _validate(config: dict) -> dict:
     _check(config, SCHEMA)
     kind = config["harness"]["type"]
+    command = _RUNNERS[kind]
     for section in ("harness", "problem"):      # the keys of each that the command reads
-        unread = sorted(set(config.get(section, ())) - {"type"} - getattr(_RUNNERS[kind], section))
+        unread = sorted(set(config.get(section, ())) - {"type"} - getattr(command, section))
         if unread:
             raise ConfigError(f"$[{section!r}]: {kind} does not read "
                               f"{', '.join(map(repr, unread))}")
+    taken = _sections(command)
+    for section in SCHEMA["properties"]:
+        if section in config and section not in taken:
+            raise ConfigError(f"$[{section!r}]: {kind} does not read it")
     return config
+
+
+def _sections(command) -> set:
+    """The config sections a command takes: the harness, those its row
+    requires or takes optionally, and the problem where it reads a problem key."""
+    sections = {"harness", *command.sections, *command.optional}
+    if command.problem:
+        sections.add("problem")
+    return sections
 
 
 def _fmt(value) -> str:
@@ -722,6 +737,7 @@ class _Command(NamedTuple):
     preset: dict        # its builtin config, besides the harness
     prepare: object     # None, or its check before any output: the runner's args after form
     run: object         # (config, kernel, grid, form, *prepared) -> (summary, report, tables)
+    optional: tuple = ()    # the kernel or grid sections it takes but does not require
 
 
 DEFAULT_KERNEL = {"family": "cone", "d": 1, "alpha": 1.5, "beta": 0.5,
@@ -735,7 +751,7 @@ _RUNNERS = {
         {"assumption", "R", "center", "rho", "theta_exp", "mu", "A", "zeta", "D", "gamma",
          "seed"}, set(), ("kernel",),
         lambda harness: _ASSUMPTIONS[harness.get("assumption", "K1")][0], _PRESET, _ball,
-        _run_check_kernel),
+        _run_check_kernel, optional=("grid",)),
     "assemble": _Command({"dump_form"}, set(), _FORM, True, _PRESET, None, _run_assemble),
     "solve": _Command({"seed"}, {"variant", "theta", "dt", "horizon", "exterior", "d_const"},
                       _FORM, True, _PRESET, _time_span, _run_solve),

@@ -12,7 +12,7 @@ excluded; its omitted principal-value contribution is O(h^{2-alpha}) on C^2
 fields and is documented rather than corrected.
 
 Power-law kernels.  A kernel with a ray profile (``Kernel.ray_profile``: the
-stable and cone families, their duals and their time slices) is translation
+stable and cone families and their duals) is translation
 invariant and equals c(e) s^{-d-gamma(e)} along every ray x + s e.  Assembly
 uses both facts:
 
@@ -51,7 +51,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .kernels import Kernel, TimeKernel, pair_values
+from .kernels import Kernel, pair_values
 from .quadrature import QuadSpec, directions, exterior_tail, ray_exit_box
 
 NODE_CAP = 4096
@@ -410,14 +410,6 @@ def transpose_form(form: DiscreteForm) -> DiscreteForm:
     meta["dual_of"] = meta.get("kernel_hash")
     return DiscreteForm(form.grid, form.A_s, -form.A_a, form.tail_sym,
                         -form.tail_anti, meta)
-
-
-def assemble_time(time_kernel: TimeKernel, grid: Grid, t: float,
-                  quad: QuadSpec | None = None) -> DiscreteForm:
-    """Form of the time slice ``time_kernel.at(t)``; meta["t"] records t."""
-    form = assemble(time_kernel.at(t), grid, quad=quad)
-    form.meta["t"] = t
-    return form
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ symmetric part K_s(x,y) = (K(x,y) + K(y,x))/2 carries the diffusion and the
 antisymmetric part K_a = (K(x,y) - K(y,x))/2 acts as a nonlocal drift.
 Three concrete families are provided (bounded nonsymmetric coefficient,
 potential-difference drift, cone-supported anisotropy) plus a custom
-symmetric-plus-antisymmetric wrapper and time modulation.
+symmetric-plus-antisymmetric wrapper.
 
 Every family evaluates K, K_s, K_a in closed form; ``decompose`` recomputes
 the split from the two orderings of K as an independent cross-check.
@@ -233,9 +233,9 @@ def _worst_order(vals, d: int) -> float:
 
 class _ScaledKernel(Kernel):
     """View of a base kernel with K_s = sym_scale * base.sym and K_a =
-    anti_scale * base.anti for two numbers: the dual is (1, -1), a time slice
-    (a(t), ka_scale(t)).  Support, breaks and decay are the base's, and the
-    ray profile is the base's with c scaled."""
+    anti_scale * base.anti for two numbers: the dual is (1, -1).  Support,
+    breaks and decay are the base's, and the ray profile is the base's with c
+    scaled."""
 
     def __init__(self, base: Kernel, sym_scale: float, anti_scale: float):
         self.base = base
@@ -565,46 +565,6 @@ def decompose(kernel: Kernel, x, y):
     kxy = np.asarray(kernel(x, y), dtype=float)
     kyx = np.asarray(kernel(y, x), dtype=float)
     return 0.5 * (kxy + kyx), 0.5 * (kxy - kyx)
-
-
-_VALIDATION_TIMES = (0.0, 0.5, 1.0)   # where TimeKernel checks a and ka_scale
-
-
-class TimeKernel:
-    """k(t;x,y) = a(t) K_s(x,y) + s(t) K_a(x,y) with a(t) in [lam, Lam].
-
-    ``a`` and ``ka_scale`` (s, default 1) are functions of t alone; |s| <= 1
-    keeps the kernel admissible.  Both are checked at ``_VALIDATION_TIMES``.
-    A time slice keeps the base's ray profile with c scaled (see ``at``).
-    """
-
-    def __init__(self, base: Kernel, a, lam: float, Lam: float, ka_scale=None):
-        if not (0.0 < lam <= Lam < math.inf):
-            raise ValueError("need 0 < lam <= Lam < inf")
-        self.base = base
-        self.a = a
-        self.lam = float(lam)
-        self.Lam = float(Lam)
-        self.ka_scale = ka_scale if ka_scale is not None else (lambda t: 1.0)
-        for t in _VALIDATION_TIMES:
-            k = self.at(t)
-            if not lam - 1e-12 <= k.sym_scale <= Lam + 1e-12:
-                raise ValueError(f"modulation a(t) = {k.sym_scale} leaves [lam, Lam] at t={t}")
-            if not abs(k.anti_scale) <= 1.0 + 1e-12:
-                raise ValueError(f"|ka_scale(t)| = {abs(k.anti_scale)} > 1 at t={t}")
-
-    def at(self, t: float) -> Kernel:
-        """Freeze time: the base kernel with K_s scaled by a(t) and K_a by
-        ka_scale(t)."""
-        return _ScaledKernel(self.base, self.a(t), self.ka_scale(t))
-
-    def __call__(self, t, x, y):
-        return self.at(t)(x, y)
-
-
-def time_modulate(base: Kernel, a, lam: float, Lam: float,
-                  ka_scale=None) -> TimeKernel:
-    return TimeKernel(base, a, lam, Lam, ka_scale=ka_scale)
 
 
 # --- named closed-form fields used by scenario configs -------------------------

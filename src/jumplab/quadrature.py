@@ -17,8 +17,8 @@ end terms close the rule, both built from F(x, x + s e) s^d at the cut radius
 
 Assembly takes its tail weights from this rule only for kernels without a ray
 profile: coefficient, drift and custom (``SplitKernel``) kernels and their
-duals and time slices; stable and cone kernels, their duals and their time
-slices get closed-form tails in ``discretize``.
+duals; stable and cone kernels and their duals get closed-form tails in
+``discretize``.
 The assumption checkers (K1, K1glob, Tail, Cutoff) and ``mosco`` use the rule
 for every kernel.
 """

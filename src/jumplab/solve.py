@@ -14,12 +14,12 @@ exact constant-drift load, which makes the shift identity (dual solution minus
 a constant solves the extended dual) hold at the level of the discrete
 recursion.
 
-``solve_parabolic`` steps over the whole steps of ``time_grid`` to t_end and
-evaluates a form function only at grid times, once per time.  A form
-keeps one ``_InteriorSystem`` per operator, A or A^T (dual and dual_ext),
-which holds M and its LU factors while the form lives: every run, theta step
-and resolvent on the form shares it, and it refactors only when M changes
-(I + theta dt A_II for a step, lam I + A_II for the resolvent).
+``solve_parabolic`` steps one form over the whole steps of ``time_grid`` to
+t_end.  A form keeps one ``_InteriorSystem`` per operator, A or A^T (dual
+and dual_ext), which holds M and its LU factors while the form lives: every
+run, theta step and resolvent on the form shares it, and it refactors only
+when M changes (I + theta dt A_II for a step, lam I + A_II for the
+resolvent).
 A step adds the load to the interior vector in a row of the block buffer B
 and solves a copy of that row in X in place with the LAPACK ``getrs`` of the
 LU factors.  The residuals are checked a block of ``_BLOCK`` steps at a time,
@@ -36,7 +36,7 @@ datum into its snapshots with one slice copy per run of consecutive nodes
 wrapper, without the scipy.linalg package), loaded on the first factorisation
 (see ``_lazy``), a module global read at call time: a replaced ``solve.sla``
 sees every ``lu_factor``, the ``lu_solve`` calls of ``_solve_refined``
-(refinement, resolvent) and the ``getrs`` of every step (``_Stepper._bind``).
+(refinement, resolvent) and the ``getrs`` of every step (bound by ``_Stepper``).
 ``sla`` and the returned ``Solution`` (states and each step's residual) are
 the seams that tests pin the stepper by; the private classes may change.
 """
@@ -60,9 +60,9 @@ _VARIANTS = ("primal", "dual", "dual_ext")
 
 @dataclass
 class ParabolicProblem:
-    """A theta-scheme run of a form, or of a function t -> form, on data fixed
-    in time: the initial state u0, the collar datum, the source f, the exterior."""
-    form: object                      # DiscreteForm or callable t -> DiscreteForm
+    """A theta-scheme run of a form on data fixed in time: the initial state
+    u0, the collar datum, the source f, the exterior."""
+    form: DiscreteForm
     u0: object                        # initial values on all box nodes (array)
     t_start: float
     t_end: float
@@ -75,6 +75,8 @@ class ParabolicProblem:
     d_const: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.form, DiscreteForm):
+            raise ValueError(f"form must be a DiscreteForm, not {type(self.form).__name__}")
         for name in ("collar", "f", "u0"):
             if callable(getattr(self, name)):
                 raise ValueError(f"{name} must be an array fixed in time, not a callable")
@@ -89,11 +91,6 @@ class ParabolicProblem:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.t_end <= self.t_start:
             raise ValueError("empty time interval")
-
-    def form_at(self, t: float) -> DiscreteForm:
-        if isinstance(self.form, DiscreteForm):
-            return self.form
-        return self.form(t)
 
 
 @dataclass
@@ -176,100 +173,82 @@ def _system(form: DiscreteForm, variant: str) -> _InteriorSystem:
 
 
 class _Stepper:
-    """Steps the interior state from one grid time to the next.
+    """Steps the interior state of a run from one grid time to the next.
 
-    It steps on the system that the current form keeps (``_system``), so a
-    form function over any number of forms factors once per form.  Under
-    theta < 1 a step's explicit part is the ``A_exp`` of its start time's system.
+    It steps on the system that the run's form keeps (``_system``), so every
+    run on the form shares its factors.  Under theta < 1 a step's explicit
+    part is that system's ``A_exp``.
 
-    ``_bind`` makes a system current, on the first step and on a form switch:
-    it builds the system's load pair (dt (1 - theta) r, dt theta r) from the
-    data, fixed in time, and a temporary A_IC, factors the system if its key
-    differs, binds M with its LU handles and ``sla.getrs`` (a later refactor of
-    the shared system leaves them as they are) and allocates the block buffers
-    B, X and R once.  A step adds the load into row i of B (after the explicit
-    part under theta < 1), copies it into row i of X and solves that row in
-    place with ``getrs``; an array that a replaced ``getrs`` returns instead is
-    copied back.  Step indices and times go to the arrays k and t.
+    A new stepper builds the load pair (dt (1 - theta) r, dt theta r) from
+    the data, fixed in time, and a temporary A_IC, factors the system if its
+    key differs, binds M with its LU handles and ``sla.getrs`` (a later
+    refactor of the shared system leaves them as they are) and allocates the
+    block buffers B, X and R.  A step adds the load into row i of B (after
+    the explicit part under theta < 1), copies it into row i of X and solves
+    that row in place with ``getrs``; an array that a replaced ``getrs``
+    returns instead is copied back.  Step indices and times go to the arrays
+    k and t.
     ``check`` tests the recorded rows with one product R = B - X M^T, written
-    into R, when ``rows`` steps are recorded, before the stepper changes
-    system, and when asked (the end of a run); a row passes if
-    |r| <= RESIDUAL_TOL |b|.  The first row j that misses (a non-finite one
-    too) is redone from its b by ``_solve_refined``, which raises if it
-    misses again; steps j + 1, ... are then recomputed from the corrected
-    state and checked anew, so the states equal those of a check after every
-    step.
+    into R, when ``rows`` steps are recorded and when asked (the end of a
+    run); a row passes if |r| <= RESIDUAL_TOL |b|.  The first row j that
+    misses (a non-finite one too) is redone from its b by ``_solve_refined``,
+    which raises if it misses again; steps j + 1, ... are then recomputed
+    from the corrected state and checked anew, so the states equal those of a
+    check after every step.
     Checked rows go to ``emit(k0, X, residuals)``, k0 the index of the first.
     """
 
-    def __init__(self, problem: ParabolicProblem, form: DiscreteForm, emit=None,
-                 rows: int = 1):
+    def __init__(self, problem: ParabolicProblem, emit=None, rows: int = 1):
         p = self.problem = problem
-        self._forms = None if isinstance(p.form, DiscreteForm) else p.form
         # the weight of the explicit part, None at theta = 1 (no explicit part)
         self._c = (1.0 - p.theta) * p.dt if p.theta < 1.0 else None
-        self.form, self.system = form, _system(form, p.variant)
-        self.g = _datum(p.collar, form.grid.collar)
-        self.loads = self._loads() if self._c is not None else None
-        self.M = self.lu = self.piv = self.getrs = None    # the current system's, by _bind
+        s = self.system = _system(p.form, p.variant)
+        self.g = _datum(p.collar, p.form.grid.collar)
+        key = (1.0, p.theta * p.dt)
+        # M's A_II slice comes before the load's temporary A_IC (31.5 MiB on holder-2d):
+        # in the other order holder-2d read a 6 MB higher peak resident set (measured)
+        fresh = s.block(s.I) if s.key != key else None
+        self.loads = self._loads()
+        s.factor(*key, fresh)
+        self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, sla.getrs
         self.emit, self.rows, self.n = emit, rows, 0    # n rows recorded since the last check
         self.k, self.t = np.empty(rows, dtype=np.intp), np.empty(rows)
-        self.B = self.X = self.R = self.res = None  # rows of b, x, b - M x and residual
+        # rows of b, x, b - M x and residual, after the factorisation, whose peak they would raise
+        self.B, self.X, self.R = np.empty((3, rows, len(self.loads[1])))
+        self.res = np.empty(rows)
 
     def _loads(self):
-        """The current system's load pair."""
+        """The load pair of the run's data."""
         p, system = self.problem, self.system
         r = _datum(p.f, system.I) - system.block(~system.I) @ self.g
         r = r + system.tail * p.exterior
         if p.variant == "dual_ext":   # the system keeps the drift slice of its first such load
-            system.drift = self.form.drift_load[system.I] if system.drift is None else system.drift
+            system.drift = p.form.drift_load[system.I] if system.drift is None else system.drift
             r = r + p.d_const * system.drift
         return p.dt * (1.0 - p.theta) * r if p.theta < 1.0 else None, p.dt * p.theta * r
-
-    def _bind(self, form: DiscreteForm):
-        """Make the system of form current (see the class docstring)."""
-        p, switch = self.problem, form is not self.form
-        if switch:
-            self.form, self.system = form, _system(form, p.variant)
-        s, key = self.system, (1.0, p.theta * p.dt)
-        # M's A_II slice comes before the load's temporary A_IC (31.5 MiB on holder-2d):
-        # in the other order holder-2d read a 6 MB higher peak resident set (measured)
-        fresh = s.block(s.I) if s.key != key else None
-        if switch or self.loads is None:
-            self.loads = self._loads()
-        s.factor(*key, fresh)
-        self.M, (self.lu, self.piv), self.getrs = s.M, s.lu, sla.getrs
-        if self.B is None:            # after the factorisation, whose peak they would raise
-            self.B, self.X, self.R = np.empty((3, self.rows, len(self.loads[1])))
-            self.res = np.empty(self.rows)
 
     def step(self, u_I: np.ndarray, t_new: float, k: int) -> np.ndarray:
         """The interior state at t_new of step k from the interior state u_I
         at the current time: a row of X, which a check corrects in place and
         the steps after the next check overwrite.  With the default ``rows`` = 1
         the row is checked before it is returned."""
-        system, explicit = self.system, self.loads  # the start time's, under theta < 1
-        if self._forms is not None and (form := self._forms(t_new)) is not self.form:
-            self.check()              # the old system checks its rows first
-            self._bind(form)
-        elif self.getrs is None:
-            self._bind(self.form)
         i = self.n
         self.k[i], self.t[i] = k, t_new
-        x = self._solve(i, u_I, system, explicit, self.loads[1])
+        x = self._solve(i, u_I)
         self.n = i + 1
         if self.n == self.rows:
             self.check()
         return x
 
-    def _solve(self, i: int, u_I: np.ndarray, system, explicit, load: np.ndarray):
-        """Fill row i of B from the state u_I and the load dt theta r (after
-        the explicit part under theta < 1: the ``A_exp`` of system and the
-        load pair ``explicit``), solve it into row i of X and return that row."""
+    def _solve(self, i: int, u_I: np.ndarray):
+        """Fill row i of B from the state u_I and the load pair (after the
+        explicit part under theta < 1), solve it into row i of X and return
+        that row."""
         b, x = self.B[i], self.X[i]
+        explicit, load = self.loads
         if self._c is not None:
-            np.subtract(u_I, self._c * (system.A_exp @ u_I), out=b)
-            b += explicit[0]
+            np.subtract(u_I, self._c * (self.system.A_exp @ u_I), out=b)
+            b += explicit
             b += load
         else:
             np.add(u_I, load, out=b)
@@ -303,8 +282,8 @@ class _Stepper:
                                        f"relative residual {rel_res:.3e} > "
                                        f"RESIDUAL_TOL = {RESIDUAL_TOL:.1e}")
                 X[j], self.res[j] = x, rel_res
-                for m in range(j + 1, n):   # the block's system: it changes between blocks only
-                    self._solve(m, X[m - 1], self.system, self.loads, self.loads[1])
+                for m in range(j + 1, n):
+                    self._solve(m, X[m - 1])
                 i = j + 1
             if self.emit is not None:
                 self.emit(int(self.k[0]), X, self.res[:n])
@@ -314,7 +293,7 @@ class _Stepper:
 
 def theta_step(problem: ParabolicProblem, u_full: np.ndarray, t: float):
     """One theta-scheme step from t to t + dt; returns the new full-box state."""
-    stepper = _Stepper(problem, problem.form_at(t))
+    stepper = _Stepper(problem)
     out = np.array(u_full, dtype=float)
     I = stepper.system.I
     out[I] = stepper.step(out[I], t + problem.dt, int(round((t - problem.t_start) / problem.dt)))
@@ -360,7 +339,7 @@ def _write(rows: np.ndarray, runs: list, values: np.ndarray):
 
 def solve_parabolic(problem: ParabolicProblem) -> Solution:
     """Snapshots at the times of ``time_grid``, meta["n_steps"] steps of dt to t_end."""
-    form = problem.form_at(problem.t_start)
+    form = problem.form
     grid = form.grid
     u0 = np.asarray(problem.u0, dtype=float)
     if u0.shape != (grid.n_nodes,):
@@ -379,7 +358,7 @@ def solve_parabolic(problem: ParabolicProblem) -> Solution:
         _write(snaps[k0 + 1:k0 + 1 + len(X)], I, X)
         residuals[k0:k0 + len(X)] = res
 
-    stepper = _Stepper(problem, form, emit, min(_BLOCK, n_steps))
+    stepper = _Stepper(problem, emit, min(_BLOCK, n_steps))
     try:
         for k, t_new in enumerate(times[1:]):
             u = stepper.step(u, t_new, k)

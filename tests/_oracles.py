@@ -108,31 +108,27 @@ def _old_solve_refined(lu_piv, Mmat, x_rhs):
 
 class _OldStepper:
     def __init__(self, problem):
-        from jumplab.discretize import DiscreteForm
-
         self.problem = problem
-        self.time_dependent = not isinstance(problem.form, DiscreteForm)
         self._cache = {}
 
     def matrices(self, t_new):
         p = self.problem
-        key = None if not self.time_dependent else round(t_new, 12)
-        if key in self._cache:
-            return self._cache[key]
-        form = p.form_at(t_new)
+        if None in self._cache:
+            return self._cache[None]
+        form = p.form
         I = form.grid.interior
         A, _, _ = _old_operator(p, form)
         A_II = A[np.ix_(I, I)]
         M_impl = np.eye(A_II.shape[0]) + p.theta * p.dt * A_II
         entry = (form, A_II, M_impl, sla.lu_factor(M_impl))
         self._cache.clear()
-        self._cache[key] = entry
+        self._cache[None] = entry
         return entry
 
     def step(self, u_full, t):
         p = self.problem
         form_new, A_II, M_impl, lu_piv = self.matrices(t + p.dt)
-        form_old = p.form_at(t) if self.time_dependent and p.theta < 1.0 else form_new
+        form_old = form_new
         grid = form_new.grid
         I = grid.interior
         u_I = u_full[I]
@@ -151,7 +147,7 @@ class _OldStepper:
 
 def old_solve_parabolic(problem):
     """(times, snapshots, residuals) of the old loop."""
-    grid = problem.form_at(problem.t_start).grid
+    grid = problem.form.grid
     u = np.array(problem.u0, dtype=float)
     u[grid.collar] = _old_collar_values(problem, grid, problem.t_start)
     n_steps = max(int(round((problem.t_end - problem.t_start) / problem.dt)), 1)

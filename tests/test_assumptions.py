@@ -11,7 +11,6 @@ from jumplab import (
     c_alpha_norm,
     make_drift_kernel,
     make_stable_kernel,
-    time_modulate,
 )
 from jumplab.assumptions import (
     INF,
@@ -22,7 +21,6 @@ from jumplab.assumptions import (
     good_set_fraction,
     k1_glob_profile,
     k1_profile,
-    k1_time_profile,
     k2_coefficient_D,
     poincare_constant,
     sobolev_ratio,
@@ -460,19 +458,6 @@ class TestCP:
     def test_rejects_theta_at_or_below_threshold(self):
         with pytest.raises(ValueError):
             cp_check(2, 1.0, 2.0, 2.0)
-
-
-class TestTimeProfile:
-    def test_separable_scaling(self, linear_drift_kernel):
-        ball = BallSpec((0.0,), 0.5)
-        J = make_stable_kernel(1, 1.0, c_alpha_norm(1, 1.0))
-        tk = time_modulate(linear_drift_kernel, lambda t: 1.0, 1.0, 1.0,
-                           ka_scale=lambda t: 0.5)
-        static = k1_profile(linear_drift_kernel, J, ball, INF, spacing=0.2)
-        timed = k1_time_profile(tk, J, ball, INF, INF, np.linspace(0, 1, 5),
-                                quad=QuadSpec(n_ang=2))
-        assert timed.constants["norm"] == pytest.approx(
-            0.25 * static.constants["norm"], rel=1e-10)
 
 
 def test_audits_refuse_a_form_without_its_kernel_order(grid_1d):

@@ -285,6 +285,11 @@ class TestValidation:
         ("mosco", {"harness": {"seed": 3}}, "$['harness']: mosco does not read 'seed'\n"),
         ("assemble", {**_default_config("assemble"), "harness": {"center": [0.0]}},
          "$['harness']: assemble does not read 'center'\n"),
+        # sections the command does not take: each was built, and the run exited 0
+        ("algebra-tests", {"kernel": STABLE_1D, "grid": DEFAULT_GRID},
+         "$['kernel']: algebra-tests does not read it\n"),
+        ("harnack", {**_default_config("harnack"), "problem": {}},
+         "$['problem']: harnack does not read it\n"),
     ], ids=["cone-without-beta", "poinc-2d-rho-above-R", "solve-horizon-below-dt",
             "check-kernel-ball-off-domain", "omega-without-halfwidth", "omega-misspelt-radius",
             "unknown-harness-key", "unknown-top-level-key", "omega-center-of-wrong-length",
@@ -306,7 +311,7 @@ class TestValidation:
             "hoelder-h-1/32", "harnack-R-0.01", "drift-j-below-its-potential-increment",
             "drift-j-below-its-increment-between-lattice-distances",
             "drift-2d-increment-above-lam-on-the-diagonal", "solve-alphas", "harnack-variant",
-            "mosco-seed", "assemble-center"])
+            "mosco-seed", "assemble-center", "algebra-tests-kernel", "harnack-problem"])
     def test_a_refused_config_assembles_nothing_and_leaves_no_output(
             self, tmp_path, capsys, monkeypatch, command, cfg, path):
         def refuse(*args, **kw):
@@ -435,6 +440,18 @@ class TestRunners:
         assert run(["check-kernel", "--config", path, "--out", tmp_path]) == 0
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["verdict"] == "finite"
+
+    def test_check_kernel_takes_a_grid_it_does_not_require(self, tmp_path):
+        import jumplab.cli as cli
+
+        assert "grid" not in cli._RUNNERS["check-kernel"].sections
+        cfg = {"harness": {"type": "check-kernel", "assumption": "K1"},
+               "kernel": STABLE_1D, "grid": DEFAULT_GRID}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["check-kernel", "--config", path, "--out", tmp_path / "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["resolution"]["h"] == DEFAULT_GRID["h"]
 
     def test_algebra_tests(self, tmp_path):
         assert run(["algebra-tests", "--out", tmp_path, "--seed", 5]) == 0

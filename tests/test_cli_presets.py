@@ -14,6 +14,7 @@ import scipy
 from jumplab.cli import (
     _RUNNERS,
     _build_kernel_grid,
+    _sections,
     _default_config,
     _problem_from_config,
     _time_span,
@@ -195,14 +196,17 @@ def test_the_readme_lists_the_keys_and_flags_of_each_command(capsys):
     for flag, kinds in re.findall(r"`(--[a-z-]+)` \(([a-z,\s-]+)\)", section.split("```")[0]):
         for kind in re.split(r",\s*", kinds):
             listed.setdefault(kind, set()).add(flag)
-    table = {}      # | command | harness keys | problem keys | flags |
+    table = {}      # | command | harness keys | problem keys | flags | sections |
+    optional = {}   # the sections in parentheses
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("| ") and cells[0] in _RUNNERS:
             table[cells[0]] = [set(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:]]
+            optional[cells[0]] = set(re.findall(r"\(`([^`]+)`\)", cells[-1]))
     assert set(table) == set(_RUNNERS)
     for kind, command in _RUNNERS.items():
         flags = _offered_flags(kind, capsys)
         assert {flag[2:].replace("-", "_") for flag in flags} <= command.harness
         assert flags == listed.get(kind, set())
-        assert table[kind] == [command.harness, command.problem, flags]
+        assert table[kind] == [command.harness, command.problem, flags, _sections(command)]
+        assert optional[kind] == _sections(command) - {"harness", *command.sections}

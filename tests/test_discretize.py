@@ -7,14 +7,12 @@ from jumplab import (
     CutoffProfile,
     QuadSpec,
     assemble,
-    assemble_time,
     build_grid,
     c_alpha_norm,
     carre_du_champ,
     form_value,
     layer_cake_weighted_form,
     make_stable_kernel,
-    time_modulate,
     transpose_form,
 )
 from jumplab.discretize import pair_mask_ball, pair_mask_level
@@ -319,37 +317,3 @@ class TestLayerCake:
             v1 = layer_cake_weighted_form(F1, tau, u, part="sym")["value"]
             v2 = layer_cake_weighted_form(F2, tau, u, part="sym")["value"]
             assert v1 <= v2 <= 2.0 * v1 + 1e-12
-
-
-class TestTimeAssembly:
-    def test_identity_modulation_equals_static(self, grid_1d, sin_coefficient_kernel):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0, 1.0, 1.0)
-        static = assemble(sin_coefficient_kernel, grid_1d)
-        timed = assemble_time(tk, grid_1d, 0.3)
-        np.testing.assert_allclose(timed.A, static.A, rtol=1e-12, atol=1e-14)
-
-    def test_separable_slice_is_the_scaled_base_form(self, grid_1d,
-                                                     sin_coefficient_kernel):
-        a = lambda t: 1.0 + 0.5 * np.sin(t)
-        s = lambda t: 0.5 * np.cos(t)
-        tk = time_modulate(sin_coefficient_kernel, a, 0.5, 1.5, ka_scale=s)
-        t = 0.9
-        timed = assemble_time(tk, grid_1d, t)
-        base = assemble(sin_coefficient_kernel, grid_1d)
-        off = ~np.eye(grid_1d.n_nodes, dtype=bool)
-        np.testing.assert_allclose(timed.A_s[off], a(t) * base.A_s[off], rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(timed.A_a, s(t) * base.A_a, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(timed.tail_sym, a(t) * base.tail_sym, rtol=1e-12)
-        np.testing.assert_allclose(timed.tail_anti, s(t) * base.tail_anti, rtol=1e-12)
-
-    def test_entries_stay_within_modulation_bounds(self, grid_1d,
-                                                   sin_coefficient_kernel):
-        a = lambda t: 1.0 + 0.5 * np.sin(t)
-        tk = time_modulate(sin_coefficient_kernel, a, 0.5, 1.5)
-        static = assemble(sin_coefficient_kernel, grid_1d)
-        off_static = static.A_s - np.diag(np.diag(static.A_s))
-        for t in (0.0, 1.0, 2.5):
-            timed = assemble_time(tk, grid_1d, t)
-            off = timed.A_s - np.diag(np.diag(timed.A_s))
-            assert np.all(np.abs(off) >= 0.5 * np.abs(off_static) - 1e-15)
-            assert np.all(np.abs(off) <= 1.5 * np.abs(off_static) + 1e-15)

@@ -6,8 +6,7 @@ A_a exactly antisymmetric and transpose_form(F).A == F.A.T.
 import numpy as np
 import pytest
 
-from jumplab import (assemble, assemble_time, build_grid, make_drift_kernel, time_modulate,
-                     transpose_form)
+from jumplab import assemble, build_grid, make_drift_kernel, transpose_form
 from jumplab.assumptions import BallSpec, poincare_constant, sobolev_ratio
 from jumplab.discretize import DiscreteForm
 from jumplab.kernels import pair_values
@@ -19,24 +18,21 @@ def _dense_arrays(form):
 
 
 @pytest.fixture(scope="module")
-def forms(coeff_form_1d, grid_1d, sin_coefficient_kernel, cone_kernel_2d, fast_quad):
+def forms(coeff_form_1d, cone_kernel_2d, fast_quad):
     grid_2d = build_grid(2, 1.0, 1 / 8, {"type": "ball", "radius": 0.5})
-    separable = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.5 * np.sin(t),
-                              0.5, 1.5, ka_scale=lambda t: 0.5 * np.cos(t))
     V = lambda x: 0.4 * np.asarray(x)[..., 0]
     drift = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
     grid_mosco = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
     return {
         "assemble-1d": coeff_form_1d,
         "assemble-2d": assemble(cone_kernel_2d, grid_2d, quad=fast_quad),
-        "assemble_time-separable": assemble_time(separable, grid_1d, 0.9),
         "transpose_form": transpose_form(coeff_form_1d),
         "assemble_corrected": assemble_corrected(drift[1.9], grid_mosco),
     }
 
 
-@pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d", "assemble_time-separable",
-                                  "transpose_form", "assemble_corrected"])
+@pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d", "transpose_form",
+                                  "assemble_corrected"])
 def test_split_is_exact(forms, name):
     F = forms[name]
     assert np.any(F.A_a != 0.0)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from jumplab import Cone, c_alpha_norm, decompose, make_cone_kernel, make_drift_kernel
-from jumplab import make_coefficient_kernel, make_stable_kernel, time_modulate
-from jumplab.kernels import (MIN_SEPARATION, _project, get_field, get_pair_field,
-                             kernel_from_config)
+from jumplab import make_coefficient_kernel, make_stable_kernel
+from jumplab.kernels import (MIN_SEPARATION, _project, _ScaledKernel, get_field,
+                             get_pair_field, kernel_from_config)
 
 
 def random_pairs(rng, d, n, extent=2.0, min_sep=1e-3):
@@ -197,43 +197,6 @@ def test_split_invariants_hold_for_every_family(alpha, d, seed):
         np.testing.assert_allclose(ka, -k.anti(y, x), rtol=1e-12, atol=1e-300)
 
 
-class TestTimeModulation:
-    def test_identity_modulation(self, rng, sin_coefficient_kernel):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0, 1.0, 1.0)
-        x, y = random_pairs(rng, 1, 100)
-        for t in (0.0, 0.7):
-            np.testing.assert_allclose(tk(t, x, y), sin_coefficient_kernel(x, y),
-                                       rtol=1e-14)
-
-    def test_bounds_hold_for_sine_modulation(self, rng, sin_coefficient_kernel):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1 + 0.5 * np.sin(t),
-                           0.5, 1.5)
-        x, y = random_pairs(rng, 1, 300)
-        ks0 = sin_coefficient_kernel.sym(x, y)
-        for t in np.linspace(0, 6, 7):
-            kst = tk.at(t).sym(x, y)
-            assert np.all(kst >= 0.5 * ks0 - 1e-12)
-            assert np.all(kst <= 1.5 * ks0 + 1e-12)
-
-    def test_rejects_modulation_outside_bounds(self, sin_coefficient_kernel):
-        with pytest.raises(ValueError):
-            time_modulate(sin_coefficient_kernel, lambda t: 2.0 + np.sin(t), 0.5, 1.5)
-
-    @pytest.mark.parametrize("a, s", [(lambda t: math.nan, None),
-                                      (lambda t: 1.0, lambda t: math.nan)])
-    def test_rejects_a_nan_modulation(self, sin_coefficient_kernel, a, s):
-        with pytest.raises(ValueError, match="at t=0.0"):
-            time_modulate(sin_coefficient_kernel, a, 0.5, 1.5, ka_scale=s)
-
-    def test_drift_scaling(self, rng, linear_drift_kernel):
-        s = lambda t: np.cos(t)
-        tk = time_modulate(linear_drift_kernel, lambda t: 1.0, 1.0, 1.0, ka_scale=s)
-        x, y = random_pairs(rng, 1, 100)
-        np.testing.assert_allclose(tk.at(0.5).anti(x, y),
-                                   np.cos(0.5) * linear_drift_kernel.anti(x, y),
-                                   rtol=1e-14)
-
-
 @pytest.mark.parametrize("axis", [(0.3, -0.4), (0.6, 0.8), (1.0, 0.0), (0.7,)])
 def test_projection_bits_do_not_depend_on_the_batch(axis):
     # a BLAS dot takes another kernel for one row than for many, which moves
@@ -327,10 +290,9 @@ def test_the_default_2d_drift_kernel_is_nonnegative_on_a_fan_of_directions():
             assert np.all(k(y, np.broadcast_to(x, y.shape)) >= 0.0)
 
 
-def test_a_time_slice_without_drift_has_drift_order_minus_inf():
+def test_a_kernel_scaled_to_no_drift_has_drift_order_minus_inf():
     base = kernel_from_config({"family": "drift", "d": 1, "alpha": 1.5})
-    frozen = time_modulate(base, lambda t: 1.0, 1.0, 1.0, ka_scale=lambda t: 0.0).at(0.5)
-    assert frozen.diag_orders(_PTS[1]) == (1.5, -math.inf)
+    assert _ScaledKernel(base, 1.0, 0.0).diag_orders(_PTS[1]) == (1.5, -math.inf)
 
 
 def test_an_infinite_drift_has_order_plus_inf():

@@ -1,21 +1,19 @@
-"""form_value sums its pair terms directly; a run evaluates its form once per
-grid time and builds and factors one interior system per form object."""
+"""form_value sums its pair terms directly; a run builds and factors one
+interior system per form object."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import old_solve_parabolic, system_matrix
+from _oracles import system_matrix
 from jumplab import solve as solve_module
 from jumplab import (
     ParabolicProblem,
     QuadSpec,
     assemble,
-    assemble_time,
     build_grid,
     form_value,
     solve_parabolic,
-    time_modulate,
 )
 from jumplab.discretize import pair_mask_ball, pair_mask_level
 
@@ -63,64 +61,12 @@ def test_form_value_rejects_an_unknown_weight(cone_form_2d):
         form_value(cone_form_2d, None, u, u, weight="max")
 
 
-def _counted_problem(grid, tk, t_start, dt, theta):
-    calls = []
-
-    def form_fn(t):
-        calls.append(t)
-        return assemble_time(tk, grid, t)
-
-    u0 = 1.0 + 0.3 * np.cos(2.0 * grid.nodes[:, 0])
-    return ParabolicProblem(form_fn, u0, t_start, t_start + 5 * dt, dt, collar=0.5,
-                            exterior=0.2, theta=theta), calls
-
-
-@pytest.fixture
-def modulated(sin_coefficient_kernel):
-    return time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
-                         0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
-
-
-def test_crank_nicolson_assembles_each_slice_once(grid_1d, modulated):
-    p, calls = _counted_problem(grid_1d, modulated, 0.0, 1 / 8, 0.5)
-    sol = solve_parabolic(p)
-    assert sol.meta["n_steps"] == 5
-    assert calls == [k / 8 for k in range(6)]
-
-
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
-@pytest.mark.parametrize("t_start", [0.0, 0.7])
-def test_slice_reuse_is_exact_and_keyed_on_the_float(grid_1d, modulated, t_start, theta):
-    p, calls = _counted_problem(grid_1d, modulated, t_start, 0.1, theta)
-    sol = solve_parabolic(p)
-    times = sol.times
-    # times[k - 1] + dt differs from times[k] in the last bit for t_start = 0.7
-    # (k = 3); the forms are still evaluated once each, at the grid times
-    misses = [k for k in range(1, len(times) - 1) if times[k] != times[k - 1] + p.dt]
-    assert bool(misses) == (t_start == 0.7)
-    assert calls == list(times)
-    # the frozen loop steps to times[k] + dt: give it the slice of the nearest grid time
-    nearest = lambda t: times[np.argmin(np.abs(times - t))]
-    frozen = ParabolicProblem(lambda t: assemble_time(modulated, grid_1d, nearest(t)),
-                              p.u0, p.t_start, p.t_end, p.dt, collar=p.collar,
-                              exterior=p.exterior, theta=theta)
-    old_times, old_snaps, _ = old_solve_parabolic(frozen)
-    assert np.array_equal(sol.times, old_times)
-    assert np.array_equal(sol.snapshots, old_snaps)
-
-
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-@pytest.mark.parametrize("kind", ["form", "constant", "switch"])
-def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, stable_form_1d,
-                                                          sla_calls, kind, theta):
-    F, F2 = replace(coeff_form_1d), replace(stable_form_1d)    # no system built yet
-    form = {"form": F, "constant": lambda t: F,
-            "switch": lambda t: F if t < 0.5 else F2}[kind]
-    sol = solve_parabolic(ParabolicProblem(form, np.ones(F.grid.n_nodes), 0.0, 1.0, 0.01,
+def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, sla_calls, theta):
+    F = replace(coeff_form_1d)      # no system built yet
+    sol = solve_parabolic(ParabolicProblem(F, np.ones(F.grid.n_nodes), 0.0, 1.0, 0.01,
                                            collar=0.5, exterior=0.2, theta=theta))
     assert sol.meta["n_steps"] == 100 and np.all(sol.residuals <= solve_module.RESIDUAL_TOL)
-    # each form object is factored once, at the step size of the run
-    forms = (F, F2) if kind == "switch" else (F,)
-    assert len(sla_calls.lu_factor_calls) == len(forms)
-    for (M, _), G in zip(sla_calls.lu_factor_calls, forms):
-        assert np.array_equal(M, system_matrix(G, 1.0, theta * 0.01))
+    # the form object is factored once, at the step size of the run
+    (M, _), = sla_calls.lu_factor_calls
+    assert np.array_equal(M, system_matrix(F, 1.0, theta * 0.01))

@@ -12,7 +12,6 @@ from jumplab import (
     DiscreteForm,
     ParabolicProblem,
     assemble,
-    assemble_time,
     build_grid,
     c_alpha_norm,
     default_dt,
@@ -21,7 +20,6 @@ from jumplab import (
     solve_dual_ext,
     solve_parabolic,
     theta_step,
-    time_modulate,
     transpose_form,
 )
 from jumplab.estimates import Cylinder, harnack_ensemble, holder_ensemble
@@ -147,6 +145,12 @@ class TestSolveParabolic:
                                              f"not a callable$"):
             problem_with(stable_form_1d, **{name: lambda t, x: 0.5})
 
+    def test_rejects_a_form_function(self, stable_form_1d):
+        # one form steps the whole run: a function t -> form is refused, not called
+        u0 = np.zeros(stable_form_1d.grid.n_nodes)
+        with pytest.raises(ValueError, match="^form must be a DiscreteForm, not function$"):
+            ParabolicProblem(lambda t: stable_form_1d, u0, 0.0, 0.1, 0.01)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["t_start", "t_end", "dt", "exterior", "d_const"])
     def test_rejects_non_finite_numbers(self, stable_form_1d, name, bad):
@@ -191,34 +195,6 @@ class TestDualExt:
             exterior=0.9 - D))
         gap = np.max(np.abs(shifted.snapshots - (dual.snapshots - D)))
         assert gap < 1e-9
-
-
-class TestTimeDependentOperator:
-    def test_identity_modulation_matches_static(self, grid_1d,
-                                                sin_coefficient_kernel, rng):
-        from jumplab import assemble_time, time_modulate
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0, 1.0, 1.0)
-        form_fn = lambda t: assemble_time(tk, grid_1d, t)
-        static = assemble(sin_coefficient_kernel, grid_1d)
-        u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
-        kw = dict(u0=u0, t_start=0.0, t_end=0.1, dt=0.02,
-                  collar=0.5, exterior=0.3)
-        s_time = solve_parabolic(ParabolicProblem(form_fn, **kw))
-        s_stat = solve_parabolic(ParabolicProblem(static, **kw))
-        assert np.max(np.abs(s_time.snapshots - s_stat.snapshots)) < 1e-12
-
-    def test_crank_nicolson_with_varying_modulation(self, grid_1d,
-                                                    sin_coefficient_kernel, rng):
-        from jumplab import assemble_time, time_modulate
-        tk = time_modulate(sin_coefficient_kernel,
-                           lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
-        form_fn = lambda t: assemble_time(tk, grid_1d, t)
-        u0 = rng.uniform(0.2, 1.0, grid_1d.n_nodes)
-        p = ParabolicProblem(form_fn, u0, 0.0, 0.1, 0.02, theta=0.5,
-                             collar=0.5, exterior=0.3)
-        sol = solve_parabolic(p)
-        assert np.all(np.isfinite(sol.snapshots))
-        assert np.all(sol.residuals <= 1e-10)
 
 
 class TestResolvent:
@@ -350,42 +326,16 @@ class TestAgainstFrozenLoop:
         assert np.array_equal(theta_step(p, sol.snapshots[0], p.t_start), sol.snapshots[1])
 
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_time_dependent_form(self, grid_1d, sin_coefficient_kernel, rng, theta):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t),
-                           0.6, 1.4, ka_scale=lambda t: 0.5 * np.cos(t))
-        form_fn = lambda t: assemble_time(tk, grid_1d, t)
-        p = ParabolicProblem(form_fn, rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
-                             collar=_collar(grid_1d), exterior=0.3, theta=theta,
-                             variant="dual_ext", d_const=0.5)
-        _assert_matches_frozen_loop(p)
-
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_theta_steps_chain_into_the_run(self, grid_1d, sin_coefficient_kernel, rng, theta):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4)
-        p = ParabolicProblem(lambda t: assemble_time(tk, grid_1d, t),
-                             rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
-                             collar=_collar(grid_1d), exterior=0.3, theta=theta)
+    def test_theta_steps_chain_into_the_run(self, coeff_form_1d, rng, theta):
+        g = coeff_form_1d.grid
+        p = ParabolicProblem(coeff_form_1d, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.06, 0.02,
+                             collar=_collar(g), exterior=0.3, theta=theta)
         sol = _assert_matches_frozen_loop(p)
         u = sol.snapshots[0]
         for k in range(len(sol.times) - 1):
             assert sol.times[k] + p.dt == sol.times[k + 1]     # theta_step steps to t + dt
             u = theta_step(p, u, sol.times[k])
             assert np.array_equal(u, sol.snapshots[k + 1])
-
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_alternating_forms(self, coeff_form_1d, stable_form_1d, rng, theta, sla_calls):
-        # two assembled forms in turn over 10 steps: each form keeps its
-        # system, so the run factors one per form, not one per switch; the
-        # first step, to t = dt, steps on the second form
-        forms, dt = (replace(coeff_form_1d), replace(stable_form_1d)), 0.02
-        g = coeff_form_1d.grid
-        p = ParabolicProblem(lambda t: forms[round(t / dt) % 2], rng.uniform(0.2, 1.0, g.n_nodes),
-                             0.0, 10 * dt, dt, collar=_collar(g), exterior=0.4,
-                             theta=theta, variant="dual_ext", d_const=0.7)
-        sol = _assert_matches_frozen_loop(p)
-        assert sol.meta["n_steps"] == 10
-        _assert_factored(sla_calls, *(system_matrix(F, 1.0, theta * dt, "A^T")
-                                      for F in forms[::-1]))
 
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_resolvent(self, coeff_form_1d, rng, variant):
@@ -415,38 +365,6 @@ class TestSharedSystem:
         _assert_factored(sla_calls, system_matrix(form, 1.0, shared["dt"], "A"))
         assert shared == per_member
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_five_cycled_forms_factor_five_times(self, grid_1d, sin_coefficient_kernel, rng,
-                                                 theta, sla_calls):
-        tk = time_modulate(sin_coefficient_kernel, lambda t: 1.0 + 0.4 * np.sin(3 * t), 0.6, 1.4,
-                           ka_scale=lambda t: 0.5 * np.cos(t))
-        forms, dt = [assemble_time(tk, grid_1d, 0.1 * j) for j in range(5)], 0.01
-        p = ParabolicProblem(lambda t: forms[round(t / dt) % 5],
-                             rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 20 * dt, dt,
-                             collar=_collar(grid_1d), exterior=0.3, theta=theta)
-        times, snaps, _ = old_solve_parabolic(p)
-        square_reads = []
-
-        class CountedA(np.ndarray):
-            """A form's A that counts its reads of a block with rows = columns."""
-
-            def __getitem__(self, key):
-                square_reads.append(isinstance(key, tuple) and len(key) == 2
-                                    and np.array_equal(np.ravel(key[0]), np.ravel(key[1])))
-                return np.asarray(self)[key]
-
-        for F in forms:
-            F.__dict__["A"] = F.A.view(CountedA)
-        sol = solve_parabolic(p)
-        assert sol.meta["n_steps"] == 20
-        # A_II is read once per form for M and, under theta < 1, once for the explicit part
-        assert sum(square_reads) == (10 if theta < 1 else 5)
-        # each form keeps the one system of A: factored once, not once per visit,
-        # in the order of the steps' end times
-        _assert_factored(sla_calls, *(system_matrix(F, 1.0, theta * dt)
-                                      for F in forms[1:] + forms[:1]))
-        assert np.array_equal(sol.times, times) and np.array_equal(sol.snapshots, snaps)
-
     def test_a_dropped_form_is_freed_without_the_cyclic_collector(self, coeff_form_1d,
                                                                    sla_calls):
         form = replace(coeff_form_1d)
@@ -469,21 +387,23 @@ class TestSharedSystem:
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_a_resolvent_changes_no_bit_of_a_run(self, coeff_form_1d, rng, variant, theta,
-                                                 inside):
+                                                 inside, sla_calls):
         # the resolvent refactors the shared system; a run's bound M, LU
-        # factors and explicit part stay, also when it runs inside a step
-        # (through the form function) and the block check reads them
+        # factors and explicit part stay, also when it runs inside the run
+        # (before each step's getrs) and the block check reads them
         form = replace(coeff_form_1d)
         g, f = form.grid, rng.normal(size=form.grid.n_nodes)
 
-        def form_and_resolvent(t):
+        def resolvent_and_getrs(getrs, *args):
             resolvent_solve(form, 2.0, f, variant)
-            return form
+            return getrs(*args)
 
-        p = ParabolicProblem(form_and_resolvent if inside else form,
-                             rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
+        if inside:
+            sla_calls.stand_in["getrs"] = resolvent_and_getrs
+        p = ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.02,
                              collar=_collar(g), exterior=0.4, theta=theta, variant=variant)
         first = _assert_matches_frozen_loop(p)
+        sla_calls.stand_in.clear()
         u = resolvent_solve(form, 2.0, f, variant)
         second = solve_parabolic(p)
         assert np.array_equal(second.snapshots, first.snapshots)
@@ -635,16 +555,16 @@ class TestBlockCheck:
     a bad solve anywhere in a block is redone once, through ``_solve_refined``,
     and the run ends on the bits of a run without the bad solve."""
 
-    STEPS = 10      # blocks of steps 0-3, 4-7 and the partial 8-9; the two-form
-    #                 problem changes form at step 6 and checks steps 4-5 before
+    STEPS = 10      # blocks of steps 0-3, 4-7 and the partial 8-9
+    BOTH_THETAS = pytest.mark.parametrize("problem", [0.5, 1.0], indirect=True,
+                                          ids=lambda theta: f"fixed-theta{theta}")
 
     @pytest.fixture
-    def problem(self, request, coeff_form_1d, stable_form_1d, rng):
-        kind, theta = request.param     # forms of their own: the tests tamper with their systems
-        g, F, F2 = coeff_form_1d.grid, replace(coeff_form_1d), replace(stable_form_1d)
-        form = F if kind == "fixed" else (lambda t: F if t < 0.065 else F2)
-        return ParabolicProblem(form, rng.uniform(0.2, 1.0, g.n_nodes), 0.0, 0.1, 0.01,
-                                collar=_collar(g), exterior=0.4, theta=theta)
+    def problem(self, request, coeff_form_1d, rng):
+        g = coeff_form_1d.grid      # a form of its own: the tests tamper with its systems
+        return ParabolicProblem(replace(coeff_form_1d), rng.uniform(0.2, 1.0, g.n_nodes),
+                                0.0, 0.1, 0.01, collar=_collar(g), exterior=0.4,
+                                theta=request.param)
 
     @staticmethod
     def corrupt(sla_calls, step, how):
@@ -658,9 +578,7 @@ class TestBlockCheck:
     @pytest.mark.parametrize("how", [lambda x: x * (1.0 + 1e-9), lambda x: x * np.nan],
                              ids=["scaled", "nan"])
     @pytest.mark.parametrize("step", [4, 5, 7, 9], ids=lambda k: f"step{k}")
-    @pytest.mark.parametrize("problem", [(kind, theta) for kind in ("fixed", "two-form")
-                                         for theta in (0.5, 1.0)], indirect=True,
-                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    @BOTH_THETAS
     def test_a_bad_solve_is_redone_once_and_changes_no_bit(self, problem, step, how,
                                                            monkeypatch, sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
@@ -677,21 +595,18 @@ class TestBlockCheck:
         assert np.array_equal(sol.snapshots, clean.snapshots)
         assert sol.residuals[step] == rel_res <= RESIDUAL_TOL
 
-    @pytest.mark.parametrize("problem", [(kind, theta) for kind in ("fixed", "two-form")
-                                         for theta in (0.5, 1.0)], indirect=True,
-                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    @BOTH_THETAS
     def test_a_clean_run_solves_each_step_with_one_getrs_call(self, problem, monkeypatch,
                                                               sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
         sol = solve_parabolic(problem)
         assert len(sla_calls.getrs_calls) == sol.meta["n_steps"] == self.STEPS
-        assert len(sla_calls.lu_factor_calls) == (2 if callable(problem.form) else 1)
+        assert len(sla_calls.lu_factor_calls) == 1
         assert sla_calls.lu_solve_calls == []        # no redo in a clean run
         assert np.all(sol.residuals <= RESIDUAL_TOL)
 
     @pytest.mark.parametrize("step", [0, 3, 5, 9], ids=lambda k: f"step{k}")
-    @pytest.mark.parametrize("problem", [("fixed", 1.0), ("two-form", 0.5)], indirect=True,
-                             ids=lambda p: f"{p[0]}-theta{p[1]}")
+    @BOTH_THETAS
     def test_each_step_reports_its_own_residual(self, problem, step, monkeypatch, sla_calls):
         # a tolerance that lets x (1 + eps) stand: its relative residual is eps
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
@@ -703,30 +618,30 @@ class TestBlockCheck:
         assert np.all(np.delete(sol.residuals, step) < 1e-12)
 
     @pytest.mark.parametrize("later_error", [False, True])
-    @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
+    @pytest.mark.parametrize("problem", [1.0], indirect=True)
     def test_a_step_that_misses_after_refinement_raises_with_its_index(self, problem,
                                                                       later_error,
                                                                       monkeypatch, sla_calls):
-        # the miss raises although the form function fails at step 6, before
-        # the block of steps 4-7 is full: the first failure is reported
-        if later_error:
-            form = problem.form
-
-            def failing_form(t):
-                if t > 0.065:
-                    raise ValueError("no form")
-                return form
-
-            monkeypatch.setattr(problem, "form", failing_form)
+        # the miss raises although the solve of step 6 fails, before the block
+        # of steps 4-7 is full: the first failure is reported
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
         self.corrupt(sla_calls, 5, lambda x: x * np.nan)
+        if later_error:
+            bad_getrs = sla_calls.stand_in["getrs"]
+
+            def failing_getrs(getrs, *args):
+                if len(sla_calls.getrs_calls) - 1 == 6:
+                    raise ValueError("no solve")
+                return bad_getrs(getrs, *args)
+
+            sla_calls.stand_in["getrs"] = failing_getrs
         # the redo of step 5 misses too: each of its solves returns twice the solution
         sla_calls.stand_in["lu_solve"] = lambda lu_solve, *args: 2.0 * lu_solve(*args)
         with pytest.raises(RuntimeError,
                            match=r"^step 5 to t=0\.06: relative residual 1\.000e\+00"):
             solve_parabolic(problem)
 
-    @pytest.mark.parametrize("problem", [("fixed", 1.0)], indirect=True)
+    @pytest.mark.parametrize("problem", [1.0], indirect=True)
     def test_every_check_writes_its_product_into_one_buffer(self, problem, monkeypatch,
                                                             sla_calls):
         # each check's one product goes into the memory of the first, and

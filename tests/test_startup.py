@@ -158,12 +158,14 @@ STARTUP_COMMANDS = [
      "unexpected)"),
     (["mosco", "--config", {"harness": {"delta": math.nan}}], 2,
      "config error: $['harness']['delta']: NaN is not a finite number"),
+    (["algebra-tests", "--config", {"kernel": {"family": "stable", "d": 1, "alpha": 1.0}}], 2,
+     "config error: $['kernel']: algebra-tests does not read it"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, error", STARTUP_COMMANDS, ids=[
     "--help", *(f"{kind}--help" for kind in _RUNNERS), "usage-error", "unknown-harness-key",
-    "nan-delta"])
+    "nan-delta", "unread-section"])
 def test_help_usage_errors_and_config_refusals_load_nothing_numerical(argv, code, error,
                                                                       tmp_path):
     command = argv

@@ -30,7 +30,7 @@ from jumplab.discretize import (
     pair_mask_ball,
     pair_mask_level,
 )
-from jumplab.kernels import SplitKernel, pair_values, time_modulate
+from jumplab.kernels import SplitKernel, _ScaledKernel, pair_values
 from jumplab.quadrature import QuadSpec, directions, exterior_tail, ray_exit_box
 
 V2 = lambda x: np.tensordot(np.asarray(x, dtype=float), np.array([0.3, -0.4]),
@@ -88,13 +88,12 @@ def test_unprofiled_kernels(sin_coefficient_kernel, linear_drift_kernel):
             assert kernel.ray_profile(part, dirs) is None, type(kernel).__name__
 
 
-def test_profile_of_a_time_slice_scales_the_base(cone_kernel_1d):
-    frozen = time_modulate(cone_kernel_1d, lambda t: 1.0 + t, 1.0, 2.0,
-                           ka_scale=lambda t: -0.5).at(0.5)
+def test_profile_of_a_scaled_kernel_scales_the_base(cone_kernel_1d):
+    scaled = _ScaledKernel(cone_kernel_1d, 1.5, -0.5)
     dirs, _ = directions(1, 2)
     for part, scale in (("sym", 1.5), ("anti", -0.5)):
         c, gamma = cone_kernel_1d.ray_profile(part, dirs)
-        c_t, gamma_t = frozen.ray_profile(part, dirs)
+        c_t, gamma_t = scaled.ray_profile(part, dirs)
         assert np.array_equal(c_t, scale * c) and np.array_equal(gamma_t, gamma)
 
 
@@ -143,12 +142,11 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("case", ["dual-cone-2d", "time-slice-2d", "stable-2d"])
+@pytest.mark.parametrize("case", ["dual-cone-2d", "scaled-cone-2d", "stable-2d"])
 def test_assembled_forms_match_the_pair_values_path_bit_for_bit(case, cone_kernel_2d,
                                                                 monkeypatch):
     kernel = {"dual-cone-2d": cone_kernel_2d.dual(),
-              "time-slice-2d": time_modulate(cone_kernel_2d, lambda t: 1.0 + t, 1.0, 2.0,
-                                             ka_scale=lambda t: -0.7).at(0.5),
+              "scaled-cone-2d": _ScaledKernel(cone_kernel_2d, 1.5, -0.7),
               "stable-2d": make_stable_kernel(2, 1.3, coeff=0.7)}[case]
     grid = build_grid(2, 1.0, 1 / 16, {"type": "ball", "radius": 0.75})
     quad = QuadSpec(n_ang=32, n_panels=20)
