@@ -27,7 +27,7 @@ from jumplab.assumptions import (
     suffK1_check,
     tail_sup,
 )
-from jumplab.kernels import get_field
+from jumplab.kernels import _ScaledKernel, get_field
 
 from _oracles import K1_DRIFT_09, eigh_pencil
 
@@ -458,6 +458,23 @@ class TestCP:
     def test_rejects_theta_at_or_below_threshold(self):
         with pytest.raises(ValueError):
             cp_check(2, 1.0, 2.0, 2.0)
+
+
+class TestScaledProfile:
+    @pytest.mark.parametrize("a, s", [(1.0, 0.5), (2.0, -1.0), (0.5, 2.0)])
+    def test_norm_scales_by_the_square_of_the_drift_and_domination_by_one_over_a(
+            self, linear_drift_kernel, a, s):
+        # int K_a^2 / J scales by s^2; sup E^J / E^{K_s} by 1 / a
+        ball = BallSpec((0.0,), 0.5)
+        J = make_stable_kernel(1, 1.0, c_alpha_norm(1, 1.0))
+        base = k1_profile(linear_drift_kernel, J, ball, INF, spacing=0.2)
+        scaled = k1_profile(_ScaledKernel(linear_drift_kernel, a, s), J, ball, INF,
+                            spacing=0.2)
+        for name in ("norm", "W_max"):
+            assert scaled.constants[name] == pytest.approx(s * s * base.constants[name],
+                                                           rel=1e-10)
+        assert scaled.constants["domination_ratio"] == pytest.approx(
+            base.constants["domination_ratio"] / a, rel=1e-10)
 
 
 def test_audits_refuse_a_form_without_its_kernel_order(grid_1d):

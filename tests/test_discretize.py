@@ -16,6 +16,7 @@ from jumplab import (
     transpose_form,
 )
 from jumplab.discretize import pair_mask_ball, pair_mask_level
+from jumplab.kernels import _ScaledKernel
 
 
 def _bump(x):
@@ -317,3 +318,17 @@ class TestLayerCake:
             v1 = layer_cake_weighted_form(F1, tau, u, part="sym")["value"]
             v2 = layer_cake_weighted_form(F2, tau, u, part="sym")["value"]
             assert v1 <= v2 <= 2.0 * v1 + 1e-12
+
+
+class TestScaledAssembly:
+    @pytest.mark.parametrize("a, s", [(1.0 + 0.5 * np.sin(0.9), 0.5 * np.cos(0.9)),
+                                      (0.5, -1.0)])
+    def test_a_scaled_kernel_assembles_the_scaled_base_form(self, grid_1d,
+                                                            sin_coefficient_kernel, a, s):
+        scaled = assemble(_ScaledKernel(sin_coefficient_kernel, a, s), grid_1d)
+        base = assemble(sin_coefficient_kernel, grid_1d)
+        off = ~np.eye(grid_1d.n_nodes, dtype=bool)
+        np.testing.assert_allclose(scaled.A_s[off], a * base.A_s[off], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(scaled.A_a, s * base.A_a, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(scaled.tail_sym, a * base.tail_sym, rtol=1e-12)
+        np.testing.assert_allclose(scaled.tail_anti, s * base.tail_anti, rtol=1e-12)

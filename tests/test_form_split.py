@@ -9,7 +9,7 @@ import pytest
 from jumplab import assemble, build_grid, make_drift_kernel, transpose_form
 from jumplab.assumptions import BallSpec, poincare_constant, sobolev_ratio
 from jumplab.discretize import DiscreteForm
-from jumplab.kernels import pair_values
+from jumplab.kernels import _ScaledKernel, pair_values
 from jumplab.mosco import alpha_family, assemble_corrected
 
 
@@ -18,7 +18,7 @@ def _dense_arrays(form):
 
 
 @pytest.fixture(scope="module")
-def forms(coeff_form_1d, cone_kernel_2d, fast_quad):
+def forms(coeff_form_1d, grid_1d, sin_coefficient_kernel, cone_kernel_2d, fast_quad):
     grid_2d = build_grid(2, 1.0, 1 / 8, {"type": "ball", "radius": 0.5})
     V = lambda x: 0.4 * np.asarray(x)[..., 0]
     drift = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
@@ -26,13 +26,14 @@ def forms(coeff_form_1d, cone_kernel_2d, fast_quad):
     return {
         "assemble-1d": coeff_form_1d,
         "assemble-2d": assemble(cone_kernel_2d, grid_2d, quad=fast_quad),
+        "assemble-scaled": assemble(_ScaledKernel(sin_coefficient_kernel, 1.25, -0.5), grid_1d),
         "transpose_form": transpose_form(coeff_form_1d),
         "assemble_corrected": assemble_corrected(drift[1.9], grid_mosco),
     }
 
 
-@pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d", "transpose_form",
-                                  "assemble_corrected"])
+@pytest.mark.parametrize("name", ["assemble-1d", "assemble-2d", "assemble-scaled",
+                                  "transpose_form", "assemble_corrected"])
 def test_split_is_exact(forms, name):
     F = forms[name]
     assert np.any(F.A_a != 0.0)

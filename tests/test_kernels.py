@@ -197,6 +197,35 @@ def test_split_invariants_hold_for_every_family(alpha, d, seed):
         np.testing.assert_allclose(ka, -k.anti(y, x), rtol=1e-12, atol=1e-300)
 
 
+class TestScaledKernel:
+    def test_scaling_by_one_is_the_base(self, rng, sin_coefficient_kernel):
+        scaled = _ScaledKernel(sin_coefficient_kernel, 1.0, 1.0)
+        x, y = random_pairs(rng, 1, 100)
+        for part in ("sym", "anti"):
+            assert np.array_equal(getattr(scaled, part)(x, y),
+                                  getattr(sin_coefficient_kernel, part)(x, y))
+        # the base may evaluate K in one pass, the view sums its parts
+        np.testing.assert_allclose(scaled(x, y), sin_coefficient_kernel(x, y), rtol=1e-14)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    def test_the_symmetric_part_is_scaled(self, rng, sin_coefficient_kernel, a):
+        scaled = _ScaledKernel(sin_coefficient_kernel, a, 1.0)
+        x, y = random_pairs(rng, 1, 300)
+        assert np.array_equal(scaled.sym(x, y), a * sin_coefficient_kernel.sym(x, y))
+
+    def test_drift_scaling(self, rng, linear_drift_kernel):
+        scaled = _ScaledKernel(linear_drift_kernel, 1.0, np.cos(0.5))
+        x, y = random_pairs(rng, 1, 100)
+        assert np.array_equal(scaled.anti(x, y), np.cos(0.5) * linear_drift_kernel.anti(x, y))
+        assert np.array_equal(scaled.sym(x, y), linear_drift_kernel.sym(x, y))
+
+    def test_the_kernel_is_its_scaled_parts(self, rng, linear_drift_kernel):
+        scaled = _ScaledKernel(linear_drift_kernel, 1.5, -0.5)
+        x, y = random_pairs(rng, 1, 100)
+        assert np.array_equal(scaled(x, y), 1.5 * linear_drift_kernel.sym(x, y)
+                              - 0.5 * linear_drift_kernel.anti(x, y))
+
+
 @pytest.mark.parametrize("axis", [(0.3, -0.4), (0.6, 0.8), (1.0, 0.0), (0.7,)])
 def test_projection_bits_do_not_depend_on_the_batch(axis):
     # a BLAS dot takes another kernel for one row than for many, which moves

@@ -1,11 +1,11 @@
-"""form_value sums its pair terms directly; a run builds and factors one
-interior system per form object."""
+"""form_value sums its pair terms directly; a run steps on exact grid times
+and builds and factors one interior system per form object."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _oracles import system_matrix
+from _oracles import old_solve_parabolic, system_matrix
 from jumplab import solve as solve_module
 from jumplab import (
     ParabolicProblem,
@@ -62,11 +62,36 @@ def test_form_value_rejects_an_unknown_weight(cone_form_2d):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, sla_calls, theta):
+@pytest.mark.parametrize("variant", ["primal", "dual"])
+def test_one_system_and_one_factorisation_per_form_object(coeff_form_1d, sla_calls, variant,
+                                                          theta):
     F = replace(coeff_form_1d)      # no system built yet
     sol = solve_parabolic(ParabolicProblem(F, np.ones(F.grid.n_nodes), 0.0, 1.0, 0.01,
-                                           collar=0.5, exterior=0.2, theta=theta))
+                                           collar=0.5, exterior=0.2, theta=theta,
+                                           variant=variant))
     assert sol.meta["n_steps"] == 100 and np.all(sol.residuals <= solve_module.RESIDUAL_TOL)
-    # the form object is factored once, at the step size of the run
+    # the form object is factored once, at the step size of the run: the
+    # system of A for the primal run, of A^T for the dual
     (M, _), = sla_calls.lu_factor_calls
-    assert np.array_equal(M, system_matrix(F, 1.0, theta * 0.01))
+    assert np.array_equal(M, system_matrix(F, 1.0, theta * 0.01,
+                                           "A" if variant == "primal" else "A^T"))
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("t_start", [0.0, 0.7])
+def test_grid_times_are_exact_and_the_run_matches_the_frozen_loop(coeff_form_1d, t_start,
+                                                                  theta):
+    grid, dt = coeff_form_1d.grid, 0.1
+    u0 = 1.0 + 0.3 * np.cos(2.0 * grid.nodes[:, 0])
+    p = ParabolicProblem(coeff_form_1d, u0, t_start, t_start + 5 * dt, dt, collar=0.5,
+                         exterior=0.2, theta=theta)
+    sol = solve_parabolic(p)
+    times = sol.times
+    # times[k - 1] + dt differs from times[k] in the last bit for t_start = 0.7
+    # (k = 3): the step times are t_start + k dt, not a running sum
+    misses = [k for k in range(1, len(times) - 1) if times[k] != times[k - 1] + dt]
+    assert bool(misses) == (t_start == 0.7)
+    assert np.array_equal(times, np.append(t_start + dt * np.arange(5), p.t_end))
+    old_times, old_snaps, _ = old_solve_parabolic(p)
+    assert np.array_equal(sol.times, old_times)
+    assert np.array_equal(sol.snapshots, old_snaps)

@@ -23,6 +23,7 @@ from jumplab import (
     transpose_form,
 )
 from jumplab.estimates import Cylinder, harnack_ensemble, holder_ensemble
+from jumplab.kernels import _ScaledKernel
 from jumplab.solve import RESIDUAL_TOL
 
 
@@ -337,6 +338,29 @@ class TestAgainstFrozenLoop:
             u = theta_step(p, u, sol.times[k])
             assert np.array_equal(u, sol.snapshots[k + 1])
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_scaled_form(self, grid_1d, sin_coefficient_kernel, rng, theta):
+        # K_s and K_a scaled apart: a form whose drift is not the base's
+        form = assemble(_ScaledKernel(sin_coefficient_kernel, 1.2, 0.5), grid_1d)
+        p = ParabolicProblem(form, rng.uniform(0.2, 1.0, grid_1d.n_nodes), 0.0, 0.06, 0.02,
+                             collar=_collar(grid_1d), exterior=0.3, theta=theta,
+                             variant="dual_ext", d_const=0.5)
+        _assert_matches_frozen_loop(p)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_runs_on_two_forms_in_turn(self, coeff_form_1d, stable_form_1d, rng, theta,
+                                       sla_calls):
+        # each form keeps its system across the runs on the other: the four
+        # runs factor one system per form, not one per run
+        forms, g = (replace(coeff_form_1d), replace(stable_form_1d)), coeff_form_1d.grid
+        u0 = rng.uniform(0.2, 1.0, g.n_nodes)
+        for F in forms + forms:
+            _assert_matches_frozen_loop(
+                ParabolicProblem(F, u0, 0.0, 0.1, 0.02, collar=_collar(g), exterior=0.4,
+                                 theta=theta, variant="dual_ext", d_const=0.7))
+        _assert_factored(sla_calls, *(system_matrix(F, 1.0, theta * 0.02, "A^T")
+                                      for F in forms))
+
     @pytest.mark.parametrize("variant", ["primal", "dual"])
     def test_resolvent(self, coeff_form_1d, rng, variant):
         f = rng.normal(size=coeff_form_1d.grid.n_nodes)
@@ -556,15 +580,20 @@ class TestBlockCheck:
     and the run ends on the bits of a run without the bad solve."""
 
     STEPS = 10      # blocks of steps 0-3, 4-7 and the partial 8-9
-    BOTH_THETAS = pytest.mark.parametrize("problem", [0.5, 1.0], indirect=True,
-                                          ids=lambda theta: f"fixed-theta{theta}")
+    # the primal run steps on the system of A; the dual_ext run on that of
+    # A^T, with the drift load in its right-hand sides
+    EVERY_PROBLEM = pytest.mark.parametrize(
+        "problem", [(variant, theta) for variant in ("primal", "dual_ext")
+                    for theta in (0.5, 1.0)],
+        indirect=True, ids=lambda p: f"{p[0]}-theta{p[1]}")
 
     @pytest.fixture
     def problem(self, request, coeff_form_1d, rng):
+        variant, theta = request.param
         g = coeff_form_1d.grid      # a form of its own: the tests tamper with its systems
         return ParabolicProblem(replace(coeff_form_1d), rng.uniform(0.2, 1.0, g.n_nodes),
                                 0.0, 0.1, 0.01, collar=_collar(g), exterior=0.4,
-                                theta=request.param)
+                                theta=theta, variant=variant, d_const=0.7)
 
     @staticmethod
     def corrupt(sla_calls, step, how):
@@ -578,7 +607,7 @@ class TestBlockCheck:
     @pytest.mark.parametrize("how", [lambda x: x * (1.0 + 1e-9), lambda x: x * np.nan],
                              ids=["scaled", "nan"])
     @pytest.mark.parametrize("step", [4, 5, 7, 9], ids=lambda k: f"step{k}")
-    @BOTH_THETAS
+    @EVERY_PROBLEM
     def test_a_bad_solve_is_redone_once_and_changes_no_bit(self, problem, step, how,
                                                            monkeypatch, sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
@@ -595,7 +624,7 @@ class TestBlockCheck:
         assert np.array_equal(sol.snapshots, clean.snapshots)
         assert sol.residuals[step] == rel_res <= RESIDUAL_TOL
 
-    @BOTH_THETAS
+    @EVERY_PROBLEM
     def test_a_clean_run_solves_each_step_with_one_getrs_call(self, problem, monkeypatch,
                                                               sla_calls):
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
@@ -606,7 +635,7 @@ class TestBlockCheck:
         assert np.all(sol.residuals <= RESIDUAL_TOL)
 
     @pytest.mark.parametrize("step", [0, 3, 5, 9], ids=lambda k: f"step{k}")
-    @BOTH_THETAS
+    @EVERY_PROBLEM
     def test_each_step_reports_its_own_residual(self, problem, step, monkeypatch, sla_calls):
         # a tolerance that lets x (1 + eps) stand: its relative residual is eps
         monkeypatch.setattr(solve_module, "_BLOCK", 4)
@@ -618,7 +647,7 @@ class TestBlockCheck:
         assert np.all(np.delete(sol.residuals, step) < 1e-12)
 
     @pytest.mark.parametrize("later_error", [False, True])
-    @pytest.mark.parametrize("problem", [1.0], indirect=True)
+    @pytest.mark.parametrize("problem", [("primal", 1.0)], indirect=True)
     def test_a_step_that_misses_after_refinement_raises_with_its_index(self, problem,
                                                                       later_error,
                                                                       monkeypatch, sla_calls):
@@ -641,7 +670,7 @@ class TestBlockCheck:
                            match=r"^step 5 to t=0\.06: relative residual 1\.000e\+00"):
             solve_parabolic(problem)
 
-    @pytest.mark.parametrize("problem", [1.0], indirect=True)
+    @pytest.mark.parametrize("problem", [("primal", 1.0)], indirect=True)
     def test_every_check_writes_its_product_into_one_buffer(self, problem, monkeypatch,
                                                             sla_calls):
         # each check's one product goes into the memory of the first, and
