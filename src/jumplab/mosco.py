@@ -196,17 +196,11 @@ def _diffusion_diagonal(a: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _axis_stencil(grid: Grid, k: int):
-    """Nodes with both lattice neighbours along axis k, and those neighbours."""
-    n_axis = int(round(2 * grid.X / grid.h))
-    idx = np.arange(grid.n_nodes).reshape((n_axis,) * grid.d)
-    inner = np.ones(idx.shape, dtype=bool)
-    edge = [slice(None)] * grid.d
-    for end in (0, -1):
-        edge[k] = end
-        inner[tuple(edge)] = False
-    return (idx[inner], np.roll(idx, -1, axis=k)[inner],
-            np.roll(idx, 1, axis=k)[inner])
+def _lattice_pairs(grid: Grid):
+    """(k, lo, hi) per axis k: every pair of lattice neighbours hi = lo + e_k."""
+    idx = np.arange(grid.n_nodes).reshape((round(2 * grid.X / grid.h),) * grid.d)
+    return [(k, np.delete(idx, -1, axis=k).ravel(), np.delete(idx, 0, axis=k).ravel())
+            for k in range(grid.d)]
 
 
 def assemble_corrected(kernel: Kernel, grid: Grid) -> DiscreteForm:
@@ -214,10 +208,12 @@ def assemble_corrected(kernel: Kernel, grid: Grid) -> DiscreteForm:
 
     The correction adds C_kk(x) times the second-difference stencil and the
     sub-cell drift times the central first difference, restoring consistency
-    of the collocated operator uniformly as alpha -> 2 at fixed h.  The
-    stencil rows sum to zero, so only its off-diagonal entries are added (the
-    symmetric part to A_s, the antisymmetric part to A_a) and the diagonal is
-    completed again.
+    of the collocated operator uniformly as alpha -> 2 at fixed h.  Each
+    pair of lattice neighbours i, i + e_k gets it both ways, row i at the
+    moments of x_i, box-edge rows included: the correction of a symmetric
+    kernel is symmetric.  The stencil rows sum to zero, so only its
+    off-diagonal entries are added (the symmetric part to A_s, the
+    antisymmetric part to A_a) and the diagonal is completed again.
     """
     quad = QuadSpec(n_ang=32, n_panels=24)
     form = assemble(kernel, grid, quad=quad)
@@ -228,10 +224,9 @@ def assemble_corrected(kernel: Kernel, grid: Grid) -> DiscreteForm:
     N = grid.n_nodes
     corr = np.zeros((N, N))
     h = grid.h
-    for k in range(grid.d):
-        rows, plus, minus = _axis_stencil(grid, k)
-        corr[rows, plus] += -C[rows, k] / h ** 2 + 2.0 * b_cell[rows, k] / (2 * h)
-        corr[rows, minus] += -C[rows, k] / h ** 2 - 2.0 * b_cell[rows, k] / (2 * h)
+    for k, lo, hi in _lattice_pairs(grid):
+        corr[lo, hi] = -C[lo, k] / h ** 2 + b_cell[lo, k] / h
+        corr[hi, lo] = -C[hi, k] / h ** 2 - b_cell[hi, k] / h
     S, W = form.A_s, form.A_a
     np.fill_diagonal(S, 0.0)
     S += corr
@@ -251,9 +246,7 @@ def local_form(a, b, grid: Grid) -> DiscreteForm:
     a_field = np.broadcast_to(_diffusion_diagonal(np.asarray(a, dtype=float)), (N, d))
     b_field = np.broadcast_to(b, (N, d))
     S, W, diag = np.zeros((N, N)), np.zeros((N, N)), np.zeros(N)
-    idx = np.arange(N).reshape((round(2 * grid.X / h),) * d)
-    for k in range(d):
-        lo, hi = np.delete(idx, -1, axis=k).ravel(), np.delete(idx, 0, axis=k).ravel()
+    for k, lo, hi in _lattice_pairs(grid):
         a_f = 0.5 * (a_field[lo, k] + a_field[hi, k])
         b_f = 0.5 * (b_field[lo, k] + b_field[hi, k]) / h
         S[lo, hi] = S[hi, lo] = -a_f / h ** 2

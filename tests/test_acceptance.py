@@ -15,7 +15,6 @@ from jumplab import (
     ChainRulePair,
     Cone,
     ParabolicProblem,
-    QuadSpec,
     assemble,
     build_grid,
     c_alpha_norm,

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -5,7 +5,6 @@ import pytest
 
 from jumplab import (
     CutoffProfile,
-    QuadSpec,
     assemble,
     build_grid,
     c_alpha_norm,

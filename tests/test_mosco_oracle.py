@@ -1,16 +1,13 @@
-"""The moment layer of mosco.py against a frozen copy of its earlier loops
-(tests/_oracles.py), bit for bit, and the guard on the dropped mixed term."""
+"""The resolvents of mosco.py against second paths to the same numbers: the
+local resolvent against ``scipy.linalg.solve``, the gaps of
+``resolvent_convergence`` against gaps built here from ``assemble_corrected``,
+``local_form`` and ``resolvent_solve``; ``local_form`` on node fields; and the
+guard on the dropped mixed term.  The moments, the corrected assembly and the
+stencils are pinned by closed forms in tests/test_closed_forms.py."""
 import numpy as np
 import pytest
 import scipy.linalg
 
-import _oracles
-from _oracles import (
-    old_assemble_corrected,
-    old_local_coefficients,
-    old_local_operator,
-    old_resolvent_gaps,
-)
 from _local_limit import probe_coefficients
 from jumplab import build_grid, c_alpha_norm, mosco, solve
 from jumplab.kernels import (SplitKernel, get_pair_field, make_coefficient_kernel,
@@ -50,51 +47,9 @@ def family(request):
     return FAMILIES[request.param]()
 
 
-def test_local_coefficients_match_frozen_loops(family):
-    d = family[1.9].d
-    x = np.random.default_rng(0).uniform(-0.4, 0.4, (2, d))
-    verify = d == 1
-    new = local_coefficients(family, x, delta=0.5, verify_quadrature=verify)
-    old = old_local_coefficients(family, x, delta=0.5, verify_quadrature=verify)
-    for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
-        assert np.array_equal(new[key], old[key]), key
-    for a in family:
-        assert np.array_equal(new["a"][a], old["a"][a])
-        assert np.array_equal(new["b"][a], old["b"][a])
-    if verify:
-        assert new["quadrature_drift"] == old["quadrature_drift"]
-
-
-def test_single_alpha_coefficients_match_frozen_loops(family):
-    x = np.zeros((1, family[1.9].d))
-    one = {1.9: family[1.9]}
-    new = local_coefficients(one, x, delta=0.5)
-    old = old_local_coefficients(family, x, delta=0.5, alphas=[1.9])
-    for key in ("a_limit", "b_limit", "fit_residual", "delta_sensitivity"):
-        assert np.array_equal(new[key], old[key], equal_nan=True), key
-
-
-def test_corrected_form_matches_frozen_assembly(family):
-    grid = _grid(family[1.9].d)
-    new = assemble_corrected(family[1.9], grid)
-    old = old_assemble_corrected(family[1.9], grid)
-    for name in ("A_s", "A_a", "tail_sym", "tail_anti"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
-
-
-def test_local_form_matches_frozen_operator(family):
-    # limits of the kind resolvent_convergence averages over probes
-    d = family[1.9].d
-    coeffs = local_coefficients(family, np.zeros((1, d)), delta=0.5)
-    a, b = np.mean(coeffs["a_limit"], axis=0), np.mean(coeffs["b_limit"], axis=0)
-    grid = _grid(d)
-    I = grid.interior
-    form = local_form(a, b, grid)
-    assert np.array_equal(form.A[I], old_local_operator(a, b, grid)[I])
-    assert np.array_equal(form.A_s, form.A_s.T)
-    assert np.array_equal(form.A_a, -form.A_a.T)
-    assert not np.any(form.tail_sym) and not np.any(form.tail_anti)
-    assert form.meta["kernel"]["alpha"] == 2.0
+@pytest.fixture(scope="module")
+def coeffs(family):
+    return probe_coefficients(family, _grid(family[1.9].d))
 
 
 def test_local_form_takes_node_fields():
@@ -118,7 +73,7 @@ class _Captured(Exception):
     pass
 
 
-def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
+def test_local_resolvent_equals_scipy_linalg_solve(family, coeffs, monkeypatch):
     # the first solve of resolvent_convergence is the local resolvent; capture it
     seen = []
 
@@ -127,7 +82,6 @@ def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
         raise _Captured
 
     grid = _grid(family[1.9].d)
-    coeffs = probe_coefficients(family, grid)
     with monkeypatch.context() as mp:
         mp.setattr(mosco, "resolvent_solve", capture)
         with pytest.raises(_Captured):
@@ -145,13 +99,16 @@ def test_local_resolvent_equals_scipy_linalg_solve(family, monkeypatch):
     assert np.linalg.norm(M @ u[I] - f[I]) <= 1e-12 * np.linalg.norm(f[I])
 
 
-def test_resolvent_gaps_match_frozen_path(family, monkeypatch):
+def test_resolvent_gaps_are_those_of_the_package_solves(family, coeffs):
     grid = _grid(family[1.9].d)
-    out = resolvent_convergence(family, grid, _source, 5.0, probe_coefficients(family, grid))
-    # the local resolvent is an LU solve now, as the nonlocal ones always were
-    sla = _oracles.sla
-    monkeypatch.setattr(sla, "solve", lambda M, b: sla.lu_solve(sla.lu_factor(M), b))
-    assert out["gaps"] == old_resolvent_gaps(family, grid, _source, 5.0)
+    out = resolvent_convergence(family, grid, _source, 5.0, coeffs)
+    f = _source(grid.nodes)
+    local = local_form(np.mean(coeffs["a_limit"], axis=0), np.mean(coeffs["b_limit"], axis=0),
+                       grid)
+    u_loc = solve.resolvent_solve(local, 5.0, f)
+    gaps = [float(np.sqrt(np.sum((solve.resolvent_solve(assemble_corrected(k, grid), 5.0, f)
+                                  - u_loc) ** 2) * grid.cell_volume)) for k in family.values()]
+    assert out["gaps"] == gaps and out["alphas"] == list(family)
 
 
 def _tilted_family():

@@ -1,24 +1,18 @@
 """One-pass assembly: each pair array is filled, row-summed and scaled one row
 block at a time, and the power-law tails are taken in one buffer.  The forms
-are byte for byte those of the frozen whole-array assembly of ``_oracles``,
-signed zeros included, on the stencil path (1D, 2D in whole first-axis slices
-and in parts of one), on the ``pair_values`` path, in the completion of filled
-arrays and in the corrected mosco form.  A stencil-path assembly holds no
-N x N temporary."""
+do not move by a bit when the row block changes (1D, 2D in whole first-axis
+slices and in parts of one, on the stencil and the ``pair_values`` paths),
+the completion of filled arrays equals its completion of arrays symmetrised
+and scaled here, the tail columns are the radial integral c s0^-gamma / gamma
+with the signed zeros of dead rays, and A 1 = tail.  A stencil-path assembly
+holds no N x N temporary."""
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import (
-    old_assemble,
-    old_assemble_corrected,
-    old_completed_form,
-    old_tail_columns,
-)
-from jumplab import (Cone, assemble, build_grid, make_cone_kernel, make_drift_kernel,
-                     make_stable_kernel)
+from jumplab import Cone, assemble, build_grid, make_cone_kernel, make_stable_kernel
 from jumplab import discretize
 from jumplab.discretize import (
     _completed_form,
@@ -26,7 +20,6 @@ from jumplab.discretize import (
     _row_blocks,
     _toeplitz_axes,
 )
-from jumplab.mosco import alpha_family, assemble_corrected
 from jumplab.quadrature import directions, ray_exit_box
 
 FIELDS = ("A_s", "A_a", "tail_sym", "tail_anti")
@@ -65,18 +58,24 @@ def test_the_ball_grid_ends_in_a_short_block():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_assembly_is_the_whole_array_assembly_byte_for_byte(case):
+@pytest.mark.parametrize("block_bytes", [3 * 8 * 1024, 40 * 8 * 1024])
+def test_the_row_block_moves_no_bit(case, block_bytes, monkeypatch):
+    # on the 2D grids, 3 rows: eleven parts of each 32-row slice; 40 rows: one
+    # slice a block
     kernel, grid = CASES[case]()
     assert (_toeplitz_axes(grid) is None) == (case == "non-dyadic-1d")
-    _same_bytes(assemble(kernel, grid), old_assemble(kernel, grid))
-
-
-@pytest.mark.parametrize("block_bytes", [3 * 8 * 1024, 40 * 8 * 1024])
-def test_blocks_of_parts_of_a_slice_and_of_one_slice(block_bytes, monkeypatch):
-    # 3 rows: eleven parts of each 32-row slice; 40 rows: one slice a block
+    ref = assemble(kernel, grid)
     monkeypatch.setattr(discretize, "_BLOCK_BYTES", block_bytes)
-    kernel, grid = CASES["dual-cone-2d"]()
-    _same_bytes(assemble(kernel, grid), old_assemble(kernel, grid))
+    _same_bytes(assemble(kernel, grid), ref)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_constants_meet_only_the_tails(case):
+    kernel, grid = CASES[case]()
+    F = assemble(kernel, grid)
+    A = F.A
+    assert np.max(np.abs(A.sum(axis=1) - F.tail)) <= 1e-13 * np.max(np.abs(A))
+    assert np.any(F.tail_anti) == (case != "stable-2d")
 
 
 def test_tail_columns_keep_the_signed_zeros_of_dead_rays():
@@ -86,14 +85,17 @@ def test_tail_columns_keep_the_signed_zeros_of_dead_rays():
     c, gamma = kernel.ray_profile("anti", dirs)
     dead = c == 0
     assert dead.any() and np.all(np.signbit(c[dead]))
-    old = old_tail_columns(c, gamma, s0)
     new = _power_tail_columns(c, gamma, s0, np.empty(s0.shape))
-    assert np.all(np.signbit(old[:, dead]))
-    assert new.tobytes() == old.tobytes()
+    # int_s0^inf c s^-1-gamma ds, each column's sign that of its c
+    ref = c * s0 ** -gamma / gamma
+    assert np.array_equal(np.signbit(new), np.signbit(ref))
+    assert np.all(np.signbit(new[:, dead]))
+    assert np.allclose(new, ref, rtol=4e-16, atol=0.0)
 
 
-def test_completion_of_filled_arrays_is_the_whole_array_completion(monkeypatch):
-    # several row blocks of a raw pair array with signed zeros and equal pairs
+def test_completion_of_filled_arrays_is_that_of_arrays_symmetrised_apart(monkeypatch):
+    # several row blocks of a raw pair array with signed zeros and equal pairs;
+    # the branch given row sums gets S, W symmetrised, summed and scaled here
     monkeypatch.setattr(discretize, "_BLOCK_BYTES", 7 * 8 * 300)
     rng = np.random.Generator(np.random.Philox(key=23))
     n = 300
@@ -105,23 +107,13 @@ def test_completion_of_filled_arrays_is_the_whole_array_completion(monkeypatch):
         np.fill_diagonal(M, 0.0)
     W[:50, :50] = W[:50, :50].T
     T_s, T_a = rng.standard_normal((2, n))
-    new = _completed_form(grid, S.copy(), W.copy(), T_s, T_a, {}, -2.0 * grid.cell_volume)
-    old = old_completed_form(grid, S.copy(), W.copy(), T_s, T_a, {}, -2.0 * grid.cell_volume)
-    _same_bytes(new, old)
-
-
-@pytest.mark.parametrize("name", ["drift-1d", "isotropic-2d"])
-def test_corrected_form_is_the_frozen_one_byte_for_byte(name):
-    # the drift kernel takes the pair_values path, the isotropic one the stencil
-    if name == "drift-1d":
-        V = lambda x: 0.4 * np.asarray(x)[..., 0]
-        family = alpha_family(make_drift_kernel(1.0, V, 2.0, 1.0, 1), (1.9,))
-        grid = build_grid(1, 1.0, 1 / 32, {"type": "box", "halfwidth": 0.75})
-    else:
-        family = alpha_family(make_stable_kernel(2, 1.0), (1.9,))
-        grid = build_grid(2, 0.5, 1 / 8, {"type": "box", "halfwidth": 0.375})
-    _same_bytes(assemble_corrected(family[1.9], grid),
-                old_assemble_corrected(family[1.9], grid))
+    scale = -2.0 * grid.cell_volume
+    new = _completed_form(grid, S.copy(), W.copy(), T_s, T_a, {}, scale)
+    S2, W2 = (S + S.T) * 0.5, (W - W.T) * 0.5
+    sums = [np.sum(M, axis=1) for M in (S2, W2)]
+    S2 *= scale
+    W2 *= scale
+    _same_bytes(new, _completed_form(grid, S2, W2, T_s, T_a, {}, scale, row_sums=sums))
 
 
 def test_stencil_assembly_holds_the_two_arrays_and_at_most_one_block():

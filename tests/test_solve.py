@@ -20,7 +20,6 @@ from jumplab import (
     solve_dual_ext,
     solve_parabolic,
     theta_step,
-    transpose_form,
 )
 from jumplab.estimates import Cylinder, harnack_ensemble, holder_ensemble
 from jumplab.kernels import _ScaledKernel
