@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._lazy import lazy_module
-from .discretize import DiscreteForm, Grid, _symmetrise, kernel_alpha
+from .discretize import DiscreteForm, Grid, _ball_leaves, _symmetrise, kernel_alpha
 from .kernels import Kernel, StableKernel, pair_values
 from .quadrature import QuadSpec, ball_integral, directions, exterior_tail
 
@@ -50,17 +50,8 @@ class BallSpec:
             raise ValueError("radius must lie in (0, 1]")
         if self.rho is not None and not (0 < self.rho <= self.r):
             raise ValueError("need 0 < rho <= r")
-        c = np.asarray(self.center)
-        if self.omega["type"] == "box":
-            w = float(self.omega["halfwidth"])
-            oc = np.asarray(self.omega.get("center", np.zeros_like(c)))
-            if np.any(np.abs(c - oc) + 2 * self.r > w + 1e-12):
-                raise ValueError("B_2r leaves the domain")
-        elif self.omega["type"] == "ball":
-            R = float(self.omega["radius"])
-            oc = np.asarray(self.omega.get("center", np.zeros_like(c)))
-            if np.linalg.norm(c - oc) + 2 * self.r > R + 1e-12:
-                raise ValueError("B_2r leaves the domain")
+        if _ball_leaves(self.omega, self.center, 2 * self.r)[0]:
+            raise ValueError("B_2r leaves the domain")
 
     @property
     def d(self) -> int:

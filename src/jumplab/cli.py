@@ -593,11 +593,8 @@ def _inside(config, kernel, grid):
     whose values are the datum, not the solution) or if the smallest ball the
     run reads holds fewer grid nodes than it needs (``estimates.smallest_ball``)."""
     cylinder, omega = _cylinder(config["harness"], kernel), grid.omega
-    off = np.subtract(cylinder.center, omega.get("center", [0.0] * grid.d))
-    box = omega["type"] == "box"
-    reach = float(np.max(np.abs(off)) if box else np.linalg.norm(off)) + cylinder.R
-    size = "halfwidth" if box else "radius"
-    if reach > float(omega[size]) + 1e-12:
+    leaves, reach, size = discretize._ball_leaves(omega, cylinder.center, cylinder.R)
+    if leaves:
         raise ConfigError(f"$['harness']: B_R(center) leaves the domain: center offset + R = "
                           f"{reach:.12g} > {omega['type']} {size} {float(omega[size]):.12g}")
     kind = config["harness"]["type"]

@@ -127,6 +127,18 @@ def build_grid(d: int, X: float, h: float, omega: dict | None = None) -> Grid:
     return Grid(d, float(X), float(h), nodes, interior, omega)
 
 
+def _ball_leaves(omega: dict, center, r: float) -> tuple[bool, float, str]:
+    """Whether B_r(center) leaves the domain omega of ``build_grid``: the
+    centre's offset from omega's centre, in the max-norm of a box or the
+    Euclidean norm of a ball, plus r, against omega's halfwidth or radius
+    (to 1e-12).  Returns (leaves, that reach, the size key)."""
+    off = np.subtract(center, omega.get("center", [0.0] * len(center)))
+    box = omega["type"] == "box"
+    size = "halfwidth" if box else "radius"
+    reach = float(np.max(np.abs(off)) if box else np.linalg.norm(off)) + r
+    return reach > float(omega[size]) + 1e-12, reach, size
+
+
 @dataclass
 class DiscreteForm:
     """Dense collocation matrices of a kernel on a grid, plus tail weights.

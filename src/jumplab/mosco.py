@@ -239,23 +239,20 @@ def local_form(a, b, grid: Grid) -> DiscreteForm:
     """-d_k(a_kk d_k u) + 2 b . grad u as a form on the grid, zero outside:
     a is (d, d) or (N, d, d), b is (d,) or (N, d).  Each pair of lattice
     neighbours i, i + e_k couples both ways at the face values of a_kk and
-    b_k: -a_f / h^2 in A_s and +-b_f / h in A_a.  As in ``assemble``, A_s's
-    diagonal holds the drift's row sums (zero for a constant b) besides the
-    diffusion.  The tails are zero; meta records the order alpha = 2."""
+    b_k: -a_f / h^2 in A_s and +-b_f / h in A_a.  The tails are zero, and the
+    diagonal is completed as in ``assemble`` (``_completed_form``): A 1 = 0,
+    so A_s's diagonal holds the drift's row sums (zero for a constant b)
+    besides the diffusion.  meta records the order alpha = 2."""
     N, h, d = grid.n_nodes, grid.h, grid.d
     a_field = np.broadcast_to(_diffusion_diagonal(np.asarray(a, dtype=float)), (N, d))
     b_field = np.broadcast_to(b, (N, d))
-    S, W, diag = np.zeros((N, N)), np.zeros((N, N)), np.zeros(N)
+    S, W = np.zeros((N, N)), np.zeros((N, N))
     for k, lo, hi in _lattice_pairs(grid):
         a_f = 0.5 * (a_field[lo, k] + a_field[hi, k])
         b_f = 0.5 * (b_field[lo, k] + b_field[hi, k]) / h
         S[lo, hi] = S[hi, lo] = -a_f / h ** 2
         W[lo, hi], W[hi, lo] = b_f, -b_f
-        plus, minus = np.zeros((2, 2, N))   # (a_f, b_f) of each node's faces, 0 at the box edge
-        plus[:, lo] = minus[:, hi] = a_f, b_f
-        diag += (plus[0] + minus[0]) / h ** 2 - (plus[1] - minus[1])
-    np.fill_diagonal(S, diag)
-    return DiscreteForm(grid, S, W, np.zeros(N), np.zeros(N), {"kernel": {"alpha": 2.0}})
+    return _completed_form(grid, S, W, np.zeros(N), np.zeros(N), {"kernel": {"alpha": 2.0}}, 1.0)
 
 
 def resolvent_convergence(family: dict, grid: Grid, f, lam: float, coeffs: dict) -> dict:

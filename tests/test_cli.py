@@ -123,6 +123,7 @@ class TestValidation:
         bad.write_text(json.dumps(cfg))
         assert run([command, "--config", bad, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == f"config error: {path}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, cfg, path", [
         ("check-kernel", {"kernel": {"family": "cone", "d": 1, "alpha": 1.5}}, "$['kernel']"),

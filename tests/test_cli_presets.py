@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+import jumplab
 from jumplab.cli import (
     _RUNNERS,
     _build_kernel_grid,
@@ -26,6 +28,7 @@ from jumplab.discretize import assemble
 from jumplab.solve import RESIDUAL_TOL, solve_parabolic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(jumplab.__file__).resolve().parent.parent
 ENSEMBLE_COMMANDS = {"harnack", "hoelder", "caccioppoli"}
 LABEL_COLUMNS = {"lemma", "flat"}
 
@@ -210,3 +213,70 @@ def test_the_readme_lists_the_keys_and_flags_of_each_command(capsys):
         assert flags == listed.get(kind, set())
         assert table[kind] == [command.harness, command.problem, flags, _sections(command)]
         assert optional[kind] == _sections(command) - {"harness", *command.sections}
+
+
+# the CLI as ``python -m jumplab.cli`` runs it, with jsonschema unimportable:
+# the config check runs without it
+_NO_JSONSCHEMA = ('import runpy, sys; sys.modules["jsonschema"] = None; '
+                  'runpy.run_module("jumplab.cli", run_name="__main__")')
+# command lines whose artifacts two runs must write byte for byte; a config
+# is passed as a file, the ensembles run two members
+DETERMINISTIC = {
+    **{f"check-kernel-{a}": ["check-kernel", "--assumption", a]
+       for a in ("K1", "K1glob", "Tail", "Cutoff", "good-set", "Poinc", "coercivity", "CP",
+                 "summary")},
+    "check-kernel-suffK1": ["check-kernel", "--config", {
+        "harness": {"type": "check-kernel", "assumption": "suffK1", "theta_exp": 4},
+        "kernel": {"family": "drift", "d": 1, "alpha": 1.0, "V": "sin-V"}}],
+    "check-kernel-Sob": ["check-kernel", "--config", {
+        "harness": {"type": "check-kernel", "assumption": "Sob"},
+        "kernel": {"family": "stable", "d": 1, "alpha": 0.5},
+        "grid": {"d": 1, "X": 2.0, "h": 0.0625, "omega": {"type": "box", "halfwidth": 1.0}}}],
+    "check-kernel-K2": ["check-kernel", "--config", {
+        "harness": {"type": "check-kernel", "assumption": "K2"},
+        "kernel": {"family": "coefficient", "d": 1, "alpha": 1.5}}],
+    "harnack": ["harnack", "--ensemble", "2", "--seed", "7"],
+    "hoelder": ["hoelder", "--ensemble", "2"],
+    "caccioppoli": ["caccioppoli", "--ensemble", "2"],
+    "algebra-tests": ["algebra-tests"],
+    "mosco": ["mosco", "--alphas", "1.5,1.8,1.9,1.95"],
+    # the family of a 2D drift kernel
+    "mosco-2d": ["mosco", "--config", {
+        "harness": {"type": "mosco", "alphas": [1.9]},
+        "kernel": {"family": "drift", "d": 2, "alpha": 1.5, "L": 2.0,
+                   "V": {"preset": "linear-V", "b": [0.4, -0.2]}},
+        "grid": {"d": 2, "X": 0.5, "h": 0.125, "omega": {"type": "box", "halfwidth": 0.375}}}],
+    "assemble": ["assemble", "--dump-form", "form.csv"],
+    "solve": ["solve"],
+}
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", DETERMINISTIC.values(), ids=DETERMINISTIC)
+def test_two_fresh_runs_write_the_same_bytes(argv, tmp_path):
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(config)]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    procs = []
+    for cwd in runs:
+        cwd.mkdir()
+        procs.append(subprocess.Popen([sys.executable, "-c", _NO_JSONSCHEMA, *argv,
+                                       "--out", "out"], cwd=cwd,
+                                      env={**os.environ, "PYTHONPATH": str(SRC)},
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs:      # a no-op on a process that has exited
+            proc.kill()
+    a, b = map(_files, runs)
+    assert "out/manifest.json" in a and sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []

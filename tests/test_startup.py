@@ -91,6 +91,7 @@ names = ("solve", "estimates", "assumptions", "mosco", "algebra", "kernels", "di
          "quadrature")
 print(json.dumps({{"code": code, "linalg": [m for m in linalg if m in sys.modules],
                   "numpy": type(sys.modules.get("numpy")) is types.ModuleType,
+                  "jsonschema": "jsonschema" in sys.modules,
                   "ma": "numpy.ma" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
                   "ran": sorted(n for n in names
@@ -160,12 +161,14 @@ STARTUP_COMMANDS = [
      "config error: $['harness']['delta']: NaN is not a finite number"),
     (["algebra-tests", "--config", {"kernel": {"family": "stable", "d": 1, "alpha": 1.0}}], 2,
      "config error: $['kernel']: algebra-tests does not read it"),
+    (["solve", "--config", {"harness": {"alphas": [1.5]}}], 2,
+     "config error: $['harness']: solve does not read 'alphas'"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, error", STARTUP_COMMANDS, ids=[
     "--help", *(f"{kind}--help" for kind in _RUNNERS), "usage-error", "unknown-harness-key",
-    "nan-delta", "unread-section"])
+    "nan-delta", "unread-section", "unread-harness-key"])
 def test_help_usage_errors_and_config_refusals_load_nothing_numerical(argv, code, error,
                                                                       tmp_path):
     command = argv
@@ -179,8 +182,9 @@ def test_help_usage_errors_and_config_refusals_load_nothing_numerical(argv, code
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    # numpy and every package module but cli stay unexecuted
+    # numpy, jsonschema and every package module but cli stay unexecuted
     assert seen["code"] == code and not seen["numpy"] and seen["ran"] == []
+    assert not seen["jsonschema"]
     if error is None:
         assert proc.stdout.startswith("usage: jumplab") and proc.stderr == ""
     else:
